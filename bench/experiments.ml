@@ -33,6 +33,13 @@ let fmt_tps v =
 
 let fmt_x v = Printf.sprintf "%.1fx" v
 
+let rolling_config domains =
+  Harness.Bstm.optimistic_config ~num_domains:domains (fun o ->
+      { o with rolling_commit = true })
+
+let spec_seeding =
+  Harness.Bstm.Estimates { validation = Suffix; seed_from_specs = true }
+
 (* Average a measurement over seeds; [label] additionally records each
    per-seed sample in the JSON report (p50/p99 come from these). *)
 let avg_over_seeds ?label mode f =
@@ -301,9 +308,9 @@ let aborts mode =
 
 (* --- Ablations -------------------------------------------------------------- *)
 
-let ablation_row ~label ~config ?declared_writes ~threads w block =
+let ablation_row ~label ~config ?specs ~threads w block =
   let result, stats =
-    Harness.sim_blockstm ~config ?declared_writes ~num_threads:threads
+    Harness.sim_blockstm ~config ?specs ~num_threads:threads
       ~storage:w.P2p.storage w.P2p.txns
   in
   let m = result.metrics in
@@ -334,19 +341,41 @@ let ablations _mode =
   T.add_row t (ablation_row ~label:"baseline" ~config:base ~threads w block);
   T.add_row t
     (ablation_row ~label:"no ESTIMATE markers (remove on abort)"
-       ~config:{ base with use_estimates = false }
+       ~config:
+         (Harness.Bstm.optimistic_config (fun o ->
+              { o with marking = Remove_on_abort }))
        ~threads w block);
   T.add_row t
     (ablation_row ~label:"no read-set pre-check before re-execution"
-       ~config:{ base with prevalidate_reads = false }
+       ~config:
+         (Harness.Bstm.optimistic_config (fun o ->
+              { o with prevalidate_reads = false }))
        ~threads w block);
+  (* Write-set pre-estimation (§7) is spec seeding over specs that declare
+     the exact writes and claim nothing about reads: the same ESTIMATE
+     markers, and no transaction provably independent, so no skipped
+     validation. *)
+  let declared =
+    Array.map
+      (fun ws ->
+        Blockstm_kernel.Access_spec.
+          {
+            reads = [ Unknown ];
+            writes = Array.to_list (Array.map (fun l -> Exact l) ws);
+          })
+      w.declared_writes
+  in
   T.add_row t
     (ablation_row ~label:"write-set pre-estimation (declared writes)"
-       ~config:{ base with prefill_estimates = true }
-       ~declared_writes:w.declared_writes ~threads w block);
+       ~config:
+         (Harness.Bstm.optimistic_config (fun o ->
+              { o with marking = spec_seeding }))
+       ~specs:declared ~threads w block);
   T.add_row t
     (ablation_row ~label:"suspend-resume (effect handlers, §7)"
-       ~config:{ base with suspend_resume = true }
+       ~config:
+         (Harness.Bstm.optimistic_config (fun o ->
+              { o with suspend_resume = true }))
        ~threads w block);
   Report.emit_table t
 
@@ -851,13 +880,7 @@ let commit_latency mode =
             P2p.generate
               (p2p_spec ~flavor:P2p.Standard ~accounts ~block ~seed:42)
           in
-          let config =
-            {
-              Harness.Bstm.default_config with
-              num_domains = domains;
-              rolling_commit = true;
-            }
-          in
+          let config = rolling_config domains in
           let r, ns =
             Blockstm_stats.Clock.time_ns (fun () ->
                 Harness.run_blockstm ~config ~storage:w.storage w.txns)
@@ -919,7 +942,16 @@ let validation_cost mode =
       List.iter
         (fun (mlabel, targeted) ->
           let config =
-            { Harness.Bstm.default_config with targeted_validation = targeted }
+            Harness.Bstm.optimistic_config (fun o ->
+                {
+                  o with
+                  marking =
+                    Estimates
+                      {
+                        validation = (if targeted then Targeted else Suffix);
+                        seed_from_specs = false;
+                      };
+                })
           in
           let n = reps mode in
           let validations = ref 0
@@ -1021,7 +1053,9 @@ let hotspot_delta mode =
                       h_seed = seed;
                     }
                 in
-                let config = { Harness.Bstm.default_config with delta_ops } in
+                let config =
+                  Harness.Bstm.optimistic_config (fun o -> { o with delta_ops })
+                in
                 let result, stats =
                   Harness.sim_blockstm ~config ~num_threads:threads
                     ~storage:w.h_storage w.h_txns
@@ -1305,13 +1339,7 @@ let state_scale mode =
       in
       let bstm_chain =
         C.create ~store:`Merkle ~async_flush:true
-          ~executor:
-            (C.Block_stm
-               {
-                 C.Bstm.default_config with
-                 num_domains = domains;
-                 rolling_commit = true;
-               })
+          ~executor:(C.Block_stm (rolling_config domains))
           ~genesis:w1.storage ()
       in
       let cs = C.execute_block seq_chain w1.txns in
@@ -1475,14 +1503,7 @@ let sustained mode =
         (fun domains ->
           List.iter
             (fun (mname, m) ->
-              let executor =
-                C.Block_stm
-                  {
-                    Harness.Bstm.default_config with
-                    num_domains = domains;
-                    rolling_commit = true;
-                  }
-              in
+              let executor = C.Block_stm (rolling_config domains) in
               let chain =
                 C.create ~store
                   ~async_flush:(store = `Merkle)
@@ -1603,14 +1624,7 @@ let sustained mode =
               lat_txns;
             Mp.close mp)
       in
-      let executor =
-        C.Block_stm
-          {
-            Harness.Bstm.default_config with
-            num_domains = domains;
-            rolling_commit = true;
-          }
-      in
+      let executor = C.Block_stm (rolling_config domains) in
       let chain = C.create ~executor ~genesis () in
       (* Submission stamps of each cut block, FIFO: commits arrive in cut
          order, so [on_block] pops the matching stamps. *)
@@ -1673,16 +1687,17 @@ let sustained mode =
 let spec_cost_rows t ~workload ~block ~accounts ~threads ~storage ~txns ~specs
     =
   let per x = Printf.sprintf "%.3f" (float_of_int x /. float_of_int block) in
-  let base = Harness.Bstm.default_config in
   let opt_r, opt_s = Harness.sim_blockstm ~num_threads:threads ~storage txns in
   let seed_r, seed_s =
     Harness.sim_blockstm
-      ~config:{ base with static_specs = true }
+      ~config:
+        (Harness.Bstm.optimistic_config (fun o ->
+             { o with marking = spec_seeding }))
       ~specs ~num_threads:threads ~storage txns
   in
   let dag_r, dag_s =
     Harness.sim_blockstm
-      ~config:{ base with spec_dag = true }
+      ~config:{ Harness.Bstm.default_config with sched = Spec_dag }
       ~specs ~num_threads:threads ~storage txns
   in
   if not (Harness.equal_snapshot opt_r.snapshot dag_r.snapshot) then

@@ -339,30 +339,6 @@ let run_cmd =
              engine. Blockstm executor only; requires a spec-capable \
              workload (p2p, p2p-simplified, p2p-hotspot).")
   in
-  let lane_mode_arg =
-    let mode_conv =
-      let parse = function
-        | "park" -> Ok Harness.LanesX.Park
-        | "barrier" -> Ok Harness.LanesX.Barrier
-        | s ->
-            Error (`Msg (Printf.sprintf "unknown lane mode %S (park|barrier)" s))
-      in
-      let print ppf m =
-        Fmt.string ppf
-          (match m with Harness.LanesX.Park -> "park" | Barrier -> "barrier")
-      in
-      Arg.conv (parse, print)
-    in
-    Arg.(
-      value
-      & opt mode_conv Harness.LanesX.Park
-      & info [ "lane-mode" ] ~docv:"MODE"
-          ~doc:
-            "Cross-lane coordination for $(b,--lanes): $(b,park) (greedy \
-             batches, cross-lane transactions deferred to the batch tail — \
-             the default) or $(b,barrier) (close a batch at every \
-             cross-lane transaction).")
-  in
   let lane_hint_arg =
     Arg.(
       value & opt int 0
@@ -420,7 +396,7 @@ let run_cmd =
   in
   let action workload accounts block seed theta executor domains suspend
       no_estimates rolling targeted deltas pipeline blocks store cold_ns
-      verify trace_out use_specs sched lanes lane_mode lane_hint =
+      verify trace_out use_specs sched lanes lane_hint =
     if lane_hint < 0 then begin
       Fmt.epr "--lane-hint must be >= 0@.";
       exit 2
@@ -478,19 +454,45 @@ let run_cmd =
                (p2p, p2p-simplified, p2p-hotspot)@.";
             exit 2
     in
+    (* The engine config the flags describe; combinations the config type
+       cannot express exit 2. *)
+    let reject msg =
+      Fmt.epr "%s@." msg;
+      exit 2
+    in
+    let sched : Harness.Bstm.sched =
+      if spec_dag then begin
+        if suspend || no_estimates || rolling || targeted || deltas then
+          reject
+            "--sched spec-dag executes each transaction once and takes none \
+             of --suspend-resume, --no-estimates, --rolling, --targeted, \
+             --deltas";
+        Spec_dag
+      end
+      else begin
+        if no_estimates && (targeted || use_specs) then
+          reject
+            "--targeted and --specs need ESTIMATE markers (drop \
+             --no-estimates)";
+        Optimistic
+          {
+            Harness.Bstm.default_optimistic with
+            marking =
+              (if no_estimates then Remove_on_abort
+               else
+                 Estimates
+                   {
+                     validation = (if targeted then Targeted else Suffix);
+                     seed_from_specs = use_specs;
+                   });
+            suspend_resume = suspend;
+            rolling_commit = rolling;
+            delta_ops = deltas;
+          }
+      end
+    in
     let config =
-      {
-        Harness.Bstm.default_config with
-        num_domains = domains;
-        suspend_resume = suspend;
-        use_estimates = not no_estimates;
-        rolling_commit = rolling;
-        targeted_validation = targeted;
-        delta_ops = deltas;
-        cold_read_suspend = cold_ns > 0;
-        static_specs = use_specs && not spec_dag;
-        spec_dag;
-      }
+      { Harness.Bstm.default_config with num_domains = domains; sched }
     in
     if pipeline then run_pipeline g config executor store blocks n
     else begin
@@ -519,7 +521,7 @@ let run_cmd =
           in
           let r, tps =
             time (fun () ->
-                Harness.run_lanes ~config ~mode:lane_mode
+                Harness.run_lanes ~config
                   ?trace_for:
                     (Option.map (fun ts l -> Some ts.(l)) traces)
                   ~partition ~specs ~storage:g.storage g.txns)
@@ -628,7 +630,7 @@ let run_cmd =
       $ theta_arg $ executor $ domains $ suspend $ no_estimates $ rolling
       $ targeted $ deltas $ pipeline $ blocks $ store_arg $ cold_ns_arg
       $ verify $ trace_out $ specs_flag $ sched_arg $ lanes_arg
-      $ lane_mode_arg $ lane_hint_arg)
+      $ lane_hint_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a workload with a chosen executor") term
 
@@ -665,11 +667,8 @@ let sim_cmd =
     List.iter
       (fun threads ->
         let config =
-          {
-            Harness.Bstm.default_config with
-            suspend_resume = suspend;
-            delta_ops = deltas;
-          }
+          Harness.Bstm.optimistic_config (fun o ->
+              { o with suspend_resume = suspend; delta_ops = deltas })
         in
         let result, stats =
           Harness.sim_blockstm ~config ~num_threads:threads

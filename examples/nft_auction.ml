@@ -28,7 +28,8 @@ let run_auction () =
           ~args:[ Value.Addr house; Value.Addr bidder; Value.Int bid ])
   in
   let config =
-    { Runtime.Bstm.default_config with num_domains = 4; suspend_resume = true }
+    Runtime.Bstm.optimistic_config ~num_domains:4 (fun o ->
+        { o with suspend_resume = true })
   in
   let par =
     Runtime.Bstm.run ~config ~storage:(Runtime.Store.reader store) txns

@@ -49,11 +49,8 @@ let () =
         Chain.create
           ~executor:
             (Chain.Block_stm
-               {
-                 Chain.Bstm.default_config with
-                 num_domains = 4;
-                 suspend_resume = true;
-               })
+               (Chain.Bstm.optimistic_config ~num_domains:4 (fun o ->
+                    { o with suspend_resume = true })))
           ~genesis () );
     ]
   in

@@ -39,7 +39,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Lanes of {
         config : Bstm.config;
         partition : LanesE.partition;
-        mode : LanesE.mode;
         namespace : (L.t -> string) option;
       }
         (** Sharded execution lanes (DESIGN.md §16): [partition.lanes]
@@ -99,9 +98,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       [merkle_buckets] sizes its digest tree, default
       {!Mstore.default_buckets}). [async_flush] (Merkle only) stages
       committed writes into the digest from a flusher domain fed by the
-      engine's committed-prefix stream — effective when the executor is
-      Block-STM with [rolling_commit]; otherwise the delta is folded
-      synchronously after the block, same roots either way.
+      executor's [on_flush] stream, overlapping execution — effective when
+      the executor streams mid-block (Block-STM with [rolling_commit], or
+      lanes); otherwise the delta is folded synchronously after the block,
+      same roots either way.
 
       [retain_outputs] bounds chain history: only the newest N commits keep
       their [outputs] arrays (roots and metrics are kept forever).
@@ -188,13 +188,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         in
         t.commits <- go 0 t.commits
 
-  let run_executor ?declared_writes ?specs (t : 'o t)
+  (* Run the block through the chain's executor over [storage], streaming
+     committed writes through [on_flush] where the executor can. *)
+  let exec_block ?specs ?on_flush (t : 'o t) ~storage
       (txns : (L.t, V.t, 'o) Txn.t array) =
     match t.executor with
     | Sequential ->
-        let r = Seq.run ~storage:(storage_reader t) txns in
+        let r = Seq.run ~storage txns in
         (r.snapshot, r.outputs, None)
-    | Lanes { config; partition; mode; namespace } -> (
+    | Block_stm config ->
+        let r = Bstm.run ~config ?specs ?on_flush ~storage txns in
+        (r.snapshot, r.outputs, Some r.metrics)
+    | Lanes { config; partition; namespace } ->
         let specs =
           match specs with
           | Some s -> s
@@ -202,62 +207,44 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               invalid_arg
                 "Chain: the lanes executor needs per-block access specs"
         in
-        match t.state with
-        | S_merkle m when t.async_flush ->
-            (* Batch deltas stream into the Merkle accumulators exactly like
-               the engine's committed-prefix flushes: the flusher stages
-               while later batches execute, the base tier stays untouched
-               until [commit_staged]. *)
-            let fl = Mstore.start_flusher m in
-            let r =
-              LanesE.run ~config ~mode ?loc_namespace:namespace ~partition
-                ~specs
-                ~on_flush:(fun batch -> Mstore.flusher_push fl batch)
-                ~storage:(Mstore.reader m) txns
-            in
-            Mstore.stop_flusher fl;
-            Mstore.commit_staged m;
-            (r.LanesE.snapshot, r.LanesE.outputs, Some r.LanesE.metrics.engine)
-        | _ ->
-            let r =
-              LanesE.run ~config ~mode ?loc_namespace:namespace ~partition
-                ~specs ~storage:(storage_reader t) txns
-            in
-            (r.LanesE.snapshot, r.LanesE.outputs, Some r.LanesE.metrics.engine)
-        )
-    | Block_stm config -> (
-        match t.state with
-        | S_merkle m when t.async_flush && config.rolling_commit ->
-            (* Digest maintenance overlaps tail execution: the engine's
-               committed-prefix flushes stream (in commit order) into a
-               flusher domain that stages them into the Merkle accumulators
-               while later transactions still execute. The flusher never
-               touches the base tier — workers keep reading start-of-block
-               state — so [commit_staged] below runs only after the engine
-               is done. *)
-            let fl = Mstore.start_flusher m in
-            let r =
-              Bstm.run ~config ?declared_writes
-                ~on_flush:(fun batch -> Mstore.flusher_push fl batch)
-                ~storage:(Mstore.reader m) txns
-            in
-            Mstore.stop_flusher fl;
-            Mstore.commit_staged m;
-            (r.snapshot, r.outputs, Some r.metrics)
-        | _ ->
-            let r =
-              Bstm.run ~config ?declared_writes ~storage:(storage_reader t)
-                txns
-            in
-            (r.snapshot, r.outputs, Some r.metrics))
+        let r =
+          LanesE.run ~config ?loc_namespace:namespace ~partition ~specs
+            ?on_flush ~storage txns
+        in
+        (r.LanesE.snapshot, r.LanesE.outputs, Some r.LanesE.metrics.engine)
+
+  (* Whether the executor flushes committed writes while the block still
+     executes. A lazy executor flushes once, at the end, which overlaps
+     nothing: its delta is cheaper folded synchronously. *)
+  let streams_mid_block = function
+    | Block_stm { sched = Optimistic o; _ } -> o.rolling_commit
+    | Lanes _ -> true
+    | Block_stm { sched = Spec_dag; _ } | Sequential -> false
+
+  let run_executor ?specs (t : 'o t) (txns : (L.t, V.t, 'o) Txn.t array) =
+    match t.state with
+    | S_merkle m when t.async_flush && streams_mid_block t.executor ->
+        (* Digest maintenance overlaps tail execution: the executor's
+           committed writes stream (in commit order) into a flusher domain
+           that stages them into the Merkle accumulators while later
+           transactions still execute. The flusher never touches the base
+           tier — workers keep reading start-of-block state — so
+           [commit_staged] below runs only after the executor is done. *)
+        let fl = Mstore.start_flusher m in
+        let r =
+          exec_block ?specs ~on_flush:(Mstore.flusher_push fl) t
+            ~storage:(Mstore.reader m) txns
+        in
+        Mstore.stop_flusher fl;
+        Mstore.commit_staged m;
+        r
+    | _ -> exec_block ?specs t ~storage:(storage_reader t) txns
 
   (** Execute and commit one block. Returns the commit record; the chain
       state advances to the block's post-state. *)
-  let execute_block ?declared_writes ?specs (t : 'o t)
-      (txns : (L.t, V.t, 'o) Txn.t array) : 'o block_commit =
-    let snapshot, outputs, metrics =
-      run_executor ?declared_writes ?specs t txns
-    in
+  let execute_block ?specs (t : 'o t) (txns : (L.t, V.t, 'o) Txn.t array) :
+      'o block_commit =
+    let snapshot, outputs, metrics = run_executor ?specs t txns in
     apply_state_delta t snapshot;
     t.height <- t.height + 1;
     let commit =
@@ -404,8 +391,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | `Speculative
       (** Block [h+1] {e executes} speculatively against block [h]'s
           streaming committed prefix (cross-block speculation, requires a
-          rolling-commit Block-STM executor). Commits are identical to
-          [`Per_block]. *) ]
+          Block-STM executor with an [Optimistic] schedule, which runs with
+          rolling commit). Commits are identical to [`Per_block]. *) ]
 
   (** Aggregate statistics of one {!execute_stream} run. *)
   type stream_stats = {
@@ -439,16 +426,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       byte-for-byte what a [`Per_block] run over the same blocks yields;
       the test suite checks this across executors and substrates.
 
-      [`Speculative] notes: requires [Block_stm] with [rolling_commit]; the
-      executor's [num_domains] is the stream's total worker budget (one
-      domain speculates on the next block while the rest finish the current
-      one — with [num_domains = 1] speculation degenerates to per-block
-      timing).
+      [`Speculative] notes: requires [Block_stm] with an [Optimistic]
+      schedule; the instances run with rolling commit whatever the config
+      says. The executor's [num_domains] is the stream's total worker budget
+      (one domain speculates on the next block while the rest finish the
+      current one — with [num_domains = 1] speculation degenerates to
+      per-block timing).
 
       [next_specs], called once right after each successful [next], yields
       the block's access specs — required by the [Lanes] executor
-      ([`Per_block] and [`Pipelined] only; [`Speculative] needs the
-      single-instance rolling commit stream). *)
+      ([`Per_block] and [`Pipelined] only) and by Block-STM configs that
+      seed from specs or use [Spec_dag]. *)
   let execute_stream ?(mode : stream_mode = `Per_block) ?on_block ?queue_depth
       ?(next_specs : (unit -> L.t Access_spec.t array option) option)
       (t : 'o t) ~(next : unit -> (L.t, V.t, 'o) Txn.t array option) :
@@ -580,48 +568,20 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                   Dworker.stop dw;
                   finish_stream ()
               | Some txns ->
+                  let specs = fetch_specs () in
                   let snapshot, outputs, metrics =
-                    match t.executor with
-                    | Block_stm config
-                      when t.async_flush && config.rolling_commit ->
-                        let r =
-                          Bstm.run ~config
-                            ~on_flush:(fun batch ->
-                              Dworker.push dw (fun () ->
-                                  Array.iter
-                                    (fun (l, v) -> Mstore.stage m l (Some v))
-                                    batch))
-                            ~storage:(Mstore.reader m) txns
-                        in
-                        (r.Bstm.snapshot, r.Bstm.outputs, Some r.Bstm.metrics)
-                    | Lanes { config; partition; mode; namespace }
-                      when t.async_flush ->
-                        (* Same staging stream as above, fed by the lane
-                           coordinator's per-batch deltas: FIFO on the
-                           digest worker keeps root(h-1) ahead of block
-                           h's staging jobs. *)
-                        let specs =
-                          match fetch_specs () with
-                          | Some s -> s
-                          | None ->
-                              invalid_arg
-                                "Chain: the lanes executor needs per-block \
-                                 access specs"
-                        in
-                        let r =
-                          LanesE.run ~config ~mode ?loc_namespace:namespace
-                            ~partition ~specs
-                            ~on_flush:(fun batch ->
-                              Dworker.push dw (fun () ->
-                                  Array.iter
-                                    (fun (l, v) -> Mstore.stage m l (Some v))
-                                    batch))
-                            ~storage:(Mstore.reader m) txns
-                        in
-                        ( r.LanesE.snapshot,
-                          r.LanesE.outputs,
-                          Some r.LanesE.metrics.engine )
-                    | _ -> run_executor ?specs:(fetch_specs ()) t txns
+                    if t.async_flush && streams_mid_block t.executor then
+                        (* The executor's committed writes stage on the
+                           digest worker: FIFO keeps root(h-1) ahead of
+                           block h's staging jobs. *)
+                        exec_block ?specs t ~storage:(Mstore.reader m)
+                          ~on_flush:(fun batch ->
+                            Dworker.push dw (fun () ->
+                                Array.iter
+                                  (fun (l, v) -> Mstore.stage m l (Some v))
+                                  batch))
+                          txns
+                    else run_executor ?specs t txns
                   in
                   (* Root(h-1) ran before this block's staging jobs (FIFO)
                      and overlapped its execution; after the drain both are
@@ -649,14 +609,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | `Speculative ->
         let cfg =
           match t.executor with
-          | Block_stm c when c.rolling_commit -> c
-          | Block_stm _ ->
-              invalid_arg
-                "Chain.execute_stream: `Speculative requires rolling_commit"
-          | Sequential | Lanes _ ->
+          | Block_stm ({ sched = Optimistic _; _ } as c) -> c
+          | Block_stm { sched = Spec_dag; _ } | Sequential | Lanes _ ->
               invalid_arg
                 "Chain.execute_stream: `Speculative requires a Block_stm \
-                 executor"
+                 executor with an Optimistic schedule"
         in
         let ndom = cfg.Bstm.num_domains in
         let dw = Dworker.create () in
@@ -672,7 +629,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (* Build the next block's speculative instance: reads go overlay →
            (wait, if the predecessor advertises a write) → frozen base, all
            stamped with the overlay generation (DESIGN.md §14). *)
-        let make_spec ~pred txns =
+        let make_spec ~pred ?specs txns =
           let epoch0 = Overlay.epoch ov in
           let v0 = Overlay.version ov in
           let pending_loc =
@@ -703,12 +660,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                     Array.iter (fun (l, v) -> Mstore.stage m l (Some v)) batch)
             | S_flat _ -> ()
           in
-          let config =
-            { cfg with Bstm.cross_block = true; cold_read_suspend = true }
-          in
           let inst =
-            Bstm.create_instance ~config ~gen:(Overlay.gen ov) ~probe ~storage
-              ~on_flush txns
+            Bstm.create_instance ~config:cfg ~gen:(Overlay.gen ov) ~probe
+              ?specs ~storage ~on_flush txns
           in
           (inst, v0)
         in
@@ -768,7 +722,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               let pred =
                 match cur with Some (i, _, _, _) -> Some i | None -> None
               in
-              let inst, v0 = make_spec ~pred txns in
+              let inst, v0 = make_spec ~pred ?specs:(fetch_specs ()) txns in
               (* One domain starts speculating right away; the rest of the
                  budget joins after the promotion below. *)
               let specd = if ndom >= 2 then [ spawn_worker inst 0 ] else [] in

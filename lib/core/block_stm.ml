@@ -58,20 +58,20 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             [rolling_commit] is off: the block commits lazily as a whole). *)
     targeted_validations : int;
         (** Validation tasks drained from the targeted needs-revalidation
-            queue (0 unless [targeted_validation]). *)
+            queue (0 unless [Targeted]). *)
     suffix_validations_avoided : int;
         (** Validation tasks the paper's suffix pullbacks would have
             scheduled beyond what targeted marking did (0 unless
-            [targeted_validation]). *)
+            [Targeted]). *)
     value_prune_hits : int;
         (** Writes pruned as value-equal republications (0 unless
-            [targeted_validation]). *)
+            [Targeted]). *)
     delta_applies : int;
         (** Commutative delta entries recorded by committed-to-MVMemory
             incarnations (0 unless [delta_ops]). *)
     cold_reads : int;
-        (** Executions suspended on a cold storage probe (0 unless
-            [cold_read_suspend] with a cold-capable probe). *)
+        (** Executions suspended on a cold storage probe (0 unless a
+            cold-capable [probe] was given). *)
     spec_skips : int;
         (** Validation tasks short-circuited because the transaction's
             static access spec is disjoint from every other transaction's
@@ -89,123 +89,49 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       m.targeted_validations m.suffix_validations_avoided m.value_prune_hits
       m.delta_applies m.cold_reads m.spec_skips
 
-  type config = {
-    num_domains : int;  (** Worker domains (>= 1). *)
-    use_estimates : bool;
-        (** Paper default [true]: aborted writes become ESTIMATE markers and
-            readers wait for the dependency. [false] is the ablation the
-            paper mentions in §3.2.1 — aborted entries are simply removed, so
-            conflicts surface only at validation time. *)
+  (* The engine configuration is shaped so that every value runs: options
+     that only make sense for the optimistic scheduler live inside
+     [Optimistic], and options that need ESTIMATE markers inside
+     [Estimates]. The interface documents each field. *)
+  type validation = Suffix | Targeted
+
+  type marking =
+    | Estimates of { validation : validation; seed_from_specs : bool }
+    | Remove_on_abort
+
+  type optimistic = {
+    marking : marking;
     prevalidate_reads : bool;
-        (** §4 optimization: before re-executing an incarnation, re-read the
-            previous read-set and park on any ESTIMATE found. *)
-    prefill_estimates : bool;
-        (** §7 future-work feature: seed MVMemory with ESTIMATE markers from
-            declared write-sets so even first incarnations wait on likely
-            conflicts. Requires [declared_writes]. *)
     suspend_resume : bool;
-        (** §7 future-work feature (the Diem VM lacked it, see §4): when a
-            read hits an ESTIMATE, capture the transaction's continuation
-            with an OCaml effect handler instead of discarding the work.
-            The scheduler protocol is unchanged (the incarnation still
-            aborts and a new one is created); when the next incarnation
-            starts, the prefix of reads performed before the suspension is
-            re-validated — exactly the optimization §7 suggests — and on
-            success execution resumes mid-transaction. *)
     rolling_commit : bool;
-        (** Stream a committed prefix instead of the paper's lazy
-            block-at-once commit (Lemma 2): workers opportunistically
-            advance the scheduler's commit sweep, committed entries are
-            flushed out of MVMemory into a committed-base table, and
-            [on_commit] hooks fire per transaction in preset order. Default
-            [false]: paper-faithful behavior, byte-identical results. *)
-    mv_nshards : int;
-        (** Hash shards in the MVMemory location index (default 64). Exposed
-            so bench can sweep the sharding factor. *)
-    targeted_validation : bool;
-        (** §7 future-work optimization (DESIGN.md §10): replace the paper's
-            whole-suffix revalidation with targeted revalidation — MVMemory
-            tracks per-location reader registries and prunes value-equal
-            republications, and the scheduler revalidates exactly the
-            invalidated readers through a needs-revalidation queue, keeping
-            the suffix pullback as the registry-overflow backstop. Default
-            [false]: paper-faithful behavior, byte-identical results.
-            Requires [use_estimates]. *)
     delta_ops : bool;
-        (** Commutative delta entries for hotspot state (DESIGN.md §12):
-            [Txn.effects.delta] publishes bounded add/sub operations as
-            MVMemory delta entries validated by {e range} instead of value
-            equality, so concurrent increments to one location no longer
-            abort each other. [false] (the default) routes
-            [Txn.effects.delta] through the instrumented read/write pair
-            ({!Txn.rmw_delta}), reproducing the paper's behavior
-            byte-identically. *)
-    record_exec_ns : bool;
-        (** Record the wall-clock VM execution time of each transaction's
-            final incarnation in [result.exec_ns] (the vm-cost experiment's
-            per-txn histogram). Default [false]: the hot path takes no
-            timestamps. *)
-    cold_read_suspend : bool;
-        (** Storage-layer use of the suspend/resume machinery (DESIGN.md
-            §13): when the non-blocking storage [probe] reports a miss, the
-            transaction suspends through an effect handler (like an ESTIMATE
-            read in suspend_resume mode), the worker runs the fetch, and the
-            execution task is retried immediately — resuming the continuation
-            after re-validating the read prefix, with the retried probe now
-            hitting the warmed cache. [false] (the default) pays the fetch
-            latency inline inside the VM read. No effect unless [probe] is
-            given. *)
-    cross_block : bool;
-        (** Cross-block speculation (DESIGN.md §14): this instance executes
-            block h+1 speculatively while block h's committed prefix is still
-            streaming into its base storage. Storage fall-through reads are
-            recorded as [Read_origin.Storage_gen] descriptors carrying the
-            overlay's per-location generation stamp (requires [gen] at
-            {!create_instance}), the commit sweep is gated shut, and the
-            scheduler starts held so completion stays unobservable — until
-            the driver calls {!base_sealed} once the predecessor's state is
-            final. Requires [rolling_commit]. Default [false]: no behavior
-            change anywhere. *)
-    static_specs : bool;
-        (** Seed MVMemory ESTIMATE markers from the exact write entries of
-            the static access specs (DESIGN.md §15) before the first
-            execution, so first incarnations park on predicted conflicts
-            instead of discovering them by aborting — the spec-driven
-            sibling of [prefill_estimates]. Requires [specs] at
-            {!create_instance} and [use_estimates]; transactions whose
-            write spec contains a wildcard or unknown entry are simply not
-            seeded. Default [false]: no behavior change. *)
-    spec_dag : bool;
-        (** Schedule from the static-spec dependency DAG instead of
-            optimistically (DESIGN.md §15): each transaction executes
-            exactly once, after every lower transaction whose declared
-            writes may feed its declared reads — no validation, no
-            re-execution, BOHM-style. Transactions with non-exact specs
-            degrade to order barriers (they wait for everything before
-            them, and everything after waits for them). Requires [specs];
-            incompatible with the optimistic-machinery options
-            ([static_specs], [rolling_commit], [cross_block],
-            [targeted_validation], [suspend_resume], [cold_read_suspend],
-            [delta_ops], [prefill_estimates]). Commits bit-identical state
-            to the optimistic engine. Default [false]. *)
   }
+
+  type sched = Spec_dag | Optimistic of optimistic
+
+  type config = { num_domains : int; record_exec_ns : bool; sched : sched }
+
+  let default_optimistic =
+    {
+      marking = Estimates { validation = Suffix; seed_from_specs = false };
+      prevalidate_reads = true;
+      suspend_resume = false;
+      rolling_commit = false;
+      delta_ops = false;
+    }
 
   let default_config =
     {
       num_domains = 1;
-      use_estimates = true;
-      prevalidate_reads = true;
-      prefill_estimates = false;
-      suspend_resume = false;
-      rolling_commit = false;
-      mv_nshards = 64;
-      targeted_validation = false;
-      delta_ops = false;
       record_exec_ns = false;
-      cold_read_suspend = false;
-      cross_block = false;
-      static_specs = false;
-      spec_dag = false;
+      sched = Optimistic default_optimistic;
+    }
+
+  let optimistic_config ?(num_domains = 1) f =
+    {
+      default_config with
+      num_domains;
+      sched = Optimistic (f default_optimistic);
     }
 
   type 'o result = {
@@ -265,23 +191,23 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     storage : (L.t, V.t) Intf.storage;
     probe : (L.t, V.t) Intf.storage_nb option;
         (* Non-blocking storage view. When present, the VM's storage
-           fall-through goes through it; a [Cold] answer either pays the
-           fetch inline or (cold_read_suspend) suspends the transaction. *)
+           fall-through goes through it, and a [Cold] answer suspends the
+           transaction across the fetch. *)
     gen : (L.t -> int) option;
         (* Per-location generation stamps of the cross-block overlay
-           (cross_block mode): sampled BEFORE the storage fall-through value
+           (cross-block mode): sampled BEFORE the storage fall-through value
            so a concurrent overlay update can only make the recorded stamp
            stale — failing validation — never let a new value slip through
            under an old stamp. *)
     gate : bool Atomic.t;
-        (* Commit gate (cross_block mode): [maybe_commit] is a no-op while
+        (* Commit gate (cross-block mode): [maybe_commit] is a no-op while
            the gate is closed, because rolling commits are terminal and must
            not happen against a base that can still change. Opened by
            [base_sealed], strictly after the final revalidation demand. *)
     mv : Mv.t;
     sched : Scheduler.t;
     dag : Spec_dag.t option;
-        (* Spec-derived dependency DAG (spec_dag mode): replaces the
+        (* Spec-derived dependency DAG (Spec_dag mode): replaces the
            collaborative scheduler as the task source; [sched] still exists
            but issues no tasks (its counters stay at their initial state). *)
     indep : bool array;
@@ -289,15 +215,28 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            other transaction's, so its reads can never be invalidated — its
            validation tasks short-circuit to success ([spec_skips]) and, in
            targeted mode, its reads skip the reader registries. All-false
-           unless [specs] were given (DESIGN.md §15). *)
-    cfg : config;
+           unless [specs] were given without [gen] (DESIGN.md §15). *)
+    (* The config, resolved once by [create_instance] (Spec_dag resolves to
+       the inert defaults), so each hot-path check is one load. *)
+    num_domains : int;
+    estimates : bool;  (* [Estimates] marking; [false]: remove on abort. *)
+    targeted : bool;
+    prevalidate : bool;
+    suspend : bool;
+    resumable : bool;
+        (* An execution may park a continuation: [suspend], or a [probe]
+           whose cold misses suspend. *)
+    rolling : bool;  (* [rolling_commit], or implied by [gen]. *)
+    deltas : bool;
+    record_exec : bool;
     outputs : 'o txn_output option array;
         (* Slot [j] is written only by the executor of tx_j's incarnations
            (sequential per Corollary 1) and read after all domains join. *)
     suspensions : 'o suspension_slot array;
-        (* Stashed continuation per transaction (suspend_resume mode). The
-           slot is written by the executor of incarnation i after blocking
-           and consumed (exchanged) by the executor of incarnation i+1;
+        (* Stashed continuation per transaction (suspend_resume or a cold
+           read). The slot is written by the executor of incarnation i after
+           blocking and consumed (exchanged) by the executor of incarnation
+           i+1;
            incarnations of one transaction never overlap (Corollary 1), but
            we use an Atomic for the cross-domain happens-before edge. *)
     obs : Metrics.t;
@@ -320,7 +259,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (* Time-to-commit per transaction (rolling_commit only). *)
     h_reader_occ : Metrics.histogram;
         (* Per-location reader-registry occupancy, observed in [finalize]
-           (targeted_validation only). *)
+           ([Targeted] only). *)
     trace : Trace.t option;
     (* Rolling-commit streaming state. [commit_ns.(j)] is written once, by
        whichever domain commits j (under the scheduler's commit mutex), and
@@ -334,9 +273,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            value is the committed incarnation's. *)
     on_commit : (int -> 'o txn_output -> unit) option;
     on_flush : ((L.t * V.t) array -> unit) option;
-        (* Committed-prefix flush sink (rolling_commit only): forwarded to
+        (* Committed-prefix flush sink: in rolling mode forwarded to
            MVMemory's [flush_committed ~on_batch], which delivers batches in
-           commit order from inside its flush critical section. *)
+           commit order from inside its flush critical section; in lazy
+           mode called once by [finalize] with the whole snapshot. *)
   }
 
   and 'o suspension_slot = 'o suspension option Atomic.t
@@ -364,7 +304,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         c_reads : int;
         c_suspension : 'o suspension;
             (** Always present: cold suspension exists only to park the
-                continuation across the fetch (cold_read_suspend mode). *)
+                continuation across the fetch. *)
       }
 
   and 'o vm_result = {
@@ -480,7 +420,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                  (Access_spec.exact_locs s.Access_spec.writes)))
       deduped
 
-  (* Dependency edges of the spec DAG (spec_dag mode): transaction j waits
+  (* Dependency edges of the spec DAG (Spec_dag mode): transaction j waits
      for EVERY lower transaction whose write spec contains a location j
      reads — all potential writers, not just the highest, because a sound
      spec may overdeclare: if the highest declared writer dynamically skips
@@ -530,86 +470,59 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     done;
     preds
 
-  let create_instance ?(config = default_config) ?declared_writes ?trace
-      ?on_commit ?on_flush ?probe ?gen ?specs ?loc_namespace ~storage
-      (txns : 'o txn array) : 'o instance =
+  let create_instance ?(config = default_config) ?trace ?on_commit ?on_flush
+      ?probe ?gen ?specs ?loc_namespace ~storage (txns : 'o txn array) :
+      'o instance =
     let n = Array.length txns in
     if config.num_domains < 1 then
       invalid_arg "Block_stm: num_domains must be >= 1";
-    if on_commit <> None && not config.rolling_commit then
-      invalid_arg "Block_stm: on_commit requires rolling_commit";
-    if on_flush <> None && not config.rolling_commit then
-      invalid_arg "Block_stm: on_flush requires rolling_commit";
     (match trace with
     | Some tr when Trace.num_workers tr < config.num_domains ->
         invalid_arg "Block_stm: trace has fewer workers than num_domains"
     | _ -> ());
-    if config.mv_nshards < 1 then
-      invalid_arg "Block_stm: mv_nshards must be >= 1";
-    if config.targeted_validation && not config.use_estimates then
-      (* Without ESTIMATE markers an aborted write disappears silently, so
-         readers racing the abort window cannot be pinned down by either the
-         abort-time or the record-time registry collection. *)
-      invalid_arg "Block_stm: targeted_validation requires use_estimates";
-    if config.cross_block && not config.rolling_commit then
-      (* The speculation-safety argument (DESIGN.md §14) leans on the
-         rolling machinery: dirty stamps to invalidate stale commit proofs
-         on the seal-time pullback, and the commit gate below. *)
-      invalid_arg "Block_stm: cross_block requires rolling_commit";
-    if config.cross_block && gen = None then
-      invalid_arg "Block_stm: cross_block requires gen";
-    if gen <> None && not config.cross_block then
-      invalid_arg "Block_stm: gen requires cross_block";
     (match specs with
     | Some sp when Array.length sp <> n ->
         invalid_arg "Block_stm: specs length mismatch"
     | _ -> ());
-    if config.static_specs && specs = None then
-      invalid_arg "Block_stm: static_specs requires specs";
-    if config.static_specs && not config.use_estimates then
-      invalid_arg "Block_stm: static_specs requires use_estimates";
-    if config.static_specs && config.prefill_estimates then
-      (* Both would seed ESTIMATE markers; pick one source. *)
-      invalid_arg "Block_stm: static_specs conflicts with prefill_estimates";
-    if config.spec_dag then begin
-      if specs = None then invalid_arg "Block_stm: spec_dag requires specs";
-      if
-        config.static_specs || config.prefill_estimates
-        || config.rolling_commit || config.cross_block
-        || config.targeted_validation || config.suspend_resume
-        || config.cold_read_suspend || config.delta_ops
-      then
-        invalid_arg
-          "Block_stm: spec_dag is incompatible with the optimistic-machinery \
-           options (static_specs / prefill_estimates / rolling_commit / \
-           cross_block / targeted_validation / suspend_resume / \
-           cold_read_suspend / delta_ops)";
-      if declared_writes <> None then
-        invalid_arg "Block_stm: spec_dag takes specs, not declared_writes"
-    end;
-    let mv =
-      Mv.create ~nshards:config.mv_nshards
-        ~targeted:config.targeted_validation ~storage ?gen ~block_size:n ()
+    let need_specs what =
+      match specs with
+      | Some sp -> sp
+      | None -> invalid_arg ("Block_stm: " ^ what ^ " requires specs")
     in
-    (if config.prefill_estimates then
-       match declared_writes with
-       | None ->
-           invalid_arg "Block_stm: prefill_estimates needs declared_writes"
-       | Some dw ->
-           if Array.length dw <> n then
-             invalid_arg "Block_stm: declared_writes length mismatch";
-           Array.iteri (fun j locs -> Mv.prefill_estimates mv j locs) dw);
-    (if config.static_specs then
-       match specs with
-       | None -> assert false (* checked above *)
-       | Some sp ->
-           Array.iteri
-             (fun j s ->
-               match Access_spec.exact_writes s with
-               | Some locs when Array.length locs > 0 ->
-                   Mv.prefill_estimates mv j locs
-               | _ -> ())
-             sp);
+    let o, dag =
+      match config.sched with
+      | Optimistic o -> (o, None)
+      | Spec_dag ->
+          if gen <> None then
+            (* Cross-block speculation revalidates at the seal, which a
+               schedule without validation cannot do. *)
+            invalid_arg "Block_stm: gen requires an Optimistic schedule";
+          (* Every transaction executes exactly once, so the default
+             optimistic options (estimates and prevalidation aside, all off)
+             are inert: nothing aborts and nothing re-executes. *)
+          let preds = spec_dag_preds (need_specs "Spec_dag") in
+          (default_optimistic, Some (Spec_dag.create ~preds))
+    in
+    let estimates, targeted, seed =
+      match o.marking with
+      | Estimates { validation; seed_from_specs } ->
+          (true, validation = Targeted, seed_from_specs)
+      | Remove_on_abort -> (false, false, false)
+    in
+    let mv = Mv.create ~targeted ~storage ?gen ~block_size:n () in
+    if seed then
+      Array.iteri
+        (fun j s ->
+          match Access_spec.exact_writes s with
+          | Some locs when Array.length locs > 0 ->
+              Mv.prefill_estimates mv j locs
+          | _ -> ())
+        (need_specs "seed_from_specs");
+    (* Cross-block speculation (DESIGN.md §14) leans on the rolling
+       machinery: dirty stamps invalidate stale commit proofs on the
+       seal-time pullback, and the commit gate holds commits until then. *)
+    let cross_block = gen <> None in
+    let rolling = o.rolling_commit || cross_block in
     let obs =
       (* 13 stat slots + 4 named counters; leave headroom for probes. *)
       Metrics.create ~max_domains:(config.num_domains + 1) ~max_counters:24 ()
@@ -619,22 +532,28 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       storage;
       probe;
       gen;
-      gate = Atomic.make (not config.cross_block);
+      gate = Atomic.make (not cross_block);
       mv;
-      dag =
-        (if config.spec_dag then
-           Some (Spec_dag.create ~preds:(spec_dag_preds (Option.get specs)))
-         else None);
+      dag;
       indep =
+        (* Specs prove transactions disjoint from each other, not from the
+           predecessor block: in a cross-block instance the base can move
+           under a read, and only the read-set walk catches that. *)
         (match specs with
-        | Some sp when not config.spec_dag ->
+        | Some sp when Option.is_none dag && not cross_block ->
             spec_independence ?loc_namespace sp
         | _ -> Array.make n false);
       sched =
-        Scheduler.create ~rolling:config.rolling_commit
-          ~targeted:config.targeted_validation ~hold:config.cross_block
-          ~block_size:n ();
-      cfg = config;
+        Scheduler.create ~rolling ~targeted ~hold:cross_block ~block_size:n ();
+      num_domains = config.num_domains;
+      estimates;
+      targeted;
+      prevalidate = o.prevalidate_reads;
+      suspend = o.suspend_resume;
+      resumable = o.suspend_resume || probe <> None;
+      rolling;
+      deltas = o.delta_ops;
+      record_exec = config.record_exec_ns;
       outputs = Array.make n None;
       suspensions = Array.init n (fun _ -> Atomic.make None);
       obs;
@@ -649,7 +568,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       h_reader_occ = Metrics.histogram obs "reader_registry_occupancy";
       trace;
       t0_ns = Trace.now_ns ();
-      commit_ns = (if config.rolling_commit then Array.make n (-1) else [||]);
+      commit_ns = (if rolling then Array.make n (-1) else [||]);
       exec_ns = (if config.record_exec_ns then Array.make n 0 else [||]);
       on_commit;
       on_flush;
@@ -661,8 +580,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   type _ Effect.t += Blocked_read : int -> unit Effect.t
 
-  (* Performed when the storage probe answers [Cold] in cold_read_suspend
-     mode; carries the fetch thunk for the handler's caller to run. *)
+  (* Performed when the storage probe answers [Cold]; carries the fetch
+     thunk for the handler's caller to run. *)
   type _ Effect.t += Cold_read : (unit -> unit) -> unit Effect.t
 
   exception Discarded_suspension
@@ -716,9 +635,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      may run on a different domain — or this domain may run other
      incarnations first, which would clobber the suspended state.
 
-     Cold suspensions (cold_read_suspend without suspend_resume) DO reuse the
-     domain scratch: [finish_task] hands the execution task straight back to
-     the same worker, which runs the fetch and retries before starting any
+     Cold suspensions (a probe without suspend_resume) DO reuse the domain
+     scratch: [finish_task] hands the execution task straight back to the
+     same worker, which runs the fetch and retries before starting any
      other incarnation on this domain, so nothing can clobber the scratch
      while the continuation is parked. *)
   let vm_execute (inst : 'o instance) ~(txn_idx : int) : 'o vm_outcome =
@@ -728,8 +647,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
        what they read, so they can never need revalidation. *)
     let register = not inst.indep.(txn_idx) in
     let sc =
-      if inst.cfg.suspend_resume then fresh_scratch ()
-      else Domain.DLS.get scratch_key
+      if inst.suspend then fresh_scratch () else Domain.DLS.get scratch_key
     in
     sc.r_len <- 0;
     LTbl.clear sc.s_writes;
@@ -738,13 +656,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     sc.s_dorder <- [];
     let nreads = ref 0 in
     (* Storage fall-through, routed through the non-blocking probe when one
-       is wired. A [Cold] miss either suspends the transaction across the
-       fetch (cold_read_suspend: the retried probe after resumption hits the
-       warmed cache) or pays the fetch latency inline. Returns the read-set
-       descriptor along with the value: plain [Storage] normally, or the
-       overlay generation stamp in cross_block mode — sampled before the
-       value (and re-sampled on every probe retry), so a concurrent overlay
-       update makes the stamp stale rather than the value unvalidated. *)
+       is wired. A [Cold] miss suspends the transaction across the fetch;
+       the retried probe after resumption hits the warmed cache. Returns the
+       read-set descriptor along with the value: plain [Storage] normally,
+       or the overlay generation stamp in cross-block mode — sampled before
+       the value (and re-sampled on every probe retry), so a concurrent
+       overlay update makes the stamp stale rather than the value
+       unvalidated. *)
     let origin_of loc =
       match inst.gen with
       | None -> Read_origin.Storage
@@ -761,11 +679,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             match probe loc with
             | Intf.Hit v -> (o, v)
             | Intf.Cold fetch ->
-                if inst.cfg.cold_read_suspend then begin
-                  Effect.perform (Cold_read (fun () -> ignore (fetch ())));
-                  go ()
-                end
-                else (o, fetch ())
+                Effect.perform (Cold_read (fun () -> ignore (fetch ())));
+                go ()
           in
           go ()
     in
@@ -785,7 +700,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               let rec attempt () =
                 match Mv.read ~register inst.mv loc ~txn_idx with
                 | Mv.Read_error { blocking_txn_idx } ->
-                    if inst.cfg.suspend_resume then begin
+                    if inst.suspend then begin
                       (* Suspend here; when resumed, retry this same read. *)
                       Effect.perform (Blocked_read blocking_txn_idx);
                       attempt ()
@@ -853,7 +768,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               let rec ext () =
                 match Mv.read ~register inst.mv loc ~txn_idx with
                 | Mv.Read_error { blocking_txn_idx } ->
-                    if inst.cfg.suspend_resume then begin
+                    if inst.suspend then begin
                       Effect.perform (Blocked_read blocking_txn_idx);
                       ext ()
                     end
@@ -885,7 +800,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                       push_read sc (loc, Read_origin.Counter b);
                       Txn.Bounds_violation)))
     in
-    let delta = if inst.cfg.delta_ops then delta_on else delta_off in
+    let delta = if inst.deltas then delta_on else delta_off in
     let finish vm_output ~keep_writes =
       let vm_read_set = Array.sub sc.r_buf 0 sc.r_len in
       let vm_write_set =
@@ -1031,7 +946,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         fetch : unit -> unit;
         suspension : 'o suspension;
       }
-        (** Execution parked on a cold storage read (cold_read_suspend):
+        (** Execution parked on a cold storage read (a [probe] miss):
             {!finish_task} stashes the continuation, runs the fetch, and
             hands the execution task back for an immediate same-worker
             retry (no scheduler abort — the incarnation is still live). *)
@@ -1082,11 +997,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            mid-execution, resume its continuation provided the read prefix
            still validates; otherwise discard it and start over. *)
         let stashed =
-          if inst.cfg.suspend_resume || inst.cfg.cold_read_suspend then
+          if inst.resumable then
             Atomic.exchange inst.suspensions.(txn_idx) None
           else None
         in
-        let t0 = if inst.cfg.record_exec_ns then Trace.now_ns () else 0 in
+        let t0 = if inst.record_exec then Trace.now_ns () else 0 in
         let outcome, prefix_paid =
           match stashed with
           | Some s when prefix_valid inst ~txn_idx s.s_prefix ->
@@ -1104,7 +1019,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           | None ->
               let blocked =
                 if
-                  inst.cfg.prevalidate_reads && incarnation > 0
+                  inst.prevalidate && incarnation > 0
                   && not inst.indep.(txn_idx)
                 then (
                   match find_read_set_dependency inst ~txn_idx with
@@ -1121,7 +1036,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                 | None -> vm_execute inst ~txn_idx),
                 0 )
         in
-        (if inst.cfg.record_exec_ns then
+        (if inst.record_exec then
            match outcome with
            | Vm_done _ -> inst.exec_ns.(txn_idx) <- Trace.now_ns () - t0
            | Vm_blocked _ | Vm_cold _ -> ());
@@ -1173,7 +1088,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                    vm.vm_read_set vm.vm_write_set);
               Spec_dag.finish_execution dag ~txn_idx
           | None ->
-          if inst.cfg.targeted_validation then begin
+          if inst.targeted then begin
             let o =
               Mv.record_targeted ~deltas:vm.vm_delta_set inst.mv version
                 vm.vm_read_set vm.vm_write_set
@@ -1235,7 +1150,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            become ESTIMATEs — readers that slip past this collection either
            hit the ESTIMATEs or are caught by the re-execution's record. *)
         let invalidated =
-          if aborted && inst.cfg.targeted_validation then
+          if aborted && inst.targeted then
             Some
               (match Mv.invalidated_readers inst.mv ~txn_idx with
               | Mv.Suffix -> Scheduler.Reval_suffix
@@ -1244,7 +1159,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         in
         if aborted then (
           bump stats stat_val_aborts;
-          if inst.cfg.use_estimates then
+          if inst.estimates then
             Mv.convert_writes_to_estimates inst.mv txn_idx
           else Mv.remove_written_entries inst.mv txn_idx);
         let next =
@@ -1321,7 +1236,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       sweep and flush newly committed transactions out of MVMemory. Returns
       the number of transactions committed by this call. *)
   let maybe_commit (inst : 'o instance) : int =
-    if (not inst.cfg.rolling_commit) || not (Atomic.get inst.gate) then 0
+    if (not inst.rolling) || not (Atomic.get inst.gate) then 0
     else begin
       let n =
         Scheduler.try_advance_commit inst.sched ~on_commit:(commit_one inst)
@@ -1344,8 +1259,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       order matters: a commit that passes the gate necessarily postdates the
       pullback, so its proof wave reflects the sealed base. *)
   let base_sealed ?(changed = true) (inst : _ instance) : unit =
-    if not inst.cfg.cross_block then
-      invalid_arg "Block_stm: base_sealed requires cross_block";
+    if inst.gen = None then
+      invalid_arg
+        "Block_stm: base_sealed requires an instance created with gen";
     if changed then Scheduler.demand_revalidation inst.sched ~from_idx:0;
     Atomic.set inst.gate true;
     Scheduler.release_hold inst.sched
@@ -1363,7 +1279,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Mv.Ok _ | Mv.Merged _ | Mv.Read_error _ -> true
 
   let worker_loop ?(worker = 0) (inst : _ instance) : unit =
-    let rolling = inst.cfg.rolling_commit in
     let stats = fresh_stats () in
     (* Idle backoff: a worker that found no task pauses exponentially longer
        ([Domain.cpu_relax]) instead of hammering the scheduler counters,
@@ -1379,7 +1294,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           (match ev with
           | No_task -> Atomic_util.Backoff.once backoff
           | _ -> Atomic_util.Backoff.reset backoff);
-          if rolling then ignore (maybe_commit inst);
+          if inst.rolling then ignore (maybe_commit inst);
           task := task'
         done
     | Some tr ->
@@ -1400,7 +1315,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           (match ev with
           | No_task -> Atomic_util.Backoff.once backoff
           | _ -> Atomic_util.Backoff.reset backoff);
-          if rolling then begin
+          if inst.rolling then begin
             let tc0 = Trace.now_ns () in
             let committed = maybe_commit inst in
             if committed > 0 then
@@ -1452,10 +1367,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let finalize (inst : 'o instance) : 'o result =
     let n = Array.length inst.txns in
-    if inst.cfg.cross_block && not (Atomic.get inst.gate) then
+    if not (Atomic.get inst.gate) then
       failwith
-        "Block_stm: finalize on a cross_block instance before base_sealed";
-    if inst.cfg.targeted_validation then begin
+        "Block_stm: finalize on a cross-block instance before base_sealed";
+    if inst.targeted then begin
       (* Sync the scheduler-sourced targeted counters into the registry (so
          JSON exports carry them) and sample registry occupancy. [finalize]
          runs once per instance, after the workers joined. *)
@@ -1467,7 +1382,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           Metrics.observe inst.h_reader_occ used)
     end;
     let snapshot =
-      if inst.cfg.rolling_commit then begin
+      if inst.rolling then begin
         (* Drain the sweep: every transaction is EXECUTED with a final
            successful validation by the time the scheduler is done, so one
            blocking pass commits whatever the opportunistic in-loop sweeps
@@ -1483,17 +1398,24 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       else
         (* Lazy block-at-once commit: the paper's final snapshot, computed
            in parallel over the affected locations (§4.1). *)
-        Mv.snapshot_parallel ~num_domains:inst.cfg.num_domains inst.mv
+        Mv.snapshot_parallel ~num_domains:inst.num_domains inst.mv
     in
+    let outputs =
+      Array.mapi
+        (fun j -> function
+          | Some o -> o
+          | None -> Fmt.failwith "Block_stm: transaction %d has no output" j)
+        inst.outputs
+    in
+    if not inst.rolling then begin
+      (* The whole block commits at once: the hooks fire here, in the same
+         order a rolling sweep would fire them. *)
+      Option.iter (fun f -> Array.iteri f outputs) inst.on_commit;
+      Option.iter (fun f -> f (Array.of_list snapshot)) inst.on_flush
+    end;
     {
       snapshot;
-      outputs =
-        Array.mapi
-          (fun j -> function
-            | Some o -> o
-            | None ->
-                Fmt.failwith "Block_stm: transaction %d has no output" j)
-          inst.outputs;
+      outputs;
       metrics = metrics_of inst;
       commit_ns = Array.copy inst.commit_ns;
       exec_ns = Array.copy inst.exec_ns;
@@ -1502,12 +1424,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (** Execute a block. [storage] is the pre-block state; [txns] the block in
       its preset serialization order. Spawns [config.num_domains - 1] extra
       domains and participates with the calling domain. *)
-  let run ?(config = default_config) ?declared_writes ?specs ?loc_namespace
-      ?trace ?on_commit ?on_flush ?probe ~storage (txns : 'o txn array) :
-      'o result =
+  let run ?(config = default_config) ?specs ?loc_namespace ?trace ?on_commit
+      ?on_flush ?probe ~storage (txns : 'o txn array) : 'o result =
     let inst =
-      create_instance ~config ?declared_writes ?specs ?loc_namespace ?trace
-        ?on_commit ?on_flush ?probe ~storage txns
+      create_instance ~config ?specs ?loc_namespace ?trace ?on_commit ?on_flush
+        ?probe ~storage txns
     in
     if Array.length txns = 0 then
       {

@@ -53,24 +53,24 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
         (** Suspensions whose read prefix no longer validated and were
             discarded (suspend_resume mode). *)
     commits : int;
-        (** Transactions committed by the rolling sweep (0 when
-            [rolling_commit] is off: the block commits lazily as a whole). *)
+        (** Transactions committed by the rolling sweep (0 without rolling
+            commit: the block commits lazily as a whole). *)
     targeted_validations : int;
         (** Validation tasks drained from the targeted needs-revalidation
-            queue (0 unless [targeted_validation]). *)
+            queue (0 unless [Targeted]). *)
     suffix_validations_avoided : int;
         (** Validation tasks the paper's suffix pullbacks would have
             scheduled beyond what targeted marking did (0 unless
-            [targeted_validation]). *)
+            [Targeted]). *)
     value_prune_hits : int;
         (** Writes pruned as value-equal republications (0 unless
-            [targeted_validation]). *)
+            [Targeted]). *)
     delta_applies : int;
         (** Commutative delta entries recorded into MVMemory (0 unless
             [delta_ops]). *)
     cold_reads : int;
-        (** Executions suspended on a cold storage probe (0 unless
-            [cold_read_suspend] with a cold-capable [probe]). *)
+        (** Executions suspended on a cold storage probe (0 unless a
+            cold-capable [probe] was given). *)
     spec_skips : int;
         (** Validation tasks short-circuited because the transaction's
             static access spec proves it disjoint from every other
@@ -80,20 +80,53 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val pp_metrics : Format.formatter -> metrics -> unit
 
-  type config = {
-    num_domains : int;  (** Worker domains (>= 1). *)
-    use_estimates : bool;
-        (** Paper default [true]: aborted writes become ESTIMATE markers and
-            readers wait for the dependency. [false] is the ablation the
-            paper mentions in §3.2.1 — aborted entries are simply removed, so
-            conflicts surface only at validation time. *)
+  (** {2 Configuration}
+
+      The configuration is shaped so that every value runs: options that
+      only exist for the optimistic scheduler live inside [Optimistic],
+      and options that need ESTIMATE markers inside [Estimates]. Two
+      {!create_instance} arguments imply modes of their own: [?probe] makes
+      cold storage misses suspend the transaction (DESIGN.md §13), and
+      [?gen] makes the instance a cross-block speculation with rolling
+      commit (DESIGN.md §14). *)
+
+  (** Which transactions a write revalidates. *)
+  type validation =
+    | Suffix
+        (** The paper's scheme: a new write location pulls validation back
+            over the whole suffix. *)
+    | Targeted
+        (** §7 future-work optimization (DESIGN.md §10): MVMemory tracks
+            per-location reader registries and prunes value-equal
+            republications, and only the precisely invalidated readers are
+            revalidated (registry overflow degrades back to the suffix
+            pullback, never to unsoundness). *)
+
+  (** What an aborted incarnation leaves behind in MVMemory. *)
+  type marking =
+    | Estimates of {
+        validation : validation;
+        seed_from_specs : bool;
+            (** Static access specs, estimate seeding (DESIGN.md §15): before
+                the first incarnation runs, seed ESTIMATE markers from each
+                transaction's exact declared writes (specs whose write
+                entries are all [Access_spec.Exact]), so even first
+                executions wait on likely conflicts — the paper's §7
+                write-set pre-estimation. Requires [specs] at
+                {!create_instance}. *)
+      }
+        (** The paper default: aborted writes become ESTIMATE markers and
+            readers wait for the dependency. *)
+    | Remove_on_abort
+        (** The ablation the paper mentions in §3.2.1: aborted entries are
+            simply removed, so conflicts surface only at validation time. *)
+
+  (** Options of the paper's optimistic scheduler. *)
+  type optimistic = {
+    marking : marking;
     prevalidate_reads : bool;
         (** §4 optimization: before re-executing an incarnation, re-read the
             previous read-set and park on any ESTIMATE found. *)
-    prefill_estimates : bool;
-        (** §7 future-work feature: seed MVMemory with ESTIMATE markers from
-            declared write-sets so even first incarnations wait on likely
-            conflicts. Requires [declared_writes]. *)
     suspend_resume : bool;
         (** §7 future-work feature: when a read hits an ESTIMATE, capture the
             transaction's continuation with an OCaml effect handler instead
@@ -104,79 +137,52 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
             block-at-once commit (Lemma 2): workers opportunistically advance
             the scheduler's commit sweep as they loop, committed transactions
             are flushed out of MVMemory into a committed-base table, and the
-            optional [on_commit] hook fires per transaction in preset order.
-            The final snapshot and outputs are guaranteed identical to the
-            lazy mode. Default [false]: paper-faithful behavior. *)
-    mv_nshards : int;
-        (** Hash shards in the MVMemory location index (default 64). Exposed
-            so bench can sweep the sharding factor. *)
-    targeted_validation : bool;
-        (** §7 future-work optimization (DESIGN.md §10): replace the paper's
-            whole-suffix revalidation with targeted revalidation — MVMemory
-            tracks per-location reader registries, value-equal republications
-            are pruned, and only the precisely invalidated readers are
-            re-validated (registry overflow degrades back to the paper's
-            suffix pullback, never to unsoundness). Default [false]:
-            paper-faithful behavior. Requires [use_estimates]. *)
+            [on_commit]/[on_flush] hooks fire as the prefix grows. The final
+            snapshot and outputs are identical to the lazy mode. *)
     delta_ops : bool;
         (** Commutative delta entries for hotspot state (DESIGN.md §12):
             [Txn.effects.delta] operations publish bounded add/sub deltas as
             MVMemory entries validated by {e range} membership instead of
             value equality, so concurrent increments of one hot location no
-            longer abort each other; committed deltas are folded into
-            materialized values at snapshot/commit time. Default [false]:
-            delta ops fall back to a read-modify-write through the
-            instrumented read/write pair, reproducing the paper's behavior
-            byte-identically. Composes with every other flag. *)
+            longer abort each other. [false]: delta ops fall back to a
+            read-modify-write through the instrumented read/write pair,
+            reproducing the paper's behavior byte-identically. *)
+  }
+
+  (** How transactions are scheduled. *)
+  type sched =
+    | Spec_dag
+        (** Dependency-DAG scheduling from static access specs (DESIGN.md
+            §15): transaction [j] waits on every lower transaction whose
+            declared writes may feed [j]'s declared reads (transactions with
+            non-exact specs act as barriers), and each transaction executes
+            exactly once in DAG order — no validation, no aborts, no
+            re-execution. Requires [specs] at {!create_instance}. *)
+    | Optimistic of optimistic
+        (** The paper's collaborative scheduler (Algorithms 1–9). *)
+
+  type config = {
+    num_domains : int;  (** Worker domains (>= 1). *)
     record_exec_ns : bool;
         (** Record the wall-clock VM execution time of each transaction's
             final (committed) incarnation in [result.exec_ns] — the vm-cost
-            experiment's per-txn histogram source. Default [false]: the hot
-            path takes no timestamps. *)
-    cold_read_suspend : bool;
-        (** Storage-layer use of the suspend/resume machinery (DESIGN.md
-            §13): when the non-blocking storage [probe] reports a cold miss,
-            the transaction suspends through an effect handler, the worker
-            completes the fetch, and the execution task is retried
-            immediately — re-validating the read prefix and resuming the
-            continuation, with the retried probe hitting the warmed cache.
-            [false] (the default) pays the fetch latency inline. No effect
-            unless [probe] is given. *)
-    cross_block : bool;
-        (** Cross-block speculation (DESIGN.md §14): the instance executes
-            its block speculatively while the predecessor block's committed
-            prefix is still streaming into the base storage it reads
-            through. Storage fall-through reads record
-            [Read_origin.Storage_gen] stamps from the driver-supplied [gen]
-            function (required at {!create_instance}), rolling commits are
-            gated shut, and the scheduler completion is held — all until the
-            driver calls {!base_sealed}. Requires [rolling_commit]. Default
-            [false]: no behavior change anywhere. *)
-    static_specs : bool;
-        (** Static access specifications, estimate seeding (DESIGN.md §15):
-            seed MVMemory with ESTIMATE markers from each transaction's
-            {e exact} declared writes (specs whose write entries are all
-            [Access_spec.Exact]) before the first incarnation runs, so even
-            first executions wait on likely conflicts — the spec-driven
-            analogue of [prefill_estimates] (with which it conflicts).
-            Requires [specs] and [use_estimates]. Default [false]. *)
-    spec_dag : bool;
-        (** Dependency-DAG scheduling from static access specs (DESIGN.md
-            §15): instead of optimistic execution + validation, build a
-            dependency DAG from the supplied [specs] (transaction [j] waits
-            on every lower transaction whose declared writes may feed [j]'s
-            declared reads; transactions with non-exact specs act as
-            barriers) and execute each transaction exactly once in DAG
-            order. No validation tasks, no aborts, no re-execution.
-            Requires [specs]; incompatible with [static_specs],
-            [prefill_estimates], [rolling_commit], [cross_block],
-            [targeted_validation], [suspend_resume], [cold_read_suspend]
-            and [delta_ops]. Default [false]. *)
+            experiment's per-txn histogram source. [false]: the hot path
+            takes no timestamps. *)
+    sched : sched;
   }
 
+  val default_optimistic : optimistic
+  (** The paper's engine: ESTIMATE markers, suffix revalidation, read-set
+      prevalidation; no seeding, suspend/resume, rolling commit or deltas. *)
+
   val default_config : config
-  (** One domain, estimates and read-set prevalidation on, prefill,
-      suspend/resume, rolling commit and targeted validation off. *)
+  (** One domain, no timestamps, [Optimistic default_optimistic]. *)
+
+  val optimistic_config :
+    ?num_domains:int -> (optimistic -> optimistic) -> config
+  (** [optimistic_config ~num_domains f] is {!default_config} on
+      [num_domains] domains (default 1) with the optimistic options
+      [f default_optimistic]. *)
 
   type 'o result = {
     snapshot : (L.t * V.t) list;  (** Final value per affected location. *)
@@ -184,7 +190,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     metrics : metrics;
     commit_ns : int array;
         (** Per-transaction time-to-commit (ns since the instance was
-            created), in preset order. Empty unless [rolling_commit]. *)
+            created), in preset order. Empty unless rolling commit. *)
     exec_ns : int array;
         (** Per-transaction VM execution time (ns) of the committed
             incarnation, in preset order. Empty unless [record_exec_ns]. *)
@@ -197,7 +203,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val create_instance :
     ?config:config ->
-    ?declared_writes:L.t array array ->
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
     ?on_flush:((L.t * V.t) array -> unit) ->
@@ -208,52 +213,63 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     storage:(L.t, V.t) Intf.storage ->
     'o txn array ->
     'o instance
-  (** [gen] is the cross-block overlay's per-location generation stamp
-      (required by, and only legal with, [config.cross_block]): storage
-      fall-through reads sample it {e before} the value and record it in the
-      read-set, so an overlay update between sampling and the seal-time
-      revalidation shows up as a stale stamp.
-      [declared_writes] is required by [config.prefill_estimates] (one
-      location array per transaction). [trace] enables step-event tracing:
-      every worker records into its own ring (the trace must have at least
-      [config.num_domains] workers). [on_commit j output] streams each
-      transaction's final output as it commits — called exactly once per
-      transaction, in preset order (j = 0, 1, ...), from whichever domain
+  (** [trace] enables step-event tracing: every worker records into its own
+      ring (the trace must have at least [config.num_domains] workers).
+
+      [on_commit j output] streams each transaction's final output — called
+      exactly once per transaction, in preset order (j = 0, 1, ...). Under
+      rolling commit it fires as the prefix commits, from whichever domain
       advances the commit sweep, under the scheduler's commit mutex (keep it
-      cheap). Requires [config.rolling_commit]. [on_flush batch] streams the
-      [(location, committed value)] pairs each committed-prefix flush folded
-      into MVMemory's committed base — batches arrive in commit order, from
-      inside the flush critical section (keep it cheap: enqueue, don't
-      process); requires [config.rolling_commit]. [probe] is the
-      non-blocking storage view backing [config.cold_read_suspend] (and,
-      when given, replaces [storage] in the VM's fall-through reads —
-      [storage] itself must agree with it, and still serves MVMemory's
-      committed delta folds).
+      cheap); otherwise it fires for the whole block at {!finalize}.
+      [on_flush batch] streams the [(location, committed value)] pairs: under
+      rolling commit, each committed-prefix flush folded into MVMemory's
+      committed base, in commit order, from inside the flush critical
+      section (keep it cheap: enqueue, don't process); otherwise the whole
+      snapshot once, at {!finalize}, after the [on_commit] calls.
+
+      [probe] is a non-blocking storage view. When given it replaces
+      [storage] in the VM's fall-through reads ([storage] must agree with
+      it, and still serves MVMemory's committed delta folds), and a cold
+      miss suspends the transaction through an effect handler while the
+      worker completes the fetch; the execution is retried at once,
+      re-validating the read prefix and resuming the continuation
+      (DESIGN.md §13). Without a probe, a slow storage read is paid inline.
+
+      [gen] is the cross-block overlay's per-location generation stamp and
+      makes the instance a cross-block speculation (DESIGN.md §14), which
+      implies rolling commit: storage fall-through reads sample it {e before}
+      the value and record it in the read-set, rolling commits are gated
+      shut and the scheduler's completion is held until the driver calls
+      {!base_sealed}. Requires an [Optimistic] schedule.
+
       [specs] (one per transaction) are static access specifications
       (DESIGN.md §15): sound over-approximations of each transaction's
       dynamic read and write sets. Supplying them opts into spec-driven
       independence skipping — transactions whose specs are all-[Exact] and
       provably disjoint from every other transaction's spec skip the
       validation read-set walk (counted in [metrics.spec_skips]) and, under
-      [targeted_validation], skip reader registration. They also feed
-      [config.static_specs] (estimate seeding) and [config.spec_dag]
-      (dependency-DAG scheduling). A spec that under-declares an access is
-      {b unsound} and voids the determinism guarantee. [loc_namespace]
-      assigns each location the namespace string matched by
-      [Access_spec.Wildcard] entries; when omitted, wildcards conservatively
-      overlap every location.
-      @raise Invalid_argument on bad [config] / [declared_writes] / [specs] /
-      [trace] / [on_commit] / [on_flush] combinations. *)
+      [Targeted] validation, skip reader registration. A cross-block
+      instance ([gen]) skips nothing: specs say nothing about the
+      predecessor block, whose commits can still invalidate any storage
+      read until {!base_sealed}. They also feed
+      [seed_from_specs] and [Spec_dag], which require them. A spec that
+      under-declares an access is {b unsound} and voids the determinism
+      guarantee. [loc_namespace] assigns each location the namespace string
+      matched by [Access_spec.Wildcard] entries; when omitted, wildcards
+      conservatively overlap every location.
+      @raise Invalid_argument if [config.num_domains < 1], [trace] has too
+      few workers, [specs] mismatches the block length or is missing where
+      the schedule needs it, or [gen] is given with [Spec_dag]. *)
 
   val sched : 'o instance -> Scheduler.t
   (** The collaborative scheduler driving this instance — exposed for the
-      virtual-time simulator and tests. In [spec_dag] mode the scheduler
+      virtual-time simulator and tests. In [Spec_dag] mode the scheduler
       exists but is inert; drive the instance through {!next_task} /
       {!is_done} instead of the scheduler's own entry points. *)
 
   val next_task : 'o instance -> Scheduler.task option
   (** Fetch the next task from whichever source drives this instance: the
-      spec dependency DAG in [config.spec_dag] mode, the collaborative
+      spec dependency DAG in [Spec_dag] mode, the collaborative
       scheduler otherwise. External drivers should call this (rather than
       {!Scheduler.next_task} on {!sched}) so they remain correct in every
       mode. [None] does not imply completion; poll {!is_done}. *)
@@ -270,14 +286,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       ["cold_reads"], ["commits"],
       ["targeted_validations"], ["suffix_validations_avoided"] and
       ["targeted_fallbacks"] (the targeted_* family populated at {!finalize},
-      non-zero only with [targeted_validation]); histograms ["exec_step_ns"]
+      non-zero only with [Targeted]); histograms ["exec_step_ns"]
       and ["validation_step_ns"] (populated only when tracing is enabled),
-      ["commit_latency_ns"] (per-transaction time-to-commit, rolling_commit
+      ["commit_latency_ns"] (per-transaction time-to-commit, rolling commit
       only) and ["reader_registry_occupancy"] (per-location reader-registry
-      slot usage, targeted_validation only, populated at {!finalize}). *)
+      slot usage, [Targeted] only, populated at {!finalize}). *)
 
   val committed_prefix : 'o instance -> int
-  (** Length of the committed prefix so far (0 unless [rolling_commit]).
+  (** Length of the committed prefix so far (0 unless rolling commit).
       Monotonically non-decreasing; reaches the block size by the time
       {!finalize} returns. *)
 
@@ -286,11 +302,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       sweep (if the commit mutex is free) and flush newly committed
       transactions out of MVMemory. Returns the number of transactions
       committed by this call. The engine's own {!worker_loop} calls this
-      every iteration when [rolling_commit] is set; external drivers (the
+      every iteration under rolling commit; external drivers (the
       virtual-time simulator) may call it between {!step}s. No-op returning
-      0 unless [config.rolling_commit]. Also a no-op (returning 0) while a
-      [cross_block] instance's commit gate is closed — i.e. before
-      {!base_sealed}. *)
+      0 without rolling commit, and while a cross-block instance's commit
+      gate is closed — i.e. before {!base_sealed}. *)
 
   val base_sealed : ?changed:bool -> 'o instance -> unit
   (** Cross-block speculation (DESIGN.md §14): declare the base storage this
@@ -299,10 +314,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       proof claimed while the base could still move — then opens the commit
       gate and releases the scheduler's completion hold, letting the
       still-running workers revalidate, commit and finish. Must be called
-      exactly once per [cross_block] instance, from any domain, before
+      exactly once per cross-block instance, from any domain, before
       {!finalize} can succeed. Pass [~changed:false] only when the base
       storage is known byte-identical to its state at instance creation.
-      @raise Invalid_argument unless [config.cross_block]. *)
+      @raise Invalid_argument unless the instance was created with [gen]. *)
 
   val pending_location : 'o instance -> L.t -> bool
   (** Whether any transaction of this block has so far published a write or
@@ -363,12 +378,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       rolling-commit mode this drains the commit sweep (firing any remaining
       [on_commit] hooks) and serves the snapshot from the committed base;
       otherwise it computes the paper's lazy block-at-once snapshot in
-      parallel over the affected locations.
+      parallel over the affected locations and fires the [on_commit] and
+      [on_flush] hooks for the whole block.
       @raise Failure if some transaction never produced an output. *)
 
   val run :
     ?config:config ->
-    ?declared_writes:L.t array array ->
     ?specs:L.t Access_spec.t array ->
     ?loc_namespace:(L.t -> string) ->
     ?trace:Trace.t ->

@@ -17,8 +17,9 @@ type t =
       (** The rolling-commit sweep advanced: [count] transactions became
           final, making [upto] the committed-prefix length. *)
   | Cold_fetch of { version : Version.t; reads : int }
-      (** Execution suspended on a cold storage read (cold_read_suspend
-          mode); [reads] performed before suspending. The fetch completes
-          and the execution task is retried, resuming the continuation. *)
+      (** Execution suspended on a cold storage read (engine given a
+          storage probe); [reads] performed before suspending. The fetch
+          completes and the execution task is retried, resuming the
+          continuation. *)
 
 val pp : Format.formatter -> t -> unit

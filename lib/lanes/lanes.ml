@@ -11,8 +11,7 @@
     - {e plan}: greedy left-to-right batching. A batch accumulates per-lane
       sub-blocks and parked cross-lane stragglers; it closes when a
       single-lane transaction conflicts with a parked straggler (the
-      reorder would become observable) or, in {!Barrier} mode, at every
-      cross-lane transaction.
+      reorder would become observable).
     - {e run}: per batch, one independent Block-STM instance per non-empty
       lane over a shared read-only overlay of everything committed so far,
       executed on a divided domain budget; then the stragglers sequentially
@@ -28,7 +27,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   type partition = { lanes : int; loc_lane : L.t -> int }
   type assignment = Lane of int | Cross
-  type mode = Park | Barrier
 
   type batch = {
     lo : int;
@@ -39,7 +37,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   type plan = {
     part : partition;
-    mode : mode;
     assignment : assignment array;
     batches : batch list;
     lane_txn_counts : int array;
@@ -95,7 +92,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         end)
       specs
 
-  let plan ?(mode = Park) ?namespace (part : partition)
+  let plan ?namespace (part : partition)
       (specs : L.t Access_spec.t array) : plan =
     let n = Array.length specs in
     let assignment = classify part specs in
@@ -140,23 +137,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           if !cur_strag <> [] && conflicts_parked i then close i;
           cur_lanes.(l) <- i :: cur_lanes.(l);
           cur_empty := false
-      | Cross -> (
+      | Cross ->
           incr cross_lane_txns;
-          match mode with
-          | Park ->
-              cur_strag := i :: !cur_strag;
-              cur_empty := false
-          | Barrier ->
-              (* Flush what precedes, then the straggler runs alone. *)
-              close i;
-              cur_strag := [ i ];
-              cur_empty := false;
-              close (i + 1))
+          cur_strag := i :: !cur_strag;
+          cur_empty := false
     done;
     close n;
     {
       part;
-      mode;
       assignment;
       batches = List.rev !batches;
       lane_txn_counts;
@@ -221,11 +209,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let lane_config (config : Bstm.config) ~lanes : Bstm.config =
     if lanes < 1 then invalid_arg "Lanes.lane_config: lanes must be >= 1";
-    {
-      config with
-      Bstm.num_domains = max 1 (config.Bstm.num_domains / lanes);
-      mv_nshards = max 1 (config.Bstm.mv_nshards / lanes);
-    }
+    { config with Bstm.num_domains = max 1 (config.Bstm.num_domains / lanes) }
 
   type 'o result = {
     snapshot : (L.t * V.t) list;
@@ -236,8 +220,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let subset (arr : 'a array) (idxs : int array) : 'a array =
     Array.map (fun i -> arr.(i)) idxs
 
-  let run ?(config = Bstm.default_config) ?(mode = Park) ?declared_writes
-      ?loc_namespace ?on_commit ?on_flush ?obs ?trace_for
+  let run ?(config = Bstm.default_config) ?loc_namespace ?on_commit ?on_flush
+      ?obs ?trace_for
       ~(partition : partition) ~(specs : L.t Access_spec.t array)
       ~(storage : (L.t, V.t) Intf.storage)
       (txns : (L.t, V.t, 'o) Txn.t array) : 'o result =
@@ -247,25 +231,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     if partition.lanes < 1 then invalid_arg "Lanes.run: lanes must be >= 1";
     let trace_for = Option.value trace_for ~default:(fun _ -> None) in
     if partition.lanes = 1 then begin
-      (* Strict passthrough: the unmodified paper engine, caller's config.
-         The commit/flush hooks go to the engine when its rolling machinery
-         can stream them, and fire block-at-once otherwise. *)
-      let rolling = config.Bstm.rolling_commit in
+      (* Strict passthrough: the unmodified engine, caller's config. *)
       let r =
-        Bstm.run ~config ?declared_writes ~specs ?loc_namespace
-          ?trace:(trace_for 0)
-          ?on_commit:(if rolling then on_commit else None)
-          ?on_flush:(if rolling then on_flush else None)
-          ~storage txns
+        Bstm.run ~config ~specs ?loc_namespace ?trace:(trace_for 0) ?on_commit
+          ?on_flush ~storage txns
       in
-      (if not rolling then
-         match on_commit with
-         | None -> ()
-         | Some f -> Array.iteri f r.Bstm.outputs);
-      (if not rolling then
-         match on_flush with
-         | None -> ()
-         | Some f -> f (Array.of_list r.Bstm.snapshot));
       {
         snapshot = r.Bstm.snapshot;
         outputs = r.Bstm.outputs;
@@ -282,7 +252,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       }
     end
     else begin
-      let pl = plan ~mode ?namespace:loc_namespace partition specs in
+      let pl = plan ?namespace:loc_namespace partition specs in
       let lane_cfg = lane_config config ~lanes:partition.lanes in
       (* Everything committed by earlier batches; lane instances share it
          read-only during a batch (mutation happens only between phases). *)
@@ -316,10 +286,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let work k =
           let lane, idxs = jobs.(k) in
           let r =
-            Bstm.run ~config:lane_cfg
-              ?declared_writes:
-                (Option.map (fun dw -> subset dw idxs) declared_writes)
-              ~specs:(subset specs idxs) ?loc_namespace
+            Bstm.run ~config:lane_cfg ~specs:(subset specs idxs) ?loc_namespace
               ?trace:(trace_for lane) ~storage:read_overlay
               (subset txns idxs)
           in

@@ -9,9 +9,10 @@
     [K] {e independent} Block-STM instances — separate schedulers, separate
     MVMemory, presized to the sub-block — on a divided domain budget.
     Transactions that straddle lanes ({e cross-lane} transactions) are
-    stitched back in by a small coordinator that either parks them
-    BOHM-style until the batch they interrupt has fully committed (default,
-    {!Park}) or closes a hard barrier at each one ({!Barrier}).
+    stitched back in by a small coordinator that parks them BOHM-style
+    until the batch they interrupt has fully committed: the batch keeps
+    growing until a later single-lane transaction conflicts with a parked
+    one.
 
     The partition is driven by per-transaction {!Blockstm_kernel.Access_spec}
     footprints (PR 9); any transaction with a non-exact entry is
@@ -47,17 +48,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
         (** Footprint spans lanes, or has a [Wildcard]/[Unknown] entry:
             executed by the coordinator, not inside a lane. *)
 
-  (** Cross-lane stitching policy. *)
-  type mode =
-    | Park
-        (** Defer each cross-lane transaction to the end of its batch; keep
-            growing the batch until a later single-lane transaction
-            conflicts with a parked one (greedy, default). *)
-    | Barrier
-        (** Close the current batch at every cross-lane transaction and run
-            it alone — the simple fallback the greedy mode degrades to when
-            specs are imprecise. *)
-
   (** One coordinator batch: the contiguous preset range [\[lo, hi)], split
       into per-lane sub-blocks (each in ascending preset order) plus the
       parked cross-lane stragglers (ascending preset order). *)
@@ -70,7 +60,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   type plan = {
     part : partition;
-    mode : mode;
     assignment : assignment array;
     batches : batch list;  (** In preset order; ranges tile [\[0, n)]. *)
     lane_txn_counts : int array;  (** Single-lane transactions per lane. *)
@@ -84,7 +73,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       writes never force a transaction cross-lane. *)
 
   val plan :
-    ?mode:mode ->
     ?namespace:(L.t -> string) ->
     partition ->
     L.t Access_spec.t array ->
@@ -110,9 +98,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val lane_config : Bstm.config -> lanes:int -> Bstm.config
   (** Per-lane engine configuration: the caller's config with the domain
-      budget and MVMemory shard count divided across [lanes] (floored at
-      1). Lane-local MVMemory is additionally presized to each sub-block by
-      [create_instance] itself. *)
+      budget divided across [lanes] (floored at 1). Lane-local MVMemory is
+      presized to each sub-block by [create_instance] itself. *)
 
   type 'o result = {
     snapshot : (L.t * V.t) list;
@@ -124,8 +111,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val run :
     ?config:Bstm.config ->
-    ?mode:mode ->
-    ?declared_writes:L.t array array ->
     ?loc_namespace:(L.t -> string) ->
     ?on_commit:(int -> 'o Txn.output -> unit) ->
     ?on_flush:((L.t * V.t) array -> unit) ->
@@ -147,14 +132,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       similarly streams each batch's merged write-set (one binding per
       location, its end-of-batch value) when the batch completes — the
       chain's Merkle async-flush feed. With [lanes = 1] both hooks go
-      straight to the engine when [config.rolling_commit] can stream them
-      and fire block-at-once otherwise. [obs], when given,
+      straight to the engine. [obs], when given,
       receives the lane counters (["cross_lane_txns"], ["lane_batches"],
       ["laneK_txns"]) — size its registry accordingly. [trace_for lane]
       supplies an optional per-lane trace sink reused across that lane's
-      batches, giving lane-tagged step events. [declared_writes] and
-      [loc_namespace] are forwarded to the per-lane instances (subset per
-      sub-block).
+      batches, giving lane-tagged step events. [loc_namespace] is forwarded
+      to the per-lane instances.
 
       @raise Invalid_argument if [specs] length mismatches the block, if
       [partition.lanes < 1], or if [loc_lane] leaves [\[0, lanes)]. *)

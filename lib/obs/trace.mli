@@ -50,7 +50,7 @@ type payload =
           committing [count] transactions. *)
   | Cold of { version : Version.t; reads : int }
       (** Execution suspended on a cold storage read; the span covers the
-          fetch (cold_read_suspend mode). *)
+          fetch (engine given a storage probe). *)
 
 type event = {
   worker : int;

@@ -256,8 +256,14 @@ let mark_readers t ~(readers : int list) : unit =
    increments the active count before consuming its flag, so a claim
    in-flight between the two reads is visible in one of them (the same
    publish-intent-before-consuming-the-token discipline as the index
-   counters). *)
+   counters). [hold] is read first: the driver demands the seal-time
+   revalidation before it releases the hold, so a check that sees the hold
+   released also sees that pullback in every counter it reads afterwards.
+   Read last, it could pair counters sampled before the pullback with a
+   hold sampled after the release, and latch [done_marker] with the
+   revalidation never run. *)
 let check_done t =
+  let held = Atomic.get t.hold in
   let observed_cnt = Atomic.get t.decrease_cnt in
   let e = Atomic.get t.execution_idx in
   let v = Atomic.get t.validation_idx in
@@ -265,9 +271,9 @@ let check_done t =
   let active = Atomic.get t.num_active_tasks in
   let cnt_now = Atomic.get t.decrease_cnt in
   if
-    min e v >= t.block_size && pending = 0 && active = 0
-    && observed_cnt = cnt_now
-    && not (Atomic.get t.hold)
+    (not held)
+    && min e v >= t.block_size
+    && pending = 0 && active = 0 && observed_cnt = cnt_now
   then Atomic.set t.done_marker true
 
 let done_ t = Atomic.get t.done_marker
@@ -320,17 +326,22 @@ let next_version_to_execute t : Version.t option =
         Atomic_util.decr t.num_active_tasks;
         None)
 
-(* The wave is read before the claim: the validation's reads happen later
-   still, so any pullback bumping the marker after this point only makes the
-   recorded proof conservative, never unsound. *)
+(* The wave is read after the claim and before the validation's reads. Any
+   pullback marker it covers was stamped after the mutation it reports, so
+   the reads see that mutation: the proof is sound. And a pullback that
+   lowered [validation_idx] before this claim stamped its marker first, so
+   the wave covers it: the claim that revalidates a pulled-back index is an
+   admissible proof for it. Read before the claim, a pullback landing in
+   between would leave its only revalidation of the index with a wave older
+   than the index's dirty stamp, and the commit sweep would stall there. *)
 let next_version_to_validate t : (Version.t * int) option =
   if Atomic.get t.validation_idx >= t.block_size then (
     check_done t;
     None)
   else (
-    let wave = current_wave t in
     Atomic_util.incr t.num_active_tasks;
     let idx_to_validate = Atomic_util.get_and_incr t.validation_idx in
+    let wave = current_wave t in
     let version =
       if idx_to_validate < t.block_size then
         with_status t idx_to_validate (fun s ->

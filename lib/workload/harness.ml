@@ -37,21 +37,21 @@ let equal_outputs (a : int Blockstm_kernel.Txn.output array)
 (** Run Block-STM on [num_domains] real domains. [specs] opts into static
     access-specification modes (DESIGN.md §15); wildcards resolve against
     {!Ledger.Loc.namespace}. *)
-let run_blockstm ?(config = Bstm.default_config) ?declared_writes ?specs
-    ?trace ?on_commit ~storage txns =
-  Bstm.run ~config ?declared_writes ?specs ~loc_namespace:Loc.namespace
-    ?trace ?on_commit ~storage:(Store.reader storage) txns
+let run_blockstm ?(config = Bstm.default_config) ?specs ?trace ?on_commit
+    ~storage txns =
+  Bstm.run ~config ?specs ~loc_namespace:Loc.namespace ?trace ?on_commit
+    ~storage:(Store.reader storage) txns
 
 (** Run Block-STM over cold two-tier storage: every location starts cold and
     a miss costs [cold_ns] of simulated latency. Returns the result plus the
-    cold store (for {!ColdX.fetches}). With [config.cold_read_suspend] the
-    engine parks the transaction during each fetch; otherwise the latency is
-    paid inline on the executing worker. *)
-let run_blockstm_cold ?(config = Bstm.default_config) ?declared_writes ?trace
-    ~cold_ns ~storage txns =
+    cold store (for {!ColdX.fetches}). The engine gets the store's probe, so
+    it parks the transaction during each fetch instead of paying the latency
+    inline on the executing worker. *)
+let run_blockstm_cold ?(config = Bstm.default_config) ?trace ~cold_ns ~storage
+    txns =
   let cold = ColdX.create ~cold_ns ~backing:(Store.reader storage) () in
   let r =
-    Bstm.run ~config ?declared_writes ?trace ~probe:(ColdX.probe cold)
+    Bstm.run ~config ?trace ~probe:(ColdX.probe cold)
       ~storage:(ColdX.reader cold) txns
   in
   (r, cold)
@@ -76,9 +76,9 @@ let check_ok c = c.snapshot_ok && c.outputs_ok
 
 (** Run Block-STM with [num_domains] domains and compare snapshot and
     outputs against the sequential reference. *)
-let check_blockstm ?config ?declared_writes ~storage txns : check =
+let check_blockstm ?config ~storage txns : check =
   let seq = run_sequential ~storage txns in
-  let par = run_blockstm ?config ?declared_writes ~storage txns in
+  let par = run_blockstm ?config ~storage txns in
   {
     snapshot_ok = equal_snapshot seq.Seq.snapshot par.Bstm.snapshot;
     outputs_ok = equal_outputs seq.Seq.outputs par.Bstm.outputs;
@@ -104,13 +104,13 @@ let tps_of_makespan ~txns makespan_us =
 (** Run Block-STM under virtual time with [num_threads] virtual threads.
     Returns the block result (checked-able against sequential) and the
     simulator stats. *)
-let sim_blockstm ?(config = Bstm.default_config) ?declared_writes ?specs
+let sim_blockstm ?(config = Bstm.default_config) ?specs
     ?(cost = Cost_model.default) ~num_threads ~storage txns :
     int Bstm.result * Virtual_exec.stats =
   let config = { config with Bstm.num_domains = 1 } in
   let inst =
-    Bstm.create_instance ~config ?declared_writes ?specs
-      ~loc_namespace:Loc.namespace ~storage:(Store.reader storage) txns
+    Bstm.create_instance ~config ?specs ~loc_namespace:Loc.namespace
+      ~storage:(Store.reader storage) txns
   in
   let engine =
     {
@@ -183,11 +183,10 @@ let account_partition ~num_accounts ~lanes : LanesX.partition =
 (** Run the block through [partition.lanes] parallel engine instances under
     the lane coordinator; [partition.lanes = 1] is the unmodified paper
     engine. Results are bit-identical to {!run_blockstm} either way. *)
-let run_lanes ?config ?mode ?declared_writes ?on_commit ?obs ?trace_for
-    ~partition ~specs ~storage txns =
-  LanesX.run ?config ?mode ?declared_writes ~loc_namespace:Loc.namespace
-    ?on_commit ?obs ?trace_for ~partition ~specs
-    ~storage:(Store.reader storage) txns
+let run_lanes ?config ?on_commit ?obs ?trace_for ~partition ~specs ~storage
+    txns =
+  LanesX.run ?config ~loc_namespace:Loc.namespace ?on_commit ?obs ?trace_for
+    ~partition ~specs ~storage:(Store.reader storage) txns
 
 (** Virtual-time lane execution result (the lane analogue of
     {!sim_blockstm}'s [result * stats]). *)
@@ -210,8 +209,8 @@ type sim_lanes_result = {
     the snapshot/outputs are checked-able against {!sim_blockstm} /
     {!run_sequential} — the identity the lane-scaling experiment asserts at
     every grid point. *)
-let sim_lanes ?(config = Bstm.default_config) ?(mode = LanesX.Park)
-    ?(cost = Cost_model.default) ~num_threads ~(partition : LanesX.partition)
+let sim_lanes ?(config = Bstm.default_config) ?(cost = Cost_model.default)
+    ~num_threads ~(partition : LanesX.partition)
     ~specs ~storage txns : sim_lanes_result =
   let module LT = Hashtbl.Make (Loc) in
   let n = Array.length txns in
@@ -219,7 +218,7 @@ let sim_lanes ?(config = Bstm.default_config) ?(mode = LanesX.Park)
     invalid_arg "Harness.sim_lanes: specs length mismatch";
   if num_threads < 1 then
     invalid_arg "Harness.sim_lanes: num_threads must be >= 1";
-  let pl = LanesX.plan ~mode ~namespace:Loc.namespace partition specs in
+  let pl = LanesX.plan ~namespace:Loc.namespace partition specs in
   let lane_cfg =
     { (LanesX.lane_config config ~lanes:partition.lanes) with
       Bstm.num_domains = 1 }

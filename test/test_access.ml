@@ -11,9 +11,9 @@
 
     The engine-facing tests then drive the three spec consumers over the
     Ledger p2p workloads and check each against the sequential reference:
-    ESTIMATE seeding ([static_specs]), validation skipping for
+    ESTIMATE seeding ([seed_from_specs]), validation skipping for
     pairwise-independent transactions ([metrics.spec_skips]), and the
-    [spec_dag] scheduling mode (which must commit bit-identical state with
+    [Spec_dag] scheduling mode (which must commit bit-identical state with
     zero validations). *)
 
 open Blockstm_kernel
@@ -139,12 +139,16 @@ let test_spec_skips () =
   let specs = P2p.txn_specs w in
   let seq = Harness.run_sequential ~storage:w.P2p.storage w.P2p.txns in
   let config =
-    { Bstm.default_config with num_domains = 4; static_specs = true }
+    Bstm.optimistic_config ~num_domains:4 (fun o ->
+        {
+          o with
+          marking = Estimates { validation = Suffix; seed_from_specs = true };
+        })
   in
   let r =
     Harness.run_blockstm ~config ~specs ~storage:w.P2p.storage w.P2p.txns
   in
-  check_identical "static_specs" seq r;
+  check_identical "spec seeding" seq r;
   Alcotest.(check bool)
     "independent transactions skipped validation" true
     (r.Bstm.metrics.Bstm.spec_skips > 0)
@@ -164,7 +168,7 @@ let test_spec_dag_identity () =
       List.iter
         (fun num_domains ->
           let config =
-            { Bstm.default_config with num_domains; spec_dag = true }
+            { Bstm.default_config with num_domains; sched = Spec_dag }
           in
           let r =
             Harness.run_blockstm ~config ~specs ~storage:w.P2p.storage
@@ -189,7 +193,7 @@ let test_spec_dag_identity () =
   in
   let specs = P2p.hotspot_txn_specs h in
   let seq = Harness.run_sequential ~storage:h.P2p.h_storage h.P2p.h_txns in
-  let config = { Bstm.default_config with num_domains = 4; spec_dag = true } in
+  let config = { Bstm.default_config with num_domains = 4; sched = Spec_dag } in
   let r =
     Harness.run_blockstm ~config ~specs ~storage:h.P2p.h_storage h.P2p.h_txns
   in

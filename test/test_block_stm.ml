@@ -6,31 +6,12 @@
 open Blockstm_kernel
 open Tutil
 
-let run ?config ?declared_writes ~storage txns =
-  Bstm.run ?config ?declared_writes ~storage txns
+let run ?config ~storage txns = Bstm.run ?config ~storage txns
 
-let config ?(num_domains = 1) ?(use_estimates = true)
-    ?(prevalidate_reads = true) ?(prefill_estimates = false)
-    ?(suspend_resume = false) ?(rolling_commit = false) ?(mv_nshards = 64)
-    ?(targeted_validation = false) ?(delta_ops = false)
-    ?(record_exec_ns = false) ?(cold_read_suspend = false)
-    ?(cross_block = false) ?(static_specs = false) ?(spec_dag = false) () =
-  {
-    Bstm.num_domains;
-    use_estimates;
-    prevalidate_reads;
-    prefill_estimates;
-    suspend_resume;
-    rolling_commit;
-    mv_nshards;
-    targeted_validation;
-    delta_ops;
-    record_exec_ns;
-    cold_read_suspend;
-    cross_block;
-    static_specs;
-    spec_dag;
-  }
+let config ?(num_domains = 1) ?(marking = Bstm.default_optimistic.marking)
+    ?(prevalidate_reads = true) ?(rolling_commit = false) () =
+  Bstm.optimistic_config ~num_domains (fun o ->
+      { o with marking; prevalidate_reads; rolling_commit })
 
 (* --- Basics -------------------------------------------------------------- *)
 
@@ -224,8 +205,8 @@ let contended_txns n =
 
 let test_no_estimates_still_correct () =
   ignore
-    (assert_equiv ~msg:"use_estimates=false"
-       ~config:(config ~num_domains:4 ~use_estimates:false ())
+    (assert_equiv ~msg:"remove on abort"
+       ~config:(config ~num_domains:4 ~marking:Remove_on_abort ())
        ~storage:zero_storage (contended_txns 120))
 
 let test_no_prevalidation_still_correct () =
@@ -234,31 +215,43 @@ let test_no_prevalidation_still_correct () =
        ~config:(config ~num_domains:4 ~prevalidate_reads:false ())
        ~storage:zero_storage (contended_txns 120))
 
+let seeded = Bstm.Estimates { validation = Suffix; seed_from_specs = true }
+
+(* Write-set pre-estimation (§7): spec seeding over specs that declare the
+   exact writes and claim nothing about reads. *)
 let test_prefill_estimates_correct () =
   let n = 80 in
   let rng = Blockstm_workload.Rng.create 23 in
   let targets = Array.init n (fun _ -> Blockstm_workload.Rng.int rng 4) in
   let txns = Array.map (fun t -> incr_txn t) targets in
-  let declared_writes = Array.map (fun t -> [| t |]) targets in
-  ignore
-    (assert_equiv ~msg:"prefill_estimates"
-       ~config:(config ~num_domains:4 ~prefill_estimates:true ())
-       ~declared_writes ~storage:zero_storage txns)
+  let specs =
+    Array.map
+      (fun t -> { Access_spec.reads = [ Unknown ]; writes = [ Exact t ] })
+      targets
+  in
+  let r =
+    assert_equiv ~msg:"declared-write seeding"
+      ~config:(config ~num_domains:4 ~marking:seeded ())
+      ~specs ~storage:zero_storage txns
+  in
+  Alcotest.(check int) "reads Unknown: no validation skipped" 0
+    r.metrics.spec_skips
 
-let test_prefill_requires_declared_writes () =
-  Alcotest.check_raises "missing declared_writes"
-    (Invalid_argument "Block_stm: prefill_estimates needs declared_writes")
-    (fun () ->
+let test_seeding_requires_specs () =
+  Alcotest.check_raises "missing specs"
+    (Invalid_argument "Block_stm: seed_from_specs requires specs") (fun () ->
       ignore
-        (run
-           ~config:(config ~prefill_estimates:true ())
-           ~storage:zero_storage
+        (run ~config:(config ~marking:seeded ()) ~storage:zero_storage
            [| incr_txn 0 |]))
 
 let test_targeted_still_correct () =
   let r =
-    assert_equiv ~msg:"targeted_validation"
-      ~config:(config ~num_domains:4 ~targeted_validation:true ())
+    assert_equiv ~msg:"targeted validation"
+      ~config:
+        (config ~num_domains:4
+           ~marking:
+             (Estimates { validation = Targeted; seed_from_specs = false })
+           ())
       ~storage:zero_storage (contended_txns 120)
   in
   (* The targeted counters must be coherent: every targeted claim that
@@ -269,16 +262,6 @@ let test_targeted_still_correct () =
   Alcotest.(check bool)
     "targeted >= 0" true
     (r.metrics.targeted_validations >= 0)
-
-let test_targeted_requires_estimates () =
-  Alcotest.check_raises "rejected"
-    (Invalid_argument "Block_stm: targeted_validation requires use_estimates")
-    (fun () ->
-      ignore
-        (run
-           ~config:
-             (config ~use_estimates:false ~targeted_validation:true ())
-           ~storage:zero_storage [| incr_txn 0 |]))
 
 let test_invalid_num_domains () =
   Alcotest.check_raises "zero domains"
@@ -329,13 +312,34 @@ let test_on_commit_streams_in_preset_order () =
       Alcotest.(check bool) (Printf.sprintf "tx%d stamped" j) true (ns >= 0))
     r.commit_ns
 
-let test_on_commit_requires_rolling () =
-  Alcotest.check_raises "rejected"
-    (Invalid_argument "Block_stm: on_commit requires rolling_commit")
-    (fun () ->
-      ignore
-        (Bstm.run ~config:(config ()) ~on_commit:(fun _ _ -> ())
-           ~storage:zero_storage [| incr_txn 0 |]))
+(* Lazy mode commits the block at once: [finalize] fires [on_commit] once
+   per transaction in preset order, then [on_flush] once with the whole
+   snapshot. *)
+let test_lazy_hooks_fire_at_finalize () =
+  let n = 60 in
+  let txns = contended_txns n in
+  List.iter
+    (fun nd ->
+      let order = ref [] and flushes = ref [] in
+      let r =
+        Bstm.run ~config:(config ~num_domains:nd ())
+          ~on_commit:(fun j o -> order := (j, o) :: !order)
+          ~on_flush:(fun b -> flushes := Array.to_list b :: !flushes)
+          ~storage:zero_storage txns
+      in
+      let order = List.rev !order in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d domains: once per txn, in preset order" nd)
+        (List.init n Fun.id) (List.map fst order);
+      List.iter
+        (fun (j, o) ->
+          if not (Txn.equal_output Int.equal o r.outputs.(j)) then
+            Alcotest.failf "%d domains: streamed output %d differs" nd j)
+        order;
+      Alcotest.(check (list (list (pair int int))))
+        (Printf.sprintf "%d domains: one flush, the full snapshot" nd)
+        [ r.snapshot ] !flushes)
+    [ 1; 2; 4 ]
 
 let test_rolling_empty_block () =
   let r =
@@ -551,20 +555,18 @@ let suite =
       test_no_prevalidation_still_correct;
     Alcotest.test_case "ablation: prefilled estimates" `Quick
       test_prefill_estimates_correct;
-    Alcotest.test_case "prefill requires declared writes" `Quick
-      test_prefill_requires_declared_writes;
+    Alcotest.test_case "spec seeding requires specs" `Quick
+      test_seeding_requires_specs;
     Alcotest.test_case "targeted revalidation = sequential" `Quick
       test_targeted_still_correct;
-    Alcotest.test_case "targeted requires estimates" `Quick
-      test_targeted_requires_estimates;
     Alcotest.test_case "invalid num_domains rejected" `Quick
       test_invalid_num_domains;
     Alcotest.test_case "rolling commit = sequential" `Quick
       test_rolling_equals_sequential;
     Alcotest.test_case "on_commit streams in preset order" `Quick
       test_on_commit_streams_in_preset_order;
-    Alcotest.test_case "on_commit requires rolling_commit" `Quick
-      test_on_commit_requires_rolling;
+    Alcotest.test_case "lazy on_commit/on_flush fire at finalize" `Quick
+      test_lazy_hooks_fire_at_finalize;
     Alcotest.test_case "rolling empty block" `Quick test_rolling_empty_block;
     Alcotest.test_case "prevalidation skips re-execution on estimate" `Quick
       test_prevalidation_skip;

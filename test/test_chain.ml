@@ -49,11 +49,8 @@ let test_suspend_resume_replica_agrees () =
   let sr =
     run_chain
       (Chain.Block_stm
-         {
-           Chain.Bstm.default_config with
-           num_domains = 4;
-           suspend_resume = true;
-         })
+         (Chain.Bstm.optimistic_config ~num_domains:4 (fun o ->
+              { o with suspend_resume = true })))
       4
   in
   Alcotest.(check (option int)) "no divergence" None
@@ -64,11 +61,8 @@ let test_rolling_replica_agrees () =
   let roll =
     run_chain
       (Chain.Block_stm
-         {
-           Chain.Bstm.default_config with
-           num_domains = 4;
-           rolling_commit = true;
-         })
+         (Chain.Bstm.optimistic_config ~num_domains:4 (fun o ->
+              { o with rolling_commit = true })))
       4
   in
   Alcotest.(check (option int)) "no divergence" None
@@ -94,11 +88,8 @@ let test_pipelined_roots_identical () =
   let p_roll =
     run_pipelined
       (Chain.Block_stm
-         {
-           Chain.Bstm.default_config with
-           num_domains = 4;
-           rolling_commit = true;
-         })
+         (Chain.Bstm.optimistic_config ~num_domains:4 (fun o ->
+              { o with rolling_commit = true })))
   in
   Alcotest.(check (option int)) "pipelined sequential executor" None
     (Chain.first_divergence seq p_seq);

@@ -5,10 +5,11 @@
     fetch thunk installs the result (including misses) in the hot tier, and
     [warm] preloads without counting a fetch.
 
-    Engine level: with [cold_read_suspend] every first touch of a location
-    parks the transaction ([cold_reads] and [resumptions] metrics fire) and
-    the result still matches sequential execution — with the knob off the
-    same cold storage is read inline and results are again identical. *)
+    Engine level: with the store's probe wired, every first touch of a
+    location parks the transaction ([cold_reads] and [resumptions] metrics
+    fire) and the result still matches sequential execution — without a
+    probe the same cold storage is read inline and results are again
+    identical. *)
 
 open Tutil
 open Blockstm_kernel
@@ -59,10 +60,12 @@ let block () : itxn array =
       | 1 -> transfer ~from_:(i mod 10) ~to_:((i + 7) mod 10) ~amount:1
       | _ -> incr_txn ~amount:(1 + (i mod 4)) (i mod 10))
 
-let run_cold ~config txns =
+let run_cold ?(probe = true) ~config txns =
   let c = Cold.create ~cold_ns:200 ~backing:(range_storage 10) () in
   let r =
-    Bstm.run ~config ~probe:(Cold.probe c) ~storage:(Cold.reader c) txns
+    Bstm.run ~config
+      ?probe:(if probe then Some (Cold.probe c) else None)
+      ~storage:(Cold.reader c) txns
   in
   (r, c)
 
@@ -77,19 +80,11 @@ let check_vs_sequential name (r : int Bstm.result) txns =
         Alcotest.failf "%s: output %d differs" name i)
     seq.outputs
 
-(* cold_read_suspend with plain suspend_resume off: every park/retry comes
-   from the cold-read path, so both counters must fire. *)
+(* A probe with plain suspend_resume off: every park/retry comes from the
+   cold-read path, so both counters must fire. *)
 let test_suspend_fires () =
   let txns = block () in
-  let config =
-    {
-      Bstm.default_config with
-      num_domains = 1;
-      cold_read_suspend = true;
-      suspend_resume = false;
-    }
-  in
-  let r, c = run_cold ~config txns in
+  let r, c = run_cold ~config:Bstm.default_config txns in
   check_vs_sequential "suspend on" r txns;
   Alcotest.(check bool) "cold_reads > 0" true (r.metrics.cold_reads > 0);
   Alcotest.(check bool) "resumptions > 0" true (r.metrics.resumptions > 0);
@@ -99,14 +94,11 @@ let test_suspend_fires () =
   Alcotest.(check bool) "fetches bounded by locations" true
     (Cold.fetches c <= 10)
 
-(* Knob off: the probe is ignored, misses are paid inline through the
-   blocking reader, and no cold-read suspensions are recorded. *)
+(* No probe: misses are paid inline through the blocking reader, and no
+   cold-read suspensions are recorded. *)
 let test_inline_when_disabled () =
   let txns = block () in
-  let config =
-    { Bstm.default_config with num_domains = 1; cold_read_suspend = false }
-  in
-  let r, c = run_cold ~config txns in
+  let r, c = run_cold ~probe:false ~config:Bstm.default_config txns in
   check_vs_sequential "suspend off" r txns;
   Alcotest.(check int) "no cold-read suspensions" 0 r.metrics.cold_reads;
   Alcotest.(check bool) "still fetched through the cache" true
@@ -115,12 +107,8 @@ let test_inline_when_disabled () =
 let test_multi_domain () =
   let txns = block () in
   let config =
-    {
-      Bstm.default_config with
-      num_domains = 4;
-      cold_read_suspend = true;
-      suspend_resume = true;
-    }
+    Bstm.optimistic_config ~num_domains:4 (fun o ->
+        { o with suspend_resume = true })
   in
   let r, _ = run_cold ~config txns in
   check_vs_sequential "4 domains" r txns;

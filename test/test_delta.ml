@@ -167,14 +167,9 @@ let test_mv_flush_fold () =
 (* --- Engine: delta_ops on/off, differential against sequential ------------ *)
 
 let config ?(num_domains = 1) ?(delta_ops = false) ?(rolling_commit = false)
-    ?(targeted_validation = false) () =
-  {
-    Bstm.default_config with
-    num_domains;
-    delta_ops;
-    rolling_commit;
-    targeted_validation;
-  }
+    () =
+  Bstm.optimistic_config ~num_domains (fun o ->
+      { o with delta_ops; rolling_commit })
 
 (* A pure aggregator transaction: positive amounts add, negative subtract;
    the output encodes the observed outcome (1 applied, 0 bounds violation,
@@ -264,7 +259,7 @@ let test_not_a_counter_outcome () =
   in
   List.iter
     (fun delta_ops ->
-      let config = { H.Bstm.default_config with delta_ops } in
+      let config = H.Bstm.optimistic_config (fun o -> { o with delta_ops }) in
       let r = H.run_blockstm ~config ~storage [| txn; txn |] in
       Array.iter
         (function
@@ -311,13 +306,19 @@ let test_hotspot_differential () =
                       domains rolling deltas targeted
                   in
                   let config =
-                    {
-                      H.Bstm.default_config with
-                      num_domains = domains;
-                      rolling_commit = rolling;
-                      delta_ops = deltas;
-                      targeted_validation = targeted;
-                    }
+                    H.Bstm.optimistic_config ~num_domains:domains (fun o ->
+                        {
+                          o with
+                          marking =
+                            Estimates
+                              {
+                                validation =
+                                  (if targeted then Targeted else Suffix);
+                                seed_from_specs = false;
+                              };
+                          rolling_commit = rolling;
+                          delta_ops = deltas;
+                        })
                   in
                   let r =
                     H.run_blockstm ~config ~storage:w.h_storage w.h_txns
@@ -510,7 +511,8 @@ let test_minimove_vault_block () =
             Printf.sprintf "%s deltas=%b" (R.vm_name vm) delta_ops
           in
           let config =
-            { R.Bstm.default_config with num_domains = 4; delta_ops }
+            R.Bstm.optimistic_config ~num_domains:4 (fun o ->
+                { o with delta_ops })
           in
           let r = R.Bstm.run ~config ~storage:(storage ()) txns in
           Alcotest.(check bool)

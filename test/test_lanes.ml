@@ -8,9 +8,9 @@
     state-root level across flat and Merkle stores, including the Merkle
     async-flush path fed by the coordinator's per-batch [on_flush] deltas.
 
-    Coordinator unit tests pin the greedy {!Park} planner's batch shapes
-    (cross-lane park, conflict-forced batch close) and the {!Barrier}
-    fallback; partitioner tests check totality (every location maps to
+    Coordinator unit tests pin the greedy planner's batch shapes
+    (cross-lane park, conflict-forced batch close); partitioner tests
+    check totality (every location maps to
     exactly one lane, uniformly across an account's fields) and — over the
     same 600-program corpus the access-analysis suite uses — that whenever
     a transaction is classified single-lane, every location it dynamically
@@ -97,7 +97,8 @@ let test_identity_deltas () =
       List.iter
         (fun delta_ops ->
           let config =
-            { Bstm.default_config with num_domains = 4; delta_ops }
+            Bstm.optimistic_config ~num_domains:4 (fun o ->
+                { o with delta_ops })
           in
           let r =
             Harness.run_lanes ~config ~partition ~specs
@@ -143,7 +144,6 @@ let test_chain_roots () =
           {
             config = { Bstm.default_config with num_domains = 4 };
             partition = Harness.account_partition ~num_accounts:160 ~lanes;
-            mode = LanesX.Park;
             namespace = Some Ledger.Loc.namespace;
           }
       in
@@ -265,26 +265,6 @@ let test_coordinator_conflict_close () =
         ~stragglers:[]
   | bs -> Alcotest.failf "expected 2 batches, got %d" (List.length bs)
 
-(* Barrier: every cross-lane transaction closes the running batch and runs
-   alone, in preset order. *)
-let test_coordinator_barrier () =
-  let _, partition = two_lane_fixture () in
-  let b = Ledger.balance in
-  let specs = [| sp [ b 0 ]; sp [ b 0; b 2 ]; sp [ b 3 ] |] in
-  let pl =
-    LanesX.plan ~mode:LanesX.Barrier ~namespace:Ledger.Loc.namespace
-      partition specs
-  in
-  match pl.LanesX.batches with
-  | [ b1; b2; b3 ] ->
-      check_batch "barrier 1" b1 ~lo:0 ~hi:1 ~lanes:[ [ 0 ]; [] ]
-        ~stragglers:[];
-      check_batch "barrier 2" b2 ~lo:1 ~hi:2 ~lanes:[ []; [] ]
-        ~stragglers:[ 1 ];
-      check_batch "barrier 3" b3 ~lo:2 ~hi:3 ~lanes:[ []; [ 2 ] ]
-        ~stragglers:[]
-  | bs -> Alcotest.failf "expected 3 batches, got %d" (List.length bs)
-
 (* A transaction touching no block-written location balances round-robin. *)
 let test_coordinator_round_robin () =
   let _, partition = two_lane_fixture () in
@@ -303,8 +283,9 @@ let test_coordinator_round_robin () =
     (assignment
     = [| LanesX.Lane 0; LanesX.Lane 1; LanesX.Lane 0; LanesX.Lane 1 |])
 
-(* Execution identity on the handcrafted blocks, both coordinator modes:
-   outputs are old values read, so any ordering violation shows up. *)
+(* Execution identity on the handcrafted block, through both lane drivers
+   (real domains and virtual time): outputs are old values read, so any
+   ordering violation shows up. *)
 let test_coordinator_execution () =
   let storage, partition = two_lane_fixture () in
   let b = Ledger.balance in
@@ -321,14 +302,13 @@ let test_coordinator_execution () =
       specs
   in
   let seq = Harness.run_sequential ~storage txns in
-  List.iter
-    (fun mode ->
-      let r = Harness.run_lanes ~mode ~partition ~specs ~storage txns in
-      check_same
-        (Fmt.str "handcrafted %s"
-           (match mode with LanesX.Park -> "park" | LanesX.Barrier -> "barrier"))
-        seq r)
-    [ LanesX.Park; LanesX.Barrier ]
+  check_same "handcrafted" seq
+    (Harness.run_lanes ~partition ~specs ~storage txns);
+  let s = Harness.sim_lanes ~num_threads:2 ~partition ~specs ~storage txns in
+  Alcotest.(check bool)
+    "handcrafted, virtual time: snapshot and outputs match sequential" true
+    (Harness.equal_snapshot seq.Harness.Seq.snapshot s.Harness.sl_snapshot
+    && Harness.equal_outputs seq.Harness.Seq.outputs s.Harness.sl_outputs)
 
 (* Empty block: trivially valid plan, empty result. *)
 let test_empty_block () =
@@ -582,11 +562,9 @@ let suite =
       test_coordinator_park;
     Alcotest.test_case "coordinator: conflict closes batch" `Quick
       test_coordinator_conflict_close;
-    Alcotest.test_case "coordinator: barrier fallback" `Quick
-      test_coordinator_barrier;
     Alcotest.test_case "coordinator: round-robin read-only txns" `Quick
       test_coordinator_round_robin;
-    Alcotest.test_case "coordinator: execution identity both modes" `Quick
+    Alcotest.test_case "coordinator: execution identity both drivers" `Quick
       test_coordinator_execution;
     Alcotest.test_case "empty block" `Quick test_empty_block;
     Alcotest.test_case "on_commit preset order" `Quick test_on_commit_order;

@@ -462,8 +462,8 @@ let test_amm_block_parallel () =
   let par =
     Runtime.Bstm.run
       ~config:
-        { Runtime.Bstm.default_config with num_domains = 4;
-          suspend_resume = true }
+        (Runtime.Bstm.optimistic_config ~num_domains:4 (fun o ->
+             { o with suspend_resume = true }))
       ~storage:(Runtime.Store.reader store) txns
   in
   Alcotest.(check bool) "snapshots equal" true

@@ -58,9 +58,11 @@ let reference ?(store = `Flat) ~genesis ~blocks () =
   chain
 
 let check_stream_matches ~ctx ~(reference : _ Chain.t) ~genesis ~blocks
-    ~executor ~store ~mode () =
+    ?next_specs ~executor ~store ~mode () =
   let chain = Chain.create ~executor ~store ~genesis () in
-  let commits, stats = Chain.execute_stream ~mode chain ~next:(next_of blocks) in
+  let commits, stats =
+    Chain.execute_stream ~mode ?next_specs chain ~next:(next_of blocks)
+  in
   Alcotest.(check (option int))
     (ctx ^ ": no divergence") None
     (Chain.first_divergence reference chain);
@@ -103,12 +105,8 @@ let grid_sweep ~deltas () =
           let refc = match store with `Flat -> ref_flat | `Merkle -> ref_merkle in
           let executor =
             Chain.Block_stm
-              {
-                CBstm.default_config with
-                num_domains = domains;
-                rolling_commit = true;
-                delta_ops = deltas;
-              }
+              (CBstm.optimistic_config ~num_domains:domains (fun o ->
+                   { o with rolling_commit = true; delta_ops = deltas }))
           in
           List.iter
             (fun (mname, mode) ->
@@ -149,7 +147,8 @@ let test_merkle_async_flush_pipelined () =
   let refc = reference ~store:`Merkle ~genesis ~blocks () in
   let executor =
     Chain.Block_stm
-      { CBstm.default_config with num_domains = 4; rolling_commit = true }
+      (CBstm.optimistic_config ~num_domains:4 (fun o ->
+           { o with rolling_commit = true }))
   in
   let chain =
     Chain.create ~executor ~store:`Merkle ~async_flush:true ~genesis ()
@@ -160,18 +159,93 @@ let test_merkle_async_flush_pipelined () =
     "async-flush merkle pipelined" None
     (Chain.first_divergence refc chain)
 
-let test_speculative_requires_rolling () =
+(* [`Speculative] runs every instance with rolling commit, so a lazy
+   executor speculates too; only a schedule without validation is refused. *)
+let test_speculative_lazy_executor () =
+  let blocks = List.map (fun w -> w.P2p.txns) (p2p_blocks ()) in
   let genesis = (List.hd (p2p_blocks ())).P2p.storage in
+  let lazy_cfg = { CBstm.default_config with num_domains = 2 } in
+  check_stream_matches ~ctx:"lazy speculative"
+    ~reference:(reference ~genesis ~blocks ())
+    ~genesis ~blocks ~executor:(Chain.Block_stm lazy_cfg) ~store:`Flat
+    ~mode:`Speculative ();
   let chain =
     Chain.create
-      ~executor:(Chain.Block_stm { CBstm.default_config with num_domains = 2 })
+      ~executor:(Chain.Block_stm { lazy_cfg with sched = Spec_dag })
       ~genesis ()
   in
-  Alcotest.check_raises "lazy commit rejected"
+  Alcotest.check_raises "spec-dag rejected"
     (Invalid_argument
-       "Chain.execute_stream: `Speculative requires rolling_commit")
+       "Chain.execute_stream: `Speculative requires a Block_stm executor with \
+        an Optimistic schedule")
     (fun () ->
       ignore (Chain.execute_stream ~mode:`Speculative chain ~next:(fun () -> None)))
+
+(* The chain hands each block's specs to the Block-STM executor: configs
+   that seed from specs or schedule from the spec DAG need them, and must
+   commit exactly what the sequential chain does. *)
+let test_stream_forwards_specs () =
+  let ws = p2p_blocks () in
+  let blocks = List.map (fun w -> w.P2p.txns) ws in
+  let genesis = (List.hd ws).P2p.storage in
+  let seeded =
+    CBstm.optimistic_config ~num_domains:2 (fun o ->
+        {
+          o with
+          marking = Estimates { validation = Suffix; seed_from_specs = true };
+        })
+  in
+  let dag = { CBstm.default_config with num_domains = 2; sched = Spec_dag } in
+  List.iter
+    (fun store ->
+      let refc = reference ~store ~genesis ~blocks () in
+      List.iter
+        (fun (ename, config, modes) ->
+          List.iter
+            (fun (mname, mode) ->
+              check_stream_matches
+                ~ctx:
+                  (Fmt.str "%s %s %s" ename mname
+                     (match store with `Flat -> "flat" | `Merkle -> "merkle"))
+                ~reference:refc ~genesis ~blocks
+                ~next_specs:(next_of (List.map P2p.txn_specs ws))
+                ~executor:(Chain.Block_stm config) ~store ~mode ())
+            modes)
+        [
+          ( "seeded",
+            seeded,
+            [
+              ("per-block", `Per_block);
+              ("pipelined", `Pipelined);
+              ("speculative", `Speculative);
+            ] );
+          ( "spec-dag",
+            dag,
+            [ ("per-block", `Per_block); ("pipelined", `Pipelined) ] );
+        ])
+    [ `Flat; `Merkle ]
+
+(* Most transactions of a low-contention block are spec-independent, yet in
+   a speculative stream their specs must not excuse them from the seal-time
+   revalidation: the predecessor block can still change what they read. *)
+let test_speculative_independent_specs () =
+  let ws =
+    P2p.generate_stream
+      { P2p.default_spec with num_accounts = 10_000; block_size = 300; seed = 11 }
+      ~nblocks:6
+  in
+  let blocks = List.map (fun w -> w.P2p.txns) ws in
+  let genesis = (List.hd ws).P2p.storage in
+  let refc = reference ~genesis ~blocks () in
+  List.iter
+    (fun num_domains ->
+      check_stream_matches
+        ~ctx:(Fmt.str "independent speculative %dd" num_domains)
+        ~reference:refc ~genesis ~blocks
+        ~next_specs:(next_of (List.map P2p.txn_specs ws))
+        ~executor:(Chain.Block_stm { CBstm.default_config with num_domains })
+        ~store:`Flat ~mode:`Speculative ())
+    [ 1; 2; 4 ]
 
 (* Mempool-fed end-to-end: a producer domain submits the whole stream; the
    speculative driver cuts fixed-size blocks; commits must match the
@@ -192,11 +266,8 @@ let test_mempool_driven_speculative () =
   in
   let executor =
     Chain.Block_stm
-      {
-        CBstm.default_config with
-        num_domains = 4;
-        rolling_commit = true;
-      }
+      (CBstm.optimistic_config ~num_domains:4 (fun o ->
+           { o with rolling_commit = true }))
   in
   let chain = Chain.create ~executor ~genesis () in
   let next () =
@@ -320,50 +391,61 @@ let test_overlay_wait () =
 (* Engine cross-block configuration checks                            *)
 (* ------------------------------------------------------------------ *)
 
+(* [gen] makes the instance a cross-block speculation with rolling commit
+   whatever the config says: a lazy config commits the block like the
+   sequential executor, through the commit sweep. Only a schedule without
+   validation, and sealing an instance created without [gen], are
+   refused. *)
 let test_engine_cross_block_config () =
   let open Tutil in
-  let txns = [| incr_txn 0 |] in
-  let raises msg f =
-    Alcotest.(check bool) msg true
-      (try
-         ignore (f ());
-         false
-       with Invalid_argument _ -> true)
-  in
-  raises "cross_block requires rolling_commit" (fun () ->
-      Bstm.create_instance
-        ~config:{ Bstm.default_config with cross_block = true }
-        ~gen:(fun _ -> 0)
-        ~storage:zero_storage txns);
-  raises "cross_block requires gen" (fun () ->
-      Bstm.create_instance
-        ~config:
-          {
-            Bstm.default_config with
-            cross_block = true;
-            rolling_commit = true;
-          }
-        ~storage:zero_storage txns);
-  raises "gen requires cross_block" (fun () ->
-      Bstm.create_instance ~config:Bstm.default_config
-        ~gen:(fun _ -> 0)
-        ~storage:zero_storage txns)
+  let n = 40 in
+  let txns = Array.init n (fun i -> incr_txn (i mod 3)) in
+  let seq = Seq.run ~storage:zero_storage txns in
+  List.iter
+    (fun num_domains ->
+      let inst =
+        Bstm.create_instance
+          ~config:{ Bstm.default_config with num_domains }
+          ~gen:(fun _ -> 0)
+          ~storage:zero_storage txns
+      in
+      Bstm.base_sealed inst;
+      let others =
+        List.init (num_domains - 1) (fun _ ->
+            Domain.spawn (fun () -> Bstm.worker_loop inst))
+      in
+      Bstm.worker_loop inst;
+      List.iter Domain.join others;
+      let r = Bstm.finalize inst in
+      Alcotest.(check (list (pair int int)))
+        (Fmt.str "lazy config + gen = sequential @ %dd" num_domains)
+        seq.snapshot r.Bstm.snapshot;
+      Alcotest.(check int)
+        (Fmt.str "committed by the sweep @ %dd" num_domains)
+        n r.Bstm.metrics.commits)
+    [ 1; 2 ];
+  Alcotest.check_raises "gen with Spec_dag"
+    (Invalid_argument "Block_stm: gen requires an Optimistic schedule")
+    (fun () ->
+      ignore
+        (Bstm.create_instance
+           ~config:{ Bstm.default_config with sched = Spec_dag }
+           ~specs:[| Access_spec.empty |] ~gen:(fun _ -> 0)
+           ~storage:zero_storage [| incr_txn 0 |]));
+  Alcotest.check_raises "base_sealed without gen"
+    (Invalid_argument
+       "Block_stm: base_sealed requires an instance created with gen")
+    (fun () ->
+      Bstm.base_sealed
+        (Bstm.create_instance ~storage:zero_storage [| incr_txn 0 |]))
 
 (* A cross-block instance runs gated: nothing commits until [base_sealed]
    opens the gate, and finalizing a never-sealed instance is a bug. *)
 let test_engine_gate () =
   let open Tutil in
-  let config =
-    {
-      Bstm.default_config with
-      cross_block = true;
-      rolling_commit = true;
-      num_domains = 1;
-    }
-  in
   let txns = Array.init 5 (fun _ -> incr_txn 0) in
   let inst =
-    Bstm.create_instance ~config ~gen:(fun _ -> 0) ~storage:zero_storage txns
+    Bstm.create_instance ~gen:(fun _ -> 0) ~storage:zero_storage txns
   in
   Alcotest.(check bool) "finalize before seal rejected" true
     (try
@@ -376,6 +458,48 @@ let test_engine_gate () =
   Alcotest.(check (list (pair int int))) "sealed run commits" [ (0, 5) ]
     res.Bstm.snapshot
 
+(* Specs prove two transactions disjoint from each other, not from the
+   predecessor block. Both execute against the old base; then the
+   predecessor commits a new value under tx_0's read. The seal-time
+   revalidation must catch it although tx_0's spec is independent. *)
+let test_engine_cross_block_specs () =
+  let open Tutil in
+  let base = [| 0; 0 |] and gens = [| 0; 0 |] in
+  let storage l = Some base.(l) in
+  let txns = [| incr_txn 0; incr_txn 1 |] in
+  let specs =
+    Array.init 2 (fun l ->
+        Access_spec.{ reads = [ Exact l ]; writes = [ Exact l ] })
+  in
+  Alcotest.(check int)
+    "specs declare both independent" 2
+    (Bstm.run ~specs ~storage txns).Bstm.metrics.spec_skips;
+  let inst =
+    Bstm.create_instance ~gen:(fun l -> gens.(l)) ~specs ~storage txns
+  in
+  (* Everything the held scheduler hands out, against the old base. *)
+  let rec drain task =
+    match Bstm.step inst task with
+    | _, Bstm.No_task -> ()
+    | task', _ -> drain task'
+  in
+  drain None;
+  base.(0) <- 10;
+  gens.(0) <- 1;
+  Bstm.base_sealed inst;
+  Bstm.worker_loop inst;
+  let r = Bstm.finalize inst in
+  let seq = Seq.run ~storage txns in
+  Alcotest.(check (list (pair int int)))
+    "committed on the sealed base" seq.snapshot r.Bstm.snapshot;
+  Array.iteri
+    (fun j o ->
+      if not (Txn.equal_output Int.equal o r.Bstm.outputs.(j)) then
+        Alcotest.failf "output %d differs from sequential" j)
+    seq.outputs;
+  Alcotest.(check int) "no spec skips across blocks" 0
+    r.Bstm.metrics.spec_skips
+
 let suite =
   [
     Alcotest.test_case "stream identity: p2p, 1/2/4/8 domains, both stores"
@@ -386,8 +510,12 @@ let suite =
       test_stream_sequential_pipelined;
     Alcotest.test_case "async-flush merkle overlaps under pipeline" `Quick
       test_merkle_async_flush_pipelined;
-    Alcotest.test_case "speculative mode requires rolling commit" `Quick
-      test_speculative_requires_rolling;
+    Alcotest.test_case "speculative mode with a lazy executor" `Quick
+      test_speculative_lazy_executor;
+    Alcotest.test_case "streams forward specs to the executor" `Quick
+      test_stream_forwards_specs;
+    Alcotest.test_case "speculative stream, spec-independent txns" `Quick
+      test_speculative_independent_specs;
     Alcotest.test_case "mempool-fed speculative stream" `Quick
       test_mempool_driven_speculative;
     Alcotest.test_case "mempool: size cut" `Quick test_mempool_size_cut;
@@ -400,4 +528,6 @@ let suite =
     Alcotest.test_case "engine: cross-block config validation" `Quick
       test_engine_cross_block_config;
     Alcotest.test_case "engine: commit gate" `Quick test_engine_gate;
+    Alcotest.test_case "engine: specs skip no cross-block revalidation" `Quick
+      test_engine_cross_block_specs;
   ]

@@ -91,16 +91,17 @@ let prop_blockstm_ablations_equal_sequential =
       let txns = Array.of_list (List.map txn_of_prog block) in
       let seq = Seq.run ~storage:zero_storage txns in
       List.for_all
-        (fun (use_estimates, prevalidate_reads) ->
+        (fun (estimates, prevalidate_reads) ->
           let par =
             Bstm.run
               ~config:
-                {
-                  Bstm.default_config with
-                  num_domains = 3;
-                  use_estimates;
-                  prevalidate_reads;
-                }
+                (Bstm.optimistic_config ~num_domains:3 (fun o ->
+                     {
+                       o with
+                       marking =
+                         (if estimates then o.marking else Remove_on_abort);
+                       prevalidate_reads;
+                     }))
               ~storage:zero_storage txns
           in
           equal_results seq par)
@@ -115,7 +116,8 @@ let prop_suspend_resume_equals_sequential =
       let par =
         Bstm.run
           ~config:
-            { Bstm.default_config with num_domains = 3; suspend_resume = true }
+            (Bstm.optimistic_config ~num_domains:3 (fun o ->
+                 { o with suspend_resume = true }))
           ~storage:zero_storage txns
       in
       equal_results seq par)

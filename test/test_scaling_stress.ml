@@ -14,6 +14,19 @@
 open Blockstm_kernel
 open Tutil
 
+let stress_config ~domains ~rolling ~targeted =
+  Bstm.optimistic_config ~num_domains:domains (fun o ->
+      {
+        o with
+        rolling_commit = rolling;
+        marking =
+          Estimates
+            {
+              validation = (if targeted then Targeted else Suffix);
+              seed_from_specs = false;
+            };
+      })
+
 (* A transaction plan: [(src, dst, c)] steps, each reading [src] and writing
    [dst := src_value + c]; the output is the sum of all values read. Plans
    are generated up front so the txn closures are deterministic (Block-STM
@@ -110,14 +123,7 @@ let check_run ?(targeted = false) ~seed ~domains ~rolling () =
   let block = gen_block ~seed ~ntxns ~nlocs in
   let txns = Array.map txn_of_plan block in
   let seq = Seq.run ~storage:zero_storage txns in
-  let config =
-    {
-      Bstm.default_config with
-      num_domains = domains;
-      rolling_commit = rolling;
-      targeted_validation = targeted;
-    }
-  in
+  let config = stress_config ~domains ~rolling ~targeted in
   let inst, par = run_keeping_instance ~config txns in
   let ctx =
     Printf.sprintf "seed=%d domains=%d %s%s" seed domains
@@ -172,14 +178,7 @@ let test_counter_chain () =
         (fun rolling ->
           List.iter
             (fun targeted ->
-              let config =
-                {
-                  Bstm.default_config with
-                  num_domains = domains;
-                  rolling_commit = rolling;
-                  targeted_validation = targeted;
-                }
-              in
+              let config = stress_config ~domains ~rolling ~targeted in
               let _, par = run_keeping_instance ~config txns in
               Alcotest.(check (list (pair int int)))
                 (Printf.sprintf "counter domains=%d rolling=%b targeted=%b"

@@ -388,6 +388,76 @@ let test_rolling_requires_flag () =
     (fun () -> ignore (S.advance_commit s ~on_commit:ignore));
   Alcotest.(check bool) "rolling flag off" false (S.rolling s)
 
+(* Races between revalidation demands and the workers' task claims.
+   [workers] domains spin on [next_task] over a held rolling scheduler whose
+   block is fully executed and validated, while the calling domain runs
+   [drive], which must end by releasing the hold. Oversubscribed domains
+   get preempted mid-claim and mid-check, which makes rare interleavings
+   likely. Returns whether the commit sweep then commits the whole block:
+   every transaction needs a validation claimed after the last pullback
+   that stamped it. *)
+let race_trial ~n ~workers drive =
+  let s = S.create ~rolling:true ~hold:true ~block_size:n () in
+  let rec run = function
+    | S.Execution v ->
+        Option.iter run
+          (S.finish_execution s ~txn_idx:v.txn_idx ~incarnation:v.incarnation
+             ~wrote_new_location:false)
+    | S.Validation (v, wave) ->
+        ignore (S.finish_validation s ~version:v ~wave ~aborted:false)
+  in
+  let rec drain () =
+    match S.next_task s with
+    | Some t ->
+        run t;
+        drain ()
+    | None -> ()
+  in
+  drain ();
+  let started = Atomic.make 0 in
+  let spin () =
+    Atomic.incr started;
+    while not (S.done_ s) do
+      match S.next_task s with Some t -> run t | None -> Domain.cpu_relax ()
+    done
+  in
+  let doms = List.init workers (fun _ -> Domain.spawn spin) in
+  while Atomic.get started < workers do
+    Domain.cpu_relax ()
+  done;
+  drive s;
+  List.iter Domain.join doms;
+  S.advance_commit s ~on_commit:ignore = n
+
+let check_race_trials drive =
+  let trials = 60 in
+  let stalled = ref 0 in
+  for _ = 1 to trials do
+    if not (race_trial ~n:8 ~workers:6 drive) then incr stalled
+  done;
+  Alcotest.(check int)
+    (Printf.sprintf "%d/%d trials stalled the commit sweep" !stalled trials)
+    0 !stalled
+
+(* [base_sealed]'s sequence. A completion check that sampled the counters
+   before the demand and the hold after the release would certify
+   completion without the seal-time revalidation. *)
+let test_seal_race () =
+  check_race_trials (fun s ->
+      S.demand_revalidation s ~from_idx:0;
+      S.release_hold s)
+
+(* A storm of pullbacks while workers claim validations. A claim whose wave
+   was read before a pullback landed, and whose index came after it, would
+   be the pullback's only revalidation of that index, with a wave older
+   than the index's dirty stamp. *)
+let test_pullback_race () =
+  check_race_trials (fun s ->
+      for r = 1 to 40 do
+        S.demand_revalidation s ~from_idx:(r mod 8)
+      done;
+      S.release_hold s)
+
 (* --- Targeted revalidation (DESIGN.md §10) -------------------------------- *)
 
 let test_targeted_mark_claims_exactly_once () =
@@ -587,6 +657,10 @@ let suite =
       test_rolling_proof_strengthen_only;
     Alcotest.test_case "rolling: sweep requires ~rolling:true" `Quick
       test_rolling_requires_flag;
+    Alcotest.test_case "rolling: seal racing completion checks" `Quick
+      test_seal_race;
+    Alcotest.test_case "rolling: pullbacks racing validation claims" `Quick
+      test_pullback_race;
     Alcotest.test_case "targeted: mark claimed exactly once" `Quick
       test_targeted_mark_claims_exactly_once;
     Alcotest.test_case "targeted: mark on EXECUTING dropped" `Quick

@@ -6,8 +6,9 @@
 
 open Tutil
 
-let domains_cfg ?(suspend_resume = false) n =
-  { Bstm.default_config with num_domains = n; suspend_resume }
+let domains_cfg ?(suspend_resume = false) ?(rolling_commit = false) n =
+  Bstm.optimistic_config ~num_domains:n (fun o ->
+      { o with suspend_resume; rolling_commit })
 
 (* Repeated real-domain runs on a contended block: every repetition must
    terminate and agree with the sequential result. *)
@@ -132,7 +133,7 @@ let test_rolling_commit_stress () =
   let seq = Seq.run ~storage:zero_storage txns in
   for rep = 1 to 3 do
     let order = ref [] in
-    let config = { (domains_cfg 4) with rolling_commit = true } in
+    let config = domains_cfg ~rolling_commit:true 4 in
     let inst =
       Bstm.create_instance ~config
         ~on_commit:(fun j _ -> order := j :: !order)

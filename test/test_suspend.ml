@@ -8,7 +8,8 @@ open Blockstm_kernel
 open Tutil
 
 let sr_config ?(num_domains = 1) () =
-  { Bstm.default_config with num_domains; suspend_resume = true }
+  Bstm.optimistic_config ~num_domains (fun o ->
+      { o with suspend_resume = true })
 
 (* Scripted scenario driving start_task/finish_task by hand:
 
@@ -112,7 +113,7 @@ let test_scripted_suspension_and_resume () =
 let sim_with_suspend ~threads (g : Blockstm_workload.Synthetic.generated) =
   let module H = Blockstm_workload.Harness in
   let config =
-    { H.Bstm.default_config with suspend_resume = true }
+    H.Bstm.optimistic_config (fun o -> { o with suspend_resume = true })
   in
   H.sim_blockstm ~config ~num_threads:threads ~storage:g.storage g.txns
 
@@ -182,7 +183,9 @@ let test_p2p_suspend_all_threads () =
   let seq = H.run_sequential ~storage:w.storage w.txns in
   List.iter
     (fun threads ->
-      let config = { H.Bstm.default_config with suspend_resume = true } in
+      let config =
+        H.Bstm.optimistic_config (fun o -> { o with suspend_resume = true })
+      in
       let result, _ =
         H.sim_blockstm ~config ~num_threads:threads ~storage:w.storage w.txns
       in

@@ -17,9 +17,11 @@
 #   - the compiled MiniMove VM must stay >= 2x the tree-walk interpreter on
 #     the p2p standard workload at 1 domain (vm-cost smoke; the pure-VM
 #     replay row, which is immune to single-core scheduling noise);
-#   - with config.delta_ops off (the default) the engine is byte-for-byte
-#     the paper's: fig3-fig6 virtual-time tables must match the golden
-#     captures in tools/golden/ exactly;
+#   - with delta_ops off (the default) the engine is byte-for-byte the
+#     paper's: fig3-fig6 and the ablations virtual-time tables must match
+#     the golden captures in tools/golden/ exactly;
+#   - the CLI exits 2 on a flag combination the engine config cannot
+#     express (--no-estimates --targeted);
 #   - commutative deltas (DESIGN.md §12) must beat paper read-modify-write
 #     by >= 2x on the 2-hot-account / 8-thread hotspot-delta row (virtual
 #     time, so deterministic and enforced on any host).
@@ -141,11 +143,12 @@ fi
 echo "ci: vm-cost gate passed (compiled $vm_comp tps >= 2x tree-walk $vm_tree tps)"
 
 # --- Deltas-off byte-identity gate ------------------------------------------
-# config.delta_ops is strictly opt-in: with it off (the default, which is
-# what the figure experiments use) the engine must remain byte-for-byte the
-# paper's. The quick grids are virtual-time and fully deterministic, so the
+# delta_ops is strictly opt-in: with it off (the default, which is what the
+# figure experiments use) the engine must remain byte-for-byte the paper's.
+# The ablations table pins the paper's design-choice variants the same way.
+# The quick grids are virtual-time and fully deterministic, so the
 # regenerated tables must match the golden captures exactly.
-for fig in fig3 fig4 fig5 fig6; do
+for fig in fig3 fig4 fig5 fig6 ablations; do
   out=$(dune exec bench/main.exe -- "$fig")
   if ! printf '%s\n' "$out" | diff "tools/golden/$fig.txt" - >/dev/null; then
     printf '%s\n' "$out" | diff "tools/golden/$fig.txt" - | head -20 || true
@@ -153,7 +156,19 @@ for fig in fig3 fig4 fig5 fig6; do
     exit 1
   fi
 done
-echo "ci: deltas-off byte-identity gate passed (fig3-fig6 match tools/golden/)"
+echo "ci: deltas-off byte-identity gate passed (fig3-fig6 and ablations match tools/golden/)"
+
+# --- Inexpressible flag combinations ----------------------------------------
+# Targeted revalidation exists only with ESTIMATE markers, so the CLI must
+# refuse --no-estimates --targeted with exit status 2 (not an exception).
+status=0
+dune exec bin/blockstm_cli.exe -- run -w p2p -a 100 -b 100 -d 1 \
+  --no-estimates --targeted >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "ci: FAIL — blockstm run --no-estimates --targeted exited $status, expected 2"
+  exit 1
+fi
+echo "ci: inexpressible-combination gate passed (--no-estimates --targeted exits 2)"
 
 # --- Hotspot-delta smoke ----------------------------------------------------
 # Commutative delta entries (DESIGN.md §12) exist to kill the fig5 cliff:
@@ -273,7 +288,7 @@ echo "ci: spec-skip gate passed ($sskips validations skipped; $sspec validations
 #     (and Fmt.failwiths on divergence) that every (workload, lanes,
 #     threads) grid point commits a snapshot and outputs bit-identical to
 #     the single-instance engine, and the CLI runs below re-check commits
-#     against sequential on real domains for both coordinator modes;
+#     against sequential on real domains;
 #   - virtual-time headline, unconditional (deterministic on any host): on
 #     the contended-but-partitionable p2p-hot workload, 8 lanes at 8
 #     virtual threads must hold >= 1.5x single-instance throughput;
@@ -297,9 +312,9 @@ if ! awk "BEGIN{exit !($lane_speedup >= 1.5)}"; then
 fi
 echo "ci: lane identity sweep + virtual headline passed (p2p-hot 8 lanes @ 8 threads: ${lane_speedup}x)"
 dune exec bin/blockstm_cli.exe -- run -w p2p -a 1000 -b 1000 -d 4   --lanes 2 --verify >/dev/null
-dune exec bin/blockstm_cli.exe -- run -w p2p -a 1000 -b 1000 -d 4   --lanes 4 --lane-mode barrier --verify >/dev/null
+dune exec bin/blockstm_cli.exe -- run -w p2p -a 1000 -b 1000 -d 4 --lanes 4 --verify >/dev/null
 dune exec bin/blockstm_cli.exe -- run -w p2p-hotspot -a 100 -b 500 -d 4   --lanes 2 --deltas --verify >/dev/null
-echo "ci: lane CLI identity passed (park/barrier/deltas commits match sequential)"
+echo "ci: lane CLI identity passed (2 lanes, 4 lanes and deltas commits match sequential)"
 ltps() {
   dune exec bin/blockstm_cli.exe -- run -w p2p -a 1024 -b 4000 -d 8     --seed 42 --lane-hint 2 "$@"     | sed -n 's/^executed .*: \([0-9]*\) tps.*/\1/p'
 }
