@@ -1331,14 +1331,14 @@ let state_scale mode =
       let w1 =
         Bigstate.transfers ~block_size:block ~num_accounts:accounts ~seed:42 ()
       in
-      (* Same transfer block through sequential and Block-STM (rolling commit
-         + async digest flush), both on the Merkle substrate: the
-         authenticated roots must agree at every grid point. *)
+      (* Same transfer block through sequential and Block-STM (rolling
+         commit), both on the Merkle substrate: the authenticated roots must
+         agree at every grid point. *)
       let seq_chain =
         C.create ~store:`Merkle ~executor:C.Sequential ~genesis:w1.storage ()
       in
       let bstm_chain =
-        C.create ~store:`Merkle ~async_flush:true
+        C.create ~store:`Merkle
           ~executor:(C.Block_stm (rolling_config domains))
           ~genesis:w1.storage ()
       in
@@ -1504,11 +1504,7 @@ let sustained mode =
           List.iter
             (fun (mname, m) ->
               let executor = C.Block_stm (rolling_config domains) in
-              let chain =
-                C.create ~store
-                  ~async_flush:(store = `Merkle)
-                  ~executor ~genesis ()
-              in
+              let chain = C.create ~store ~executor ~genesis () in
               let rem = ref blocks in
               let next () =
                 match !rem with

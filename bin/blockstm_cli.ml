@@ -254,9 +254,7 @@ let run_cmd =
           ~doc:
             "Chain state substrate for $(b,--pipeline): $(b,flat) \
              (whole-state root fold after every block, the default) or \
-             $(b,merkle) (incremental authenticated roots, DESIGN.md §13; \
-             with $(b,--rolling) the digest is flushed asynchronously from \
-             the committed-prefix stream).")
+             $(b,merkle) (incremental authenticated roots, DESIGN.md §13).")
   in
   let cold_ns_arg =
     Arg.(
@@ -368,11 +366,8 @@ let run_cmd =
           Array.sub g.Synthetic.txns lo (min size (n - lo)))
       |> List.filter (fun c -> Array.length c > 0)
     in
-    let async_flush = store = `Merkle in
     let exec ~pipeline =
-      let chain =
-        C.create ~store ~async_flush ~executor ~genesis:g.Synthetic.storage ()
-      in
+      let chain = C.create ~store ~executor ~genesis:g.Synthetic.storage () in
       let _, ns =
         Blockstm_stats.Clock.time_ns (fun () ->
             C.execute_blocks ~pipeline chain chunks)

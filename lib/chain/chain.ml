@@ -14,11 +14,10 @@
     — the paper-faithful baseline. The authenticated [`Merkle] substrate
     maintains the root incrementally: folding a block's delta touches only
     the affected digest buckets, so the root update is O(|delta| · log
-    buckets), and with [async_flush] the digest work rides the engine's
-    committed-prefix stream, overlapping tail execution. Both substrates are
-    deterministic functions of the final state, so replicas on different
-    substrates still agree with {e themselves} — roots are only comparable
-    between replicas using the same substrate. *)
+    buckets). Both substrates are deterministic functions of the final
+    state, so replicas on different substrates still agree with
+    {e themselves} — roots are only comparable between replicas using the
+    same substrate. *)
 
 open Blockstm_kernel
 
@@ -74,7 +73,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     hash_value : V.t -> int;
     retain_outputs : int option;
         (* Keep full outputs for the newest N commits only. *)
-    async_flush : bool;
   }
 
   (* FNV-1a-style fold over 64-bit lanes: deterministic, order-sensitive
@@ -96,12 +94,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       [store] selects the substrate: [`Flat] (default — the paper-faithful
       whole-state fold) or [`Merkle] (incremental authenticated roots;
       [merkle_buckets] sizes its digest tree, default
-      {!Mstore.default_buckets}). [async_flush] (Merkle only) stages
-      committed writes into the digest from a flusher domain fed by the
-      executor's [on_flush] stream, overlapping execution — effective when
-      the executor streams mid-block (Block-STM with [rolling_commit], or
-      lanes); otherwise the delta is folded synchronously after the block,
-      same roots either way.
+      {!Mstore.default_buckets}).
 
       [retain_outputs] bounds chain history: only the newest N commits keep
       their [outputs] arrays (roots and metrics are kept forever).
@@ -110,8 +103,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       the structural [L.hash]/[V.hash]; the Merkle substrate always uses the
       structural hashes. *)
   let create ?(hash_loc = L.hash) ?(hash_value = V.hash) ?(store = `Flat)
-      ?merkle_buckets ?retain_outputs ?(async_flush = false) ~executor
-      ~(genesis : Store.t) () : 'o t =
+      ?merkle_buckets ?retain_outputs ~executor ~(genesis : Store.t) () :
+      'o t =
     (match retain_outputs with
     | Some w when w < 0 ->
         invalid_arg "Chain.create: retain_outputs must be >= 0"
@@ -121,8 +114,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       | `Flat -> S_flat (Store.copy genesis)
       | `Merkle -> S_merkle (Mstore.of_store ?buckets:merkle_buckets genesis)
     in
-    if async_flush && store = `Flat then
-      invalid_arg "Chain.create: async_flush requires the merkle store";
     {
       executor;
       state;
@@ -131,7 +122,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       hash_loc;
       hash_value;
       retain_outputs;
-      async_flush;
     }
 
   let height t = t.height
@@ -163,10 +153,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let apply_state_delta t (snapshot : (L.t * V.t) list) : unit =
     match t.state with
     | S_flat s -> Store.apply_delta s snapshot
-    | S_merkle m ->
-        (* Idempotent re-application: bindings the async flusher already
-           staged and committed are value-equal no-ops in the digest. *)
-        Mstore.apply_delta m snapshot
+    | S_merkle m -> Mstore.apply_delta m snapshot
 
   (* Bounded history retention: blank the outputs of commits beyond the
      window. The commits list is newest-first, so walk [window] entries,
@@ -188,16 +175,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         in
         t.commits <- go 0 t.commits
 
-  (* Run the block through the chain's executor over [storage], streaming
-     committed writes through [on_flush] where the executor can. *)
-  let exec_block ?specs ?on_flush (t : 'o t) ~storage
-      (txns : (L.t, V.t, 'o) Txn.t array) =
+  (* Run the block through the chain's executor over the current state. *)
+  let exec_block ?specs (t : 'o t) (txns : (L.t, V.t, 'o) Txn.t array) =
+    let storage = storage_reader t in
     match t.executor with
     | Sequential ->
         let r = Seq.run ~storage txns in
         (r.snapshot, r.outputs, None)
     | Block_stm config ->
-        let r = Bstm.run ~config ?specs ?on_flush ~storage txns in
+        let r = Bstm.run ~config ?specs ~storage txns in
         (r.snapshot, r.outputs, Some r.metrics)
     | Lanes { config; partition; namespace } ->
         let specs =
@@ -209,79 +195,70 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         in
         let r =
           LanesE.run ~config ?loc_namespace:namespace ~partition ~specs
-            ?on_flush ~storage txns
+            ~storage txns
         in
         (r.LanesE.snapshot, r.LanesE.outputs, Some r.LanesE.metrics.engine)
 
-  (* Whether the executor flushes committed writes while the block still
-     executes. A lazy executor flushes once, at the end, which overlaps
-     nothing: its delta is cheaper folded synchronously. *)
-  let streams_mid_block = function
-    | Block_stm { sched = Optimistic o; _ } -> o.rolling_commit
-    | Lanes _ -> true
-    | Block_stm { sched = Spec_dag; _ } | Sequential -> false
-
-  let run_executor ?specs (t : 'o t) (txns : (L.t, V.t, 'o) Txn.t array) =
-    match t.state with
-    | S_merkle m when t.async_flush && streams_mid_block t.executor ->
-        (* Digest maintenance overlaps tail execution: the executor's
-           committed writes stream (in commit order) into a flusher domain
-           that stages them into the Merkle accumulators while later
-           transactions still execute. The flusher never touches the base
-           tier — workers keep reading start-of-block state — so
-           [commit_staged] below runs only after the executor is done. *)
-        let fl = Mstore.start_flusher m in
-        let r =
-          exec_block ?specs ~on_flush:(Mstore.flusher_push fl) t
-            ~storage:(Mstore.reader m) txns
-        in
-        Mstore.stop_flusher fl;
-        Mstore.commit_staged m;
-        r
-    | _ -> exec_block ?specs t ~storage:(storage_reader t) txns
+  (* Advance the height for an executed block whose delta is (being) folded
+     into the state, and return its pending commit: forcing it awaits
+     [root], then records the commit on the chain. Every stream mode builds
+     its commits here, so all of them number and record blocks alike. *)
+  let pending_commit (t : 'o t) ~txn_count (snapshot, outputs, metrics)
+      ~(root : unit -> int64) : unit -> 'o block_commit =
+    t.height <- t.height + 1;
+    let height = t.height in
+    let delta_root =
+      digest ~hash_loc:t.hash_loc ~hash_value:t.hash_value snapshot
+    in
+    fun () ->
+      let c =
+        {
+          height;
+          txn_count;
+          outputs;
+          outputs_retained = true;
+          state_root = root ();
+          delta_root;
+          metrics;
+        }
+      in
+      t.commits <- c :: t.commits;
+      prune_history t;
+      c
 
   (** Execute and commit one block. Returns the commit record; the chain
       state advances to the block's post-state. *)
   let execute_block ?specs (t : 'o t) (txns : (L.t, V.t, 'o) Txn.t array) :
       'o block_commit =
-    let snapshot, outputs, metrics = run_executor ?specs t txns in
+    let ((snapshot, _, _) as r) = exec_block ?specs t txns in
     apply_state_delta t snapshot;
-    t.height <- t.height + 1;
-    let commit =
-      {
-        height = t.height;
-        txn_count = Array.length txns;
-        outputs;
-        outputs_retained = true;
-        state_root = state_root t;
-        delta_root =
-          digest ~hash_loc:t.hash_loc ~hash_value:t.hash_value snapshot;
-        metrics;
-      }
-    in
-    t.commits <- commit :: t.commits;
-    prune_history t;
-    commit
+    let root () = state_root t in
+    pending_commit t ~txn_count:(Array.length txns) r ~root ()
 
   (* ---------------------------------------------------------------------- *)
   (* Digest worker: one long-lived background domain for state maintenance  *)
   (* ---------------------------------------------------------------------- *)
 
-  (* FIFO queue of jobs (closures) executed by a single persistent domain —
-     the chain-level mirror of the Merkle store's flusher. The pipelined and
-     speculative drivers push every piece of off-critical-path state work
-     here (flat-store delta application and whole-state digests, Merkle
-     staging / commit_staged / root refreshes) instead of paying a fresh
-     [Domain.spawn] per block. Single-threaded by construction: jobs that
-     touch the same digest state are serialized by queue order, so the
-     drivers reason about ordering, never about data races. *)
+  (* FIFO queue of jobs (closures) executed by a single persistent domain.
+     The pipelined and speculative streams push every piece of
+     off-critical-path state work here (delta application and state roots)
+     instead of paying a fresh [Domain.spawn] per block. Single-threaded by
+     construction: jobs that touch the same state are serialized by queue
+     order, so the stream loops reason about ordering, never about data
+     races.
+
+     A job that raises stops the worker: it runs no further job — no root
+     is computed over a half-applied delta — and the next wait on a
+     [future] or [stop] re-raises the exception on the caller. *)
   module Dworker = struct
     type t = {
       q : (unit -> unit) Queue.t;
       m : Mutex.t;
-      cv : Condition.t;  (** Signaled on push, stop, and job completion. *)
+      cv : Condition.t;
+          (** Broadcast on push, stop and job completion: the worker and
+              the callers waiting on a [future] share it. *)
       mutable stopping : bool;
-      mutable busy : bool;
+      mutable failed : (exn * Printexc.raw_backtrace) option;
       mutable dom : unit Domain.t option;
     }
 
@@ -292,7 +269,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           m = Mutex.create ();
           cv = Condition.create ();
           stopping = false;
-          busy = false;
+          failed = None;
           dom = None;
         }
       in
@@ -304,78 +281,52 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         if Queue.is_empty t.q then Mutex.unlock t.m (* stopping, drained *)
         else begin
           let job = Queue.pop t.q in
-          t.busy <- true;
           Mutex.unlock t.m;
-          job ();
+          let failed =
+            match job () with
+            | () -> None
+            | exception e -> Some (e, Printexc.get_raw_backtrace ())
+          in
           Mutex.lock t.m;
-          t.busy <- false;
+          t.failed <- failed;
           Condition.broadcast t.cv;
           Mutex.unlock t.m;
-          loop ()
+          if Option.is_none failed then loop ()
         end
       in
       t.dom <- Some (Domain.spawn loop);
       t
 
-    let push (t : t) (job : unit -> unit) : unit =
+    (* Queue [f] and return a thunk that blocks until [f] has run, returning
+       its result. *)
+    let future (t : t) (f : unit -> 'a) : unit -> 'a =
+      let cell = Atomic.make None in
       Mutex.lock t.m;
-      Queue.push job t.q;
-      Condition.signal t.cv;
-      Mutex.unlock t.m
+      Queue.push (fun () -> Atomic.set cell (Some (f ()))) t.q;
+      Condition.broadcast t.cv;
+      Mutex.unlock t.m;
+      fun () ->
+        Mutex.lock t.m;
+        while Option.is_none (Atomic.get cell) && Option.is_none t.failed do
+          Condition.wait t.cv t.m
+        done;
+        let failed = t.failed in
+        Mutex.unlock t.m;
+        match (Atomic.get cell, failed) with
+        | Some v, _ -> v
+        | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None, None -> assert false
 
-    (* Block until every job pushed so far has completed. *)
-    let drain (t : t) : unit =
-      Mutex.lock t.m;
-      while t.busy || not (Queue.is_empty t.q) do
-        Condition.wait t.cv t.m
-      done;
-      Mutex.unlock t.m
-
-    (* Drain remaining jobs, then join the domain. *)
+    (* Run the remaining jobs, then join the domain. *)
     let stop (t : t) : unit =
       Mutex.lock t.m;
       t.stopping <- true;
-      Condition.signal t.cv;
+      Condition.broadcast t.cv;
       Mutex.unlock t.m;
-      (match t.dom with Some d -> Domain.join d | None -> ());
-      t.dom <- None
+      Option.iter Domain.join t.dom;
+      t.dom <- None;
+      Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) t.failed
   end
-
-  (* Single-assignment root cell, fulfilled by a digest-worker job. *)
-  type root_promise = {
-    pm : Mutex.t;
-    pc : Condition.t;
-    mutable pv : int64 option;
-  }
-
-  let promise () = { pm = Mutex.create (); pc = Condition.create (); pv = None }
-
-  let fulfill p v =
-    Mutex.lock p.pm;
-    p.pv <- Some v;
-    Condition.broadcast p.pc;
-    Mutex.unlock p.pm
-
-  let await p =
-    Mutex.lock p.pm;
-    while p.pv = None do
-      Condition.wait p.pc p.pm
-    done;
-    let v = match p.pv with Some v -> v | None -> assert false in
-    Mutex.unlock p.pm;
-    v
-
-  (* A block whose transactions have executed and whose delta is (being)
-     folded into the chain state, but whose state root is still cooking on
-     the digest worker. *)
-  type 'o spending = {
-    sp_height : int;
-    sp_txn_count : int;
-    sp_outputs : 'o Txn.output array;
-    sp_delta_root : int64;
-    sp_metrics : Bstm.metrics option;
-    sp_root : root_promise;
-  }
 
   (* ---------------------------------------------------------------------- *)
   (* Continuous block pipeline (DESIGN.md §14)                              *)
@@ -436,7 +387,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       [next_specs], called once right after each successful [next], yields
       the block's access specs — required by the [Lanes] executor
       ([`Per_block] and [`Pipelined] only) and by Block-STM configs that
-      seed from specs or use [Spec_dag]. *)
+      seed from specs or use [Spec_dag].
+
+      An exception raised by state maintenance on the digest worker (e.g.
+      from [hash_loc]) stops that worker and is re-raised here; blocks
+      after the failed one are not committed. *)
   let execute_stream ?(mode : stream_mode = `Per_block) ?on_block ?queue_depth
       ?(next_specs : (unit -> L.t Access_spec.t array option) option)
       (t : 'o t) ~(next : unit -> (L.t, V.t, 'o) Txn.t array option) :
@@ -480,31 +435,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           s_registry = reg;
         } )
     in
-    (* Deferred-root commit plumbing shared by `Pipelined and `Speculative:
-       resolve the previous block's pending commit (awaiting its root, which
-       overlapped the block just executed) and fold it into the chain. *)
-    let pending : 'o spending option ref = ref None in
+    (* `Pipelined and `Speculative defer each commit by one block: resolve
+       the previous block's pending commit, whose root overlapped the block
+       just executed. *)
+    let pending = ref None in
     let resolve () =
-      match !pending with
-      | None -> ()
-      | Some sp ->
+      Option.iter
+        (fun c ->
           pending := None;
-          let c =
-            {
-              height = sp.sp_height;
-              txn_count = sp.sp_txn_count;
-              outputs = sp.sp_outputs;
-              outputs_retained = true;
-              state_root = await sp.sp_root;
-              delta_root = sp.sp_delta_root;
-              metrics = sp.sp_metrics;
-            }
-          in
-          t.commits <- c :: t.commits;
-          prune_history t;
-          emit c
+          emit (c ()))
+        !pending
     in
-    let hash_loc = t.hash_loc and hash_value = t.hash_value in
     match mode with
     | `Per_block ->
         let rec go () =
@@ -515,97 +456,31 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               go ()
         in
         go ()
-    | `Pipelined -> (
+    | `Pipelined ->
+        (* The digest worker computes block h's root while block h+1
+           executes: the root job writes no state the executor reads (flat:
+           a pure fold; Merkle: only the digest arrays). Block h+1's delta
+           is folded only after [resolve] proved that root finished. *)
         let dw = Dworker.create () in
-        match t.state with
-        | S_flat flat ->
-            (* The digest worker folds the live store while the next block
-               executes — both are pure readers; the driver mutates the
-               store only after [resolve] proved the fold finished. *)
-            let rec go () =
-              match fetch () with
-              | None ->
-                  resolve ();
-                  Dworker.stop dw;
-                  finish_stream ()
-              | Some txns ->
-                  let snapshot, outputs, metrics =
-                    run_executor ?specs:(fetch_specs ()) t txns
-                  in
-                  resolve ();
-                  Store.apply_delta flat snapshot;
-                  t.height <- t.height + 1;
-                  let p = promise () in
-                  Dworker.push dw (fun () ->
-                      fulfill p
-                        (digest ~hash_loc ~hash_value (Store.to_alist flat)));
-                  pending :=
-                    Some
-                      {
-                        sp_height = t.height;
-                        sp_txn_count = Array.length txns;
-                        sp_outputs = outputs;
-                        sp_delta_root = digest ~hash_loc ~hash_value snapshot;
-                        sp_metrics = metrics;
-                        sp_root = p;
-                      };
-                  go ()
-            in
-            go ()
-        | S_merkle m ->
-            (* The overlappable Merkle work is the digest-tree refresh (and,
-               with [async_flush], the accumulator staging, which streams to
-               the worker during execution). [commit_staged] is NOT
-               overlappable — the next block's workers read the base tier —
-               so it stays on the critical path; it is table moves only, no
-               hashing. FIFO keeps root(h) and block h+1's staging jobs
-               race-free on the single worker. *)
-            let rec go () =
-              match fetch () with
-              | None ->
-                  Dworker.drain dw;
-                  resolve ();
-                  Dworker.stop dw;
-                  finish_stream ()
-              | Some txns ->
-                  let specs = fetch_specs () in
-                  let snapshot, outputs, metrics =
-                    if t.async_flush && streams_mid_block t.executor then
-                        (* The executor's committed writes stage on the
-                           digest worker: FIFO keeps root(h-1) ahead of
-                           block h's staging jobs. *)
-                        exec_block ?specs t ~storage:(Mstore.reader m)
-                          ~on_flush:(fun batch ->
-                            Dworker.push dw (fun () ->
-                                Array.iter
-                                  (fun (l, v) -> Mstore.stage m l (Some v))
-                                  batch))
-                          txns
-                    else run_executor ?specs t txns
-                  in
-                  (* Root(h-1) ran before this block's staging jobs (FIFO)
-                     and overlapped its execution; after the drain both are
-                     settled. *)
-                  Dworker.drain dw;
-                  resolve ();
-                  if Mstore.staged_count m > 0 then Mstore.commit_staged m;
-                  apply_state_delta t snapshot;
-                  t.height <- t.height + 1;
-                  let p = promise () in
-                  Dworker.push dw (fun () -> fulfill p (Mstore.root m));
-                  pending :=
-                    Some
-                      {
-                        sp_height = t.height;
-                        sp_txn_count = Array.length txns;
-                        sp_outputs = outputs;
-                        sp_delta_root = digest ~hash_loc ~hash_value snapshot;
-                        sp_metrics = metrics;
-                        sp_root = p;
-                      };
-                  go ()
-            in
-            go ())
+        let rec go () =
+          match fetch () with
+          | None ->
+              resolve ();
+              Dworker.stop dw;
+              finish_stream ()
+          | Some txns ->
+              let ((snapshot, _, _) as r) =
+                exec_block ?specs:(fetch_specs ()) t txns
+              in
+              resolve ();
+              apply_state_delta t snapshot;
+              pending :=
+                Some
+                  (pending_commit t ~txn_count:(Array.length txns) r
+                     ~root:(Dworker.future dw (fun () -> state_root t)));
+              go ()
+        in
+        go ()
     | `Speculative ->
         let cfg =
           match t.executor with
@@ -652,24 +527,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           let storage loc =
             match probe loc with Intf.Hit v -> v | Intf.Cold f -> f ()
           in
-          let on_flush batch =
-            Overlay.apply_batch ov batch;
-            match t.state with
-            | S_merkle m ->
-                Dworker.push dw (fun () ->
-                    Array.iter (fun (l, v) -> Mstore.stage m l (Some v)) batch)
-            | S_flat _ -> ()
-          in
           let inst =
             Bstm.create_instance ~config:cfg ~gen:(Overlay.gen ov) ~probe
-              ?specs ~storage ~on_flush txns
+              ?specs ~storage ~on_flush:(Overlay.apply_batch ov) txns
           in
           (inst, v0)
         in
         (* Wait out the current block (the driver lends itself as a worker),
-           finalize it, and hand its state maintenance + root to the digest
-           worker. Must run BEFORE the successor's [base_sealed]: FIFO then
-           guarantees root(h) sees none of block h+1's writes. *)
+           finalize it, and queue its delta fold and root on the digest
+           worker. Nobody else reads the live store — speculative reads go to
+           the overlay and the frozen base — so the fold overlaps the
+           successor's execution. *)
         let finish_cur (inst, workers, txn_count, pre_aborts) =
           Bstm.worker_loop inst;
           List.iter Domain.join workers;
@@ -681,39 +549,21 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               spec_aborts :=
                 !spec_aborts + (m.Bstm.validation_aborts - pre));
           let snapshot = res.Bstm.snapshot in
-          (match t.state with
-          | S_flat s ->
-              Dworker.push dw (fun () -> Store.apply_delta s snapshot)
-          | S_merkle m ->
-              (* Staging jobs for every flushed batch are already queued;
-                 commit_staged folds them into the base tier, and the
-                 snapshot re-application is an idempotent completeness
-                 backstop (equal values: digest no-ops). *)
-              Dworker.push dw (fun () -> Mstore.commit_staged m);
-              Dworker.push dw (fun () -> Mstore.apply_delta m snapshot));
-          t.height <- t.height + 1;
-          let p = promise () in
-          (match t.state with
-          | S_flat s ->
-              Dworker.push dw (fun () ->
-                  fulfill p (digest ~hash_loc ~hash_value (Store.to_alist s)))
-          | S_merkle m -> Dworker.push dw (fun () -> fulfill p (Mstore.root m)));
+          let c =
+            pending_commit t ~txn_count
+              (snapshot, res.Bstm.outputs, Some res.Bstm.metrics)
+              ~root:
+                (Dworker.future dw (fun () ->
+                     apply_state_delta t snapshot;
+                     state_root t))
+          in
           resolve ();
-          pending :=
-            Some
-              {
-                sp_height = t.height;
-                sp_txn_count = txn_count;
-                sp_outputs = res.Bstm.outputs;
-                sp_delta_root = digest ~hash_loc ~hash_value snapshot;
-                sp_metrics = Some res.Bstm.metrics;
-                sp_root = p;
-              }
+          pending := Some c
         in
         let rec go cur =
           match fetch () with
           | None ->
-              (match cur with Some c -> finish_cur c | None -> ());
+              Option.iter finish_cur cur;
               Overlay.seal ov;
               resolve ();
               Dworker.stop dw;
@@ -726,7 +576,16 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               (* One domain starts speculating right away; the rest of the
                  budget joins after the promotion below. *)
               let specd = if ndom >= 2 then [ spawn_worker inst 0 ] else [] in
-              (match cur with Some c -> finish_cur c | None -> ());
+              (try Option.iter finish_cur cur
+               with e ->
+                 let bt = Printexc.get_raw_backtrace () in
+                 (* E.g. a failed digest job: let the speculating successor
+                    run out, so no worker domain outlives the stream. *)
+                 Overlay.seal ov;
+                 Bstm.base_sealed inst;
+                 Bstm.worker_loop inst;
+                 List.iter Domain.join specd;
+                 Printexc.raise_with_backtrace e bt);
               Overlay.seal ov;
               (* Promote: the predecessor's stream has fully landed in the
                  overlay. Sample aborts-so-far first — everything after this
@@ -754,9 +613,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       finalization runs on the long-lived digest worker while block [h+1]
       executes (see {!execute_stream}'s [`Pipelined]) — on the flat
       substrate that is the whole-state fold, on the Merkle substrate the
-      digest-tree refresh (and, with [async_flush], accumulator staging
-      already overlaps execution). Commits (heights, roots, outputs) are
-      identical either way. *)
+      digest-tree refresh. Commits (heights, roots, outputs) are identical
+      either way. *)
   let execute_blocks ?(pipeline = false) (t : 'o t)
       (blocks : (L.t, V.t, 'o) Txn.t array list) : 'o block_commit list =
     let rem = ref blocks in

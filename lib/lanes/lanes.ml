@@ -22,6 +22,7 @@ open Blockstm_kernel
 
 module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   module Bstm = Blockstm_core.Block_stm.Make (L) (V)
+  module Seq = Blockstm_baselines.Sequential.Make (L) (V)
   module Metrics = Blockstm_obs.Metrics
   module LTbl = Hashtbl.Make (L)
 
@@ -220,8 +221,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let subset (arr : 'a array) (idxs : int array) : 'a array =
     Array.map (fun i -> arr.(i)) idxs
 
-  let run ?(config = Bstm.default_config) ?loc_namespace ?on_commit ?on_flush
-      ?obs ?trace_for
+  let run ?(config = Bstm.default_config) ?loc_namespace ?on_commit ?obs
+      ?trace_for
       ~(partition : partition) ~(specs : L.t Access_spec.t array)
       ~(storage : (L.t, V.t) Intf.storage)
       (txns : (L.t, V.t, 'o) Txn.t array) : 'o result =
@@ -234,7 +235,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       (* Strict passthrough: the unmodified engine, caller's config. *)
       let r =
         Bstm.run ~config ~specs ?loc_namespace ?trace:(trace_for 0) ?on_commit
-          ?on_flush ~storage txns
+          ~storage txns
       in
       {
         snapshot = r.Bstm.snapshot;
@@ -266,8 +267,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       let engine = ref zero_engine_metrics in
       (* Writes of the batch in flight: lane snapshots land here during the
          lane phase (lanes write disjoint locations), stragglers layer on
-         top, and the whole delta merges into [overlay] — and streams
-         through [on_flush] — only when the batch completes. *)
+         top, and the whole delta merges into [overlay] only when the batch
+         completes. *)
       let batch_delta : V.t LTbl.t = LTbl.create 256 in
       let read_batch loc =
         match LTbl.find_opt batch_delta loc with
@@ -314,32 +315,19 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                 engine := add_engine_metrics !engine r.Bstm.metrics)
           results
       in
-      let exec_straggler i =
-        let buffered : V.t LTbl.t = LTbl.create 8 in
-        let read loc =
-          match LTbl.find_opt buffered loc with
-          | Some v -> Some v
-          | None -> read_batch loc
-        in
-        let write loc v = LTbl.replace buffered loc v in
-        let delta =
-          Txn.rmw_delta ~read ~write ~as_counter:V.as_counter
-            ~of_counter:V.of_counter
-        in
-        match txns.(i) { Txn.read; write; delta } with
-        | o ->
-            LTbl.iter (fun l v -> LTbl.replace batch_delta l v) buffered;
-            outputs.(i) <- Some (Txn.Success o)
-        | exception e -> outputs.(i) <- Some (Txn.Failed (Printexc.to_string e))
+      (* The parked stragglers, sequentially in preset order, over the
+         batch's lane writes. *)
+      let exec_stragglers (b : batch) =
+        let r = Seq.run ~storage:read_batch (subset txns b.stragglers) in
+        List.iter (fun (l, v) -> LTbl.replace batch_delta l v) r.Seq.snapshot;
+        Array.iteri
+          (fun j o -> outputs.(b.stragglers.(j)) <- Some o)
+          r.Seq.outputs
       in
       List.iter
         (fun (b : batch) ->
           exec_lane_phase b;
-          Array.iter exec_straggler b.stragglers;
-          (match on_flush with
-          | None -> ()
-          | Some f ->
-              f (Array.of_seq (LTbl.to_seq batch_delta)));
+          exec_stragglers b;
           LTbl.iter (fun l v -> LTbl.replace overlay l v) batch_delta;
           LTbl.reset batch_delta;
           match on_commit with

@@ -113,7 +113,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?config:Bstm.config ->
     ?loc_namespace:(L.t -> string) ->
     ?on_commit:(int -> 'o Txn.output -> unit) ->
-    ?on_flush:((L.t * V.t) array -> unit) ->
     ?obs:Blockstm_obs.Metrics.t ->
     ?trace_for:(int -> Blockstm_obs.Trace.t option) ->
     partition:partition ->
@@ -128,11 +127,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       [on_commit j output] fires for every transaction in preset order:
       batch ranges are contiguous, so the coordinator emits each batch's
       range as soon as the batch (lanes, then stragglers) completes — the
-      ordering contract the chain pipeline relies on. [on_flush delta]
-      similarly streams each batch's merged write-set (one binding per
-      location, its end-of-batch value) when the batch completes — the
-      chain's Merkle async-flush feed. With [lanes = 1] both hooks go
-      straight to the engine. [obs], when given,
+      ordering contract the chain pipeline relies on. With [lanes = 1] the
+      hook goes straight to the engine. [obs], when given,
       receives the lane counters (["cross_lane_txns"], ["lane_batches"],
       ["laneK_txns"]) — size its registry accordingly. [trace_for lane]
       supplies an optional per-lane trace sink reused across that lane's

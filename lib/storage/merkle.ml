@@ -23,28 +23,15 @@
     paths, making a block's root update O(|delta| · log buckets) instead of
     the O(n) whole-state fold of the flat digest.
 
-    {2 Staging and the async flusher}
-
-    [stage] records a committed write in the accumulator/tree tiers and a
-    side table {e without touching the base table}: workers may still be
-    executing the tail of the block and reading start-of-block state through
-    {!reader}, and mutating a [Hashtbl] under concurrent readers is undefined
-    (a resize can corrupt lookups of unrelated keys). Once the block is done
-    (flusher joined), [commit_staged] folds the staged bindings into the base
-    table; a subsequent {!apply_delta} of the full block snapshot is then
-    idempotent (equal old/new values leave the accumulators untouched).
-
-    The {!flusher} runs [stage] on a dedicated domain, consuming committed
-    write batches in commit order, so root maintenance overlaps tail
-    execution. Only the flusher domain may call [stage] while a block is in
-    flight; all other mutators ([set] / [remove] / [apply_delta] /
-    [commit_staged]) are between-blocks-only, like {!Memstore}. *)
+    All mutators ([set] / [remove] / [apply_delta]) are between-blocks-only,
+    like {!Memstore}: executors read start-of-block state through {!reader}
+    while a block is in flight. {!root} writes only the digest arrays, never
+    the base tier, so it may run on another domain while executors read. *)
 
 open Blockstm_kernel
 
 module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   module Flat = Memstore.Make (L) (V)
-  module Tbl = Hashtbl.Make (L)
 
   type t = {
     flat : Flat.t;  (** Base tier: start-of-block state, read by executors. *)
@@ -62,8 +49,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     scratch : int array;
         (** Level worklist for {!root}'s bottom-up refresh (size
             [nbuckets]). *)
-    staged : V.t option Tbl.t;
-        (** Committed-but-not-folded writes ([None] = delete). *)
   }
 
   (* Sized so the digest arrays (acc/counts/tree/seen, 5 words per bucket)
@@ -122,7 +107,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       seen = Array.make nbuckets 0;
       gen = 0;
       scratch = Array.make nbuckets 0;
-      staged = Tbl.create 64;
     }
 
   let bucket_of t l = L.hash l land t.mask
@@ -138,8 +122,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (* --- Accumulator updates ---------------------------------------------- *)
 
   (* Fold a binding change (old -> new) for location [l] into the bucket
-     accumulators. Equal old/new values are a no-op — this is what makes
-     re-applying an already-staged snapshot idempotent. *)
+     accumulators. Equal old/new values are a no-op, so re-applying a
+     snapshot is idempotent. *)
   let account t l ~old_v ~new_v =
     match (old_v, new_v) with
     | None, None -> ()
@@ -239,7 +223,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (* From-scratch rebuild over the base tier only — ignores incremental
      state. The yardstick [root] is checked against in property tests, and
      the analogue of the flat store's whole-state fold in the state-scale
-     benchmark. Call with no writes staged. *)
+     benchmark. *)
   let recompute_root t : int64 =
     let acc = Array.make t.nbuckets 0 in
     let counts = Array.make t.nbuckets 0 in
@@ -255,76 +239,4 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       tree.(i) <- node_hash tree.(2 * i) tree.((2 * i) + 1)
     done;
     Int64.of_int tree.(1)
-
-  (* --- Staging ------------------------------------------------------------ *)
-
-  let stage t l (v : V.t option) =
-    let old_v =
-      match Tbl.find_opt t.staged l with
-      | Some cur -> cur
-      | None -> Flat.get t.flat l
-    in
-    account t l ~old_v ~new_v:v;
-    Tbl.replace t.staged l v
-
-  let staged_count t = Tbl.length t.staged
-
-  let commit_staged t =
-    Tbl.iter
-      (fun l v ->
-        match v with
-        | Some v -> Flat.set t.flat l v
-        | None -> Flat.remove t.flat l)
-      t.staged;
-    Tbl.reset t.staged
-
-  (* --- Async flusher ------------------------------------------------------ *)
-
-  type flusher = {
-    q : (L.t * V.t) array Queue.t;
-    m : Mutex.t;
-    cv : Condition.t;
-    stop : bool ref;  (** Written under [m]; polled by the flusher domain. *)
-    dom : unit Domain.t;
-  }
-
-  let start_flusher (store : t) : flusher =
-    let q = Queue.create () in
-    let m = Mutex.create () in
-    let cv = Condition.create () in
-    let stop = ref false in
-    let rec loop () =
-      Mutex.lock m;
-      while Queue.is_empty q && not !stop do
-        Condition.wait cv m
-      done;
-      let batch = if Queue.is_empty q then None else Some (Queue.pop q) in
-      Mutex.unlock m;
-      match batch with
-      | Some pairs ->
-          Array.iter (fun (l, v) -> stage store l (Some v)) pairs;
-          loop ()
-      | None -> () (* stopped and drained *)
-    in
-    { q; m; cv; stop; dom = Domain.spawn loop }
-
-  (* Cheap enough to call from inside MVMemory's flush critical section:
-     enqueue + signal, no hashing. Batches arrive in commit order because
-     the producer holds the MVMemory flush mutex across the callback. *)
-  let flusher_push (f : flusher) (pairs : (L.t * V.t) array) : unit =
-    if Array.length pairs > 0 then begin
-      Mutex.lock f.m;
-      Queue.push pairs f.q;
-      Condition.signal f.cv;
-      Mutex.unlock f.m
-    end
-
-  (* Drains the queue, then joins the domain. The staged writes are NOT yet
-     folded into the base tier — call [commit_staged] next. *)
-  let stop_flusher (f : flusher) : unit =
-    Mutex.lock f.m;
-    f.stop := true;
-    Condition.signal f.cv;
-    Mutex.unlock f.m;
-    Domain.join f.dom
 end

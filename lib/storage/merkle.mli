@@ -10,11 +10,9 @@
     fold. The accumulator is commutative, so the root is a pure function of
     the final map — sequential and Block-STM executions agree byte-for-byte.
 
-    Mutators ([set], [remove], [apply_delta], [commit_staged]) are
-    between-blocks-only, like {!Memstore}. While a block is in flight, only
-    the flusher domain may write, and only through [stage], which leaves the
-    base tier untouched (executors are still reading start-of-block state
-    from it). *)
+    Mutators ([set], [remove], [apply_delta]) are between-blocks-only, like
+    {!Memstore}. {!root} writes only the digest, never the base tier, so it
+    may run while executors read through {!reader}. *)
 
 open Blockstm_kernel
 
@@ -44,13 +42,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val apply_delta : t -> (L.t * V.t) list -> unit
   (** Apply a block's output delta. Bindings whose value is unchanged leave
-      the accumulators untouched, so re-applying a snapshot that was already
-      staged through the flusher is idempotent. *)
+      the accumulators untouched, so re-applying a snapshot is
+      idempotent. *)
 
   val reader : t -> (L.t, V.t) Intf.storage
-  (** Read-only executor view of the base tier. Staged-but-uncommitted writes
-      are {e not} visible: during a block, storage must stay the
-      start-of-block snapshot. *)
+  (** Read-only executor view of the base tier. *)
 
   val probe : t -> (L.t, V.t) Intf.storage_nb
   (** Always [Hit] — the base tier is resident in memory. *)
@@ -63,40 +59,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val root : t -> int64
   (** Authenticated root. Refreshes dirty paths (O(dirty · log buckets)),
-      then returns the cached tree root. Reflects staged writes. *)
+      then returns the cached tree root. *)
 
   val recompute_root : t -> int64
   (** From-scratch O(n) rebuild over the base tier, ignoring all incremental
       state — the correctness yardstick for {!root} and the cost yardstick
-      for the state-scale experiment. Only meaningful with no writes
-      staged. *)
-
-  (** {2 Staging (committed-prefix flush target)} *)
-
-  val stage : t -> L.t -> V.t option -> unit
-  (** Fold a committed write ([None] = delete) into the digest tiers and a
-      side table, leaving the base tier untouched. Single-writer: only the
-      flusher domain (or the lone main domain) may call this. *)
-
-  val staged_count : t -> int
-
-  val commit_staged : t -> unit
-  (** Move staged bindings into the base tier. Call after the block is done
-      (flusher stopped). No digest change — staging already accounted it. *)
-
-  (** {2 Async flusher} *)
-
-  type flusher
-
-  val start_flusher : t -> flusher
-  (** Spawn a domain that [stage]s pushed batches in arrival order. *)
-
-  val flusher_push : flusher -> (L.t * V.t) array -> unit
-  (** Enqueue a committed batch. Thread-safe and cheap (enqueue + signal):
-      safe to call from the engine's [on_flush] callback, which runs inside
-      MVMemory's flush critical section. *)
-
-  val stop_flusher : flusher -> unit
-  (** Drain the queue and join the domain. Staged writes remain pending —
-      follow with {!commit_staged}. *)
+      for the state-scale experiment. *)
 end

@@ -254,29 +254,10 @@ let sim_lanes ?(config = Bstm.default_config) ?(cost = Cost_model.default)
     stats.Virtual_exec.makespan_us
   in
   let exec_straggler i : float =
-    let buffered : Value.t LT.t = LT.create 8 in
-    let reads = ref 0 in
-    let read loc =
-      incr reads;
-      match LT.find_opt buffered loc with
-      | Some v -> Some v
-      | None -> read_overlay loc
-    in
-    let write loc v = LT.replace buffered loc v in
-    let delta =
-      Blockstm_kernel.Txn.rmw_delta ~read ~write ~as_counter:Value.as_counter
-        ~of_counter:Value.of_counter
-    in
-    let writes = ref 0 in
-    (match txns.(i) { Blockstm_kernel.Txn.read; write; delta } with
-    | o ->
-        writes := LT.length buffered;
-        LT.iter (fun l v -> LT.replace overlay l v) buffered;
-        outputs.(i) <- Some (Blockstm_kernel.Txn.Success o)
-    | exception e ->
-        outputs.(i) <-
-          Some (Blockstm_kernel.Txn.Failed (Printexc.to_string e)));
-    Cost_model.exec_cost cost ~reads:!reads ~writes:!writes
+    let r = Seq.run ~storage:read_overlay [| txns.(i) |] in
+    List.iter (fun (l, v) -> LT.replace overlay l v) r.Seq.snapshot;
+    outputs.(i) <- Some r.Seq.outputs.(0);
+    Cost_model.exec_cost cost ~reads:r.Seq.reads ~writes:r.Seq.writes
   in
   List.iter
     (fun (b : LanesX.batch) ->

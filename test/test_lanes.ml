@@ -5,8 +5,7 @@
     commit snapshots and outputs bit-identical to the sequential reference
     (and hence to the single-instance engine, which the rest of the suite
     pins to the same reference). A chain matrix repeats the check at the
-    state-root level across flat and Merkle stores, including the Merkle
-    async-flush path fed by the coordinator's per-batch [on_flush] deltas.
+    state-root level across flat and Merkle stores.
 
     Coordinator unit tests pin the greedy planner's batch shapes
     (cross-lane park, conflict-forced batch close); partitioner tests
@@ -110,10 +109,9 @@ let test_identity_deltas () =
         [ false; true ])
     [ 1; 2; 4 ]
 
-(* State-root identity through the chain: flat and Merkle stores, including
-   Merkle async-flush (batch deltas staged from the coordinator's on_flush
-   stream). Lanes replicas must agree with the per-store sequential replica
-   on every committed root. *)
+(* State-root identity through the chain: flat and Merkle stores. Lanes
+   replicas must agree with the per-store sequential replica on every
+   committed root. *)
 let test_chain_roots () =
   let spec =
     {
@@ -127,8 +125,8 @@ let test_chain_roots () =
   in
   let blocks = P2p.generate_stream spec ~nblocks:3 in
   let genesis = (List.hd blocks).P2p.storage in
-  let run ?(store = `Flat) ?(async_flush = false) executor =
-    let chain = Chain.create ~store ~async_flush ~executor ~genesis () in
+  let run ?(store = `Flat) executor =
+    let chain = Chain.create ~store ~executor ~genesis () in
     List.iter
       (fun (w : P2p.t) ->
         ignore (Chain.execute_block ~specs:(P2p.txn_specs w) chain w.P2p.txns))
@@ -148,17 +146,13 @@ let test_chain_roots () =
           }
       in
       List.iter
-        (fun (store, async_flush, reference, sname) ->
-          let c = run ~store ~async_flush executor in
+        (fun (store, reference, sname) ->
+          let c = run ~store executor in
           Alcotest.(check (option int))
             (Fmt.str "chain %d lanes %s: no root divergence" lanes sname)
             None
             (Chain.first_divergence reference c))
-        [
-          (`Flat, false, seq_flat, "flat");
-          (`Merkle, false, seq_merkle, "merkle");
-          (`Merkle, true, seq_merkle, "merkle+async_flush");
-        ])
+        [ (`Flat, seq_flat, "flat"); (`Merkle, seq_merkle, "merkle") ])
     [ 1; 2; 4 ]
 
 (* Bigstate laned transfers carry their own generated specs. *)
@@ -347,43 +341,6 @@ let test_on_commit_order () =
     (List.init 150 Fun.id)
     (List.rev !order)
 
-(* on_flush streams per-batch deltas whose union (last write wins in batch
-   order) is exactly the final snapshot. *)
-let test_on_flush_deltas () =
-  let spec =
-    {
-      P2p.default_spec with
-      num_accounts = 80;
-      block_size = 100;
-      lanes_hint = 2;
-      cross_fraction = 0.2;
-      seed = 5;
-    }
-  in
-  let w = P2p.generate spec in
-  let specs = P2p.txn_specs w in
-  let partition = Harness.account_partition ~num_accounts:80 ~lanes:2 in
-  let acc = Hashtbl.create 64 in
-  let flushes = ref 0 in
-  let r =
-    LanesX.run ~partition ~specs ~loc_namespace:Ledger.Loc.namespace
-      ~on_flush:(fun delta ->
-        incr flushes;
-        Array.iter (fun (l, v) -> Hashtbl.replace acc l v) delta)
-      ~storage:(Ledger.Store.reader w.P2p.storage)
-      w.P2p.txns
-  in
-  Alcotest.(check int)
-    "one flush per batch" r.LanesX.metrics.LanesX.batches !flushes;
-  let rebuilt =
-    List.sort
-      (fun (a, _) (b, _) -> Ledger.Loc.compare a b)
-      (Hashtbl.fold (fun l v l' -> (l, v) :: l') acc [])
-  in
-  Alcotest.(check bool)
-    "flushed deltas rebuild the snapshot" true
-    (Harness.equal_snapshot r.LanesX.snapshot rebuilt)
-
 (* Lane counters exported through the obs registry. *)
 let test_obs_counters () =
   let spec =
@@ -553,7 +510,7 @@ let suite =
       test_identity_matrix;
     Alcotest.test_case "identity matrix: hotspot deltas on/off" `Quick
       test_identity_deltas;
-    Alcotest.test_case "chain roots: flat/merkle/async-flush" `Quick
+    Alcotest.test_case "chain roots: flat/merkle stores" `Quick
       test_chain_roots;
     Alcotest.test_case "bigstate laned transfers" `Quick test_bigstate_lanes;
     Alcotest.test_case "gas workload: single cross-free batch" `Quick
@@ -568,8 +525,6 @@ let suite =
       test_coordinator_execution;
     Alcotest.test_case "empty block" `Quick test_empty_block;
     Alcotest.test_case "on_commit preset order" `Quick test_on_commit_order;
-    Alcotest.test_case "on_flush batch deltas rebuild snapshot" `Quick
-      test_on_flush_deltas;
     Alcotest.test_case "obs lane counters" `Quick test_obs_counters;
     Alcotest.test_case "sim_lanes virtual-time identity" `Quick
       test_sim_lanes_identity;

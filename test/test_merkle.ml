@@ -75,47 +75,6 @@ let test_apply_delta_idempotent () =
   Alcotest.(check int64) "idempotent" r1 (M.root m);
   check_root_consistent "after re-apply" m
 
-let test_staging () =
-  let m = M.create () in
-  M.set m 1 10;
-  M.set m 2 20;
-  (* Stage an overwrite and a delete: digest moves, base tier does not. *)
-  M.stage m 1 (Some 11);
-  M.stage m 2 None;
-  M.stage m 3 (Some 33);
-  Alcotest.(check int) "staged count" 3 (M.staged_count m);
-  Alcotest.(check (option int)) "reader sees start-of-block" (Some 10)
-    ((M.reader m) 1);
-  Alcotest.(check (option int)) "reader sees undeleted" (Some 20)
-    ((M.reader m) 2);
-  let staged_root = M.root m in
-  (* The staged root equals the root of a store holding the final map. *)
-  let final = M.create () in
-  M.set final 1 11;
-  M.set final 3 33;
-  Alcotest.(check int64) "staged root = final map root" (M.root final)
-    staged_root;
-  M.commit_staged m;
-  Alcotest.(check int) "staged drained" 0 (M.staged_count m);
-  Alcotest.(check (option int)) "base updated" (Some 11) (M.get m 1);
-  Alcotest.(check (option int)) "base delete applied" None (M.get m 2);
-  Alcotest.(check int64) "commit_staged keeps root" staged_root (M.root m);
-  check_root_consistent "after commit_staged" m
-
-let test_flusher () =
-  let m = M.create () in
-  M.set m 1 10;
-  let fl = M.start_flusher m in
-  M.flusher_push fl [| (1, 11); (2, 22) |];
-  M.flusher_push fl [| (3, 33) |];
-  M.stop_flusher fl;
-  M.commit_staged m;
-  Alcotest.(check (option int)) "flushed" (Some 33) (M.get m 3);
-  let expect = M.create () in
-  List.iter (fun (l, v) -> M.set expect l v) [ (1, 11); (2, 22); (3, 33) ];
-  Alcotest.(check int64) "root matches final map" (M.root expect) (M.root m);
-  check_root_consistent "after flusher" m
-
 (* Random mutation sequences: sets, deletes and delta batches over a small
    location space (so collisions within a bucket and repeated
    overwrite/delete of the same key are common). *)
@@ -178,8 +137,8 @@ let block_of_seed seed : itxn array =
 
 let blocks () = List.map block_of_seed [ 0; 1; 2 ]
 
-let run_chain ?(store = `Flat) ?async_flush executor =
-  let c = Chain.create ~store ?async_flush ~executor ~genesis:(genesis ()) () in
+let run_chain ?(store = `Flat) executor =
+  let c = Chain.create ~store ~executor ~genesis:(genesis ()) () in
   let commits = Chain.execute_blocks c (blocks ()) in
   (c, commits)
 
@@ -226,17 +185,10 @@ let test_matrix () =
       in
       check (name "flat" false)
         (run_chain (Block_stm (bstm_config ~domains ~rolling:false)));
-      check (name "merkle" false)
-        (run_chain ~store:`Merkle
-           (Block_stm (bstm_config ~domains ~rolling:false)));
-      (* async_flush: the executor's on_flush stream feeds the flusher
-         domain — mid-block under rolling commit (digest maintenance
-         overlaps tail execution), once at the end of a lazy block. *)
       List.iter
         (fun rolling ->
-          check
-            (name "merkle+async" rolling)
-            (run_chain ~store:`Merkle ~async_flush:true
+          check (name "merkle" rolling)
+            (run_chain ~store:`Merkle
                (Block_stm (bstm_config ~domains ~rolling))))
         [ false; true ])
     [ 1; 2; 4; 8 ]
@@ -248,9 +200,6 @@ let suite =
       test_history_independence;
     Alcotest.test_case "merkle: apply_delta idempotent" `Quick
       test_apply_delta_idempotent;
-    Alcotest.test_case "merkle: staging keeps base tier" `Quick test_staging;
-    Alcotest.test_case "merkle: flusher stages pushed batches" `Quick
-      test_flusher;
     qcheck_to_alcotest prop_random_ops;
     Alcotest.test_case "chain: substrate/executor/domain matrix" `Slow
       test_matrix;

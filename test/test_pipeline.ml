@@ -139,9 +139,8 @@ let test_stream_sequential_pipelined () =
         ~mode:`Pipelined ())
     [ `Flat; `Merkle ]
 
-(* Async-flush Merkle chains now overlap digest work under [~pipeline] (the
-   old implementation silently fell back to the per-block path). *)
-let test_merkle_async_flush_pipelined () =
+(* A rolling-commit Merkle chain through [execute_blocks ~pipeline:true]. *)
+let test_merkle_rolling_pipelined () =
   let blocks = List.map (fun w -> w.P2p.txns) (p2p_blocks ()) in
   let genesis = (List.hd (p2p_blocks ())).P2p.storage in
   let refc = reference ~store:`Merkle ~genesis ~blocks () in
@@ -150,14 +149,72 @@ let test_merkle_async_flush_pipelined () =
       (CBstm.optimistic_config ~num_domains:4 (fun o ->
            { o with rolling_commit = true }))
   in
-  let chain =
-    Chain.create ~executor ~store:`Merkle ~async_flush:true ~genesis ()
-  in
+  let chain = Chain.create ~executor ~store:`Merkle ~genesis () in
   let commits = Chain.execute_blocks ~pipeline:true chain blocks in
   Alcotest.(check int) "commit count" nblocks (List.length commits);
   Alcotest.(check (option int))
-    "async-flush merkle pipelined" None
+    "rolling merkle pipelined" None
     (Chain.first_divergence refc chain)
+
+(* Run [f] on its own domain and fail the test if it has not returned
+   within [secs]: a hang fails this test instead of stalling the suite. *)
+let with_timeout ~secs f =
+  let res = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set res (Some (try Ok (f ()) with e -> Error e)))
+  in
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec wait () =
+    match Atomic.get res with
+    | Some r ->
+        Domain.join d;
+        r
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "no result after %.0f s" secs;
+        Unix.sleepf 0.01;
+        wait ()
+  in
+  wait ()
+
+(* A job that raises on the digest worker is an error of the stream, not a
+   hang: [hash_loc] raises off the domain running the stream, i.e. in the
+   first state-root job, so the stream must raise it and commit no block. *)
+let test_digest_failure () =
+  let ws =
+    P2p.generate_stream
+      { P2p.default_spec with num_accounts = 60; block_size = 50; seed = 3 }
+      ~nblocks:3
+  in
+  let blocks = List.map (fun w -> w.P2p.txns) ws in
+  let genesis = (List.hd ws).P2p.storage in
+  let stream_dom = Atomic.make (Domain.self ()) in
+  let hash_loc l =
+    if Domain.self () = Atomic.get stream_dom then W.Ledger.Loc.hash l
+    else failwith "digest failed"
+  in
+  List.iter
+    (fun (ctx, executor, mode) ->
+      let chain = Chain.create ~hash_loc ~executor ~genesis () in
+      match
+        with_timeout ~secs:20. (fun () ->
+            Atomic.set stream_dom (Domain.self ());
+            Chain.execute_stream ~mode chain ~next:(next_of blocks))
+      with
+      | Error (Failure msg) when msg = "digest failed" ->
+          Alcotest.(check int)
+            (ctx ^ ": no block committed")
+            0
+            (List.length (Chain.commits chain))
+      | Error e -> Alcotest.failf "%s: raised %s" ctx (Printexc.to_string e)
+      | Ok _ -> Alcotest.failf "%s: stream did not fail" ctx)
+    [
+      ("pipelined", Chain.Sequential, `Pipelined);
+      ( "speculative",
+        Chain.Block_stm { CBstm.default_config with num_domains = 2 },
+        `Speculative );
+    ]
 
 (* [`Speculative] runs every instance with rolling commit, so a lazy
    executor speculates too; only a schedule without validation is refused. *)
@@ -181,9 +238,9 @@ let test_speculative_lazy_executor () =
     (fun () ->
       ignore (Chain.execute_stream ~mode:`Speculative chain ~next:(fun () -> None)))
 
-(* The chain hands each block's specs to the Block-STM executor: configs
-   that seed from specs or schedule from the spec DAG need them, and must
-   commit exactly what the sequential chain does. *)
+(* The chain hands each block's specs to the executor: Block-STM configs
+   that seed from specs or schedule from the spec DAG need them, and so do
+   lanes; all must commit exactly what the sequential chain does. *)
 let test_stream_forwards_specs () =
   let ws = p2p_blocks () in
   let blocks = List.map (fun w -> w.P2p.txns) ws in
@@ -196,11 +253,22 @@ let test_stream_forwards_specs () =
         })
   in
   let dag = { CBstm.default_config with num_domains = 2; sched = Spec_dag } in
+  let lanes k =
+    Chain.Lanes
+      {
+        config = { CBstm.default_config with num_domains = 2 };
+        partition = W.Harness.account_partition ~num_accounts:60 ~lanes:k;
+        namespace = Some W.Ledger.Loc.namespace;
+      }
+  in
+  let per_block_pipelined =
+    [ ("per-block", `Per_block); ("pipelined", `Pipelined) ]
+  in
   List.iter
     (fun store ->
       let refc = reference ~store ~genesis ~blocks () in
       List.iter
-        (fun (ename, config, modes) ->
+        (fun (ename, executor, modes) ->
           List.iter
             (fun (mname, mode) ->
               check_stream_matches
@@ -209,20 +277,17 @@ let test_stream_forwards_specs () =
                      (match store with `Flat -> "flat" | `Merkle -> "merkle"))
                 ~reference:refc ~genesis ~blocks
                 ~next_specs:(next_of (List.map P2p.txn_specs ws))
-                ~executor:(Chain.Block_stm config) ~store ~mode ())
+                ~executor ~store ~mode ())
             modes)
-        [
-          ( "seeded",
-            seeded,
-            [
-              ("per-block", `Per_block);
-              ("pipelined", `Pipelined);
-              ("speculative", `Speculative);
-            ] );
-          ( "spec-dag",
-            dag,
-            [ ("per-block", `Per_block); ("pipelined", `Pipelined) ] );
-        ])
+        ([
+           ( "seeded",
+             Chain.Block_stm seeded,
+             per_block_pipelined @ [ ("speculative", `Speculative) ] );
+           ("spec-dag", Chain.Block_stm dag, per_block_pipelined);
+         ]
+        @ List.map
+            (fun k -> (Fmt.str "%d-lane" k, lanes k, per_block_pipelined))
+            [ 1; 2; 4 ]))
     [ `Flat; `Merkle ]
 
 (* Most transactions of a low-contention block are spec-independent, yet in
@@ -508,8 +573,10 @@ let suite =
       `Slow test_stream_identity_deltas;
     Alcotest.test_case "sequential executor, pipelined stream" `Quick
       test_stream_sequential_pipelined;
-    Alcotest.test_case "async-flush merkle overlaps under pipeline" `Quick
-      test_merkle_async_flush_pipelined;
+    Alcotest.test_case "rolling merkle chain, pipelined blocks" `Quick
+      test_merkle_rolling_pipelined;
+    Alcotest.test_case "failed digest job raises, does not hang" `Quick
+      test_digest_failure;
     Alcotest.test_case "speculative mode with a lazy executor" `Quick
       test_speculative_lazy_executor;
     Alcotest.test_case "streams forward specs to the executor" `Quick

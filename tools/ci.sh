@@ -283,12 +283,16 @@ fi
 echo "ci: spec-skip gate passed ($sskips validations skipped; $sspec validations < optimistic's $sopt)"
 
 # --- Execution-lane gates ---------------------------------------------------
-# Sharded execution lanes (DESIGN.md §16). Three checks:
+# Sharded execution lanes (DESIGN.md §16). Four checks:
 #   - identity sweep, unconditional: the lane-scaling experiment asserts
 #     (and Fmt.failwiths on divergence) that every (workload, lanes,
 #     threads) grid point commits a snapshot and outputs bit-identical to
 #     the single-instance engine, and the CLI runs below re-check commits
 #     against sequential on real domains;
+#   - golden byte-identity, unconditional: the lane-scaling table is
+#     virtual time and fully deterministic, so it must match
+#     tools/golden/lane-scaling.txt exactly (the same output feeds the
+#     headline check below; the experiment runs once);
 #   - virtual-time headline, unconditional (deterministic on any host): on
 #     the contended-but-partitionable p2p-hot workload, 8 lanes at 8
 #     virtual threads must hold >= 1.5x single-instance throughput;
@@ -300,6 +304,12 @@ echo "ci: spec-skip gate passed ($sskips validations skipped; $sspec validations
 out=$(dune exec bench/main.exe -- lane-scaling)
 printf '%s
 ' "$out"
+if ! printf '%s\n' "$out" | diff tools/golden/lane-scaling.txt - >/dev/null; then
+  printf '%s\n' "$out" | diff tools/golden/lane-scaling.txt - | head -20 || true
+  echo "ci: FAIL — lane-scaling output differs from tools/golden/lane-scaling.txt"
+  exit 1
+fi
+echo "ci: lane-scaling golden byte-identity passed"
 lane_speedup=$(printf '%s
 ' "$out"   | awk '$1=="p2p-hot" && $2=="8" && $3=="8" {sub(/x$/,"",$5); print $5}')
 if [ -z "$lane_speedup" ]; then
