@@ -218,7 +218,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            unless [specs] were given without [gen] (DESIGN.md §15). *)
     (* The config, resolved once by [create_instance] (Spec_dag resolves to
        the inert defaults), so each hot-path check is one load. *)
-    num_domains : int;
     estimates : bool;  (* [Estimates] marking; [false]: remove on abort. *)
     targeted : bool;
     prevalidate : bool;
@@ -234,11 +233,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            (sequential per Corollary 1) and read after all domains join. *)
     suspensions : 'o suspension_slot array;
         (* Stashed continuation per transaction (suspend_resume or a cold
-           read). The slot is written by the executor of incarnation i after
-           blocking and consumed (exchanged) by the executor of incarnation
-           i+1;
-           incarnations of one transaction never overlap (Corollary 1), but
-           we use an Atomic for the cross-domain happens-before edge. *)
+           read); empty unless [resumable]. The slot is written by the
+           executor of incarnation i after blocking and consumed (exchanged)
+           by the executor of incarnation i+1; incarnations of one
+           transaction never overlap (Corollary 1), but we use an Atomic for
+           the cross-domain happens-before edge. *)
     obs : Metrics.t;
         (* Engine counters live in per-domain padded cells — no cross-domain
            contention on the hot path (previously: shared atomics). *)
@@ -527,6 +526,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       (* 13 stat slots + 4 named counters; leave headroom for probes. *)
       Metrics.create ~max_domains:(config.num_domains + 1) ~max_counters:24 ()
     in
+    let resumable = o.suspend_resume || probe <> None in
     {
       txns;
       storage;
@@ -545,17 +545,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         | _ -> Array.make n false);
       sched =
         Scheduler.create ~rolling ~targeted ~hold:cross_block ~block_size:n ();
-      num_domains = config.num_domains;
       estimates;
       targeted;
       prevalidate = o.prevalidate_reads;
       suspend = o.suspend_resume;
-      resumable = o.suspend_resume || probe <> None;
+      resumable;
       rolling;
       deltas = o.delta_ops;
       record_exec = config.record_exec_ns;
       outputs = Array.make n None;
-      suspensions = Array.init n (fun _ -> Atomic.make None);
+      suspensions =
+        (if resumable then Atomic_util.init_array n (fun _ -> Atomic.make None)
+         else [||]);
       obs;
       ctab = Array.map (Metrics.counter obs) stat_names;
       c_commits = Metrics.counter obs "commits";
@@ -1381,31 +1382,26 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       Mv.iter_reader_registries inst.mv ~f:(fun ~used ~overflowed:_ ->
           Metrics.observe inst.h_reader_occ used)
     end;
-    let snapshot =
-      if inst.rolling then begin
-        (* Drain the sweep: every transaction is EXECUTED with a final
-           successful validation by the time the scheduler is done, so one
-           blocking pass commits whatever the opportunistic in-loop sweeps
-           left over. The snapshot is then served from the committed base. *)
-        ignore (Scheduler.advance_commit inst.sched ~on_commit:(commit_one inst));
-        let prefix = Scheduler.committed_prefix inst.sched in
-        if prefix <> n then
-          Fmt.failwith
-            "Block_stm: rolling commit stalled at %d/%d transactions" prefix n;
-        Mv.flush_committed ?on_batch:inst.on_flush inst.mv ~upto:n;
-        Mv.committed_snapshot inst.mv
-      end
-      else
-        (* Lazy block-at-once commit: the paper's final snapshot, computed
-           in parallel over the affected locations (§4.1). *)
-        Mv.snapshot_parallel ~num_domains:inst.num_domains inst.mv
-    in
+    if inst.rolling then begin
+      (* Drain the sweep: every transaction is EXECUTED with a final
+         successful validation by the time the scheduler is done, so one
+         blocking pass commits whatever the opportunistic in-loop sweeps left
+         over. The snapshot is then served from the committed base. *)
+      ignore (Scheduler.advance_commit inst.sched ~on_commit:(commit_one inst));
+      let prefix = Scheduler.committed_prefix inst.sched in
+      if prefix <> n then
+        Fmt.failwith "Block_stm: rolling commit stalled at %d/%d transactions"
+          prefix n;
+      Mv.flush_committed ?on_batch:inst.on_flush inst.mv ~upto:n
+    end;
+    (* The paper's final snapshot, one pass over the affected locations
+       (DESIGN.md §4). *)
+    let snapshot = Mv.snapshot inst.mv in
     let outputs =
-      Array.mapi
-        (fun j -> function
+      Atomic_util.init_array n (fun j ->
+          match inst.outputs.(j) with
           | Some o -> o
           | None -> Fmt.failwith "Block_stm: transaction %d has no output" j)
-        inst.outputs
     in
     if not inst.rolling then begin
       (* The whole block commits at once: the hooks fire here, in the same

@@ -63,6 +63,24 @@ let pad (v : 'a) : 'a =
     on one does not invalidate the line a neighbouring counter lives on. *)
 let padded_atomic (v : 'a) : 'a Atomic.t = pad (Atomic.make v)
 
+(* --- Array construction ---------------------------------------------------- *)
+
+(* See the interface. The placeholder is an immediate, except for a float
+   [f 0]: a float array takes its unboxed layout from a float initial
+   element, which forces no collection. *)
+let init_array (n : int) (f : int -> 'a) : 'a array =
+  if n <= 0 then Array.init n f
+  else begin
+    let x0 = f 0 in
+    let float = Obj.tag (Obj.repr x0) = Obj.double_tag in
+    let a = Array.make n (if float then x0 else Obj.magic 0) in
+    Array.unsafe_set a 0 x0;
+    for i = 1 to n - 1 do
+      Array.unsafe_set a i (f i)
+    done;
+    a
+  end
+
 (* --- Exponential backoff --------------------------------------------------- *)
 
 (** Per-thread exponential backoff for idle spin loops: each {!Backoff.once}

@@ -1,5 +1,5 @@
 (** Helpers over [Stdlib.Atomic] used throughout the scheduler, plus
-    cache-line padding and idle-spin backoff primitives. *)
+    cache-line padding, idle-spin backoff and per-block array building. *)
 
 val fetch_min : int Atomic.t -> int -> bool
 (** [fetch_min a v] atomically sets [a] to [min (get a) v] (the paper's
@@ -29,6 +29,12 @@ val pad : 'a -> 'a
 val padded_atomic : 'a -> 'a Atomic.t
 (** [padded_atomic v] is [pad (Atomic.make v)]: an atomic on its own cache
     line(s), immune to false sharing with its allocation neighbours. *)
+
+val init_array : int -> (int -> 'a) -> 'a array
+(** [init_array n f] is [Array.init n f] without the stop-the-world minor
+    collection OCaml 5.1 forces when [Array.init], [Array.map] or
+    [Array.of_list] builds an array of more than 256 words whose first
+    element is a young block. For every per-block array of heap values. *)
 
 (** Per-worker exponential backoff for idle spin loops: each {!Backoff.once}
     spins [2^k] [Domain.cpu_relax] pauses and doubles [k] up to [max_exp]

@@ -10,13 +10,14 @@
     Concurrency (DESIGN.md §9): the read fast path is {e lock-free} — the
     paper's implementation (Section 4) wins against coarse-grained designs
     precisely because reads over the multi-version structure take no locks.
-    Locations are found through per-shard open-addressing tables whose slots
-    and table pointer are atomically published (readers probe with plain
-    [Atomic.get]s; the shard mutex is taken only to insert a missing location
-    or to resize). Each location's state is a single immutable {e snapshot}
-    record held in one [Atomic.t]: readers do one [Atomic.get], writers CAS a
-    rebuilt snapshot. Per-transaction bookkeeping ([last_written],
-    [last_reads]) uses RCU-style atomic swaps of immutable arrays.
+    Locations are found through per-shard open-addressing tables whose slot
+    holders and table pointer are published with release stores (readers
+    probe with plain [Atomic.get]s; the shard mutex is taken only to insert a
+    missing location or to resize). Each location's state is a single
+    immutable {e snapshot} record held in one [Atomic.t]: readers do one
+    [Atomic.get], writers CAS a rebuilt snapshot. Per-transaction bookkeeping
+    ([last_written], [last_reads]) uses RCU-style atomic swaps of immutable
+    arrays.
 
     Targeted mode (DESIGN.md §10): when created with [~targeted:true], each
     location additionally carries a bounded lock-free {e reader registry} of
@@ -77,7 +78,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     reg_overflow : bool Atomic.t;
   }
 
-  (* An occupied hash slot. Immutable: published once with [Atomic.set],
+  (* An occupied hash slot. Immutable: published once in a fresh holder,
      never overwritten (cells persist for the block's lifetime; entries are
      removed inside the cell's snapshot, not from the table). [readers] is
      [Some] exactly when the instance is targeted. *)
@@ -168,7 +169,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     let rec go p = if p >= n then p else go (p * 2) in
     go 1
 
-  let fresh_table capacity = Array.init capacity (fun _ -> Atomic.make None)
+  (* Every vacant table slot holds this one never-written holder: a table
+     costs a holder only per inserted location, and a fresh table forces no
+     minor collection (DESIGN.md §9). *)
+  let vacant : slot option Atomic.t = Atomic.make None
+
+  let fresh_table capacity = Array.make capacity vacant
 
   let create ?(nshards = 64) ?(writes_per_txn = 4) ?(targeted = false)
       ?(reader_slots = 64) ?(storage = fun _ -> None) ?gen ~block_size () =
@@ -184,17 +190,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
        huge block doesn't balloon the empty tables. *)
     let est_per_shard = block_size * writes_per_txn / nshards in
     let capacity = min 65536 (next_pow2 (max 16 (2 * est_per_shard))) in
+    let per_txn f = Atomic_util.init_array block_size f in
     {
       nshards;
       shards =
-        Array.init nshards (fun _ ->
+        Atomic_util.init_array nshards (fun _ ->
             {
               table = Atomic.make (fresh_table capacity);
               insert_lock = Mutex.create ();
               count = 0;
             });
-      last_written = Array.init block_size (fun _ -> Atomic.make [||]);
-      last_reads = Array.init block_size (fun _ -> Atomic.make [||]);
+      last_written = per_txn (fun _ -> Atomic.make [||]);
+      last_reads = per_txn (fun _ -> Atomic.make [||]);
       block_size;
       targeted;
       reader_cap = reader_slots;
@@ -233,13 +240,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let find_cell t loc : cell option =
     match find_slot t loc with Some s -> Some s.cell | None -> None
 
-  (* Slot insertion into [table]; caller holds the shard's insert lock. The
-     probe may pass slots another insert just published — fine, they are
-     different keys (the caller re-checked under the lock). *)
-  let rec insert_into table mask i slot =
+  (* Store [holder] over the first vacant slot from [i], under the shard's
+     insert lock; the store is a release ([caml_modify]), so a reader that
+     loads the holder sees it initialized. The probe may pass slots another
+     insert just published: different keys, re-checked under the lock. *)
+  let rec insert_into table mask i holder =
     match Atomic.get table.(i) with
-    | None -> Atomic.set table.(i) (Some slot)
-    | Some _ -> insert_into table mask ((i + 1) land mask) slot
+    | None -> table.(i) <- holder
+    | Some _ -> insert_into table mask ((i + 1) land mask) holder
 
   let reg_initial_slots = 8
 
@@ -281,8 +289,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           in
           let table, mask =
             if 2 * (shard.count + 1) > Array.length table then begin
-              (* Grow 2x and republish. Slots are shared between old and new
-                 tables, so readers of either see the same cells. *)
+              (* Grow 2x and republish. Holders are shared between old and
+                 new tables, so readers of either see the same cells. *)
               let grown = fresh_table (2 * Array.length table) in
               let gmask = Array.length grown - 1 in
               Array.iter
@@ -290,14 +298,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                   match Atomic.get o with
                   | None -> ()
                   | Some s ->
-                      insert_into grown gmask (probe_of (hash_of s.key) gmask) s)
+                      insert_into grown gmask (probe_of (hash_of s.key) gmask) o)
                 table;
               Atomic.set shard.table grown;
               (grown, gmask)
             end
             else (table, mask)
           in
-          insert_into table mask (probe_of h mask) slot;
+          insert_into table mask (probe_of h mask) (Atomic.make (Some slot));
           shard.count <- shard.count + 1;
           slot
     in
@@ -819,9 +827,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       t.shards;
     !acc
 
-  let fold_cells t ~init ~f =
-    fold_slots t ~init ~f:(fun acc s -> f acc s.key s.cell)
-
   (** Per-location reader-registry occupancy (targeted mode): calls [f] once
       per registry with the number of occupied slots and whether it
       overflowed. No-op on a non-targeted instance. *)
@@ -839,54 +844,27 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             in
             f ~used ~overflowed:(Atomic.get reg.reg_overflow))
 
-  (* All locations ever written (deduplicated), in deterministic order. *)
-  let all_locations t : L.t list =
-    List.sort L.compare (fold_cells t ~init:[] ~f:(fun acc k _ -> k :: acc))
-
   (* Algorithm 3, [snapshot]: final value for every affected location; called
-     after the block commits. *)
+     after the block commits. One pass over the cells: the chain's top entry
+     is the highest writer, a delta-topped chain materializes through
+     [read_delta_chain], and an empty chain falls back to the flushed base. *)
   let snapshot t : (L.t * V.t) list =
-    List.filter_map
-      (fun loc ->
-        match read t loc ~txn_idx:t.block_size with
-        | Ok (_, value) -> Some (loc, value)
-        | Merged { value } -> Some (loc, V.of_counter value)
-        | Not_found -> None
-        | Read_error _ ->
-            (* Impossible after commit: all estimates are resolved. *)
-            assert false)
-      (all_locations t)
-
-  (** Parallel snapshot (the paper computes block outputs "parallelized, per
-      affected memory locations", §4.1): partitions the affected locations
-      across [num_domains] domains. Only call after the block commits. *)
-  let snapshot_parallel ?(num_domains = 2) t : (L.t * V.t) list =
-    let locs = Array.of_list (all_locations t) in
-    let n = Array.length locs in
-    if num_domains <= 1 || n < 64 then snapshot t
-    else begin
-      let results = Array.make n None in
-      let chunk = (n + num_domains - 1) / num_domains in
-      let work d () =
-        let lo = d * chunk in
-        let hi = min n (lo + chunk) - 1 in
-        for i = lo to hi do
-          match read t locs.(i) ~txn_idx:t.block_size with
-          | Ok (_, value) -> results.(i) <- Some (locs.(i), value)
-          | Merged { value } ->
-              results.(i) <- Some (locs.(i), V.of_counter value)
-          | Not_found -> ()
-          | Read_error _ -> assert false
-        done
-      in
-      let domains =
-        Array.init (num_domains - 1) (fun d -> Domain.spawn (work (d + 1)))
-      in
-      work 0 ();
-      Array.iter Domain.join domains;
-      (* [locs] is sorted, so the filtered result is too. *)
-      Array.to_list results |> List.filter_map Fun.id
-    end
+    fold_slots t ~init:[] ~f:(fun acc { key; cell; _ } ->
+        let ({ versions; base } as snap) = Atomic.get cell in
+        match IMap.max_binding_opt versions with
+        | Some (_, Written { value; _ }) -> (key, value) :: acc
+        | Some (_, Delta _) -> (
+            match read_delta_chain t key snap ~txn_idx:t.block_size with
+            | Ok (_, value) -> (key, value) :: acc
+            | Merged { value } -> (key, V.of_counter value) :: acc
+            | Not_found -> acc
+            | Read_error _ -> assert false)
+        | Some (_, Estimate _) -> assert false (* all resolved by commit *)
+        | None -> (
+            match base with
+            | Some (_, value) -> (key, value) :: acc
+            | None -> acc))
+    |> List.sort (fun (a, _) (b, _) -> L.compare a b)
 
   (* --- Rolling-commit flush ---------------------------------------------- *)
 
@@ -984,17 +962,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (** Prefix length already folded into the committed base. *)
   let flushed_upto t : int = t.flushed_upto
 
-  (** The committed base as a sorted association list. After a full flush
-      ([flushed_upto t = block_size t]) this equals {!snapshot}. *)
-  let committed_snapshot t : (L.t * V.t) list =
-    fold_cells t ~init:[] ~f:(fun acc loc cell ->
-        match (Atomic.get cell).base with
-        | Some (_, value) -> (loc, value) :: acc
-        | None -> acc)
-    |> List.sort (fun (a, _) (b, _) -> L.compare a b)
-
   (** Diagnostic: number of version entries currently stored. *)
   let entry_count t : int =
-    fold_cells t ~init:0 ~f:(fun acc _ cell ->
-        acc + IMap.cardinal (Atomic.get cell).versions)
+    fold_slots t ~init:0 ~f:(fun acc s ->
+        acc + IMap.cardinal (Atomic.get s.cell).versions)
 end

@@ -10,13 +10,14 @@
     Concurrency (DESIGN.md §9): the read fast path is {e lock-free} — as in
     the paper's implementation (Section 4), reads over the multi-version
     structure take no locks. Locations are found through per-shard
-    open-addressing tables whose slots and table pointer are atomically
-    published (the shard mutex is taken only to insert a missing location or
-    to resize), and each location's version map + committed base live in a
-    single immutable snapshot record held in one [Atomic.t]: readers do one
-    [Atomic.get], writers CAS a rebuilt snapshot. Per-transaction
-    bookkeeping (last written locations, last read-set) uses RCU-style
-    atomic swaps of immutable arrays. All operations are thread-safe. *)
+    open-addressing tables whose slot holders and table pointer are
+    published with release stores (the shard mutex is taken only to insert a
+    missing location or to resize), and each location's version map +
+    committed base live in a single immutable snapshot record held in one
+    [Atomic.t]: readers do one [Atomic.get], writers CAS a rebuilt snapshot.
+    Per-transaction bookkeeping (last written locations, last read-set) uses
+    RCU-style atomic swaps of immutable arrays. All operations are
+    thread-safe. *)
 
 open Blockstm_kernel
 
@@ -254,14 +255,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val snapshot : t -> (L.t * V.t) list
   (** Algorithm 3, [snapshot]: final value for every affected location, in
-      deterministic (sorted) order. Only call after the block commits (all
-      estimates resolved). *)
-
-  val snapshot_parallel : ?num_domains:int -> t -> (L.t * V.t) list
-  (** Parallel {!snapshot} (the paper computes block outputs "parallelized,
-      per affected memory locations", §4.1): partitions the affected
-      locations across [num_domains] (default 2) domains. Falls back to the
-      sequential path for small snapshots. *)
+      sorted order — what {!read} answers at [txn_idx = block_size]
+      ([Merged] through [V.of_counter]; [Not_found] locations absent). One
+      pass over the locations, taking each version chain's top entry or an
+      empty chain's flushed base, then one sort; after a full
+      {!flush_committed} it is the committed base. Only call after the block
+      commits (all estimates resolved). *)
 
   (** {2 Rolling-commit flush} *)
 
@@ -289,10 +288,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val flushed_upto : t -> int
   (** Prefix length already folded into the committed base. *)
-
-  val committed_snapshot : t -> (L.t * V.t) list
-  (** The committed base as a sorted association list. After a full flush
-      this equals {!snapshot}. *)
 
   val entry_count : t -> int
   (** Diagnostic: number of version entries currently stored. *)

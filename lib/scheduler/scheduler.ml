@@ -100,8 +100,8 @@ type t = {
   (* Rolling-commit state. [pullback_marker] counts validation pullbacks;
      [dirty.(j)] is the marker of the last pullback targeting an index <= j;
      [proof.(j)] is the (incarnation, wave) of the last completed successful
-     validation of transaction j. All are cheap no-ops / dead stores when
-     [rolling] is false. *)
+     validation of transaction j. [dirty] and [proof] are empty unless
+     [rolling]. *)
   pullback_marker : int Atomic.t;
   dirty : int Atomic.t array;
   proof : (int * int) Atomic.t array;
@@ -130,6 +130,7 @@ let create ?(rolling = false) ?(targeted = false) ?(hold = false) ~block_size
     () =
   if block_size < 0 then invalid_arg "Scheduler.create: negative block_size";
   let padded_atomic = Atomic_util.padded_atomic in
+  let per_txn f = Atomic_util.init_array block_size f in
   {
     block_size;
     rolling;
@@ -141,7 +142,7 @@ let create ?(rolling = false) ?(targeted = false) ?(hold = false) ~block_size
     done_marker = padded_atomic false;
     hold = padded_atomic hold;
     status =
-      Array.init block_size (fun _ ->
+      per_txn (fun _ ->
           Atomic_util.pad
             {
               st_mutex = Mutex.create ();
@@ -149,16 +150,16 @@ let create ?(rolling = false) ?(targeted = false) ?(hold = false) ~block_size
               kind = Ready_to_execute;
             });
     deps =
-      Array.init block_size (fun _ ->
+      per_txn (fun _ ->
           Atomic_util.pad { dep_mutex = Mutex.create (); dependents = [] });
     pullback_marker = padded_atomic 0;
-    dirty = Array.init block_size (fun _ -> padded_atomic 0);
-    proof = Array.init block_size (fun _ -> padded_atomic no_proof);
+    dirty = (if rolling then per_txn (fun _ -> padded_atomic 0) else [||]);
+    proof =
+      (if rolling then per_txn (fun _ -> padded_atomic no_proof) else [||]);
     commit_mutex = Mutex.create ();
     commit_idx = padded_atomic 0;
     val_flag =
-      (if targeted then Array.init block_size (fun _ -> padded_atomic false)
-       else [||]);
+      (if targeted then per_txn (fun _ -> padded_atomic false) else [||]);
     targeted_pending = padded_atomic 0;
     targeted_min = padded_atomic block_size;
     targeted_marks = padded_atomic 0;
@@ -615,22 +616,23 @@ let finish_validation ?invalidated t ~version ~wave ~aborted : task option =
       Atomic_util.decr t.num_active_tasks;
       None))
   else (
-    (* Successful validation: record the commit proof. Proofs only ever
-       strengthen — higher incarnation, or same incarnation with a later
-       wave. A plain store would let a slow validation claimed before a
-       pullback complete late and clobber a fresh proof with a stale one;
-       with no further validation of this transaction scheduled, the commit
-       sweep would then stall forever. *)
-    let incarnation = Version.incarnation version in
-    let cell = t.proof.(txn_idx) in
-    let rec strengthen () =
-      let (pi, pw) as old = Atomic.get cell in
-      if
-        (incarnation > pi || (incarnation = pi && wave > pw))
-        && not (Atomic.compare_and_set cell old (incarnation, wave))
-      then strengthen ()
-    in
-    strengthen ();
+    (* Successful validation: record the commit proof (rolling mode only).
+       Proofs only ever strengthen — higher incarnation, or same incarnation
+       with a later wave. A plain store would let a slow validation claimed
+       before a pullback complete late and clobber a fresh proof with a stale
+       one; with no further validation of this transaction scheduled, the
+       commit sweep would then stall forever. *)
+    (if t.rolling then
+       let incarnation = Version.incarnation version in
+       let cell = t.proof.(txn_idx) in
+       let rec strengthen () =
+         let (pi, pw) as old = Atomic.get cell in
+         if
+           (incarnation > pi || (incarnation = pi && wave > pw))
+           && not (Atomic.compare_and_set cell old (incarnation, wave))
+         then strengthen ()
+       in
+       strengthen ());
     Atomic_util.decr t.num_active_tasks;
     None)
 

@@ -128,8 +128,9 @@ val finish_execution_targeted :
     wave the validation task carried. If [aborted], bumps the transaction to
     the next incarnation, pulls the validation counter back to
     [txn_idx + 1], and — when possible — hands the re-execution task
-    straight back to the caller. Otherwise records the (incarnation, wave)
-    commit proof consumed by the rolling-commit sweep.
+    straight back to the caller. Otherwise, on a rolling scheduler, records
+    the (incarnation, wave) commit proof consumed by the rolling-commit
+    sweep.
 
     On a targeted scheduler, [?invalidated] (collected by the engine {e
     before} the aborted writes became ESTIMATEs) refines the abort pullback:

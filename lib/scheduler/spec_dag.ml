@@ -46,7 +46,7 @@ let create ~(preds : int list array) : t =
           nsucc.(i) <- nsucc.(i) + 1)
         ps)
     preds;
-  let succs = Array.map (fun c -> Array.make c 0) nsucc in
+  let succs = Atomic_util.init_array n (fun i -> Array.make nsucc.(i) 0) in
   let fill = Array.make n 0 in
   Array.iteri
     (fun j ps ->
@@ -62,7 +62,8 @@ let create ~(preds : int list array) : t =
   done;
   {
     n;
-    indeg = Array.map (fun ps -> Atomic.make (List.length ps)) preds;
+    indeg =
+      Atomic_util.init_array n (fun j -> Atomic.make (List.length preds.(j)));
     succs;
     ready = Atomic.make !ready;
     completed = Atomic.make 0;

@@ -525,6 +525,32 @@ let test_snapshot_matches_profile_writes () =
     (List.length r.snapshot <= total_writes);
   Alcotest.(check bool) "snapshot non-empty" true (r.snapshot <> [])
 
+(* OCaml 5.1 empties the minor heap before it builds an array of more than
+   256 words from a young initial element. Building per-block state must not
+   pay that once per array: the collections [f] causes stay within what its
+   minor allocation volume explains, plus one (a major cycle starting).
+   [Gc.minor_words] counts this domain's allocation exactly; the one in
+   [Gc.quick_stat] is only sampled at collections. *)
+let check_minor_collections msg f =
+  Gc.minor ();
+  let c0 = (Gc.quick_stat ()).minor_collections and w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let words = Gc.minor_words () -. w0 in
+  let collections = (Gc.quick_stat ()).minor_collections - c0 in
+  let bound =
+    1 + int_of_float (words /. float_of_int (Gc.get ()).minor_heap_size)
+  in
+  if collections > bound then
+    Alcotest.failf "%s: %d minor collections for %.0f minor words (bound %d)"
+      msg collections words bound
+
+let test_create_forces_no_minor_collections () =
+  let txns = Array.init 1000 (fun i -> incr_txn i) in
+  check_minor_collections "create_instance, 1000 transactions" (fun () ->
+      Bstm.create_instance ~storage:zero_storage txns);
+  check_minor_collections "Mvmemory.create, 10^4 transactions" (fun () ->
+      Mv.create ~block_size:10_000 ())
+
 let suite =
   [
     Alcotest.test_case "empty block" `Quick test_empty_block;
@@ -577,4 +603,6 @@ let suite =
       test_engine_quiescent_after_run;
     Alcotest.test_case "snapshot bounded by committed writes" `Quick
       test_snapshot_matches_profile_writes;
+    Alcotest.test_case "create forces no minor collections" `Quick
+      test_create_forces_no_minor_collections;
   ]

@@ -212,20 +212,81 @@ let test_snapshot_empty () =
   let mv = Mv.create ~block_size:8 () in
   Alcotest.(check (list (pair int int))) "empty" [] (Mv.snapshot mv)
 
-let test_snapshot_parallel_equals_sequential () =
-  let n = 300 in
-  let mv = Mv.create ~block_size:n () in
-  for j = 0 to n - 1 do
-    ignore (record mv ~txn:j ~inc:0 [ (j mod 97, j); (100 + j, j * 2) ])
+(* The one-pass snapshot takes each chain's top entry; the reference is the
+   per-location read at [txn_idx = block_size] over every location the test
+   touched. Covers written tops, delta-topped chains anchored on a plain
+   write and on storage (present and absent), locations emptied by a
+   re-record, and flushed bases with and without entries above them. *)
+let test_snapshot_one_pass_equals_reads () =
+  let n = 600 in
+  (* Storage holds the even locations only: odd delta anchors count as 0. *)
+  let storage l = if l mod 2 = 0 then Some (1000 + l) else None in
+  (* Small tables, so the inserts also resize them. *)
+  let mv = Mv.create ~nshards:4 ~writes_per_txn:0 ~storage ~block_size:n () in
+  let record_deltas ~txn ?(writes = []) deltas =
+    ignore
+      (Mv.record ~deltas:(Array.of_list deltas) mv (ver txn 0) [||]
+         (Array.of_list writes))
+  in
+  (* Flushed bases, locations 0..99, written by the prefix 0..99 only. *)
+  for j = 0 to 99 do
+    ignore (record mv ~txn:j ~inc:0 [ (j, 10 * j) ])
   done;
-  let seq = Mv.snapshot mv in
+  Mv.flush_committed mv ~upto:100;
+  for k = 0 to 99 do
+    (* Written tops, locations 100..199, two or three writers each; every
+       fourth flushed base is overwritten. *)
+    ignore
+      (record mv ~txn:(100 + k) ~inc:0
+         ([ (100 + k, k); (101 + (k mod 99), k + 1) ]
+         @ if k mod 4 = 0 then [ (k, -k) ] else []));
+    ignore (record mv ~txn:(300 + k) ~inc:0 [ (100 + k, 2 * k) ])
+  done;
+  for k = 0 to 49 do
+    (* Delta-topped chains anchored on a plain write, locations 200..249. *)
+    record_deltas ~txn:(200 + k) ~writes:[ (200 + k, 7 * k) ] [];
+    record_deltas ~txn:(400 + k) [ (200 + k, Delta.add (k + 1)) ];
+    (* Anchored on storage, locations 250..299, two deltas each; every tenth
+       flushed base gets a delta too. *)
+    record_deltas ~txn:(250 + k)
+      ((250 + k, Delta.add 3)
+      :: (if k mod 5 = 0 then [ (2 * k, Delta.add 1) ] else []));
+    record_deltas ~txn:(450 + k) [ (250 + k, Delta.sub 1) ]
+  done;
+  (* Emptied by a re-record, locations 300..339: the next incarnation writes
+     elsewhere, which removes the first one's entry. *)
+  for k = 0 to 39 do
+    ignore (record mv ~txn:(500 + k) ~inc:0 [ (300 + k, k) ]);
+    ignore (record mv ~txn:(500 + k) ~inc:1 [ (340 + k, k) ])
+  done;
+  let reference =
+    List.filter_map
+      (fun l ->
+        match Mv.read mv l ~txn_idx:n with
+        | Mv.Ok (_, v) -> Some (l, v)
+        | Mv.Merged { value } -> Some (l, value)
+        | Mv.Not_found -> None
+        | Mv.Read_error _ -> Alcotest.fail "estimate after commit")
+      (List.init 500 Fun.id)
+  in
+  let snap = Mv.snapshot mv in
+  Alcotest.(check (list (pair int int)))
+    "one pass = per-location reads" reference snap;
+  Alcotest.(check bool) ">= 300 locations" true (List.length snap >= 300);
+  let at l = List.assoc_opt l snap in
   List.iter
-    (fun d ->
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "parallel snapshot, %d domains" d)
-        seq
-        (Mv.snapshot_parallel ~num_domains:d mv))
-    [ 1; 2; 4 ]
+    (fun (msg, l, v) -> Alcotest.(check (option int)) msg v (at l))
+    [
+      ("flushed base", 1, Some 10);
+      ("written over a flushed base", 4, Some (-4));
+      ("delta over a flushed base", 10, Some 101);
+      ("written top", 103, Some 6);
+      ("delta over a write", 205, Some (35 + 6));
+      ("deltas over storage", 252, Some (1000 + 252 + 2));
+      ("deltas over absent storage", 251, Some 2);
+      ("emptied by a re-record", 300, None);
+      ("re-recorded location", 340, Some 0);
+    ]
 
 (* --- Rolling-commit flush ------------------------------------------------- *)
 
@@ -278,8 +339,7 @@ let test_committed_snapshot_after_full_flush () =
   Mv.flush_committed mv ~upto:4;
   Alcotest.(check int) "all entries pruned" 0 (Mv.entry_count mv);
   Alcotest.(check (list (pair int int)))
-    "committed snapshot = snapshot" expected
-    (Mv.committed_snapshot mv)
+    "committed base = snapshot before the flush" expected (Mv.snapshot mv)
 
 (* --- record: wrote_new_location transitions (one test per documented
    transition of the bool — see mvmemory.mli) ------------------------------- *)
@@ -410,25 +470,29 @@ let test_targeted_overflow_degrades_to_suffix () =
 (* --- Concurrency smoke --------------------------------------------------- *)
 
 (* Disjoint transactions recorded from four domains; snapshot must contain
-   every write. *)
+   every write. The second instance starts with 16-slot tables in two
+   shards, so the inserts race each other's resizes under the shard locks. *)
 let test_concurrent_disjoint_records () =
   let n = 400 in
-  let mv = Mv.create ~block_size:n () in
-  let domains =
-    Array.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            let i = ref d in
-            while !i < n do
-              ignore (record mv ~txn:!i ~inc:0 [ (!i, !i * 2) ]);
-              i := !i + 4
-            done))
-  in
-  Array.iter Domain.join domains;
-  let snap = Mv.snapshot mv in
-  Alcotest.(check int) "all locations present" n (List.length snap);
   List.iter
-    (fun (l, v) -> Alcotest.(check int) "value" (l * 2) v)
-    snap
+    (fun mv ->
+      let domains =
+        Array.init 4 (fun d ->
+            Domain.spawn (fun () ->
+                let i = ref d in
+                while !i < n do
+                  ignore (record mv ~txn:!i ~inc:0 [ (!i, !i * 2) ]);
+                  i := !i + 4
+                done))
+      in
+      Array.iter Domain.join domains;
+      let snap = Mv.snapshot mv in
+      Alcotest.(check int) "all locations present" n (List.length snap);
+      List.iter (fun (l, v) -> Alcotest.(check int) "value" (l * 2) v) snap)
+    [
+      Mv.create ~block_size:n ();
+      Mv.create ~nshards:2 ~writes_per_txn:0 ~block_size:n ();
+    ]
 
 let suite =
   [
@@ -467,8 +531,8 @@ let suite =
       test_validate_empty_read_set;
     Alcotest.test_case "snapshot: final values sorted" `Quick test_snapshot;
     Alcotest.test_case "snapshot: empty" `Quick test_snapshot_empty;
-    Alcotest.test_case "snapshot: parallel = sequential" `Quick
-      test_snapshot_parallel_equals_sequential;
+    Alcotest.test_case "snapshot: one pass = per-location reads" `Quick
+      test_snapshot_one_pass_equals_reads;
     Alcotest.test_case "flush: prunes committed entries" `Quick
       test_flush_prunes_entries;
     Alcotest.test_case "flush: validation unchanged" `Quick

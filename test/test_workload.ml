@@ -74,6 +74,24 @@ let test_no_failures_sequentially () =
       | Blockstm_kernel.Txn.Failed m -> Alcotest.failf "failed: %s" m)
     r.outputs
 
+(* The paper's block size (10^4 transactions), larger than any other engine
+   test: 2048-slot shard tables, and per-transaction arrays whose stores
+   alone pass the remembered set's collection threshold. *)
+let test_paper_block_size_equals_sequential () =
+  let w = P2p.generate { P2p.default_spec with block_size = 10_000 } in
+  List.iter
+    (fun (mode, rolling_commit) ->
+      let config =
+        Harness.Bstm.optimistic_config ~num_domains:2 (fun o ->
+            { o with rolling_commit })
+      in
+      let c = Harness.check_blockstm ~config ~storage:w.storage w.txns in
+      Alcotest.(check bool) (mode ^ ": snapshot = sequential") true
+        c.snapshot_ok;
+      Alcotest.(check bool) (mode ^ ": outputs = sequential") true
+        c.outputs_ok)
+    [ ("lazy", false); ("rolling", true) ]
+
 let test_declared_writes_are_perfect () =
   let w = P2p.generate { P2p.default_spec with block_size = 200 } in
   (* BOHM with these declared write-sets must record zero undeclared
@@ -298,6 +316,8 @@ let suite =
       test_no_failures_sequentially;
     Alcotest.test_case "declared write-sets are perfect" `Quick
       test_declared_writes_are_perfect;
+    Alcotest.test_case "10^4-txn p2p block = sequential, 2 domains" `Quick
+      test_paper_block_size_equals_sequential;
     Alcotest.test_case "balance conservation" `Quick test_balance_conservation;
     Alcotest.test_case "genesis contents" `Quick test_genesis_contents;
     Alcotest.test_case "synthetic: hotspot" `Quick test_synthetic_hotspot;

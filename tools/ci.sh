@@ -3,6 +3,9 @@
 # warning-free, and enforce the perf invariants of the lock-free hot paths:
 #   - Mvmemory.read / find_slot / find_cell / reg_register must not acquire
 #     a mutex (grep gate);
+#   - per-block fixed cost: nothing under lib/mvmemory or lib/scheduler
+#     spawns a domain, and Scheduler.create, Mvmemory.create/fresh_table and
+#     Block_stm.create_instance build no array with Array.init (grep gate);
 #   - the cross-domain stress suite passes (covers 1/2/4/8-domain runs);
 #   - on a multi-core host, the 4-domain scaling point must not fall below
 #     the 1-domain point on the low-contention workload. On single-core
@@ -51,6 +54,32 @@ for fn in find_slot find_cell read reg_register; do
   fi
 done
 echo "ci: lock-free gate passed (Mvmemory read path takes no mutex)"
+
+# --- Per-block fixed-cost gate ----------------------------------------------
+# Block_stm.run's helpers are the only per-block Domain.spawn: MVMemory and
+# the scheduler spawn none. And the per-block create path builds no array
+# with Array.init, which in OCaml 5.1 empties the minor heap before it
+# builds an array of more than 256 words from a young element; the path
+# uses Atomic_util.init_array instead (DESIGN.md §9). Bodies are extracted
+# with the lock-free gate's awk, at either indentation.
+if grep -rn "Domain\.spawn" lib/mvmemory lib/scheduler; then
+  echo "ci: FAIL — Domain.spawn under lib/mvmemory or lib/scheduler; Block_stm.run must stay the only per-block spawn site"
+  exit 1
+fi
+for spec in lib/scheduler/scheduler.ml:create lib/mvmemory/mvmemory.ml:create \
+  lib/mvmemory/mvmemory.ml:fresh_table lib/core/block_stm.ml:create_instance; do
+  file=${spec%%:*} fn=${spec#*:}
+  body=$(awk "/^ *let (rec )?$fn /{f=1} f{print; if (\$0 ~ /^\$/) exit}" "$file")
+  if [ -z "$body" ]; then
+    echo "ci: FAIL — could not locate $fn in $file for the per-block fixed-cost gate"
+    exit 1
+  fi
+  if printf '%s' "$body" | grep -q "Array\.init"; then
+    echo "ci: FAIL — $fn in $file mentions Array.init; build per-block arrays with Atomic_util.init_array"
+    exit 1
+  fi
+done
+echo "ci: per-block fixed-cost gate passed (no spawn in MVMemory/scheduler, no Array.init on the create path)"
 
 # --- Cross-domain test pass -------------------------------------------------
 # The scaling_stress suite runs the engine on 1/2/4/8 real domains and
