@@ -1407,17 +1407,15 @@ let state_scale mode =
 (* --- Sustained throughput: continuous block pipeline (DESIGN.md §14) -------- *)
 
 (* Knobs for the [sustained] experiment, settable from the CLI
-   (bench --mempool-rate/--block-size/--block-deadline-ms/--speculate,
-   blockstm exp likewise). Zero/false means "use the mode default". *)
+   (bench --mempool-rate/--block-size/--block-deadline-ms, blockstm exp
+   likewise). Zero means "use the mode default". *)
 let sustained_rate = ref 0. (* Poisson arrivals/s; 0 = 60% of measured tps *)
 let sustained_block_size = ref 0 (* target txns per block cut *)
 let sustained_deadline_ms = ref 25. (* block cut deadline *)
-let sustained_speculative_only = ref false (* skip baseline modes *)
 
 let set_sustained_rate r = if r > 0. then sustained_rate := r
 let set_sustained_block_size b = if b > 0 then sustained_block_size := b
 let set_sustained_deadline_ms d = if d > 0. then sustained_deadline_ms := d
-let set_sustained_speculative_only b = sustained_speculative_only := b
 
 (* A transfer with no cross-transaction assertions: deterministic for any
    serialization, so the Poisson phase can cut blocks at arbitrary
@@ -1483,19 +1481,10 @@ let sustained mode =
           "tps";
           "vs per-block";
           "idle ms";
-          "spec-aborts";
           "roots";
         ]
   in
-  let modes =
-    if !sustained_speculative_only then [ ("speculative", `Speculative) ]
-    else
-      [
-        ("per-block", `Per_block);
-        ("pipelined", `Pipelined);
-        ("speculative", `Speculative);
-      ]
-  in
+  let modes = [ ("per-block", `Per_block); ("pipelined", `Pipelined) ] in
   let tps_tbl = Hashtbl.create 32 in
   List.iter
     (fun (sname, store) ->
@@ -1544,7 +1533,6 @@ let sustained mode =
                   | Some b when mname <> "per-block" -> fmt_x (tps /. b)
                   | _ -> "-");
                   Printf.sprintf "%.1f" (float_of_int stats.C.s_idle_ns /. 1e6);
-                  string_of_int stats.C.s_spec_aborts;
                   (if ok then "ok" else "MISMATCH");
                 ])
             modes)
@@ -1559,11 +1547,7 @@ let sustained mode =
   let rate =
     if !sustained_rate > 0. then !sustained_rate
     else
-      let measured =
-        match Hashtbl.find_opt tps_tbl ("flat", "per-block", domains) with
-        | Some tps -> Some tps
-        | None -> Hashtbl.find_opt tps_tbl ("flat", "speculative", domains)
-      in
+      let measured = Hashtbl.find_opt tps_tbl ("flat", "per-block", domains) in
       0.6 *. Option.value ~default:5_000. measured
   in
   let deadline_ns = int_of_float (!sustained_deadline_ms *. 1e6) in

@@ -12,7 +12,7 @@
      dune exec bench/main.exe -- lane-scaling --lanes 1,2,4,8
                                               # sweep execution-lane counts
      dune exec bench/main.exe -- sustained --mempool-rate 5000 \
-         --block-size 1000 --block-deadline-ms 50 --speculate
+         --block-size 1000 --block-deadline-ms 50
                                               # continuous-pipeline knobs
 
    See DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
@@ -80,9 +80,6 @@ let () =
     | "--block-deadline-ms" :: v :: rest ->
         Blockstm_bench.Experiments.set_sustained_deadline_ms
           (num_arg "--block-deadline-ms" v);
-        strip_json rest
-    | "--speculate" :: rest ->
-        Blockstm_bench.Experiments.set_sustained_speculative_only true;
         strip_json rest
     | a :: rest -> a :: strip_json rest
   in

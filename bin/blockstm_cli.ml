@@ -759,16 +759,8 @@ let exp_cmd =
             "Block-cut deadline for the $(b,sustained) experiment's \
              mempool builder (default 25).")
   in
-  let speculate =
-    Arg.(
-      value & flag
-      & info [ "speculate" ]
-          ~doc:
-            "Restrict the $(b,sustained) experiment to the speculative \
-             pipeline mode (skip the baselines).")
-  in
   let action ids full json domains lanes_grid mempool_rate block_size
-      block_deadline speculate =
+      block_deadline =
     (match domains with
     | Some l when List.for_all (fun d -> d >= 1) l ->
         Blockstm_bench.Experiments.set_domains_grid l
@@ -783,8 +775,6 @@ let exp_cmd =
     Option.iter Blockstm_bench.Experiments.set_sustained_block_size block_size;
     Option.iter Blockstm_bench.Experiments.set_sustained_deadline_ms
       block_deadline;
-    if speculate then
-      Blockstm_bench.Experiments.set_sustained_speculative_only true;
     let mode =
       if full then Blockstm_bench.Experiments.Full
       else Blockstm_bench.Experiments.Quick
@@ -805,7 +795,7 @@ let exp_cmd =
   let term =
     Term.(
       const action $ ids $ full $ json $ domains $ lanes_grid $ mempool_rate
-      $ block_size $ block_deadline $ speculate)
+      $ block_size $ block_deadline)
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate the paper's figures and tables")

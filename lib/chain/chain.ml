@@ -27,7 +27,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   module Seq = Blockstm_baselines.Sequential.Make (L) (V)
   module Store = Blockstm_storage.Memstore.Make (L) (V)
   module Mstore = Blockstm_storage.Merkle.Make (L) (V)
-  module Overlay = Overlay.Make (L) (V)
   module Metrics = Blockstm_obs.Metrics
   module Trace = Blockstm_obs.Trace
 
@@ -199,10 +198,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         in
         (r.LanesE.snapshot, r.LanesE.outputs, Some r.LanesE.metrics.engine)
 
-  (* Advance the height for an executed block whose delta is (being) folded
-     into the state, and return its pending commit: forcing it awaits
-     [root], then records the commit on the chain. Every stream mode builds
-     its commits here, so all of them number and record blocks alike. *)
+  (* Advance the height for an executed block whose delta is folded into
+     the state, and return its pending commit: forcing it awaits [root],
+     then records the commit on the chain. Every stream mode builds its
+     commits here, so all of them number and record blocks alike. *)
   let pending_commit (t : 'o t) ~txn_count (snapshot, outputs, metrics)
       ~(root : unit -> int64) : unit -> 'o block_commit =
     t.height <- t.height + 1;
@@ -240,12 +239,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (* ---------------------------------------------------------------------- *)
 
   (* FIFO queue of jobs (closures) executed by a single persistent domain.
-     The pipelined and speculative streams push every piece of
-     off-critical-path state work here (delta application and state roots)
-     instead of paying a fresh [Domain.spawn] per block. Single-threaded by
-     construction: jobs that touch the same state are serialized by queue
-     order, so the stream loops reason about ordering, never about data
-     races.
+     The pipelined stream pushes its off-critical-path state work here (the
+     state roots) instead of paying a fresh [Domain.spawn] per block.
+     Single-threaded by construction: jobs that touch the same state are
+     serialized by queue order, so the stream loop reasons about ordering,
+     never about data races.
 
      A job that raises stops the worker: it runs no further job — no root
      is computed over a half-applied delta — and the next wait on a
@@ -338,12 +336,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | `Pipelined
       (** Block [h]'s state-root finalization (flat: the whole-state fold;
           Merkle: the digest-tree refresh) runs on the digest worker while
-          block [h+1] executes. Commits are identical to [`Per_block]. *)
-    | `Speculative
-      (** Block [h+1] {e executes} speculatively against block [h]'s
-          streaming committed prefix (cross-block speculation, requires a
-          Block-STM executor with an [Optimistic] schedule, which runs with
-          rolling commit). Commits are identical to [`Per_block]. *) ]
+          block [h+1] executes. Commits are identical to [`Per_block]. *) ]
 
   (** Aggregate statistics of one {!execute_stream} run. *)
   type stream_stats = {
@@ -353,13 +346,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (** Wall time the driver spent inside [next] waiting for block
             material (mempool deadline waits, generator time). Also the
             registry counter ["inter_block_idle_ns"]. *)
-    s_spec_aborts : int;
-        (** [`Speculative] only: validation aborts that happened {e after} a
-            block's base was sealed — executions whose speculative reads did
-            not survive the final revalidation against the sealed
-            predecessor state. Also the counter ["speculation_aborts"]. *)
     s_registry : Metrics.t;
-        (** Live registry: the two counters above plus the
+        (** Live registry: the counter above plus the
             ["mempool_depth"] histogram (one observation per block cut,
             when [queue_depth] is wired). *)
   }
@@ -377,17 +365,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       byte-for-byte what a [`Per_block] run over the same blocks yields;
       the test suite checks this across executors and substrates.
 
-      [`Speculative] notes: requires [Block_stm] with an [Optimistic]
-      schedule; the instances run with rolling commit whatever the config
-      says. The executor's [num_domains] is the stream's total worker budget
-      (one domain speculates on the next block while the rest finish the
-      current one — with [num_domains = 1] speculation degenerates to
-      per-block timing).
-
       [next_specs], called once right after each successful [next], yields
-      the block's access specs — required by the [Lanes] executor
-      ([`Per_block] and [`Pipelined] only) and by Block-STM configs that
-      seed from specs or use [Spec_dag].
+      the block's access specs — required by the [Lanes] executor and by
+      Block-STM configs that seed from specs or use [Spec_dag].
 
       An exception raised by state maintenance on the digest worker (e.g.
       from [hash_loc]) stops that worker and is re-raised here; blocks
@@ -398,9 +378,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       'o block_commit list * stream_stats =
     let reg = Metrics.create ~max_domains:1 () in
     let c_idle = Metrics.counter reg "inter_block_idle_ns" in
-    let c_spec_aborts = Metrics.counter reg "speculation_aborts" in
     let h_depth = Metrics.histogram reg "mempool_depth" in
-    let idle_ns = ref 0 and spec_aborts = ref 0 in
+    let idle_ns = ref 0 in
     let blocks = ref 0 and ntxns = ref 0 in
     let commits = ref [] in
     (* Record a finalized commit of this stream (the chain list was already
@@ -425,26 +404,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     in
     let finish_stream () =
       Metrics.add c_idle !idle_ns;
-      Metrics.add c_spec_aborts !spec_aborts;
       ( List.rev !commits,
-        {
-          s_blocks = !blocks;
-          s_txns = !ntxns;
-          s_idle_ns = !idle_ns;
-          s_spec_aborts = !spec_aborts;
-          s_registry = reg;
-        } )
-    in
-    (* `Pipelined and `Speculative defer each commit by one block: resolve
-       the previous block's pending commit, whose root overlapped the block
-       just executed. *)
-    let pending = ref None in
-    let resolve () =
-      Option.iter
-        (fun c ->
-          pending := None;
-          emit (c ()))
-        !pending
+        { s_blocks = !blocks; s_txns = !ntxns; s_idle_ns = !idle_ns;
+          s_registry = reg } )
     in
     match mode with
     | `Per_block ->
@@ -460,9 +422,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (* The digest worker computes block h's root while block h+1
            executes: the root job writes no state the executor reads (flat:
            a pure fold; Merkle: only the digest arrays). Block h+1's delta
-           is folded only after [resolve] proved that root finished. *)
+           is folded only after the previous block's pending commit, whose
+           root overlapped this block's execution, has resolved. *)
         let dw = Dworker.create () in
-        let rec go () =
+        let rec go pending =
+          let resolve () = Option.iter (fun c -> emit (c ())) pending in
           match fetch () with
           | None ->
               resolve ();
@@ -474,137 +438,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               in
               resolve ();
               apply_state_delta t snapshot;
-              pending :=
-                Some
-                  (pending_commit t ~txn_count:(Array.length txns) r
-                     ~root:(Dworker.future dw (fun () -> state_root t)));
-              go ()
-        in
-        go ()
-    | `Speculative ->
-        let cfg =
-          match t.executor with
-          | Block_stm ({ sched = Optimistic _; _ } as c) -> c
-          | Block_stm { sched = Spec_dag; _ } | Sequential | Lanes _ ->
-              invalid_arg
-                "Chain.execute_stream: `Speculative requires a Block_stm \
-                 executor with an Optimistic schedule"
-        in
-        let ndom = cfg.Bstm.num_domains in
-        let dw = Dworker.create () in
-        let ov = Overlay.create () in
-        (* Frozen stream-start state: the immutable tier every speculative
-           read bottoms out in. The live store is only touched by the digest
-           worker (and read by nobody) until the stream ends. *)
-        let frozen = Store.copy (state t) in
-        let frozen_read = Store.reader frozen in
-        let spawn_worker inst i =
-          Domain.spawn (fun () -> Bstm.worker_loop ~worker:i inst)
-        in
-        (* Build the next block's speculative instance: reads go overlay →
-           (wait, if the predecessor advertises a write) → frozen base, all
-           stamped with the overlay generation (DESIGN.md §14). *)
-        let make_spec ~pred ?specs txns =
-          let epoch0 = Overlay.epoch ov in
-          let v0 = Overlay.version ov in
-          let pending_loc =
-            match pred with
-            | None -> fun _ -> false
-            | Some pinst -> fun loc -> Bstm.pending_location pinst loc
-          in
-          let probe loc =
-            match Overlay.find ov loc with
-            | Some v -> Intf.Hit (Some v)
-            | None ->
-                if pending_loc loc then
-                  Intf.Cold
-                    (fun () ->
-                      match Overlay.wait ov loc ~epoch:epoch0 with
-                      | Some v -> Some v
-                      | None -> frozen_read loc)
-                else Intf.Hit (frozen_read loc)
-          in
-          let storage loc =
-            match probe loc with Intf.Hit v -> v | Intf.Cold f -> f ()
-          in
-          let inst =
-            Bstm.create_instance ~config:cfg ~gen:(Overlay.gen ov) ~probe
-              ?specs ~storage ~on_flush:(Overlay.apply_batch ov) txns
-          in
-          (inst, v0)
-        in
-        (* Wait out the current block (the driver lends itself as a worker),
-           finalize it, and queue its delta fold and root on the digest
-           worker. Nobody else reads the live store — speculative reads go to
-           the overlay and the frozen base — so the fold overlaps the
-           successor's execution. *)
-        let finish_cur (inst, workers, txn_count, pre_aborts) =
-          Bstm.worker_loop inst;
-          List.iter Domain.join workers;
-          let res = Bstm.finalize inst in
-          (match pre_aborts with
-          | None -> ()
-          | Some pre ->
-              let m = res.Bstm.metrics in
-              spec_aborts :=
-                !spec_aborts + (m.Bstm.validation_aborts - pre));
-          let snapshot = res.Bstm.snapshot in
-          let c =
-            pending_commit t ~txn_count
-              (snapshot, res.Bstm.outputs, Some res.Bstm.metrics)
-              ~root:
-                (Dworker.future dw (fun () ->
-                     apply_state_delta t snapshot;
-                     state_root t))
-          in
-          resolve ();
-          pending := Some c
-        in
-        let rec go cur =
-          match fetch () with
-          | None ->
-              Option.iter finish_cur cur;
-              Overlay.seal ov;
-              resolve ();
-              Dworker.stop dw;
-              finish_stream ()
-          | Some txns ->
-              let pred =
-                match cur with Some (i, _, _, _) -> Some i | None -> None
-              in
-              let inst, v0 = make_spec ~pred ?specs:(fetch_specs ()) txns in
-              (* One domain starts speculating right away; the rest of the
-                 budget joins after the promotion below. *)
-              let specd = if ndom >= 2 then [ spawn_worker inst 0 ] else [] in
-              (try Option.iter finish_cur cur
-               with e ->
-                 let bt = Printexc.get_raw_backtrace () in
-                 (* E.g. a failed digest job: let the speculating successor
-                    run out, so no worker domain outlives the stream. *)
-                 Overlay.seal ov;
-                 Bstm.base_sealed inst;
-                 Bstm.worker_loop inst;
-                 List.iter Domain.join specd;
-                 Printexc.raise_with_backtrace e bt);
-              Overlay.seal ov;
-              (* Promote: the predecessor's stream has fully landed in the
-                 overlay. Sample aborts-so-far first — everything after this
-                 point is a speculation casualty (the seal-time
-                 revalidation), everything before is ordinary intra-block
-                 conflict. *)
-              let pre =
-                match pred with
-                | None -> None
-                | Some _ ->
-                    Some (Bstm.metrics_of inst).Bstm.validation_aborts
-              in
-              Bstm.base_sealed ~changed:(Overlay.version ov <> v0) inst;
-              let extra =
-                List.init
-                  (max 0 (ndom - 1 - List.length specd))
-                  (fun i -> spawn_worker inst (i + 1))
-              in
-              go (Some (inst, specd @ extra, Array.length txns, pre))
+              go
+                (Some
+                   (pending_commit t ~txn_count:(Array.length txns) r
+                      ~root:(Dworker.future dw (fun () -> state_root t))))
         in
         go None
 

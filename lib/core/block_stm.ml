@@ -193,17 +193,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (* Non-blocking storage view. When present, the VM's storage
            fall-through goes through it, and a [Cold] answer suspends the
            transaction across the fetch. *)
-    gen : (L.t -> int) option;
-        (* Per-location generation stamps of the cross-block overlay
-           (cross-block mode): sampled BEFORE the storage fall-through value
-           so a concurrent overlay update can only make the recorded stamp
-           stale — failing validation — never let a new value slip through
-           under an old stamp. *)
-    gate : bool Atomic.t;
-        (* Commit gate (cross-block mode): [maybe_commit] is a no-op while
-           the gate is closed, because rolling commits are terminal and must
-           not happen against a base that can still change. Opened by
-           [base_sealed], strictly after the final revalidation demand. *)
     mv : Mv.t;
     sched : Scheduler.t;
     dag : Spec_dag.t option;
@@ -215,7 +204,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            other transaction's, so its reads can never be invalidated — its
            validation tasks short-circuit to success ([spec_skips]) and, in
            targeted mode, its reads skip the reader registries. All-false
-           unless [specs] were given without [gen] (DESIGN.md §15). *)
+           unless [specs] were given (DESIGN.md §15). *)
     (* The config, resolved once by [create_instance] (Spec_dag resolves to
        the inert defaults), so each hot-path check is one load. *)
     estimates : bool;  (* [Estimates] marking; [false]: remove on abort. *)
@@ -225,7 +214,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     resumable : bool;
         (* An execution may park a continuation: [suspend], or a [probe]
            whose cold misses suspend. *)
-    rolling : bool;  (* [rolling_commit], or implied by [gen]. *)
+    rolling : bool;
     deltas : bool;
     record_exec : bool;
     outputs : 'o txn_output option array;
@@ -271,11 +260,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            after all domains join. Each incarnation overwrites, so the final
            value is the committed incarnation's. *)
     on_commit : (int -> 'o txn_output -> unit) option;
-    on_flush : ((L.t * V.t) array -> unit) option;
-        (* Committed-prefix flush sink: in rolling mode forwarded to
-           MVMemory's [flush_committed ~on_batch], which delivers batches in
-           commit order from inside its flush critical section; in lazy
-           mode called once by [finalize] with the whole snapshot. *)
   }
 
   and 'o suspension_slot = 'o suspension option Atomic.t
@@ -469,9 +453,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     done;
     preds
 
-  let create_instance ?(config = default_config) ?trace ?on_commit ?on_flush
-      ?probe ?gen ?specs ?loc_namespace ~storage (txns : 'o txn array) :
-      'o instance =
+  let create_instance ?(config = default_config) ?trace ?on_commit ?probe
+      ?specs ?loc_namespace ~storage (txns : 'o txn array) : 'o instance =
     let n = Array.length txns in
     if config.num_domains < 1 then
       invalid_arg "Block_stm: num_domains must be >= 1";
@@ -492,10 +475,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       match config.sched with
       | Optimistic o -> (o, None)
       | Spec_dag ->
-          if gen <> None then
-            (* Cross-block speculation revalidates at the seal, which a
-               schedule without validation cannot do. *)
-            invalid_arg "Block_stm: gen requires an Optimistic schedule";
           (* Every transaction executes exactly once, so the default
              optimistic options (estimates and prevalidation aside, all off)
              are inert: nothing aborts and nothing re-executes. *)
@@ -508,7 +487,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           (true, validation = Targeted, seed_from_specs)
       | Remove_on_abort -> (false, false, false)
     in
-    let mv = Mv.create ~targeted ~storage ?gen ~block_size:n () in
+    let mv = Mv.create ~targeted ~storage ~block_size:n () in
     if seed then
       Array.iteri
         (fun j s ->
@@ -517,11 +496,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               Mv.prefill_estimates mv j locs
           | _ -> ())
         (need_specs "seed_from_specs");
-    (* Cross-block speculation (DESIGN.md §14) leans on the rolling
-       machinery: dirty stamps invalidate stale commit proofs on the
-       seal-time pullback, and the commit gate holds commits until then. *)
-    let cross_block = gen <> None in
-    let rolling = o.rolling_commit || cross_block in
+    let rolling = o.rolling_commit in
     let obs =
       (* 13 stat slots + 4 named counters; leave headroom for probes. *)
       Metrics.create ~max_domains:(config.num_domains + 1) ~max_counters:24 ()
@@ -531,20 +506,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       txns;
       storage;
       probe;
-      gen;
-      gate = Atomic.make (not cross_block);
       mv;
       dag;
       indep =
-        (* Specs prove transactions disjoint from each other, not from the
-           predecessor block: in a cross-block instance the base can move
-           under a read, and only the read-set walk catches that. *)
         (match specs with
-        | Some sp when Option.is_none dag && not cross_block ->
+        | Some sp when Option.is_none dag ->
             spec_independence ?loc_namespace sp
         | _ -> Array.make n false);
-      sched =
-        Scheduler.create ~rolling ~targeted ~hold:cross_block ~block_size:n ();
+      sched = Scheduler.create ~rolling ~targeted ~block_size:n ();
       estimates;
       targeted;
       prevalidate = o.prevalidate_reads;
@@ -572,7 +541,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       commit_ns = (if rolling then Array.make n (-1) else [||]);
       exec_ns = (if config.record_exec_ns then Array.make n 0 else [||]);
       on_commit;
-      on_flush;
     }
 
   (* ---------------------------------------------------------------------- *)
@@ -658,27 +626,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     let nreads = ref 0 in
     (* Storage fall-through, routed through the non-blocking probe when one
        is wired. A [Cold] miss suspends the transaction across the fetch;
-       the retried probe after resumption hits the warmed cache. Returns the
-       read-set descriptor along with the value: plain [Storage] normally,
-       or the overlay generation stamp in cross-block mode — sampled before
-       the value (and re-sampled on every probe retry), so a concurrent
-       overlay update makes the stamp stale rather than the value
-       unvalidated. *)
-    let origin_of loc =
-      match inst.gen with
-      | None -> Read_origin.Storage
-      | Some g -> Read_origin.Storage_gen (g loc)
-    in
+       the retried probe after resumption hits the warmed cache. *)
     let storage_read loc =
       match inst.probe with
-      | None ->
-          let o = origin_of loc in
-          (o, inst.storage loc)
+      | None -> inst.storage loc
       | Some probe ->
           let rec go () =
-            let o = origin_of loc in
             match probe loc with
-            | Intf.Hit v -> (o, v)
+            | Intf.Hit v -> v
             | Intf.Cold fetch ->
                 Effect.perform (Cold_read (fun () -> ignore (fetch ())));
                 go ()
@@ -708,8 +663,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                     end
                     else raise (Dependency blocking_txn_idx)
                 | Mv.Not_found ->
-                    let o, v = storage_read loc in
-                    push_read sc (loc, o);
+                    let v = storage_read loc in
+                    push_read sc (loc, Read_origin.Storage);
                     v
                 | Mv.Ok (version, value) ->
                     push_read sc (loc, Read_origin.Mv version);
@@ -777,11 +732,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                 | Mv.Merged { value } -> Some value
                 | Mv.Ok (_, value) -> V.as_counter value
                 | Mv.Not_found -> (
-                    (* The stamp is dropped: delta descriptors (Range /
-                       Counter / Not_counter) re-materialize through the
-                       current base at validation time, so an overlay change
-                       is caught by the value predicate itself. *)
-                    match snd (storage_read loc) with
+                    match storage_read loc with
                     | None -> Some 0 (* absent counts as 0 *)
                     | Some v -> V.as_counter v)
               in
@@ -1237,47 +1188,16 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       sweep and flush newly committed transactions out of MVMemory. Returns
       the number of transactions committed by this call. *)
   let maybe_commit (inst : 'o instance) : int =
-    if (not inst.rolling) || not (Atomic.get inst.gate) then 0
+    if not inst.rolling then 0
     else begin
       let n =
         Scheduler.try_advance_commit inst.sched ~on_commit:(commit_one inst)
       in
       if n > 0 then
-        Mv.flush_committed ?on_batch:inst.on_flush inst.mv
+        Mv.flush_committed inst.mv
           ~upto:(Scheduler.committed_prefix inst.sched);
       n
     end
-
-  (* Cross-block speculation driver hooks (DESIGN.md §14). *)
-
-  (** The predecessor block's stream of committed writes has ended and the
-      base storage this instance reads through is final. [changed] (default
-      [true]): whether the base actually changed since the instance was
-      created — when it did, every transaction is pulled back for
-      revalidation (stamping the rolling dirty waves, so commit proofs
-      claimed against the mutable base cannot commit); only then is the
-      commit gate opened and the scheduler's completion hold released. The
-      order matters: a commit that passes the gate necessarily postdates the
-      pullback, so its proof wave reflects the sealed base. *)
-  let base_sealed ?(changed = true) (inst : _ instance) : unit =
-    if inst.gen = None then
-      invalid_arg
-        "Block_stm: base_sealed requires an instance created with gen";
-    if changed then Scheduler.demand_revalidation inst.sched ~from_idx:0;
-    Atomic.set inst.gate true;
-    Scheduler.release_hold inst.sched
-
-  (** Whether any transaction of this block has (so far) published a write
-      or delta to [loc] — the successor's cold-read predicate: a location
-      this block never touches can be read from the pre-block base without
-      waiting. A later first write still invalidates such a read through its
-      generation stamp; this is a wait-avoidance heuristic, not a safety
-      condition. Reading at [txn_idx = block_size] sees every entry and
-      registers no reader. *)
-  let pending_location (inst : _ instance) (loc : L.t) : bool =
-    match Mv.read inst.mv loc ~txn_idx:(Array.length inst.txns) with
-    | Mv.Not_found -> false
-    | Mv.Ok _ | Mv.Merged _ | Mv.Read_error _ -> true
 
   let worker_loop ?(worker = 0) (inst : _ instance) : unit =
     let stats = fresh_stats () in
@@ -1368,9 +1288,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let finalize (inst : 'o instance) : 'o result =
     let n = Array.length inst.txns in
-    if not (Atomic.get inst.gate) then
-      failwith
-        "Block_stm: finalize on a cross-block instance before base_sealed";
     if inst.targeted then begin
       (* Sync the scheduler-sourced targeted counters into the registry (so
          JSON exports carry them) and sample registry occupancy. [finalize]
@@ -1392,7 +1309,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       if prefix <> n then
         Fmt.failwith "Block_stm: rolling commit stalled at %d/%d transactions"
           prefix n;
-      Mv.flush_committed ?on_batch:inst.on_flush inst.mv ~upto:n
+      Mv.flush_committed inst.mv ~upto:n
     end;
     (* The paper's final snapshot, one pass over the affected locations
        (DESIGN.md §4). *)
@@ -1403,12 +1320,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           | Some o -> o
           | None -> Fmt.failwith "Block_stm: transaction %d has no output" j)
     in
-    if not inst.rolling then begin
-      (* The whole block commits at once: the hooks fire here, in the same
-         order a rolling sweep would fire them. *)
+    if not inst.rolling then
+      (* The whole block commits at once: the hook fires here, in the same
+         order a rolling sweep would fire it. *)
       Option.iter (fun f -> Array.iteri f outputs) inst.on_commit;
-      Option.iter (fun f -> f (Array.of_list snapshot)) inst.on_flush
-    end;
     {
       snapshot;
       outputs;
@@ -1421,10 +1336,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       its preset serialization order. Spawns [config.num_domains - 1] extra
       domains and participates with the calling domain. *)
   let run ?(config = default_config) ?specs ?loc_namespace ?trace ?on_commit
-      ?on_flush ?probe ~storage (txns : 'o txn array) : 'o result =
+      ?probe ~storage (txns : 'o txn array) : 'o result =
     let inst =
-      create_instance ~config ?specs ?loc_namespace ?trace ?on_commit ?on_flush
-        ?probe ~storage txns
+      create_instance ~config ?specs ?loc_namespace ?trace ?on_commit ?probe
+        ~storage txns
     in
     if Array.length txns = 0 then
       {

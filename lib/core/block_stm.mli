@@ -84,11 +84,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
       The configuration is shaped so that every value runs: options that
       only exist for the optimistic scheduler live inside [Optimistic],
-      and options that need ESTIMATE markers inside [Estimates]. Two
-      {!create_instance} arguments imply modes of their own: [?probe] makes
-      cold storage misses suspend the transaction (DESIGN.md §13), and
-      [?gen] makes the instance a cross-block speculation with rolling
-      commit (DESIGN.md §14). *)
+      and options that need ESTIMATE markers inside [Estimates]. One
+      {!create_instance} argument implies a mode of its own: [?probe] makes
+      cold storage misses suspend the transaction (DESIGN.md §13). *)
 
   (** Which transactions a write revalidates. *)
   type validation =
@@ -137,8 +135,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
             block-at-once commit (Lemma 2): workers opportunistically advance
             the scheduler's commit sweep as they loop, committed transactions
             are flushed out of MVMemory into a committed-base table, and the
-            [on_commit]/[on_flush] hooks fire as the prefix grows. The final
-            snapshot and outputs are identical to the lazy mode. *)
+            [on_commit] hook fires as the prefix grows. The final snapshot
+            and outputs are identical to the lazy mode. *)
     delta_ops : bool;
         (** Commutative delta entries for hotspot state (DESIGN.md §12):
             [Txn.effects.delta] operations publish bounded add/sub deltas as
@@ -205,9 +203,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?config:config ->
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
-    ?on_flush:((L.t * V.t) array -> unit) ->
     ?probe:(L.t, V.t) Intf.storage_nb ->
-    ?gen:(L.t -> int) ->
     ?specs:L.t Access_spec.t array ->
     ?loc_namespace:(L.t -> string) ->
     storage:(L.t, V.t) Intf.storage ->
@@ -221,11 +217,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       rolling commit it fires as the prefix commits, from whichever domain
       advances the commit sweep, under the scheduler's commit mutex (keep it
       cheap); otherwise it fires for the whole block at {!finalize}.
-      [on_flush batch] streams the [(location, committed value)] pairs: under
-      rolling commit, each committed-prefix flush folded into MVMemory's
-      committed base, in commit order, from inside the flush critical
-      section (keep it cheap: enqueue, don't process); otherwise the whole
-      snapshot once, at {!finalize}, after the [on_commit] calls.
 
       [probe] is a non-blocking storage view. When given it replaces
       [storage] in the VM's fall-through reads ([storage] must agree with
@@ -235,31 +226,21 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       re-validating the read prefix and resuming the continuation
       (DESIGN.md §13). Without a probe, a slow storage read is paid inline.
 
-      [gen] is the cross-block overlay's per-location generation stamp and
-      makes the instance a cross-block speculation (DESIGN.md §14), which
-      implies rolling commit: storage fall-through reads sample it {e before}
-      the value and record it in the read-set, rolling commits are gated
-      shut and the scheduler's completion is held until the driver calls
-      {!base_sealed}. Requires an [Optimistic] schedule.
-
       [specs] (one per transaction) are static access specifications
       (DESIGN.md §15): sound over-approximations of each transaction's
       dynamic read and write sets. Supplying them opts into spec-driven
       independence skipping — transactions whose specs are all-[Exact] and
       provably disjoint from every other transaction's spec skip the
       validation read-set walk (counted in [metrics.spec_skips]) and, under
-      [Targeted] validation, skip reader registration. A cross-block
-      instance ([gen]) skips nothing: specs say nothing about the
-      predecessor block, whose commits can still invalidate any storage
-      read until {!base_sealed}. They also feed
+      [Targeted] validation, skip reader registration. They also feed
       [seed_from_specs] and [Spec_dag], which require them. A spec that
       under-declares an access is {b unsound} and voids the determinism
       guarantee. [loc_namespace] assigns each location the namespace string
       matched by [Access_spec.Wildcard] entries; when omitted, wildcards
       conservatively overlap every location.
       @raise Invalid_argument if [config.num_domains < 1], [trace] has too
-      few workers, [specs] mismatches the block length or is missing where
-      the schedule needs it, or [gen] is given with [Spec_dag]. *)
+      few workers, or [specs] mismatches the block length or is missing
+      where the schedule needs it. *)
 
   val sched : 'o instance -> Scheduler.t
   (** The collaborative scheduler driving this instance — exposed for the
@@ -304,27 +285,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       committed by this call. The engine's own {!worker_loop} calls this
       every iteration under rolling commit; external drivers (the
       virtual-time simulator) may call it between {!step}s. No-op returning
-      0 without rolling commit, and while a cross-block instance's commit
-      gate is closed — i.e. before {!base_sealed}. *)
-
-  val base_sealed : ?changed:bool -> 'o instance -> unit
-  (** Cross-block speculation (DESIGN.md §14): declare the base storage this
-      instance reads through final. When [changed] (default [true]), first
-      demands revalidation of the whole block — invalidating every commit
-      proof claimed while the base could still move — then opens the commit
-      gate and releases the scheduler's completion hold, letting the
-      still-running workers revalidate, commit and finish. Must be called
-      exactly once per cross-block instance, from any domain, before
-      {!finalize} can succeed. Pass [~changed:false] only when the base
-      storage is known byte-identical to its state at instance creation.
-      @raise Invalid_argument unless the instance was created with [gen]. *)
-
-  val pending_location : 'o instance -> L.t -> bool
-  (** Whether any transaction of this block has so far published a write or
-      delta to the location — the successor block's wait-avoidance
-      predicate: locations this returns [false] for can be served from the
-      pre-block base without waiting for the commit stream (a later first
-      write is still caught by generation-stamp validation). *)
+      0 without rolling commit. *)
 
   (** What a single engine step did — consumed by the virtual-time simulator
       for cost accounting, and by tests. *)
@@ -377,9 +338,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** Read out the result. Call only after all workers have finished. In
       rolling-commit mode this drains the commit sweep (firing any remaining
       [on_commit] hooks) and serves the snapshot from the committed base;
-      otherwise it computes the paper's lazy block-at-once snapshot in
-      parallel over the affected locations and fires the [on_commit] and
-      [on_flush] hooks for the whole block.
+      otherwise it computes the paper's lazy block-at-once snapshot in one
+      pass over the affected locations and fires the [on_commit] hook for
+      the whole block.
       @raise Failure if some transaction never produced an output. *)
 
   val run :
@@ -388,7 +349,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?loc_namespace:(L.t -> string) ->
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
-    ?on_flush:((L.t * V.t) array -> unit) ->
     ?probe:(L.t, V.t) Intf.storage_nb ->
     storage:(L.t, V.t) Intf.storage ->
     'o txn array ->

@@ -32,13 +32,6 @@ type t =
   | Not_counter
       (** Delta op hit a non-integer value: valid iff the location still
           materializes to a present non-integer. *)
-  | Storage_gen of int
-      (** Cross-block speculation (DESIGN.md §14): the read came from the
-          streaming committed-prefix overlay of the predecessor block, which
-          stamps every location with a monotone generation counter. Valid iff
-          the location's current generation still equals the recorded one —
-          a predecessor commit that changed the value bumps the generation
-          and fails the comparison, forcing re-execution. *)
 
 let equal a b =
   match (a, b) with
@@ -47,12 +40,10 @@ let equal a b =
   | Range a, Range b -> a.rlo = b.rlo && a.rhi = b.rhi
   | Counter x, Counter y -> Int.equal x y
   | Not_counter, Not_counter -> true
-  | Storage_gen x, Storage_gen y -> Int.equal x y
   | _ -> false
 
 let pp ppf = function
   | Storage -> Fmt.string ppf "storage"
-  | Storage_gen g -> Fmt.pf ppf "storage@gen=%d" g
   | Mv v -> Fmt.pf ppf "mv%a" Version.pp v
   | Range { rlo; rhi } -> Fmt.pf ppf "range[%d,%d]" rlo rhi
   | Counter c -> Fmt.pf ppf "counter=%d" c

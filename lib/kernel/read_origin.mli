@@ -16,11 +16,6 @@ type t =
   | Not_counter
       (** Delta op hit a non-integer value: valid iff the location still
           materializes to a present non-integer. *)
-  | Storage_gen of int
-      (** Cross-block speculation (DESIGN.md §14): read served by the
-          predecessor block's committed-prefix overlay, recorded with the
-          location's generation stamp; valid iff the generation is
-          unchanged. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

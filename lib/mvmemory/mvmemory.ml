@@ -150,14 +150,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             materialization is sound). [fun _ -> None] when the instance is
             created without [?storage] — fine as long as no delta entries
             are ever published. *)
-    gen : (L.t -> int) option;
-        (** Cross-block speculation (DESIGN.md §14): generation stamp of a
-            storage location. Unlike the paper's pre-block storage, a
-            speculative instance's base storage is the predecessor block's
-            streaming committed-prefix overlay, which {e does} change during
-            execution; [validate_origin] checks a recorded [Storage_gen]
-            descriptor against the current stamp. [None] on paper-path
-            instances (base storage constant, plain [Storage] descriptors). *)
     (* Rolling-commit flush state: [flushed_upto] is the length of the
        committed prefix already folded into the per-cell [base] entries.
        Guarded by [flush_mutex]; read via {!flushed_upto} without it. *)
@@ -177,7 +169,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let fresh_table capacity = Array.make capacity vacant
 
   let create ?(nshards = 64) ?(writes_per_txn = 4) ?(targeted = false)
-      ?(reader_slots = 64) ?(storage = fun _ -> None) ?gen ~block_size () =
+      ?(reader_slots = 64) ?(storage = fun _ -> None) ~block_size () =
     if block_size < 0 then invalid_arg "Mvmemory.create: negative block_size";
     if nshards <= 0 then invalid_arg "Mvmemory.create: nshards must be > 0";
     if writes_per_txn < 0 then
@@ -206,7 +198,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       targeted;
       reader_cap = reader_slots;
       base_storage = storage;
-      gen;
       flush_mutex = Mutex.create ();
       flushed_upto = 0;
     }
@@ -776,16 +767,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         match materialize t loc ~txn_idx with
         | M_other -> true
         | M_int _ | M_blocked -> false)
-    | Storage_gen g -> (
-        (* Cross-block speculation (DESIGN.md §14): valid iff no lower
-           transaction has written the location since AND the base-storage
-           overlay still serves the generation the read observed. The stamp
-           is sampled before the value on the read side, so an unchanged
-           generation certifies an unchanged value. *)
-        match read t loc ~txn_idx with
-        | Not_found -> (
-            match t.gen with Some f -> f loc = g | None -> false)
-        | Ok _ | Merged _ | Read_error _ -> false)
     | Storage | Mv _ -> (
         match (read t loc ~txn_idx, origin) with
         | Read_error _, _ -> false (* previously read something, now ESTIMATE *)
@@ -879,15 +860,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       flush (same value, same version descriptor): each per-cell base
       promotion is a single snapshot CAS, so no reader ever sees the entry
       both gone from the chain and absent from the base. *)
-  let flush_committed ?on_batch t ~(upto : int) : unit =
+  let flush_committed t ~(upto : int) : unit =
     if upto < 0 || upto > t.block_size then
       invalid_arg "Mvmemory.flush_committed: upto out of range";
     Mutex.lock t.flush_mutex;
-    (* Flushed (loc, committed value) pairs for [on_batch], in ascending-[j]
-       order. Collected AFTER each cell update succeeds — [cell_update] is a
-       CAS retry loop, so side effects inside the update function could fire
-       more than once. *)
-    let batch = ref [] in
     for j = t.flushed_upto to upto - 1 do
       (* [last_written] is final for a committed transaction. Ascending [j]
          keeps the base at the highest committed writer per location. *)
@@ -937,26 +913,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                       (* A committed transaction has no unresolved
                          estimates. *)
                       assert false
-                  | None -> s);
-              (match on_batch with
-              | None -> ()
-              | Some _ -> (
-                  (* The promotion above is the only base writer (we hold
-                     the flush mutex), so the cell's base now holds [j]'s
-                     committed value for [loc]; concurrent [record]s only
-                     touch the version chain. *)
-                  match (Atomic.get cell).base with
-                  | Some (_, v) -> batch := (loc, v) :: !batch
-                  | None -> () (* defensive: entry already gone, no base *))))
+                  | None -> s))
         (Atomic.get t.last_written.(j))
     done;
     if upto > t.flushed_upto then t.flushed_upto <- upto;
-    (* Deliver before unlocking: callbacks observe flush batches in commit
-       order even when rolling commits race on this mutex. *)
-    (match on_batch with
-    | Some f when !batch <> [] ->
-        f (Array.of_list (List.rev !batch))
-    | _ -> ());
     Mutex.unlock t.flush_mutex
 
   (** Prefix length already folded into the committed base. *)

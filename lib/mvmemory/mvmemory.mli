@@ -74,7 +74,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?targeted:bool ->
     ?reader_slots:int ->
     ?storage:(L.t -> V.t option) ->
-    ?gen:(L.t -> int) ->
     block_size:int ->
     unit ->
     t
@@ -97,15 +96,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       plain write below the reader. It must be supplied (and constant for
       the block) by any caller that records delta sets; instances that never
       publish delta entries can omit it.
-
-      [gen] (default absent) is the storage generation stamp for cross-block
-      speculation (DESIGN.md §14): when the base storage is a predecessor
-      block's streaming committed-prefix overlay (and therefore mutable
-      during execution), the engine records [Read_origin.Storage_gen]
-      descriptors stamped with [gen loc], and {!validate_origin} compares
-      the recorded stamp against the current one — an overlay mutation bumps
-      the stamp and fails the comparison. Paper-path instances omit it and
-      keep the constant-storage [Storage] descriptor.
       @raise Invalid_argument on negative [block_size] or [writes_per_txn],
       non-positive [nshards], or [reader_slots < 1]. *)
 
@@ -236,10 +226,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       {- [Counter c] (an exact materialized integer was observed):
          re-materialize and require equality with [c];}
       {- [Not_counter] (a delta op observed a non-integer anchor): require
-         the location still to materialize to a non-integer;}
-      {- [Storage_gen g] (cross-block speculation, DESIGN.md §14): require
-         that no lower transaction wrote the location {e and} the instance's
-         [gen] stamp still equals [g].}}
+         the location still to materialize to a non-integer.}}
       The materializing branches never register a reader; the
       [Storage]/[Mv] branches go through {!read}, whose targeted-mode
       registration is an idempotent no-op here (the descriptor being
@@ -264,7 +251,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   (** {2 Rolling-commit flush} *)
 
-  val flush_committed : ?on_batch:((L.t * V.t) array -> unit) -> t -> upto:int -> unit
+  val flush_committed : t -> upto:int -> unit
   (** Fold the committed prefix [0, upto) into a per-location committed-base
       entry and prune those entries from the version chains, shrinking
       {!entry_count} as the prefix advances (the read fast-path falls back
@@ -276,13 +263,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       [Range] validation guarantees the fold stays in bounds. Only call with
       [upto] at most the scheduler's committed prefix. Thread-safe and
       idempotent.
-
-      [on_batch], if given, receives the [(location, committed value)] pairs
-      this call flushed (ascending transaction order; empty flushes deliver
-      nothing). It is invoked {e inside} the flush critical section, so
-      batches are observed in commit order even when rolling commits race —
-      keep it cheap (enqueue, don't process): every committing worker
-      serializes behind it.
       @raise Invalid_argument if [upto] is negative or exceeds the block
       size. *)
 

@@ -87,14 +87,6 @@ type t = {
   decrease_cnt : int Atomic.t;
   num_active_tasks : int Atomic.t;
   done_marker : bool Atomic.t;
-  (* Cross-block speculation (DESIGN.md §14): while [hold] is set,
-     [check_done] refuses to certify completion. [done_marker] never
-     reverts, so a speculative instance whose predecessor is still streaming
-     commits must not be allowed to observe "done" before the final overlay
-     state has been revalidated; the chain driver calls [release_hold] only
-     after the predecessor block sealed and a last revalidation pass was
-     demanded. *)
-  hold : bool Atomic.t;
   status : txn_state array;
   deps : dep_state array;
   (* Rolling-commit state. [pullback_marker] counts validation pullbacks;
@@ -126,8 +118,7 @@ type t = {
    task claim CASes one of them — and the per-txn dirty/proof/status slots
    are hammered by neighbouring indices, so all of them are padded onto
    their own cache lines (DESIGN.md §9). *)
-let create ?(rolling = false) ?(targeted = false) ?(hold = false) ~block_size
-    () =
+let create ?(rolling = false) ?(targeted = false) ~block_size () =
   if block_size < 0 then invalid_arg "Scheduler.create: negative block_size";
   let padded_atomic = Atomic_util.padded_atomic in
   let per_txn f = Atomic_util.init_array block_size f in
@@ -140,7 +131,6 @@ let create ?(rolling = false) ?(targeted = false) ?(hold = false) ~block_size
     decrease_cnt = padded_atomic 0;
     num_active_tasks = padded_atomic 0;
     done_marker = padded_atomic false;
-    hold = padded_atomic hold;
     status =
       per_txn (fun _ ->
           Atomic_util.pad
@@ -203,14 +193,6 @@ let decrease_validation_idx t ~target_idx =
 (* The wave a validation claimed now would carry. *)
 let current_wave t = Atomic.get t.pullback_marker
 
-(* External revalidation demand (cross-block speculation): the speculative
-   instance's base storage — the predecessor's streaming overlay — changed
-   under it, so every transaction from [from_idx] up must be revalidated.
-   Exactly a validation pullback: the dirty stamp invalidates stale commit
-   proofs and the index pullback reschedules the sweep. *)
-let demand_revalidation t ~from_idx =
-  decrease_validation_idx t ~target_idx:(max 0 from_idx)
-
 (* Targeted counterpart of a validation pullback: stamp exactly the
    transactions whose recorded reads the mutation invalidated, instead of
    pulling [validation_idx] back over the whole suffix. Same ordering
@@ -257,14 +239,8 @@ let mark_readers t ~(readers : int list) : unit =
    increments the active count before consuming its flag, so a claim
    in-flight between the two reads is visible in one of them (the same
    publish-intent-before-consuming-the-token discipline as the index
-   counters). [hold] is read first: the driver demands the seal-time
-   revalidation before it releases the hold, so a check that sees the hold
-   released also sees that pullback in every counter it reads afterwards.
-   Read last, it could pair counters sampled before the pullback with a
-   hold sampled after the release, and latch [done_marker] with the
-   revalidation never run. *)
+   counters). *)
 let check_done t =
-  let held = Atomic.get t.hold in
   let observed_cnt = Atomic.get t.decrease_cnt in
   let e = Atomic.get t.execution_idx in
   let v = Atomic.get t.validation_idx in
@@ -272,20 +248,11 @@ let check_done t =
   let active = Atomic.get t.num_active_tasks in
   let cnt_now = Atomic.get t.decrease_cnt in
   if
-    (not held)
-    && min e v >= t.block_size
+    min e v >= t.block_size
     && pending = 0 && active = 0 && observed_cnt = cnt_now
   then Atomic.set t.done_marker true
 
 let done_ t = Atomic.get t.done_marker
-
-let held t = Atomic.get t.hold
-
-(* Releasing the hold does not set [done_marker] by itself: workers (or the
-   finalization loop) re-run [check_done] on their next empty [next_task]
-   poll, which re-collects the counters and certifies completion only if it
-   genuinely holds. *)
-let release_hold t = Atomic.set t.hold false
 
 (* --- Status helpers ------------------------------------------------------ *)
 
@@ -686,20 +653,16 @@ let require_rolling t fn =
     the commit mutex. Returns the number of transactions committed. *)
 let try_advance_commit t ~on_commit : int =
   require_rolling t "try_advance_commit";
-  if Mutex.try_lock t.commit_mutex then begin
-    let n = sweep_commits t ~on_commit in
-    Mutex.unlock t.commit_mutex;
-    n
-  end
+  if Mutex.try_lock t.commit_mutex then
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.commit_mutex)
+      (fun () -> sweep_commits t ~on_commit)
   else 0
 
 (** Blocking variant of {!try_advance_commit}, for finalization. *)
 let advance_commit t ~on_commit : int =
   require_rolling t "advance_commit";
-  Mutex.lock t.commit_mutex;
-  let n = sweep_commits t ~on_commit in
-  Mutex.unlock t.commit_mutex;
-  n
+  Mutex.protect t.commit_mutex (fun () -> sweep_commits t ~on_commit)
 
 (* --- Introspection (tests, simulator, metrics) --------------------------- *)
 

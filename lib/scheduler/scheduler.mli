@@ -57,15 +57,8 @@ type t
     unless {!try_advance_commit} will be used. [targeted] (default [false])
     allocates the needs-revalidation dirty bitmap drained by {!next_task}
     and enables {!finish_execution_targeted} and the [?invalidated]
-    parameter of {!finish_validation} (DESIGN.md §10). [hold] (default
-    [false]) starts the scheduler in the held state of cross-block
-    speculation (DESIGN.md §14): the internal [check_done] refuses to
-    certify completion — and therefore {!done_} stays [false] — until
-    {!release_hold}. Since the done marker never reverts, this is what
-    keeps a speculative block's completion unobservable while its
-    predecessor may still mutate the shared base storage. *)
-val create :
-  ?rolling:bool -> ?targeted:bool -> ?hold:bool -> block_size:int -> unit -> t
+    parameter of {!finish_validation} (DESIGN.md §10). *)
+val create : ?rolling:bool -> ?targeted:bool -> block_size:int -> unit -> t
 
 val block_size : t -> int
 
@@ -150,23 +143,12 @@ val finish_validation :
     counter sweeps past the block. Once [true], it never reverts. *)
 val done_ : t -> bool
 
-val held : t -> bool
-(** Whether the completion hold (created with [~hold:true]) is still in
-    place. *)
-
-val release_hold : t -> unit
-(** Lift the completion hold: the next [check_done] collection may certify
-    completion. Does not set {!done_} by itself — workers re-poll. Call
-    after the base storage is final and a last {!demand_revalidation} has
-    been issued for anything it changed. *)
-
-val demand_revalidation : t -> from_idx:int -> unit
-(** External revalidation demand (cross-block speculation, DESIGN.md §14):
-    the instance's base storage changed under it, so every transaction at
-    index [>= from_idx] must be revalidated before it may commit. Performs a
-    validation pullback — stamps the rolling dirty waves (invalidating stale
-    commit proofs) and lowers the validation index. Safe to call from any
-    domain at any time. *)
+val decrease_validation_idx : t -> target_idx:int -> unit
+(** Algorithm 5's validation pullback: lower the validation index to
+    [target_idx] (so every transaction from there up is revalidated) and,
+    on a rolling scheduler, stamp the dirty waves of those transactions
+    first, invalidating commit proofs claimed before the pullback. Exposed
+    so tests can fire pullbacks against in-flight validation claims. *)
 
 (** Claim a transaction for execution: READY_TO_EXECUTE -> EXECUTING.
     Exposed for the engine's task handoff; most callers want
@@ -190,7 +172,8 @@ val try_advance_commit : t -> on_commit:(int -> unit) -> int
     committed transaction in preset order, while holding the commit mutex
     (hooks are totally ordered across domains). Non-blocking: returns 0
     immediately if another domain holds the commit mutex. Returns the
-    number of transactions committed by this call.
+    number of transactions committed by this call. A raising [on_commit]
+    releases the commit mutex before the exception propagates.
     @raise Invalid_argument if the scheduler is not rolling. *)
 
 val advance_commit : t -> on_commit:(int -> unit) -> int

@@ -313,18 +313,16 @@ let test_on_commit_streams_in_preset_order () =
     r.commit_ns
 
 (* Lazy mode commits the block at once: [finalize] fires [on_commit] once
-   per transaction in preset order, then [on_flush] once with the whole
-   snapshot. *)
-let test_lazy_hooks_fire_at_finalize () =
+   per transaction in preset order. *)
+let test_lazy_on_commit_fires_at_finalize () =
   let n = 60 in
   let txns = contended_txns n in
   List.iter
     (fun nd ->
-      let order = ref [] and flushes = ref [] in
+      let order = ref [] in
       let r =
         Bstm.run ~config:(config ~num_domains:nd ())
           ~on_commit:(fun j o -> order := (j, o) :: !order)
-          ~on_flush:(fun b -> flushes := Array.to_list b :: !flushes)
           ~storage:zero_storage txns
       in
       let order = List.rev !order in
@@ -335,10 +333,7 @@ let test_lazy_hooks_fire_at_finalize () =
         (fun (j, o) ->
           if not (Txn.equal_output Int.equal o r.outputs.(j)) then
             Alcotest.failf "%d domains: streamed output %d differs" nd j)
-        order;
-      Alcotest.(check (list (list (pair int int))))
-        (Printf.sprintf "%d domains: one flush, the full snapshot" nd)
-        [ r.snapshot ] !flushes)
+        order)
     [ 1; 2; 4 ]
 
 let test_rolling_empty_block () =
@@ -591,8 +586,8 @@ let suite =
       test_rolling_equals_sequential;
     Alcotest.test_case "on_commit streams in preset order" `Quick
       test_on_commit_streams_in_preset_order;
-    Alcotest.test_case "lazy on_commit/on_flush fire at finalize" `Quick
-      test_lazy_hooks_fire_at_finalize;
+    Alcotest.test_case "lazy on_commit fires at finalize" `Quick
+      test_lazy_on_commit_fires_at_finalize;
     Alcotest.test_case "rolling empty block" `Quick test_rolling_empty_block;
     Alcotest.test_case "prevalidation skips re-execution on estimate" `Quick
       test_prevalidation_skip;

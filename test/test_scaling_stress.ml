@@ -101,9 +101,7 @@ let actual_read_set (inst : int Bstm.instance) j : (int * origin) list =
            | Read_origin.Mv v -> O_writer (Version.txn_idx v)
            | Read_origin.Range _ | Read_origin.Counter _
            | Read_origin.Not_counter ->
-               Alcotest.fail "delta descriptor in a deltas-off run"
-           | Read_origin.Storage_gen _ ->
-               Alcotest.fail "overlay descriptor in a non-speculative run" ))
+               Alcotest.fail "delta descriptor in a deltas-off run"))
 
 (* Run the engine the way [Bstm.run] does, but keep the instance so the
    recorded read-sets can be inspected after the domains join. *)

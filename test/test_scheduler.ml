@@ -388,16 +388,19 @@ let test_rolling_requires_flag () =
     (fun () -> ignore (S.advance_commit s ~on_commit:ignore));
   Alcotest.(check bool) "rolling flag off" false (S.rolling s)
 
-(* Races between revalidation demands and the workers' task claims.
-   [workers] domains spin on [next_task] over a held rolling scheduler whose
-   block is fully executed and validated, while the calling domain runs
-   [drive], which must end by releasing the hold. Oversubscribed domains
-   get preempted mid-claim and mid-check, which makes rare interleavings
-   likely. Returns whether the commit sweep then commits the whole block:
-   every transaction needs a validation claimed after the last pullback
-   that stamped it. *)
-let race_trial ~n ~workers drive =
-  let s = S.create ~rolling:true ~hold:true ~block_size:n () in
+(* A storm of pullbacks while workers claim validations. [workers] domains
+   spin on [next_task] over a rolling scheduler whose block is fully
+   executed and validated, except for one validation claim the calling
+   domain keeps open, so completion cannot latch. The caller fires 40
+   pullbacks, then finishes its claim. A claim whose wave was read before a
+   pullback landed, and whose index came after it, would be the pullback's
+   only revalidation of that index, with a wave older than the index's
+   dirty stamp; the commit sweep would then stall there. Oversubscribed
+   domains get preempted mid-claim, which makes that interleaving likely.
+   Returns whether the sweep commits the whole block. *)
+let pullback_race_trial ~n ~workers =
+  let s = S.create ~rolling:true ~block_size:n () in
+  let open_claim = ref None in
   let rec run = function
     | S.Execution v ->
         Option.iter run
@@ -408,6 +411,9 @@ let race_trial ~n ~workers drive =
   in
   let rec drain () =
     match S.next_task s with
+    | Some (S.Validation (v, wave)) when !open_claim = None ->
+        open_claim := Some (v, wave);
+        drain ()
     | Some t ->
         run t;
         drain ()
@@ -425,38 +431,58 @@ let race_trial ~n ~workers drive =
   while Atomic.get started < workers do
     Domain.cpu_relax ()
   done;
-  drive s;
+  for r = 1 to 40 do
+    S.decrease_validation_idx s ~target_idx:(r mod n)
+  done;
+  (match !open_claim with
+  | Some (v, wave) ->
+      ignore (S.finish_validation s ~version:v ~wave ~aborted:false)
+  | None -> Alcotest.fail "no validation claim was held open");
   List.iter Domain.join doms;
   S.advance_commit s ~on_commit:ignore = n
 
-let check_race_trials drive =
-  let trials = 60 in
+let test_pullback_race () =
+  let trials = 120 in
   let stalled = ref 0 in
   for _ = 1 to trials do
-    if not (race_trial ~n:8 ~workers:6 drive) then incr stalled
+    if not (pullback_race_trial ~n:8 ~workers:6) then incr stalled
   done;
   Alcotest.(check int)
     (Printf.sprintf "%d/%d trials stalled the commit sweep" !stalled trials)
     0 !stalled
 
-(* [base_sealed]'s sequence. A completion check that sampled the counters
-   before the demand and the hold after the release would certify
-   completion without the seal-time revalidation. *)
-let test_seal_race () =
-  check_race_trials (fun s ->
-      S.demand_revalidation s ~from_idx:0;
-      S.release_hold s)
-
-(* A storm of pullbacks while workers claim validations. A claim whose wave
-   was read before a pullback landed, and whose index came after it, would
-   be the pullback's only revalidation of that index, with a wave older
-   than the index's dirty stamp. *)
-let test_pullback_race () =
-  check_race_trials (fun s ->
-      for r = 1 to 40 do
-        S.demand_revalidation s ~from_idx:(r mod 8)
-      done;
-      S.release_hold s)
+(* A commit hook that raises must not leave the commit mutex locked: the
+   next sweep, from the same domain, has to return instead of failing on a
+   held lock. Checked for a raise inside either sweep variant. *)
+let test_raising_commit_hook_unlocks () =
+  let boom _ = failwith "hook failed" in
+  List.iter
+    (fun (name, sweep) ->
+      let s = S.create ~rolling:true ~block_size:2 () in
+      let rec drain () =
+        match S.next_task s with
+        | Some (S.Execution v) ->
+            ignore
+              (S.finish_execution s ~txn_idx:v.txn_idx
+                 ~incarnation:v.incarnation ~wrote_new_location:false);
+            drain ()
+        | Some (S.Validation (v, wave)) ->
+            ignore (S.finish_validation s ~version:v ~wave ~aborted:false);
+            drain ()
+        | None -> ()
+      in
+      drain ();
+      Alcotest.check_raises (name ^ " re-raises") (Failure "hook failed")
+        (fun () -> ignore (sweep s ~on_commit:boom));
+      match S.advance_commit s ~on_commit:ignore with
+      | _ -> ()
+      | exception e ->
+          Alcotest.failf "advance_commit after a raising hook in %s: %s" name
+            (Printexc.to_string e))
+    [
+      ("try_advance_commit", S.try_advance_commit);
+      ("advance_commit", S.advance_commit);
+    ]
 
 (* --- Targeted revalidation (DESIGN.md §10) -------------------------------- *)
 
@@ -657,10 +683,10 @@ let suite =
       test_rolling_proof_strengthen_only;
     Alcotest.test_case "rolling: sweep requires ~rolling:true" `Quick
       test_rolling_requires_flag;
-    Alcotest.test_case "rolling: seal racing completion checks" `Quick
-      test_seal_race;
     Alcotest.test_case "rolling: pullbacks racing validation claims" `Quick
       test_pullback_race;
+    Alcotest.test_case "rolling: raising commit hook releases the mutex"
+      `Quick test_raising_commit_hook_unlocks;
     Alcotest.test_case "targeted: mark claimed exactly once" `Quick
       test_targeted_mark_claims_exactly_once;
     Alcotest.test_case "targeted: mark on EXECUTING dropped" `Quick

@@ -248,9 +248,9 @@ echo "ci: state-scale gate passed (incremental ${sspeed}x >= 5x fold at 10^5 acc
 # --- Sustained pipeline smoke -----------------------------------------------
 # The continuous block pipeline (DESIGN.md §14). Two invariants:
 #   - identity is unconditional: every (store, mode, domains) grid point
-#     must report "ok" in the roots column — streamed, pipelined and
-#     speculative execution all commit bit-identically to the per-block
-#     sequential reference. Any MISMATCH fails on any host.
+#     must report "ok" in the roots column — per-block and pipelined
+#     execution both commit bit-identically to the per-block sequential
+#     reference. Any MISMATCH fails on any host.
 #   - throughput is gated like the scaling bench: on >= 4 cores (or with
 #     BLOCKSTM_SUSTAINED_GATE=1) the flat pipelined 4-domain point must not
 #     fall below flat per-block at 4 domains; on single-core hosts the
@@ -258,9 +258,9 @@ echo "ci: state-scale gate passed (incremental ${sspeed}x >= 5x fold at 10^5 acc
 out=$(dune exec bench/main.exe -- sustained)
 printf '%s\n' "$out"
 if printf '%s\n' "$out" \
-  | awk '($1=="flat" || $1=="merkle") && NF>=8 && $8!="ok" {exit 1}'
+  | awk '($1=="flat" || $1=="merkle") && NF>=7 && $7!="ok" {exit 1}'
 then :; else
-  echo "ci: FAIL — sustained reported a commit divergence (see the roots column): pipelined/speculative streams must be bit-identical to per-block"
+  echo "ci: FAIL — sustained reported a commit divergence (see the roots column): pipelined streams must be bit-identical to per-block"
   exit 1
 fi
 sus_pb=$(printf '%s\n' "$out" \
