@@ -37,8 +37,7 @@ let rolling_config domains =
   Harness.Bstm.optimistic_config ~num_domains:domains (fun o ->
       { o with rolling_commit = true })
 
-let spec_seeding =
-  Harness.Bstm.Estimates { validation = Suffix; seed_from_specs = true }
+let spec_seeding = Harness.Bstm.Estimates { seed_from_specs = true }
 
 (* Average a measurement over seeds; [label] additionally records each
    per-seed sample in the JSON report (p50/p99 come from these). *)
@@ -908,105 +907,6 @@ let commit_latency mode =
     [ 100; 1_000 ];
   Report.emit_table t
 
-(* --- Validation cost: suffix vs targeted revalidation (DESIGN.md §10) ------- *)
-
-let validation_cost mode =
-  let block = 1_000 in
-  let threads = 16 in
-  let t =
-    T.create
-      ~title:
-        (Printf.sprintf
-           "Validation cost: paper suffix revalidation vs targeted \
-            revalidation (standard p2p, block %d, %d threads, virtual time)"
-           block threads)
-      ~header:
-        [
-          "accounts";
-          "mode";
-          "tps";
-          "validations/txn";
-          "val-aborts/txn";
-          "targeted/txn";
-          "suffix-avoided";
-          "prune-hits";
-        ]
-  in
-  let accounts_grid =
-    match mode with
-    | Quick -> [ 2; 10; 100; 1_000 ]
-    | Full -> [ 2; 10; 100; 1_000; 10_000 ]
-  in
-  List.iter
-    (fun accounts ->
-      List.iter
-        (fun (mlabel, targeted) ->
-          let config =
-            Harness.Bstm.optimistic_config (fun o ->
-                {
-                  o with
-                  marking =
-                    Estimates
-                      {
-                        validation = (if targeted then Targeted else Suffix);
-                        seed_from_specs = false;
-                      };
-                })
-          in
-          let n = reps mode in
-          let validations = ref 0
-          and val_aborts = ref 0
-          and targeted_vals = ref 0
-          and avoided = ref 0
-          and prunes = ref 0 in
-          let tps =
-            avg_over_seeds
-              ~label:
-                (Printf.sprintf
-                   "validation_cost/%s/accounts=%d/block=%d/threads=%d" mlabel
-                   accounts block threads)
-              mode
-              (fun seed ->
-                let w =
-                  P2p.generate
-                    (p2p_spec ~flavor:P2p.Standard ~accounts ~block ~seed)
-                in
-                let result, stats =
-                  Harness.sim_blockstm ~config ~num_threads:threads
-                    ~storage:w.storage w.txns
-                in
-                let m = result.metrics in
-                validations := !validations + m.validations;
-                val_aborts := !val_aborts + m.validation_aborts;
-                targeted_vals := !targeted_vals + m.targeted_validations;
-                avoided := !avoided + m.suffix_validations_avoided;
-                prunes := !prunes + m.value_prune_hits;
-                VE.tps ~txns:block stats)
-          in
-          Report.sample
-            ~label:
-              (Printf.sprintf
-                 "validation_cost/%s/accounts=%d/validations_per_txn" mlabel
-                 accounts)
-            (float_of_int !validations /. float_of_int (n * block));
-          let per x =
-            Printf.sprintf "%.3f" (float_of_int x /. float_of_int (n * block))
-          in
-          T.add_row t
-            [
-              string_of_int accounts;
-              mlabel;
-              fmt_tps tps;
-              per !validations;
-              per !val_aborts;
-              per !targeted_vals;
-              string_of_int (!avoided / n);
-              string_of_int (!prunes / n);
-            ])
-        [ ("paper", false); ("targeted", true) ])
-    accounts_grid;
-  Report.emit_table t
-
 (* --- Hotspot deltas: commutative aggregators vs the cliff (DESIGN.md §12) --- *)
 
 let hotspot_delta mode =
@@ -1788,7 +1688,6 @@ let all : (string * string * (mode -> unit)) list =
     ("real", "Real-domain wall-clock on this machine", real);
     ("scaling", "Real-domain scaling curve, low contention", scaling);
     ("commit-latency", "Rolling commit: time-to-commit percentiles", commit_latency);
-    ("validation-cost", "Validation cost: suffix vs targeted revalidation (§10)", validation_cost);
     ("hotspot-delta", "Hotspot deltas: commutative aggregators vs RMW (§12)", hotspot_delta);
     ("state-scale", "State scale: incremental Merkle roots vs whole-state fold (§13)", state_scale);
     ("minimove", "MiniMove interpreter end-to-end", minimove);

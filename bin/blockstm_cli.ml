@@ -199,16 +199,6 @@ let run_cmd =
              (blockstm executor only) and report per-transaction \
              time-to-commit percentiles.")
   in
-  let targeted =
-    Arg.(
-      value & flag
-      & info [ "targeted" ]
-          ~doc:
-            "Targeted revalidation (DESIGN.md §10): per-location reader \
-             registries and value-equality write pruning replace the paper's \
-             whole-suffix revalidation (blockstm executor only; incompatible \
-             with $(b,--no-estimates)).")
-  in
   let deltas =
     Arg.(
       value & flag
@@ -390,7 +380,7 @@ let run_cmd =
         exit 1
   in
   let action workload accounts block seed theta executor domains suspend
-      no_estimates rolling targeted deltas pipeline blocks store cold_ns
+      no_estimates rolling deltas pipeline blocks store cold_ns
       verify trace_out use_specs sched lanes lane_hint =
     if lane_hint < 0 then begin
       Fmt.epr "--lane-hint must be >= 0@.";
@@ -457,29 +447,21 @@ let run_cmd =
     in
     let sched : Harness.Bstm.sched =
       if spec_dag then begin
-        if suspend || no_estimates || rolling || targeted || deltas then
+        if suspend || no_estimates || rolling || deltas then
           reject
             "--sched spec-dag executes each transaction once and takes none \
-             of --suspend-resume, --no-estimates, --rolling, --targeted, \
-             --deltas";
+             of --suspend-resume, --no-estimates, --rolling, --deltas";
         Spec_dag
       end
       else begin
-        if no_estimates && (targeted || use_specs) then
-          reject
-            "--targeted and --specs need ESTIMATE markers (drop \
-             --no-estimates)";
+        if no_estimates && use_specs then
+          reject "--specs needs ESTIMATE markers (drop --no-estimates)";
         Optimistic
           {
             Harness.Bstm.default_optimistic with
             marking =
               (if no_estimates then Remove_on_abort
-               else
-                 Estimates
-                   {
-                     validation = (if targeted then Targeted else Suffix);
-                     seed_from_specs = use_specs;
-                   });
+               else Estimates { seed_from_specs = use_specs });
             suspend_resume = suspend;
             rolling_commit = rolling;
             delta_ops = deltas;
@@ -623,7 +605,7 @@ let run_cmd =
     Term.(
       const action $ workload_arg $ accounts_arg $ block_arg $ seed_arg
       $ theta_arg $ executor $ domains $ suspend $ no_estimates $ rolling
-      $ targeted $ deltas $ pipeline $ blocks $ store_arg $ cold_ns_arg
+      $ deltas $ pipeline $ blocks $ store_arg $ cold_ns_arg
       $ verify $ trace_out $ specs_flag $ sched_arg $ lanes_arg
       $ lane_hint_arg)
   in
@@ -700,9 +682,9 @@ let exp_cmd =
       value & opt_all string []
       & info [ "id" ] ~docv:"NAME"
           ~doc:"Experiment id (fig3..fig6, seq-overhead, aborts, ablations, \
-                gas-sharding, lane-scaling, real, scaling, \
-                commit-latency, validation-cost, hotspot-delta, \
-                state-scale, minimove, vm-cost, sustained, micro). Repeatable; default: all.")
+                gas-sharding, lane-scaling, real, scaling, commit-latency, \
+                hotspot-delta, state-scale, minimove, vm-cost, sustained, \
+                spec-cost, micro). Repeatable; default: all.")
   in
   let full =
     Arg.(value & flag & info [ "full" ] ~doc:"Run the paper's full grid.")

@@ -56,16 +56,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     commits : int;
         (** Transactions committed by the rolling sweep (0 when
             [rolling_commit] is off: the block commits lazily as a whole). *)
-    targeted_validations : int;
-        (** Validation tasks drained from the targeted needs-revalidation
-            queue (0 unless [Targeted]). *)
-    suffix_validations_avoided : int;
-        (** Validation tasks the paper's suffix pullbacks would have
-            scheduled beyond what targeted marking did (0 unless
-            [Targeted]). *)
-    value_prune_hits : int;
-        (** Writes pruned as value-equal republications (0 unless
-            [Targeted]). *)
     delta_applies : int;
         (** Commutative delta entries recorded by committed-to-MVMemory
             incarnations (0 unless [delta_ops]). *)
@@ -82,22 +72,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let pp_metrics ppf m =
     Fmt.pf ppf
       "{ incarnations=%d; dep_aborts=%d; validations=%d; val_aborts=%d; \
-       preval_skips=%d; resumed=%d; discarded=%d; commits=%d; targeted=%d; \
-       suffix_avoided=%d; prunes=%d; deltas=%d; cold=%d; spec_skips=%d }"
+       preval_skips=%d; resumed=%d; discarded=%d; commits=%d; deltas=%d; \
+       cold=%d; spec_skips=%d }"
       m.incarnations m.dependency_aborts m.validations m.validation_aborts
       m.prevalidation_skips m.resumptions m.discarded_suspensions m.commits
-      m.targeted_validations m.suffix_validations_avoided m.value_prune_hits
       m.delta_applies m.cold_reads m.spec_skips
 
   (* The engine configuration is shaped so that every value runs: options
      that only make sense for the optimistic scheduler live inside
      [Optimistic], and options that need ESTIMATE markers inside
      [Estimates]. The interface documents each field. *)
-  type validation = Suffix | Targeted
-
-  type marking =
-    | Estimates of { validation : validation; seed_from_specs : bool }
-    | Remove_on_abort
+  type marking = Estimates of { seed_from_specs : bool } | Remove_on_abort
 
   type optimistic = {
     marking : marking;
@@ -113,7 +98,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let default_optimistic =
     {
-      marking = Estimates { validation = Suffix; seed_from_specs = false };
+      marking = Estimates { seed_from_specs = false };
       prevalidate_reads = true;
       suspend_resume = false;
       rolling_commit = false;
@@ -164,10 +149,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let stat_discarded = 6
   let stat_vm_reads = 7
   let stat_vm_writes = 8
-  let stat_value_prune_hits = 9
-  let stat_delta_applies = 10
-  let stat_cold_reads = 11
-  let stat_spec_skips = 12
+  let stat_delta_applies = 9
+  let stat_cold_reads = 10
+  let stat_spec_skips = 11
 
   let stat_names =
     [|
@@ -180,7 +164,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       "discarded_suspensions";
       "vm_reads";
       "vm_writes";
-      "value_prune_hits";
       "delta_applies";
       "cold_reads";
       "spec_skips";
@@ -202,13 +185,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     indep : bool array;
         (* [indep.(j)]: transaction j's static spec is disjoint from every
            other transaction's, so its reads can never be invalidated — its
-           validation tasks short-circuit to success ([spec_skips]) and, in
-           targeted mode, its reads skip the reader registries. All-false
+           validation tasks short-circuit to success ([spec_skips]). All-false
            unless [specs] were given (DESIGN.md §15). *)
     (* The config, resolved once by [create_instance] (Spec_dag resolves to
        the inert defaults), so each hot-path check is one load. *)
     estimates : bool;  (* [Estimates] marking; [false]: remove on abort. *)
-    targeted : bool;
     prevalidate : bool;
     suspend : bool;
     resumable : bool;
@@ -233,21 +214,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     ctab : Metrics.counter array;
         (* Batch-flushed counters, indexed by the [stat_*] constants. *)
     c_commits : Metrics.counter;
-    c_targeted : Metrics.counter;
-        (* Scheduler-sourced targeted counters, synced once in [finalize];
-           [metrics_of] reads the scheduler directly so the record is always
-           current. *)
-    c_suffix_avoided : Metrics.counter;
-    c_targeted_fallbacks : Metrics.counter;
     h_exec_ns : Metrics.histogram;
         (* Step-duration histograms, observed only when tracing is on (the
            untraced loop takes no timestamps). *)
     h_val_ns : Metrics.histogram;
     h_commit_ns : Metrics.histogram;
         (* Time-to-commit per transaction (rolling_commit only). *)
-    h_reader_occ : Metrics.histogram;
-        (* Per-location reader-registry occupancy, observed in [finalize]
-           ([Targeted] only). *)
     trace : Trace.t option;
     (* Rolling-commit streaming state. [commit_ns.(j)] is written once, by
        whichever domain commits j (under the scheduler's commit mutex), and
@@ -260,6 +232,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            after all domains join. Each incarnation overwrites, so the final
            value is the committed incarnation's. *)
     on_commit : (int -> 'o txn_output -> unit) option;
+    failure : (exn * Printexc.raw_backtrace) option Atomic.t;
+        (* First exception that escaped a worker of [run]. A failed worker
+           may leave a claimed task unfinished, so the block can never reach
+           [is_done]: the other workers poll this and stop. *)
   }
 
   and 'o suspension_slot = 'o suspension option Atomic.t
@@ -481,13 +457,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           let preds = spec_dag_preds (need_specs "Spec_dag") in
           (default_optimistic, Some (Spec_dag.create ~preds))
     in
-    let estimates, targeted, seed =
+    let estimates, seed =
       match o.marking with
-      | Estimates { validation; seed_from_specs } ->
-          (true, validation = Targeted, seed_from_specs)
-      | Remove_on_abort -> (false, false, false)
+      | Estimates { seed_from_specs } -> (true, seed_from_specs)
+      | Remove_on_abort -> (false, false)
     in
-    let mv = Mv.create ~targeted ~storage ~block_size:n () in
+    let mv = Mv.create ~storage ~block_size:n () in
     if seed then
       Array.iteri
         (fun j s ->
@@ -498,7 +473,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (need_specs "seed_from_specs");
     let rolling = o.rolling_commit in
     let obs =
-      (* 13 stat slots + 4 named counters; leave headroom for probes. *)
+      (* 12 stat slots + 1 named counter; leave headroom for probes. *)
       Metrics.create ~max_domains:(config.num_domains + 1) ~max_counters:24 ()
     in
     let resumable = o.suspend_resume || probe <> None in
@@ -513,9 +488,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         | Some sp when Option.is_none dag ->
             spec_independence ?loc_namespace sp
         | _ -> Array.make n false);
-      sched = Scheduler.create ~rolling ~targeted ~block_size:n ();
+      sched = Scheduler.create ~rolling ~block_size:n ();
       estimates;
-      targeted;
       prevalidate = o.prevalidate_reads;
       suspend = o.suspend_resume;
       resumable;
@@ -529,18 +503,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       obs;
       ctab = Array.map (Metrics.counter obs) stat_names;
       c_commits = Metrics.counter obs "commits";
-      c_targeted = Metrics.counter obs "targeted_validations";
-      c_suffix_avoided = Metrics.counter obs "suffix_validations_avoided";
-      c_targeted_fallbacks = Metrics.counter obs "targeted_fallbacks";
       h_exec_ns = Metrics.histogram obs "exec_step_ns";
       h_val_ns = Metrics.histogram obs "validation_step_ns";
       h_commit_ns = Metrics.histogram obs "commit_latency_ns";
-      h_reader_occ = Metrics.histogram obs "reader_registry_occupancy";
       trace;
       t0_ns = Trace.now_ns ();
       commit_ns = (if rolling then Array.make n (-1) else [||]);
       exec_ns = (if config.record_exec_ns then Array.make n 0 else [||]);
       on_commit;
+      failure = Atomic.make None;
     }
 
   (* ---------------------------------------------------------------------- *)
@@ -611,10 +582,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      while the continuation is parked. *)
   let vm_execute (inst : 'o instance) ~(txn_idx : int) : 'o vm_outcome =
     let txn = inst.txns.(txn_idx) in
-    (* Spec-independent transactions (DESIGN.md §15) skip reader
-       registration in targeted mode: no lower transaction can ever write
-       what they read, so they can never need revalidation. *)
-    let register = not inst.indep.(txn_idx) in
     let sc =
       if inst.suspend then fresh_scratch () else Domain.DLS.get scratch_key
     in
@@ -654,7 +621,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               Some (V.of_counter (b + c.Delta.net))
           | None ->
               let rec attempt () =
-                match Mv.read ~register inst.mv loc ~txn_idx with
+                match Mv.read inst.mv loc ~txn_idx with
                 | Mv.Read_error { blocking_txn_idx } ->
                     if inst.suspend then begin
                       (* Suspend here; when resumed, retry this same read. *)
@@ -722,7 +689,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               (* First delta op on this location: materialize the external
                  integer base (same walk the read path does). *)
               let rec ext () =
-                match Mv.read ~register inst.mv loc ~txn_idx with
+                match Mv.read inst.mv loc ~txn_idx with
                 | Mv.Read_error { blocking_txn_idx } ->
                     if inst.suspend then begin
                       Effect.perform (Blocked_read blocking_txn_idx);
@@ -1028,39 +995,21 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         bump_by stats stat_vm_writes vm.vm_writes;
         bump_by stats stat_delta_applies (Array.length vm.vm_delta_set);
         inst.outputs.(txn_idx) <- Some vm.vm_output;
+        let wrote_new_location =
+          Mv.record ~deltas:vm.vm_delta_set inst.mv version vm.vm_read_set
+            vm.vm_write_set
+        in
         let next =
           match inst.dag with
           | Some dag ->
               (* Spec-DAG mode: every predecessor that may write what this
                  transaction reads has already finished, so the write is
-                 final — publish it and release the successors. No
-                 validation task is ever scheduled. *)
-              ignore
-                (Mv.record ~deltas:vm.vm_delta_set inst.mv version
-                   vm.vm_read_set vm.vm_write_set);
+                 final — release the successors. No validation task is ever
+                 scheduled. *)
               Spec_dag.finish_execution dag ~txn_idx
           | None ->
-          if inst.targeted then begin
-            let o =
-              Mv.record_targeted ~deltas:vm.vm_delta_set inst.mv version
-                vm.vm_read_set vm.vm_write_set
-            in
-            bump_by stats stat_value_prune_hits o.Mv.prune_hits;
-            let reval =
-              match o.Mv.invalidated with
-              | Mv.Suffix -> Scheduler.Reval_suffix
-              | Mv.Readers rs -> Scheduler.Reval_readers rs
-            in
-            Scheduler.finish_execution_targeted inst.sched ~txn_idx
-              ~incarnation ~wrote_new_location:o.Mv.wrote_new_location ~reval
-          end
-          else
-            let wrote_new_location =
-              Mv.record ~deltas:vm.vm_delta_set inst.mv version vm.vm_read_set
-                vm.vm_write_set
-            in
-            Scheduler.finish_execution inst.sched ~txn_idx ~incarnation
-              ~wrote_new_location
+              Scheduler.finish_execution inst.sched ~txn_idx ~incarnation
+                ~wrote_new_location
         in
         (next, Executed { version; reads = vm.vm_reads; writes = vm.vm_writes })
     | P_exec_cold { version; reads; fetch; suspension } ->
@@ -1098,25 +1047,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let aborted =
           (not valid) && Scheduler.try_validation_abort inst.sched version
         in
-        (* Targeted mode: collect the invalidated readers BEFORE the writes
-           become ESTIMATEs — readers that slip past this collection either
-           hit the ESTIMATEs or are caught by the re-execution's record. *)
-        let invalidated =
-          if aborted && inst.targeted then
-            Some
-              (match Mv.invalidated_readers inst.mv ~txn_idx with
-              | Mv.Suffix -> Scheduler.Reval_suffix
-              | Mv.Readers rs -> Scheduler.Reval_readers rs)
-          else None
-        in
         if aborted then (
           bump stats stat_val_aborts;
           if inst.estimates then
             Mv.convert_writes_to_estimates inst.mv txn_idx
           else Mv.remove_written_entries inst.mv txn_idx);
         let next =
-          Scheduler.finish_validation ?invalidated inst.sched ~version ~wave
-            ~aborted
+          Scheduler.finish_validation inst.sched ~version ~wave ~aborted
         in
         (next, Validated { version; aborted; reads })
 
@@ -1199,6 +1136,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       n
     end
 
+  (* An idle poll: back off, then report whether to keep looping — [false]
+     once another worker of [run] failed. The failure flag is read only
+     here, so the busy path pays nothing for it. *)
+  let idle_poll (inst : _ instance) backoff : bool =
+    Atomic_util.Backoff.once backoff;
+    Option.is_none (Atomic.get inst.failure)
+
   let worker_loop ?(worker = 0) (inst : _ instance) : unit =
     let stats = fresh_stats () in
     (* Idle backoff: a worker that found no task pauses exponentially longer
@@ -1206,14 +1150,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
        which steals cache bandwidth from the domains doing real work. Any
        real step resets the pause to its minimum. *)
     let backoff = Atomic_util.Backoff.create () in
+    let live = ref true in
     (match inst.trace with
     | None ->
         (* Untraced hot loop: no timestamps, no event plumbing. *)
         let task = ref None in
-        while not (is_done inst) do
+        while !live && not (is_done inst) do
           let task', ev = step_s inst stats !task in
           (match ev with
-          | No_task -> Atomic_util.Backoff.once backoff
+          | No_task -> live := idle_poll inst backoff
           | _ -> Atomic_util.Backoff.reset backoff);
           if inst.rolling then ignore (maybe_commit inst);
           task := task'
@@ -1221,7 +1166,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Some tr ->
         let ring = Trace.ring tr ~worker in
         let task = ref None in
-        while not (is_done inst) do
+        while !live && not (is_done inst) do
           let carried = !task in
           let t0 = Trace.now_ns () in
           let task', ev = step_s inst stats carried in
@@ -1234,7 +1179,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           | None -> ());
           Trace.record tr ring ~t0_ns:t0 ~t1_ns:t1 ev;
           (match ev with
-          | No_task -> Atomic_util.Backoff.once backoff
+          | No_task -> live := idle_poll inst backoff
           | _ -> Atomic_util.Backoff.reset backoff);
           if inst.rolling then begin
             let tc0 = Trace.now_ns () in
@@ -1262,11 +1207,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       resumptions = v stat_resumptions;
       discarded_suspensions = v stat_discarded;
       commits = Metrics.value inst.c_commits;
-      (* Scheduler-sourced so the record is current even before [finalize]
-         syncs the registry counters. *)
-      targeted_validations = Scheduler.targeted_claims inst.sched;
-      suffix_validations_avoided = Scheduler.suffix_avoided inst.sched;
-      value_prune_hits = v stat_value_prune_hits;
       delta_applies = v stat_delta_applies;
       cold_reads = v stat_cold_reads;
       spec_skips = v stat_spec_skips;
@@ -1288,17 +1228,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let finalize (inst : 'o instance) : 'o result =
     let n = Array.length inst.txns in
-    if inst.targeted then begin
-      (* Sync the scheduler-sourced targeted counters into the registry (so
-         JSON exports carry them) and sample registry occupancy. [finalize]
-         runs once per instance, after the workers joined. *)
-      Metrics.add inst.c_targeted (Scheduler.targeted_claims inst.sched);
-      Metrics.add inst.c_suffix_avoided (Scheduler.suffix_avoided inst.sched);
-      Metrics.add inst.c_targeted_fallbacks
-        (Scheduler.targeted_fallbacks inst.sched);
-      Mv.iter_reader_registries inst.mv ~f:(fun ~used ~overflowed:_ ->
-          Metrics.observe inst.h_reader_occ used)
-    end;
     if inst.rolling then begin
       (* Drain the sweep: every transaction is EXECUTED with a final
          successful validation by the time the scheduler is done, so one
@@ -1334,7 +1263,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   (** Execute a block. [storage] is the pre-block state; [txns] the block in
       its preset serialization order. Spawns [config.num_domains - 1] extra
-      domains and participates with the calling domain. *)
+      domains and participates with the calling domain. An exception that
+      escapes any worker stops the others and is re-raised once all have
+      joined. *)
   let run ?(config = default_config) ?specs ?loc_namespace ?trace ?on_commit
       ?probe ~storage (txns : 'o txn array) : 'o result =
     let inst =
@@ -1350,12 +1281,20 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         exec_ns = [||];
       }
     else begin
+      let guarded worker () =
+        try worker_loop ~worker inst
+        with e ->
+          let bt = Printexc.get_raw_backtrace () in
+          ignore (Atomic.compare_and_set inst.failure None (Some (e, bt)))
+      in
       let others =
         Array.init (config.num_domains - 1) (fun i ->
-            Domain.spawn (fun () -> worker_loop ~worker:(i + 1) inst))
+            Domain.spawn (guarded (i + 1)))
       in
-      worker_loop ~worker:0 inst;
+      guarded 0 ();
       Array.iter Domain.join others;
-      finalize inst
+      match Atomic.get inst.failure with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> finalize inst
     end
 end

@@ -55,16 +55,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     commits : int;
         (** Transactions committed by the rolling sweep (0 without rolling
             commit: the block commits lazily as a whole). *)
-    targeted_validations : int;
-        (** Validation tasks drained from the targeted needs-revalidation
-            queue (0 unless [Targeted]). *)
-    suffix_validations_avoided : int;
-        (** Validation tasks the paper's suffix pullbacks would have
-            scheduled beyond what targeted marking did (0 unless
-            [Targeted]). *)
-    value_prune_hits : int;
-        (** Writes pruned as value-equal republications (0 unless
-            [Targeted]). *)
     delta_applies : int;
         (** Commutative delta entries recorded into MVMemory (0 unless
             [delta_ops]). *)
@@ -88,22 +78,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       {!create_instance} argument implies a mode of its own: [?probe] makes
       cold storage misses suspend the transaction (DESIGN.md §13). *)
 
-  (** Which transactions a write revalidates. *)
-  type validation =
-    | Suffix
-        (** The paper's scheme: a new write location pulls validation back
-            over the whole suffix. *)
-    | Targeted
-        (** §7 future-work optimization (DESIGN.md §10): MVMemory tracks
-            per-location reader registries and prunes value-equal
-            republications, and only the precisely invalidated readers are
-            revalidated (registry overflow degrades back to the suffix
-            pullback, never to unsoundness). *)
-
   (** What an aborted incarnation leaves behind in MVMemory. *)
   type marking =
     | Estimates of {
-        validation : validation;
         seed_from_specs : bool;
             (** Static access specs, estimate seeding (DESIGN.md §15): before
                 the first incarnation runs, seed ESTIMATE markers from each
@@ -114,7 +91,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
                 {!create_instance}. *)
       }
         (** The paper default: aborted writes become ESTIMATE markers and
-            readers wait for the dependency. *)
+            readers wait for the dependency. A new write location pulls
+            validation back over the whole suffix (Algorithms 8–9). *)
     | Remove_on_abort
         (** The ablation the paper mentions in §3.2.1: aborted entries are
             simply removed, so conflicts surface only at validation time. *)
@@ -170,8 +148,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   }
 
   val default_optimistic : optimistic
-  (** The paper's engine: ESTIMATE markers, suffix revalidation, read-set
-      prevalidation; no seeding, suspend/resume, rolling commit or deltas. *)
+  (** The paper's engine: ESTIMATE markers, read-set prevalidation; no
+      seeding, suspend/resume, rolling commit or deltas. *)
 
   val default_config : config
   (** One domain, no timestamps, [Optimistic default_optimistic]. *)
@@ -231,10 +209,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       dynamic read and write sets. Supplying them opts into spec-driven
       independence skipping — transactions whose specs are all-[Exact] and
       provably disjoint from every other transaction's spec skip the
-      validation read-set walk (counted in [metrics.spec_skips]) and, under
-      [Targeted] validation, skip reader registration. They also feed
-      [seed_from_specs] and [Spec_dag], which require them. A spec that
-      under-declares an access is {b unsound} and voids the determinism
+      validation read-set walk (counted in [metrics.spec_skips]). They also
+      feed [seed_from_specs] and [Spec_dag], which require them. A spec
+      that under-declares an access is {b unsound} and voids the determinism
       guarantee. [loc_namespace] assigns each location the namespace string
       matched by [Access_spec.Wildcard] entries; when omitted, wildcards
       conservatively overlap every location.
@@ -263,15 +240,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** The live metrics registry: counters ["incarnations"],
       ["dependency_aborts"], ["validations"], ["validation_aborts"],
       ["prevalidation_skips"], ["resumptions"], ["discarded_suspensions"],
-      ["vm_reads"], ["vm_writes"], ["value_prune_hits"], ["delta_applies"],
-      ["cold_reads"], ["commits"],
-      ["targeted_validations"], ["suffix_validations_avoided"] and
-      ["targeted_fallbacks"] (the targeted_* family populated at {!finalize},
-      non-zero only with [Targeted]); histograms ["exec_step_ns"]
-      and ["validation_step_ns"] (populated only when tracing is enabled),
+      ["vm_reads"], ["vm_writes"], ["delta_applies"], ["cold_reads"],
+      ["spec_skips"] and ["commits"]; histograms ["exec_step_ns"] and
+      ["validation_step_ns"] (populated only when tracing is enabled) and
       ["commit_latency_ns"] (per-transaction time-to-commit, rolling commit
-      only) and ["reader_registry_occupancy"] (per-location reader-registry
-      slot usage, [Targeted] only, populated at {!finalize}). *)
+      only). *)
 
   val committed_prefix : 'o instance -> int
   (** Length of the committed prefix so far (0 unless rolling commit).
@@ -320,9 +293,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       domains may call it concurrently. *)
 
   val worker_loop : ?worker:int -> 'o instance -> unit
-  (** Run {!step} until the scheduler reports done. [worker] (default 0) is
-      the trace ring index; pass distinct values from distinct domains when
-      the instance was created with [?trace]. *)
+  (** Run {!step} until the scheduler reports done, or, under {!run}, until
+      another worker has failed. [worker] (default 0) is the trace ring
+      index; pass distinct values from distinct domains when the instance
+      was created with [?trace]. *)
 
   val metrics_of : 'o instance -> metrics
 
@@ -355,5 +329,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     'o result
   (** Execute a block. [storage] is the pre-block state; the array is the
       block in its preset serialization order. Spawns [config.num_domains - 1]
-      extra domains and participates with the calling domain. *)
+      extra domains and participates with the calling domain. An exception
+      that escapes a worker on any domain (a raising [on_commit] hook under
+      rolling commit, say) stops the other workers at their next idle poll;
+      once all have joined, [run] re-raises it with its backtrace instead of
+      finalizing the block. *)
 end

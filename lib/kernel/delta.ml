@@ -68,10 +68,6 @@ let apply d b =
   let rlo, rhi = admissible d in
   if b >= rlo && b <= rhi then Some (sat_add b d.net) else None
 
-let equal a b =
-  a.net = b.net && a.min_p = b.min_p && a.max_p = b.max_p && a.lo = b.lo
-  && a.hi = b.hi
-
 let pp ppf d =
   let rlo, rhi = admissible d in
   Fmt.pf ppf "delta(%+d in [%d,%d])" d.net rlo rhi

@@ -41,5 +41,4 @@ val apply : t -> int -> int option
 (** [apply d b] is [Some (b + d.net)] when [b] is {!admissible}, [None]
     (bounds violation) otherwise. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -172,9 +172,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       resumptions = 0;
       discarded_suspensions = 0;
       commits = 0;
-      targeted_validations = 0;
-      suffix_validations_avoided = 0;
-      value_prune_hits = 0;
       delta_applies = 0;
       cold_reads = 0;
       spec_skips = 0;
@@ -192,10 +189,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       discarded_suspensions =
         a.discarded_suspensions + b.discarded_suspensions;
       commits = a.commits + b.commits;
-      targeted_validations = a.targeted_validations + b.targeted_validations;
-      suffix_validations_avoided =
-        a.suffix_validations_avoided + b.suffix_validations_avoided;
-      value_prune_hits = a.value_prune_hits + b.value_prune_hits;
       delta_applies = a.delta_applies + b.delta_applies;
       cold_reads = a.cold_reads + b.cold_reads;
       spec_skips = a.spec_skips + b.spec_skips;

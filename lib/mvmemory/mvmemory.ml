@@ -17,32 +17,13 @@
     immutable {e snapshot} record held in one [Atomic.t]: readers do one
     [Atomic.get], writers CAS a rebuilt snapshot. Per-transaction bookkeeping
     ([last_written], [last_reads]) uses RCU-style atomic swaps of immutable
-    arrays.
-
-    Targeted mode (DESIGN.md §10): when created with [~targeted:true], each
-    location additionally carries a bounded lock-free {e reader registry} of
-    transaction indices that observed it, [record_targeted] prunes
-    value-equal republications (same location, byte-identical value → the
-    previous incarnation's descriptor is preserved, so downstream readers
-    stay valid), and writers can ask for the precise set of higher readers a
-    mutation invalidates instead of the paper's whole-suffix pullback. A
-    registry that runs out of slots degrades to the suffix answer
-    ([Suffix]), never to unsoundness. *)
+    arrays. *)
 
 open Blockstm_kernel
 
 module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   module Tbl = Hashtbl.Make (L)
   module IMap = Map.Make (Int)
-
-  (* Payload displaced by an ESTIMATE marker, kept so a targeted-mode
-     re-publication of an identical write (or identical delta) can restore
-     the original descriptor (value-equality pruning); [P_none] outside
-     targeted mode and for pre-execution estimates. *)
-  type prior_payload =
-    | P_none
-    | P_written of int * V.t  (** Displaced [Written] (incarnation, value). *)
-    | P_delta of int * Delta.t  (** Displaced [Delta] (incarnation, delta). *)
 
   type entry =
     | Written of { incarnation : int; value : V.t }
@@ -51,8 +32,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             writing incarnation applied without observing the value. Folded
             onto the highest plain write below it at read-materialization
             time and into the committed base by {!flush_committed}. *)
-    | Estimate of { prior : prior_payload }
-        (** Placeholder left by an aborted incarnation's write. *)
+    | Estimate  (** Placeholder left by an aborted incarnation's write. *)
 
   (* A location's state: an immutable snapshot swapped atomically. [versions]
      is the version chain; [base] is the committed-base entry — the highest
@@ -66,23 +46,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let empty_snap = { versions = IMap.empty; base = None }
 
-  (* Per-location reader registry (targeted mode only): a grow-once-in-place
-     set of transaction indices, -1 = empty slot. Registration CASes an empty
-     slot; growth CAS-publishes a larger array that shares the existing
-     [Atomic.t] slot blocks (so registrations racing the growth are never
-     lost). When the hard cap is reached the [overflow] flag is raised and the
-     registry permanently answers "unknown readers" — callers fall back to
-     the paper's suffix revalidation. *)
-  type reader_reg = {
-    reg_slots : int Atomic.t array Atomic.t;
-    reg_overflow : bool Atomic.t;
-  }
-
   (* An occupied hash slot. Immutable: published once in a fresh holder,
      never overwritten (cells persist for the block's lifetime; entries are
-     removed inside the cell's snapshot, not from the table). [readers] is
-     [Some] exactly when the instance is targeted. *)
-  type slot = { key : L.t; cell : cell; readers : reader_reg option }
+     removed inside the cell's snapshot, not from the table). *)
+  type slot = { key : L.t; cell : cell }
 
   (* One shard: an atomically published open-addressing table (size a power
      of two, load factor <= 1/2). The mutex guards inserts and resizes only;
@@ -117,32 +84,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       the engine composes repeated ops before recording). *)
   type delta_set = (L.t * Delta.t) array
 
-  (** Answer to "whose recorded reads does this mutation invalidate?". *)
-  type invalidation =
-    | Suffix
-        (** Unknown (registry overflow / non-targeted): every transaction
-            above the writer must be revalidated — the paper's answer. *)
-    | Readers of int list
-        (** Precise sorted, deduplicated set of higher reader indices. *)
-
-  (** Result of {!record_targeted}. *)
-  type record_outcome = {
-    wrote_new_location : bool;
-        (** Same bool {!record} returns (paper Algorithm 2). *)
-    invalidated : invalidation;
-        (** Readers whose descriptors this record invalidated. *)
-    prune_hits : int;
-        (** Writes pruned as value-equal republications. *)
-  }
-
   type t = {
     nshards : int;
     shards : shard array;
     last_written : L.t array Atomic.t array;
     last_reads : read_set Atomic.t array;
     block_size : int;
-    targeted : bool;
-    reader_cap : int;  (** Hard per-registry slot cap before overflow. *)
     base_storage : L.t -> V.t option;
         (** Pre-block storage, consulted only when materializing a
             delta-carrying location whose chain has no plain write below the
@@ -168,14 +115,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let fresh_table capacity = Array.make capacity vacant
 
-  let create ?(nshards = 64) ?(writes_per_txn = 4) ?(targeted = false)
-      ?(reader_slots = 64) ?(storage = fun _ -> None) ~block_size () =
+  let create ?(nshards = 64) ?(writes_per_txn = 4) ?(storage = fun _ -> None)
+      ~block_size () =
     if block_size < 0 then invalid_arg "Mvmemory.create: negative block_size";
     if nshards <= 0 then invalid_arg "Mvmemory.create: nshards must be > 0";
     if writes_per_txn < 0 then
       invalid_arg "Mvmemory.create: negative writes_per_txn";
-    if reader_slots < 1 then
-      invalid_arg "Mvmemory.create: reader_slots must be >= 1";
     (* Pre-size each shard for the block's estimated distinct locations
        (block_size * writes-per-txn, spread over the shards, at load factor
        1/2) so the common case never pays an insert-path resize. Clamped so a
@@ -195,8 +140,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       last_written = per_txn (fun _ -> Atomic.make [||]);
       last_reads = per_txn (fun _ -> Atomic.make [||]);
       block_size;
-      targeted;
-      reader_cap = reader_slots;
       base_storage = storage;
       flush_mutex = Mutex.create ();
       flushed_upto = 0;
@@ -204,7 +147,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let block_size t = t.block_size
   let nshards t = t.nshards
-  let targeted t = t.targeted
 
   let hash_of loc = L.hash loc land max_int
 
@@ -240,18 +182,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | None -> table.(i) <- holder
     | Some _ -> insert_into table mask ((i + 1) land mask) holder
 
-  let reg_initial_slots = 8
-
-  let fresh_reg t =
-    {
-      reg_slots =
-        Atomic.make
-          (Array.init
-             (min reg_initial_slots t.reader_cap)
-             (fun _ -> Atomic.make (-1)));
-      reg_overflow = Atomic.make false;
-    }
-
   (* Miss path: create the slot under the shard lock (double-checking the
      current table first — another thread may have inserted while we waited),
      resizing at load factor 1/2. *)
@@ -271,13 +201,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       match refind (probe_of h mask) with
       | Some slot -> slot
       | None ->
-          let slot =
-            {
-              key = loc;
-              cell = Atomic.make empty_snap;
-              readers = (if t.targeted then Some (fresh_reg t) else None);
-            }
-          in
+          let slot = { key = loc; cell = Atomic.make empty_snap } in
           let table, mask =
             if 2 * (shard.count + 1) > Array.length table then begin
               (* Grow 2x and republish. Holders are shared between old and
@@ -303,60 +227,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     Mutex.unlock shard.insert_lock;
     slot
 
-  let find_or_create_slot t loc : slot =
-    match find_slot t loc with Some s -> s | None -> create_slot t loc
-
-  let find_or_create_cell t loc : cell = (find_or_create_slot t loc).cell
-
-  (* Register [txn_idx] as a reader of [reg]'s location. Lock-free: scan for
-     the index (already registered) or an empty slot to CAS; grow by
-     CAS-publishing a doubled array sharing the existing slot blocks; flip
-     the overflow flag at the hard cap. *)
-  let rec reg_register t (reg : reader_reg) (txn_idx : int) : unit =
-    if not (Atomic.get reg.reg_overflow) then begin
-      let slots = Atomic.get reg.reg_slots in
-      let n = Array.length slots in
-      let rec scan i =
-        if i >= n then `Full
-        else
-          let v = Atomic.get slots.(i) in
-          if v = txn_idx then `Done
-          else if v = -1 then
-            if Atomic.compare_and_set slots.(i) (-1) txn_idx then `Done
-            else scan i (* re-check the slot a racing reader just claimed *)
-          else scan (i + 1)
-      in
-      match scan 0 with
-      | `Done -> ()
-      | `Full ->
-          if n >= t.reader_cap then Atomic.set reg.reg_overflow true
-          else begin
-            let grown =
-              Array.init
-                (min t.reader_cap (2 * n))
-                (fun i -> if i < n then slots.(i) else Atomic.make (-1))
-            in
-            ignore (Atomic.compare_and_set reg.reg_slots slots grown);
-            reg_register t reg txn_idx
-          end
-    end
-
-  (* Readers strictly above [txn_idx] currently registered; [None] if the
-     registry overflowed (readers may be missing). The overflow flag is
-     re-checked after the scan: a registration that overflowed mid-scan would
-     otherwise be silently dropped. *)
-  let reg_readers_above (reg : reader_reg) ~txn_idx : int list option =
-    if Atomic.get reg.reg_overflow then None
-    else begin
-      let slots = Atomic.get reg.reg_slots in
-      let acc = ref [] in
-      Array.iter
-        (fun s ->
-          let v = Atomic.get s in
-          if v > txn_idx then acc := v :: !acc)
-        slots;
-      if Atomic.get reg.reg_overflow then None else Some !acc
-    end
+  let find_or_create_cell t loc : cell =
+    match find_slot t loc with
+    | Some s -> s.cell
+    | None -> (create_slot t loc).cell
 
   (* Writer side: CAS a rebuilt snapshot. Retries only on a racing writer to
      the same location. *)
@@ -381,7 +255,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       read_result =
     let rec walk idx net =
       match IMap.find_last_opt (fun i -> i < idx) versions with
-      | Some (i, Estimate _) -> Read_error { blocking_txn_idx = i }
+      | Some (i, Estimate) -> Read_error { blocking_txn_idx = i }
       | Some (i, Delta { delta; _ }) -> walk i (net + delta.Delta.net)
       | Some (i, Written { incarnation; value }) ->
           anchor (Version.make ~txn_idx:i ~incarnation) value net
@@ -431,7 +305,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         in
         let rec walk idx net =
           match IMap.find_last_opt (fun i -> i < idx) versions with
-          | Some (_, Estimate _) -> M_blocked
+          | Some (_, Estimate) -> M_blocked
           | Some (i, Delta { delta; _ }) -> walk i (net + delta.Delta.net)
           | Some (_, Written { value; _ }) -> anchor value net
           | None -> (
@@ -451,32 +325,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      exact version of the flushed write, so read descriptors — and therefore
      validation — are unchanged by a flush. A chain topped by a delta entry
      takes the [read_delta_chain] slow path, which folds nets down to the
-     anchoring plain write and answers [Merged].
-     Targeted mode: the reader registers itself BEFORE loading the snapshot
-     (and a storage-miss read still materializes the slot so a later first
-     write finds its readers). A writer publishes its mutation and only then
-     collects the registry, so every reader either appears in the collection
-     or loaded its snapshot after the mutation — no invalidation is missed.
-     [register=false] (static-spec independence, DESIGN.md §15) skips that
-     registration: sound only when the caller proves no lower transaction
-     can ever write this location, so the reader can never need
-     revalidation. *)
-  let read ?(register = true) t (loc : L.t) ~(txn_idx : int) : read_result =
-    let slot =
-      if t.targeted && register && txn_idx < t.block_size then
-        Some (find_or_create_slot t loc)
-      else find_slot t loc
-    in
-    match slot with
+     anchoring plain write and answers [Merged]. *)
+  let read t (loc : L.t) ~(txn_idx : int) : read_result =
+    match find_slot t loc with
     | None -> Not_found
     | Some s -> (
-        (match s.readers with
-        | Some reg when register && txn_idx < t.block_size ->
-            reg_register t reg txn_idx
-        | _ -> ());
         let ({ versions; base } as snap) = Atomic.get s.cell in
         match IMap.find_last_opt (fun idx -> idx < txn_idx) versions with
-        | Some (idx, Estimate _) -> Read_error { blocking_txn_idx = idx }
+        | Some (idx, Estimate) -> Read_error { blocking_txn_idx = idx }
         | Some (idx, Written { incarnation; value }) ->
             Ok (Version.make ~txn_idx:idx ~incarnation, value)
         | Some (_, Delta _) -> read_delta_chain t loc snap ~txn_idx
@@ -504,64 +360,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           (map_versions (IMap.add txn_idx (Delta { incarnation; delta }))))
       delta_set
 
-  (* Targeted publish of one write; returns [true] if the write was pruned:
-     the location already carries (or an ESTIMATE displaced) a byte-identical
-     value from a previous incarnation, and re-publishing under the original
-     (incarnation, value) descriptor leaves every downstream read descriptor
-     valid — so the location contributes no invalidations. *)
-  let publish_write_pruning (cell : cell) ~txn_idx ~incarnation ~value : bool =
-    let rec go () =
-      let old = Atomic.get cell in
-      match IMap.find_opt txn_idx old.versions with
-      | Some (Written { incarnation = _; value = v0 }) when V.equal v0 value ->
-          true (* identical value already published: keep the descriptor *)
-      | Some (Estimate { prior = P_written (i0, v0) }) when V.equal v0 value ->
-          let next =
-            map_versions
-              (IMap.add txn_idx (Written { incarnation = i0; value = v0 }))
-              old
-          in
-          if Atomic.compare_and_set cell old next then true else go ()
-      | _ ->
-          let next =
-            map_versions
-              (IMap.add txn_idx (Written { incarnation; value }))
-              old
-          in
-          if Atomic.compare_and_set cell old next then false else go ()
-    in
-    go ()
-
-  (* Targeted publish of one delta entry; pruned (returns [true]) when the
-     location already carries — or an ESTIMATE displaced — an identical
-     delta from a previous incarnation. Re-incarnations of a deterministic
-     transaction republish the same delta whenever their observed inputs
-     are unchanged, so hot-location delta republication is the common case. *)
-  let publish_delta_pruning (cell : cell) ~txn_idx ~incarnation ~delta : bool =
-    let rec go () =
-      let old = Atomic.get cell in
-      match IMap.find_opt txn_idx old.versions with
-      | Some (Delta { incarnation = _; delta = d0 }) when Delta.equal d0 delta
-        ->
-          true
-      | Some (Estimate { prior = P_delta (i0, d0) }) when Delta.equal d0 delta
-        ->
-          let next =
-            map_versions
-              (IMap.add txn_idx (Delta { incarnation = i0; delta = d0 }))
-              old
-          in
-          if Atomic.compare_and_set cell old next then true else go ()
-      | _ ->
-          let next =
-            map_versions
-              (IMap.add txn_idx (Delta { incarnation; delta }))
-              old
-          in
-          if Atomic.compare_and_set cell old next then false else go ()
-    in
-    go ()
-
   let remove_entry t (loc : L.t) ~txn_idx : unit =
     match find_cell t loc with
     | None -> ()
@@ -569,26 +367,19 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   (* Algorithm 2, [rcu_update_written_locations]: replace the transaction's
      recorded write locations, removing stale entries; report whether a
-     location was written that the previous incarnation did not write, plus
-     the locations the previous incarnation wrote that this one did not
-     (their entries were just removed — their readers are invalidated). *)
+     location was written that the previous incarnation did not write. *)
   let rcu_update_written_locations t ~txn_idx (new_locations : L.t array) :
-      bool * L.t list =
+      bool =
     let prev_locations = Atomic.get t.last_written.(txn_idx) in
     let in_new = Tbl.create (Array.length new_locations * 2 + 1) in
     Array.iter (fun l -> Tbl.replace in_new l ()) new_locations;
-    let removed = ref [] in
     Array.iter
-      (fun l ->
-        if not (Tbl.mem in_new l) then begin
-          remove_entry t l ~txn_idx;
-          removed := l :: !removed
-        end)
+      (fun l -> if not (Tbl.mem in_new l) then remove_entry t l ~txn_idx)
       prev_locations;
     let in_prev = Tbl.create (Array.length prev_locations * 2 + 1) in
     Array.iter (fun l -> Tbl.replace in_prev l ()) prev_locations;
     Atomic.set t.last_written.(txn_idx) new_locations;
-    (Array.exists (fun l -> not (Tbl.mem in_prev l)) new_locations, !removed)
+    Array.exists (fun l -> not (Tbl.mem in_prev l)) new_locations
 
   (* Algorithm 2, [record]: returns [wrote_new_location]. [deltas] publishes
      commutative delta entries alongside the plain writes; their locations
@@ -603,108 +394,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     let new_locations =
       Array.append (Array.map fst write_set) (Array.map fst deltas)
     in
-    let wrote_new, _removed =
-      rcu_update_written_locations t ~txn_idx new_locations
-    in
+    let wrote_new = rcu_update_written_locations t ~txn_idx new_locations in
     Atomic.set t.last_reads.(txn_idx) read_set;
     wrote_new
 
-  (* Collect the readers invalidated by a record: every reader above the
-     writer registered on a non-pruned written location or on a removed
-     location. Any overflowed (or absent) registry forces [Suffix]. *)
-  let collect_invalidated t ~txn_idx (written : (slot * bool) array)
-      (removed : L.t list) : invalidation =
-    let precise = ref true in
-    let acc = ref [] in
-    let add_slot (s : slot) =
-      match s.readers with
-      | None -> precise := false
-      | Some reg -> (
-          match reg_readers_above reg ~txn_idx with
-          | None -> precise := false
-          | Some rs -> acc := List.rev_append rs !acc)
-    in
-    Array.iter (fun (s, pruned) -> if not pruned then add_slot s) written;
-    List.iter
-      (fun loc ->
-        match find_slot t loc with
-        | None -> () (* a recorded write always has a slot *)
-        | Some s -> add_slot s)
-      removed;
-    if !precise then Readers (List.sort_uniq Int.compare !acc) else Suffix
-
-  (** Targeted-mode [record]: same mutations as {!record} plus (a)
-      value-equality pruning of each write and (b) collection of the precise
-      invalidated-reader set. Mutations are published first and registries
-      collected after, closing the register-then-load race (see {!read}). *)
-  let record_targeted ?(deltas = ([||] : delta_set)) t (version : Version.t)
-      (read_set : read_set) (write_set : write_set) : record_outcome =
-    if not t.targeted then
-      invalid_arg "Mvmemory.record_targeted: not a targeted instance";
-    let txn_idx = Version.txn_idx version in
-    let incarnation = Version.incarnation version in
-    let prune_hits = ref 0 in
-    let written =
-      Array.map
-        (fun (loc, value) ->
-          let slot = find_or_create_slot t loc in
-          let pruned =
-            publish_write_pruning slot.cell ~txn_idx ~incarnation ~value
-          in
-          if pruned then incr prune_hits;
-          (slot, pruned))
-        write_set
-    in
-    let delta_written =
-      Array.map
-        (fun (loc, delta) ->
-          let slot = find_or_create_slot t loc in
-          let pruned =
-            publish_delta_pruning slot.cell ~txn_idx ~incarnation ~delta
-          in
-          if pruned then incr prune_hits;
-          (slot, pruned))
-        deltas
-    in
-    let written = Array.append written delta_written in
-    let new_locations =
-      Array.append (Array.map fst write_set) (Array.map fst deltas)
-    in
-    let wrote_new, removed =
-      rcu_update_written_locations t ~txn_idx new_locations
-    in
-    Atomic.set t.last_reads.(txn_idx) read_set;
-    let invalidated = collect_invalidated t ~txn_idx written removed in
-    { wrote_new_location = wrote_new; invalidated; prune_hits = !prune_hits }
-
-  (** Readers above [txn_idx] registered on the locations its last finished
-      incarnation wrote — the precise set a validation abort invalidates.
-      Call BEFORE {!convert_writes_to_estimates}: readers that slip past this
-      collection either hit the ESTIMATEs (and fail through the dependency /
-      validation paths) or are caught by the re-execution's
-      {!record_targeted} collection. [Suffix] on any registry overflow or on
-      a non-targeted instance. *)
-  let invalidated_readers t ~(txn_idx : int) : invalidation =
-    if not t.targeted then Suffix
-    else begin
-      let precise = ref true in
-      let acc = ref [] in
-      Array.iter
-        (fun loc ->
-          match find_slot t loc with
-          | None -> ()
-          | Some { readers = None; _ } -> precise := false
-          | Some { readers = Some reg; _ } -> (
-              match reg_readers_above reg ~txn_idx with
-              | None -> precise := false
-              | Some rs -> acc := List.rev_append rs !acc))
-        (Atomic.get t.last_written.(txn_idx));
-      if !precise then Readers (List.sort_uniq Int.compare !acc) else Suffix
-    end
-
-  (* Algorithm 2, [convert_writes_to_estimates]: called on abort. The
-     displaced [Written] payload is preserved in the ESTIMATE so a targeted
-     re-publication of the same value can restore the original descriptor. *)
+  (* Algorithm 2, [convert_writes_to_estimates]: called on abort. *)
   let convert_writes_to_estimates t (txn_idx : int) : unit =
     let prev_locations = Atomic.get t.last_written.(txn_idx) in
     Array.iter
@@ -712,17 +406,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         match find_cell t loc with
         | None -> assert false (* entry was written by [record] *)
         | Some cell ->
-            cell_update cell (fun s ->
-                let prior =
-                  match IMap.find_opt txn_idx s.versions with
-                  | Some (Written { incarnation; value }) ->
-                      P_written (incarnation, value)
-                  | Some (Delta { incarnation; delta }) ->
-                      P_delta (incarnation, delta)
-                  | Some (Estimate { prior }) -> prior
-                  | None -> P_none
-                in
-                map_versions (IMap.add txn_idx (Estimate { prior })) s))
+            cell_update cell (map_versions (IMap.add txn_idx Estimate)))
       prev_locations
 
   (** Ablation variant of abort handling (§3.2.1: "removing the entries can
@@ -742,7 +426,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       (fun loc ->
         cell_update
           (find_or_create_cell t loc)
-          (map_versions (IMap.add txn_idx (Estimate { prior = P_none }))))
+          (map_versions (IMap.add txn_idx Estimate)))
       locs;
     Atomic.set t.last_written.(txn_idx) locs
 
@@ -808,29 +492,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       t.shards;
     !acc
 
-  (** Per-location reader-registry occupancy (targeted mode): calls [f] once
-      per registry with the number of occupied slots and whether it
-      overflowed. No-op on a non-targeted instance. *)
-  let iter_reader_registries t ~(f : used:int -> overflowed:bool -> unit) :
-      unit =
-    fold_slots t ~init:() ~f:(fun () s ->
-        match s.readers with
-        | None -> ()
-        | Some reg ->
-            let slots = Atomic.get reg.reg_slots in
-            let used =
-              Array.fold_left
-                (fun n c -> if Atomic.get c >= 0 then n + 1 else n)
-                0 slots
-            in
-            f ~used ~overflowed:(Atomic.get reg.reg_overflow))
-
   (* Algorithm 3, [snapshot]: final value for every affected location; called
      after the block commits. One pass over the cells: the chain's top entry
      is the highest writer, a delta-topped chain materializes through
      [read_delta_chain], and an empty chain falls back to the flushed base. *)
   let snapshot t : (L.t * V.t) list =
-    fold_slots t ~init:[] ~f:(fun acc { key; cell; _ } ->
+    fold_slots t ~init:[] ~f:(fun acc { key; cell } ->
         let ({ versions; base } as snap) = Atomic.get cell in
         match IMap.max_binding_opt versions with
         | Some (_, Written { value; _ }) -> (key, value) :: acc
@@ -840,7 +507,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             | Merged { value } -> (key, V.of_counter value) :: acc
             | Not_found -> acc
             | Read_error _ -> assert false)
-        | Some (_, Estimate _) -> assert false (* all resolved by commit *)
+        | Some (_, Estimate) -> assert false (* all resolved by commit *)
         | None -> (
             match base with
             | Some (_, value) -> (key, value) :: acc
@@ -909,7 +576,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                             ( Version.make ~txn_idx:j ~incarnation,
                               V.of_counter (b + delta.Delta.net) );
                       }
-                  | Some (Estimate _) ->
+                  | Some Estimate ->
                       (* A committed transaction has no unresolved
                          estimates. *)
                       assert false

@@ -48,31 +48,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       location per incarnation (the engine composes repeated delta ops on a
       location before recording). *)
 
-  type invalidation =
-    | Suffix
-        (** Unknown (registry overflow / non-targeted instance): every
-            transaction above the writer must be revalidated — the paper's
-            whole-suffix answer. Degraded, never unsound. *)
-    | Readers of int list
-        (** Precise sorted, deduplicated set of higher transaction indices
-            whose recorded reads the mutation invalidates. *)
-  (** Answer to "whose recorded reads does this mutation invalidate?". *)
-
-  type record_outcome = {
-    wrote_new_location : bool;
-        (** Same bool {!record} returns (see its doc for the transitions). *)
-    invalidated : invalidation;
-        (** Readers whose descriptors this record invalidated. *)
-    prune_hits : int;
-        (** Writes pruned as value-equal republications. *)
-  }
-  (** Result of {!record_targeted}. *)
-
   val create :
     ?nshards:int ->
     ?writes_per_txn:int ->
-    ?targeted:bool ->
-    ?reader_slots:int ->
     ?storage:(L.t -> V.t option) ->
     block_size:int ->
     unit ->
@@ -83,41 +61,24 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       writes; shard tables are pre-sized from [block_size * writes_per_txn]
       so the common case never pays an insert-path resize.
 
-      [targeted] (default [false]) enables targeted-revalidation support
-      (DESIGN.md §10): every location carries a lock-free reader registry of
-      at most [reader_slots] (default 64) transaction indices, {!read}
-      registers the reader before loading the snapshot, and
-      {!record_targeted} / {!invalidated_readers} report precise invalidated
-      reader sets. A registry that exceeds [reader_slots] distinct readers
-      overflows and permanently answers {!Suffix} for its location.
-
       [storage] (default [fun _ -> None]) is the pre-block state, consulted
       only when materializing a delta-carrying location whose chain has no
       plain write below the reader. It must be supplied (and constant for
       the block) by any caller that records delta sets; instances that never
       publish delta entries can omit it.
       @raise Invalid_argument on negative [block_size] or [writes_per_txn],
-      non-positive [nshards], or [reader_slots < 1]. *)
+      or non-positive [nshards]. *)
 
   val block_size : t -> int
 
   val nshards : t -> int
   (** Number of hash shards this instance was created with. *)
 
-  val targeted : t -> bool
-  (** Whether this instance was created with [~targeted:true]. *)
-
-  val read : ?register:bool -> t -> L.t -> txn_idx:int -> read_result
+  val read : t -> L.t -> txn_idx:int -> read_result
   (** Algorithm 3, [read]: the entry written by the highest transaction
       index below [txn_idx]. A chain topped by delta entries folds their
       nets onto the anchoring plain write and answers {!Merged}; an
-      [ESTIMATE] anywhere in the folded span is a {!Read_error} dependency.
-      In targeted mode, additionally registers [txn_idx] in the location's
-      reader registry (snapshot reads at [txn_idx = block_size] are not
-      registered). [register] (default [true]) set to [false] skips that
-      registration — sound only when the caller proves no lower transaction
-      can ever write this location (static-spec independence, DESIGN.md
-      §15); no effect outside targeted mode. *)
+      [ESTIMATE] anywhere in the folded span is a {!Read_error} dependency. *)
 
   val apply_write_set :
     t -> txn_idx:int -> incarnation:int -> write_set -> unit
@@ -130,9 +91,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       read-set for later validation. [deltas] (default empty) publishes
       commutative delta entries alongside the plain writes; delta locations
       join the recorded written set, so every written-location transition
-      below — as well as abort conversion ({!convert_writes_to_estimates}
-      preserves the displaced delta payload), stale-entry removal and the
-      commit flush — treats a delta exactly like a write.
+      below — as well as abort conversion ({!convert_writes_to_estimates}),
+      stale-entry removal and the commit flush — treats a delta exactly like
+      a write.
 
       Returns [wrote_new_location]: [true] iff this incarnation wrote (or
       applied a delta to) at least one location that the {e previous}
@@ -162,36 +123,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
          (the location stays in the written set; affected readers are caught
          by validation, not by the flag).}}
       The scheduler uses the flag as the trigger for suffix revalidation
-      (Algorithm 9); targeted mode replaces the flag with the precise
-      {!record_outcome.invalidated} set. *)
-
-  val record_targeted :
-    ?deltas:delta_set -> t -> Version.t -> read_set -> write_set -> record_outcome
-  (** Targeted-mode {!record}: performs the same mutations, additionally
-      {ul
-      {- {b prunes value-equal republications}: a write of a byte-identical
-         value ([V.equal]) to a location whose displaced entry (or ESTIMATE
-         [prior]) carried the same value — likewise a republication of an
-         identical composed delta ([Delta.equal]) — is re-published under
-         the {e original} (incarnation, payload) descriptor, so downstream
-         read descriptors remain valid and the location invalidates nobody;}
-      {- {b collects the invalidated readers}: every registered reader above
-         the writer on a non-pruned written (or delta'd) location or on a
-         removed-this-record location. Any overflowed registry degrades the
-         answer to {!Suffix}. Reader registries do not distinguish
-         value-observing from delta-applying readers, so a delta publication
-         still revalidates the delta-applying readers above it — but their
-         [Range] descriptors pass, so the revalidation is cheap and
-         abort-free (DESIGN.md §12).}}
-      @raise Invalid_argument on a non-targeted instance. *)
-
-  val invalidated_readers : t -> txn_idx:int -> invalidation
-  (** Readers above [txn_idx] registered on the locations its last finished
-      incarnation wrote — the precise set a validation abort invalidates.
-      Call {e before} {!convert_writes_to_estimates}: late readers either
-      hit the ESTIMATEs (failing through the dependency / validation paths)
-      or are caught by the re-execution's {!record_targeted}. Returns
-      {!Suffix} on any registry overflow or on a non-targeted instance. *)
+      (Algorithm 9). *)
 
   val convert_writes_to_estimates : t -> int -> unit
   (** Algorithm 2, called on abort: the aborted incarnation's entries become
@@ -226,11 +158,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       {- [Counter c] (an exact materialized integer was observed):
          re-materialize and require equality with [c];}
       {- [Not_counter] (a delta op observed a non-integer anchor): require
-         the location still to materialize to a non-integer.}}
-      The materializing branches never register a reader; the
-      [Storage]/[Mv] branches go through {!read}, whose targeted-mode
-      registration is an idempotent no-op here (the descriptor being
-      validated implies the reader is already registered). *)
+         the location still to materialize to a non-integer.}} *)
 
   val last_read_set : t -> int -> read_set
   (** Last recorded read-set of a transaction (RCU load). Used by the §4
@@ -271,8 +199,4 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val entry_count : t -> int
   (** Diagnostic: number of version entries currently stored. *)
-
-  val iter_reader_registries : t -> f:(used:int -> overflowed:bool -> unit) -> unit
-  (** Diagnostic (targeted mode): calls [f] once per location registry with
-      its occupied slot count and overflow flag. No-op otherwise. *)
 end

@@ -73,15 +73,9 @@ let pp_task ppf = function
 (* No-proof sentinel: matches no incarnation (incarnations start at 0). *)
 let no_proof = (-1, -1)
 
-(** Revalidation demand reported by the engine after a mutation (mirrors
-    [Mvmemory.invalidation]): the precise reader set, or the paper's
-    whole-suffix pullback when the readers are unknown. *)
-type reval = Reval_suffix | Reval_readers of int list
-
 type t = {
   block_size : int;
   rolling : bool;
-  targeted : bool;
   execution_idx : int Atomic.t;
   validation_idx : int Atomic.t;
   decrease_cnt : int Atomic.t;
@@ -99,33 +93,19 @@ type t = {
   proof : (int * int) Atomic.t array;
   commit_mutex : Mutex.t;
   commit_idx : int Atomic.t;
-  (* Targeted-revalidation state (all unused when [targeted] is false).
-     [val_flag.(k)] is the needs-revalidation dirty bitmap: set by
-     [mark_readers], consumed exactly once per set by the targeted claim in
-     [next_task]. [targeted_pending] counts set-but-unclaimed flags and
-     participates in [check_done]; [targeted_min] is a monotone-decreasing
-     scan hint (min index ever marked). The tail counters are metrics. *)
-  val_flag : bool Atomic.t array;
-  targeted_pending : int Atomic.t;
-  targeted_min : int Atomic.t;
-  targeted_marks : int Atomic.t;
-  targeted_claims : int Atomic.t;
-  targeted_fallbacks : int Atomic.t;
-  suffix_avoided : int Atomic.t;
 }
 
 (* The global counters are the most contended words in the system — every
    task claim CASes one of them — and the per-txn dirty/proof/status slots
    are hammered by neighbouring indices, so all of them are padded onto
    their own cache lines (DESIGN.md §9). *)
-let create ?(rolling = false) ?(targeted = false) ~block_size () =
+let create ?(rolling = false) ~block_size () =
   if block_size < 0 then invalid_arg "Scheduler.create: negative block_size";
   let padded_atomic = Atomic_util.padded_atomic in
   let per_txn f = Atomic_util.init_array block_size f in
   {
     block_size;
     rolling;
-    targeted;
     execution_idx = padded_atomic 0;
     validation_idx = padded_atomic 0;
     decrease_cnt = padded_atomic 0;
@@ -148,24 +128,10 @@ let create ?(rolling = false) ?(targeted = false) ~block_size () =
       (if rolling then per_txn (fun _ -> padded_atomic no_proof) else [||]);
     commit_mutex = Mutex.create ();
     commit_idx = padded_atomic 0;
-    val_flag =
-      (if targeted then per_txn (fun _ -> padded_atomic false) else [||]);
-    targeted_pending = padded_atomic 0;
-    targeted_min = padded_atomic block_size;
-    targeted_marks = padded_atomic 0;
-    targeted_claims = padded_atomic 0;
-    targeted_fallbacks = padded_atomic 0;
-    suffix_avoided = padded_atomic 0;
   }
 
 let block_size t = t.block_size
 let rolling t = t.rolling
-let targeted t = t.targeted
-
-let require_targeted t fn =
-  if not t.targeted then
-    invalid_arg
-      (Printf.sprintf "Scheduler.%s: created without ~targeted:true" fn)
 
 (* --- Algorithm 5: utility procedures ------------------------------------ *)
 
@@ -193,64 +159,16 @@ let decrease_validation_idx t ~target_idx =
 (* The wave a validation claimed now would carry. *)
 let current_wave t = Atomic.get t.pullback_marker
 
-(* Targeted counterpart of a validation pullback: stamp exactly the
-   transactions whose recorded reads the mutation invalidated, instead of
-   pulling [validation_idx] back over the whole suffix. Same ordering
-   contract as [mark_dirty]: must run after the MVMemory mutation it reports
-   and before the status change that re-enables the mutated transaction.
-   Every caller holds an active-task count across this call, and the final
-   [decrease_cnt] bump lands after the pending increments and before the
-   caller's active-task decrement — so [check_done]'s double-collect can
-   never certify completion across an in-flight mark (it reads
-   [targeted_pending] before [num_active_tasks]). *)
-let mark_readers t ~(readers : int list) : unit =
-  (if t.rolling then
-     match readers with
-     | [] -> ()
-     | _ ->
-         (* One pullback wave per mark; per-index stamps only — readers not
-            in the set keep their (still valid) commit proofs. *)
-         let marker = 1 + Atomic_util.get_and_incr t.pullback_marker in
-         List.iter
-           (fun k ->
-             if k >= 0 && k < t.block_size then
-               ignore (Atomic_util.fetch_max t.dirty.(k) marker))
-           readers);
-  let marked = ref 0 in
-  List.iter
-    (fun k ->
-      if
-        k >= 0 && k < t.block_size
-        && Atomic.compare_and_set t.val_flag.(k) false true
-      then begin
-        incr marked;
-        Atomic_util.incr t.targeted_pending;
-        ignore (Atomic_util.fetch_min t.targeted_min k)
-      end)
-    readers;
-  if !marked > 0 then begin
-    ignore (Atomic.fetch_and_add t.targeted_marks !marked);
-    Atomic_util.incr t.decrease_cnt
-  end
-
 (* Double-collect on [decrease_cnt]: reads are sequenced explicitly (OCaml
-   application evaluates arguments right-to-left, so we avoid inline reads).
-   [targeted_pending] is read before [num_active_tasks]: a targeted claim
-   increments the active count before consuming its flag, so a claim
-   in-flight between the two reads is visible in one of them (the same
-   publish-intent-before-consuming-the-token discipline as the index
-   counters). *)
+   application evaluates arguments right-to-left, so we avoid inline reads). *)
 let check_done t =
   let observed_cnt = Atomic.get t.decrease_cnt in
   let e = Atomic.get t.execution_idx in
   let v = Atomic.get t.validation_idx in
-  let pending = if t.targeted then Atomic.get t.targeted_pending else 0 in
   let active = Atomic.get t.num_active_tasks in
   let cnt_now = Atomic.get t.decrease_cnt in
-  if
-    min e v >= t.block_size
-    && pending = 0 && active = 0 && observed_cnt = cnt_now
-  then Atomic.set t.done_marker true
+  if min e v >= t.block_size && active = 0 && observed_cnt = cnt_now then
+    Atomic.set t.done_marker true
 
 let done_ t = Atomic.get t.done_marker
 
@@ -328,67 +246,18 @@ let next_version_to_validate t : (Version.t * int) option =
 
 (* --- Algorithm 7: next task ---------------------------------------------- *)
 
-(* Claim the lowest marked transaction from the targeted queue. O(1) when
-   the queue is empty (the common case); otherwise a linear scan of atomic
-   flags from the monotone scan hint. Each set flag is consumed exactly once
-   (CAS true -> false) — the active-task count is incremented BEFORE the
-   consuming CAS so [check_done] cannot miss an in-flight claim. A consumed
-   mark on a transaction that is not EXECUTED is dropped: its current
-   incarnation has not finished, and in targeted mode every
-   [finish_execution_targeted] schedules a validation of the fresh
-   incarnation whose re-reads postdate the mutation this mark reported. *)
-let next_targeted_validation t : (Version.t * int) option =
-  if (not t.targeted) || Atomic.get t.targeted_pending <= 0 then None
-  else begin
-    let n = t.block_size in
-    let rec scan k =
-      if k >= n then None
-      else if Atomic.get t.val_flag.(k) then begin
-        Atomic_util.incr t.num_active_tasks;
-        if Atomic.compare_and_set t.val_flag.(k) true false then begin
-          Atomic_util.decr t.targeted_pending;
-          (* Wave read after the mark that set this flag (and its rolling
-             dirty stamp): the recorded proof covers that mutation. *)
-          let wave = current_wave t in
-          match
-            with_status t k (fun s ->
-                if s.kind = Executed then
-                  Some (Version.make ~txn_idx:k ~incarnation:s.incarnation)
-                else None)
-          with
-          | Some v ->
-              Atomic_util.incr t.targeted_claims;
-              Some (v, wave)
-          | None ->
-              Atomic_util.decr t.num_active_tasks;
-              scan (k + 1)
-        end
-        else begin
-          (* Lost the flag to a racing claimer. *)
-          Atomic_util.decr t.num_active_tasks;
-          scan (k + 1)
-        end
-      end
-      else scan (k + 1)
-    in
-    scan (max 0 (Atomic.get t.targeted_min))
-  end
-
 let next_task t : task option =
-  match next_targeted_validation t with
-  | Some (v, wave) -> Some (Validation (v, wave))
-  | None -> (
-      if Atomic.get t.validation_idx < Atomic.get t.execution_idx then
-        match next_version_to_validate t with
-        | Some (v, wave) -> Some (Validation (v, wave))
-        | None -> (
-            match next_version_to_execute t with
-            | Some v -> Some (Execution v)
-            | None -> None)
-      else
+  if Atomic.get t.validation_idx < Atomic.get t.execution_idx then
+    match next_version_to_validate t with
+    | Some (v, wave) -> Some (Validation (v, wave))
+    | None -> (
         match next_version_to_execute t with
         | Some v -> Some (Execution v)
         | None -> None)
+  else
+    match next_version_to_execute t with
+    | Some v -> Some (Execution v)
+    | None -> None
 
 (* --- Algorithm 8: dependencies ------------------------------------------- *)
 
@@ -475,61 +344,6 @@ let finish_execution t ~txn_idx ~incarnation ~wrote_new_location : task option
     Atomic_util.decr t.num_active_tasks;
     None)
 
-(* Targeted-mode [finish_execution]: instead of keying the whole-suffix
-   pullback off [wrote_new_location], the caller reports the precise
-   revalidation demand computed by MVMemory. [Reval_readers] marks exactly
-   those transactions in the dirty bitmap (plus the rolling stamps) and hands
-   the transaction's own validation back to the caller; [Reval_suffix]
-   (registry overflow) reproduces the paper's pullback to [txn_idx] — the
-   degradation path, never unsound. [wrote_new_location] is only used for
-   the suffix-validations-avoided metric (what the paper would have pulled
-   back). *)
-let finish_execution_targeted t ~txn_idx ~incarnation ~wrote_new_location
-    ~(reval : reval) : task option =
-  require_targeted t "finish_execution_targeted";
-  (match reval with
-  | Reval_suffix ->
-      Atomic_util.incr t.targeted_fallbacks;
-      mark_dirty t ~target_idx:txn_idx
-  | Reval_readers rs ->
-      (if wrote_new_location then begin
-         (* The paper would revalidate [txn_idx, validation_idx); we schedule
-            |rs| marks plus this transaction's own handoff. *)
-         let v = min (Atomic.get t.validation_idx) t.block_size in
-         let avoided = v - txn_idx - (List.length rs + 1) in
-         if avoided > 0 then
-           ignore (Atomic.fetch_and_add t.suffix_avoided avoided)
-       end);
-      mark_readers t ~readers:rs);
-  with_status t txn_idx (fun s ->
-      assert (s.kind = Executing && s.incarnation = incarnation);
-      s.kind <- Executed);
-  let d = t.deps.(txn_idx) in
-  Mutex.lock d.dep_mutex;
-  let deps = d.dependents in
-  d.dependents <- [];
-  Mutex.unlock d.dep_mutex;
-  resume_dependencies t deps;
-  match reval with
-  | Reval_suffix ->
-      if Atomic.get t.validation_idx > txn_idx then begin
-        ignore (Atomic_util.fetch_min t.validation_idx txn_idx);
-        Atomic_util.incr t.decrease_cnt
-      end;
-      Atomic_util.decr t.num_active_tasks;
-      None
-  | Reval_readers _ ->
-      if Atomic.get t.validation_idx > txn_idx then
-        (* Hand this transaction's validation to the caller (the active-task
-           count transfers); the invalidated readers are revalidated through
-           their marks, so no index pullback is needed. *)
-        Some (Validation (Version.make ~txn_idx ~incarnation, current_wave t))
-      else begin
-        (* validation_idx <= txn_idx: the ordered sweep revalidates it. *)
-        Atomic_util.decr t.num_active_tasks;
-        None
-      end
-
 (* --- Algorithm 9: validation aborts -------------------------------------- *)
 
 (* Only the first failing validation of a given version wins the abort:
@@ -544,7 +358,7 @@ let try_validation_abort t (version : Version.t) : bool =
         true)
       else false)
 
-let finish_validation ?invalidated t ~version ~wave ~aborted : task option =
+let finish_validation t ~version ~wave ~aborted : task option =
   let txn_idx = Version.txn_idx version in
   if aborted then (
     (* All higher transactions may have read the aborted writes. The
@@ -552,22 +366,8 @@ let finish_validation ?invalidated t ~version ~wave ~aborted : task option =
        re-enabled: once READY, the re-execution can be claimed, finished,
        re-validated and committed — and the commit sweep may then read
        [dirty] for higher transactions, which must already reflect this
-       abort. In targeted mode with a precise invalidated-reader set
-       (collected by the engine BEFORE the writes became ESTIMATEs), only
-       those readers are marked and the validation index stays put; a
-       [Reval_suffix] answer (registry overflow) or no answer falls back to
-       the paper's pullback. *)
-    (match invalidated with
-    | Some (Reval_readers rs) when t.targeted ->
-        let v = min (Atomic.get t.validation_idx) t.block_size in
-        let avoided = v - (txn_idx + 1) - List.length rs in
-        if avoided > 0 then
-          ignore (Atomic.fetch_and_add t.suffix_avoided avoided);
-        mark_readers t ~readers:rs
-    | Some Reval_suffix when t.targeted ->
-        Atomic_util.incr t.targeted_fallbacks;
-        decrease_validation_idx t ~target_idx:(txn_idx + 1)
-    | _ -> decrease_validation_idx t ~target_idx:(txn_idx + 1));
+       abort. *)
+    decrease_validation_idx t ~target_idx:(txn_idx + 1);
     set_ready_status t txn_idx;
     if Atomic.get t.execution_idx > txn_idx then (
       match try_incarnate t txn_idx with
@@ -670,11 +470,6 @@ let execution_idx t = Atomic.get t.execution_idx
 let validation_idx t = Atomic.get t.validation_idx
 let num_active_tasks t = Atomic.get t.num_active_tasks
 let decrease_cnt t = Atomic.get t.decrease_cnt
-let targeted_pending t = Atomic.get t.targeted_pending
-let targeted_marks t = Atomic.get t.targeted_marks
-let targeted_claims t = Atomic.get t.targeted_claims
-let targeted_fallbacks t = Atomic.get t.targeted_fallbacks
-let suffix_avoided t = Atomic.get t.suffix_avoided
 
 let dependents t idx =
   let d = t.deps.(idx) in

@@ -42,38 +42,22 @@ type task =
 
 val pp_task : Format.formatter -> task -> unit
 
-(** Revalidation demand reported by the engine after a mutation (mirrors
-    [Mvmemory.invalidation]): the precise invalidated-reader set, or the
-    paper's whole-suffix pullback when the readers are unknown (registry
-    overflow). *)
-type reval = Reval_suffix | Reval_readers of int list
-
 type t
 
 (** [create ~block_size ()] initializes the scheduler: every transaction is
     [Ready_to_execute] at incarnation 0, both task counters at index 0.
     [rolling] (default [false]) enables the committed-prefix sweep; it adds
     an O(block_size) dirty-stamping pass to every pullback, so leave it off
-    unless {!try_advance_commit} will be used. [targeted] (default [false])
-    allocates the needs-revalidation dirty bitmap drained by {!next_task}
-    and enables {!finish_execution_targeted} and the [?invalidated]
-    parameter of {!finish_validation} (DESIGN.md §10). *)
-val create : ?rolling:bool -> ?targeted:bool -> block_size:int -> unit -> t
+    unless {!try_advance_commit} will be used. *)
+val create : ?rolling:bool -> block_size:int -> unit -> t
 
 val block_size : t -> int
 
 val rolling : t -> bool
 (** Whether this scheduler was created with [~rolling:true]. *)
 
-val targeted : t -> bool
-(** Whether this scheduler was created with [~targeted:true]. *)
-
 (** Claim the lowest-indexed available task, preferring validations when the
-    validation counter trails the execution counter (Algorithm 7). In
-    targeted mode the needs-revalidation bitmap is drained first: each
-    marked transaction yields exactly one validation task per mark (claimed
-    lowest-first), with marks on not-yet-EXECUTED transactions dropped (the
-    finish of the in-flight incarnation schedules the fresh validation).
+    validation counter trails the execution counter (Algorithm 7).
     [None] means nothing was ready — which does {e not} imply completion;
     poll {!done_}. *)
 val next_task : t -> task option
@@ -101,42 +85,15 @@ val try_validation_abort : t -> Version.t -> bool
 val finish_execution :
   t -> txn_idx:int -> incarnation:int -> wrote_new_location:bool -> task option
 
-(** Targeted-mode {!finish_execution}: the whole-suffix pullback keyed off
-    [wrote_new_location] is replaced by the precise revalidation demand
-    [reval]. [Reval_readers] marks exactly those transactions in the dirty
-    bitmap (stamping their rolling-commit dirty waves) and hands this
-    transaction's own validation task back to the caller; [Reval_suffix]
-    (registry overflow) reproduces the paper's pullback to [txn_idx].
-    [wrote_new_location] only feeds the suffix-validations-avoided metric.
-    @raise Invalid_argument if the scheduler is not targeted. *)
-val finish_execution_targeted :
-  t ->
-  txn_idx:int ->
-  incarnation:int ->
-  wrote_new_location:bool ->
-  reval:reval ->
-  task option
-
 (** Publish the completion of a validation of [version]. [wave] is the claim
     wave the validation task carried. If [aborted], bumps the transaction to
     the next incarnation, pulls the validation counter back to
     [txn_idx + 1], and — when possible — hands the re-execution task
     straight back to the caller. Otherwise, on a rolling scheduler, records
     the (incarnation, wave) commit proof consumed by the rolling-commit
-    sweep.
-
-    On a targeted scheduler, [?invalidated] (collected by the engine {e
-    before} the aborted writes became ESTIMATEs) refines the abort pullback:
-    [Reval_readers] marks exactly those readers and leaves the validation
-    index in place; [Reval_suffix] or omission falls back to the paper's
-    pullback. Ignored on non-targeted schedulers. *)
+    sweep. *)
 val finish_validation :
-  ?invalidated:reval ->
-  t ->
-  version:Version.t ->
-  wave:int ->
-  aborted:bool ->
-  task option
+  t -> version:Version.t -> wave:int -> aborted:bool -> task option
 
 (** Whether the whole block is committed (Theorem 1): set by the
     double-collect in the internal [check_done], which runs whenever a
@@ -190,22 +147,6 @@ val execution_idx : t -> int
 val validation_idx : t -> int
 val num_active_tasks : t -> int
 val decrease_cnt : t -> int
-
-val targeted_pending : t -> int
-(** Marked-but-unclaimed entries in the needs-revalidation bitmap. *)
-
-val targeted_marks : t -> int
-(** Total flags ever set in the needs-revalidation bitmap. *)
-
-val targeted_claims : t -> int
-(** Validation tasks issued from the targeted queue. *)
-
-val targeted_fallbacks : t -> int
-(** Registry-overflow degradations to the paper's suffix pullback. *)
-
-val suffix_avoided : t -> int
-(** Estimated validation tasks the paper's suffix pullbacks would have
-    scheduled beyond what targeted marking did. *)
 
 val dependents : t -> int -> int list
 (** Transactions currently parked on the given transaction. *)

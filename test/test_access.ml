@@ -142,7 +142,7 @@ let test_spec_skips () =
     Bstm.optimistic_config ~num_domains:4 (fun o ->
         {
           o with
-          marking = Estimates { validation = Suffix; seed_from_specs = true };
+          marking = Estimates { seed_from_specs = true };
         })
   in
   let r =

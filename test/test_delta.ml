@@ -296,39 +296,23 @@ let test_hotspot_differential () =
         (fun rolling ->
           List.iter
             (fun deltas ->
-              List.iter
-                (fun targeted ->
-                  let msg =
-                    Printf.sprintf "domains=%d rolling=%b deltas=%b targeted=%b"
-                      domains rolling deltas targeted
-                  in
-                  let config =
-                    H.Bstm.optimistic_config ~num_domains:domains (fun o ->
-                        {
-                          o with
-                          marking =
-                            Estimates
-                              {
-                                validation =
-                                  (if targeted then Targeted else Suffix);
-                                seed_from_specs = false;
-                              };
-                          rolling_commit = rolling;
-                          delta_ops = deltas;
-                        })
-                  in
-                  let r =
-                    H.run_blockstm ~config ~storage:w.h_storage w.h_txns
-                  in
-                  Alcotest.(check bool)
-                    (msg ^ ": snapshot = sequential")
-                    true
-                    (H.equal_snapshot seq.snapshot r.snapshot);
-                  Alcotest.(check bool)
-                    (msg ^ ": outputs = sequential")
-                    true
-                    (H.equal_outputs seq.outputs r.outputs))
-                [ false; true ])
+              let msg =
+                Printf.sprintf "domains=%d rolling=%b deltas=%b" domains
+                  rolling deltas
+              in
+              let config =
+                H.Bstm.optimistic_config ~num_domains:domains (fun o ->
+                    { o with rolling_commit = rolling; delta_ops = deltas })
+              in
+              let r = H.run_blockstm ~config ~storage:w.h_storage w.h_txns in
+              Alcotest.(check bool)
+                (msg ^ ": snapshot = sequential")
+                true
+                (H.equal_snapshot seq.snapshot r.snapshot);
+              Alcotest.(check bool)
+                (msg ^ ": outputs = sequential")
+                true
+                (H.equal_outputs seq.outputs r.outputs))
             [ false; true ])
         [ false; true ])
     [ 1; 2; 4; 8 ];

@@ -374,99 +374,6 @@ let test_record_delete_then_rewrite_is_new () =
   Alcotest.(check bool) "rewrite after removal: new" true
     (record mv ~txn:3 ~inc:2 [ (1, 11); (2, 20) ])
 
-(* --- Targeted mode: reader registries, pruning, overflow ------------------ *)
-
-let inv =
-  let pp ppf = function
-    | Mv.Suffix -> Fmt.string ppf "Suffix"
-    | Mv.Readers rs -> Fmt.pf ppf "Readers %a" Fmt.(Dump.list int) rs
-  in
-  Alcotest.testable pp ( = )
-
-let record_t mv ~txn ~inc ?(reads = [||]) writes =
-  Mv.record_targeted mv (ver txn inc) reads (Array.of_list writes)
-
-let test_targeted_requires_flag () =
-  let mv = Mv.create ~block_size:4 () in
-  Alcotest.check_raises "record_targeted on non-targeted instance"
-    (Invalid_argument "Mvmemory.record_targeted: not a targeted instance")
-    (fun () -> ignore (record_t mv ~txn:0 ~inc:0 [ (1, 1) ]));
-  Alcotest.check inv "invalidated_readers degrades to Suffix" Mv.Suffix
-    (Mv.invalidated_readers mv ~txn_idx:0)
-
-let test_targeted_collects_readers_above () =
-  let mv = Mv.create ~targeted:true ~block_size:10 () in
-  (* Registration happens on every read, including storage misses. *)
-  check_read "tx3 miss" mv 7 ~txn:3 Mv.Not_found;
-  check_read "tx5 miss" mv 7 ~txn:5 Mv.Not_found;
-  check_read "tx0 miss" mv 7 ~txn:0 Mv.Not_found;
-  (* Snapshot reads at block_size are not registered. *)
-  check_read "snapshot read" mv 7 ~txn:10 Mv.Not_found;
-  let o = record_t mv ~txn:1 ~inc:0 [ (7, 70) ] in
-  Alcotest.(check bool) "new location" true o.Mv.wrote_new_location;
-  Alcotest.check inv "readers above the writer, sorted"
-    (Mv.Readers [ 3; 5 ]) o.Mv.invalidated;
-  (* Registries are cumulative: a second record reports them again. *)
-  let o2 = record_t mv ~txn:1 ~inc:1 [ (7, 71) ] in
-  Alcotest.check inv "still reported" (Mv.Readers [ 3; 5 ]) o2.Mv.invalidated
-
-let test_targeted_value_prune_keeps_descriptor () =
-  let mv = Mv.create ~targeted:true ~block_size:10 () in
-  ignore (record_t mv ~txn:1 ~inc:0 [ (7, 70) ]);
-  check_read "tx5 reads (1,0)" mv 7 ~txn:5 (Mv.Ok (ver 1 0, 70));
-  ignore
-    (Mv.record_targeted mv (ver 5 0) (rs [ (7, Some (1, 0)) ]) [||]);
-  (* Incarnation 1 republishes the same value: pruned — the entry keeps the
-     original (incarnation 0) descriptor and invalidates nobody. *)
-  let o = record_t mv ~txn:1 ~inc:1 [ (7, 70) ] in
-  Alcotest.(check int) "one prune hit" 1 o.Mv.prune_hits;
-  Alcotest.check inv "nobody invalidated" (Mv.Readers []) o.Mv.invalidated;
-  check_read "descriptor unchanged" mv 7 ~txn:5 (Mv.Ok (ver 1 0, 70));
-  Alcotest.(check bool) "tx5 still validates" true (Mv.validate_read_set mv 5);
-  (* A different value does invalidate. *)
-  let o2 = record_t mv ~txn:1 ~inc:2 [ (7, 99) ] in
-  Alcotest.(check int) "no prune hit" 0 o2.Mv.prune_hits;
-  Alcotest.check inv "tx5 invalidated" (Mv.Readers [ 5 ]) o2.Mv.invalidated;
-  Alcotest.(check bool) "tx5 now invalid" false (Mv.validate_read_set mv 5)
-
-let test_targeted_prune_restores_estimate_prior () =
-  let mv = Mv.create ~targeted:true ~block_size:10 () in
-  ignore (record_t mv ~txn:1 ~inc:0 [ (7, 70) ]);
-  ignore
-    (Mv.record_targeted mv (ver 5 0) (rs [ (7, Some (1, 0)) ]) [||]);
-  Mv.convert_writes_to_estimates mv 1;
-  check_read "estimate blocks" mv 7 ~txn:5
-    (Mv.Read_error { blocking_txn_idx = 1 });
-  (* The re-execution writes the same value: the displaced Written payload
-     under the ESTIMATE is restored with its original incarnation. *)
-  let o = record_t mv ~txn:1 ~inc:1 [ (7, 70) ] in
-  Alcotest.(check int) "prune through estimate" 1 o.Mv.prune_hits;
-  Alcotest.check inv "nobody invalidated" (Mv.Readers []) o.Mv.invalidated;
-  check_read "original descriptor restored" mv 7 ~txn:5 (Mv.Ok (ver 1 0, 70));
-  Alcotest.(check bool) "tx5 still validates" true (Mv.validate_read_set mv 5)
-
-let test_targeted_abort_invalidates_readers () =
-  let mv = Mv.create ~targeted:true ~block_size:10 () in
-  ignore (record_t mv ~txn:2 ~inc:0 [ (7, 70) ]);
-  check_read "tx4 reads" mv 7 ~txn:4 (Mv.Ok (ver 2 0, 70));
-  check_read "tx8 reads" mv 7 ~txn:8 (Mv.Ok (ver 2 0, 70));
-  Alcotest.check inv "readers of the written set" (Mv.Readers [ 4; 8 ])
-    (Mv.invalidated_readers mv ~txn_idx:2)
-
-let test_targeted_overflow_degrades_to_suffix () =
-  let mv = Mv.create ~targeted:true ~reader_slots:2 ~block_size:10 () in
-  check_read "r3" mv 7 ~txn:3 Mv.Not_found;
-  check_read "r4" mv 7 ~txn:4 Mv.Not_found;
-  check_read "r5" mv 7 ~txn:5 Mv.Not_found;
-  let o = record_t mv ~txn:1 ~inc:0 [ (7, 70) ] in
-  Alcotest.check inv "overflow answers Suffix" Mv.Suffix o.Mv.invalidated;
-  let overflowed = ref 0 and total = ref 0 in
-  Mv.iter_reader_registries mv ~f:(fun ~used:_ ~overflowed:o ->
-      incr total;
-      if o then incr overflowed);
-  Alcotest.(check bool) "some registry overflowed" true (!overflowed >= 1);
-  Alcotest.(check bool) "registries exist" true (!total >= 1)
-
 (* --- Concurrency smoke --------------------------------------------------- *)
 
 (* Disjoint transactions recorded from four domains; snapshot must contain
@@ -547,18 +454,6 @@ let suite =
       test_record_prefilled_not_new;
     Alcotest.test_case "record: delete-then-rewrite is new again" `Quick
       test_record_delete_then_rewrite_is_new;
-    Alcotest.test_case "targeted: requires ~targeted:true" `Quick
-      test_targeted_requires_flag;
-    Alcotest.test_case "targeted: collects readers above writer" `Quick
-      test_targeted_collects_readers_above;
-    Alcotest.test_case "targeted: value prune keeps descriptor" `Quick
-      test_targeted_value_prune_keeps_descriptor;
-    Alcotest.test_case "targeted: prune restores estimate prior" `Quick
-      test_targeted_prune_restores_estimate_prior;
-    Alcotest.test_case "targeted: abort-time invalidated readers" `Quick
-      test_targeted_abort_invalidates_readers;
-    Alcotest.test_case "targeted: overflow degrades to Suffix" `Quick
-      test_targeted_overflow_degrades_to_suffix;
     Alcotest.test_case "concurrent disjoint records" `Quick
       test_concurrent_disjoint_records;
   ]

@@ -151,28 +151,6 @@ let test_merkle_rolling_pipelined () =
     "rolling merkle pipelined" None
     (Chain.first_divergence refc chain)
 
-(* Run [f] on its own domain and fail the test if it has not returned
-   within [secs]: a hang fails this test instead of stalling the suite. *)
-let with_timeout ~secs f =
-  let res = Atomic.make None in
-  let d =
-    Domain.spawn (fun () ->
-        Atomic.set res (Some (try Ok (f ()) with e -> Error e)))
-  in
-  let deadline = Unix.gettimeofday () +. secs in
-  let rec wait () =
-    match Atomic.get res with
-    | Some r ->
-        Domain.join d;
-        r
-    | None ->
-        if Unix.gettimeofday () > deadline then
-          Alcotest.failf "no result after %.0f s" secs;
-        Unix.sleepf 0.01;
-        wait ()
-  in
-  wait ()
-
 (* A job that raises on the digest worker is an error of the stream, not a
    hang: [hash_loc] raises off the domain running the stream, i.e. in the
    first state-root job, so the stream must raise it and commit no block. *)
@@ -193,7 +171,7 @@ let test_digest_failure () =
     (fun (ctx, executor) ->
       let chain = Chain.create ~hash_loc ~executor ~genesis () in
       match
-        with_timeout ~secs:20. (fun () ->
+        Tutil.with_timeout ~secs:20. (fun () ->
             Atomic.set stream_dom (Domain.self ());
             Chain.execute_stream ~mode:`Pipelined chain ~next:(next_of blocks))
       with
@@ -220,7 +198,7 @@ let test_stream_forwards_specs () =
     CBstm.optimistic_config ~num_domains:2 (fun o ->
         {
           o with
-          marking = Estimates { validation = Suffix; seed_from_specs = true };
+          marking = Estimates { seed_from_specs = true };
         })
   in
   let dag = { CBstm.default_config with num_domains = 2; sched = Spec_dag } in

@@ -14,18 +14,9 @@
 open Blockstm_kernel
 open Tutil
 
-let stress_config ~domains ~rolling ~targeted =
+let stress_config ~domains ~rolling =
   Bstm.optimistic_config ~num_domains:domains (fun o ->
-      {
-        o with
-        rolling_commit = rolling;
-        marking =
-          Estimates
-            {
-              validation = (if targeted then Targeted else Suffix);
-              seed_from_specs = false;
-            };
-      })
+      { o with rolling_commit = rolling })
 
 (* A transaction plan: [(src, dst, c)] steps, each reading [src] and writing
    [dst := src_value + c]; the output is the sum of all values read. Plans
@@ -116,17 +107,16 @@ let run_keeping_instance ~config txns =
   Array.iter Domain.join others;
   (inst, Bstm.finalize inst)
 
-let check_run ?(targeted = false) ~seed ~domains ~rolling () =
+let check_run ~seed ~domains ~rolling =
   let ntxns = 150 and nlocs = 24 in
   let block = gen_block ~seed ~ntxns ~nlocs in
   let txns = Array.map txn_of_plan block in
   let seq = Seq.run ~storage:zero_storage txns in
-  let config = stress_config ~domains ~rolling ~targeted in
+  let config = stress_config ~domains ~rolling in
   let inst, par = run_keeping_instance ~config txns in
   let ctx =
-    Printf.sprintf "seed=%d domains=%d %s%s" seed domains
+    Printf.sprintf "seed=%d domains=%d %s" seed domains
       (if rolling then "rolling" else "lazy")
-      (if targeted then " targeted" else "")
   in
   (* Final state and outputs identical to sequential. *)
   Alcotest.(check (list (pair int int)))
@@ -156,12 +146,12 @@ let check_run ?(targeted = false) ~seed ~domains ~rolling () =
         act
   done
 
-let test_sweep ?targeted ~rolling () =
+let test_sweep ~rolling () =
   List.iter
     (fun domains ->
       List.iter
-        (fun seed -> check_run ?targeted ~seed ~domains ~rolling ())
-        [ 11; 42; 1234 ])
+        (fun seed -> check_run ~seed ~domains ~rolling)
+        [ 11; 42; 1234; 7; 99; 2024 ])
     [ 1; 2; 4; 8 ]
 
 (* Contended singleton counter across domains: every transaction chains on
@@ -174,15 +164,11 @@ let test_counter_chain () =
     (fun domains ->
       List.iter
         (fun rolling ->
-          List.iter
-            (fun targeted ->
-              let config = stress_config ~domains ~rolling ~targeted in
-              let _, par = run_keeping_instance ~config txns in
-              Alcotest.(check (list (pair int int)))
-                (Printf.sprintf "counter domains=%d rolling=%b targeted=%b"
-                   domains rolling targeted)
-                [ (0, ntxns) ] par.snapshot)
-            [ false; true ])
+          let config = stress_config ~domains ~rolling in
+          let _, par = run_keeping_instance ~config txns in
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "counter domains=%d rolling=%b" domains rolling)
+            [ (0, ntxns) ] par.snapshot)
         [ false; true ])
     [ 2; 4; 8 ]
 
@@ -192,14 +178,6 @@ let suite =
       (test_sweep ~rolling:false);
     Alcotest.test_case "random blocks, rolling commit, 1/2/4/8 domains" `Slow
       (test_sweep ~rolling:true);
-    Alcotest.test_case
-      "random blocks, targeted revalidation, lazy commit, 1/2/4/8 domains"
-      `Slow
-      (test_sweep ~targeted:true ~rolling:false);
-    Alcotest.test_case
-      "random blocks, targeted revalidation, rolling commit, 1/2/4/8 domains"
-      `Slow
-      (test_sweep ~targeted:true ~rolling:true);
     Alcotest.test_case "contended counter chain across domains" `Slow
       test_counter_chain;
   ]

@@ -484,170 +484,6 @@ let test_raising_commit_hook_unlocks () =
       ("advance_commit", S.advance_commit);
     ]
 
-(* --- Targeted revalidation (DESIGN.md §10) -------------------------------- *)
-
-let test_targeted_mark_claims_exactly_once () =
-  let s = S.create ~targeted:true ~block_size:4 () in
-  for _ = 1 to 4 do
-    ignore (S.next_task s)
-  done;
-  (* Claims 2-4 each consumed a validation index on a not-yet-executed
-     transaction (Algorithm 7), so validation_idx is already 3: the first
-     three finishes hand their own validation task back, with no index
-     pullback despite wrote_new_location. tx1's validation task stays in
-     hand — it will be the one that fails. *)
-  for i = 0 to 2 do
-    Alcotest.check opt_task "own validation handed back"
-      (Some (validation (ver i 0)))
-      (S.finish_execution_targeted s ~txn_idx:i ~incarnation:0
-         ~wrote_new_location:true ~reval:(S.Reval_readers []));
-    if i <> 1 then ignore (fin_val s i 0 ~aborted:false)
-  done;
-  Alcotest.check opt_task "sweep covers tx3" None
-    (S.finish_execution_targeted s ~txn_idx:3 ~incarnation:0
-       ~wrote_new_location:true ~reval:(S.Reval_readers []));
-  Alcotest.check opt_task "validate tx3"
-    (Some (validation (ver 3 0)))
-    (S.next_task s);
-  ignore (fin_val s 3 0 ~aborted:false);
-  Alcotest.(check int) "sweep complete" 4 (S.validation_idx s);
-  let avoided0 = S.suffix_avoided s in
-  (* tx1's validation fails; the abort invalidates reader tx3 only. *)
-  Alcotest.(check bool) "abort wins" true (S.try_validation_abort s (ver 1 0));
-  let re =
-    S.finish_validation ~invalidated:(S.Reval_readers [ 3 ]) s
-      ~version:(ver 1 0) ~wave:0 ~aborted:true
-  in
-  Alcotest.check opt_task "re-execution handed back"
-    (Some (S.Execution (ver 1 1)))
-    re;
-  Alcotest.(check int) "validation_idx stays put" 4 (S.validation_idx s);
-  Alcotest.(check int) "one pending mark" 1 (S.targeted_pending s);
-  Alcotest.(check int)
-    "paper would have scheduled one more validation (tx2)" (avoided0 + 1)
-    (S.suffix_avoided s);
-  Alcotest.(check bool) "not done with a pending mark" false (S.done_ s);
-  (* The marked transaction is claimed exactly once, from the targeted
-     queue. *)
-  Alcotest.check opt_task "targeted claim"
-    (Some (validation (ver 3 0)))
-    (S.next_task s);
-  Alcotest.(check int) "queue drained" 0 (S.targeted_pending s);
-  Alcotest.(check int) "one claim" 1 (S.targeted_claims s);
-  Alcotest.check opt_task "no duplicate claim" None (S.next_task s);
-  ignore (fin_val s 3 0 ~aborted:false);
-  (* The re-execution reports an empty invalidated set: only its own
-     validation is handed back, no index pullback. *)
-  let v =
-    S.finish_execution_targeted s ~txn_idx:1 ~incarnation:1
-      ~wrote_new_location:false ~reval:(S.Reval_readers [])
-  in
-  Alcotest.check opt_task "own validation handed back"
-    (Some (validation (ver 1 1)))
-    v;
-  Alcotest.(check int) "validation_idx never pulled back" 4
-    (S.validation_idx s);
-  ignore (fin_val s 1 1 ~aborted:false);
-  ignore (S.next_task s);
-  Alcotest.(check bool) "done" true (S.done_ s)
-
-let test_targeted_mark_on_executing_dropped () =
-  let s = S.create ~targeted:true ~block_size:2 () in
-  ignore (S.next_task s);
-  ignore (S.next_task s);
-  (* tx0 finishes and marks tx1 while tx1 is still EXECUTING; tx0's own
-     validation is handed back (the sweep already consumed its index). *)
-  Alcotest.check opt_task "own validation handed back"
-    (Some (validation (ver 0 0)))
-    (S.finish_execution_targeted s ~txn_idx:0 ~incarnation:0
-       ~wrote_new_location:true ~reval:(S.Reval_readers [ 1 ]));
-  Alcotest.(check int) "mark pending" 1 (S.targeted_pending s);
-  (* The next claim consumes the mark but drops it: tx1 is not EXECUTED, and
-     its own finish will schedule the fresh incarnation's validation. *)
-  Alcotest.check opt_task "mark dropped, nothing else ready" None
-    (S.next_task s);
-  Alcotest.(check int) "mark consumed" 0 (S.targeted_pending s);
-  Alcotest.(check int) "no claim issued" 0 (S.targeted_claims s);
-  ignore (fin_val s 0 0 ~aborted:false);
-  let v =
-    S.finish_execution_targeted s ~txn_idx:1 ~incarnation:0
-      ~wrote_new_location:true ~reval:(S.Reval_readers [])
-  in
-  Alcotest.check opt_task "tx1's own validation handed back"
-    (Some (validation (ver 1 0)))
-    v;
-  ignore (fin_val s 1 0 ~aborted:false);
-  ignore (S.next_task s);
-  Alcotest.(check bool) "done" true (S.done_ s)
-
-let test_targeted_suffix_fallback_pullback () =
-  let s = S.create ~targeted:true ~block_size:3 () in
-  for _ = 1 to 3 do
-    ignore (S.next_task s)
-  done;
-  (* tx0's validation task stays in hand — it will be the one that fails. *)
-  for i = 0 to 2 do
-    match
-      S.finish_execution_targeted s ~txn_idx:i ~incarnation:0
-        ~wrote_new_location:true ~reval:(S.Reval_readers [])
-    with
-    | Some (S.Validation (v, w)) ->
-        if i <> 0 then
-          ignore (S.finish_validation s ~version:v ~wave:w ~aborted:false)
-    | Some (S.Execution _) -> Alcotest.fail "unexpected execution task"
-    | None -> (
-        (* The sweep had not passed this transaction yet: claim it. *)
-        match S.next_task s with
-        | Some (S.Validation (v, w)) ->
-            ignore (S.finish_validation s ~version:v ~wave:w ~aborted:false)
-        | _ -> Alcotest.fail "expected a validation task")
-  done;
-  (* tx0's validation fails, with a registry-overflow answer: the paper
-     pullback. *)
-  Alcotest.(check bool) "abort wins" true (S.try_validation_abort s (ver 0 0));
-  let re =
-    S.finish_validation ~invalidated:S.Reval_suffix s ~version:(ver 0 0)
-      ~wave:0 ~aborted:true
-  in
-  Alcotest.check opt_task "re-execution handed back"
-    (Some (S.Execution (ver 0 1)))
-    re;
-  Alcotest.(check int) "validation_idx pulled back to txn+1" 1
-    (S.validation_idx s);
-  Alcotest.(check int) "fallback counted" 1 (S.targeted_fallbacks s);
-  (* The re-execution also reports overflow: pullback to txn_idx itself. *)
-  Alcotest.check opt_task "no handoff on suffix" None
-    (S.finish_execution_targeted s ~txn_idx:0 ~incarnation:1
-       ~wrote_new_location:true ~reval:S.Reval_suffix);
-  Alcotest.(check int) "validation_idx pulled back to txn" 0
-    (S.validation_idx s);
-  Alcotest.(check int) "two fallbacks" 2 (S.targeted_fallbacks s);
-  Alcotest.(check int) "no targeted marks along the way" 0
-    (S.targeted_marks s);
-  (* The ordered sweep revalidates the whole suffix, as in the paper. *)
-  for i = 0 to 2 do
-    let inc = if i = 0 then 1 else 0 in
-    Alcotest.check opt_task
-      (Printf.sprintf "revalidate tx%d" i)
-      (Some (validation (ver i inc)))
-      (S.next_task s);
-    ignore (fin_val s i inc ~aborted:false)
-  done;
-  ignore (S.next_task s);
-  Alcotest.(check bool) "done" true (S.done_ s)
-
-let test_targeted_requires_flag () =
-  let s = S.create ~block_size:2 () in
-  ignore (S.next_task s);
-  Alcotest.(check bool) "targeted flag off" false (S.targeted s);
-  Alcotest.check_raises "finish_execution_targeted rejected"
-    (Invalid_argument
-       "Scheduler.finish_execution_targeted: created without ~targeted:true")
-    (fun () ->
-      ignore
-        (S.finish_execution_targeted s ~txn_idx:0 ~incarnation:0
-           ~wrote_new_location:true ~reval:(S.Reval_readers [])))
-
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial_state;
@@ -687,12 +523,4 @@ let suite =
       test_pullback_race;
     Alcotest.test_case "rolling: raising commit hook releases the mutex"
       `Quick test_raising_commit_hook_unlocks;
-    Alcotest.test_case "targeted: mark claimed exactly once" `Quick
-      test_targeted_mark_claims_exactly_once;
-    Alcotest.test_case "targeted: mark on EXECUTING dropped" `Quick
-      test_targeted_mark_on_executing_dropped;
-    Alcotest.test_case "targeted: overflow reproduces suffix pullback" `Quick
-      test_targeted_suffix_fallback_pullback;
-    Alcotest.test_case "targeted: requires ~targeted:true" `Quick
-      test_targeted_requires_flag;
   ]

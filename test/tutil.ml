@@ -90,6 +90,28 @@ let assert_equiv ?(msg = "parallel = sequential") ?config ?specs ~storage
     seq.outputs;
   par
 
+(** Run [f] on its own domain and fail the test if it has not returned
+    within [secs]: a hang fails the test instead of stalling the suite. *)
+let with_timeout ~secs f =
+  let res = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set res (Some (try Ok (f ()) with e -> Error e)))
+  in
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec wait () =
+    match Atomic.get res with
+    | Some r ->
+        Domain.join d;
+        r
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "no result after %.0f s" secs;
+        Unix.sleepf 0.01;
+        wait ()
+  in
+  wait ()
+
 let version = Alcotest.testable Version.pp Version.equal
 
 let qcheck_to_alcotest = QCheck_alcotest.to_alcotest

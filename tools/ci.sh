@@ -1,8 +1,8 @@
 #!/bin/sh
 # The full local CI gate: build, run every test, check the odoc build is
 # warning-free, and enforce the perf invariants of the lock-free hot paths:
-#   - Mvmemory.read / find_slot / find_cell / reg_register must not acquire
-#     a mutex (grep gate);
+#   - Mvmemory.read / find_slot / find_cell must not acquire a mutex (grep
+#     gate);
 #   - per-block fixed cost: nothing under lib/mvmemory or lib/scheduler
 #     spawns a domain, and Scheduler.create, Mvmemory.create/fresh_table and
 #     Block_stm.create_instance build no array with Array.init (grep gate);
@@ -12,9 +12,6 @@
 #     hosts (where real-domain scaling is physically impossible) the bench
 #     still runs but the comparison is report-only; set
 #     BLOCKSTM_SCALING_GATE=1 to force enforcement;
-#   - targeted revalidation (DESIGN.md §10) must not validate more than the
-#     paper's suffix scheme on the low-contention p2p workload. Same
-#     multi-core gating as above; force with BLOCKSTM_TARGETED_GATE=1;
 #   - location-key interning (DESIGN.md §11): Compile.intern_get's hit path
 #     must stay allocation- and lock-free (grep gate);
 #   - the compiled MiniMove VM must stay >= 2x the tree-walk interpreter on
@@ -24,7 +21,7 @@
 #     paper's: fig3-fig6 and the ablations virtual-time tables must match
 #     the golden captures in tools/golden/ exactly;
 #   - the CLI exits 2 on a flag combination the engine config cannot
-#     express (--no-estimates --targeted);
+#     express (--no-estimates --specs);
 #   - commutative deltas (DESIGN.md §12) must beat paper read-modify-write
 #     by >= 2x on the 2-hot-account / 8-thread hotspot-delta row (virtual
 #     time, so deterministic and enforced on any host).
@@ -36,12 +33,10 @@ dune runtest
 tools/check_doc.sh
 
 # --- Lock-free gate ---------------------------------------------------------
-# The MVMemory read hit path — including the targeted-mode reader
-# registration it performs — must acquire zero mutexes: extract the bodies
-# of find_slot, find_cell, read and reg_register (top-level
-# "let [rec] <fn> ..." up to the next blank line) and fail on any mention
-# of Mutex.
-for fn in find_slot find_cell read reg_register; do
+# The MVMemory read hit path must acquire zero mutexes: extract the bodies
+# of find_slot, find_cell and read (top-level "let [rec] <fn> ..." up to
+# the next blank line) and fail on any mention of Mutex.
+for fn in find_slot find_cell read; do
   body=$(awk "/^  let (rec )?$fn /{f=1} f{print; if (\$0 ~ /^\$/) exit}" \
     lib/mvmemory/mvmemory.ml)
   if [ -z "$body" ]; then
@@ -106,31 +101,6 @@ else
   echo "ci: scaling gate report-only on $cores core(s): BSTM-1 $tps1 tps, BSTM-4 $tps4 tps"
 fi
 
-# --- Targeted revalidation smoke --------------------------------------------
-# Targeted mode (DESIGN.md §10) exists to do strictly less validation work
-# than the paper's suffix revalidation; on the low-contention p2p point it
-# must not do more. --verify also checks the result against sequential.
-tval() {
-  dune exec bin/blockstm_cli.exe -- run -w p2p -a 1000 -b 1000 -d 4 \
-    --seed 42 --verify "$@" \
-    | tr ';' '\n' | sed -n 's/^.*[{ ]validations=//p' | head -n1
-}
-vpaper=$(tval)
-vtarg=$(tval --targeted)
-if [ -z "$vpaper" ] || [ -z "$vtarg" ]; then
-  echo "ci: FAIL — could not parse validations= from the CLI metrics line"
-  exit 1
-fi
-if [ "$cores" -ge 4 ] || [ "${BLOCKSTM_TARGETED_GATE:-0}" = "1" ]; then
-  if [ "$vtarg" -gt "$vpaper" ]; then
-    echo "ci: FAIL — targeted revalidation ran $vtarg validations > paper's $vpaper on low-contention p2p"
-    exit 1
-  fi
-  echo "ci: targeted gate passed ($vtarg validations <= paper's $vpaper)"
-else
-  echo "ci: targeted gate report-only on $cores core(s): paper $vpaper, targeted $vtarg validations"
-fi
-
 # --- Location-key interning gate --------------------------------------------
 # The interned-location hit path (DESIGN.md §11) is what keeps every
 # storage access in compiled code allocation-free: extract the body of the
@@ -188,16 +158,16 @@ done
 echo "ci: deltas-off byte-identity gate passed (fig3-fig6 and ablations match tools/golden/)"
 
 # --- Inexpressible flag combinations ----------------------------------------
-# Targeted revalidation exists only with ESTIMATE markers, so the CLI must
-# refuse --no-estimates --targeted with exit status 2 (not an exception).
+# Spec seeding exists only with ESTIMATE markers, so the CLI must refuse
+# --no-estimates --specs with exit status 2 (not an exception).
 status=0
 dune exec bin/blockstm_cli.exe -- run -w p2p -a 100 -b 100 -d 1 \
-  --no-estimates --targeted >/dev/null 2>&1 || status=$?
+  --no-estimates --specs >/dev/null 2>&1 || status=$?
 if [ "$status" -ne 2 ]; then
-  echo "ci: FAIL — blockstm run --no-estimates --targeted exited $status, expected 2"
+  echo "ci: FAIL — blockstm run --no-estimates --specs exited $status, expected 2"
   exit 1
 fi
-echo "ci: inexpressible-combination gate passed (--no-estimates --targeted exits 2)"
+echo "ci: inexpressible-combination gate passed (--no-estimates --specs exits 2)"
 
 # --- Hotspot-delta smoke ----------------------------------------------------
 # Commutative delta entries (DESIGN.md §12) exist to kill the fig5 cliff:
