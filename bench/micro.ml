@@ -40,6 +40,26 @@ let test_mv_read =
   Test.make ~name:"mvmemory.read (64 locs, 1024 versions)"
     (Staged.stage (fun () -> Sys.opaque_identity (Mv.read mv 17 ~txn_idx:800)))
 
+(* p2p-low's shape: 1,000 transactions writing four locations each, so every
+   written location has one writer, and most reads find no slot. *)
+let p2p_low_mv =
+  let mv = Mv.create ~block_size:1000 () in
+  for j = 0 to 999 do
+    ignore
+      (Mv.record mv (ver j 0) [||] (Array.init 4 (fun k -> ((4 * j) + k, j))))
+  done;
+  mv
+
+let test_mv_read_hit =
+  Test.make ~name:"mvmemory.read hit (1 writer, 4000 locs)"
+    (Staged.stage (fun () ->
+         Sys.opaque_identity (Mv.read p2p_low_mv 2000 ~txn_idx:900)))
+
+let test_mv_read_miss =
+  Test.make ~name:"mvmemory.read miss (no slot, 4000 locs)"
+    (Staged.stage (fun () ->
+         Sys.opaque_identity (Mv.read p2p_low_mv 4007 ~txn_idx:900)))
+
 let test_mv_record =
   let mv = Mv.create ~block_size:1024 () in
   let i = ref 0 in
@@ -139,6 +159,8 @@ let test_blockstm_block =
 let tests =
   [
     test_mv_read;
+    test_mv_read_hit;
+    test_mv_read_miss;
     test_mv_record;
     test_mv_validate;
     test_fetch_min;
@@ -154,8 +176,12 @@ let tests =
 let run () =
   Fmt.pr "@.== Micro-benchmarks (bechamel, ns/run via OLS) ==@.";
   let instances = Instance.[ monotonic_clock ] in
+  (* No collector stabilization between samples: a compaction before each
+     sample leaves the caches cold, which swamped the small operations (OLS
+     r² below zero); the engine runs them warm. *)
   let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None
+      ~stabilize:false ()
   in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]

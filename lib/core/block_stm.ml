@@ -565,6 +565,22 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     sc.r_buf.(sc.r_len) <- entry;
     sc.r_len <- sc.r_len + 1
 
+  (* The incarnation's own buffered write and pending delta at [loc]. Most
+     reads come before the first write, so an empty table is not hashed. *)
+  let own_write (sc : scratch) loc =
+    if LTbl.length sc.s_writes = 0 then None else LTbl.find_opt sc.s_writes loc
+
+  let own_delta (sc : scratch) loc =
+    if LTbl.length sc.s_deltas = 0 then None else LTbl.find_opt sc.s_deltas loc
+
+  (* Fill [ws] downward from index [i] with the buffered writes of [locs],
+     the write order reversed. *)
+  let rec fill_writes (sc : scratch) ws i = function
+    | [] -> ()
+    | loc :: locs ->
+        ws.(i) <- (loc, LTbl.find sc.s_writes loc);
+        fill_writes sc ws (i - 1) locs
+
   (* Executes the transaction's code, intercepting reads and writes. Never
      touches MVMemory or Storage mutably. Returns [Vm_blocked] when a read
      observed an ESTIMATE written by a lower transaction; in suspend_resume
@@ -607,42 +623,43 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           in
           go ()
     in
+    (* An MVMemory read, recorded in the read log. Built once per
+       incarnation, so a read allocates no retry closure. *)
+    let rec attempt loc =
+      match Mv.read inst.mv loc ~txn_idx with
+      | Mv.Read_error { blocking_txn_idx } ->
+          if inst.suspend then begin
+            (* Suspend here; when resumed, retry this same read. *)
+            Effect.perform (Blocked_read blocking_txn_idx);
+            attempt loc
+          end
+          else raise (Dependency blocking_txn_idx)
+      | Mv.Not_found ->
+          let v = storage_read loc in
+          push_read sc (loc, Read_origin.Storage);
+          v
+      | Mv.Ok (version, value) ->
+          push_read sc (loc, Read_origin.Mv version);
+          Some value
+      | Mv.Merged { value } ->
+          (* Value read over lower transactions' delta entries:
+             version-free, so pin the exact materialized sum. *)
+          push_read sc (loc, Read_origin.Counter value);
+          Some (V.of_counter value)
+    in
     let read loc =
       incr nreads;
-      match LTbl.find_opt sc.s_writes loc with
-      | Some v -> Some v (* read-your-writes: not recorded in the read-set *)
+      match own_write sc loc with
+      | Some _ as v -> v (* read-your-writes: not recorded in the read-set *)
       | None -> (
-          match LTbl.find_opt sc.s_deltas loc with
+          match own_delta sc loc with
           | Some (b, c) ->
               (* Value read over this transaction's own pending delta: the
                  external observation is the materialized base [b] — pin it
                  exactly, since the returned value depends on it. *)
               push_read sc (loc, Read_origin.Counter b);
               Some (V.of_counter (b + c.Delta.net))
-          | None ->
-              let rec attempt () =
-                match Mv.read inst.mv loc ~txn_idx with
-                | Mv.Read_error { blocking_txn_idx } ->
-                    if inst.suspend then begin
-                      (* Suspend here; when resumed, retry this same read. *)
-                      Effect.perform (Blocked_read blocking_txn_idx);
-                      attempt ()
-                    end
-                    else raise (Dependency blocking_txn_idx)
-                | Mv.Not_found ->
-                    let v = storage_read loc in
-                    push_read sc (loc, Read_origin.Storage);
-                    v
-                | Mv.Ok (version, value) ->
-                    push_read sc (loc, Read_origin.Mv version);
-                    Some value
-                | Mv.Merged { value } ->
-                    (* Value read over lower transactions' delta entries:
-                       version-free, so pin the exact materialized sum. *)
-                    push_read sc (loc, Read_origin.Counter value);
-                    Some (V.of_counter value)
-              in
-              attempt ())
+          | None -> attempt loc)
     in
     let write loc v =
       if LTbl.length sc.s_deltas > 0 then LTbl.remove sc.s_deltas loc;
@@ -660,7 +677,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
        instead of a value-equality read that concurrent increments abort. *)
     let delta_on loc (d : Delta.t) : Txn.delta_outcome =
       incr nreads;
-      match LTbl.find_opt sc.s_writes loc with
+      match own_write sc loc with
       | Some v -> (
           (* Own plain write buffered: plain read-modify-write on it. *)
           match V.as_counter v with
@@ -672,7 +689,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                   Txn.Applied
               | None -> Txn.Bounds_violation))
       | None -> (
-          match LTbl.find_opt sc.s_deltas loc with
+          match own_delta sc loc with
           | Some (b, c) -> (
               let c' = Delta.compose c d in
               match Delta.apply c' b with
@@ -723,12 +740,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     let finish vm_output ~keep_writes =
       let vm_read_set = Array.sub sc.r_buf 0 sc.r_len in
       let vm_write_set =
-        if keep_writes then
-          (* Deterministic order: first-write order of distinct locations. *)
-          sc.s_worder |> List.rev
-          |> List.map (fun loc -> (loc, LTbl.find sc.s_writes loc))
-          |> Array.of_list
-        else [||]
+        (* Deterministic order: first-write order of distinct locations.
+           [s_worder] is reversed, so its head is the last entry. *)
+        match sc.s_worder with
+        | loc :: locs when keep_writes ->
+            let n = LTbl.length sc.s_writes in
+            let ws = Array.make n (loc, LTbl.find sc.s_writes loc) in
+            fill_writes sc ws (n - 2) locs;
+            ws
+        | _ -> [||]
       in
       let vm_delta_set =
         (* First-delta order; a later plain write to the location removed

@@ -1,7 +1,7 @@
 (** Multi-version shared memory (the paper's MVMemory, Algorithms 2–3).
 
     For each memory location, [data] stores the latest value written per
-    transaction index together with the incarnation that wrote it, or an
+    transaction index together with the version that wrote it, or an
     [ESTIMATE] marker left behind by an aborted incarnation. A read by
     transaction [j] returns the entry written by the highest transaction
     [i < j] (speculative best guess under the preset serialization order);
@@ -10,29 +10,125 @@
     Concurrency (DESIGN.md §9): the read fast path is {e lock-free} — the
     paper's implementation (Section 4) wins against coarse-grained designs
     precisely because reads over the multi-version structure take no locks.
-    Locations are found through per-shard open-addressing tables whose slot
-    holders and table pointer are published with release stores (readers
-    probe with plain [Atomic.get]s; the shard mutex is taken only to insert a
-    missing location or to resize). Each location's state is a single
-    immutable {e snapshot} record held in one [Atomic.t]: readers do one
-    [Atomic.get], writers CAS a rebuilt snapshot. Per-transaction bookkeeping
-    ([last_written], [last_reads]) uses RCU-style atomic swaps of immutable
-    arrays. *)
+    Locations are found through per-shard open-addressing tables of
+    immutable slots, each published with a release store; the table pointer
+    is an [Atomic.t]. Readers probe with plain loads; the shard mutex is
+    taken only to insert a missing location or to resize. Each location's
+    state is a single immutable {e snapshot} record held in one [Atomic.t]:
+    readers do one [Atomic.get], writers CAS a rebuilt snapshot.
+    Per-transaction bookkeeping ([last_written], [last_reads]) uses
+    RCU-style atomic swaps of immutable arrays.
+
+    The read, plain-validation and record paths allocate no closure, option
+    or hash table: lookups are top-level recursive functions that return the
+    slot or chain node they found. *)
 
 open Blockstm_kernel
 
 module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
-  module Tbl = Hashtbl.Make (L)
-  module IMap = Map.Make (Int)
-
+  (* Plain writes and deltas carry the version of the incarnation that
+     wrote them, so reads and the flush hand it out without building one. *)
   type entry =
-    | Written of { incarnation : int; value : V.t }
-    | Delta of { incarnation : int; delta : Delta.t }
+    | Written of { version : Version.t; value : V.t }
+    | Delta of { version : Version.t; delta : Delta.t }
         (** Commutative delta entry (DESIGN.md §12): a bounded increment the
             writing incarnation applied without observing the value. Folded
             onto the highest plain write below it at read-materialization
             time and into the committed base by {!flush_committed}. *)
     | Estimate  (** Placeholder left by an aborted incarnation's write. *)
+
+  (* A location's version chain: a persistent AVL tree keyed by transaction
+     index (the balancing of [Stdlib.Map]). Lookups return the node they
+     found, or [Empty], so they allocate nothing. *)
+  type chain =
+    | Empty
+    | Node of { l : chain; idx : int; e : entry; r : chain; h : int }
+
+  let height = function Empty -> 0 | Node { h; _ } -> h
+
+  let node l idx e r =
+    let hl = height l and hr = height r in
+    Node { l; idx; e; r; h = (if hl >= hr then hl + 1 else hr + 1) }
+
+  let bal l idx e r =
+    let hl = height l and hr = height r in
+    if hl > hr + 2 then
+      match l with
+      | Node { l = ll; idx = li; e = le; r = lr; _ }
+        when height ll >= height lr ->
+          node ll li le (node lr idx e r)
+      | Node
+          {
+            l = ll;
+            idx = li;
+            e = le;
+            r = Node { l = lrl; idx = lri; e = lre; r = lrr; _ };
+            _;
+          } ->
+          node (node ll li le lrl) lri lre (node lrr idx e r)
+      | _ -> assert false
+    else if hr > hl + 2 then
+      match r with
+      | Node { l = rl; idx = ri; e = re; r = rr; _ }
+        when height rr >= height rl ->
+          node (node l idx e rl) ri re rr
+      | Node
+          {
+            l = Node { l = rll; idx = rli; e = rle; r = rlr; _ };
+            idx = ri;
+            e = re;
+            r = rr;
+            _;
+          } ->
+          node (node l idx e rll) rli rle (node rlr ri re rr)
+      | _ -> assert false
+    else node l idx e r
+
+  (* The chain with [e] at [idx], replacing any entry there. *)
+  let rec add idx e = function
+    | Empty -> Node { l = Empty; idx; e; r = Empty; h = 1 }
+    | Node n ->
+        if idx = n.idx then Node { n with e }
+        else if idx < n.idx then bal (add idx e n.l) n.idx n.e n.r
+        else bal n.l n.idx n.e (add idx e n.r)
+
+  let rec min_node = function
+    | Node { l = Empty; _ } as n -> n
+    | Node { l; _ } -> min_node l
+    | Empty -> Empty
+
+  let rec remove_min = function
+    | Node { l = Empty; r; _ } -> r
+    | Node n -> bal (remove_min n.l) n.idx n.e n.r
+    | Empty -> Empty
+
+  let rec remove idx = function
+    | Empty -> Empty
+    | Node n ->
+        if idx = n.idx then (
+          match min_node n.r with
+          | Node m -> bal n.l m.idx m.e (remove_min n.r)
+          | Empty -> n.l)
+        else if idx < n.idx then bal (remove idx n.l) n.idx n.e n.r
+        else bal n.l n.idx n.e (remove idx n.r)
+
+  (* The node at [idx], or [Empty]. *)
+  let rec find idx = function
+    | Empty -> Empty
+    | Node n as found ->
+        if idx = n.idx then found
+        else find idx (if idx < n.idx then n.l else n.r)
+
+  (* The node with the highest index below [bound], or [best] if there is
+     none; called with [best = Empty]. *)
+  let rec below bound best = function
+    | Empty -> best
+    | Node n as found ->
+        if n.idx < bound then below bound found n.r else below bound best n.l
+
+  let rec cardinal = function
+    | Empty -> 0
+    | Node { l; r; _ } -> cardinal l + 1 + cardinal r
 
   (* A location's state: an immutable snapshot swapped atomically. [versions]
      is the version chain; [base] is the committed-base entry — the highest
@@ -40,26 +136,28 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      when the chain has no entry below the reader. Readers load the whole
      snapshot with one [Atomic.get]; every writer CASes a rebuilt record, so
      [versions] and [base] always change together, atomically. *)
-  type snap = { versions : entry IMap.t; base : (Version.t * V.t) option }
+  type snap = { versions : chain; base : (Version.t * V.t) option }
 
   type cell = snap Atomic.t
 
-  let empty_snap = { versions = IMap.empty; base = None }
+  let empty_snap = { versions = Empty; base = None }
 
-  (* An occupied hash slot. Immutable: published once in a fresh holder,
-     never overwritten (cells persist for the block's lifetime; entries are
-     removed inside the cell's snapshot, not from the table). *)
-  type slot = { key : L.t; cell : cell }
+  (* A table slot. An occupied slot is immutable, built whole before the
+     release store that publishes it, and never overwritten (cells persist
+     for the block's lifetime; entries are removed inside the cell's
+     snapshot, not from the table). [hash] is [key]'s, so a probe compares
+     it before calling [L.equal] and a resize never rehashes. *)
+  type slot = Vacant | Slot of { key : L.t; hash : int; cell : cell }
 
   (* One shard: an atomically published open-addressing table (size a power
      of two, load factor <= 1/2). The mutex guards inserts and resizes only;
      the lookup hit path never touches it. A resize allocates a fresh table,
-     rehashes the (shared) slots into it and publishes the new array — a
+     copies the (shared) slots into it and publishes the new array — a
      reader still probing the old table sees the same cells, and at worst
      misses a key inserted after its table load, which linearizes the read
      before the insert exactly as the old lock-based lookup did. *)
   type shard = {
-    table : slot option Atomic.t array Atomic.t;
+    table : slot array Atomic.t;
     insert_lock : Mutex.t;
     mutable count : int;  (** Occupied slots; guarded by [insert_lock]. *)
   }
@@ -85,9 +183,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   type delta_set = (L.t * Delta.t) array
 
   type t = {
-    nshards : int;
+    shard_bits : int;  (** log2 of the shard count, a power of two. *)
+    shard_mask : int;  (** The shard count minus one. *)
     shards : shard array;
     last_written : L.t array Atomic.t array;
+        (** Per transaction: the locations of its last written set. Index
+            [j] has a chain entry exactly at these locations until the
+            flush folds [j] into the base; [record] relies on it. *)
     last_reads : read_set Atomic.t array;
     block_size : int;
     base_storage : L.t -> V.t option;
@@ -104,16 +206,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     mutable flushed_upto : int;
   }
 
-  let next_pow2 n =
-    let rec go p = if p >= n then p else go (p * 2) in
-    go 1
+  (* The least [b] with [2^b >= n]. *)
+  let ceil_log2 n =
+    let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+    go 0
 
-  (* Every vacant table slot holds this one never-written holder: a table
-     costs a holder only per inserted location, and a fresh table forces no
-     minor collection (DESIGN.md §9). *)
-  let vacant : slot option Atomic.t = Atomic.make None
-
-  let fresh_table capacity = Array.make capacity vacant
+  (* [Vacant] is an immediate, so a fresh table holds no pointer and forces
+     no minor collection (DESIGN.md §9). *)
+  let fresh_table capacity = Array.make capacity Vacant
 
   let create ?(nshards = 64) ?(writes_per_txn = 4) ?(storage = fun _ -> None)
       ~block_size () =
@@ -121,15 +221,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     if nshards <= 0 then invalid_arg "Mvmemory.create: nshards must be > 0";
     if writes_per_txn < 0 then
       invalid_arg "Mvmemory.create: negative writes_per_txn";
+    let shard_bits = ceil_log2 nshards in
+    let nshards = 1 lsl shard_bits in
     (* Pre-size each shard for the block's estimated distinct locations
        (block_size * writes-per-txn, spread over the shards, at load factor
        1/2) so the common case never pays an insert-path resize. Clamped so a
        huge block doesn't balloon the empty tables. *)
     let est_per_shard = block_size * writes_per_txn / nshards in
-    let capacity = min 65536 (next_pow2 (max 16 (2 * est_per_shard))) in
+    let capacity = min 65536 (1 lsl ceil_log2 (max 16 (2 * est_per_shard))) in
     let per_txn f = Atomic_util.init_array block_size f in
     {
-      nshards;
+      shard_bits;
+      shard_mask = nshards - 1;
       shards =
         Atomic_util.init_array nshards (fun _ ->
             {
@@ -146,100 +249,119 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     }
 
   let block_size t = t.block_size
-  let nshards t = t.nshards
+  let nshards t = t.shard_mask + 1
 
   let hash_of loc = L.hash loc land max_int
 
-  (* In-shard probe start: remix so it does not correlate with the shard
-     selector (both derive from the same hash). *)
-  let probe_of h mask = h * 0x9E3779B1 land max_int land mask
+  (* In-shard probe start: the hash bits just above the shard selector. The
+     selector bits are the same for every key of a shard, so a start drawn
+     from them (or from a product whose low bits depend only on them) would
+     pile the shard's keys onto a few runs. *)
+  let probe_of t h mask = (h lsr t.shard_bits) land mask
+
+  (* Open-addressing probe from [i]: the slot holding [loc], or [Vacant].
+     Top-level so a lookup allocates no closure; the stored hash is compared
+     before the (indirect) [L.equal]. *)
+  let rec probe table mask h loc i =
+    match table.(i) with
+    | Vacant -> Vacant
+    | Slot s as slot ->
+        if s.hash = h && L.equal s.key loc then slot
+        else probe table mask h loc ((i + 1) land mask)
 
   (* Find the slot for [loc]: the lock-free hit path. One atomic load of the
-     shard's table pointer, then an open-addressing probe of atomically
-     published slots — zero mutex acquisitions. *)
-  let find_slot t loc : slot option =
+     shard's table pointer, then plain loads of published slots — zero mutex
+     acquisitions. *)
+  let find_slot t loc : slot =
     let h = hash_of loc in
-    let shard = t.shards.(h mod t.nshards) in
-    let table = Atomic.get shard.table in
+    let table = Atomic.get t.shards.(h land t.shard_mask).table in
     let mask = Array.length table - 1 in
-    let rec probe i =
-      match Atomic.get table.(i) with
-      | None -> None
-      | Some s when L.equal s.key loc -> Some s
-      | Some _ -> probe ((i + 1) land mask)
-    in
-    probe (probe_of h mask)
+    probe table mask h loc (probe_of t h mask)
 
-  let find_cell t loc : cell option =
-    match find_slot t loc with Some s -> Some s.cell | None -> None
-
-  (* Store [holder] over the first vacant slot from [i], under the shard's
+  (* Store [slot] over the first vacant entry from [i], under the shard's
      insert lock; the store is a release ([caml_modify]), so a reader that
-     loads the holder sees it initialized. The probe may pass slots another
-     insert just published: different keys, re-checked under the lock. *)
-  let rec insert_into table mask i holder =
-    match Atomic.get table.(i) with
-    | None -> table.(i) <- holder
-    | Some _ -> insert_into table mask ((i + 1) land mask) holder
+     loads the slot sees it initialized. *)
+  let rec insert_into table mask i slot =
+    match table.(i) with
+    | Vacant -> table.(i) <- slot
+    | Slot _ -> insert_into table mask ((i + 1) land mask) slot
 
-  (* Miss path: create the slot under the shard lock (double-checking the
-     current table first — another thread may have inserted while we waited),
+  (* Miss path: create the slot under the shard lock (probing the current
+     table again first — another thread may have inserted while we waited),
      resizing at load factor 1/2. *)
-  let create_slot t loc : slot =
+  let create_cell t loc : cell =
     let h = hash_of loc in
-    let shard = t.shards.(h mod t.nshards) in
+    let shard = t.shards.(h land t.shard_mask) in
     Mutex.lock shard.insert_lock;
     let table = Atomic.get shard.table in
     let mask = Array.length table - 1 in
-    let rec refind i =
-      match Atomic.get table.(i) with
-      | None -> None
-      | Some s when L.equal s.key loc -> Some s
-      | Some _ -> refind ((i + 1) land mask)
-    in
-    let slot =
-      match refind (probe_of h mask) with
-      | Some slot -> slot
-      | None ->
-          let slot = { key = loc; cell = Atomic.make empty_snap } in
+    let cell =
+      match probe table mask h loc (probe_of t h mask) with
+      | Slot { cell; _ } -> cell
+      | Vacant ->
+          let cell = Atomic.make empty_snap in
           let table, mask =
             if 2 * (shard.count + 1) > Array.length table then begin
-              (* Grow 2x and republish. Holders are shared between old and
-                 new tables, so readers of either see the same cells. *)
+              (* Grow 2x and republish. Slots are shared between old and new
+                 tables, so readers of either see the same cells. *)
               let grown = fresh_table (2 * Array.length table) in
               let gmask = Array.length grown - 1 in
               Array.iter
-                (fun o ->
-                  match Atomic.get o with
-                  | None -> ()
-                  | Some s ->
-                      insert_into grown gmask (probe_of (hash_of s.key) gmask) o)
+                (function
+                  | Vacant -> ()
+                  | Slot { hash; _ } as s ->
+                      insert_into grown gmask (probe_of t hash gmask) s)
                 table;
               Atomic.set shard.table grown;
               (grown, gmask)
             end
             else (table, mask)
           in
-          insert_into table mask (probe_of h mask) (Atomic.make (Some slot));
+          insert_into table mask (probe_of t h mask)
+            (Slot { key = loc; hash = h; cell });
           shard.count <- shard.count + 1;
-          slot
+          cell
     in
     Mutex.unlock shard.insert_lock;
-    slot
+    cell
 
   let find_or_create_cell t loc : cell =
     match find_slot t loc with
-    | Some s -> s.cell
-    | None -> (create_slot t loc).cell
+    | Slot { cell; _ } -> cell
+    | Vacant -> create_cell t loc
 
-  (* Writer side: CAS a rebuilt snapshot. Retries only on a racing writer to
-     the same location. *)
-  let rec cell_update (c : cell) (f : snap -> snap) : unit =
-    let old = Atomic.get c in
-    let next = f old in
-    if not (Atomic.compare_and_set c old next) then cell_update c f
+  (* The cell of a location in a written set. [record] or
+     [prefill_estimates] created its slot, and slots are never removed. *)
+  let written_cell t loc : cell =
+    match find_slot t loc with Slot { cell; _ } -> cell | Vacant -> assert false
 
-  let map_versions f s = { s with versions = f s.versions }
+  (* Writer side: CAS a rebuilt snapshot, retrying only on a racing writer
+     to the same location. [put] publishes [e] at [idx], replacing any entry
+     there, and answers whether there was none; only the writer of index
+     [idx] changes its entry, so the answer is the same on every retry. *)
+  let rec put (cell : cell) idx e : bool =
+    let old = Atomic.get cell in
+    if
+      Atomic.compare_and_set cell old
+        { old with versions = add idx e old.versions }
+    then (match find idx old.versions with Empty -> true | Node _ -> false)
+    else put cell idx e
+
+  (* Remove the entry at [idx], unless incarnation [keep] wrote it (pass -1
+     to remove any entry). *)
+  let rec drop (cell : cell) idx ~keep : unit =
+    let old = Atomic.get cell in
+    match find idx old.versions with
+    | Empty -> ()
+    | Node { e = Written { version; _ } | Delta { version; _ }; _ }
+      when Version.incarnation version = keep ->
+        ()
+    | Node _ ->
+        if
+          not
+            (Atomic.compare_and_set cell old
+               { old with versions = remove idx old.versions })
+        then drop cell idx ~keep
 
   (* Slow path of [read] for a delta-topped chain (DESIGN.md §12): fold the
      delta nets downward until an anchor — the highest plain write below the
@@ -249,17 +371,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      anchor under deltas is a transient speculative state (the delta writer
      observed an integer base; its range validation will fail and remove the
      entry): serve the anchor itself so the reader's descriptor converges
-     once the bogus delta disappears. Lock-free: pure map lookups over the
+     once the bogus delta disappears. Lock-free: pure lookups over the
      already-loaded snapshot. *)
   let read_delta_chain t (loc : L.t) { versions; base } ~(txn_idx : int) :
       read_result =
     let rec walk idx net =
-      match IMap.find_last_opt (fun i -> i < idx) versions with
-      | Some (i, Estimate) -> Read_error { blocking_txn_idx = i }
-      | Some (i, Delta { delta; _ }) -> walk i (net + delta.Delta.net)
-      | Some (i, Written { incarnation; value }) ->
-          anchor (Version.make ~txn_idx:i ~incarnation) value net
-      | None -> (
+      match below idx Empty versions with
+      | Node { idx = i; e = Estimate; _ } -> Read_error { blocking_txn_idx = i }
+      | Node { idx = i; e = Delta { delta; _ }; _ } ->
+          walk i (net + delta.Delta.net)
+      | Node { e = Written { version; value }; _ } -> anchor version value net
+      | Empty -> (
           match base with
           | Some (ver, value) when Version.txn_idx ver < idx ->
               anchor ver value net
@@ -295,20 +417,21 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           match V.as_counter v with Some b -> M_int (b + net) | None -> M_other)
     in
     match find_slot t loc with
-    | None -> from_storage 0
-    | Some s ->
-        let { versions; base } = Atomic.get s.cell in
+    | Vacant -> from_storage 0
+    | Slot { cell; _ } ->
+        let { versions; base } = Atomic.get cell in
         let anchor value net =
           match V.as_counter value with
           | Some b -> M_int (b + net)
           | None -> M_other
         in
         let rec walk idx net =
-          match IMap.find_last_opt (fun i -> i < idx) versions with
-          | Some (_, Estimate) -> M_blocked
-          | Some (i, Delta { delta; _ }) -> walk i (net + delta.Delta.net)
-          | Some (_, Written { value; _ }) -> anchor value net
-          | None -> (
+          match below idx Empty versions with
+          | Node { e = Estimate; _ } -> M_blocked
+          | Node { idx = i; e = Delta { delta; _ }; _ } ->
+              walk i (net + delta.Delta.net)
+          | Node { e = Written { value; _ }; _ } -> anchor value net
+          | Empty -> (
               match base with
               | Some (ver, value) when Version.txn_idx ver < idx ->
                   anchor value net
@@ -316,105 +439,100 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         in
         walk txn_idx 0
 
-  (* Algorithm 3, [read]: entry by the highest transaction index < txn_idx.
-     Lock-free: one atomic snapshot load, then pure map lookups. The
-     committed base is only consulted when the chain has no entry below the
-     reader: flushed entries are always lower than every unflushed chain
-     entry (the flush removes the whole committed prefix per location), so
-     chain-first preserves the highest-lower-writer rule. The base keeps the
-     exact version of the flushed write, so read descriptors — and therefore
-     validation — are unchanged by a flush. A chain topped by a delta entry
-     takes the [read_delta_chain] slow path, which folds nets down to the
-     anchoring plain write and answers [Merged]. *)
+  (* Algorithm 3, [read], over one loaded snapshot: the entry by the highest
+     transaction index < txn_idx. The committed base is only consulted when
+     the chain has no entry below the reader: flushed entries are always
+     lower than every unflushed chain entry (the flush removes the whole
+     committed prefix per location), so chain-first preserves the
+     highest-lower-writer rule. The base keeps the exact version of the
+     flushed write, so read descriptors — and therefore validation — are
+     unchanged by a flush. A chain topped by a delta entry takes the
+     [read_delta_chain] slow path, which folds nets down to the anchoring
+     plain write and answers [Merged]. *)
+  let read_snap t loc snap ~txn_idx : read_result =
+    match below txn_idx Empty snap.versions with
+    | Node { e = Written { version; value }; _ } -> Ok (version, value)
+    | Node { idx; e = Estimate; _ } -> Read_error { blocking_txn_idx = idx }
+    | Node { e = Delta _; _ } -> read_delta_chain t loc snap ~txn_idx
+    | Empty -> (
+        match snap.base with
+        | Some (version, value) when Version.txn_idx version < txn_idx ->
+            Ok (version, value)
+        | _ -> Not_found)
+
+  (* Lock-free: one atomic snapshot load, then pure chain lookups. A hit
+     allocates only the [Ok] block; a miss allocates nothing. *)
   let read t (loc : L.t) ~(txn_idx : int) : read_result =
     match find_slot t loc with
-    | None -> Not_found
-    | Some s -> (
-        let ({ versions; base } as snap) = Atomic.get s.cell in
-        match IMap.find_last_opt (fun idx -> idx < txn_idx) versions with
-        | Some (idx, Estimate) -> Read_error { blocking_txn_idx = idx }
-        | Some (idx, Written { incarnation; value }) ->
-            Ok (Version.make ~txn_idx:idx ~incarnation, value)
-        | Some (_, Delta _) -> read_delta_chain t loc snap ~txn_idx
-        | None -> (
-            match base with
-            | Some (version, value) when Version.txn_idx version < txn_idx ->
-                Ok (version, value)
-            | _ -> Not_found))
+    | Vacant -> Not_found
+    | Slot { cell; _ } -> read_snap t loc (Atomic.get cell) ~txn_idx
 
-  (* Algorithm 2, [apply_write_set]. *)
-  let apply_write_set t ~txn_idx ~incarnation (write_set : write_set) : unit =
-    Array.iter
-      (fun (loc, value) ->
-        cell_update
-          (find_or_create_cell t loc)
-          (map_versions (IMap.add txn_idx (Written { incarnation; value }))))
-      write_set
-
-  (* Delta analogue of [apply_write_set] (DESIGN.md §12). *)
-  let apply_delta_set t ~txn_idx ~incarnation (delta_set : delta_set) : unit =
-    Array.iter
-      (fun (loc, delta) ->
-        cell_update
-          (find_or_create_cell t loc)
-          (map_versions (IMap.add txn_idx (Delta { incarnation; delta }))))
-      delta_set
-
-  let remove_entry t (loc : L.t) ~txn_idx : unit =
-    match find_cell t loc with
-    | None -> ()
-    | Some cell -> cell_update cell (map_versions (IMap.remove txn_idx))
-
-  (* Algorithm 2, [rcu_update_written_locations]: replace the transaction's
-     recorded write locations, removing stale entries; report whether a
-     location was written that the previous incarnation did not write. *)
-  let rcu_update_written_locations t ~txn_idx (new_locations : L.t array) :
-      bool =
-    let prev_locations = Atomic.get t.last_written.(txn_idx) in
-    let in_new = Tbl.create (Array.length new_locations * 2 + 1) in
-    Array.iter (fun l -> Tbl.replace in_new l ()) new_locations;
-    Array.iter
-      (fun l -> if not (Tbl.mem in_new l) then remove_entry t l ~txn_idx)
-      prev_locations;
-    let in_prev = Tbl.create (Array.length prev_locations * 2 + 1) in
-    Array.iter (fun l -> Tbl.replace in_prev l ()) prev_locations;
-    Atomic.set t.last_written.(txn_idx) new_locations;
-    Array.exists (fun l -> not (Tbl.mem in_prev l)) new_locations
+  (* Algorithm 2, [apply_write_set], with the delta entries (DESIGN.md §12)
+     beside the plain writes: publish them all, store their locations in
+     [locations] (writes first), and report whether index [txn_idx] had no
+     entry at one of them — by the [last_written] invariant, whether one is
+     missing from the previous written set. *)
+  let apply_write_set t (version : Version.t) (write_set : write_set)
+      (deltas : delta_set) (locations : L.t array) : bool =
+    let txn_idx = Version.txn_idx version in
+    let nw = Array.length write_set in
+    let wrote_new = ref false in
+    for i = 0 to nw - 1 do
+      let loc, value = write_set.(i) in
+      locations.(i) <- loc;
+      if put (find_or_create_cell t loc) txn_idx (Written { version; value })
+      then wrote_new := true
+    done;
+    for i = 0 to Array.length deltas - 1 do
+      let loc, delta = deltas.(i) in
+      locations.(nw + i) <- loc;
+      if put (find_or_create_cell t loc) txn_idx (Delta { version; delta })
+      then wrote_new := true
+    done;
+    !wrote_new
 
   (* Algorithm 2, [record]: returns [wrote_new_location]. [deltas] publishes
      commutative delta entries alongside the plain writes; their locations
      join the recorded written set, so abort conversion, stale-entry removal
-     and the commit flush cover them uniformly. *)
+     and the commit flush cover them uniformly. Algorithm 2's
+     [rcu_update_written_locations] needs no set operations here: after the
+     publish, a location of the previous written set holds this
+     incarnation's entry iff the incarnation wrote it, so every other one is
+     stale. *)
   let record ?(deltas = ([||] : delta_set)) t (version : Version.t)
       (read_set : read_set) (write_set : write_set) : bool =
     let txn_idx = Version.txn_idx version in
-    let incarnation = Version.incarnation version in
-    apply_write_set t ~txn_idx ~incarnation write_set;
-    apply_delta_set t ~txn_idx ~incarnation deltas;
-    let new_locations =
-      Array.append (Array.map fst write_set) (Array.map fst deltas)
+    let n = Array.length write_set + Array.length deltas in
+    let locations =
+      if n = 0 then [||]
+      else
+        Array.make n
+          (if Array.length write_set > 0 then fst write_set.(0)
+           else fst deltas.(0))
     in
-    let wrote_new = rcu_update_written_locations t ~txn_idx new_locations in
+    let wrote_new = apply_write_set t version write_set deltas locations in
+    let prev = Atomic.get t.last_written.(txn_idx) in
+    let keep = Version.incarnation version in
+    for i = 0 to Array.length prev - 1 do
+      drop (written_cell t prev.(i)) txn_idx ~keep
+    done;
+    Atomic.set t.last_written.(txn_idx) locations;
     Atomic.set t.last_reads.(txn_idx) read_set;
     wrote_new
 
   (* Algorithm 2, [convert_writes_to_estimates]: called on abort. *)
   let convert_writes_to_estimates t (txn_idx : int) : unit =
-    let prev_locations = Atomic.get t.last_written.(txn_idx) in
     Array.iter
-      (fun loc ->
-        match find_cell t loc with
-        | None -> assert false (* entry was written by [record] *)
-        | Some cell ->
-            cell_update cell (map_versions (IMap.add txn_idx Estimate)))
-      prev_locations
+      (fun loc -> ignore (put (written_cell t loc) txn_idx Estimate))
+      (Atomic.get t.last_written.(txn_idx))
 
   (** Ablation variant of abort handling (§3.2.1: "removing the entries can
       also accomplish this"): drop the aborted incarnation's entries instead
       of leaving ESTIMATE markers, so no dependency information survives. *)
   let remove_written_entries t (txn_idx : int) : unit =
-    let prev_locations = Atomic.get t.last_written.(txn_idx) in
-    Array.iter (fun loc -> remove_entry t loc ~txn_idx) prev_locations;
+    Array.iter
+      (fun loc -> drop (written_cell t loc) txn_idx ~keep:(-1))
+      (Atomic.get t.last_written.(txn_idx));
     Atomic.set t.last_written.(txn_idx) [||]
 
   (** Seed ESTIMATE markers from a declared (estimated) write-set before the
@@ -423,19 +541,45 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       [record] clears whatever the incarnation did not actually write. *)
   let prefill_estimates t (txn_idx : int) (locs : L.t array) : unit =
     Array.iter
-      (fun loc ->
-        cell_update
-          (find_or_create_cell t loc)
-          (map_versions (IMap.add txn_idx Estimate)))
+      (fun loc -> ignore (put (find_or_create_cell t loc) txn_idx Estimate))
       locs;
     Atomic.set t.last_written.(txn_idx) locs
 
+  let is_version (origin : Read_origin.t) version =
+    match origin with Mv v -> Version.equal v version | _ -> false
+
+  let is_storage (origin : Read_origin.t) =
+    match origin with Storage -> true | _ -> false
+
+  (* A [Storage] or [Mv] descriptor checked in place against the entry below
+     the reader, without building a [read_result]: it passes iff [read]
+     would answer [Not_found] for [Storage], or [Ok] with the same version
+     for [Mv]. A delta-topped chain takes [read_delta_chain]'s path. *)
+  let validate_plain t (loc : L.t) ~txn_idx (origin : Read_origin.t) : bool =
+    match find_slot t loc with
+    | Vacant -> is_storage origin
+    | Slot { cell; _ } -> (
+        let snap = Atomic.get cell in
+        match below txn_idx Empty snap.versions with
+        | Node { e = Written { version; _ }; _ } -> is_version origin version
+        | Node { e = Estimate; _ } -> false
+        | Node { e = Delta _; _ } -> (
+            match read_delta_chain t loc snap ~txn_idx with
+            | Ok (version, _) -> is_version origin version
+            | Not_found -> is_storage origin
+            | Merged _ | Read_error _ -> false)
+        | Empty -> (
+            match snap.base with
+            | Some (version, _) when Version.txn_idx version < txn_idx ->
+                is_version origin version
+            | _ -> is_storage origin))
+
   (* One read descriptor's validity against the current state (Algorithm 3
-     per-entry check). Version descriptors compare re-read descriptors; the
-     delta descriptors (DESIGN.md §12) are predicates on the materialized
-     integer base — [Range] passes while the base stays inside the bounds
-     the delta was applied under, which is what lets concurrent deltas on
-     one location revalidate without aborting each other. *)
+     per-entry check). Version descriptors must re-read the same outcome;
+     the delta descriptors (DESIGN.md §12) are predicates on the
+     materialized integer base — [Range] passes while the base stays inside
+     the bounds the delta was applied under, which is what lets concurrent
+     deltas on one location revalidate without aborting each other. *)
   let validate_origin t (loc : L.t) ~(txn_idx : int)
       (origin : Read_origin.t) : bool =
     match origin with
@@ -451,22 +595,19 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         match materialize t loc ~txn_idx with
         | M_other -> true
         | M_int _ | M_blocked -> false)
-    | Storage | Mv _ -> (
-        match (read t loc ~txn_idx, origin) with
-        | Read_error _, _ -> false (* previously read something, now ESTIMATE *)
-        | Not_found, Storage -> true
-        | Not_found, _ -> false (* entry disappeared *)
-        | Ok (v, _), Mv v' -> Version.equal v v'
-        | Ok _, _ -> false (* a lower transaction now wrote here *)
-        | Merged _, _ -> false (* plain read, now delta-topped *))
+    | Storage | Mv _ -> validate_plain t loc ~txn_idx origin
+
+  let rec validate_from t txn_idx (reads : read_set) i =
+    i = Array.length reads
+    ||
+    let loc, origin = reads.(i) in
+    validate_origin t loc ~txn_idx origin
+    && validate_from t txn_idx reads (i + 1)
 
   (* Algorithm 3, [validate_read_set]: re-read every location in the last
      recorded read-set and compare descriptors. *)
   let validate_read_set t (txn_idx : int) : bool =
-    let prior_reads = Atomic.get t.last_reads.(txn_idx) in
-    Array.for_all
-      (fun (loc, origin) -> validate_origin t loc ~txn_idx origin)
-      prior_reads
+    validate_from t txn_idx (Atomic.get t.last_reads.(txn_idx)) 0
 
   (** Last recorded read-set of [txn_idx] (RCU load). Used by the paper's
       re-execution optimization (Section 4): check prior reads for ESTIMATEs
@@ -486,35 +627,67 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     Array.iter
       (fun shard ->
         Array.iter
-          (fun o ->
-            match Atomic.get o with None -> () | Some s -> acc := f !acc s)
+          (function
+            | Vacant -> () | Slot { key; cell; _ } -> acc := f !acc key cell)
           (Atomic.get shard.table))
       t.shards;
     !acc
 
   (* Algorithm 3, [snapshot]: final value for every affected location; called
-     after the block commits. One pass over the cells: the chain's top entry
-     is the highest writer, a delta-topped chain materializes through
-     [read_delta_chain], and an empty chain falls back to the flushed base. *)
+     after the block commits. One pass over the cells, each answered as a
+     read at [block_size]: the chain's top entry is the highest writer, a
+     delta-topped chain materializes, and an empty chain falls back to the
+     flushed base. *)
   let snapshot t : (L.t * V.t) list =
-    fold_slots t ~init:[] ~f:(fun acc { key; cell } ->
-        let ({ versions; base } as snap) = Atomic.get cell in
-        match IMap.max_binding_opt versions with
-        | Some (_, Written { value; _ }) -> (key, value) :: acc
-        | Some (_, Delta _) -> (
-            match read_delta_chain t key snap ~txn_idx:t.block_size with
-            | Ok (_, value) -> (key, value) :: acc
-            | Merged { value } -> (key, V.of_counter value) :: acc
-            | Not_found -> acc
-            | Read_error _ -> assert false)
-        | Some (_, Estimate) -> assert false (* all resolved by commit *)
-        | None -> (
-            match base with
-            | Some (_, value) -> (key, value) :: acc
-            | None -> acc))
+    fold_slots t ~init:[] ~f:(fun acc key cell ->
+        match read_snap t key (Atomic.get cell) ~txn_idx:t.block_size with
+        | Ok (_, value) -> (key, value) :: acc
+        | Merged { value } -> (key, V.of_counter value) :: acc
+        | Not_found -> acc
+        | Read_error _ -> assert false (* all resolved by commit *))
     |> List.sort (fun (a, _) (b, _) -> L.compare a b)
 
   (* --- Rolling-commit flush ---------------------------------------------- *)
+
+  (* Move index [j]'s entry in [cell] into the committed base. *)
+  let rec flush_entry t (loc : L.t) (cell : cell) j : unit =
+    let old = Atomic.get cell in
+    let base =
+      match find j old.versions with
+      | Empty -> None
+      | Node { e = Written { version; value }; _ } -> Some (version, value)
+      | Node { e = Delta { version; delta }; _ } ->
+          (* Commit fold (DESIGN.md §12): ascending [j] has already folded
+             every lower committed write into the base, so the delta's
+             anchor is the current base (or pre-block storage; absent counts
+             as 0). A committed delta passed range validation, so the anchor
+             is an integer and the sum is within bounds. *)
+          let b =
+            match old.base with
+            | Some (_, v) -> V.as_counter v
+            | None -> (
+                match t.base_storage loc with
+                | Some v -> V.as_counter v
+                | None -> Some 0)
+          in
+          let b =
+            match b with
+            | Some b -> b
+            | None -> assert false (* committed delta implies integer anchor *)
+          in
+          Some (version, V.of_counter (b + delta.Delta.net))
+      | Node { e = Estimate; _ } ->
+          (* A committed transaction has no unresolved estimates. *)
+          assert false
+    in
+    match base with
+    | None -> ()
+    | Some _ ->
+        if
+          not
+            (Atomic.compare_and_set cell old
+               { versions = remove j old.versions; base })
+        then flush_entry t loc cell j
 
   (** Fold the committed prefix [0, upto) into the per-location committed
       base and prune those entries from the version chains, shrinking
@@ -535,52 +708,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       (* [last_written] is final for a committed transaction. Ascending [j]
          keeps the base at the highest committed writer per location. *)
       Array.iter
-        (fun loc ->
-          match find_cell t loc with
-          | None -> assert false (* entry was written by [record] *)
-          | Some cell ->
-              cell_update cell (fun s ->
-                  match IMap.find_opt j s.versions with
-                  | Some (Written { incarnation; value }) ->
-                      {
-                        versions = IMap.remove j s.versions;
-                        base =
-                          Some (Version.make ~txn_idx:j ~incarnation, value);
-                      }
-                  | Some (Delta { incarnation; delta }) ->
-                      (* Commit fold (DESIGN.md §12): ascending [j] has
-                         already folded every lower committed write into the
-                         base, so the delta's anchor is the current base (or
-                         pre-block storage; absent counts as 0). A committed
-                         delta passed range validation, so the anchor is an
-                         integer and the sum is within bounds. *)
-                      let b =
-                        match s.base with
-                        | Some (_, v) -> V.as_counter v
-                        | None -> (
-                            match t.base_storage loc with
-                            | Some v -> V.as_counter v
-                            | None -> Some 0)
-                      in
-                      let b =
-                        match b with
-                        | Some b -> b
-                        | None ->
-                            assert false
-                            (* committed delta implies integer anchor *)
-                      in
-                      {
-                        versions = IMap.remove j s.versions;
-                        base =
-                          Some
-                            ( Version.make ~txn_idx:j ~incarnation,
-                              V.of_counter (b + delta.Delta.net) );
-                      }
-                  | Some Estimate ->
-                      (* A committed transaction has no unresolved
-                         estimates. *)
-                      assert false
-                  | None -> s))
+        (fun loc -> flush_entry t loc (written_cell t loc) j)
         (Atomic.get t.last_written.(j))
     done;
     if upto > t.flushed_upto then t.flushed_upto <- upto;
@@ -591,6 +719,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   (** Diagnostic: number of version entries currently stored. *)
   let entry_count t : int =
-    fold_slots t ~init:0 ~f:(fun acc s ->
-        acc + IMap.cardinal (Atomic.get s.cell).versions)
+    fold_slots t ~init:0 ~f:(fun acc _ cell ->
+        acc + cardinal (Atomic.get cell).versions)
 end

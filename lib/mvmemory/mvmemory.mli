@@ -10,11 +10,14 @@
     Concurrency (DESIGN.md §9): the read fast path is {e lock-free} — as in
     the paper's implementation (Section 4), reads over the multi-version
     structure take no locks. Locations are found through per-shard
-    open-addressing tables whose slot holders and table pointer are
-    published with release stores (the shard mutex is taken only to insert a
-    missing location or to resize), and each location's version map +
-    committed base live in a single immutable snapshot record held in one
-    [Atomic.t]: readers do one [Atomic.get], writers CAS a rebuilt snapshot.
+    open-addressing tables of immutable slots, published with release stores
+    under an atomically published table pointer (the shard mutex is taken
+    only to insert a missing location or to resize), and each location's
+    version chain + committed base live in a single immutable snapshot
+    record held in one [Atomic.t]: readers do one [Atomic.get], writers CAS
+    a rebuilt snapshot. Chain entries carry the writer's version. A read
+    that misses allocates nothing and a hit allocates only its {!Ok} block;
+    validating [Storage] / [Mv] descriptors allocates nothing.
     Per-transaction bookkeeping (last written locations, last read-set) uses
     RCU-style atomic swaps of immutable arrays. All operations are
     thread-safe. *)
@@ -55,11 +58,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     block_size:int ->
     unit ->
     t
-  (** [nshards] (default 64) is the number of hash shards (each with its own
-      insert lock and atomically published table). [writes_per_txn] (default
-      4) is the estimated number of distinct locations each transaction
-      writes; shard tables are pre-sized from [block_size * writes_per_txn]
-      so the common case never pays an insert-path resize.
+  (** [nshards] (default 64, rounded up to a power of two) is the number of
+      hash shards (each with its own insert lock and atomically published
+      table). [writes_per_txn] (default 4) is the estimated number of
+      distinct locations each transaction writes; shard tables are
+      pre-sized from [block_size * writes_per_txn] so the common case never
+      pays an insert-path resize.
 
       [storage] (default [fun _ -> None]) is the pre-block state, consulted
       only when materializing a delta-carrying location whose chain has no
@@ -72,18 +76,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   val block_size : t -> int
 
   val nshards : t -> int
-  (** Number of hash shards this instance was created with. *)
+  (** Number of hash shards: [create]'s [nshards] rounded up to a power of
+      two. *)
 
   val read : t -> L.t -> txn_idx:int -> read_result
   (** Algorithm 3, [read]: the entry written by the highest transaction
       index below [txn_idx]. A chain topped by delta entries folds their
       nets onto the anchoring plain write and answers {!Merged}; an
       [ESTIMATE] anywhere in the folded span is a {!Read_error} dependency. *)
-
-  val apply_write_set :
-    t -> txn_idx:int -> incarnation:int -> write_set -> unit
-  (** Algorithm 2, [apply_write_set]: publish an incarnation's writes. Most
-      callers want {!record}, which also maintains the bookkeeping. *)
 
   val record : ?deltas:delta_set -> t -> Version.t -> read_set -> write_set -> bool
   (** Algorithm 2, [record]: publish the incarnation's writes, drop entries

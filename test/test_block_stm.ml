@@ -531,9 +531,9 @@ let test_create_forces_no_minor_collections () =
    one domain, over p2p-low's access pattern (1,000 standard-p2p
    transactions, 10^4 accounts). On one domain the count is deterministic;
    the warm-up run sizes the domain's reusable VM buffers. The bound is the
-   measured 1632.4 words (OCaml 5.1.1 without flambda) plus 1%: a change
+   measured 763.7 words (OCaml 5.1.1 without flambda) plus 1%: a change
    that cuts allocation lowers it. *)
-let minor_words_per_txn_bound = 1648.
+let minor_words_per_txn_bound = 771.
 
 let test_minor_words_per_txn () =
   let module H = Blockstm_workload.Harness in

@@ -377,8 +377,9 @@ let test_record_delete_then_rewrite_is_new () =
 (* --- Concurrency smoke --------------------------------------------------- *)
 
 (* Disjoint transactions recorded from four domains; snapshot must contain
-   every write. The second instance starts with 16-slot tables in two
-   shards, so the inserts race each other's resizes under the shard locks. *)
+   every write. The other instances start with 16-slot tables in two
+   shards, or in three rounded up to four, so the inserts race each other's
+   resizes under the shard locks. *)
 let test_concurrent_disjoint_records () =
   let n = 400 in
   List.iter
@@ -399,7 +400,110 @@ let test_concurrent_disjoint_records () =
     [
       Mv.create ~block_size:n ();
       Mv.create ~nshards:2 ~writes_per_txn:0 ~block_size:n ();
-    ]
+      Mv.create ~nshards:3 ~writes_per_txn:0 ~block_size:n ();
+    ];
+  Alcotest.(check int) "shard count rounded up to a power of two" 4
+    (Mv.nshards (Mv.create ~nshards:3 ~block_size:1 ()))
+
+(* --- Long version chains ------------------------------------------------- *)
+
+(* One location written by 500 transactions in a shuffled order, then a
+   third of them removed and a seventh turned into ESTIMATEs: every read
+   answers the highest remaining writer below the reader. Deep chains
+   exercise the tree's rebalancing on insert and removal. *)
+let test_long_chain () =
+  let n = 500 in
+  let mv = Mv.create ~block_size:n () in
+  let order = Array.init n Fun.id in
+  let rng = Random.State.make [| 18 |] in
+  for i = n - 1 downto 1 do
+    let k = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(k);
+    order.(k) <- x
+  done;
+  Array.iter (fun j -> ignore (record mv ~txn:j ~inc:0 [ (0, j) ])) order;
+  (* [state.(j)]: `W for a write, `E for an estimate, `Gone for no entry. *)
+  let state = Array.make n `W in
+  Array.iter
+    (fun j ->
+      if j mod 3 = 1 then begin
+        ignore (record mv ~txn:j ~inc:1 []);
+        state.(j) <- `Gone
+      end
+      else if j mod 7 = 2 then begin
+        Mv.convert_writes_to_estimates mv j;
+        state.(j) <- `E
+      end)
+    order;
+  Alcotest.(check int) "entries"
+    (Array.fold_left (fun acc s -> if s = `Gone then acc else acc + 1) 0 state)
+    (Mv.entry_count mv);
+  for reader = 0 to n do
+    let rec expected j =
+      if j < 0 then Mv.Not_found
+      else
+        match state.(j) with
+        | `W -> Mv.Ok (ver j 0, j)
+        | `E -> Mv.Read_error { blocking_txn_idx = j }
+        | `Gone -> expected (j - 1)
+    in
+    check_read
+      (Printf.sprintf "reader %d" reader)
+      mv 0 ~txn:reader
+      (expected (reader - 1))
+  done
+
+(* --- Allocation on the hit paths ------------------------------------------ *)
+
+(* Minor words per call of [f], averaged over 10^4 calls. *)
+let words_per_call f =
+  let calls = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+(* A filled 1000-transaction instance, p2p-low-shaped: every transaction
+   writes four locations of its own, and a read set is mostly storage reads.
+   A miss allocates nothing, a hit only its [Ok] block, and validating
+   [Storage] / [Mv] descriptors nothing. *)
+let test_hit_paths_allocation () =
+  let n = 1000 in
+  let mv = Mv.create ~block_size:n () in
+  let writes j = List.init 4 (fun k -> ((4 * j) + k, j)) in
+  for j = 0 to n - 1 do
+    ignore (record mv ~txn:j ~inc:0 (writes j))
+  done;
+  let unwritten = (4 * n) + 7 in
+  check_read "miss, no slot" mv unwritten ~txn:500 Mv.Not_found;
+  check_read "miss, no lower entry" mv 2000 ~txn:500 Mv.Not_found;
+  check_read "hit" mv 2000 ~txn:900 (Mv.Ok (ver 500 0, 500));
+  let expect name words ok =
+    if not ok then Alcotest.failf "%s: %.2f minor words per call" name words
+  in
+  let w = words_per_call (fun () -> Mv.read mv unwritten ~txn_idx:500) in
+  expect "read miss, no slot" w (w < 1.);
+  let w = words_per_call (fun () -> Mv.read mv 2000 ~txn_idx:500) in
+  expect "read miss, no lower entry" w (w < 1.);
+  let w = words_per_call (fun () -> Mv.read mv 2000 ~txn_idx:900) in
+  expect "read hit" w (w <= 3.);
+  (* Txn 900 re-records its writes with 21 reads: 13 never-written
+     locations, 4 below it and 4 written only above it. *)
+  let reads =
+    rs
+      (List.init 13 (fun k -> (unwritten + k, None))
+      @ List.init 4 (fun k -> ((4 * 500) + k, Some (500, 0)))
+      @ List.init 4 (fun k -> ((4 * 950) + k, None)))
+  in
+  ignore (record mv ~txn:900 ~inc:1 ~reads (writes 900));
+  Alcotest.(check bool) "read set valid" true (Mv.validate_read_set mv 900);
+  let w =
+    words_per_call (fun () -> Mv.validate_read_set mv 900)
+    /. float_of_int (Array.length reads)
+  in
+  expect "validate_read_set, per read" w (w < 1.)
 
 let suite =
   [
@@ -456,4 +560,8 @@ let suite =
       test_record_delete_then_rewrite_is_new;
     Alcotest.test_case "concurrent disjoint records" `Quick
       test_concurrent_disjoint_records;
+    Alcotest.test_case "long chain: reads after shuffled writes and removals"
+      `Quick test_long_chain;
+    Alcotest.test_case "hit paths allocate nothing but the result" `Quick
+      test_hit_paths_allocation;
   ]

@@ -221,26 +221,38 @@ end
 type mv_op =
   | Op_record of int * int list  (* txn, write locations (values derived) *)
   | Op_convert of int  (* convert writes to estimates *)
+  | Op_remove of int  (* remove written entries (the ablation's abort) *)
+  | Op_prefill of int * int list  (* prefill estimates before a first record *)
 
 let pp_mv_op ppf = function
   | Op_record (t, ls) ->
       Fmt.pf ppf "record(%d,[%a])" t Fmt.(list ~sep:comma int) ls
   | Op_convert t -> Fmt.pf ppf "convert(%d)" t
+  | Op_remove t -> Fmt.pf ppf "remove(%d)" t
+  | Op_prefill (t, ls) ->
+      Fmt.pf ppf "prefill(%d,[%a])" t Fmt.(list ~sep:comma int) ls
 
 let mv_block_size = 6
 
 let mv_op_gen =
-  QCheck2.Gen.(
-    frequency
-      [
-        ( 4,
-          map2
-            (fun t ls -> Op_record (t, List.sort_uniq compare ls))
-            (int_bound (mv_block_size - 1))
-            (list_size (int_range 0 3) (int_bound (n_locs - 1))) );
-        (2, map (fun t -> Op_convert t) (int_bound (mv_block_size - 1)));
-      ])
+  let open QCheck2.Gen in
+  let txn = int_bound (mv_block_size - 1) in
+  let locs =
+    map (List.sort_uniq compare)
+      (list_size (int_range 0 3) (int_bound (n_locs - 1)))
+  in
+  frequency
+    [
+      (4, map2 (fun t ls -> Op_record (t, ls)) txn locs);
+      (2, map (fun t -> Op_convert t) txn);
+      (1, map (fun t -> Op_remove t) txn);
+      (1, map2 (fun t ls -> Op_prefill (t, ls)) txn locs);
+    ]
 
+(* Besides every read, the model checks [record]'s [wrote_new_location]
+   (true iff a recorded location had no entry, estimates included, for the
+   transaction), [validate_origin] for every (location, reader), and the
+   snapshot, reads and validation after a full flush. *)
 let prop_mvmemory_matches_model =
   QCheck2.Test.make ~name:"mvmemory read semantics match reference model"
     ~count:300
@@ -251,55 +263,142 @@ let prop_mvmemory_matches_model =
       let model = Model.create () in
       let incarnations = Array.make mv_block_size 0 in
       let recorded = Array.make mv_block_size false in
-      List.iter
-        (fun op ->
-          match op with
-          | Op_record (txn, locs) ->
-              let inc = incarnations.(txn) in
-              incarnations.(txn) <- inc + 1;
-              recorded.(txn) <- true;
-              let ws =
-                Array.of_list
-                  (List.map (fun l -> (l, (txn * 100) + (inc * 10) + l)) locs)
-              in
-              ignore
-                (Mv.record mv
-                   (Version.make ~txn_idx:txn ~incarnation:inc)
-                   [||] ws);
-              (* Model: add new writes, remove stale ones. *)
-              for l = 0 to n_locs - 1 do
-                if List.mem l locs then
-                  Model.write model ~loc:l ~txn
-                    (Model.Val (inc, (txn * 100) + (inc * 10) + l))
-                else Model.remove model ~loc:l ~txn
-              done
-          | Op_convert txn ->
-              if recorded.(txn) then begin
-                Mv.convert_writes_to_estimates mv txn;
-                (* Model: every current entry of txn becomes an estimate. *)
-                List.iter
-                  (fun ((l, t), _) ->
-                    if t = txn then Model.write model ~loc:l ~txn Model.Est)
-                  !model
-              end)
-        ops;
+      let has_entry txn l = List.mem_assoc (l, txn) !model in
+      let flags_agree =
+        List.for_all
+          (fun op ->
+            match op with
+            | Op_record (txn, locs) ->
+                let inc = incarnations.(txn) in
+                incarnations.(txn) <- inc + 1;
+                recorded.(txn) <- true;
+                let ws =
+                  Array.of_list
+                    (List.map (fun l -> (l, (txn * 100) + (inc * 10) + l)) locs)
+                in
+                let expected_new =
+                  List.exists (fun l -> not (has_entry txn l)) locs
+                in
+                let wrote_new =
+                  Mv.record mv
+                    (Version.make ~txn_idx:txn ~incarnation:inc)
+                    [||] ws
+                in
+                (* Model: add new writes, remove stale ones. *)
+                for l = 0 to n_locs - 1 do
+                  if List.mem l locs then
+                    Model.write model ~loc:l ~txn
+                      (Model.Val (inc, (txn * 100) + (inc * 10) + l))
+                  else Model.remove model ~loc:l ~txn
+                done;
+                wrote_new = expected_new
+            | Op_convert txn ->
+                if recorded.(txn) then begin
+                  Mv.convert_writes_to_estimates mv txn;
+                  (* Model: every current entry of txn becomes an estimate. *)
+                  List.iter
+                    (fun ((l, t), _) ->
+                      if t = txn then Model.write model ~loc:l ~txn Model.Est)
+                    !model
+                end;
+                true
+            | Op_remove txn ->
+                Mv.remove_written_entries mv txn;
+                for l = 0 to n_locs - 1 do
+                  Model.remove model ~loc:l ~txn
+                done;
+                true
+            | Op_prefill (txn, locs) ->
+                (* The engine prefills only before a transaction's first
+                   incarnation. *)
+                let has_entries = List.exists (fun ((_, t), _) -> t = txn) in
+                if not (recorded.(txn) || has_entries !model) then begin
+                  Mv.prefill_estimates mv txn (Array.of_list locs);
+                  List.iter
+                    (fun l -> Model.write model ~loc:l ~txn Model.Est)
+                    locs
+                end;
+                true)
+          ops
+      in
+      let locs = List.init n_locs Fun.id in
+      let all_readers = List.init (mv_block_size + 1) Fun.id in
       (* Compare every read the engine could make. *)
-      List.for_all
-        (fun loc ->
-          List.for_all
-            (fun txn ->
-              let actual = Mv.read mv loc ~txn_idx:txn in
-              match (Model.read model ~loc ~txn, actual) with
-              | `Not_found, Mv.Not_found -> true
-              | `Estimate t, Mv.Read_error { blocking_txn_idx } ->
-                  t = blocking_txn_idx
-              | `Ok (t, i, v), Mv.Ok (ver, value) ->
-                  Version.txn_idx ver = t
-                  && Version.incarnation ver = i
-                  && value = v
-              | _ -> false)
-            (List.init (mv_block_size + 1) Fun.id))
-        (List.init n_locs Fun.id))
+      let reads_agree readers =
+        List.for_all
+          (fun loc ->
+            List.for_all
+              (fun txn ->
+                let actual = Mv.read mv loc ~txn_idx:txn in
+                match (Model.read model ~loc ~txn, actual) with
+                | `Not_found, Mv.Not_found -> true
+                | `Estimate t, Mv.Read_error { blocking_txn_idx } ->
+                    t = blocking_txn_idx
+                | `Ok (t, i, v), Mv.Ok (ver, value) ->
+                    Version.txn_idx ver = t
+                    && Version.incarnation ver = i
+                    && value = v
+                | _ -> false)
+              readers)
+          locs
+      in
+      (* Every descriptor the model's answer implies passes; a wrong
+         incarnation, storage where a writer exists, and anything over an
+         ESTIMATE fail. *)
+      let mv_desc t i =
+        Read_origin.Mv (Version.make ~txn_idx:t ~incarnation:i)
+      in
+      let validation_agrees readers =
+        List.for_all
+          (fun loc ->
+            List.for_all
+              (fun txn ->
+                let valid = Mv.validate_origin mv loc ~txn_idx:txn in
+                match Model.read model ~loc ~txn with
+                | `Not_found -> valid Storage && not (valid (mv_desc 0 0))
+                | `Ok (t, i, _) ->
+                    valid (mv_desc t i)
+                    && (not (valid (mv_desc t (i + 1))))
+                    && not (valid Storage)
+                | `Estimate t ->
+                    List.for_all
+                      (fun d -> not (valid d))
+                      Read_origin.
+                        [
+                          Storage;
+                          mv_desc t 0;
+                          mv_desc t (max 0 (incarnations.(t) - 1));
+                          Range { rlo = min_int; rhi = max_int };
+                          Counter 0;
+                          Not_counter;
+                        ])
+              readers)
+          locs
+      in
+      (* With no ESTIMATE left the block can commit: the flushed snapshot
+         holds each location's top entry, and a reader above the flushed
+         prefix reads and validates against the committed base as it did
+         against the chains. *)
+      let flush_agrees () =
+        List.exists (fun (_, e) -> e = Model.Est) !model
+        ||
+        let expected =
+          List.filter_map
+            (fun loc ->
+              match Model.read model ~loc ~txn:mv_block_size with
+              | `Ok (_, _, v) -> Some (loc, v)
+              | `Not_found -> None
+              | `Estimate _ -> assert false)
+            locs
+        in
+        Mv.flush_committed mv ~upto:mv_block_size;
+        Mv.snapshot mv = expected
+        && reads_agree [ mv_block_size ]
+        && validation_agrees [ mv_block_size ]
+      in
+      flags_agree && reads_agree all_readers
+      && validation_agrees all_readers
+      && flush_agrees ())
 
 (* --- Parser round-trip ----------------------------------------------------- *)
 

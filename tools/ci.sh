@@ -1,8 +1,9 @@
 #!/bin/sh
 # The full local CI gate: build, run every test, check the odoc build is
 # warning-free, and enforce the perf invariants of the lock-free hot paths:
-#   - Mvmemory.read / find_slot / find_cell must not acquire a mutex (grep
-#     gate);
+#   - the MVMemory read and validation paths must not acquire a mutex: every
+#     function Mvmemory.read and Mvmemory.validate_read_set call, down to the
+#     slot probe and the chain lookup (grep gate);
 #   - per-block fixed cost: nothing under lib/mvmemory or lib/scheduler
 #     spawns a domain, and Scheduler.create, Mvmemory.create/fresh_table and
 #     Block_stm.create_instance build no array with Array.init (grep gate);
@@ -33,10 +34,14 @@ dune runtest
 tools/check_doc.sh
 
 # --- Lock-free gate ---------------------------------------------------------
-# The MVMemory read hit path must acquire zero mutexes: extract the bodies
-# of find_slot, find_cell and read (top-level "let [rec] <fn> ..." up to
-# the next blank line) and fail on any mention of Mutex.
-for fn in find_slot find_cell read; do
+# The MVMemory read and validation paths must acquire zero mutexes: extract
+# the body of every function they call (top-level "let [rec] <fn> ..." up
+# to the next blank line) and fail on any mention of Mutex. The list is the
+# read path (read, the slot probe, the chain lookup, the delta fold) and the
+# validation path (validate_read_set down to the per-descriptor checks).
+for fn in hash_of probe_of probe find_slot below read_delta_chain read_snap \
+  read materialize is_version is_storage validate_plain validate_origin \
+  validate_from validate_read_set; do
   body=$(awk "/^  let (rec )?$fn /{f=1} f{print; if (\$0 ~ /^\$/) exit}" \
     lib/mvmemory/mvmemory.ml)
   if [ -z "$body" ]; then
@@ -44,11 +49,11 @@ for fn in find_slot find_cell read; do
     exit 1
   fi
   if printf '%s' "$body" | grep -q "Mutex"; then
-    echo "ci: FAIL — Mvmemory.$fn mentions Mutex; the read hit path must be lock-free"
+    echo "ci: FAIL — Mvmemory.$fn mentions Mutex; the read and validation paths must be lock-free"
     exit 1
   fi
 done
-echo "ci: lock-free gate passed (Mvmemory read path takes no mutex)"
+echo "ci: lock-free gate passed (Mvmemory read and validation paths take no mutex)"
 
 # --- Per-block fixed-cost gate ----------------------------------------------
 # Block_stm.run's helpers are the only per-block Domain.spawn: MVMemory and
