@@ -35,7 +35,7 @@ let ver t i = Blockstm_kernel.Version.make ~txn_idx:t ~incarnation:i
 let test_mv_read =
   let mv = Mv.create ~block_size:1024 () in
   for j = 0 to 1023 do
-    ignore (Mv.record mv (ver j 0) [||] [| (j land 63, j) |])
+    ignore (Mv.record mv (ver j 0) Mv.empty_read_set [| (j land 63, j) |])
   done;
   Test.make ~name:"mvmemory.read (64 locs, 1024 versions)"
     (Staged.stage (fun () -> Sys.opaque_identity (Mv.read mv 17 ~txn_idx:800)))
@@ -46,7 +46,8 @@ let p2p_low_mv =
   let mv = Mv.create ~block_size:1000 () in
   for j = 0 to 999 do
     ignore
-      (Mv.record mv (ver j 0) [||] (Array.init 4 (fun k -> ((4 * j) + k, j))))
+      (Mv.record mv (ver j 0) Mv.empty_read_set
+         (Array.init 4 (fun k -> ((4 * j) + k, j))))
   done;
   mv
 
@@ -68,17 +69,20 @@ let test_mv_record =
          incr i;
          let j = !i land 1023 in
          Sys.opaque_identity
-           (Mv.record mv (ver j (!i lsr 10)) [||]
+           (Mv.record mv (ver j (!i lsr 10)) Mv.empty_read_set
               [| (j, 0); (j + 1, 1); (j + 2, 2); (j + 3, 3) |])))
 
 let test_mv_validate =
   let mv = Mv.create ~block_size:64 () in
-  ignore (Mv.record mv (ver 1 0) [||] [| (0, 1) |]);
+  ignore (Mv.record mv (ver 1 0) Mv.empty_read_set [| (0, 1) |]);
   let read_set =
-    Array.init 21 (fun k ->
-        ( k,
-          if k = 0 then Blockstm_kernel.Read_origin.Mv (ver 1 0)
-          else Blockstm_kernel.Read_origin.Storage ))
+    {
+      Mv.locs = Array.init 21 Fun.id;
+      origins =
+        Array.init 21 (fun k ->
+            if k = 0 then Blockstm_kernel.Read_origin.Mv (ver 1 0)
+            else Blockstm_kernel.Read_origin.Storage);
+    }
   in
   ignore (Mv.record mv (ver 5 0) read_set [||]);
   Test.make ~name:"mvmemory.validate_read_set (21 reads)"

@@ -242,7 +242,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   and 'o suspension = {
     s_resume : (unit, 'o vm_outcome) Effect.Deep.continuation;
-    s_prefix : (L.t * Read_origin.t) array;
+    s_prefix : Mv.read_set;
         (** Read log at suspension time: must still validate before the
             continuation may be resumed. *)
   }
@@ -526,14 +526,25 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   exception Discarded_suspension
 
-  (* Per-worker reusable VM buffers: the read log (a growable array) and the
-     own-writes table are reset and reused across incarnations on the same
-     domain, so recording a read costs one tuple, not a cons cell plus a
-     whole-log reverse-and-copy at the end. Held in domain-local storage;
-     see [vm_execute] for the one mode that cannot reuse them. *)
+  (* Per-worker VM state, held in domain-local storage (see [vm_execute]
+     for the one mode that cannot reuse it): the incarnation's read log and
+     the own-writes table, which is reset and reused across incarnations.
+
+     The read log is two arrays filled in step, of locations and of
+     origins, so logging a read stores two fields and allocates no tuple.
+     Each incarnation allocates them afresh, sized to the worker's previous
+     read log; when the size matched, they become the recorded read set
+     without a copy. They are therefore young while they are filled: a store
+     into a promoted buffer reused across incarnations would go through the
+     write barrier, which records the young value in the remembered set and,
+     while the collector marks, darkens the dead read it overwrites, and
+     that darkening kept a helper domain's marking open until the domain
+     terminated (EXPERIMENTS.md, "Retained bookkeeping"). *)
   type scratch = {
-    mutable r_buf : (L.t * Read_origin.t) array;
-    mutable r_len : int;
+    mutable r_locs : L.t array;
+    mutable r_origins : Read_origin.t array;
+    mutable r_len : int;  (** Reads logged; both arrays hold at least this. *)
+    mutable r_hint : int;  (** Length of the worker's previous read log. *)
     s_writes : V.t LTbl.t;
     mutable s_worder : L.t list;  (** Write order, reversed; writes are few. *)
     s_deltas : (int * Delta.t) LTbl.t;
@@ -545,8 +556,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let fresh_scratch () =
     {
-      r_buf = [||];
+      r_locs = [||];
+      r_origins = [||];
       r_len = 0;
+      r_hint = 8;
       s_writes = LTbl.create 64;
       s_worder = [];
       s_deltas = LTbl.create 8;
@@ -555,15 +568,42 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let scratch_key = Domain.DLS.new_key fresh_scratch
 
-  let push_read (sc : scratch) entry : unit =
-    let cap = Array.length sc.r_buf in
-    if sc.r_len = cap then begin
-      let grown = Array.make (max 64 (2 * cap)) entry in
-      Array.blit sc.r_buf 0 grown 0 sc.r_len;
-      sc.r_buf <- grown
+  let push_read (sc : scratch) loc (origin : Read_origin.t) : unit =
+    let n = sc.r_len in
+    if n = Array.length sc.r_locs then begin
+      let cap = if n = 0 then sc.r_hint else 2 * n in
+      let locs = Array.make cap loc and origins = Array.make cap origin in
+      Array.blit sc.r_locs 0 locs 0 n;
+      Array.blit sc.r_origins 0 origins 0 n;
+      sc.r_locs <- locs;
+      sc.r_origins <- origins
     end;
-    sc.r_buf.(sc.r_len) <- entry;
-    sc.r_len <- sc.r_len + 1
+    sc.r_locs.(n) <- loc;
+    sc.r_origins.(n) <- origin;
+    sc.r_len <- n + 1
+
+  (* The reads logged so far, copied out of the buffers: a suspension's
+     prefix, which the resumed incarnation keeps appending to. *)
+  let logged_reads (sc : scratch) : Mv.read_set =
+    if sc.r_len = 0 then Mv.empty_read_set
+    else
+      {
+        locs = Array.sub sc.r_locs 0 sc.r_len;
+        origins = Array.sub sc.r_origins 0 sc.r_len;
+      }
+
+  (* The finished incarnation's read set: the buffers themselves when they
+     are full, else copies cut to length. The next incarnation starts from
+     fresh buffers of this length. *)
+  let take_reads (sc : scratch) : Mv.read_set =
+    let n = sc.r_len in
+    if n = 0 then Mv.empty_read_set
+    else begin
+      sc.r_hint <- n;
+      if n = Array.length sc.r_locs then
+        { locs = sc.r_locs; origins = sc.r_origins }
+      else logged_reads sc
+    end
 
   (* The incarnation's own buffered write and pending delta at [loc]. Most
      reads come before the first write, so an empty table is not hashed. *)
@@ -586,10 +626,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      observed an ESTIMATE written by a lower transaction; in suspend_resume
      mode the blocked outcome carries a resumable continuation.
 
-     suspend_resume allocates fresh buffers instead of the domain scratch: a
-     captured continuation closes over the buffers, and the next incarnation
-     may run on a different domain — or this domain may run other
-     incarnations first, which would clobber the suspended state.
+     suspend_resume allocates a fresh scratch instead of the domain's: a
+     captured continuation closes over it, and the next incarnation may run
+     on a different domain — or this domain may run other incarnations
+     first, which would clobber the suspended state.
 
      Cold suspensions (a probe without suspend_resume) DO reuse the domain
      scratch: [finish_task] hands the execution task straight back to the
@@ -602,6 +642,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       if inst.suspend then fresh_scratch () else Domain.DLS.get scratch_key
     in
     sc.r_len <- 0;
+    sc.r_locs <- [||];
+    sc.r_origins <- [||];
     LTbl.clear sc.s_writes;
     sc.s_worder <- [];
     LTbl.clear sc.s_deltas;
@@ -636,15 +678,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           else raise (Dependency blocking_txn_idx)
       | Mv.Not_found ->
           let v = storage_read loc in
-          push_read sc (loc, Read_origin.Storage);
+          push_read sc loc Read_origin.Storage;
           v
       | Mv.Ok (version, value) ->
-          push_read sc (loc, Read_origin.Mv version);
+          push_read sc loc (Read_origin.Mv version);
           Some value
       | Mv.Merged { value } ->
           (* Value read over lower transactions' delta entries:
              version-free, so pin the exact materialized sum. *)
-          push_read sc (loc, Read_origin.Counter value);
+          push_read sc loc (Read_origin.Counter value);
           Some (V.of_counter value)
     in
     let read loc =
@@ -657,7 +699,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               (* Value read over this transaction's own pending delta: the
                  external observation is the materialized base [b] — pin it
                  exactly, since the returned value depends on it. *)
-              push_read sc (loc, Read_origin.Counter b);
+              push_read sc loc (Read_origin.Counter b);
               Some (V.of_counter (b + c.Delta.net))
           | None -> attempt loc)
     in
@@ -696,11 +738,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               | Some _ ->
                   LTbl.replace sc.s_deltas loc (b, c');
                   let rlo, rhi = Delta.admissible c' in
-                  push_read sc (loc, Read_origin.Range { rlo; rhi });
+                  push_read sc loc (Read_origin.Range { rlo; rhi });
                   Txn.Applied
               | None ->
                   (* The outcome leaked the exact base: pin it. *)
-                  push_read sc (loc, Read_origin.Counter b);
+                  push_read sc loc (Read_origin.Counter b);
                   Txn.Bounds_violation)
           | None -> (
               (* First delta op on this location: materialize the external
@@ -722,7 +764,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               in
               match ext () with
               | None ->
-                  push_read sc (loc, Read_origin.Not_counter);
+                  push_read sc loc Read_origin.Not_counter;
                   Txn.Not_a_counter
               | Some b -> (
                   match Delta.apply d b with
@@ -730,15 +772,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                       LTbl.replace sc.s_deltas loc (b, d);
                       sc.s_dorder <- loc :: sc.s_dorder;
                       let rlo, rhi = Delta.admissible d in
-                      push_read sc (loc, Read_origin.Range { rlo; rhi });
+                      push_read sc loc (Read_origin.Range { rlo; rhi });
                       Txn.Applied
                   | None ->
-                      push_read sc (loc, Read_origin.Counter b);
+                      push_read sc loc (Read_origin.Counter b);
                       Txn.Bounds_violation)))
     in
     let delta = if inst.deltas then delta_on else delta_off in
     let finish vm_output ~keep_writes =
-      let vm_read_set = Array.sub sc.r_buf 0 sc.r_len in
+      let vm_read_set = take_reads sc in
       let vm_write_set =
         (* Deterministic order: first-write order of distinct locations.
            [s_worder] is reversed, so its head is the last entry. *)
@@ -804,7 +846,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                           Some
                             {
                               s_resume = k;
-                              s_prefix = Array.sub sc.r_buf 0 sc.r_len;
+                              s_prefix = logged_reads sc;
                             };
                       })
             | Cold_read fetch ->
@@ -817,19 +859,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                         c_suspension =
                           {
                             s_resume = k;
-                            s_prefix = Array.sub sc.r_buf 0 sc.r_len;
+                            s_prefix = logged_reads sc;
                           };
                       })
             | _ -> None);
       }
-
-  (* Re-validate a suspension's read prefix (the §7 "validate the reads that
-     happened during the execution prefix upon resumption"). *)
-  let prefix_valid (inst : _ instance) ~txn_idx prefix : bool =
-    Array.for_all
-      (fun (loc, (origin : Read_origin.t)) ->
-        Mv.validate_origin inst.mv loc ~txn_idx origin)
-      prefix
 
   (* ---------------------------------------------------------------------- *)
   (* Algorithm 1: per-task handlers and the worker loop                     *)
@@ -846,20 +880,20 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Committed of { upto : int; count : int }
     | Cold_fetch of { version : Version.t; reads : int }
 
+  (* The first ESTIMATE writer below [txn_idx] at [locs.(i..)], if any. *)
+  let rec find_estimate_from mv ~txn_idx locs i : int option =
+    if i = Array.length locs then None
+    else
+      match Mv.read mv locs.(i) ~txn_idx with
+      | Mv.Read_error { blocking_txn_idx } -> Some blocking_txn_idx
+      | _ -> find_estimate_from mv ~txn_idx locs (i + 1)
+
   (* §4 optimization: before re-running the VM, re-read the previous
      incarnation's read-set; return the first blocking transaction if any
      location now carries an ESTIMATE. *)
   let find_read_set_dependency (inst : _ instance) ~txn_idx : int option =
-    let prior = Mv.last_read_set inst.mv txn_idx in
-    let n = Array.length prior in
-    let rec scan i =
-      if i >= n then None
-      else
-        match Mv.read inst.mv (fst prior.(i)) ~txn_idx with
-        | Mv.Read_error { blocking_txn_idx } -> Some blocking_txn_idx
-        | _ -> scan (i + 1)
-    in
-    scan 0
+    find_estimate_from inst.mv ~txn_idx
+      (Mv.last_read_set inst.mv txn_idx).locs 0
 
   (** Work whose observable reads have happened but whose effects are not
       yet applied. The two-phase split exists for the virtual-time simulator:
@@ -934,7 +968,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let incarnation = Version.incarnation version in
         (* suspend_resume (§7): if the previous incarnation suspended
            mid-execution, resume its continuation provided the read prefix
-           still validates; otherwise discard it and start over. *)
+           still validates (the §7 "validate the reads that happened during
+           the execution prefix upon resumption"); otherwise discard it and
+           start over. *)
         let stashed =
           if inst.resumable then
             Atomic.exchange inst.suspensions.(txn_idx) None
@@ -943,9 +979,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let t0 = if inst.record_exec then Trace.now_ns () else 0 in
         let outcome, prefix_paid =
           match stashed with
-          | Some s when prefix_valid inst ~txn_idx s.s_prefix ->
+          | Some s when Mv.validate_reads inst.mv ~txn_idx s.s_prefix ->
               bump stats stat_resumptions;
-              (Effect.Deep.continue s.s_resume (), Array.length s.s_prefix)
+              ( Effect.Deep.continue s.s_resume (),
+                Array.length s.s_prefix.locs )
           | Some s ->
               bump stats stat_discarded;
               (* Unwind the abandoned fiber; its outcome (a Failed result
@@ -999,7 +1036,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         end
         else begin
           bump stats stat_validations;
-          let reads = Array.length (Mv.last_read_set inst.mv txn_idx) in
+          let reads = Array.length (Mv.last_read_set inst.mv txn_idx).locs in
           let valid = Mv.validate_read_set inst.mv txn_idx in
           P_val { version; wave; valid; reads }
         end
@@ -1239,8 +1276,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (* Final recorded read-set of a transaction — exposed so tests can assert
      that speculative execution observed exactly the reads a sequential
      execution would have. Only meaningful after all workers joined. *)
-  let recorded_read_set (inst : _ instance) (txn_idx : int) :
-      (L.t * Read_origin.t) array =
+  let recorded_read_set (inst : _ instance) (txn_idx : int) : Mv.read_set =
     Mv.last_read_set inst.mv txn_idx
 
   let committed_prefix (inst : _ instance) : int =
@@ -1252,7 +1288,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       (* Drain the sweep: every transaction is EXECUTED with a final
          successful validation by the time the scheduler is done, so one
          blocking pass commits whatever the opportunistic in-loop sweeps left
-         over. The snapshot is then served from the committed base. *)
+         over. The snapshot is then served from the flushed chains. *)
       ignore (Scheduler.advance_commit inst.sched ~on_commit:(commit_one inst));
       let prefix = Scheduler.committed_prefix inst.sched in
       if prefix <> n then

@@ -112,7 +112,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
         (** Stream a committed prefix instead of the paper's lazy
             block-at-once commit (Lemma 2): workers opportunistically advance
             the scheduler's commit sweep as they loop, committed transactions
-            are flushed out of MVMemory into a committed-base table, and the
+            are flushed out of MVMemory's version chains, and the
             [on_commit] hook fires as the prefix grows. The final snapshot
             and outputs are identical to the lazy mode. *)
     delta_ops : bool;
@@ -301,17 +301,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   val metrics_of : 'o instance -> metrics
 
   val recorded_read_set :
-    'o instance -> int -> (L.t * Read_origin.t) array
+    'o instance -> int -> Blockstm_mvmemory.Mvmemory.Make(L)(V).read_set
   (** Final recorded read-set of a transaction (one descriptor per dynamic
-      read, in order; read-your-own-writes are not recorded). Exposed so
-      tests can assert speculative execution observed exactly the reads a
-      sequential execution would have. Only meaningful after all workers
-      joined. *)
+      read, in order; read-your-own-writes are not recorded), as MVMemory
+      holds it. Exposed so tests can assert speculative execution observed
+      exactly the reads a sequential execution would have. Only meaningful
+      after all workers joined. *)
 
   val finalize : 'o instance -> 'o result
   (** Read out the result. Call only after all workers have finished. In
       rolling-commit mode this drains the commit sweep (firing any remaining
-      [on_commit] hooks) and serves the snapshot from the committed base;
+      [on_commit] hooks) and serves the snapshot from the flushed chains;
       otherwise it computes the paper's lazy block-at-once snapshot in one
       pass over the affected locations and fires the [on_commit] hook for
       the whole block.

@@ -14,10 +14,10 @@
     immutable slots, each published with a release store; the table pointer
     is an [Atomic.t]. Readers probe with plain loads; the shard mutex is
     taken only to insert a missing location or to resize. Each location's
-    state is a single immutable {e snapshot} record held in one [Atomic.t]:
-    readers do one [Atomic.get], writers CAS a rebuilt snapshot.
-    Per-transaction bookkeeping ([last_written], [last_reads]) uses
-    RCU-style atomic swaps of immutable arrays.
+    version chain is an immutable tree held in one [Atomic.t]: readers do
+    one [Atomic.get], writers CAS a rebuilt chain. Per-transaction
+    bookkeeping ([last_written], [last_reads]) uses RCU-style atomic swaps
+    of immutable values.
 
     The read, plain-validation and record paths allocate no closure, option
     or hash table: lookups are top-level recursive functions that return the
@@ -34,7 +34,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (** Commutative delta entry (DESIGN.md §12): a bounded increment the
             writing incarnation applied without observing the value. Folded
             onto the highest plain write below it at read-materialization
-            time and into the committed base by {!flush_committed}. *)
+            time, and rewritten as a plain write by {!flush_committed}. *)
     | Estimate  (** Placeholder left by an aborted incarnation's write. *)
 
   (* A location's version chain: a persistent AVL tree keyed by transaction
@@ -126,26 +126,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Node n as found ->
         if n.idx < bound then below bound found n.r else below bound best n.l
 
-  let rec cardinal = function
-    | Empty -> 0
-    | Node { l; r; _ } -> cardinal l + 1 + cardinal r
-
-  (* A location's state: an immutable snapshot swapped atomically. [versions]
-     is the version chain; [base] is the committed-base entry — the highest
-     committed writer folded out of the chain by [flush_committed], consulted
-     when the chain has no entry below the reader. Readers load the whole
-     snapshot with one [Atomic.get]; every writer CASes a rebuilt record, so
-     [versions] and [base] always change together, atomically. *)
-  type snap = { versions : chain; base : (Version.t * V.t) option }
-
-  type cell = snap Atomic.t
-
-  let empty_snap = { versions = Empty; base = None }
+  (* A location's state: its version chain, swapped atomically. Readers load
+     it with one [Atomic.get]; every writer CASes a rebuilt chain. Once the
+     rolling flush has passed a writer of the location, the chain's lowest
+     node is the highest flushed writer, kept as a plain [Written] entry
+     (see [flush_committed]); every other node belongs to an unflushed
+     transaction. *)
+  type cell = chain Atomic.t
 
   (* A table slot. An occupied slot is immutable, built whole before the
      release store that publishes it, and never overwritten (cells persist
      for the block's lifetime; entries are removed inside the cell's
-     snapshot, not from the table). [hash] is [key]'s, so a probe compares
+     chain, not from the table). [hash] is [key]'s, so a probe compares
      it before calling [L.equal] and a resize never rehashes. *)
   type slot = Vacant | Slot of { key : L.t; hash : int; cell : cell }
 
@@ -173,8 +165,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Read_error of { blocking_txn_idx : int }
         (** Hit an [ESTIMATE]: dependency on [blocking_txn_idx]. *)
 
-  (** One read descriptor per (dynamic) read performed by the incarnation. *)
-  type read_set = (L.t * Read_origin.t) array
+  (** One read descriptor per (dynamic) read performed by the incarnation,
+      as two arrays of the same length: read [i] is at [locs.(i)] with
+      provenance [origins.(i)], so a read keeps no tuple of its own. *)
+  type read_set = { locs : L.t array; origins : Read_origin.t array }
+
+  let empty_read_set = { locs = [||]; origins = [||] }
 
   type write_set = (L.t * V.t) array
 
@@ -189,7 +185,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     last_written : L.t array Atomic.t array;
         (** Per transaction: the locations of its last written set. Index
             [j] has a chain entry exactly at these locations until the
-            flush folds [j] into the base; [record] relies on it. *)
+            flush passes [j]; [record] relies on it. *)
     last_reads : read_set Atomic.t array;
     block_size : int;
     base_storage : L.t -> V.t option;
@@ -200,8 +196,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             created without [?storage] — fine as long as no delta entries
             are ever published. *)
     (* Rolling-commit flush state: [flushed_upto] is the length of the
-       committed prefix already folded into the per-cell [base] entries.
-       Guarded by [flush_mutex]; read via {!flushed_upto} without it. *)
+       committed prefix already flushed. Guarded by [flush_mutex]; read via
+       {!flushed_upto} without it. *)
     flush_mutex : Mutex.t;
     mutable flushed_upto : int;
   }
@@ -241,7 +237,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               count = 0;
             });
       last_written = per_txn (fun _ -> Atomic.make [||]);
-      last_reads = per_txn (fun _ -> Atomic.make [||]);
+      last_reads = per_txn (fun _ -> Atomic.make empty_read_set);
       block_size;
       base_storage = storage;
       flush_mutex = Mutex.create ();
@@ -299,7 +295,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       match probe table mask h loc (probe_of t h mask) with
       | Slot { cell; _ } -> cell
       | Vacant ->
-          let cell = Atomic.make empty_snap in
+          let cell = Atomic.make Empty in
           let table, mask =
             if 2 * (shard.count + 1) > Array.length table then begin
               (* Grow 2x and republish. Slots are shared between old and new
@@ -335,45 +331,40 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let written_cell t loc : cell =
     match find_slot t loc with Slot { cell; _ } -> cell | Vacant -> assert false
 
-  (* Writer side: CAS a rebuilt snapshot, retrying only on a racing writer
-     to the same location. [put] publishes [e] at [idx], replacing any entry
+  (* Writer side: CAS a rebuilt chain, retrying only on a racing writer to
+     the same location. [put] publishes [e] at [idx], replacing any entry
      there, and answers whether there was none; only the writer of index
      [idx] changes its entry, so the answer is the same on every retry. *)
   let rec put (cell : cell) idx e : bool =
     let old = Atomic.get cell in
-    if
-      Atomic.compare_and_set cell old
-        { old with versions = add idx e old.versions }
-    then (match find idx old.versions with Empty -> true | Node _ -> false)
+    if Atomic.compare_and_set cell old (add idx e old) then
+      match find idx old with Empty -> true | Node _ -> false
     else put cell idx e
 
   (* Remove the entry at [idx], unless incarnation [keep] wrote it (pass -1
      to remove any entry). *)
   let rec drop (cell : cell) idx ~keep : unit =
     let old = Atomic.get cell in
-    match find idx old.versions with
+    match find idx old with
     | Empty -> ()
     | Node { e = Written { version; _ } | Delta { version; _ }; _ }
       when Version.incarnation version = keep ->
         ()
     | Node _ ->
-        if
-          not
-            (Atomic.compare_and_set cell old
-               { old with versions = remove idx old.versions })
-        then drop cell idx ~keep
+        if not (Atomic.compare_and_set cell old (remove idx old)) then
+          drop cell idx ~keep
 
   (* Slow path of [read] for a delta-topped chain (DESIGN.md §12): fold the
      delta nets downward until an anchor — the highest plain write below the
-     reader (chain entry, committed base, or pre-block storage; absent
-     counts as 0). Integer anchors yield a [Merged] materialized value;
-     hitting an ESTIMATE mid-chain is a dependency on it. A non-integer
-     anchor under deltas is a transient speculative state (the delta writer
-     observed an integer base; its range validation will fail and remove the
-     entry): serve the anchor itself so the reader's descriptor converges
-     once the bogus delta disappears. Lock-free: pure lookups over the
-     already-loaded snapshot. *)
-  let read_delta_chain t (loc : L.t) { versions; base } ~(txn_idx : int) :
+     reader (a chain entry, possibly the flush's kept node, or pre-block
+     storage; absent counts as 0). Integer anchors yield a [Merged]
+     materialized value; hitting an ESTIMATE mid-chain is a dependency on
+     it. A non-integer anchor under deltas is a transient speculative state
+     (the delta writer observed an integer base; its range validation will
+     fail and remove the entry): serve the anchor itself so the reader's
+     descriptor converges once the bogus delta disappears. Lock-free: pure
+     lookups over the already-loaded chain. *)
+  let read_delta_chain t (loc : L.t) (versions : chain) ~(txn_idx : int) :
       read_result =
     let rec walk idx net =
       match below idx Empty versions with
@@ -382,16 +373,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           walk i (net + delta.Delta.net)
       | Node { e = Written { version; value }; _ } -> anchor version value net
       | Empty -> (
-          match base with
-          | Some (ver, value) when Version.txn_idx ver < idx ->
-              anchor ver value net
-          | _ -> (
-              match t.base_storage loc with
-              | Some value -> (
-                  match V.as_counter value with
-                  | Some b -> Merged { value = b + net }
-                  | None -> Not_found (* deltas over non-counter storage *))
-              | None -> Merged { value = net } (* absent anchor counts as 0 *)))
+          match t.base_storage loc with
+          | Some value -> (
+              match V.as_counter value with
+              | Some b -> Merged { value = b + net }
+              | None -> Not_found (* deltas over non-counter storage *))
+          | None -> Merged { value = net } (* absent anchor counts as 0 *))
     and anchor ver value net =
       match V.as_counter value with
       | Some b -> Merged { value = b + net }
@@ -419,53 +406,40 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     match find_slot t loc with
     | Vacant -> from_storage 0
     | Slot { cell; _ } ->
-        let { versions; base } = Atomic.get cell in
-        let anchor value net =
-          match V.as_counter value with
-          | Some b -> M_int (b + net)
-          | None -> M_other
-        in
+        let versions = Atomic.get cell in
         let rec walk idx net =
           match below idx Empty versions with
           | Node { e = Estimate; _ } -> M_blocked
           | Node { idx = i; e = Delta { delta; _ }; _ } ->
               walk i (net + delta.Delta.net)
-          | Node { e = Written { value; _ }; _ } -> anchor value net
-          | Empty -> (
-              match base with
-              | Some (ver, value) when Version.txn_idx ver < idx ->
-                  anchor value net
-              | _ -> from_storage net)
+          | Node { e = Written { value; _ }; _ } -> (
+              match V.as_counter value with
+              | Some b -> M_int (b + net)
+              | None -> M_other)
+          | Empty -> from_storage net
         in
         walk txn_idx 0
 
-  (* Algorithm 3, [read], over one loaded snapshot: the entry by the highest
-     transaction index < txn_idx. The committed base is only consulted when
-     the chain has no entry below the reader: flushed entries are always
-     lower than every unflushed chain entry (the flush removes the whole
-     committed prefix per location), so chain-first preserves the
-     highest-lower-writer rule. The base keeps the exact version of the
-     flushed write, so read descriptors — and therefore validation — are
-     unchanged by a flush. A chain topped by a delta entry takes the
-     [read_delta_chain] slow path, which folds nets down to the anchoring
-     plain write and answers [Merged]. *)
-  let read_snap t loc snap ~txn_idx : read_result =
-    match below txn_idx Empty snap.versions with
+  (* Algorithm 3, [read], over one loaded chain: the entry by the highest
+     transaction index < txn_idx. The flush's kept node is an ordinary
+     [Written] entry with the exact version of the flushed write, so read
+     descriptors — and therefore validation — are unchanged by a flush. A
+     chain topped by a delta entry takes the [read_delta_chain] slow path,
+     which folds nets down to the anchoring plain write and answers
+     [Merged]. *)
+  let read_chain t loc (versions : chain) ~txn_idx : read_result =
+    match below txn_idx Empty versions with
     | Node { e = Written { version; value }; _ } -> Ok (version, value)
     | Node { idx; e = Estimate; _ } -> Read_error { blocking_txn_idx = idx }
-    | Node { e = Delta _; _ } -> read_delta_chain t loc snap ~txn_idx
-    | Empty -> (
-        match snap.base with
-        | Some (version, value) when Version.txn_idx version < txn_idx ->
-            Ok (version, value)
-        | _ -> Not_found)
+    | Node { e = Delta _; _ } -> read_delta_chain t loc versions ~txn_idx
+    | Empty -> Not_found
 
-  (* Lock-free: one atomic snapshot load, then pure chain lookups. A hit
-     allocates only the [Ok] block; a miss allocates nothing. *)
+  (* Lock-free: one atomic chain load, then pure lookups. A hit allocates
+     only the [Ok] block; a miss allocates nothing. *)
   let read t (loc : L.t) ~(txn_idx : int) : read_result =
     match find_slot t loc with
     | Vacant -> Not_found
-    | Slot { cell; _ } -> read_snap t loc (Atomic.get cell) ~txn_idx
+    | Slot { cell; _ } -> read_chain t loc (Atomic.get cell) ~txn_idx
 
   (* Algorithm 2, [apply_write_set], with the delta entries (DESIGN.md §12)
      beside the plain writes: publish them all, store their locations in
@@ -559,20 +533,16 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     match find_slot t loc with
     | Vacant -> is_storage origin
     | Slot { cell; _ } -> (
-        let snap = Atomic.get cell in
-        match below txn_idx Empty snap.versions with
+        let versions = Atomic.get cell in
+        match below txn_idx Empty versions with
         | Node { e = Written { version; _ }; _ } -> is_version origin version
         | Node { e = Estimate; _ } -> false
         | Node { e = Delta _; _ } -> (
-            match read_delta_chain t loc snap ~txn_idx with
+            match read_delta_chain t loc versions ~txn_idx with
             | Ok (version, _) -> is_version origin version
             | Not_found -> is_storage origin
             | Merged _ | Read_error _ -> false)
-        | Empty -> (
-            match snap.base with
-            | Some (version, _) when Version.txn_idx version < txn_idx ->
-                is_version origin version
-            | _ -> is_storage origin))
+        | Empty -> is_storage origin)
 
   (* One read descriptor's validity against the current state (Algorithm 3
      per-entry check). Version descriptors must re-read the same outcome;
@@ -597,17 +567,19 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         | M_int _ | M_blocked -> false)
     | Storage | Mv _ -> validate_plain t loc ~txn_idx origin
 
-  let rec validate_from t txn_idx (reads : read_set) i =
-    i = Array.length reads
-    ||
-    let loc, origin = reads.(i) in
-    validate_origin t loc ~txn_idx origin
-    && validate_from t txn_idx reads (i + 1)
+  (* Reads [i..] of a read set, walked over its two arrays in step. *)
+  let rec validate_from t txn_idx locs origins i =
+    i = Array.length locs
+    || validate_origin t locs.(i) ~txn_idx origins.(i)
+       && validate_from t txn_idx locs origins (i + 1)
+
+  let validate_reads t ~txn_idx ({ locs; origins } : read_set) : bool =
+    validate_from t txn_idx locs origins 0
 
   (* Algorithm 3, [validate_read_set]: re-read every location in the last
      recorded read-set and compare descriptors. *)
   let validate_read_set t (txn_idx : int) : bool =
-    validate_from t txn_idx (Atomic.get t.last_reads.(txn_idx)) 0
+    validate_reads t ~txn_idx (Atomic.get t.last_reads.(txn_idx))
 
   (** Last recorded read-set of [txn_idx] (RCU load). Used by the paper's
       re-execution optimization (Section 4): check prior reads for ESTIMATEs
@@ -635,12 +607,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   (* Algorithm 3, [snapshot]: final value for every affected location; called
      after the block commits. One pass over the cells, each answered as a
-     read at [block_size]: the chain's top entry is the highest writer, a
-     delta-topped chain materializes, and an empty chain falls back to the
-     flushed base. *)
+     read at [block_size]: the chain's top entry is the highest writer (the
+     flush's kept node once every writer is flushed), and a delta-topped
+     chain materializes. *)
   let snapshot t : (L.t * V.t) list =
     fold_slots t ~init:[] ~f:(fun acc key cell ->
-        match read_snap t key (Atomic.get cell) ~txn_idx:t.block_size with
+        match read_chain t key (Atomic.get cell) ~txn_idx:t.block_size with
         | Ok (_, value) -> (key, value) :: acc
         | Merged { value } -> (key, V.of_counter value) :: acc
         | Not_found -> acc
@@ -649,64 +621,71 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   (* --- Rolling-commit flush ---------------------------------------------- *)
 
-  (* Move index [j]'s entry in [cell] into the committed base. *)
+  (* Flush index [j]'s entry in [cell]: it becomes the location's kept node,
+     and the previous kept node — the only entry below [j], since every
+     lower committed writer was flushed first — is removed. A [Delta] entry
+     is rewritten as the [Written] value it materializes to, so the kept
+     node is always a plain write: a delta flushed later anchors on it, and
+     a reader above [j] gets the same answer, with the same version, as
+     through the delta. *)
   let rec flush_entry t (loc : L.t) (cell : cell) j : unit =
     let old = Atomic.get cell in
-    let base =
-      match find j old.versions with
-      | Empty -> None
-      | Node { e = Written { version; value }; _ } -> Some (version, value)
-      | Node { e = Delta { version; delta }; _ } ->
-          (* Commit fold (DESIGN.md §12): ascending [j] has already folded
-             every lower committed write into the base, so the delta's
-             anchor is the current base (or pre-block storage; absent counts
-             as 0). A committed delta passed range validation, so the anchor
-             is an integer and the sum is within bounds. *)
-          let b =
-            match old.base with
-            | Some (_, v) -> V.as_counter v
-            | None -> (
-                match t.base_storage loc with
-                | Some v -> V.as_counter v
-                | None -> Some 0)
-          in
-          let b =
-            match b with
-            | Some b -> b
-            | None -> assert false (* committed delta implies integer anchor *)
-          in
-          Some (version, V.of_counter (b + delta.Delta.net))
-      | Node { e = Estimate; _ } ->
-          (* A committed transaction has no unresolved estimates. *)
-          assert false
-    in
-    match base with
-    | None -> ()
-    | Some _ ->
-        if
-          not
-            (Atomic.compare_and_set cell old
-               { versions = remove j old.versions; base })
-        then flush_entry t loc cell j
+    match find j old with
+    | Empty -> ()
+    | Node { e; _ } ->
+        let prev = below j Empty old in
+        let kept =
+          match e with
+          | Written _ -> e
+          | Delta { version; delta } ->
+              (* Commit fold (DESIGN.md §12): the anchor is the previous
+                 kept node, or pre-block storage (absent counts as 0). A
+                 committed delta passed range validation, so the anchor is
+                 an integer and the sum is within bounds. *)
+              let anchor =
+                match prev with
+                | Node { e = Written { value; _ }; _ } -> V.as_counter value
+                | Node _ -> assert false (* kept nodes are plain writes *)
+                | Empty -> (
+                    match t.base_storage loc with
+                    | Some v -> V.as_counter v
+                    | None -> Some 0)
+              in
+              let b =
+                match anchor with
+                | Some b -> b
+                | None -> assert false (* committed delta, integer anchor *)
+              in
+              Written { version; value = V.of_counter (b + delta.Delta.net) }
+          | Estimate ->
+              (* A committed transaction has no unresolved estimates. *)
+              assert false
+        in
+        let chain =
+          match prev with Node p -> remove p.idx old | Empty -> old
+        in
+        let chain = if kept == e then chain else add j kept chain in
+        if chain != old && not (Atomic.compare_and_set cell old chain) then
+          flush_entry t loc cell j
 
-  (** Fold the committed prefix [0, upto) into the per-location committed
-      base and prune those entries from the version chains, shrinking
-      {!entry_count} as the prefix advances. Only call with [upto] at most
-      the scheduler's committed prefix: flushed transactions must be final
-      (their last incarnation recorded, no ESTIMATEs, never re-executed).
-      Thread-safe and idempotent — concurrent calls serialize on an internal
-      mutex and each prefix index is flushed exactly once. Reads above the
-      committed prefix observe identical results before, during and after a
-      flush (same value, same version descriptor): each per-cell base
-      promotion is a single snapshot CAS, so no reader ever sees the entry
-      both gone from the chain and absent from the base. *)
+  (** Flush the committed prefix [0, upto): per location, keep the highest
+      committed writer as the chain's lowest node (a delta rewritten as the
+      plain value it materializes to) and prune the committed entries below
+      it, shrinking {!entry_count} as the prefix advances. Only call with
+      [upto] at most the scheduler's committed prefix: flushed transactions
+      must be final (their last incarnation recorded, no ESTIMATEs, never
+      re-executed). Thread-safe and idempotent — concurrent calls serialize
+      on an internal mutex and each prefix index is flushed exactly once.
+      Reads above the committed prefix observe identical results before,
+      during and after a flush (same value, same version descriptor): each
+      per-cell step is a single chain CAS. *)
   let flush_committed t ~(upto : int) : unit =
     if upto < 0 || upto > t.block_size then
       invalid_arg "Mvmemory.flush_committed: upto out of range";
     Mutex.lock t.flush_mutex;
     for j = t.flushed_upto to upto - 1 do
       (* [last_written] is final for a committed transaction. Ascending [j]
-         keeps the base at the highest committed writer per location. *)
+         keeps each location's kept node at its highest committed writer. *)
       Array.iter
         (fun loc -> flush_entry t loc (written_cell t loc) j)
         (Atomic.get t.last_written.(j))
@@ -714,11 +693,24 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     if upto > t.flushed_upto then t.flushed_upto <- upto;
     Mutex.unlock t.flush_mutex
 
-  (** Prefix length already folded into the committed base. *)
+  (** Prefix length already flushed. *)
   let flushed_upto t : int = t.flushed_upto
 
-  (** Diagnostic: number of version entries currently stored. *)
+  let rec size = function Empty -> 0 | Node { l; r; _ } -> size l + 1 + size r
+
+  (** Diagnostic: number of version entries currently stored, less each
+      chain's kept node (its lowest node, when a flushed transaction wrote
+      it). After a flush that pruned correctly, that is the entries of
+      unflushed transactions; a flushed entry left below the kept node
+      still counts. *)
   let entry_count t : int =
+    let flushed = t.flushed_upto in
     fold_slots t ~init:0 ~f:(fun acc _ cell ->
-        acc + cardinal (Atomic.get cell).versions)
+        let chain = Atomic.get cell in
+        let kept =
+          match min_node chain with
+          | Node { idx; _ } when idx < flushed -> 1
+          | _ -> 0
+        in
+        acc + size chain - kept)
 end

@@ -13,14 +13,13 @@
     open-addressing tables of immutable slots, published with release stores
     under an atomically published table pointer (the shard mutex is taken
     only to insert a missing location or to resize), and each location's
-    version chain + committed base live in a single immutable snapshot
-    record held in one [Atomic.t]: readers do one [Atomic.get], writers CAS
-    a rebuilt snapshot. Chain entries carry the writer's version. A read
-    that misses allocates nothing and a hit allocates only its {!Ok} block;
-    validating [Storage] / [Mv] descriptors allocates nothing.
-    Per-transaction bookkeeping (last written locations, last read-set) uses
-    RCU-style atomic swaps of immutable arrays. All operations are
-    thread-safe. *)
+    version chain is an immutable tree held in one [Atomic.t]: readers do
+    one [Atomic.get], writers CAS a rebuilt chain. Chain entries carry the
+    writer's version. A read that misses allocates nothing and a hit
+    allocates only its {!Ok} block; validating [Storage] / [Mv] descriptors
+    allocates nothing. Per-transaction bookkeeping (last written locations,
+    last read-set) uses RCU-style atomic swaps of immutable values. All
+    operations are thread-safe. *)
 
 open Blockstm_kernel
 
@@ -33,16 +32,21 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     | Merged of { value : int }
         (** The chain below the reader is topped by commutative delta
             entries (DESIGN.md §12): the materialized integer — the highest
-            plain write below the deltas (or committed base, or pre-block
-            storage, or 0 if absent) plus the folded delta nets. The result
+            plain write below the deltas (or pre-block storage, or 0 if
+            absent) plus the folded delta nets. The result
             is version-free; callers record a [Counter] descriptor, which
             validates by re-materializing. *)
     | Not_found  (** No lower transaction wrote here: read from storage. *)
     | Read_error of { blocking_txn_idx : int }
         (** Hit an [ESTIMATE]: dependency on [blocking_txn_idx]. *)
 
-  type read_set = (L.t * Read_origin.t) array
-  (** One read descriptor per (dynamic) read performed by an incarnation. *)
+  type read_set = { locs : L.t array; origins : Read_origin.t array }
+  (** One read descriptor per (dynamic) read performed by an incarnation, in
+      read order: read [i] is of [locs.(i)], with provenance
+      [origins.(i)]. The two arrays always have the same length. *)
+
+  val empty_read_set : read_set
+  (** The read set of an incarnation that read nothing. *)
 
   type write_set = (L.t * V.t) array
 
@@ -144,6 +148,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       recorded read-set and compare descriptors ({!validate_origin} per
       entry). *)
 
+  val validate_reads : t -> txn_idx:int -> read_set -> bool
+  (** Whether every read of the given read set still validates for
+      [txn_idx] ({!validate_origin} per read) — {!validate_read_set} on a
+      read set that was not recorded, such as a suspended execution's read
+      prefix. *)
+
   val validate_origin : t -> L.t -> txn_idx:int -> Read_origin.t -> bool
   (** Validate one recorded read descriptor against the current state of the
       structure, as seen by [txn_idx] (DESIGN.md §12):
@@ -172,31 +182,34 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** Algorithm 3, [snapshot]: final value for every affected location, in
       sorted order — what {!read} answers at [txn_idx = block_size]
       ([Merged] through [V.of_counter]; [Not_found] locations absent). One
-      pass over the locations, taking each version chain's top entry or an
-      empty chain's flushed base, then one sort; after a full
-      {!flush_committed} it is the committed base. Only call after the block
-      commits (all estimates resolved). *)
+      pass over the locations, taking each version chain's top entry, then
+      one sort; after a full {!flush_committed} every chain holds only its
+      kept node. Only call after the block commits (all estimates
+      resolved). *)
 
   (** {2 Rolling-commit flush} *)
 
   val flush_committed : t -> upto:int -> unit
-  (** Fold the committed prefix [0, upto) into a per-location committed-base
-      entry and prune those entries from the version chains, shrinking
-      {!entry_count} as the prefix advances (the read fast-path falls back
-      to the base when the chain has no entry below the reader, preserving
-      exact version descriptors). Committed delta entries are folded in
-      ascending transaction order: each adds its net to the current integer
-      base (or to the storage value / 0 if the location has no base yet) and
-      the materialized sum becomes the new base — a committed delta's final
-      [Range] validation guarantees the fold stays in bounds. Only call with
-      [upto] at most the scheduler's committed prefix. Thread-safe and
-      idempotent.
+  (** Flush the committed prefix [0, upto): per location, keep the entry of
+      the highest committed writer as the chain's lowest node and prune the
+      committed entries below it, shrinking {!entry_count} as the prefix
+      advances. The kept node keeps its exact version, so reads and
+      validation above the prefix are unchanged. Committed delta entries are
+      folded in ascending transaction order: a kept delta is rewritten as a
+      plain write of its net added to the kept node below it (or to the
+      storage value, or 0 if the location has none) — a committed delta's
+      final [Range] validation guarantees the fold stays in bounds. Only
+      call with [upto] at most the scheduler's committed prefix. Thread-safe
+      and idempotent.
       @raise Invalid_argument if [upto] is negative or exceeds the block
       size. *)
 
   val flushed_upto : t -> int
-  (** Prefix length already folded into the committed base. *)
+  (** Prefix length already flushed. *)
 
   val entry_count : t -> int
-  (** Diagnostic: number of version entries currently stored. *)
+  (** Diagnostic: number of version entries currently stored, less each
+      chain's kept node. After a flush, that is the entries of unflushed
+      transactions; a committed entry the flush failed to prune below a kept
+      node still counts. *)
 end

@@ -174,15 +174,17 @@ let done_ t = Atomic.get t.done_marker
 
 (* --- Status helpers ------------------------------------------------------ *)
 
-let with_status t idx f =
-  let s = t.status.(idx) in
-  Mutex.lock s.st_mutex;
-  let r = f s in
-  Mutex.unlock s.st_mutex;
-  r
+(* A transaction's status is read and changed under its [st_mutex], taken
+   with [Mutex.protect]: the lock is released if the body raises (a failed
+   assertion), so the other workers get the exception re-raised by
+   [Block_stm.run] instead of blocking forever in [Mutex.lock]. Each body
+   closes over the status record itself, so taking the lock allocates no
+   closure beyond the body. *)
 
 (** Observe a transaction's current (incarnation, status) — test/debug aid. *)
-let status t idx = with_status t idx (fun s -> (s.incarnation, s.kind))
+let status t idx =
+  let s = t.status.(idx) in
+  Mutex.protect s.st_mutex (fun () -> (s.incarnation, s.kind))
 
 (* --- Algorithm 6: index / status interplay ------------------------------- *)
 
@@ -191,7 +193,8 @@ let status t idx = with_status t idx (fun s -> (s.incarnation, s.kind))
    module comment). *)
 let try_incarnate t txn_idx : Version.t option =
   if txn_idx < t.block_size then
-    with_status t txn_idx (fun s ->
+    let s = t.status.(txn_idx) in
+    Mutex.protect s.st_mutex (fun () ->
         if s.kind = Ready_to_execute then (
           s.kind <- Executing;
           Some (Version.make ~txn_idx ~incarnation:s.incarnation))
@@ -230,7 +233,8 @@ let next_version_to_validate t : (Version.t * int) option =
     let wave = current_wave t in
     let version =
       if idx_to_validate < t.block_size then
-        with_status t idx_to_validate (fun s ->
+        let s = t.status.(idx_to_validate) in
+        Mutex.protect s.st_mutex (fun () ->
             if s.kind = Executed then
               Some
                 (Version.make ~txn_idx:idx_to_validate
@@ -266,31 +270,36 @@ let next_task t : task option =
    meantime (caller must immediately retry execution); [true] if [txn_idx] is
    now parked until [blocking_txn_idx]'s next incarnation finishes. Lock
    order: dependency lock of the blocking txn, then status locks — the unique
-   global order (Claim 5) that makes deadlock impossible. *)
+   global order (Claim 5) that makes deadlock impossible. Both kinds of lock
+   are released if the body raises. *)
 let add_dependency t ~txn_idx ~blocking_txn_idx : bool =
   let d = t.deps.(blocking_txn_idx) in
-  Mutex.lock d.dep_mutex;
-  let resolved =
-    with_status t blocking_txn_idx (fun s ->
-        s.kind = Executed || s.kind = Committed)
+  let parked =
+    Mutex.protect d.dep_mutex (fun () ->
+        let b = t.status.(blocking_txn_idx) in
+        let resolved =
+          Mutex.protect b.st_mutex (fun () ->
+              b.kind = Executed || b.kind = Committed)
+        in
+        if not resolved then begin
+          let s = t.status.(txn_idx) in
+          Mutex.protect s.st_mutex (fun () ->
+              (* Previous status must be EXECUTING: this thread is the
+                 executor. *)
+              assert (s.kind = Executing);
+              s.kind <- Aborting);
+          d.dependents <- txn_idx :: d.dependents
+        end;
+        not resolved)
   in
-  if resolved then (
-    Mutex.unlock d.dep_mutex;
-    false)
-  else (
-    with_status t txn_idx (fun s ->
-        (* Previous status must be EXECUTING: this thread is the executor. *)
-        assert (s.kind = Executing);
-        s.kind <- Aborting);
-    d.dependents <- txn_idx :: d.dependents;
-    Mutex.unlock d.dep_mutex;
-    (* Execution task aborted due to a dependency. *)
-    Atomic_util.decr t.num_active_tasks;
-    true)
+  (* Execution task aborted due to a dependency. *)
+  if parked then Atomic_util.decr t.num_active_tasks;
+  parked
 
 (* ABORTING(i) -> READY_TO_EXECUTE(i+1). *)
 let set_ready_status t txn_idx : unit =
-  with_status t txn_idx (fun s ->
+  let s = t.status.(txn_idx) in
+  Mutex.protect s.st_mutex (fun () ->
       assert (s.kind = Aborting);
       s.incarnation <- s.incarnation + 1;
       s.kind <- Ready_to_execute)
@@ -316,7 +325,8 @@ let finish_execution t ~txn_idx ~incarnation ~wrote_new_location : task option
      the commit sweep). The validation_idx pullback itself stays conditional
      below, exactly as in the paper. *)
   if wrote_new_location then mark_dirty t ~target_idx:txn_idx;
-  with_status t txn_idx (fun s ->
+  let s = t.status.(txn_idx) in
+  Mutex.protect s.st_mutex (fun () ->
       assert (s.kind = Executing && s.incarnation = incarnation);
       s.kind <- Executed);
   let d = t.deps.(txn_idx) in
@@ -352,7 +362,8 @@ let finish_execution t ~txn_idx ~incarnation ~wrote_new_location : task option
 let try_validation_abort t (version : Version.t) : bool =
   let txn_idx = Version.txn_idx version in
   let incarnation = Version.incarnation version in
-  with_status t txn_idx (fun s ->
+  let s = t.status.(txn_idx) in
+  Mutex.protect s.st_mutex (fun () ->
       if s.incarnation = incarnation && s.kind = Executed then (
         s.kind <- Aborting;
         true)
@@ -420,8 +431,9 @@ let sweep_commits t ~on_commit : int =
     let j = Atomic.get t.commit_idx in
     if j >= t.block_size then continue := false
     else begin
+      let s = t.status.(j) in
       let ok =
-        with_status t j (fun s ->
+        Mutex.protect s.st_mutex (fun () ->
             if s.kind = Executed then begin
               let pi, pw = Atomic.get t.proof.(j) in
               if pi = s.incarnation && pw >= Atomic.get t.dirty.(j) then begin

@@ -530,10 +530,11 @@ let test_create_forces_no_minor_collections () =
 (* Allocation gate: minor words per transaction of the default config on
    one domain, over p2p-low's access pattern (1,000 standard-p2p
    transactions, 10^4 accounts). On one domain the count is deterministic;
-   the warm-up run sizes the domain's reusable VM buffers. The bound is the
-   measured 763.7 words (OCaml 5.1.1 without flambda) plus 1%: a change
+   the warm-up run sizes the domain's own-writes tables and read-log
+   buffers. The bound is the
+   measured 718.7 words (OCaml 5.1.1 without flambda) plus 1%: a change
    that cuts allocation lowers it. *)
-let minor_words_per_txn_bound = 771.
+let minor_words_per_txn_bound = 726.
 
 let test_minor_words_per_txn () =
   let module H = Blockstm_workload.Harness in
@@ -552,6 +553,64 @@ let test_minor_words_per_txn () =
   if per_txn > minor_words_per_txn_bound then
     Alcotest.failf "%.1f minor words per transaction (bound %.0f)" per_txn
       minor_words_per_txn_bound
+
+(* Retention gate: the read log a transaction leaves recorded until the
+   block ends. For n Storage reads it is one record of two n-element arrays,
+   2(n+1)+3 words besides the locations (immediate here), and no block per
+   read. *)
+let test_read_log_retained_shape () =
+  List.iter
+    (fun n ->
+      let txn : itxn =
+       fun e ->
+        for l = 0 to n - 1 do
+          ignore (e.read l)
+        done;
+        0
+      in
+      let inst = Bstm.create_instance ~storage:zero_storage [| txn |] in
+      Bstm.worker_loop inst;
+      let reads = Bstm.recorded_read_set inst 0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d storage reads" n)
+        true
+        (Array.for_all (( = ) Read_origin.Storage) reads.origins);
+      Alcotest.(check int)
+        (Printf.sprintf "words retained by %d reads" n)
+        ((2 * (n + 1)) + 3)
+        (Obj.reachable_words (Obj.repr reads)))
+    [ 1; 5; 21; 100 ]
+
+(* A finished incarnation's read-log buffers become its recorded read set
+   when they are full, so the next incarnation on the worker must log into
+   fresh ones. Consecutive transactions with equal read counts fill their
+   buffers exactly; each must still hold its own reads afterwards. The block
+   runs on a fresh domain, so the worker starts from fresh buffers. *)
+let test_read_logs_not_shared () =
+  let counts = [| 8; 8; 8; 3; 3; 12; 12; 1; 8 |] in
+  let first = Array.make (Array.length counts) 0 in
+  for j = 1 to Array.length counts - 1 do
+    first.(j) <- first.(j - 1) + counts.(j - 1)
+  done;
+  let txns =
+    Array.mapi
+      (fun j n : itxn ->
+        fun e ->
+         for l = first.(j) to first.(j) + n - 1 do
+           ignore (e.read l)
+         done;
+         0)
+      counts
+  in
+  let inst = Bstm.create_instance ~storage:zero_storage txns in
+  Domain.join (Domain.spawn (fun () -> Bstm.worker_loop inst));
+  Array.iteri
+    (fun j n ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "txn %d's read locations" j)
+        (Array.init n (fun k -> first.(j) + k))
+        (Bstm.recorded_read_set inst j).locs)
+    counts
 
 exception Hook_failed
 
@@ -661,6 +720,10 @@ let suite =
       test_create_forces_no_minor_collections;
     Alcotest.test_case "minor words per transaction bounded" `Quick
       test_minor_words_per_txn;
+    Alcotest.test_case "read log retains two arrays, no block per read"
+      `Quick test_read_log_retained_shape;
+    Alcotest.test_case "each transaction keeps its own read log" `Quick
+      test_read_logs_not_shared;
     Alcotest.test_case "helper-domain exception raises, no hang" `Quick
       test_helper_exception_raises;
   ]

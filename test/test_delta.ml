@@ -81,7 +81,7 @@ let test_delta_compose_equiv () =
 
 let ver t i = Version.make ~txn_idx:t ~incarnation:i
 
-let record ?deltas mv ~txn ~inc ?(reads = [||]) writes =
+let record ?deltas mv ~txn ~inc ?(reads = Mv.empty_read_set) writes =
   Mv.record ?deltas mv (ver txn inc) reads (Array.of_list writes)
 
 let check_merged msg mv loc ~txn expected =
@@ -152,14 +152,14 @@ let test_mv_flush_fold () =
   ignore (record mv ~txn:0 ~inc:0 ~deltas:[| (1, Delta.add 5) |] []);
   ignore (record mv ~txn:1 ~inc:0 [ (1, 50) ]);
   ignore (record mv ~txn:2 ~inc:0 ~deltas:[| (1, Delta.add 3) |] []);
-  (* Partial flush: the folded base starts from storage (100 + 5); the
-     unflushed suffix still materializes on top of the chain. *)
+  (* Partial flush: the kept node folds tx0's delta onto storage (100 + 5);
+     the unflushed suffix still materializes on top of the chain. *)
   Mv.flush_committed mv ~upto:1;
-  check_merged "suffix over the new base" mv 1 ~txn:3 53;
+  check_merged "suffix over the kept node" mv 1 ~txn:3 53;
   Mv.flush_committed mv ~upto:3;
   Alcotest.(check int) "chains pruned" 0 (Mv.entry_count mv);
   Alcotest.(check (list (pair int int)))
-    "committed base folds write then delta" [ (1, 53) ] (Mv.snapshot mv)
+    "kept node folds write then delta" [ (1, 53) ] (Mv.snapshot mv)
 
 (* --- Engine: delta_ops on/off, differential against sequential ------------ *)
 

@@ -5,7 +5,7 @@ open Tutil
 
 let ver t i = Version.make ~txn_idx:t ~incarnation:i
 
-let record mv ~txn ~inc ?(reads = [||]) writes =
+let record mv ~txn ~inc ?(reads = Mv.empty_read_set) writes =
   Mv.record mv (ver txn inc) reads (Array.of_list writes)
 
 let check_read msg mv loc ~txn expected =
@@ -138,14 +138,16 @@ let test_prefill_estimates () =
 (* --- validate_read_set ---------------------------------------------------- *)
 
 let rs pairs =
-  Array.of_list
-    (List.map
-       (fun (l, o) ->
-         ( l,
-           match o with
-           | None -> Read_origin.Storage
-           | Some (t, i) -> Read_origin.Mv (ver t i) ))
-       pairs)
+  {
+    Mv.locs = Array.of_list (List.map fst pairs);
+    origins =
+      Array.of_list
+        (List.map
+           (function
+             | _, None -> Read_origin.Storage
+             | _, Some (t, i) -> Read_origin.Mv (ver t i))
+           pairs);
+  }
 
 let test_validate_ok () =
   let mv = Mv.create ~block_size:8 () in
@@ -225,17 +227,18 @@ let test_snapshot_one_pass_equals_reads () =
   let mv = Mv.create ~nshards:4 ~writes_per_txn:0 ~storage ~block_size:n () in
   let record_deltas ~txn ?(writes = []) deltas =
     ignore
-      (Mv.record ~deltas:(Array.of_list deltas) mv (ver txn 0) [||]
-         (Array.of_list writes))
+      (Mv.record ~deltas:(Array.of_list deltas) mv (ver txn 0)
+         Mv.empty_read_set (Array.of_list writes))
   in
-  (* Flushed bases, locations 0..99, written by the prefix 0..99 only. *)
+  (* Flushed kept nodes, locations 0..99, written by the prefix 0..99
+     only. *)
   for j = 0 to 99 do
     ignore (record mv ~txn:j ~inc:0 [ (j, 10 * j) ])
   done;
   Mv.flush_committed mv ~upto:100;
   for k = 0 to 99 do
     (* Written tops, locations 100..199, two or three writers each; every
-       fourth flushed base is overwritten. *)
+       fourth kept node is written over. *)
     ignore
       (record mv ~txn:(100 + k) ~inc:0
          ([ (100 + k, k); (101 + (k mod 99), k + 1) ]
@@ -247,7 +250,7 @@ let test_snapshot_one_pass_equals_reads () =
     record_deltas ~txn:(200 + k) ~writes:[ (200 + k, 7 * k) ] [];
     record_deltas ~txn:(400 + k) [ (200 + k, Delta.add (k + 1)) ];
     (* Anchored on storage, locations 250..299, two deltas each; every tenth
-       flushed base gets a delta too. *)
+       kept node gets a delta too. *)
     record_deltas ~txn:(250 + k)
       ((250 + k, Delta.add 3)
       :: (if k mod 5 = 0 then [ (2 * k, Delta.add 1) ] else []));
@@ -277,9 +280,9 @@ let test_snapshot_one_pass_equals_reads () =
   List.iter
     (fun (msg, l, v) -> Alcotest.(check (option int)) msg v (at l))
     [
-      ("flushed base", 1, Some 10);
-      ("written over a flushed base", 4, Some (-4));
-      ("delta over a flushed base", 10, Some 101);
+      ("kept node", 1, Some 10);
+      ("written over a kept node", 4, Some (-4));
+      ("delta over a kept node", 10, Some 101);
       ("written top", 103, Some 6);
       ("delta over a write", 205, Some (35 + 6));
       ("deltas over storage", 252, Some (1000 + 252 + 2));
@@ -297,15 +300,16 @@ let test_flush_prunes_entries () =
   ignore (record mv ~txn:4 ~inc:0 [ (2, 24) ]);
   Alcotest.(check int) "before flush" 4 (Mv.entry_count mv);
   Mv.flush_committed mv ~upto:2;
-  (* tx0 and tx1 fold into the committed base; only tx4's entry remains. *)
+  (* Location 1 keeps tx0's entry and location 2 keeps tx1's, pruning tx0's
+     below it; only tx4's entry is counted. *)
   Alcotest.(check int) "after flush" 1 (Mv.entry_count mv);
   Alcotest.(check int) "flushed_upto" 2 (Mv.flushed_upto mv);
   (* Reads above the flushed prefix are unchanged: same value, same exact
      version descriptor. *)
-  check_read "tx3 reads base at 2" mv 2 ~txn:3 (Mv.Ok (ver 1 0, 21));
-  check_read "tx2 reads base at 1" mv 1 ~txn:2 (Mv.Ok (ver 0 0, 10));
+  check_read "tx3 reads kept node at 2" mv 2 ~txn:3 (Mv.Ok (ver 1 0, 21));
+  check_read "tx2 reads kept node at 1" mv 1 ~txn:2 (Mv.Ok (ver 0 0, 10));
   check_read "tx5 reads live chain" mv 2 ~txn:5 (Mv.Ok (ver 4 0, 24));
-  (* The base never leaks to transactions at or below its writer. *)
+  (* A kept node never leaks to transactions at or below its writer. *)
   check_read "tx0 sees nothing" mv 1 ~txn:0 Mv.Not_found
 
 let test_flush_preserves_validation () =
@@ -314,7 +318,7 @@ let test_flush_preserves_validation () =
   ignore (Mv.record mv (ver 3 0) (rs [ (7, Some (1, 0)); (8, None) ]) [||]);
   Alcotest.(check bool) "valid before flush" true (Mv.validate_read_set mv 3);
   Mv.flush_committed mv ~upto:3;
-  (* The flushed write keeps its version in the base, so tx3's read
+  (* The flushed write keeps its version in the kept node, so tx3's read
      descriptor still matches. *)
   Alcotest.(check bool) "valid after flush" true (Mv.validate_read_set mv 3)
 
@@ -339,7 +343,7 @@ let test_committed_snapshot_after_full_flush () =
   Mv.flush_committed mv ~upto:4;
   Alcotest.(check int) "all entries pruned" 0 (Mv.entry_count mv);
   Alcotest.(check (list (pair int int)))
-    "committed base = snapshot before the flush" expected (Mv.snapshot mv)
+    "kept nodes = snapshot before the flush" expected (Mv.snapshot mv)
 
 (* --- record: wrote_new_location transitions (one test per documented
    transition of the bool — see mvmemory.mli) ------------------------------- *)
@@ -501,7 +505,7 @@ let test_hit_paths_allocation () =
   Alcotest.(check bool) "read set valid" true (Mv.validate_read_set mv 900);
   let w =
     words_per_call (fun () -> Mv.validate_read_set mv 900)
-    /. float_of_int (Array.length reads)
+    /. float_of_int (Array.length reads.locs)
   in
   expect "validate_read_set, per read" w (w < 1.)
 

@@ -194,9 +194,13 @@ let prop_bohm_equals_sequential_with_perfect_writes =
 (* --- Model-based MVMemory ------------------------------------------------- *)
 
 (* Reference model: association list (loc, txn) -> entry, with the same
-   read semantics as Algorithm 3. *)
+   read semantics as Algorithm 3, and commutative deltas folded onto the
+   highest plain write below them (absent storage counts as 0). *)
 module Model = struct
-  type entry = Val of int * int (* incarnation, value *) | Est
+  type entry =
+    | Val of int * int (* incarnation, value *)
+    | Delta of int * int (* incarnation, net *)
+    | Est
 
   type t = ((int * int) * entry) list ref
 
@@ -212,21 +216,57 @@ module Model = struct
       List.filter (fun ((l, t), _) -> l = loc && t < txn) !m
       |> List.sort (fun ((_, a), _) ((_, b), _) -> compare b a)
     in
+    let rec fold net = function
+      | [] -> `Merged net
+      | ((_, t), Est) :: _ -> `Estimate t
+      | (_, Val (_, v)) :: _ -> `Merged (v + net)
+      | (_, Delta (_, d)) :: rest -> fold (net + d) rest
+    in
     match candidates with
     | [] -> `Not_found
     | ((_, t), Est) :: _ -> `Estimate t
     | ((_, t), Val (i, v)) :: _ -> `Ok (t, i, v)
+    | (_, Delta (_, d)) :: rest -> fold d rest
+
+  (* [Mvmemory.flush_committed ~upto:k] on a prefix without estimates: per
+     location, only the highest writer below [k] stays, a delta turned into
+     the plain value it materializes to. *)
+  let flush (m : t) ~upto:k =
+    let kept =
+      List.filter_map
+        (fun ((l, t), e) ->
+          if t >= k then Some ((l, t), e)
+          else if
+            List.exists (fun ((l', t'), _) -> l' = l && t < t' && t' < k) !m
+          then None
+          else
+            match e with
+            | Val _ -> Some ((l, t), e)
+            | Est -> assert false
+            | Delta (i, d) -> (
+                match read m ~loc:l ~txn:t with
+                | `Not_found -> Some ((l, t), Val (i, d))
+                | `Ok (_, _, v) | `Merged v -> Some ((l, t), Val (i, v + d))
+                | `Estimate _ -> assert false))
+        !m
+    in
+    m := kept
 end
 
 type mv_op =
-  | Op_record of int * int list  (* txn, write locations (values derived) *)
+  | Op_record of int * int list * int list
+      (* txn, written locations (values derived), delta'd locations *)
   | Op_convert of int  (* convert writes to estimates *)
   | Op_remove of int  (* remove written entries (the ablation's abort) *)
   | Op_prefill of int * int list  (* prefill estimates before a first record *)
 
 let pp_mv_op ppf = function
-  | Op_record (t, ls) ->
-      Fmt.pf ppf "record(%d,[%a])" t Fmt.(list ~sep:comma int) ls
+  | Op_record (t, ws, ds) ->
+      Fmt.pf ppf "record(%d,[%a],deltas[%a])" t
+        Fmt.(list ~sep:comma int)
+        ws
+        Fmt.(list ~sep:comma int)
+        ds
   | Op_convert t -> Fmt.pf ppf "convert(%d)" t
   | Op_remove t -> Fmt.pf ppf "remove(%d)" t
   | Op_prefill (t, ls) ->
@@ -241,85 +281,114 @@ let mv_op_gen =
     map (List.sort_uniq compare)
       (list_size (int_range 0 3) (int_bound (n_locs - 1)))
   in
+  (* Each recorded location is written or delta'd, never both. *)
+  let record =
+    let* t = txn and* ls = locs in
+    let+ deltas = list_repeat (List.length ls) bool in
+    let tagged = List.combine ls deltas in
+    Op_record
+      ( t,
+        List.filter_map (fun (l, d) -> if d then None else Some l) tagged,
+        List.filter_map (fun (l, d) -> if d then Some l else None) tagged )
+  in
   frequency
     [
-      (4, map2 (fun t ls -> Op_record (t, ls)) txn locs);
+      (4, record);
       (2, map (fun t -> Op_convert t) txn);
       (1, map (fun t -> Op_remove t) txn);
       (1, map2 (fun t ls -> Op_prefill (t, ls)) txn locs);
     ]
 
+(* A case: operations, a rolling flush of the prefix [0, k) when it holds
+   no ESTIMATE, then operations on the transactions at or above [k] only —
+   the engine never touches a committed transaction again. *)
+let mv_case_gen =
+  QCheck2.Gen.(
+    triple
+      (list_size (int_range 1 25) mv_op_gen)
+      (int_bound mv_block_size)
+      (list_size (int_range 0 10) mv_op_gen))
+
+let print_mv_case (before, k, after) =
+  Fmt.str "%a flush(%d) %a"
+    (Fmt.Dump.list pp_mv_op)
+    before k
+    (Fmt.Dump.list pp_mv_op)
+    after
+
 (* Besides every read, the model checks [record]'s [wrote_new_location]
    (true iff a recorded location had no entry, estimates included, for the
-   transaction), [validate_origin] for every (location, reader), and the
-   snapshot, reads and validation after a full flush. *)
+   transaction), [validate_origin] for every (location, reader), and
+   [entry_count]: after the operations, after the partial flush and the
+   operations that follow it (readers at or below [k] find only the kept
+   entries), and after a full flush, with the snapshot. *)
 let prop_mvmemory_matches_model =
   QCheck2.Test.make ~name:"mvmemory read semantics match reference model"
-    ~count:300
-    ~print:(fun ops -> Fmt.str "%a" (Fmt.Dump.list pp_mv_op) ops)
-    QCheck2.Gen.(list_size (int_range 1 25) mv_op_gen)
-    (fun ops ->
+    ~count:300 ~print:print_mv_case mv_case_gen (fun (before, k, after) ->
       let mv = Mv.create ~block_size:mv_block_size () in
       let model = Model.create () in
       let incarnations = Array.make mv_block_size 0 in
       let recorded = Array.make mv_block_size false in
       let has_entry txn l = List.mem_assoc (l, txn) !model in
-      let flags_agree =
-        List.for_all
-          (fun op ->
-            match op with
-            | Op_record (txn, locs) ->
-                let inc = incarnations.(txn) in
-                incarnations.(txn) <- inc + 1;
-                recorded.(txn) <- true;
-                let ws =
-                  Array.of_list
-                    (List.map (fun l -> (l, (txn * 100) + (inc * 10) + l)) locs)
-                in
-                let expected_new =
-                  List.exists (fun l -> not (has_entry txn l)) locs
-                in
-                let wrote_new =
-                  Mv.record mv
-                    (Version.make ~txn_idx:txn ~incarnation:inc)
-                    [||] ws
-                in
-                (* Model: add new writes, remove stale ones. *)
-                for l = 0 to n_locs - 1 do
-                  if List.mem l locs then
-                    Model.write model ~loc:l ~txn
-                      (Model.Val (inc, (txn * 100) + (inc * 10) + l))
-                  else Model.remove model ~loc:l ~txn
-                done;
-                wrote_new = expected_new
-            | Op_convert txn ->
-                if recorded.(txn) then begin
-                  Mv.convert_writes_to_estimates mv txn;
-                  (* Model: every current entry of txn becomes an estimate. *)
-                  List.iter
-                    (fun ((l, t), _) ->
-                      if t = txn then Model.write model ~loc:l ~txn Model.Est)
-                    !model
-                end;
-                true
-            | Op_remove txn ->
-                Mv.remove_written_entries mv txn;
-                for l = 0 to n_locs - 1 do
-                  Model.remove model ~loc:l ~txn
-                done;
-                true
-            | Op_prefill (txn, locs) ->
-                (* The engine prefills only before a transaction's first
-                   incarnation. *)
-                let has_entries = List.exists (fun ((_, t), _) -> t = txn) in
-                if not (recorded.(txn) || has_entries !model) then begin
-                  Mv.prefill_estimates mv txn (Array.of_list locs);
-                  List.iter
-                    (fun l -> Model.write model ~loc:l ~txn Model.Est)
-                    locs
-                end;
-                true)
-          ops
+      let value txn inc l = (txn * 100) + (inc * 10) + l in
+      let net txn inc l = 1 + ((txn + inc + l) mod 3) in
+      let apply op =
+        match op with
+        | Op_record (txn, writes, deltas) ->
+            let inc = incarnations.(txn) in
+            incarnations.(txn) <- inc + 1;
+            recorded.(txn) <- true;
+            let ws =
+              Array.of_list (List.map (fun l -> (l, value txn inc l)) writes)
+            in
+            let ds =
+              Array.of_list
+                (List.map (fun l -> (l, Delta.add (net txn inc l))) deltas)
+            in
+            let expected_new =
+              List.exists (fun l -> not (has_entry txn l)) (writes @ deltas)
+            in
+            let wrote_new =
+              Mv.record ~deltas:ds mv
+                (Version.make ~txn_idx:txn ~incarnation:inc)
+                Mv.empty_read_set ws
+            in
+            (* Model: add new writes and deltas, remove stale entries. *)
+            for l = 0 to n_locs - 1 do
+              if List.mem l writes then
+                Model.write model ~loc:l ~txn (Model.Val (inc, value txn inc l))
+              else if List.mem l deltas then
+                Model.write model ~loc:l ~txn (Model.Delta (inc, net txn inc l))
+              else Model.remove model ~loc:l ~txn
+            done;
+            wrote_new = expected_new
+        | Op_convert txn ->
+            if recorded.(txn) then begin
+              Mv.convert_writes_to_estimates mv txn;
+              (* Model: every current entry of txn becomes an estimate. *)
+              List.iter
+                (fun ((l, t), _) ->
+                  if t = txn then Model.write model ~loc:l ~txn Model.Est)
+                !model
+            end;
+            true
+        | Op_remove txn ->
+            Mv.remove_written_entries mv txn;
+            for l = 0 to n_locs - 1 do
+              Model.remove model ~loc:l ~txn
+            done;
+            true
+        | Op_prefill (txn, locs) ->
+            (* The engine prefills only before a transaction's first
+               incarnation. *)
+            let has_entries = List.exists (fun ((_, t), _) -> t = txn) in
+            if not (recorded.(txn) || has_entries !model) then begin
+              Mv.prefill_estimates mv txn (Array.of_list locs);
+              List.iter
+                (fun l -> Model.write model ~loc:l ~txn Model.Est)
+                locs
+            end;
+            true
       in
       let locs = List.init n_locs Fun.id in
       let all_readers = List.init (mv_block_size + 1) Fun.id in
@@ -338,13 +407,14 @@ let prop_mvmemory_matches_model =
                     Version.txn_idx ver = t
                     && Version.incarnation ver = i
                     && value = v
+                | `Merged v, Mv.Merged { value } -> value = v
                 | _ -> false)
               readers)
           locs
       in
       (* Every descriptor the model's answer implies passes; a wrong
-         incarnation, storage where a writer exists, and anything over an
-         ESTIMATE fail. *)
+         incarnation, storage where a writer exists, a version or a wrong
+         integer over deltas, and anything over an ESTIMATE fail. *)
       let mv_desc t i =
         Read_origin.Mv (Version.make ~txn_idx:t ~incarnation:i)
       in
@@ -360,6 +430,14 @@ let prop_mvmemory_matches_model =
                     valid (mv_desc t i)
                     && (not (valid (mv_desc t (i + 1))))
                     && not (valid Storage)
+                | `Merged v ->
+                    valid (Counter v)
+                    && valid (Range { rlo = v; rhi = v })
+                    && (not (valid (Counter (v + 1))))
+                    && (not (valid (Range { rlo = v + 1; rhi = max_int })))
+                    && (not (valid Not_counter))
+                    && (not (valid Storage))
+                    && not (valid (mv_desc 0 0))
                 | `Estimate t ->
                     List.for_all
                       (fun d -> not (valid d))
@@ -375,29 +453,66 @@ let prop_mvmemory_matches_model =
               readers)
           locs
       in
+      (* Entries of transactions at or above the flushed prefix. *)
+      let count_agrees () =
+        let upto = Mv.flushed_upto mv in
+        Mv.entry_count mv
+        = List.length (List.filter (fun ((_, t), _) -> t >= upto) !model)
+      in
+      let agrees () =
+        reads_agree all_readers
+        && validation_agrees all_readers
+        && count_agrees ()
+      in
+      let has_estimate below =
+        List.exists (fun ((_, t), e) -> t < below && e = Model.Est) !model
+      in
+      (* A rolling flush of [0, k): the model keeps only the highest
+         committed entry per location, a delta as its materialized value,
+         and the operations that follow touch transactions [k..] only. *)
+      let partial_flush_agrees () =
+        (has_estimate k
+        ||
+        (Mv.flush_committed mv ~upto:k;
+         Model.flush model ~upto:k;
+         agrees ()))
+        &&
+        let upto = Mv.flushed_upto mv in
+        List.for_all
+          (fun op ->
+            match op with
+            | Op_record (t, _, _)
+            | Op_convert t
+            | Op_remove t
+            | Op_prefill (t, _) ->
+                t < upto || apply op)
+          after
+        && agrees ()
+      in
       (* With no ESTIMATE left the block can commit: the flushed snapshot
-         holds each location's top entry, and a reader above the flushed
-         prefix reads and validates against the committed base as it did
+         holds each location's final value, and a reader above the flushed
+         prefix reads and validates against the kept entries as it did
          against the chains. *)
       let flush_agrees () =
-        List.exists (fun (_, e) -> e = Model.Est) !model
+        has_estimate mv_block_size
         ||
         let expected =
           List.filter_map
             (fun loc ->
               match Model.read model ~loc ~txn:mv_block_size with
-              | `Ok (_, _, v) -> Some (loc, v)
+              | `Ok (_, _, v) | `Merged v -> Some (loc, v)
               | `Not_found -> None
               | `Estimate _ -> assert false)
             locs
         in
         Mv.flush_committed mv ~upto:mv_block_size;
+        Model.flush model ~upto:mv_block_size;
         Mv.snapshot mv = expected
-        && reads_agree [ mv_block_size ]
-        && validation_agrees [ mv_block_size ]
+        && Mv.entry_count mv = 0
+        && reads_agree all_readers
+        && validation_agrees all_readers
       in
-      flags_agree && reads_agree all_readers
-      && validation_agrees all_readers
+      List.for_all apply before && agrees () && partial_flush_agrees ()
       && flush_agrees ())
 
 (* --- Parser round-trip ----------------------------------------------------- *)

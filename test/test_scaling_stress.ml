@@ -83,8 +83,8 @@ let expected_read_sets (block : plan array) : (int * origin) list array =
     block
 
 let actual_read_set (inst : int Bstm.instance) j : (int * origin) list =
-  Bstm.recorded_read_set inst j
-  |> Array.to_list
+  let { Mv.locs; origins } = Bstm.recorded_read_set inst j in
+  List.combine (Array.to_list locs) (Array.to_list origins)
   |> List.map (fun (loc, (o : Read_origin.t)) ->
          ( loc,
            match o with

@@ -484,6 +484,42 @@ let test_raising_commit_hook_unlocks () =
       ("advance_commit", S.advance_commit);
     ]
 
+(* A failed assertion under a status or dependency lock releases the lock,
+   so another domain takes it at once instead of blocking forever. Finishing
+   transaction 0 while it is READY_TO_EXECUTE trips [finish_execution]'s
+   assertion under 0's status lock; parking transaction 1 on 0 while 1 is
+   not EXECUTING trips [add_dependency]'s under 0's dependency lock and 1's
+   status lock. Each trip gets its own scheduler, so a lock left held fails
+   the timeout rather than hanging this domain. *)
+let test_failed_assertion_unlocks () =
+  let trips name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected an assertion failure" name
+    | exception Assert_failure _ -> ()
+  in
+  let after_trip name f =
+    match with_timeout ~secs:5. f with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "%s: %s" name (Printexc.to_string e)
+  in
+  let s = S.create ~block_size:1 () in
+  trips "finish_execution" (fun () ->
+      S.finish_execution s ~txn_idx:0 ~incarnation:0 ~wrote_new_location:false);
+  let status = after_trip "status lock" (fun () -> S.status s 0) in
+  Alcotest.(check bool)
+    "status unchanged" true
+    (status = (0, S.Ready_to_execute));
+  let s = S.create ~block_size:2 () in
+  trips "add_dependency" (fun () ->
+      S.add_dependency s ~txn_idx:1 ~blocking_txn_idx:0);
+  let status, dependents =
+    after_trip "dependency and status locks" (fun () ->
+        (S.status s 1, S.dependents s 0))
+  in
+  Alcotest.(check bool)
+    "not parked" true
+    (status = (0, S.Ready_to_execute) && dependents = [])
+
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial_state;
@@ -523,4 +559,6 @@ let suite =
       test_pullback_race;
     Alcotest.test_case "rolling: raising commit hook releases the mutex"
       `Quick test_raising_commit_hook_unlocks;
+    Alcotest.test_case "failed assertion releases status and dependency locks"
+      `Quick test_failed_assertion_unlocks;
   ]

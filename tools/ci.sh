@@ -3,7 +3,8 @@
 # warning-free, and enforce the perf invariants of the lock-free hot paths:
 #   - the MVMemory read and validation paths must not acquire a mutex: every
 #     function Mvmemory.read and Mvmemory.validate_read_set call, down to the
-#     slot probe and the chain lookup (grep gate);
+#     slot probe and the chain lookup, and the engine's ESTIMATE scan over
+#     a recorded read log (grep gate);
 #   - per-block fixed cost: nothing under lib/mvmemory or lib/scheduler
 #     spawns a domain, and Scheduler.create, Mvmemory.create/fresh_table and
 #     Block_stm.create_instance build no array with Array.init (grep gate);
@@ -37,23 +38,29 @@ tools/check_doc.sh
 # The MVMemory read and validation paths must acquire zero mutexes: extract
 # the body of every function they call (top-level "let [rec] <fn> ..." up
 # to the next blank line) and fail on any mention of Mutex. The list is the
-# read path (read, the slot probe, the chain lookup, the delta fold) and the
-# validation path (validate_read_set down to the per-descriptor checks).
-for fn in hash_of probe_of probe find_slot below read_delta_chain read_snap \
-  read materialize is_version is_storage validate_plain validate_origin \
-  validate_from validate_read_set; do
-  body=$(awk "/^  let (rec )?$fn /{f=1} f{print; if (\$0 ~ /^\$/) exit}" \
-    lib/mvmemory/mvmemory.ml)
+# read path (read, the slot probe, the chain lookup, the delta fold), the
+# validation path (validate_read_set down to the per-descriptor checks, and
+# its walk over the read log's two arrays, which also revalidates a
+# suspension's read prefix), and the engine's pre-execution ESTIMATE scan
+# over a recorded read log.
+mv=lib/mvmemory/mvmemory.ml core=lib/core/block_stm.ml
+for spec in $mv:hash_of $mv:probe_of $mv:probe $mv:find_slot $mv:below \
+  $mv:read_delta_chain $mv:read_chain $mv:read $mv:materialize \
+  $mv:is_version $mv:is_storage $mv:validate_plain $mv:validate_origin \
+  $mv:validate_from $mv:validate_reads $mv:validate_read_set \
+  $core:find_estimate_from; do
+  file=${spec%%:*} fn=${spec#*:}
+  body=$(awk "/^  let (rec )?$fn /{f=1} f{print; if (\$0 ~ /^\$/) exit}" "$file")
   if [ -z "$body" ]; then
-    echo "ci: FAIL — could not locate Mvmemory.$fn for the lock-free gate"
+    echo "ci: FAIL — could not locate $fn in $file for the lock-free gate"
     exit 1
   fi
   if printf '%s' "$body" | grep -q "Mutex"; then
-    echo "ci: FAIL — Mvmemory.$fn mentions Mutex; the read and validation paths must be lock-free"
+    echo "ci: FAIL — $fn in $file mentions Mutex; the read and validation paths must be lock-free"
     exit 1
   fi
 done
-echo "ci: lock-free gate passed (Mvmemory read and validation paths take no mutex)"
+echo "ci: lock-free gate passed (Mvmemory read and validation paths and the ESTIMATE scan take no mutex)"
 
 # --- Per-block fixed-cost gate ----------------------------------------------
 # Block_stm.run's helpers are the only per-block Domain.spawn: MVMemory and
