@@ -370,12 +370,6 @@ let ablations _mode =
          (Harness.Bstm.optimistic_config (fun o ->
               { o with marking = spec_seeding }))
        ~specs:declared ~threads w block);
-  T.add_row t
-    (ablation_row ~label:"suspend-resume (effect handlers, §7)"
-       ~config:
-         (Harness.Bstm.optimistic_config (fun o ->
-              { o with suspend_resume = true }))
-       ~threads w block);
   Report.emit_table t
 
 (* Domain counts swept by the real-domain experiments ([scaling] and the

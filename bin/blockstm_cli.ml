@@ -178,12 +178,6 @@ let run_cmd =
       value & opt int 4
       & info [ "d"; "domains" ] ~docv:"N" ~doc:"Worker domains.")
   in
-  let suspend =
-    Arg.(
-      value & flag
-      & info [ "suspend-resume" ]
-          ~doc:"Enable effect-handler suspend/resume on dependencies.")
-  in
   let no_estimates =
     Arg.(
       value & flag
@@ -245,17 +239,6 @@ let run_cmd =
             "Chain state substrate for $(b,--pipeline): $(b,flat) \
              (whole-state root fold after every block, the default) or \
              $(b,merkle) (incremental authenticated roots, DESIGN.md §13).")
-  in
-  let cold_ns_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "cold-read-ns" ] ~docv:"NS"
-          ~doc:
-            "Run over two-tier storage where every location starts cold and \
-             a miss costs NS ns of simulated latency; enables the engine's \
-             suspend-on-cold-read path, so workers execute other \
-             transactions while a fetch is in flight (blockstm executor \
-             only).")
   in
   let verify =
     Arg.(
@@ -379,9 +362,9 @@ let run_cmd =
         Fmt.pr "verify vs unpipelined chain: MISMATCH at height %d@." h;
         exit 1
   in
-  let action workload accounts block seed theta executor domains suspend
-      no_estimates rolling deltas pipeline blocks store cold_ns
-      verify trace_out use_specs sched lanes lane_hint =
+  let action workload accounts block seed theta executor domains no_estimates
+      rolling deltas pipeline blocks store verify trace_out use_specs sched
+      lanes lane_hint =
     if lane_hint < 0 then begin
       Fmt.epr "--lane-hint must be >= 0@.";
       exit 2
@@ -402,12 +385,11 @@ let run_cmd =
     end;
     if
       lanes > 1
-      && (executor <> E_blockstm || pipeline || cold_ns > 0 || rolling
-         || sched = `Spec_dag)
+      && (executor <> E_blockstm || pipeline || rolling || sched = `Spec_dag)
     then begin
       Fmt.epr
         "--lanes needs the blockstm executor and does not compose with \
-         --pipeline, --cold-read-ns, --rolling or --sched spec-dag@.";
+         --pipeline, --rolling or --sched spec-dag@.";
       exit 2
     end;
     let lane_specs =
@@ -427,10 +409,9 @@ let run_cmd =
       if not (use_specs || spec_dag) then None
       else
         match wspecs with
-        | Some _ when pipeline || cold_ns > 0 ->
+        | Some _ when pipeline ->
             Fmt.epr
-              "--specs / --sched spec-dag do not compose with --pipeline or \
-               --cold-read-ns@.";
+              "--specs / --sched spec-dag do not compose with --pipeline@.";
             exit 2
         | Some s -> Some s
         | None ->
@@ -447,10 +428,10 @@ let run_cmd =
     in
     let sched : Harness.Bstm.sched =
       if spec_dag then begin
-        if suspend || no_estimates || rolling || deltas then
+        if no_estimates || rolling || deltas then
           reject
             "--sched spec-dag executes each transaction once and takes none \
-             of --suspend-resume, --no-estimates, --rolling, --deltas";
+             of --no-estimates, --rolling, --deltas";
         Spec_dag
       end
       else begin
@@ -462,7 +443,6 @@ let run_cmd =
             marking =
               (if no_estimates then Remove_on_abort
                else Estimates { seed_from_specs = use_specs });
-            suspend_resume = suspend;
             rolling_commit = rolling;
             delta_ops = deltas;
           }
@@ -532,25 +512,12 @@ let run_cmd =
                 Blockstm_obs.Trace.create ~num_workers:domains ())
               trace_out
           in
-          let (r, cold), tps =
+          let r, tps =
             time (fun () ->
-                if cold_ns > 0 then
-                  let r, c =
-                    Harness.run_blockstm_cold ~config ?trace ~cold_ns
-                      ~storage:g.storage g.txns
-                  in
-                  (r, Some c)
-                else
-                  ( Harness.run_blockstm ~config ?specs ?trace
-                      ~storage:g.storage g.txns,
-                    None ))
+                Harness.run_blockstm ~config ?specs ?trace ~storage:g.storage
+                  g.txns)
           in
           Fmt.pr "metrics: %a@." Harness.Bstm.pp_metrics r.metrics;
-          (match cold with
-          | Some c ->
-              Fmt.pr "cold fetches: %d (miss latency %d ns)@."
-                (Harness.ColdX.fetches c) cold_ns
-          | None -> ());
           if rolling && Array.length r.commit_ns > 0 then begin
             let s =
               Blockstm_stats.Descriptive.summarize
@@ -604,10 +571,9 @@ let run_cmd =
   let term =
     Term.(
       const action $ workload_arg $ accounts_arg $ block_arg $ seed_arg
-      $ theta_arg $ executor $ domains $ suspend $ no_estimates $ rolling
-      $ deltas $ pipeline $ blocks $ store_arg $ cold_ns_arg
-      $ verify $ trace_out $ specs_flag $ sched_arg $ lanes_arg
-      $ lane_hint_arg)
+      $ theta_arg $ executor $ domains $ no_estimates $ rolling $ deltas
+      $ pipeline $ blocks $ store_arg $ verify $ trace_out $ specs_flag
+      $ sched_arg $ lanes_arg $ lane_hint_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a workload with a chosen executor") term
 
@@ -621,16 +587,13 @@ let sim_cmd =
       & info [ "t"; "threads" ] ~docv:"LIST"
           ~doc:"Comma-separated virtual thread counts.")
   in
-  let suspend =
-    Arg.(value & flag & info [ "suspend-resume" ] ~doc:"Suspend/resume mode.")
-  in
   let deltas =
     Arg.(
       value & flag
       & info [ "deltas" ]
           ~doc:"Commutative delta entries (DESIGN.md §12).")
   in
-  let action workload accounts block seed theta threads suspend deltas =
+  let action workload accounts block seed theta threads deltas =
     let g, _, _ = build_workload workload ~accounts ~block ~seed ~theta in
     let n = Array.length g.txns in
     let seq_us = Harness.sim_sequential_makespan ~storage:g.storage g.txns in
@@ -645,7 +608,7 @@ let sim_cmd =
       (fun threads ->
         let config =
           Harness.Bstm.optimistic_config (fun o ->
-              { o with suspend_resume = suspend; delta_ops = deltas })
+              { o with delta_ops = deltas })
         in
         let result, stats =
           Harness.sim_blockstm ~config ~num_threads:threads
@@ -668,7 +631,7 @@ let sim_cmd =
   let term =
     Term.(
       const action $ workload_arg $ accounts_arg $ block_arg $ seed_arg
-      $ theta_arg $ threads $ suspend $ deltas)
+      $ theta_arg $ threads $ deltas)
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Virtual-time thread-scaling sweep (see DESIGN.md)")

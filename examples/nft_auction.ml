@@ -2,7 +2,7 @@
    bid reads and conditionally writes the same resource) and an NFT mint
    (sequential ids from one registry counter). Both are worst cases for
    optimistic execution — the demo shows Block-STM still commits the exact
-   preset-order outcome, and prints the abort/resume metrics the contention
+   preset-order outcome, and prints the abort metrics the contention
    causes.
 
    Run with: dune exec examples/nft_auction.exe *)
@@ -27,10 +27,7 @@ let run_auction () =
         Interp.txn auction
           ~args:[ Value.Addr house; Value.Addr bidder; Value.Int bid ])
   in
-  let config =
-    Runtime.Bstm.optimistic_config ~num_domains:4 (fun o ->
-        { o with suspend_resume = true })
-  in
+  let config = { Runtime.Bstm.default_config with num_domains = 4 } in
   let par =
     Runtime.Bstm.run ~config ~storage:(Runtime.Store.reader store) txns
   in

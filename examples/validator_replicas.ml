@@ -1,6 +1,6 @@
 (* State machine replication: three "validators" execute the same chain of
    blocks with different executors and thread counts — sequential, Block-STM
-   with 2 domains, Block-STM with 4 domains and suspend-resume — and must
+   with 2 domains, Block-STM with 4 domains and rolling commit — and must
    commit identical state roots at every height. This is the paper's §1
    requirement ("every entity that executes the block of transactions must
    arrive at the same final state") made executable.
@@ -45,12 +45,12 @@ let () =
             (Chain.Block_stm
                { Chain.Bstm.default_config with num_domains = 2 })
           ~genesis () );
-      ( "validator-C (block-stm x4, suspend-resume)",
+      ( "validator-C (block-stm x4, rolling commit)",
         Chain.create
           ~executor:
             (Chain.Block_stm
                (Chain.Bstm.optimistic_config ~num_domains:4 (fun o ->
-                    { o with suspend_resume = true })))
+                    { o with rolling_commit = true })))
           ~genesis () );
     ]
   in

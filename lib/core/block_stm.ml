@@ -24,7 +24,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   module LTbl = Hashtbl.Make (L)
 
   (** Raised internally when a speculative read hits an [ESTIMATE] marker:
-      the executing transaction depends on [blocking_txn_idx]. *)
+      the executing transaction depends on [blocking_txn_idx]. A transaction
+      that catches it still ends blocked on that dependency. *)
   exception Dependency of int
 
   (** The handle a transaction uses to access state (see {!Txn.effects}). *)
@@ -47,21 +48,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     validation_aborts : int;  (** Validations that failed and won the abort. *)
     prevalidation_skips : int;
         (** Re-executions short-circuited by the read-set pre-check (§4). *)
-    resumptions : int;
-        (** Incarnations that resumed a suspended predecessor mid-transaction
-            (suspend_resume mode). *)
-    discarded_suspensions : int;
-        (** Suspensions whose read prefix no longer validated and were
-            discarded (suspend_resume mode). *)
     commits : int;
         (** Transactions committed by the rolling sweep (0 when
             [rolling_commit] is off: the block commits lazily as a whole). *)
     delta_applies : int;
         (** Commutative delta entries recorded by committed-to-MVMemory
             incarnations (0 unless [delta_ops]). *)
-    cold_reads : int;
-        (** Executions suspended on a cold storage probe (0 unless a
-            cold-capable [probe] was given). *)
     spec_skips : int;
         (** Validation tasks short-circuited because the transaction's
             static access spec is disjoint from every other transaction's
@@ -72,11 +64,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let pp_metrics ppf m =
     Fmt.pf ppf
       "{ incarnations=%d; dep_aborts=%d; validations=%d; val_aborts=%d; \
-       preval_skips=%d; resumed=%d; discarded=%d; commits=%d; deltas=%d; \
-       cold=%d; spec_skips=%d }"
+       preval_skips=%d; commits=%d; deltas=%d; spec_skips=%d }"
       m.incarnations m.dependency_aborts m.validations m.validation_aborts
-      m.prevalidation_skips m.resumptions m.discarded_suspensions m.commits
-      m.delta_applies m.cold_reads m.spec_skips
+      m.prevalidation_skips m.commits m.delta_applies m.spec_skips
 
   (* The engine configuration is shaped so that every value runs: options
      that only make sense for the optimistic scheduler live inside
@@ -87,7 +77,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   type optimistic = {
     marking : marking;
     prevalidate_reads : bool;
-    suspend_resume : bool;
     rolling_commit : bool;
     delta_ops : bool;
   }
@@ -100,7 +89,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     {
       marking = Estimates { seed_from_specs = false };
       prevalidate_reads = true;
-      suspend_resume = false;
       rolling_commit = false;
       delta_ops = false;
     }
@@ -145,13 +133,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let stat_validations = 2
   let stat_val_aborts = 3
   let stat_preval_skips = 4
-  let stat_resumptions = 5
-  let stat_discarded = 6
-  let stat_vm_reads = 7
-  let stat_vm_writes = 8
-  let stat_delta_applies = 9
-  let stat_cold_reads = 10
-  let stat_spec_skips = 11
+  let stat_vm_reads = 5
+  let stat_vm_writes = 6
+  let stat_delta_applies = 7
+  let stat_spec_skips = 8
 
   let stat_names =
     [|
@@ -160,22 +145,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       "validations";
       "validation_aborts";
       "prevalidation_skips";
-      "resumptions";
-      "discarded_suspensions";
       "vm_reads";
       "vm_writes";
       "delta_applies";
-      "cold_reads";
       "spec_skips";
     |]
 
   type 'o instance = {
     txns : 'o txn array;
     storage : (L.t, V.t) Intf.storage;
-    probe : (L.t, V.t) Intf.storage_nb option;
-        (* Non-blocking storage view. When present, the VM's storage
-           fall-through goes through it, and a [Cold] answer suspends the
-           transaction across the fetch. *)
     mv : Mv.t;
     sched : Scheduler.t;
     dag : Spec_dag.t option;
@@ -191,23 +169,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
        the inert defaults), so each hot-path check is one load. *)
     estimates : bool;  (* [Estimates] marking; [false]: remove on abort. *)
     prevalidate : bool;
-    suspend : bool;
-    resumable : bool;
-        (* An execution may park a continuation: [suspend], or a [probe]
-           whose cold misses suspend. *)
     rolling : bool;
     deltas : bool;
     record_exec : bool;
     outputs : 'o txn_output option array;
         (* Slot [j] is written only by the executor of tx_j's incarnations
            (sequential per Corollary 1) and read after all domains join. *)
-    suspensions : 'o suspension_slot array;
-        (* Stashed continuation per transaction (suspend_resume or a cold
-           read); empty unless [resumable]. The slot is written by the
-           executor of incarnation i after blocking and consumed (exchanged)
-           by the executor of incarnation i+1; incarnations of one
-           transaction never overlap (Corollary 1), but we use an Atomic for
-           the cross-domain happens-before edge. *)
     obs : Metrics.t;
         (* Engine counters live in per-domain padded cells — no cross-domain
            contention on the hot path (previously: shared atomics). *)
@@ -238,33 +205,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            [is_done]: the other workers poll this and stop. *)
   }
 
-  and 'o suspension_slot = 'o suspension option Atomic.t
-
-  and 'o suspension = {
-    s_resume : (unit, 'o vm_outcome) Effect.Deep.continuation;
-    s_prefix : Mv.read_set;
-        (** Read log at suspension time: must still validate before the
-            continuation may be resumed. *)
-  }
-
-  (** Outcome of running (or resuming) the VM for one incarnation. *)
-  and 'o vm_outcome =
+  (** Outcome of running the VM for one incarnation. *)
+  type 'o vm_outcome =
     | Vm_done of 'o vm_result
-    | Vm_blocked of {
-        blocking : int;
-        reads_so_far : int;
-        suspension : 'o suspension option;
-            (** Present in suspend_resume mode: the captured continuation
-                plus the read prefix observed before the blocking read. *)
-      }
-    | Vm_cold of {
-        c_fetch : unit -> unit;
-            (** Completes the storage fetch; afterwards the probe hits. *)
-        c_reads : int;
-        c_suspension : 'o suspension;
-            (** Always present: cold suspension exists only to park the
-                continuation across the fetch. *)
-      }
+    | Vm_blocked of { blocking : int; reads_so_far : int }
 
   and 'o vm_result = {
     vm_read_set : Mv.read_set;
@@ -429,8 +373,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     done;
     preds
 
-  let create_instance ?(config = default_config) ?trace ?on_commit ?probe
-      ?specs ?loc_namespace ~storage (txns : 'o txn array) : 'o instance =
+  let create_instance ?(config = default_config) ?trace ?on_commit ?specs
+      ?loc_namespace ~storage (txns : 'o txn array) : 'o instance =
     let n = Array.length txns in
     if config.num_domains < 1 then
       invalid_arg "Block_stm: num_domains must be >= 1";
@@ -473,14 +417,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (need_specs "seed_from_specs");
     let rolling = o.rolling_commit in
     let obs =
-      (* 12 stat slots + 1 named counter; leave headroom for probes. *)
+      (* 9 stat slots + 1 named counter; leave headroom for probes. *)
       Metrics.create ~max_domains:(config.num_domains + 1) ~max_counters:24 ()
     in
-    let resumable = o.suspend_resume || probe <> None in
     {
       txns;
       storage;
-      probe;
       mv;
       dag;
       indep =
@@ -491,15 +433,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       sched = Scheduler.create ~rolling ~block_size:n ();
       estimates;
       prevalidate = o.prevalidate_reads;
-      suspend = o.suspend_resume;
-      resumable;
       rolling;
       deltas = o.delta_ops;
       record_exec = config.record_exec_ns;
       outputs = Array.make n None;
-      suspensions =
-        (if resumable then Atomic_util.init_array n (fun _ -> Atomic.make None)
-         else [||]);
       obs;
       ctab = Array.map (Metrics.counter obs) stat_names;
       c_commits = Metrics.counter obs "commits";
@@ -518,17 +455,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (* Algorithm 4: the VM — speculative execution with instrumented accesses *)
   (* ---------------------------------------------------------------------- *)
 
-  type _ Effect.t += Blocked_read : int -> unit Effect.t
-
-  (* Performed when the storage probe answers [Cold]; carries the fetch
-     thunk for the handler's caller to run. *)
-  type _ Effect.t += Cold_read : (unit -> unit) -> unit Effect.t
-
-  exception Discarded_suspension
-
-  (* Per-worker VM state, held in domain-local storage (see [vm_execute]
-     for the one mode that cannot reuse it): the incarnation's read log and
-     the own-writes table, which is reset and reused across incarnations.
+  (* Per-worker VM state, held in domain-local storage: the incarnation's
+     read log and the own-writes table, which is reset and reused across
+     incarnations.
 
      The read log is two arrays filled in step, of locations and of
      origins, so logging a read stores two fields and allocates no tuple.
@@ -552,6 +481,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             external materialized base observed at the first delta op, and
             the composition of every delta op since. *)
     mutable s_dorder : L.t list;  (** Delta order, reversed. *)
+    mutable s_blocked : int;
+        (** The transaction a read of this incarnation found an ESTIMATE of,
+            or -1. Set before [Dependency] unwinds the transaction, so the
+            incarnation ends blocked even if its code catches the
+            exception. *)
   }
 
   let fresh_scratch () =
@@ -564,6 +498,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       s_worder = [];
       s_deltas = LTbl.create 8;
       s_dorder = [];
+      s_blocked = -1;
     }
 
   let scratch_key = Domain.DLS.new_key fresh_scratch
@@ -582,16 +517,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     sc.r_origins.(n) <- origin;
     sc.r_len <- n + 1
 
-  (* The reads logged so far, copied out of the buffers: a suspension's
-     prefix, which the resumed incarnation keeps appending to. *)
-  let logged_reads (sc : scratch) : Mv.read_set =
-    if sc.r_len = 0 then Mv.empty_read_set
-    else
-      {
-        locs = Array.sub sc.r_locs 0 sc.r_len;
-        origins = Array.sub sc.r_origins 0 sc.r_len;
-      }
-
   (* The finished incarnation's read set: the buffers themselves when they
      are full, else copies cut to length. The next incarnation starts from
      fresh buffers of this length. *)
@@ -602,8 +527,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       sc.r_hint <- n;
       if n = Array.length sc.r_locs then
         { locs = sc.r_locs; origins = sc.r_origins }
-      else logged_reads sc
+      else
+        { locs = Array.sub sc.r_locs 0 n; origins = Array.sub sc.r_origins 0 n }
     end
+
+  (* A read found an ESTIMATE of transaction [b]: record the dependency,
+     then unwind the transaction. *)
+  let block_on (sc : scratch) b =
+    if sc.s_blocked < 0 then sc.s_blocked <- b;
+    raise (Dependency b)
 
   (* The incarnation's own buffered write and pending delta at [loc]. Most
      reads come before the first write, so an empty table is not hashed. *)
@@ -623,24 +555,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   (* Executes the transaction's code, intercepting reads and writes. Never
      touches MVMemory or Storage mutably. Returns [Vm_blocked] when a read
-     observed an ESTIMATE written by a lower transaction; in suspend_resume
-     mode the blocked outcome carries a resumable continuation.
-
-     suspend_resume allocates a fresh scratch instead of the domain's: a
-     captured continuation closes over it, and the next incarnation may run
-     on a different domain — or this domain may run other incarnations
-     first, which would clobber the suspended state.
-
-     Cold suspensions (a probe without suspend_resume) DO reuse the domain
-     scratch: [finish_task] hands the execution task straight back to the
-     same worker, which runs the fetch and retries before starting any
-     other incarnation on this domain, so nothing can clobber the scratch
-     while the continuation is parked. *)
+     observed an ESTIMATE written by a lower transaction. *)
   let vm_execute (inst : 'o instance) ~(txn_idx : int) : 'o vm_outcome =
     let txn = inst.txns.(txn_idx) in
-    let sc =
-      if inst.suspend then fresh_scratch () else Domain.DLS.get scratch_key
-    in
+    let sc = Domain.DLS.get scratch_key in
     sc.r_len <- 0;
     sc.r_locs <- [||];
     sc.r_origins <- [||];
@@ -648,47 +566,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     sc.s_worder <- [];
     LTbl.clear sc.s_deltas;
     sc.s_dorder <- [];
+    sc.s_blocked <- -1;
     let nreads = ref 0 in
-    (* Storage fall-through, routed through the non-blocking probe when one
-       is wired. A [Cold] miss suspends the transaction across the fetch;
-       the retried probe after resumption hits the warmed cache. *)
-    let storage_read loc =
-      match inst.probe with
-      | None -> inst.storage loc
-      | Some probe ->
-          let rec go () =
-            match probe loc with
-            | Intf.Hit v -> v
-            | Intf.Cold fetch ->
-                Effect.perform (Cold_read (fun () -> ignore (fetch ())));
-                go ()
-          in
-          go ()
-    in
-    (* An MVMemory read, recorded in the read log. Built once per
-       incarnation, so a read allocates no retry closure. *)
-    let rec attempt loc =
-      match Mv.read inst.mv loc ~txn_idx with
-      | Mv.Read_error { blocking_txn_idx } ->
-          if inst.suspend then begin
-            (* Suspend here; when resumed, retry this same read. *)
-            Effect.perform (Blocked_read blocking_txn_idx);
-            attempt loc
-          end
-          else raise (Dependency blocking_txn_idx)
-      | Mv.Not_found ->
-          let v = storage_read loc in
-          push_read sc loc Read_origin.Storage;
-          v
-      | Mv.Ok (version, value) ->
-          push_read sc loc (Read_origin.Mv version);
-          Some value
-      | Mv.Merged { value } ->
-          (* Value read over lower transactions' delta entries:
-             version-free, so pin the exact materialized sum. *)
-          push_read sc loc (Read_origin.Counter value);
-          Some (V.of_counter value)
-    in
     let read loc =
       incr nreads;
       match own_write sc loc with
@@ -701,7 +580,23 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                  exactly, since the returned value depends on it. *)
               push_read sc loc (Read_origin.Counter b);
               Some (V.of_counter (b + c.Delta.net))
-          | None -> attempt loc)
+          | None -> (
+              (* An MVMemory read, recorded in the read log. *)
+              match Mv.read inst.mv loc ~txn_idx with
+              | Mv.Read_error { blocking_txn_idx } ->
+                  block_on sc blocking_txn_idx
+              | Mv.Not_found ->
+                  let v = inst.storage loc in
+                  push_read sc loc Read_origin.Storage;
+                  v
+              | Mv.Ok (version, value) ->
+                  push_read sc loc (Read_origin.Mv version);
+                  Some value
+              | Mv.Merged { value } ->
+                  (* Value read over lower transactions' delta entries:
+                     version-free, so pin the exact materialized sum. *)
+                  push_read sc loc (Read_origin.Counter value);
+                  Some (V.of_counter value)))
     in
     let write loc v =
       if LTbl.length sc.s_deltas > 0 then LTbl.remove sc.s_deltas loc;
@@ -747,22 +642,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           | None -> (
               (* First delta op on this location: materialize the external
                  integer base (same walk the read path does). *)
-              let rec ext () =
+              let ext =
                 match Mv.read inst.mv loc ~txn_idx with
                 | Mv.Read_error { blocking_txn_idx } ->
-                    if inst.suspend then begin
-                      Effect.perform (Blocked_read blocking_txn_idx);
-                      ext ()
-                    end
-                    else raise (Dependency blocking_txn_idx)
+                    block_on sc blocking_txn_idx
                 | Mv.Merged { value } -> Some value
                 | Mv.Ok (_, value) -> V.as_counter value
                 | Mv.Not_found -> (
-                    match storage_read loc with
+                    match inst.storage loc with
                     | None -> Some 0 (* absent counts as 0 *)
                     | Some v -> V.as_counter v)
               in
-              match ext () with
+              match ext with
               | None ->
                   push_read sc loc Read_origin.Not_counter;
                   Txn.Not_a_counter
@@ -813,57 +704,20 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         vm_writes = LTbl.length sc.s_writes + Array.length vm_delta_set;
       }
     in
-    Effect.Deep.match_with
-      (fun () -> txn { Txn.read; write; delta })
-      ()
-      {
-        retc =
-          (fun output -> Vm_done (finish (Success output) ~keep_writes:true));
-        exnc =
-          (fun e ->
-            match e with
-            | Dependency blocking ->
-                Vm_blocked
-                  { blocking; reads_so_far = !nreads; suspension = None }
-            | e ->
-                (* The VM captures transaction failures (§4): the incarnation
-                   commits with no writes. Validation still covers the
-                   observed read-set, so failures caused purely by
-                   inconsistent speculative reads get re-executed. *)
-                Vm_done
-                  (finish (Failed (Printexc.to_string e)) ~keep_writes:false));
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Blocked_read blocking ->
-                Some
-                  (fun (k : (a, 'o vm_outcome) Effect.Deep.continuation) ->
-                    Vm_blocked
-                      {
-                        blocking;
-                        reads_so_far = !nreads;
-                        suspension =
-                          Some
-                            {
-                              s_resume = k;
-                              s_prefix = logged_reads sc;
-                            };
-                      })
-            | Cold_read fetch ->
-                Some
-                  (fun (k : (a, 'o vm_outcome) Effect.Deep.continuation) ->
-                    Vm_cold
-                      {
-                        c_fetch = fetch;
-                        c_reads = !nreads;
-                        c_suspension =
-                          {
-                            s_resume = k;
-                            s_prefix = logged_reads sc;
-                          };
-                      })
-            | _ -> None);
-      }
+    (* A read that hit an ESTIMATE decides the outcome however the
+       transaction ends: returning after catching [Dependency] must not
+       commit a result computed without that read. *)
+    match txn { Txn.read; write; delta } with
+    | output when sc.s_blocked < 0 ->
+        Vm_done (finish (Success output) ~keep_writes:true)
+    | exception e when sc.s_blocked < 0 ->
+        (* The VM captures transaction failures (§4): the incarnation commits
+           with no writes. Validation still covers the observed read-set, so
+           failures caused purely by inconsistent speculative reads get
+           re-executed. *)
+        Vm_done (finish (Failed (Printexc.to_string e)) ~keep_writes:false)
+    | _ | exception _ ->
+        Vm_blocked { blocking = sc.s_blocked; reads_so_far = !nreads }
 
   (* ---------------------------------------------------------------------- *)
   (* Algorithm 1: per-task handlers and the worker loop                     *)
@@ -903,37 +757,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       the end} (recording writes, abort bookkeeping, follow-up scheduling).
       The real domain-based executor calls them back to back. *)
   type 'o pending =
-    | P_exec of { version : Version.t; vm : 'o vm_result; prefix_paid : int }
-        (** [prefix_paid]: reads already performed (and charged) by the
-            suspended predecessor this execution resumed — discounted by
-            cost models. 0 for fresh executions. *)
-    | P_exec_dep of {
-        version : Version.t;
-        blocking : int;
-        reads : int;
-        suspension : 'o suspension option;
-      }
-    | P_exec_cold of {
-        version : Version.t;
-        reads : int;
-        fetch : unit -> unit;
-        suspension : 'o suspension;
-      }
-        (** Execution parked on a cold storage read (a [probe] miss):
-            {!finish_task} stashes the continuation, runs the fetch, and
-            hands the execution task back for an immediate same-worker
-            retry (no scheduler abort — the incarnation is still live). *)
+    | P_exec of { version : Version.t; vm : 'o vm_result }
+    | P_exec_dep of { version : Version.t; blocking : int; reads : int }
     | P_val of { version : Version.t; wave : int; valid : bool; reads : int }
 
   (** Planned work profile of a pending task, for cost models. *)
   let pending_profile : _ pending -> [ `Exec of int * int | `Dep of int | `Val of int ]
       = function
-    | P_exec { vm; prefix_paid; _ } ->
-        `Exec (max 0 (vm.vm_reads - prefix_paid), vm.vm_writes)
+    | P_exec { vm; _ } -> `Exec (vm.vm_reads, vm.vm_writes)
     | P_exec_dep { reads; _ } -> `Dep reads
-    (* The simulator never wires a probe, so this only shows up for real
-       executions; profile like a dependency stop. *)
-    | P_exec_cold { reads; _ } -> `Dep reads
     | P_val { reads; _ } -> `Val reads
 
   (* Per-worker batched metric accumulation: the step loop counts into a
@@ -965,65 +797,27 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     match task with
     | Scheduler.Execution version -> (
         let txn_idx = Version.txn_idx version in
-        let incarnation = Version.incarnation version in
-        (* suspend_resume (§7): if the previous incarnation suspended
-           mid-execution, resume its continuation provided the read prefix
-           still validates (the §7 "validate the reads that happened during
-           the execution prefix upon resumption"); otherwise discard it and
-           start over. *)
-        let stashed =
-          if inst.resumable then
-            Atomic.exchange inst.suspensions.(txn_idx) None
+        let t0 = if inst.record_exec then Trace.now_ns () else 0 in
+        let blocked =
+          if
+            inst.prevalidate
+            && Version.incarnation version > 0
+            && not inst.indep.(txn_idx)
+          then find_read_set_dependency inst ~txn_idx
           else None
         in
-        let t0 = if inst.record_exec then Trace.now_ns () else 0 in
-        let outcome, prefix_paid =
-          match stashed with
-          | Some s when Mv.validate_reads inst.mv ~txn_idx s.s_prefix ->
-              bump stats stat_resumptions;
-              ( Effect.Deep.continue s.s_resume (),
-                Array.length s.s_prefix.locs )
-          | Some s ->
-              bump stats stat_discarded;
-              (* Unwind the abandoned fiber; its outcome (a Failed result
-                 produced by the handler's exnc) is irrelevant. *)
-              (try
-                 ignore
-                   (Effect.Deep.discontinue s.s_resume Discarded_suspension)
-               with _ -> ());
-              (vm_execute inst ~txn_idx, 0)
-          | None ->
-              let blocked =
-                if
-                  inst.prevalidate && incarnation > 0
-                  && not inst.indep.(txn_idx)
-                then (
-                  match find_read_set_dependency inst ~txn_idx with
-                  | Some b ->
-                      bump stats stat_preval_skips;
-                      Some b
-                  | None -> None)
-                else None
-              in
-              ( (match blocked with
-                | Some b ->
-                    Vm_blocked
-                      { blocking = b; reads_so_far = 0; suspension = None }
-                | None -> vm_execute inst ~txn_idx),
-                0 )
-        in
-        (if inst.record_exec then
-           match outcome with
-           | Vm_done _ -> inst.exec_ns.(txn_idx) <- Trace.now_ns () - t0
-           | Vm_blocked _ | Vm_cold _ -> ());
-        match outcome with
-        | Vm_blocked { blocking; reads_so_far; suspension } ->
-            P_exec_dep { version; blocking; reads = reads_so_far; suspension }
-        | Vm_cold { c_fetch; c_reads; c_suspension } ->
-            P_exec_cold
-              { version; reads = c_reads; fetch = c_fetch;
-                suspension = c_suspension }
-        | Vm_done vm -> P_exec { version; vm; prefix_paid })
+        match blocked with
+        | Some b ->
+            bump stats stat_preval_skips;
+            P_exec_dep { version; blocking = b; reads = 0 }
+        | None -> (
+            match vm_execute inst ~txn_idx with
+            | Vm_blocked { blocking; reads_so_far } ->
+                P_exec_dep { version; blocking; reads = reads_so_far }
+            | Vm_done vm ->
+                if inst.record_exec then
+                  inst.exec_ns.(txn_idx) <- Trace.now_ns () - t0;
+                P_exec { version; vm }))
     | Scheduler.Validation (version, wave) ->
         let txn_idx = Version.txn_idx version in
         if inst.indep.(txn_idx) then begin
@@ -1044,7 +838,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let finish_task_s (inst : 'o instance) (stats : local_stats)
       (p : 'o pending) : Scheduler.task option * step_event =
     match p with
-    | P_exec { version; vm; prefix_paid = _ } ->
+    | P_exec { version; vm } ->
         let txn_idx = Version.txn_idx version in
         let incarnation = Version.incarnation version in
         bump stats stat_incarnations;
@@ -1069,27 +863,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                 ~wrote_new_location
         in
         (next, Executed { version; reads = vm.vm_reads; writes = vm.vm_writes })
-    | P_exec_cold { version; reads; fetch; suspension } ->
-        bump stats stat_cold_reads;
-        let txn_idx = Version.txn_idx version in
-        (* Stash, fetch, then hand the task back: the same worker retries
-           immediately (mirroring the resolved-dependency path below), finds
-           the suspension, re-validates the prefix and resumes — with the
-           retried probe hitting the cache the fetch just warmed. No
-           scheduler interaction: the incarnation never aborted, so no other
-           domain can claim this transaction meanwhile — which is also what
-           makes reusing the domain scratch across the park safe. *)
-        Atomic.set inst.suspensions.(txn_idx) (Some suspension);
-        fetch ();
-        (Some (Scheduler.Execution version), Cold_fetch { version; reads })
-    | P_exec_dep { version; blocking; reads; suspension } ->
+    | P_exec_dep { version; blocking; reads } ->
         bump stats stat_dep_aborts;
         let txn_idx = Version.txn_idx version in
-        (* Stash the continuation (if any) before publishing the dependency,
-           so whichever thread executes the next incarnation finds it. *)
-        (match suspension with
-        | Some _ -> Atomic.set inst.suspensions.(txn_idx) suspension
-        | None -> ());
         if
           Scheduler.add_dependency inst.sched ~txn_idx
             ~blocking_txn_idx:blocking
@@ -1261,11 +1037,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       validations = v stat_validations;
       validation_aborts = v stat_val_aborts;
       prevalidation_skips = v stat_preval_skips;
-      resumptions = v stat_resumptions;
-      discarded_suspensions = v stat_discarded;
       commits = Metrics.value inst.c_commits;
       delta_applies = v stat_delta_applies;
-      cold_reads = v stat_cold_reads;
       spec_skips = v stat_spec_skips;
     }
 
@@ -1323,10 +1096,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       escapes any worker stops the others and is re-raised once all have
       joined. *)
   let run ?(config = default_config) ?specs ?loc_namespace ?trace ?on_commit
-      ?probe ~storage (txns : 'o txn array) : 'o result =
+      ~storage (txns : 'o txn array) : 'o result =
     let inst =
-      create_instance ~config ?specs ?loc_namespace ?trace ?on_commit ?probe
-        ~storage txns
+      create_instance ~config ?specs ?loc_namespace ?trace ?on_commit ~storage
+        txns
     in
     if Array.length txns = 0 then
       {

@@ -20,7 +20,8 @@ module Trace = Blockstm_obs.Trace
 
 module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** Raised internally when a speculative read hits an [ESTIMATE] marker:
-      the executing transaction depends on [blocking_txn_idx]. *)
+      the executing transaction depends on [blocking_txn_idx]. A transaction
+      that catches it still ends blocked on that dependency. *)
   exception Dependency of int
 
   (** The handle a transaction uses to access state (see {!Txn.effects}). *)
@@ -46,21 +47,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     validation_aborts : int;  (** Validations that failed and won the abort. *)
     prevalidation_skips : int;
         (** Re-executions short-circuited by the read-set pre-check (§4). *)
-    resumptions : int;
-        (** Incarnations that resumed a suspended predecessor mid-transaction
-            (suspend_resume mode). *)
-    discarded_suspensions : int;
-        (** Suspensions whose read prefix no longer validated and were
-            discarded (suspend_resume mode). *)
     commits : int;
         (** Transactions committed by the rolling sweep (0 without rolling
             commit: the block commits lazily as a whole). *)
     delta_applies : int;
         (** Commutative delta entries recorded into MVMemory (0 unless
             [delta_ops]). *)
-    cold_reads : int;
-        (** Executions suspended on a cold storage probe (0 unless a
-            cold-capable [probe] was given). *)
     spec_skips : int;
         (** Validation tasks short-circuited because the transaction's
             static access spec proves it disjoint from every other
@@ -74,9 +66,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
       The configuration is shaped so that every value runs: options that
       only exist for the optimistic scheduler live inside [Optimistic],
-      and options that need ESTIMATE markers inside [Estimates]. One
-      {!create_instance} argument implies a mode of its own: [?probe] makes
-      cold storage misses suspend the transaction (DESIGN.md §13). *)
+      and options that need ESTIMATE markers inside [Estimates]. *)
 
   (** What an aborted incarnation leaves behind in MVMemory. *)
   type marking =
@@ -103,11 +93,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     prevalidate_reads : bool;
         (** §4 optimization: before re-executing an incarnation, re-read the
             previous read-set and park on any ESTIMATE found. *)
-    suspend_resume : bool;
-        (** §7 future-work feature: when a read hits an ESTIMATE, capture the
-            transaction's continuation with an OCaml effect handler instead
-            of discarding the work; the next incarnation re-validates the
-            read prefix and resumes mid-transaction on success. *)
     rolling_commit : bool;
         (** Stream a committed prefix instead of the paper's lazy
             block-at-once commit (Lemma 2): workers opportunistically advance
@@ -149,7 +134,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val default_optimistic : optimistic
   (** The paper's engine: ESTIMATE markers, read-set prevalidation; no
-      seeding, suspend/resume, rolling commit or deltas. *)
+      seeding, rolling commit or deltas. *)
 
   val default_config : config
   (** One domain, no timestamps, [Optimistic default_optimistic]. *)
@@ -181,7 +166,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?config:config ->
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
-    ?probe:(L.t, V.t) Intf.storage_nb ->
     ?specs:L.t Access_spec.t array ->
     ?loc_namespace:(L.t -> string) ->
     storage:(L.t, V.t) Intf.storage ->
@@ -195,14 +179,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       rolling commit it fires as the prefix commits, from whichever domain
       advances the commit sweep, under the scheduler's commit mutex (keep it
       cheap); otherwise it fires for the whole block at {!finalize}.
-
-      [probe] is a non-blocking storage view. When given it replaces
-      [storage] in the VM's fall-through reads ([storage] must agree with
-      it, and still serves MVMemory's committed delta folds), and a cold
-      miss suspends the transaction through an effect handler while the
-      worker completes the fetch; the execution is retried at once,
-      re-validating the read prefix and resuming the continuation
-      (DESIGN.md §13). Without a probe, a slow storage read is paid inline.
 
       [specs] (one per transaction) are static access specifications
       (DESIGN.md §15): sound over-approximations of each transaction's
@@ -239,12 +215,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   val metrics_registry : 'o instance -> Metrics.t
   (** The live metrics registry: counters ["incarnations"],
       ["dependency_aborts"], ["validations"], ["validation_aborts"],
-      ["prevalidation_skips"], ["resumptions"], ["discarded_suspensions"],
-      ["vm_reads"], ["vm_writes"], ["delta_applies"], ["cold_reads"],
-      ["spec_skips"] and ["commits"]; histograms ["exec_step_ns"] and
-      ["validation_step_ns"] (populated only when tracing is enabled) and
-      ["commit_latency_ns"] (per-transaction time-to-commit, rolling commit
-      only). *)
+      ["prevalidation_skips"], ["vm_reads"], ["vm_writes"],
+      ["delta_applies"], ["spec_skips"] and ["commits"]; histograms
+      ["exec_step_ns"] and ["validation_step_ns"] (populated only when
+      tracing is enabled) and ["commit_latency_ns"] (per-transaction
+      time-to-commit, rolling commit only). *)
 
   val committed_prefix : 'o instance -> int
   (** Length of the committed prefix so far (0 unless rolling commit).
@@ -323,7 +298,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?loc_namespace:(L.t -> string) ->
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
-    ?probe:(L.t, V.t) Intf.storage_nb ->
     storage:(L.t, V.t) Intf.storage ->
     'o txn array ->
     'o result

@@ -51,19 +51,3 @@ end
 (** Read-only snapshot of the state as of the beginning of the block: the
     paper's [Storage] module. [None] means the location does not exist. *)
 type ('loc, 'value) storage = 'loc -> 'value option
-
-(** Outcome of a {e non-blocking} storage probe (DESIGN.md §13).
-
-    [Hit v] answers immediately from the hot tier ([None] = the location
-    does not exist). [Cold fetch] means the location is not resident: the
-    backend has started (or is prepared to start) a fetch, and [fetch ()]
-    blocks until it completes, returning the value. A completed fetch must
-    make subsequent probes of the same location answer [Hit] — the engine's
-    suspend-on-cold-read path relies on the retry after resumption hitting
-    the hot tier. *)
-type 'value cold_read = Hit of 'value option | Cold of (unit -> 'value option)
-
-(** Non-blocking form of {!storage}: lets the executor observe a storage
-    miss (and suspend the transaction through the effects machinery) instead
-    of stalling inside an opaque blocking read. *)
-type ('loc, 'value) storage_nb = 'loc -> 'value cold_read

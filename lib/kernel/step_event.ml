@@ -17,10 +17,9 @@ type t =
       (** The rolling-commit sweep advanced: [count] transactions became
           final, making [upto] the committed-prefix length. *)
   | Cold_fetch of { version : Version.t; reads : int }
-      (** Execution suspended on a cold storage read (engine given a
-          storage probe); [reads] performed before suspending. The fetch
-          completes and the execution task is retried, resuming the
-          continuation. *)
+      (** An execution stopped on a cold storage read. No engine path
+          produces it: the engine reads storage only through the blocking
+          reader. Kept because the end-to-end benchmark matches it. *)
 
 let pp ppf = function
   | Executed { version; reads; writes } ->

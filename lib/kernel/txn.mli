@@ -15,7 +15,9 @@ type delta_outcome =
 type ('loc, 'value) effects = {
   read : 'loc -> 'value option;
       (** [None]: the location exists neither in the visible write history
-          nor in pre-block storage. *)
+          nor in pre-block storage. An executor may unwind a read (or a
+          [delta]) by raising, to abort the execution; catching that
+          exception does not hide the abort. *)
   write : 'loc -> 'value -> unit;
   delta : 'loc -> Delta.t -> delta_outcome;
       (** Apply a bounded commutative delta to an integer-typed location

@@ -169,11 +169,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       validations = 0;
       validation_aborts = 0;
       prevalidation_skips = 0;
-      resumptions = 0;
-      discarded_suspensions = 0;
       commits = 0;
       delta_applies = 0;
-      cold_reads = 0;
       spec_skips = 0;
     }
 
@@ -185,12 +182,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       validations = a.validations + b.validations;
       validation_aborts = a.validation_aborts + b.validation_aborts;
       prevalidation_skips = a.prevalidation_skips + b.prevalidation_skips;
-      resumptions = a.resumptions + b.resumptions;
-      discarded_suspensions =
-        a.discarded_suspensions + b.discarded_suspensions;
       commits = a.commits + b.commits;
       delta_applies = a.delta_applies + b.delta_applies;
-      cold_reads = a.cold_reads + b.cold_reads;
       spec_skips = a.spec_skips + b.spec_skips;
     }
 

@@ -573,13 +573,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     || validate_origin t locs.(i) ~txn_idx origins.(i)
        && validate_from t txn_idx locs origins (i + 1)
 
-  let validate_reads t ~txn_idx ({ locs; origins } : read_set) : bool =
-    validate_from t txn_idx locs origins 0
-
   (* Algorithm 3, [validate_read_set]: re-read every location in the last
      recorded read-set and compare descriptors. *)
   let validate_read_set t (txn_idx : int) : bool =
-    validate_reads t ~txn_idx (Atomic.get t.last_reads.(txn_idx))
+    let { locs; origins } = Atomic.get t.last_reads.(txn_idx) in
+    validate_from t txn_idx locs origins 0
 
   (** Last recorded read-set of [txn_idx] (RCU load). Used by the paper's
       re-execution optimization (Section 4): check prior reads for ESTIMATEs

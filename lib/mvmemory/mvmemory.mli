@@ -148,12 +148,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       recorded read-set and compare descriptors ({!validate_origin} per
       entry). *)
 
-  val validate_reads : t -> txn_idx:int -> read_set -> bool
-  (** Whether every read of the given read set still validates for
-      [txn_idx] ({!validate_origin} per read) — {!validate_read_set} on a
-      read set that was not recorded, such as a suspended execution's read
-      prefix. *)
-
   val validate_origin : t -> L.t -> txn_idx:int -> Read_origin.t -> bool
   (** Validate one recorded read descriptor against the current state of the
       structure, as seen by [txn_idx] (DESIGN.md §12):

@@ -49,8 +49,7 @@ type payload =
       (** The rolling-commit sweep advanced the committed prefix to [upto],
           committing [count] transactions. *)
   | Cold of { version : Version.t; reads : int }
-      (** Execution suspended on a cold storage read; the span covers the
-          fetch (engine given a storage probe). *)
+      (** A [Step_event.Cold_fetch], which no engine path produces. *)
 
 type event = {
   worker : int;

@@ -63,8 +63,8 @@ let of_event t (ev : Blockstm_kernel.Step_event.t) : float =
   | Validated { reads; _ } -> validation_cost t ~reads
   | Got_task | No_task -> t.sched
   | Committed _ -> t.sched
-  (* The simulator never wires a cold-read probe; charge like a dependency
-     stop if it ever surfaces. *)
+  (* No engine path produces a cold fetch; charge like a dependency stop if
+     one ever surfaces. *)
   | Cold_fetch { reads; _ } -> dep_abort_cost t ~reads
 
 let pp ppf t =

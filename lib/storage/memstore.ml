@@ -28,10 +28,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (** The [('loc,'value) Intf.storage] view consumed by executors. *)
   let reader (t : t) : (L.t, V.t) Intf.storage = fun loc -> get t loc
 
-  (** Non-blocking probe view: a flat in-memory store is always hot. *)
-  let probe (t : t) : (L.t, V.t) Intf.storage_nb =
-   fun loc -> Intf.Hit (get t loc)
-
   let iter (t : t) (f : L.t -> V.t -> unit) : unit = Tbl.iter f t
   let copy (t : t) : t = Tbl.copy t
 

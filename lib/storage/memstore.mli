@@ -25,10 +25,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** The read-only [('loc, 'value) Intf.storage] view consumed by
       executors. *)
 
-  val probe : t -> (L.t, V.t) Intf.storage_nb
-  (** Non-blocking probe view: a flat in-memory store is always hot, so every
-      probe answers [Hit]. *)
-
   val iter : t -> (L.t -> V.t -> unit) -> unit
   (** Iterate over all bindings in unspecified order. *)
 

@@ -170,7 +170,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let mem t l = Flat.mem t.flat l
 
   let reader t : (L.t, V.t) Intf.storage = Flat.reader t.flat
-  let probe t : (L.t, V.t) Intf.storage_nb = Flat.probe t.flat
 
   let base t : Flat.t = t.flat
   let to_alist t = Flat.to_alist t.flat

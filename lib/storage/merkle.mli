@@ -48,9 +48,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   val reader : t -> (L.t, V.t) Intf.storage
   (** Read-only executor view of the base tier. *)
 
-  val probe : t -> (L.t, V.t) Intf.storage_nb
-  (** Always [Hit] — the base tier is resident in memory. *)
-
   val base : t -> Memstore.Make(L)(V).t
   (** The flat base tier itself (for chain-level state accessors). Mutating
       it directly desynchronizes the digest; treat as read-only. *)

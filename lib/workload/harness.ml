@@ -7,7 +7,6 @@ open Ledger
 
 module Bstm = Blockstm_core.Block_stm.Make (Loc) (Value)
 module ChainX = Blockstm_chain.Chain.Make (Loc) (Value)
-module ColdX = Blockstm_storage.Coldstore.Make (Loc) (Value)
 module Seq = Blockstm_baselines.Sequential.Make (Loc) (Value)
 module BohmX = Blockstm_baselines.Bohm.Make (Loc) (Value)
 module LitmX = Blockstm_baselines.Litm.Make (Loc) (Value)
@@ -41,20 +40,6 @@ let run_blockstm ?(config = Bstm.default_config) ?specs ?trace ?on_commit
     ~storage txns =
   Bstm.run ~config ?specs ~loc_namespace:Loc.namespace ?trace ?on_commit
     ~storage:(Store.reader storage) txns
-
-(** Run Block-STM over cold two-tier storage: every location starts cold and
-    a miss costs [cold_ns] of simulated latency. Returns the result plus the
-    cold store (for {!ColdX.fetches}). The engine gets the store's probe, so
-    it parks the transaction during each fetch instead of paying the latency
-    inline on the executing worker. *)
-let run_blockstm_cold ?(config = Bstm.default_config) ?trace ~cold_ns ~storage
-    txns =
-  let cold = ColdX.create ~cold_ns ~backing:(Store.reader storage) () in
-  let r =
-    Bstm.run ~config ?trace ~probe:(ColdX.probe cold)
-      ~storage:(ColdX.reader cold) txns
-  in
-  (r, cold)
 
 let run_sequential ~storage txns =
   Seq.run ~storage:(Store.reader storage) txns

@@ -44,18 +44,6 @@ let test_replicas_agree () =
   Alcotest.(check int) "height" 6 (Chain.height seq);
   Alcotest.(check int) "commit count" 6 (List.length (Chain.commits seq))
 
-let test_suspend_resume_replica_agrees () =
-  let seq = run_chain Chain.Sequential 4 in
-  let sr =
-    run_chain
-      (Chain.Block_stm
-         (Chain.Bstm.optimistic_config ~num_domains:4 (fun o ->
-              { o with suspend_resume = true })))
-      4
-  in
-  Alcotest.(check (option int)) "no divergence" None
-    (Chain.first_divergence seq sr)
-
 let test_rolling_replica_agrees () =
   let seq = run_chain Chain.Sequential 4 in
   let roll =
@@ -200,8 +188,6 @@ let suite =
   [
     Alcotest.test_case "replicas with different executors agree" `Quick
       test_replicas_agree;
-    Alcotest.test_case "suspend-resume replica agrees" `Quick
-      test_suspend_resume_replica_agrees;
     Alcotest.test_case "rolling-commit replica agrees" `Quick
       test_rolling_replica_agrees;
     Alcotest.test_case "pipelined roots identical to sequential" `Quick

@@ -13,13 +13,11 @@ let () =
       ("virtual_exec", Test_virtual_exec.suite);
       ("stats", Test_stats.suite);
       ("obs", Test_obs.suite);
-      ("suspend_resume", Test_suspend.suite);
       ("stress", Test_stress.suite);
       ("scaling_stress", Test_scaling_stress.suite);
       ("chain", Test_chain.suite);
       ("pipeline", Test_pipeline.suite);
       ("merkle", Test_merkle.suite);
-      ("coldread", Test_coldread.suite);
       ("delta", Test_delta.suite);
       ("properties", Test_props.suite);
       ("vm_diff", Test_vm_diff.suite);

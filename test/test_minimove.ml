@@ -461,9 +461,7 @@ let test_amm_block_parallel () =
   let seq = Runtime.Seq.run ~storage:(Runtime.Store.reader store) txns in
   let par =
     Runtime.Bstm.run
-      ~config:
-        (Runtime.Bstm.optimistic_config ~num_domains:4 (fun o ->
-             { o with suspend_resume = true }))
+      ~config:{ Runtime.Bstm.default_config with num_domains = 4 }
       ~storage:(Runtime.Store.reader store) txns
   in
   Alcotest.(check bool) "snapshots equal" true

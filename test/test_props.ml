@@ -107,21 +107,6 @@ let prop_blockstm_ablations_equal_sequential =
           equal_results seq par)
         [ (false, true); (true, false); (false, false) ])
 
-let prop_suspend_resume_equals_sequential =
-  QCheck2.Test.make
-    ~name:"suspend-resume blockstm = sequential (random programs)" ~count:80
-    ~print:print_block block_gen (fun block ->
-      let txns = Array.of_list (List.map txn_of_prog block) in
-      let seq = Seq.run ~storage:zero_storage txns in
-      let par =
-        Bstm.run
-          ~config:
-            (Bstm.optimistic_config ~num_domains:3 (fun o ->
-                 { o with suspend_resume = true }))
-          ~storage:zero_storage txns
-      in
-      equal_results seq par)
-
 let prop_sim_blockstm_equals_sequential =
   QCheck2.Test.make
     ~name:"virtual-time blockstm = sequential (random threads)" ~count:100
@@ -624,7 +609,6 @@ let suite =
     [
       prop_blockstm_equals_sequential;
       prop_blockstm_ablations_equal_sequential;
-      prop_suspend_resume_equals_sequential;
       prop_sim_blockstm_equals_sequential;
       prop_litm_deterministic_and_conserving;
       prop_bohm_equals_sequential_with_perfect_writes;

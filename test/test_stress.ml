@@ -6,9 +6,8 @@
 
 open Tutil
 
-let domains_cfg ?(suspend_resume = false) ?(rolling_commit = false) n =
-  Bstm.optimistic_config ~num_domains:n (fun o ->
-      { o with suspend_resume; rolling_commit })
+let domains_cfg ?(rolling_commit = false) n =
+  Bstm.optimistic_config ~num_domains:n (fun o -> { o with rolling_commit })
 
 (* Repeated real-domain runs on a contended block: every repetition must
    terminate and agree with the sequential result. *)
@@ -57,16 +56,14 @@ let test_long_chain_many_domains () =
   | Some v -> Alcotest.(check int) "chain propagated" n v
   | None -> Alcotest.fail "chain tail missing"
 
-(* All domains fight over one counter, with suspend-resume on: continuations
-   captured and resumed across domains, repeatedly. *)
-let test_hotspot_suspend_many_domains () =
+(* All domains fight over one counter: dependency aborts and re-executions
+   across domains, repeatedly. *)
+let test_hotspot_many_domains () =
   let n = 200 in
   let txns = Array.init n (fun _ -> incr_txn 0) in
   for _ = 1 to 5 do
     let par =
-      Bstm.run
-        ~config:(domains_cfg ~suspend_resume:true 6)
-        ~storage:zero_storage txns
+      Bstm.run ~config:(domains_cfg 6) ~storage:zero_storage txns
     in
     Alcotest.(check (list (pair int int))) "exact count" [ (0, n) ]
       par.snapshot
@@ -217,8 +214,8 @@ let suite =
       test_large_p2p_block;
     Alcotest.test_case "long dependency chain" `Quick
       test_long_chain_many_domains;
-    Alcotest.test_case "hotspot + suspend-resume across domains" `Quick
-      test_hotspot_suspend_many_domains;
+    Alcotest.test_case "hotspot across many domains" `Quick
+      test_hotspot_many_domains;
     Alcotest.test_case "failure storm" `Quick test_failure_storm;
     Alcotest.test_case "quiescence under stress" `Quick
       test_quiescence_under_stress;

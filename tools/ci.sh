@@ -40,14 +40,13 @@ tools/check_doc.sh
 # to the next blank line) and fail on any mention of Mutex. The list is the
 # read path (read, the slot probe, the chain lookup, the delta fold), the
 # validation path (validate_read_set down to the per-descriptor checks, and
-# its walk over the read log's two arrays, which also revalidates a
-# suspension's read prefix), and the engine's pre-execution ESTIMATE scan
-# over a recorded read log.
+# its walk over the read log's two arrays), and the engine's pre-execution
+# ESTIMATE scan over a recorded read log.
 mv=lib/mvmemory/mvmemory.ml core=lib/core/block_stm.ml
 for spec in $mv:hash_of $mv:probe_of $mv:probe $mv:find_slot $mv:below \
   $mv:read_delta_chain $mv:read_chain $mv:read $mv:materialize \
   $mv:is_version $mv:is_storage $mv:validate_plain $mv:validate_origin \
-  $mv:validate_from $mv:validate_reads $mv:validate_read_set \
+  $mv:validate_from $mv:validate_read_set \
   $core:find_estimate_from; do
   file=${spec%%:*} fn=${spec#*:}
   body=$(awk "/^  let (rec )?$fn /{f=1} f{print; if (\$0 ~ /^\$/) exit}" "$file")
