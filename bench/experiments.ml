@@ -1,10 +1,12 @@
 (** The paper's evaluation, experiment by experiment (DESIGN.md §5).
 
     Every figure/table of Section 4.1 has a function here that regenerates
-    its rows. Thread-scaling numbers come from the virtual-time executor
-    (this host has one physical core — see DESIGN.md §3 for why the shape is
-    preserved); a separate experiment reports real-domain wall-clock numbers
-    for this machine.
+    its rows. Thread-scaling numbers come from the virtual-time executor: the
+    committed tables' wall-clock rows were measured on a 1-core host, later
+    ones on a 2-core host, and neither can show scaling past its core count
+    (DESIGN.md §3 explains why the virtual shape is preserved). A separate
+    experiment reports real-domain wall-clock numbers for the machine it
+    runs on.
 
     [mode] selects grid size: [`Quick] (default, used by `dune exec
     bench/main.exe`) keeps the full structure with a reduced grid; [`Full]
@@ -373,9 +375,8 @@ let ablations _mode =
   Report.emit_table t
 
 (* Domain counts swept by the real-domain experiments ([scaling] and the
-   gas-sharding wall-clock table). Overridable (bench --domains / blockstm
-   exp --domains / BLOCKSTM_BENCH_DOMAINS) so a multi-core host can sweep
-   further than this machine's default. *)
+   gas-sharding wall-clock table). Overridable (bench --domains) so a
+   multi-core host can sweep further than the default. *)
 let domains_grid = ref [ 1; 2; 4 ]
 
 let set_domains_grid = function [] -> () | l -> domains_grid := l
@@ -509,7 +510,7 @@ let gas_sharding _mode =
 (* --- Lane scaling (§16): sharded execution lanes --------------------------- *)
 
 (* Lane counts swept by [lane-scaling]; empty = pick per mode. Overridable
-   (bench --lanes / blockstm bench --lanes / BLOCKSTM_BENCH_LANES). *)
+   (bench --lanes). *)
 let lanes_grid = ref []
 let set_lanes_grid = function [] -> () | l -> lanes_grid := l
 
@@ -1300,9 +1301,9 @@ let state_scale mode =
 
 (* --- Sustained throughput: continuous block pipeline (DESIGN.md §14) -------- *)
 
-(* Knobs for the [sustained] experiment, settable from the CLI
-   (bench --mempool-rate/--block-size/--block-deadline-ms, blockstm exp
-   likewise). Zero means "use the mode default". *)
+(* Knobs for the [sustained] experiment, settable from the command line
+   (bench --mempool-rate/--block-size/--block-deadline-ms). Zero means "use
+   the mode default". *)
 let sustained_rate = ref 0. (* Poisson arrivals/s; 0 = 60% of measured tps *)
 let sustained_block_size = ref 0 (* target txns per block cut *)
 let sustained_deadline_ms = ref 25. (* block cut deadline *)

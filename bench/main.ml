@@ -83,18 +83,9 @@ let () =
         strip_json rest
     | a :: rest -> a :: strip_json rest
   in
-  (match Sys.getenv_opt "BLOCKSTM_BENCH_DOMAINS" with
-  | Some spec ->
-      Blockstm_bench.Experiments.set_domains_grid (parse_domains spec)
-  | None -> ());
-  (match Sys.getenv_opt "BLOCKSTM_BENCH_LANES" with
-  | Some spec ->
-      Blockstm_bench.Experiments.set_lanes_grid (parse_domains spec)
-  | None -> ());
   let args = strip_json args in
   let mode =
-    if List.mem "--full" args || Sys.getenv_opt "BLOCKSTM_BENCH_FULL" <> None
-    then Blockstm_bench.Experiments.Full
+    if List.mem "--full" args then Blockstm_bench.Experiments.Full
     else Blockstm_bench.Experiments.Quick
   in
   let selected =

@@ -109,8 +109,8 @@ let test_scheduler_cycle =
                   ~wrote_new_location:true)
          | _ -> assert false);
          (match Sched.next_task s with
-         | Some (Sched.Validation (version, wave)) ->
-             ignore (Sched.finish_validation s ~version ~wave ~aborted:false)
+         | Some (Sched.Validation (version, _)) ->
+             ignore (Sched.finish_validation s ~version ~aborted:false)
          | _ -> assert false);
          ignore (Sched.next_task s);
          Sys.opaque_identity (Sched.done_ s)))

@@ -1,5 +1,5 @@
-(** Machine-readable bench output (the [--json] mode of [bench/main.exe] and
-    [blockstm exp]): accumulates every table the experiments print, raw
+(** Machine-readable bench output (the [--json] mode of [bench/main.exe]):
+    accumulates every table the experiments print, raw
     per-seed measurement samples with p50/p95/p99 summaries, and bucketed
     distributions (e.g. per-transaction execution times), and renders one
     JSON document — schema ["blockstm-bench/6"]:

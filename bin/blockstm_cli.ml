@@ -3,7 +3,6 @@
    Subcommands:
      run       execute a workload with a chosen executor and verify it
      sim       virtual-time thread-scaling sweep
-     exp       regenerate the paper's figures/tables (same as bench/main.exe)
      minimove  compile and run a MiniMove script file
      analyze   infer static access specifications for a MiniMove script
 
@@ -11,7 +10,6 @@
      blockstm run --workload p2p --accounts 100 --block 1000 --domains 4
      blockstm run --workload p2p --accounts 10000 --specs --sched spec-dag
      blockstm sim --workload p2p --accounts 2 --threads 1,4,16,32
-     blockstm exp --id fig3 --full
      blockstm minimove --file contract.mm --args '@1,@2,10,0'
      blockstm analyze --file contract.mm --json *)
 
@@ -637,115 +635,6 @@ let sim_cmd =
     (Cmd.info "sim" ~doc:"Virtual-time thread-scaling sweep (see DESIGN.md)")
     term
 
-(* --- exp -------------------------------------------------------------------- *)
-
-let exp_cmd =
-  let ids =
-    Arg.(
-      value & opt_all string []
-      & info [ "id" ] ~docv:"NAME"
-          ~doc:"Experiment id (fig3..fig6, seq-overhead, aborts, ablations, \
-                gas-sharding, lane-scaling, real, scaling, commit-latency, \
-                hotspot-delta, state-scale, minimove, vm-cost, sustained, \
-                spec-cost, micro). Repeatable; default: all.")
-  in
-  let full =
-    Arg.(value & flag & info [ "full" ] ~doc:"Run the paper's full grid.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the experiment tables as a JSON report.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "domains" ] ~docv:"N,N,..."
-          ~doc:
-            "Real domain counts swept by the $(b,scaling) experiment \
-             (default 1,2,4).")
-  in
-  let lanes_grid =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "lanes" ] ~docv:"K,K,..."
-          ~doc:
-            "Lane counts swept by the $(b,lane-scaling) experiment \
-             (default 1,2,4,8).")
-  in
-  let mempool_rate =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "mempool-rate" ] ~docv:"TPS"
-          ~doc:
-            "Poisson arrival rate for the $(b,sustained) experiment's \
-             latency phase (default: 60% of the measured throughput).")
-  in
-  let block_size =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "block-size" ] ~docv:"N"
-          ~doc:
-            "Target transactions per block cut in the $(b,sustained) \
-             experiment (default: grid-dependent).")
-  in
-  let block_deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "block-deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Block-cut deadline for the $(b,sustained) experiment's \
-             mempool builder (default 25).")
-  in
-  let action ids full json domains lanes_grid mempool_rate block_size
-      block_deadline =
-    (match domains with
-    | Some l when List.for_all (fun d -> d >= 1) l ->
-        Blockstm_bench.Experiments.set_domains_grid l
-    | Some _ -> Fmt.epr "--domains entries must be >= 1; ignoring@."
-    | None -> ());
-    (match lanes_grid with
-    | Some l when List.for_all (fun k -> k >= 1) l ->
-        Blockstm_bench.Experiments.set_lanes_grid l
-    | Some _ -> Fmt.epr "--lanes entries must be >= 1; ignoring@."
-    | None -> ());
-    Option.iter Blockstm_bench.Experiments.set_sustained_rate mempool_rate;
-    Option.iter Blockstm_bench.Experiments.set_sustained_block_size block_size;
-    Option.iter Blockstm_bench.Experiments.set_sustained_deadline_ms
-      block_deadline;
-    let mode =
-      if full then Blockstm_bench.Experiments.Full
-      else Blockstm_bench.Experiments.Quick
-    in
-    Blockstm_bench.Report.set_mode (if full then "full" else "quick");
-    let want name = ids = [] || List.mem name ids in
-    List.iter
-      (fun (name, descr, f) ->
-        if want name then begin
-          Fmt.pr "@.### %s — %s@." name descr;
-          Blockstm_bench.Report.begin_experiment ~name ~descr;
-          f mode
-        end)
-      Blockstm_bench.Experiments.all;
-    if want "micro" && ids <> [] then Blockstm_bench.Micro.run ();
-    Option.iter Blockstm_bench.Report.write json
-  in
-  let term =
-    Term.(
-      const action $ ids $ full $ json $ domains $ lanes_grid $ mempool_rate
-      $ block_size $ block_deadline)
-  in
-  Cmd.v
-    (Cmd.info "exp" ~doc:"Regenerate the paper's figures and tables")
-    term
-
 (* --- minimove --------------------------------------------------------------- *)
 
 let minimove_cmd =
@@ -941,4 +830,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; sim_cmd; exp_cmd; minimove_cmd; analyze_cmd ]))
+          [ run_cmd; sim_cmd; minimove_cmd; analyze_cmd ]))

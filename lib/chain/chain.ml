@@ -315,14 +315,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
         | None, None -> assert false
 
-    (* Run the remaining jobs, then join the domain. *)
-    let stop (t : t) : unit =
+    (* Run the remaining jobs, then join the domain. Idempotent. *)
+    let join (t : t) : unit =
       Mutex.lock t.m;
       t.stopping <- true;
       Condition.broadcast t.cv;
       Mutex.unlock t.m;
       Option.iter Domain.join t.dom;
-      t.dom <- None;
+      t.dom <- None
+
+    (* [join], then re-raise the failure of a job, if one failed. *)
+    let stop (t : t) : unit =
+      join t;
       Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) t.failed
   end
 
@@ -371,7 +375,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
       An exception raised by state maintenance on the digest worker (e.g.
       from [hash_loc]) stops that worker and is re-raised here; blocks
-      after the failed one are not committed. *)
+      after the failed one are not committed. An exception from [next],
+      the executor or [on_block] joins the digest worker, then propagates
+      unchanged. *)
   let execute_stream ?(mode : stream_mode = `Per_block) ?on_block ?queue_depth
       ?(next_specs : (unit -> L.t Access_spec.t array option) option)
       (t : 'o t) ~(next : unit -> (L.t, V.t, 'o) Txn.t array option) :
@@ -443,7 +449,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                    (pending_commit t ~txn_count:(Array.length txns) r
                       ~root:(Dworker.future dw (fun () -> state_root t))))
         in
-        go None
+        (* On the normal path [go] has already stopped the worker; on an
+           exception this joins it, so no stream leaves a domain blocked. A
+           job's recorded failure does not replace the exception. *)
+        Fun.protect ~finally:(fun () -> Dworker.join dw) (fun () -> go None)
 
   (** Execute a sequence of blocks in order and return their commits, oldest
       first. With [pipeline] (default [false]), block [h]'s state-root

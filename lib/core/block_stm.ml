@@ -170,6 +170,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     estimates : bool;  (* [Estimates] marking; [false]: remove on abort. *)
     prevalidate : bool;
     rolling : bool;
+    commit_valid : int -> bool;
+        (* The commit sweep's read-set check (DESIGN.md §8): the decision a
+           validation task for the transaction would make. *)
     deltas : bool;
     record_exec : bool;
     outputs : 'o txn_output option array;
@@ -416,6 +419,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           | _ -> ())
         (need_specs "seed_from_specs");
     let rolling = o.rolling_commit in
+    let indep =
+      match specs with
+      | Some sp when Option.is_none dag -> spec_independence ?loc_namespace sp
+      | _ -> Array.make n false
+    in
     let obs =
       (* 9 stat slots + 1 named counter; leave headroom for probes. *)
       Metrics.create ~max_domains:(config.num_domains + 1) ~max_counters:24 ()
@@ -425,15 +433,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       storage;
       mv;
       dag;
-      indep =
-        (match specs with
-        | Some sp when Option.is_none dag ->
-            spec_independence ?loc_namespace sp
-        | _ -> Array.make n false);
-      sched = Scheduler.create ~rolling ~block_size:n ();
+      indep;
+      sched = Scheduler.create ~block_size:n ();
       estimates;
       prevalidate = o.prevalidate_reads;
       rolling;
+      commit_valid = (fun j -> indep.(j) || Mv.validate_read_set mv j);
       deltas = o.delta_ops;
       record_exec = config.record_exec_ns;
       outputs = Array.make n None;
@@ -759,7 +764,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   type 'o pending =
     | P_exec of { version : Version.t; vm : 'o vm_result }
     | P_exec_dep of { version : Version.t; blocking : int; reads : int }
-    | P_val of { version : Version.t; wave : int; valid : bool; reads : int }
+    | P_val of { version : Version.t; valid : bool; reads : int }
 
   (** Planned work profile of a pending task, for cost models. *)
   let pending_profile : _ pending -> [ `Exec of int * int | `Dep of int | `Val of int ]
@@ -818,7 +823,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                 if inst.record_exec then
                   inst.exec_ns.(txn_idx) <- Trace.now_ns () - t0;
                 P_exec { version; vm }))
-    | Scheduler.Validation (version, wave) ->
+    | Scheduler.Validation (version, _) ->
         let txn_idx = Version.txn_idx version in
         if inst.indep.(txn_idx) then begin
           (* Spec-disjoint transaction (DESIGN.md §15): its static spec
@@ -826,13 +831,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
              read-set walk is a foregone conclusion — short-circuit it.
              Counted in [spec_skips], not [validations]. *)
           bump stats stat_spec_skips;
-          P_val { version; wave; valid = true; reads = 0 }
+          P_val { version; valid = true; reads = 0 }
         end
         else begin
           bump stats stat_validations;
           let reads = Array.length (Mv.last_read_set inst.mv txn_idx).locs in
           let valid = Mv.validate_read_set inst.mv txn_idx in
-          P_val { version; wave; valid; reads }
+          P_val { version; valid; reads }
         end
 
   let finish_task_s (inst : 'o instance) (stats : local_stats)
@@ -875,7 +880,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
              caller immediately retries (paper Line 15). *)
           ( Some (Scheduler.Execution version),
             Exec_dependency { version; blocking; reads } )
-    | P_val { version; wave; valid; reads } ->
+    | P_val { version; valid; reads } ->
         let txn_idx = Version.txn_idx version in
         let aborted =
           (not valid) && Scheduler.try_validation_abort inst.sched version
@@ -885,9 +890,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           if inst.estimates then
             Mv.convert_writes_to_estimates inst.mv txn_idx
           else Mv.remove_written_entries inst.mv txn_idx);
-        let next =
-          Scheduler.finish_validation inst.sched ~version ~wave ~aborted
-        in
+        let next = Scheduler.finish_validation inst.sched ~version ~aborted in
         (next, Validated { version; aborted; reads })
 
   (** Fetch the next task from whichever source drives this instance: the
@@ -961,7 +964,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     if not inst.rolling then 0
     else begin
       let n =
-        Scheduler.try_advance_commit inst.sched ~on_commit:(commit_one inst)
+        Scheduler.try_advance_commit inst.sched ~valid:inst.commit_valid
+          ~on_commit:(commit_one inst)
       in
       if n > 0 then
         Mv.flush_committed inst.mv
@@ -1058,11 +1062,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let finalize (inst : 'o instance) : 'o result =
     let n = Array.length inst.txns in
     if inst.rolling then begin
-      (* Drain the sweep: every transaction is EXECUTED with a final
-         successful validation by the time the scheduler is done, so one
-         blocking pass commits whatever the opportunistic in-loop sweeps left
-         over. The snapshot is then served from the flushed chains. *)
-      ignore (Scheduler.advance_commit inst.sched ~on_commit:(commit_one inst));
+      (* Drain the sweep: every transaction is EXECUTED with a valid read set
+         by the time the scheduler is done (Lemma 2), so one blocking pass
+         commits whatever the opportunistic in-loop sweeps left over. The
+         snapshot is then served from the flushed chains. *)
+      ignore
+        (Scheduler.advance_commit inst.sched ~valid:inst.commit_valid
+           ~on_commit:(commit_one inst));
       let prefix = Scheduler.committed_prefix inst.sched in
       if prefix <> n then
         Fmt.failwith "Block_stm: rolling commit stalled at %d/%d transactions"

@@ -96,10 +96,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     rolling_commit : bool;
         (** Stream a committed prefix instead of the paper's lazy
             block-at-once commit (Lemma 2): workers opportunistically advance
-            the scheduler's commit sweep as they loop, committed transactions
-            are flushed out of MVMemory's version chains, and the
-            [on_commit] hook fires as the prefix grows. The final snapshot
-            and outputs are identical to the lazy mode. *)
+            the scheduler's commit sweep as they loop, committing a
+            transaction once everything below it has committed and its read
+            set validates (DESIGN.md §8). Committed transactions are flushed
+            out of MVMemory's version chains, and the [on_commit] hook fires
+            as the prefix grows. The final snapshot and outputs are
+            identical to the lazy mode. *)
     delta_ops : bool;
         (** Commutative delta entries for hotspot state (DESIGN.md §12):
             [Txn.effects.delta] operations publish bounded add/sub deltas as

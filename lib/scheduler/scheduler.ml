@@ -12,21 +12,14 @@
     Section 3.3.2): both indices at or past the block size, zero active tasks,
     and [decrease_cnt] unchanged across the observation window.
 
-    {b Rolling commit} (created with [~rolling:true]): instead of committing
-    the whole block when [check_done] fires, a monotone [commit_idx] sweeps
-    forward — off the hot path, under a dedicated mutex — committing
-    transaction [j] as soon as a {e completed} validation of [j]'s current
-    incarnation is known to have observed the final state of the prefix.
-    The evidence is a per-transaction {e proof}: the (incarnation, wave)
-    recorded by the last successful validation, where the wave is the value
-    of a global pullback counter captured when the validation task was
-    claimed. A proof is admissible when its wave is at least [dirty.(j)], the
-    wave of the last pullback targeting an index [<= j] — pullbacks stamp
-    [dirty] {e before} publishing the status change that re-enables the
-    mutated transaction, so an admissible proof's reads postdate every
-    mutation of the frozen prefix. Committed is a terminal status:
-    [try_validation_abort] refuses it, freezing the prefix. [check_done]
-    stays as the termination backstop; DESIGN.md §8 has the full argument.
+    {b Rolling commit}: instead of committing the whole block when
+    [check_done] fires, a caller may sweep a monotone [commit_idx] forward —
+    off the hot path, under a dedicated mutex — committing transaction [j]
+    once [0..j-1] are committed, [j] is EXECUTED and [j]'s read set
+    validates. The prefix [0..j-1] is frozen, so that one validation settles
+    [j] for good (Theorem 1). Committed is a terminal status:
+    [try_validation_abort] refuses it. [check_done] stays as the termination
+    backstop; DESIGN.md §8 has the full argument.
 
     Deviation from the paper's pseudo-code, documented in DESIGN.md §4:
     [try_incarnate] here is side-effect-free on [num_active_tasks]; each
@@ -60,22 +53,14 @@ type txn_state = {
 
 type dep_state = { dep_mutex : Mutex.t; mutable dependents : int list }
 
-type task =
-  | Execution of Version.t
-  | Validation of Version.t * int
-      (** The [int] is the claim wave: the pullback counter observed when the
-          task was created, recorded into the commit proof on success. *)
+type task = Execution of Version.t | Validation of Version.t * int
 
 let pp_task ppf = function
   | Execution v -> Fmt.pf ppf "execute%a" Version.pp v
-  | Validation (v, w) -> Fmt.pf ppf "validate%a@@w%d" Version.pp v w
-
-(* No-proof sentinel: matches no incarnation (incarnations start at 0). *)
-let no_proof = (-1, -1)
+  | Validation (v, _) -> Fmt.pf ppf "validate%a" Version.pp v
 
 type t = {
   block_size : int;
-  rolling : bool;
   execution_idx : int Atomic.t;
   validation_idx : int Atomic.t;
   decrease_cnt : int Atomic.t;
@@ -83,29 +68,26 @@ type t = {
   done_marker : bool Atomic.t;
   status : txn_state array;
   deps : dep_state array;
-  (* Rolling-commit state. [pullback_marker] counts validation pullbacks;
-     [dirty.(j)] is the marker of the last pullback targeting an index <= j;
-     [proof.(j)] is the (incarnation, wave) of the last completed successful
-     validation of transaction j. [dirty] and [proof] are empty unless
-     [rolling]. *)
-  pullback_marker : int Atomic.t;
-  dirty : int Atomic.t array;
-  proof : (int * int) Atomic.t array;
+  (* Rolling-commit state, guarded by [commit_mutex] except for reads of
+     [commit_idx]. [refused_idx]/[refused_incarnation] remember the last
+     incarnation whose read set the sweep found invalid: against a frozen
+     prefix that verdict is final, so the sweep does not validate it again. *)
   commit_mutex : Mutex.t;
   commit_idx : int Atomic.t;
+  mutable refused_idx : int;
+  mutable refused_incarnation : int;
 }
 
 (* The global counters are the most contended words in the system — every
-   task claim CASes one of them — and the per-txn dirty/proof/status slots
-   are hammered by neighbouring indices, so all of them are padded onto
-   their own cache lines (DESIGN.md §9). *)
-let create ?(rolling = false) ~block_size () =
+   task claim CASes one of them — and the per-txn status slots are hammered
+   by neighbouring indices, so all of them are padded onto their own cache
+   lines (DESIGN.md §9). *)
+let create ~block_size () =
   if block_size < 0 then invalid_arg "Scheduler.create: negative block_size";
   let padded_atomic = Atomic_util.padded_atomic in
   let per_txn f = Atomic_util.init_array block_size f in
   {
     block_size;
-    rolling;
     execution_idx = padded_atomic 0;
     validation_idx = padded_atomic 0;
     decrease_cnt = padded_atomic 0;
@@ -122,16 +104,13 @@ let create ?(rolling = false) ~block_size () =
     deps =
       per_txn (fun _ ->
           Atomic_util.pad { dep_mutex = Mutex.create (); dependents = [] });
-    pullback_marker = padded_atomic 0;
-    dirty = (if rolling then per_txn (fun _ -> padded_atomic 0) else [||]);
-    proof =
-      (if rolling then per_txn (fun _ -> padded_atomic no_proof) else [||]);
     commit_mutex = Mutex.create ();
     commit_idx = padded_atomic 0;
+    refused_idx = -1;
+    refused_incarnation = -1;
   }
 
 let block_size t = t.block_size
-let rolling t = t.rolling
 
 (* --- Algorithm 5: utility procedures ------------------------------------ *)
 
@@ -139,25 +118,9 @@ let decrease_execution_idx t ~target_idx =
   ignore (Atomic_util.fetch_min t.execution_idx target_idx);
   Atomic_util.incr t.decrease_cnt
 
-(* Stamp the pullback into the dirty array: every index >= target_idx may
-   have stale validation proofs from before this pullback's mutation. Must
-   run after the MVMemory mutation it reports and before the status change
-   that re-enables the mutated transaction (see module comment). *)
-let mark_dirty t ~target_idx : unit =
-  if t.rolling && target_idx < t.block_size then begin
-    let marker = 1 + Atomic_util.get_and_incr t.pullback_marker in
-    for k = target_idx to t.block_size - 1 do
-      ignore (Atomic_util.fetch_max t.dirty.(k) marker)
-    done
-  end
-
 let decrease_validation_idx t ~target_idx =
-  mark_dirty t ~target_idx;
   ignore (Atomic_util.fetch_min t.validation_idx target_idx);
   Atomic_util.incr t.decrease_cnt
-
-(* The wave a validation claimed now would carry. *)
-let current_wave t = Atomic.get t.pullback_marker
 
 (* Double-collect on [decrease_cnt]: reads are sequenced explicitly (OCaml
    application evaluates arguments right-to-left, so we avoid inline reads). *)
@@ -215,22 +178,13 @@ let next_version_to_execute t : Version.t option =
         Atomic_util.decr t.num_active_tasks;
         None)
 
-(* The wave is read after the claim and before the validation's reads. Any
-   pullback marker it covers was stamped after the mutation it reports, so
-   the reads see that mutation: the proof is sound. And a pullback that
-   lowered [validation_idx] before this claim stamped its marker first, so
-   the wave covers it: the claim that revalidates a pulled-back index is an
-   admissible proof for it. Read before the claim, a pullback landing in
-   between would leave its only revalidation of the index with a wave older
-   than the index's dirty stamp, and the commit sweep would stall there. *)
-let next_version_to_validate t : (Version.t * int) option =
+let next_version_to_validate t : Version.t option =
   if Atomic.get t.validation_idx >= t.block_size then (
     check_done t;
     None)
   else (
     Atomic_util.incr t.num_active_tasks;
     let idx_to_validate = Atomic_util.get_and_incr t.validation_idx in
-    let wave = current_wave t in
     let version =
       if idx_to_validate < t.block_size then
         let s = t.status.(idx_to_validate) in
@@ -242,18 +196,15 @@ let next_version_to_validate t : (Version.t * int) option =
             else None)
       else None
     in
-    match version with
-    | Some v -> Some (v, wave)
-    | None ->
-        Atomic_util.decr t.num_active_tasks;
-        None)
+    if Option.is_none version then Atomic_util.decr t.num_active_tasks;
+    version)
 
 (* --- Algorithm 7: next task ---------------------------------------------- *)
 
 let next_task t : task option =
   if Atomic.get t.validation_idx < Atomic.get t.execution_idx then
     match next_version_to_validate t with
-    | Some (v, wave) -> Some (Validation (v, wave))
+    | Some v -> Some (Validation (v, 0))
     | None -> (
         match next_version_to_execute t with
         | Some v -> Some (Execution v)
@@ -318,13 +269,6 @@ let resume_dependencies t (dependent_txn_indices : int list) : unit =
    revalidation). *)
 let finish_execution t ~txn_idx ~incarnation ~wrote_new_location : task option
     =
-  (* Dirty-stamp before publishing EXECUTED: a new write location may
-     invalidate any higher transaction's proof, and unlike the paper's lazy
-     commit this must be recorded even when the validation sweep has not yet
-     passed this transaction (a stale proof could otherwise be accepted by
-     the commit sweep). The validation_idx pullback itself stays conditional
-     below, exactly as in the paper. *)
-  if wrote_new_location then mark_dirty t ~target_idx:txn_idx;
   let s = t.status.(txn_idx) in
   Mutex.protect s.st_mutex (fun () ->
       assert (s.kind = Executing && s.incarnation = incarnation);
@@ -337,18 +281,14 @@ let finish_execution t ~txn_idx ~incarnation ~wrote_new_location : task option
   resume_dependencies t deps;
   if Atomic.get t.validation_idx > txn_idx then
     if wrote_new_location then (
-      (* Schedule validation for txn_idx and everything above it. The dirty
-         stamp already happened above, pre-EXECUTED. *)
-      ignore (Atomic_util.fetch_min t.validation_idx txn_idx);
-      Atomic_util.incr t.decrease_cnt;
+      (* Schedule validation for txn_idx and everything above it. *)
+      decrease_validation_idx t ~target_idx:txn_idx;
       Atomic_util.decr t.num_active_tasks;
       None)
     else
       (* Hand the single validation task to the caller; the active-task count
-         transfers to it. The wave is read now, after the record: the
-         validation's re-reads observe at least the state this wave vouches
-         for. *)
-      Some (Validation (Version.make ~txn_idx ~incarnation, current_wave t))
+         transfers to it. *)
+      Some (Validation (Version.make ~txn_idx ~incarnation, 0))
   else (
     (* validation_idx <= txn_idx: revalidation is already on its way. *)
     Atomic_util.decr t.num_active_tasks;
@@ -369,17 +309,12 @@ let try_validation_abort t (version : Version.t) : bool =
         true)
       else false)
 
-let finish_validation t ~version ~wave ~aborted : task option =
+let finish_validation t ~version ~aborted : task option =
   let txn_idx = Version.txn_idx version in
   if aborted then (
-    (* All higher transactions may have read the aborted writes. The
-       pullback (and its dirty stamp) must land before the transaction is
-       re-enabled: once READY, the re-execution can be claimed, finished,
-       re-validated and committed — and the commit sweep may then read
-       [dirty] for higher transactions, which must already reflect this
-       abort. *)
-    decrease_validation_idx t ~target_idx:(txn_idx + 1);
     set_ready_status t txn_idx;
+    (* All higher transactions may have read the aborted writes. *)
+    decrease_validation_idx t ~target_idx:(txn_idx + 1);
     if Atomic.get t.execution_idx > txn_idx then (
       match try_incarnate t txn_idx with
       | Some v ->
@@ -394,23 +329,6 @@ let finish_validation t ~version ~wave ~aborted : task option =
       Atomic_util.decr t.num_active_tasks;
       None))
   else (
-    (* Successful validation: record the commit proof (rolling mode only).
-       Proofs only ever strengthen — higher incarnation, or same incarnation
-       with a later wave. A plain store would let a slow validation claimed
-       before a pullback complete late and clobber a fresh proof with a stale
-       one; with no further validation of this transaction scheduled, the
-       commit sweep would then stall forever. *)
-    (if t.rolling then
-       let incarnation = Version.incarnation version in
-       let cell = t.proof.(txn_idx) in
-       let rec strengthen () =
-         let (pi, pw) as old = Atomic.get cell in
-         if
-           (incarnation > pi || (incarnation = pi && wave > pw))
-           && not (Atomic.compare_and_set cell old (incarnation, wave))
-         then strengthen ()
-       in
-       strengthen ());
     Atomic_util.decr t.num_active_tasks;
     None)
 
@@ -419,12 +337,15 @@ let finish_validation t ~version ~wave ~aborted : task option =
 let committed_prefix t = Atomic.get t.commit_idx
 
 (* Commit rule for transaction j (under both commit_mutex and j's status
-   lock): EXECUTED, with a completed successful validation of the current
-   incarnation whose claim wave is at least dirty.(j). All i < j are already
-   COMMITTED (the sweep is in order), so the state j reads from is frozen;
-   the proof then certifies j's read-set against that frozen state. Setting
-   COMMITTED under the status lock excludes any racing validation abort. *)
-let sweep_commits t ~on_commit : int =
+   lock): EXECUTED, and [valid j] — j's read set validates. All i < j are
+   already COMMITTED (the sweep is in order), so the state j reads from is
+   frozen and one validation is final either way: a valid read set gives the
+   sequential result (Theorem 1), and an invalid one stays invalid until a
+   validation task aborts the incarnation (Lemma 2), so the refusal is
+   memoised per incarnation. The status lock keeps the incarnation, and so
+   its recorded read set, fixed during the check, and setting COMMITTED
+   under it excludes any racing validation abort. *)
+let sweep_commits t ~valid ~on_commit : int =
   let committed = ref 0 in
   let continue = ref true in
   while !continue do
@@ -434,15 +355,19 @@ let sweep_commits t ~on_commit : int =
       let s = t.status.(j) in
       let ok =
         Mutex.protect s.st_mutex (fun () ->
-            if s.kind = Executed then begin
-              let pi, pw = Atomic.get t.proof.(j) in
-              if pi = s.incarnation && pw >= Atomic.get t.dirty.(j) then begin
-                s.kind <- Committed;
-                true
-              end
-              else false
+            if
+              s.kind <> Executed
+              || (t.refused_idx = j && t.refused_incarnation = s.incarnation)
+            then false
+            else if valid j then begin
+              s.kind <- Committed;
+              true
             end
-            else false)
+            else begin
+              t.refused_idx <- j;
+              t.refused_incarnation <- s.incarnation;
+              false
+            end)
       in
       if ok then begin
         on_commit j;
@@ -454,27 +379,21 @@ let sweep_commits t ~on_commit : int =
   done;
   !committed
 
-let require_rolling t fn =
-  if not t.rolling then
-    invalid_arg (Printf.sprintf "Scheduler.%s: created without ~rolling:true" fn)
-
 (** Opportunistic commit sweep: advances [commit_idx] as far as the commit
     rule allows, calling [on_commit j] for each newly committed transaction
     in preset order (while holding the commit mutex, so hooks are totally
     ordered). Non-blocking: returns 0 immediately when another thread holds
     the commit mutex. Returns the number of transactions committed. *)
-let try_advance_commit t ~on_commit : int =
-  require_rolling t "try_advance_commit";
+let try_advance_commit t ~valid ~on_commit : int =
   if Mutex.try_lock t.commit_mutex then
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.commit_mutex)
-      (fun () -> sweep_commits t ~on_commit)
+      (fun () -> sweep_commits t ~valid ~on_commit)
   else 0
 
 (** Blocking variant of {!try_advance_commit}, for finalization. *)
-let advance_commit t ~on_commit : int =
-  require_rolling t "advance_commit";
-  Mutex.protect t.commit_mutex (fun () -> sweep_commits t ~on_commit)
+let advance_commit t ~valid ~on_commit : int =
+  Mutex.protect t.commit_mutex (fun () -> sweep_commits t ~valid ~on_commit)
 
 (* --- Introspection (tests, simulator, metrics) --------------------------- *)
 

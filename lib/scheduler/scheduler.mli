@@ -9,17 +9,18 @@
     Lifecycle of a transaction's status (paper Figure 2, plus the terminal
     COMMITTED state of the rolling-commit extension):
     {v
-      READY_TO_EXECUTE(i) -> EXECUTING(i) -> EXECUTED(i) -> ABORTING(i)
-             ^                    |              |                |
-             |                    v (dependency) v (commit sweep) |
-             +---- incarnation i+1 <---------- COMMITTED ---------+
-                                               (terminal)
+      READY_TO_EXECUTE(i) -> EXECUTING(i) -> EXECUTED(i) -> COMMITTED(i)
+                                  |              |          (terminal)
+                     (dependency) v              v (failed validation)
+                              ABORTING(i) <------+
+                                  |
+                                  v
+                        READY_TO_EXECUTE(i+1)
     v}
 
-    The commit sweep (see {!try_advance_commit}) only exists when the
-    scheduler was created with [~rolling:true]; the default scheduler is
-    byte-for-byte the paper's, with the whole block committing at once when
-    {!done_} flips (Lemma 2). *)
+    Only the commit sweep ({!try_advance_commit}, {!advance_commit}) sets
+    COMMITTED. A caller that never sweeps gets the paper's scheduler, with
+    the whole block committing at once when {!done_} flips (Lemma 2). *)
 
 open Blockstm_kernel
 
@@ -33,9 +34,8 @@ type status_kind =
 val pp_status_kind : Format.formatter -> status_kind -> unit
 
 (** A schedulable unit of work for a specific transaction version. The
-    validation payload carries the {e claim wave} — the pullback counter
-    observed when the task was created — which a successful validation
-    records into the transaction's commit proof. *)
+    [int] of a validation is always 0: it carries nothing, and is kept so
+    the constructor's shape stays stable for callers that match on it. *)
 type task =
   | Execution of Version.t
   | Validation of Version.t * int
@@ -45,16 +45,10 @@ val pp_task : Format.formatter -> task -> unit
 type t
 
 (** [create ~block_size ()] initializes the scheduler: every transaction is
-    [Ready_to_execute] at incarnation 0, both task counters at index 0.
-    [rolling] (default [false]) enables the committed-prefix sweep; it adds
-    an O(block_size) dirty-stamping pass to every pullback, so leave it off
-    unless {!try_advance_commit} will be used. *)
-val create : ?rolling:bool -> block_size:int -> unit -> t
+    [Ready_to_execute] at incarnation 0, both task counters at index 0. *)
+val create : block_size:int -> unit -> t
 
 val block_size : t -> int
-
-val rolling : t -> bool
-(** Whether this scheduler was created with [~rolling:true]. *)
 
 (** Claim the lowest-indexed available task, preferring validations when the
     validation counter trails the execution counter (Algorithm 7).
@@ -85,15 +79,11 @@ val try_validation_abort : t -> Version.t -> bool
 val finish_execution :
   t -> txn_idx:int -> incarnation:int -> wrote_new_location:bool -> task option
 
-(** Publish the completion of a validation of [version]. [wave] is the claim
-    wave the validation task carried. If [aborted], bumps the transaction to
-    the next incarnation, pulls the validation counter back to
-    [txn_idx + 1], and — when possible — hands the re-execution task
-    straight back to the caller. Otherwise, on a rolling scheduler, records
-    the (incarnation, wave) commit proof consumed by the rolling-commit
-    sweep. *)
-val finish_validation :
-  t -> version:Version.t -> wave:int -> aborted:bool -> task option
+(** Publish the completion of a validation of [version]. If [aborted], bumps
+    the transaction to the next incarnation, pulls the validation counter
+    back to [txn_idx + 1], and — when possible — hands the re-execution task
+    straight back to the caller. *)
+val finish_validation : t -> version:Version.t -> aborted:bool -> task option
 
 (** Whether the whole block is committed (Theorem 1): set by the
     double-collect in the internal [check_done], which runs whenever a
@@ -102,9 +92,7 @@ val done_ : t -> bool
 
 val decrease_validation_idx : t -> target_idx:int -> unit
 (** Algorithm 5's validation pullback: lower the validation index to
-    [target_idx] (so every transaction from there up is revalidated) and,
-    on a rolling scheduler, stamp the dirty waves of those transactions
-    first, invalidating commit proofs claimed before the pullback. Exposed
+    [target_idx], so every transaction from there up is revalidated. Exposed
     so tests can fire pullbacks against in-flight validation claims. *)
 
 (** Claim a transaction for execution: READY_TO_EXECUTE -> EXECUTING.
@@ -112,31 +100,32 @@ val decrease_validation_idx : t -> target_idx:int -> unit
     {!next_task}. No effect on the active-task count. *)
 val try_incarnate : t -> int -> Version.t option
 
-(** {2 Rolling commit} — only valid on schedulers created with
-    [~rolling:true]. *)
+(** {2 Rolling commit} *)
 
 val committed_prefix : t -> int
 (** Length of the committed prefix: transactions [0 .. committed_prefix - 1]
     are final. Monotone; reaches [block_size] by the time {!done_} holds and
-    a final {!advance_commit} has run. *)
+    a final {!advance_commit} has run. Stays 0 if nobody sweeps. *)
 
-val try_advance_commit : t -> on_commit:(int -> unit) -> int
+val try_advance_commit :
+  t -> valid:(int -> bool) -> on_commit:(int -> unit) -> int
 (** Opportunistic commit sweep: advances the committed prefix as far as the
-    commit rule allows — transaction [j] commits when it is [Executed] and
-    a completed successful validation of its current incarnation carries a
-    wave at least [dirty(j)] (no pullback targeting [<= j] happened after
-    the validation was claimed). Calls [on_commit j] for each newly
+    commit rule allows — transaction [j] commits when [0 .. j-1] are
+    committed, [j] is [Executed], and [valid j] holds, checked under [j]'s
+    status lock. [valid j] must say whether [j]'s recorded read set
+    validates, the decision a validation task makes; with [0 .. j-1]
+    frozen, it is final for [j]'s current incarnation, so an incarnation
+    refused once is not checked again. Calls [on_commit j] for each newly
     committed transaction in preset order, while holding the commit mutex
     (hooks are totally ordered across domains). Non-blocking: returns 0
     immediately if another domain holds the commit mutex. Returns the
-    number of transactions committed by this call. A raising [on_commit]
-    releases the commit mutex before the exception propagates.
-    @raise Invalid_argument if the scheduler is not rolling. *)
+    number of transactions committed by this call. A raising [valid] or
+    [on_commit] releases the commit mutex before the exception
+    propagates. *)
 
-val advance_commit : t -> on_commit:(int -> unit) -> int
+val advance_commit : t -> valid:(int -> bool) -> on_commit:(int -> unit) -> int
 (** Blocking variant of {!try_advance_commit}, for finalization: after
-    {!done_} holds, one call commits every remaining transaction.
-    @raise Invalid_argument if the scheduler is not rolling. *)
+    {!done_} holds, one call commits every remaining transaction. *)
 
 (** {2 Introspection} — used by tests, the simulator and metrics. *)
 

@@ -327,6 +327,53 @@ let test_rolling_empty_block () =
   Alcotest.(check int) "no outputs" 0 (Array.length r.outputs);
   Alcotest.(check int) "no stamps" 0 (Array.length r.commit_ns)
 
+(* The rolling sweep commits during execution, not in [finalize]'s drain.
+   On one domain, the committed prefix covers the block when [worker_loop]
+   returns, before [finalize] runs, and transaction 0 commits before
+   transaction n-1 first executes. [metrics.commits] and the [on_commit]
+   order tests also count the drain, so they cannot tell a loop that stopped
+   sweeping. *)
+let test_rolling_commits_during_execution () =
+  let module H = Blockstm_workload.Harness in
+  let module P2p = Blockstm_workload.P2p in
+  let n = 1_000 in
+  let config =
+    H.Bstm.optimistic_config (fun o -> { o with rolling_commit = true })
+  in
+  List.iter
+    (fun accounts ->
+      let w =
+        P2p.generate
+          { P2p.default_spec with num_accounts = accounts; block_size = n }
+      in
+      let last_started = ref false in
+      let first_commit_early = ref false in
+      let txns = Array.copy w.txns in
+      let last = txns.(n - 1) in
+      txns.(n - 1) <-
+        (fun e ->
+          last_started := true;
+          last e);
+      let on_commit j _ =
+        if j = 0 then first_commit_early := not !last_started
+      in
+      let inst =
+        H.Bstm.create_instance ~config ~on_commit
+          ~storage:(Blockstm_workload.Ledger.Store.reader w.storage)
+          txns
+      in
+      H.Bstm.worker_loop inst;
+      Alcotest.(check int)
+        (Printf.sprintf "%d accounts: prefix when the loop returns" accounts)
+        n
+        (H.Bstm.committed_prefix inst);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d accounts: tx0 commits before tx%d executes"
+           accounts (n - 1))
+        true !first_commit_early;
+      ignore (H.Bstm.finalize inst))
+    [ 2; 10; 100; 10_000 ]
+
 (* --- A dependency the transaction's code catches -------------------------- *)
 
 (* Scripted scenario: tx0 writes loc5; tx1 reads loc5 and writes loc1; tx2
@@ -613,10 +660,9 @@ let test_create_forces_no_minor_collections () =
    one domain, over p2p-low's access pattern (1,000 standard-p2p
    transactions, 10^4 accounts). On one domain the count is deterministic;
    the warm-up run sizes the domain's own-writes tables and read-log
-   buffers. The bound is the
-   measured 667.6 words (OCaml 5.1.1 without flambda) plus 1%: a change
-   that cuts allocation lowers it. *)
-let minor_words_per_txn_bound = 675.
+   buffers. The bound is the measured 661.6 words (OCaml 5.1.1 without
+   flambda) plus 1%: a change that cuts allocation lowers it. *)
+let minor_words_per_txn_bound = 668.
 
 let test_minor_words_per_txn () =
   let module H = Blockstm_workload.Harness in
@@ -789,6 +835,8 @@ let suite =
     Alcotest.test_case "lazy on_commit fires at finalize" `Quick
       test_lazy_on_commit_fires_at_finalize;
     Alcotest.test_case "rolling empty block" `Quick test_rolling_empty_block;
+    Alcotest.test_case "rolling commits during execution" `Quick
+      test_rolling_commits_during_execution;
     Alcotest.test_case "caught dependency still aborts" `Quick
       test_caught_dependency;
     Alcotest.test_case "prevalidation skips re-execution on estimate" `Quick

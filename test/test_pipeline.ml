@@ -187,6 +187,32 @@ let test_digest_failure () =
       ("block-stm 2d", Chain.Block_stm { CBstm.default_config with num_domains = 2 });
     ]
 
+exception Source_failed
+
+(* A stream whose source raises must not leak its digest domain. [next]
+   raises on its second call, after the first block queued its root on the
+   digest worker. Each of 200 pipelined streams must re-raise the source's
+   exception; had each left its worker blocked, the runtime's domain limit
+   (128 on OCaml 5.1) would fail a later stream's [Domain.spawn]. *)
+let test_raising_source_joins_worker () =
+  let w =
+    P2p.generate
+      { P2p.default_spec with num_accounts = 20; block_size = 10; seed = 4 }
+  in
+  for i = 1 to 200 do
+    let chain = Chain.create ~executor:Chain.Sequential ~genesis:w.storage () in
+    let calls = ref 0 in
+    let next () =
+      incr calls;
+      if !calls > 1 then raise Source_failed else Some w.txns
+    in
+    match Chain.execute_stream ~mode:`Pipelined chain ~next with
+    | _ -> Alcotest.failf "stream %d did not raise" i
+    | exception Source_failed -> ()
+    | exception e ->
+        Alcotest.failf "stream %d raised %s" i (Printexc.to_string e)
+  done
+
 (* The chain hands each block's specs to the executor: Block-STM configs
    that seed from specs or schedule from the spec DAG need them, and so do
    lanes; all must commit exactly what the sequential chain does. *)
@@ -344,6 +370,8 @@ let suite =
       test_merkle_rolling_pipelined;
     Alcotest.test_case "failed digest job raises, does not hang" `Quick
       test_digest_failure;
+    Alcotest.test_case "raising source joins the digest worker" `Quick
+      test_raising_source_joins_worker;
     Alcotest.test_case "streams forward specs to the executor" `Quick
       test_stream_forwards_specs;
     Alcotest.test_case "mempool-fed pipelined stream" `Quick

@@ -8,11 +8,11 @@ let ver t i = Blockstm_kernel.Version.make ~txn_idx:t ~incarnation:i
 
 let task_pp ppf = function
   | S.Execution v -> Fmt.pf ppf "Execution%a" Blockstm_kernel.Version.pp v
-  | S.Validation (v, w) ->
-      Fmt.pf ppf "Validation%a@@w%d" Blockstm_kernel.Version.pp v w
+  | S.Validation (v, _) ->
+      Fmt.pf ppf "Validation%a" Blockstm_kernel.Version.pp v
 
-(* The claim wave of a validation task is an implementation detail of the
-   rolling-commit sweep; scripted expectations compare versions only. *)
+(* A validation task's [int] carries nothing; scripted expectations compare
+   versions only. *)
 let task_eq a b =
   match (a, b) with
   | S.Execution x, S.Execution y -> Blockstm_kernel.Version.equal x y
@@ -20,13 +20,11 @@ let task_eq a b =
       Blockstm_kernel.Version.equal x y
   | _ -> false
 
-(* Expected-value shorthand: the wave is ignored by [task_eq]. *)
+(* Expected-value shorthand. *)
 let validation v = S.Validation (v, 0)
 
-(* Complete a validation of [ver t i] on a non-rolling scheduler (where the
-   claim wave is always 0). *)
-let fin_val s t i ~aborted =
-  S.finish_validation s ~version:(ver t i) ~wave:0 ~aborted
+(* Complete a validation of [ver t i]. *)
+let fin_val s t i ~aborted = S.finish_validation s ~version:(ver t i) ~aborted
 
 let task = Alcotest.testable task_pp task_eq
 let opt_task = Alcotest.option task
@@ -265,43 +263,44 @@ let test_decrease_cnt_ticks () =
 
 (* --- Rolling commit ------------------------------------------------------- *)
 
-(* Claim wave of a validation task handed out by the scheduler. *)
+(* The version of a validation task handed out by the scheduler. *)
 let claim_validation s =
   match S.next_task s with
-  | Some (S.Validation (v, w)) -> (v, w)
+  | Some (S.Validation (v, _)) -> v
   | t -> Alcotest.failf "expected a validation, got %a" (Fmt.option task_pp) t
 
-let sweep s commits =
-  ignore (S.try_advance_commit s ~on_commit:(fun j -> commits := j :: !commits))
+let sweep ~valid s commits =
+  ignore
+    (S.try_advance_commit s ~valid ~on_commit:(fun j ->
+         commits := j :: !commits))
 
-(* Validations completing out of preset order: the sweep must still commit
-   0, 1, 2 in order, and only once each transaction's proof is in. *)
+(* Executions finishing out of preset order: the sweep must still commit 0,
+   1, 2 in order, each once everything below it has committed. A commit
+   needs only EXECUTED and a valid read set; no validation task runs. *)
 let test_rolling_commit_preset_order () =
-  let s = S.create ~rolling:true ~block_size:3 () in
+  let s = S.create ~block_size:3 () in
   for _ = 1 to 3 do ignore (S.next_task s) done;
-  for i = 0 to 2 do
-    ignore
-      (S.finish_execution s ~txn_idx:i ~incarnation:0 ~wrote_new_location:true)
-  done;
-  Alcotest.(check int) "nothing committed yet" 0 (S.committed_prefix s);
-  let waves = Array.make 3 0 in
-  for _ = 1 to 3 do
-    let v, w = claim_validation s in
-    waves.(Blockstm_kernel.Version.txn_idx v) <- w
-  done;
+  let checked = ref [] in
+  let valid j =
+    checked := j :: !checked;
+    true
+  in
   let commits = ref [] in
-  (* tx2's proof alone cannot commit anything: tx0 has no proof. *)
-  ignore (S.finish_validation s ~version:(ver 2 0) ~wave:waves.(2) ~aborted:false);
-  sweep s commits;
+  let finish i =
+    ignore
+      (S.finish_execution s ~txn_idx:i ~incarnation:0 ~wrote_new_location:true);
+    sweep ~valid s commits
+  in
+  finish 2;
   Alcotest.(check int) "tx2 alone commits nothing" 0 (S.committed_prefix s);
-  ignore (S.finish_validation s ~version:(ver 0 0) ~wave:waves.(0) ~aborted:false);
-  sweep s commits;
-  Alcotest.(check int) "tx0 committed" 1 (S.committed_prefix s);
-  ignore (S.finish_validation s ~version:(ver 1 0) ~wave:waves.(1) ~aborted:false);
-  sweep s commits;
+  finish 1;
+  Alcotest.(check int) "tx0 still executing" 0 (S.committed_prefix s);
+  finish 0;
   Alcotest.(check int) "all committed" 3 (S.committed_prefix s);
   Alcotest.(check (list int)) "hooks in preset order" [ 0; 1; 2 ]
     (List.rev !commits);
+  Alcotest.(check (list int)) "each read set checked once, in order"
+    [ 0; 1; 2 ] (List.rev !checked);
   for i = 0 to 2 do
     let _, kind = S.status s i in
     Alcotest.(check bool)
@@ -309,110 +308,91 @@ let test_rolling_commit_preset_order () =
       true (kind = S.Committed)
   done
 
-(* A pullback after a validation was claimed invalidates its proof: the
-   commit sweep must refuse the stale wave until a fresh validation lands. *)
-let test_rolling_stale_wave_rejected () =
-  let s = S.create ~rolling:true ~block_size:2 () in
+(* An EXECUTED transaction whose read set does not validate is refused, and
+   the refusal holds for its incarnation: later sweeps do not check it
+   again. Once a validation task aborts it, the re-executed incarnation is
+   checked afresh and commits. COMMITTED is terminal: it gets no validation
+   task and no abort. *)
+let test_rolling_invalid_refused () =
+  let s = S.create ~block_size:2 () in
   ignore (S.next_task s);
   ignore (S.next_task s);
-  ignore
-    (S.finish_execution s ~txn_idx:0 ~incarnation:0 ~wrote_new_location:true);
-  ignore
-    (S.finish_execution s ~txn_idx:1 ~incarnation:0 ~wrote_new_location:true);
-  let v0, w0 = claim_validation s in
-  let v1, w1 = claim_validation s in
-  (* tx0 fails: the pullback stamps tx1 dirty past w1. *)
-  Alcotest.(check bool) "abort tx0" true (S.try_validation_abort s v0);
-  let re = S.finish_validation s ~version:v0 ~wave:w0 ~aborted:true in
-  Alcotest.check opt_task "re-execution handed back"
-    (Some (S.Execution (ver 0 1)))
-    re;
-  (* tx1's validation completes successfully — but its claim predates the
-     pullback, so the proof is stale and must not commit. *)
-  ignore (S.finish_validation s ~version:v1 ~wave:w1 ~aborted:false);
-  let commits = ref [] in
-  sweep s commits;
-  Alcotest.(check int) "stale proof refused" 0 (S.committed_prefix s);
-  (* tx0's re-execution completes and revalidates: tx0 commits. *)
-  let hv =
-    S.finish_execution s ~txn_idx:0 ~incarnation:1 ~wrote_new_location:false
+  for i = 0 to 1 do
+    ignore
+      (S.finish_execution s ~txn_idx:i ~incarnation:0 ~wrote_new_location:true)
+  done;
+  let bad = ref true in
+  let checked = ref [] in
+  let valid j =
+    checked := j :: !checked;
+    not (j = 1 && !bad)
   in
-  (match hv with
-  | Some (S.Validation (v, w)) ->
-      ignore (S.finish_validation s ~version:v ~wave:w ~aborted:false)
-  | t -> Alcotest.failf "expected validation handoff, got %a"
-           (Fmt.option task_pp) t);
-  sweep s commits;
-  Alcotest.(check int) "tx0 committed" 1 (S.committed_prefix s);
-  (* The pullback rescheduled tx1's validation; a fresh claim carries a wave
-     past the dirty stamp and finally commits tx1. *)
-  let v1', w1' = claim_validation s in
-  Alcotest.(check bool) "same version revalidated" true
-    (Blockstm_kernel.Version.equal v1' (ver 1 0));
-  ignore (S.finish_validation s ~version:v1' ~wave:w1' ~aborted:false);
-  sweep s commits;
-  Alcotest.(check int) "tx1 committed" 2 (S.committed_prefix s);
+  let commits = ref [] in
+  sweep ~valid s commits;
+  Alcotest.(check int) "tx0 committed, tx1 refused" 1 (S.committed_prefix s);
+  sweep ~valid s commits;
+  Alcotest.(check (list int)) "refused incarnation not checked again" [ 0; 1 ]
+    (List.rev !checked);
+  Alcotest.check opt_task "committed tx0 gets no validation task" None
+    (S.next_task s);
+  let v1 = claim_validation s in
+  Alcotest.(check bool) "abort tx1" true (S.try_validation_abort s v1);
+  let re = S.finish_validation s ~version:v1 ~aborted:true in
+  Alcotest.check opt_task "re-execution handed back"
+    (Some (S.Execution (ver 1 1)))
+    re;
+  bad := false;
+  sweep ~valid s commits;
+  Alcotest.(check int) "executing tx1 not committed" 1 (S.committed_prefix s);
+  let hv =
+    S.finish_execution s ~txn_idx:1 ~incarnation:1 ~wrote_new_location:false
+  in
+  sweep ~valid s commits;
+  Alcotest.(check int) "incarnation 1 commits" 2 (S.committed_prefix s);
+  Alcotest.(check (list int)) "incarnation 1 checked afresh" [ 0; 1; 1 ]
+    (List.rev !checked);
   Alcotest.(check (list int)) "hooks in preset order" [ 0; 1 ]
     (List.rev !commits);
-  (* Committed is terminal: a late stale validation cannot abort it. *)
   Alcotest.(check bool) "abort refused after commit" false
-    (S.try_validation_abort s (ver 1 0))
+    (S.try_validation_abort s (ver 1 1));
+  Alcotest.(check bool)
+    "status COMMITTED" true
+    (S.status s 1 = (1, S.Committed));
+  (* The validation handed back for incarnation 1 finishes late, after the
+     commit, and the block completes. *)
+  (match hv with
+  | Some (S.Validation (v, _)) ->
+      ignore (S.finish_validation s ~version:v ~aborted:false)
+  | t ->
+      Alcotest.failf "expected validation handoff, got %a" (Fmt.option task_pp)
+        t);
+  Alcotest.check opt_task "no task left" None (S.next_task s);
+  Alcotest.(check bool) "done" true (S.done_ s)
 
-(* Overlapping validations of one version can complete out of claim order:
-   a stale one landing last must not weaken the recorded proof (the commit
-   sweep would otherwise stall forever — no further validation is ever
-   scheduled for the transaction). *)
-let test_rolling_proof_strengthen_only () =
-  let s = S.create ~rolling:true ~block_size:1 () in
-  ignore (S.next_task s);
-  ignore
-    (S.finish_execution s ~txn_idx:0 ~incarnation:0 ~wrote_new_location:true);
-  let v, w = claim_validation s in
-  ignore (S.finish_validation s ~version:v ~wave:w ~aborted:false);
-  (* A second validation of the same version, claimed one wave earlier,
-     completes late. *)
-  ignore (S.finish_validation s ~version:v ~wave:(w - 1) ~aborted:false);
-  let commits = ref [] in
-  sweep s commits;
-  Alcotest.(check int) "fresh proof survives" 1 (S.committed_prefix s)
-
-let test_rolling_requires_flag () =
-  let s = S.create ~block_size:1 () in
-  Alcotest.check_raises "try_advance_commit rejected"
-    (Invalid_argument
-       "Scheduler.try_advance_commit: created without ~rolling:true")
-    (fun () -> ignore (S.try_advance_commit s ~on_commit:ignore));
-  Alcotest.check_raises "advance_commit rejected"
-    (Invalid_argument
-       "Scheduler.advance_commit: created without ~rolling:true")
-    (fun () -> ignore (S.advance_commit s ~on_commit:ignore));
-  Alcotest.(check bool) "rolling flag off" false (S.rolling s)
-
-(* A storm of pullbacks while workers claim validations. [workers] domains
-   spin on [next_task] over a rolling scheduler whose block is fully
-   executed and validated, except for one validation claim the calling
-   domain keeps open, so completion cannot latch. The caller fires 40
-   pullbacks, then finishes its claim. A claim whose wave was read before a
-   pullback landed, and whose index came after it, would be the pullback's
-   only revalidation of that index, with a wave older than the index's
-   dirty stamp; the commit sweep would then stall there. Oversubscribed
-   domains get preempted mid-claim, which makes that interleaving likely.
-   Returns whether the sweep commits the whole block. *)
+(* A storm of pullbacks while workers claim validations and sweep.
+   [workers] domains spin on [next_task] and the commit sweep over a
+   scheduler whose block is fully executed and validated, except for one
+   validation claim the calling domain keeps open, so completion cannot
+   latch. The caller fires 40 pullbacks, then finishes its claim.
+   Oversubscribed domains get preempted mid-claim and mid-sweep, so
+   pullbacks land on committed and uncommitted indices alike. Returns
+   whether the block completes with the sweep committing all of it. *)
 let pullback_race_trial ~n ~workers =
-  let s = S.create ~rolling:true ~block_size:n () in
+  let s = S.create ~block_size:n () in
+  let valid _ = true in
   let open_claim = ref None in
   let rec run = function
     | S.Execution v ->
         Option.iter run
           (S.finish_execution s ~txn_idx:v.txn_idx ~incarnation:v.incarnation
              ~wrote_new_location:false)
-    | S.Validation (v, wave) ->
-        ignore (S.finish_validation s ~version:v ~wave ~aborted:false)
+    | S.Validation (v, _) ->
+        ignore (S.finish_validation s ~version:v ~aborted:false)
   in
   let rec drain () =
     match S.next_task s with
-    | Some (S.Validation (v, wave)) when !open_claim = None ->
-        open_claim := Some (v, wave);
+    | Some (S.Validation (v, _)) when !open_claim = None ->
+        open_claim := Some v;
         drain ()
     | Some t ->
         run t;
@@ -424,7 +404,8 @@ let pullback_race_trial ~n ~workers =
   let spin () =
     Atomic.incr started;
     while not (S.done_ s) do
-      match S.next_task s with Some t -> run t | None -> Domain.cpu_relax ()
+      (match S.next_task s with Some t -> run t | None -> Domain.cpu_relax ());
+      ignore (S.try_advance_commit s ~valid ~on_commit:ignore)
     done
   in
   let doms = List.init workers (fun _ -> Domain.spawn spin) in
@@ -435,11 +416,11 @@ let pullback_race_trial ~n ~workers =
     S.decrease_validation_idx s ~target_idx:(r mod n)
   done;
   (match !open_claim with
-  | Some (v, wave) ->
-      ignore (S.finish_validation s ~version:v ~wave ~aborted:false)
+  | Some v -> ignore (S.finish_validation s ~version:v ~aborted:false)
   | None -> Alcotest.fail "no validation claim was held open");
   List.iter Domain.join doms;
-  S.advance_commit s ~on_commit:ignore = n
+  ignore (S.advance_commit s ~valid ~on_commit:ignore);
+  S.committed_prefix s = n
 
 let test_pullback_race () =
   let trials = 120 in
@@ -458,7 +439,8 @@ let test_raising_commit_hook_unlocks () =
   let boom _ = failwith "hook failed" in
   List.iter
     (fun (name, sweep) ->
-      let s = S.create ~rolling:true ~block_size:2 () in
+      let s = S.create ~block_size:2 () in
+      let valid _ = true in
       let rec drain () =
         match S.next_task s with
         | Some (S.Execution v) ->
@@ -466,15 +448,15 @@ let test_raising_commit_hook_unlocks () =
               (S.finish_execution s ~txn_idx:v.txn_idx
                  ~incarnation:v.incarnation ~wrote_new_location:false);
             drain ()
-        | Some (S.Validation (v, wave)) ->
-            ignore (S.finish_validation s ~version:v ~wave ~aborted:false);
+        | Some (S.Validation (v, _)) ->
+            ignore (S.finish_validation s ~version:v ~aborted:false);
             drain ()
         | None -> ()
       in
       drain ();
       Alcotest.check_raises (name ^ " re-raises") (Failure "hook failed")
-        (fun () -> ignore (sweep s ~on_commit:boom));
-      match S.advance_commit s ~on_commit:ignore with
+        (fun () -> ignore (sweep s ~valid ~on_commit:boom));
+      match S.advance_commit s ~valid ~on_commit:ignore with
       | _ -> ()
       | exception e ->
           Alcotest.failf "advance_commit after a raising hook in %s: %s" name
@@ -549,12 +531,8 @@ let suite =
       test_decrease_cnt_ticks;
     Alcotest.test_case "rolling: commits in preset order" `Quick
       test_rolling_commit_preset_order;
-    Alcotest.test_case "rolling: stale wave rejected after pullback" `Quick
-      test_rolling_stale_wave_rejected;
-    Alcotest.test_case "rolling: proofs are strengthen-only" `Quick
-      test_rolling_proof_strengthen_only;
-    Alcotest.test_case "rolling: sweep requires ~rolling:true" `Quick
-      test_rolling_requires_flag;
+    Alcotest.test_case "rolling: invalid read set refused" `Quick
+      test_rolling_invalid_refused;
     Alcotest.test_case "rolling: pullbacks racing validation claims" `Quick
       test_pullback_race;
     Alcotest.test_case "rolling: raising commit hook releases the mutex"

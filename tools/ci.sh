@@ -136,7 +136,7 @@ echo "ci: interning gate passed (Compile.intern_get hit path is allocation-free)
 # replay that isolates pure VM cost, so the ratio is stable even on a
 # single, oversubscribed core. The standard-flavor compiled row must hold
 # at least 2x tree-walk (measured ~6x; the gate leaves wide noise margin).
-out=$(dune exec bin/blockstm_cli.exe -- exp --id vm-cost)
+out=$(dune exec bench/main.exe -- vm-cost)
 printf '%s\n' "$out"
 vm_tree=$(printf '%s\n' "$out" \
   | awk '$1=="standard" && $2=="tree-walk" && $3=="vm" && $4=="1" {print int($5)}')
