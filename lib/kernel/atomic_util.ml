@@ -14,14 +14,6 @@ let rec fetch_min (a : int Atomic.t) (v : int) : bool =
   else if Atomic.compare_and_set a cur v then true
   else fetch_min a v
 
-(** [fetch_max a v] atomically sets [a] to [max (get a) v]; [true] iff it
-    increased. *)
-let rec fetch_max (a : int Atomic.t) (v : int) : bool =
-  let cur = Atomic.get a in
-  if v <= cur then false
-  else if Atomic.compare_and_set a cur v then true
-  else fetch_max a v
-
 let incr (a : int Atomic.t) : unit = ignore (Atomic.fetch_and_add a 1)
 let decr (a : int Atomic.t) : unit = ignore (Atomic.fetch_and_add a (-1))
 

@@ -6,9 +6,6 @@ val fetch_min : int Atomic.t -> int -> bool
     [fetch_min] instruction, here a CAS loop). Returns [true] iff the stored
     value actually decreased. *)
 
-val fetch_max : int Atomic.t -> int -> bool
-(** Dual of {!fetch_min}. *)
-
 val incr : int Atomic.t -> unit
 val decr : int Atomic.t -> unit
 

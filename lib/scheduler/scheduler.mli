@@ -20,7 +20,14 @@
 
     Only the commit sweep ({!try_advance_commit}, {!advance_commit}) sets
     COMMITTED. A caller that never sweeps gets the paper's scheduler, with
-    the whole block committing at once when {!done_} flips (Lemma 2). *)
+    the whole block committing at once when {!done_} flips (Lemma 2).
+
+    No transition takes a lock: a transaction's status is one atomic word,
+    changed by a CAS where two threads may race for it (claiming an
+    execution, a validation abort, a commit, resuming a parked dependent)
+    and by an asserted store where only its owner can act (the executor's
+    EXECUTED or ABORTING, the aborting validation's READY_TO_EXECUTE). The
+    commit sweep's mutex is the scheduler's only lock. *)
 
 open Blockstm_kernel
 
@@ -61,7 +68,9 @@ val next_task : t -> task option
     transaction's next incarnation completes. Returns [false] if the
     dependency resolved in the meantime — the caller must immediately
     re-execute (paper Line 15). On [true], the caller's execution task is
-    finished (the active-task count is released). *)
+    finished (the active-task count is released): [txn_idx] is parked, or,
+    if the blocker finished while it parked, already READY_TO_EXECUTE at
+    the next incarnation with the execution index pulled back to it. *)
 val add_dependency : t -> txn_idx:int -> blocking_txn_idx:int -> bool
 
 (** [try_validation_abort t version] attempts EXECUTED(i) -> ABORTING(i).
@@ -111,11 +120,13 @@ val try_advance_commit :
   t -> valid:(int -> bool) -> on_commit:(int -> unit) -> int
 (** Opportunistic commit sweep: advances the committed prefix as far as the
     commit rule allows — transaction [j] commits when [0 .. j-1] are
-    committed, [j] is [Executed], and [valid j] holds, checked under [j]'s
-    status lock. [valid j] must say whether [j]'s recorded read set
-    validates, the decision a validation task makes; with [0 .. j-1]
-    frozen, it is final for [j]'s current incarnation, so an incarnation
-    refused once is not checked again. Calls [on_commit j] for each newly
+    committed, [j] is [Executed] at some incarnation [i], and [valid j]
+    holds; then a CAS from [Executed] to [Committed] at [i] commits it. A
+    failed CAS (a validation abort got there first) leaves [j] for a later
+    sweep. [valid j] must say whether [j]'s recorded read set validates,
+    the decision a validation task makes; with [0 .. j-1] frozen, it is
+    final for [j]'s current incarnation, so an incarnation refused once is
+    not checked again. Calls [on_commit j] for each newly
     committed transaction in preset order, while holding the commit mutex
     (hooks are totally ordered across domains). Non-blocking: returns 0
     immediately if another domain holds the commit mutex. Returns the
@@ -138,4 +149,7 @@ val num_active_tasks : t -> int
 val decrease_cnt : t -> int
 
 val dependents : t -> int -> int list
-(** Transactions currently parked on the given transaction. *)
+(** Transactions currently parked on the given transaction: still
+    ABORTING at the incarnation that parked. One that resumed itself may
+    stay in the internal list until the blocker's next execution finishes,
+    but is not listed. *)

@@ -46,13 +46,6 @@ let test_fetch_min () =
   Alcotest.(check bool) "negative" true (Atomic_util.fetch_min a (-3));
   Alcotest.(check int) "negative value" (-3) (Atomic.get a)
 
-let test_fetch_max () =
-  let a = Atomic.make 10 in
-  Alcotest.(check bool) "increases" true (Atomic_util.fetch_max a 15);
-  Alcotest.(check int) "value" 15 (Atomic.get a);
-  Alcotest.(check bool) "no-op" false (Atomic_util.fetch_max a 12);
-  Alcotest.(check int) "unchanged" 15 (Atomic.get a)
-
 let test_get_and_incr () =
   let a = Atomic.make 0 in
   Alcotest.(check int) "first" 0 (Atomic_util.get_and_incr a);
@@ -106,7 +99,6 @@ let suite =
       test_version_equal_compare;
     Alcotest.test_case "Read_origin equality" `Quick test_read_origin;
     Alcotest.test_case "fetch_min" `Quick test_fetch_min;
-    Alcotest.test_case "fetch_max" `Quick test_fetch_max;
     Alcotest.test_case "get_and_incr / incr / decr" `Quick test_get_and_incr;
     Alcotest.test_case "fetch_min under parallel contention" `Quick
       test_fetch_min_parallel;

@@ -1,5 +1,6 @@
 (** Unit tests for the collaborative scheduler (Algorithms 5–9), driven
-    single-threaded through scripted scenarios. *)
+    single-threaded through scripted scenarios, plus cross-domain races on
+    the dependency protocol and the commit sweep. *)
 
 open Tutil
 module S = Scheduler
@@ -466,14 +467,14 @@ let test_raising_commit_hook_unlocks () =
       ("advance_commit", S.advance_commit);
     ]
 
-(* A failed assertion under a status or dependency lock releases the lock,
-   so another domain takes it at once instead of blocking forever. Finishing
+(* A failed assertion leaves the scheduler as it was: both assertions fire
+   before any store, so the transaction keeps its status, nothing is
+   parked, and another domain reads the state at once. Finishing
    transaction 0 while it is READY_TO_EXECUTE trips [finish_execution]'s
-   assertion under 0's status lock; parking transaction 1 on 0 while 1 is
-   not EXECUTING trips [add_dependency]'s under 0's dependency lock and 1's
-   status lock. Each trip gets its own scheduler, so a lock left held fails
-   the timeout rather than hanging this domain. *)
-let test_failed_assertion_unlocks () =
+   assertion; parking transaction 1 on 0 while 1 is not EXECUTING trips
+   [add_dependency]'s. Each trip gets its own scheduler, and the reads run
+   under a timeout, so a hang fails the test instead of blocking it. *)
+let test_failed_assertion_leaves_state () =
   let trips name f =
     match f () with
     | _ -> Alcotest.failf "%s: expected an assertion failure" name
@@ -487,7 +488,9 @@ let test_failed_assertion_unlocks () =
   let s = S.create ~block_size:1 () in
   trips "finish_execution" (fun () ->
       S.finish_execution s ~txn_idx:0 ~incarnation:0 ~wrote_new_location:false);
-  let status = after_trip "status lock" (fun () -> S.status s 0) in
+  let status =
+    after_trip "status after finish_execution" (fun () -> S.status s 0)
+  in
   Alcotest.(check bool)
     "status unchanged" true
     (status = (0, S.Ready_to_execute));
@@ -495,12 +498,108 @@ let test_failed_assertion_unlocks () =
   trips "add_dependency" (fun () ->
       S.add_dependency s ~txn_idx:1 ~blocking_txn_idx:0);
   let status, dependents =
-    after_trip "dependency and status locks" (fun () ->
+    after_trip "status and dependents after add_dependency" (fun () ->
         (S.status s 1, S.dependents s 0))
   in
   Alcotest.(check bool)
     "not parked" true
     (status = (0, S.Ready_to_execute) && dependents = [])
+
+(* The dependency protocol's lost-wakeup race, on 2 domains. Each round
+   claims transactions 0 and 1, then releases both domains from a barrier,
+   each after a short random pause: this domain finishes 0's execution
+   while the other parks 1 on 0. Whatever the interleaving, 1 is either
+   still EXECUTING(0), because [add_dependency] saw 0 resolved and
+   returned [false], or READY_TO_EXECUTE(1) with the execution index
+   pulled back to it — never left ABORTING(0) with nobody to resume it.
+   The active-task count balances, and no entry is listed as parked: one
+   that resumed itself stays in 0's list, but [dependents] skips it. Runs
+   [rounds] rounds or for [secs] seconds, whichever ends first, so an
+   oversubscribed host does not stretch it. *)
+let test_dependency_race () =
+  let rounds = 20_000 and secs = 3. in
+  let sched = Atomic.make (S.create ~block_size:0 ()) in
+  let arrived = Atomic.make 0 in
+  let parked = Atomic.make false in
+  let finished = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let barrier r =
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 * r do
+      Domain.cpu_relax ()
+    done
+  in
+  let pause rng =
+    for _ = 1 to Random.State.int rng 24 do
+      Domain.cpu_relax ()
+    done
+  in
+  let helper =
+    Domain.spawn (fun () ->
+        let rng = Random.State.make [| 2 |] in
+        let r = ref 1 in
+        while not (Atomic.get stop) do
+          barrier !r;
+          if not (Atomic.get stop) then begin
+            pause rng;
+            Atomic.set parked
+              (S.add_dependency (Atomic.get sched) ~txn_idx:1
+                 ~blocking_txn_idx:0);
+            Atomic.set finished !r
+          end;
+          incr r
+        done)
+  in
+  let rng = Random.State.make [| 1 |] in
+  let deadline = Unix.gettimeofday () +. secs in
+  let outcomes = [| 0; 0 |] in
+  let failure = ref None in
+  let r = ref 1 in
+  while !failure = None && !r <= rounds && Unix.gettimeofday () < deadline do
+    let s = S.create ~block_size:2 () in
+    ignore (S.next_task s);
+    ignore (S.next_task s);
+    Atomic.set sched s;
+    barrier !r;
+    pause rng;
+    ignore
+      (S.finish_execution s ~txn_idx:0 ~incarnation:0 ~wrote_new_location:true);
+    while Atomic.get finished < !r do
+      Domain.cpu_relax ()
+    done;
+    let p = Atomic.get parked in
+    let status = S.status s 1 in
+    let expected_active = if p then 0 else 1 in
+    let ok =
+      (if p then status = (1, S.Ready_to_execute) && S.execution_idx s <= 1
+       else status = (0, S.Executing))
+      && S.num_active_tasks s = expected_active
+      && S.dependents s 0 = []
+    in
+    if not ok then
+      failure :=
+        Some
+          (Fmt.str
+             "round %d: add_dependency returned %b; tx1 %a(%d), execution_idx \
+              %d, num_active_tasks %d (expected %d), %d listed dependents"
+             !r p S.pp_status_kind (snd status) (fst status)
+             (S.execution_idx s) (S.num_active_tasks s) expected_active
+             (List.length (S.dependents s 0)));
+    let o = if p then 1 else 0 in
+    outcomes.(o) <- outcomes.(o) + 1;
+    incr r
+  done;
+  Atomic.set stop true;
+  barrier !r;
+  Domain.join helper;
+  match !failure with
+  | Some msg -> Alcotest.fail msg
+  | None ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rounds ran (%d parked, %d resolved)" outcomes.(1)
+           outcomes.(0))
+        true
+        (outcomes.(0) + outcomes.(1) > 0)
 
 let suite =
   [
@@ -537,6 +636,8 @@ let suite =
       test_pullback_race;
     Alcotest.test_case "rolling: raising commit hook releases the mutex"
       `Quick test_raising_commit_hook_unlocks;
-    Alcotest.test_case "failed assertion releases status and dependency locks"
-      `Quick test_failed_assertion_unlocks;
+    Alcotest.test_case "failed assertion leaves status and dependents unchanged"
+      `Quick test_failed_assertion_leaves_state;
+    Alcotest.test_case "add_dependency races finish_execution" `Quick
+      test_dependency_race;
   ]

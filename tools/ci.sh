@@ -4,7 +4,8 @@
 #   - the MVMemory read and validation paths must not acquire a mutex: every
 #     function Mvmemory.read and Mvmemory.validate_read_set call, down to the
 #     slot probe and the chain lookup, and the engine's ESTIMATE scan over
-#     a recorded read log (grep gate);
+#     a recorded read log; nor may the scheduler's task path, from claiming
+#     a task to a validation abort (grep gate);
 #   - per-block fixed cost: nothing under lib/mvmemory or lib/scheduler
 #     spawns a domain, and Scheduler.create, Mvmemory.create/fresh_table and
 #     Block_stm.create_instance build no array with Array.init (grep gate);
@@ -59,7 +60,28 @@ for spec in $mv:hash_of $mv:probe_of $mv:probe $mv:find_slot $mv:below \
     exit 1
   fi
 done
-echo "ci: lock-free gate passed (Mvmemory read and validation paths and the ESTIMATE scan take no mutex)"
+# The scheduler's task path takes no mutex either (DESIGN.md §4): claiming
+# a task, parking on and resuming from a dependency, finishing an execution
+# and a validation abort are CASes and asserted stores on per-transaction
+# atomics, down to the helpers they call. Only the rolling-commit sweep
+# keeps a mutex. scheduler.ml is not a functor, so its top-level functions
+# are matched at any indentation.
+sched=lib/scheduler/scheduler.ml
+for fn in try_incarnate next_version_to_execute next_version_to_validate \
+  next_task resolved try_resume push_dependent add_dependency \
+  resume_dependencies finish_execution try_validation_abort \
+  finish_validation; do
+  body=$(awk "/^ *let (rec )?$fn /{f=1} f{print; if (\$0 ~ /^\$/) exit}" "$sched")
+  if [ -z "$body" ]; then
+    echo "ci: FAIL — could not locate $fn in $sched for the lock-free gate"
+    exit 1
+  fi
+  if printf '%s' "$body" | grep -q "Mutex"; then
+    echo "ci: FAIL — $fn in $sched mentions Mutex; the scheduler's task path must be lock-free"
+    exit 1
+  fi
+done
+echo "ci: lock-free gate passed (Mvmemory read and validation paths, the ESTIMATE scan and the scheduler's task path take no mutex)"
 
 # --- Per-block fixed-cost gate ----------------------------------------------
 # Block_stm.run's helpers are the only per-block Domain.spawn: MVMemory and
