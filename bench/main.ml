@@ -115,7 +115,11 @@ let () =
       if want name then begin
         Fmt.pr "@.### %s — %s@." name descr;
         Blockstm_bench.Report.begin_experiment ~name ~descr;
-        f mode
+        try f mode
+        with Failure msg ->
+          (* The grid runner's identity oracle names the failing point. *)
+          Fmt.epr "%s: %s@." name msg;
+          exit 1
       end)
     Blockstm_bench.Experiments.all;
   if want "micro" then Blockstm_bench.Micro.run ();

@@ -319,12 +319,18 @@ let run_cmd =
              uniform draw. Independent of $(b,--lanes) — hint without \
              lanes shows the single instance on a partitionable block.")
   in
-  let run_pipeline g config executor store n_blocks n =
+  (* The block list as a chain of [n_blocks] chunks, each with its slice of
+     [specs] when there are specs: the executor is Block-STM with [config],
+     execution lanes over [partition], or sequential. *)
+  let run_pipeline g ~specs ~partition config executor store n_blocks n =
     let module C = Harness.ChainX in
     let executor =
-      match executor with
-      | E_sequential -> C.Sequential
-      | E_blockstm -> C.Block_stm config
+      match (executor, partition) with
+      | E_sequential, _ -> C.Sequential
+      | E_blockstm, None -> C.Block_stm config
+      | E_blockstm, Some partition ->
+          C.Lanes
+            { config; partition; namespace = Some Ledger.Loc.namespace }
       | _ ->
           Fmt.epr "--pipeline supports the blockstm and sequential executors@.";
           exit 2
@@ -332,16 +338,30 @@ let run_cmd =
     let n_blocks = max 1 (min n_blocks (max 1 n)) in
     let size = (n + n_blocks - 1) / n_blocks in
     let chunks =
-      List.init n_blocks (fun i ->
-          let lo = i * size in
-          Array.sub g.Synthetic.txns lo (min size (n - lo)))
-      |> List.filter (fun c -> Array.length c > 0)
+      List.init n_blocks (fun i -> i * size)
+      |> List.filter (fun lo -> lo < n)
+      |> List.map (fun lo ->
+             let len = min size (n - lo) in
+             ( Array.sub g.Synthetic.txns lo len,
+               Option.map (fun s -> Array.sub s lo len) specs ))
     in
     let exec ~pipeline =
       let chain = C.create ~store ~executor ~genesis:g.Synthetic.storage () in
+      let rem = ref chunks and cur = ref None in
+      let next () =
+        match !rem with
+        | [] -> None
+        | (txns, s) :: r ->
+            rem := r;
+            cur := s;
+            Some txns
+      in
       let _, ns =
         Blockstm_stats.Clock.time_ns (fun () ->
-            C.execute_blocks ~pipeline chain chunks)
+            C.execute_stream
+              ~mode:(if pipeline then `Pipelined else `Per_block)
+              ~next_specs:(fun () -> !cur)
+              chain ~next)
       in
       (chain, ns)
     in
@@ -381,42 +401,26 @@ let run_cmd =
       Fmt.epr "--lanes must be >= 1@.";
       exit 2
     end;
-    if
-      lanes > 1
-      && (executor <> E_blockstm || pipeline || rolling || sched = `Spec_dag)
-    then begin
-      Fmt.epr
-        "--lanes needs the blockstm executor and does not compose with \
-         --pipeline, --rolling or --sched spec-dag@.";
+    if lanes > 1 && executor <> E_blockstm then begin
+      Fmt.epr "--lanes needs the blockstm executor@.";
       exit 2
     end;
-    let lane_specs =
-      if lanes = 1 then None
-      else
-        match wspecs with
-        | Some s -> Some s
-        | None ->
-            Fmt.epr
-              "--lanes needs a spec-capable workload (p2p, p2p-simplified, \
-               p2p-hotspot)@.";
-            exit 2
-    in
     let n = Array.length g.txns in
     let spec_dag = sched = `Spec_dag in
     let specs =
-      if not (use_specs || spec_dag) then None
+      if not (use_specs || spec_dag || lanes > 1) then None
       else
         match wspecs with
-        | Some _ when pipeline ->
-            Fmt.epr
-              "--specs / --sched spec-dag do not compose with --pipeline@.";
-            exit 2
         | Some s -> Some s
         | None ->
             Fmt.epr
-              "--specs / --sched spec-dag need a spec-capable workload \
-               (p2p, p2p-simplified, p2p-hotspot)@.";
+              "--specs, --sched spec-dag and --lanes need a spec-capable \
+               workload (p2p, p2p-simplified, p2p-hotspot)@.";
             exit 2
+    in
+    let partition =
+      if lanes = 1 then None
+      else Some (Harness.account_partition ~num_accounts:accounts ~lanes)
     in
     (* The engine config the flags describe; combinations the config type
        cannot express exit 2. *)
@@ -447,9 +451,10 @@ let run_cmd =
       end
     in
     let config =
-      { Harness.Bstm.default_config with num_domains = domains; sched }
+      { Harness.Bstm.num_domains = domains; sched }
     in
-    if pipeline then run_pipeline g config executor store blocks n
+    if pipeline then
+      run_pipeline g ~specs ~partition config executor store blocks n
     else begin
     let time f =
       let r, ns = Blockstm_stats.Clock.time_ns f in
@@ -462,10 +467,7 @@ let run_cmd =
                                 ~storage:g.storage g.txns) in
           (r.snapshot, tps)
       | E_blockstm when lanes > 1 ->
-          let specs = Option.get lane_specs in
-          let partition =
-            Harness.account_partition ~num_accounts:accounts ~lanes
-          in
+          let specs = Option.get specs and partition = Option.get partition in
           let traces =
             Option.map
               (fun _ ->

@@ -69,7 +69,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     mutable height : int;
     mutable commits : 'o block_commit list;  (* newest first *)
     hash_loc : L.t -> int;
-    hash_value : V.t -> int;
     retain_outputs : int option;
         (* Keep full outputs for the newest N commits only. *)
   }
@@ -91,19 +90,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       copy of [genesis].
 
       [store] selects the substrate: [`Flat] (default — the paper-faithful
-      whole-state fold) or [`Merkle] (incremental authenticated roots;
-      [merkle_buckets] sizes its digest tree, default
-      {!Mstore.default_buckets}).
+      whole-state fold) or [`Merkle] (incremental authenticated roots, with
+      {!Mstore.default_buckets} digest buckets).
 
       [retain_outputs] bounds chain history: only the newest N commits keep
       their [outputs] arrays (roots and metrics are kept forever).
 
-      [hash_loc]/[hash_value] parameterize the flat digests and default to
-      the structural [L.hash]/[V.hash]; the Merkle substrate always uses the
-      structural hashes. *)
-  let create ?(hash_loc = L.hash) ?(hash_value = V.hash) ?(store = `Flat)
-      ?merkle_buckets ?retain_outputs ~executor ~(genesis : Store.t) () :
-      'o t =
+      [hash_loc] hashes locations in the flat digests and defaults to the
+      structural [L.hash]; values always hash with [V.hash], and the Merkle
+      substrate always uses the structural hashes. *)
+  let create ?(hash_loc = L.hash) ?(store = `Flat) ?retain_outputs ~executor
+      ~(genesis : Store.t) () : 'o t =
     (match retain_outputs with
     | Some w when w < 0 ->
         invalid_arg "Chain.create: retain_outputs must be >= 0"
@@ -111,7 +108,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     let state =
       match store with
       | `Flat -> S_flat (Store.copy genesis)
-      | `Merkle -> S_merkle (Mstore.of_store ?buckets:merkle_buckets genesis)
+      | `Merkle -> S_merkle (Mstore.of_store genesis)
     in
     {
       executor;
@@ -119,7 +116,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       height = 0;
       commits = [];
       hash_loc;
-      hash_value;
       retain_outputs;
     }
 
@@ -142,8 +138,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let state_root t : int64 =
     match t.state with
     | S_flat s ->
-        digest ~hash_loc:t.hash_loc ~hash_value:t.hash_value
-          (Store.to_alist s)
+        digest ~hash_loc:t.hash_loc ~hash_value:V.hash (Store.to_alist s)
     | S_merkle m -> Mstore.root m
 
   let storage_reader t : (L.t, V.t) Intf.storage =
@@ -207,7 +202,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     t.height <- t.height + 1;
     let height = t.height in
     let delta_root =
-      digest ~hash_loc:t.hash_loc ~hash_value:t.hash_value snapshot
+      digest ~hash_loc:t.hash_loc ~hash_value:V.hash snapshot
     in
     fun () ->
       let c =

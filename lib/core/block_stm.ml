@@ -83,7 +83,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   type sched = Spec_dag | Optimistic of optimistic
 
-  type config = { num_domains : int; record_exec_ns : bool; sched : sched }
+  type config = { num_domains : int; sched : sched }
 
   let default_optimistic =
     {
@@ -94,18 +94,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     }
 
   let default_config =
-    {
-      num_domains = 1;
-      record_exec_ns = false;
-      sched = Optimistic default_optimistic;
-    }
+    { num_domains = 1; sched = Optimistic default_optimistic }
 
   let optimistic_config ?(num_domains = 1) f =
-    {
-      default_config with
-      num_domains;
-      sched = Optimistic (f default_optimistic);
-    }
+    { num_domains; sched = Optimistic (f default_optimistic) }
 
   type 'o result = {
     snapshot : (L.t * V.t) list;  (** Final value per affected location. *)
@@ -114,10 +106,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     commit_ns : int array;
         (** Per-transaction time-to-commit (ns since the instance was
             created), in preset order. Empty unless [rolling_commit]. *)
-    exec_ns : int array;
-        (** Per-transaction VM execution time (ns) of the final — i.e.
-            committed — incarnation, in preset order. Empty unless
-            [record_exec_ns]. *)
   }
 
   (* ---------------------------------------------------------------------- *)
@@ -174,7 +162,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (* The commit sweep's read-set check (DESIGN.md §8): the decision a
            validation task for the transaction would make. *)
     deltas : bool;
-    record_exec : bool;
     outputs : 'o txn_output option array;
         (* Slot [j] is written only by the executor of tx_j's incarnations
            (sequential per Corollary 1) and read after all domains join. *)
@@ -196,11 +183,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
        read after all domains join. [t0_ns] is the latency origin. *)
     t0_ns : int;
     commit_ns : int array;
-    exec_ns : int array;
-        (* Slot [j] is written only by the executor of tx_j's incarnations
-           (sequential per Corollary 1, same argument as [outputs]) and read
-           after all domains join. Each incarnation overwrites, so the final
-           value is the committed incarnation's. *)
     on_commit : (int -> 'o txn_output -> unit) option;
     failure : (exn * Printexc.raw_backtrace) option Atomic.t;
         (* First exception that escaped a worker of [run]. A failed worker
@@ -440,7 +422,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       rolling;
       commit_valid = (fun j -> indep.(j) || Mv.validate_read_set mv j);
       deltas = o.delta_ops;
-      record_exec = config.record_exec_ns;
       outputs = Array.make n None;
       obs;
       ctab = Array.map (Metrics.counter obs) stat_names;
@@ -451,7 +432,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       trace;
       t0_ns = Trace.now_ns ();
       commit_ns = (if rolling then Array.make n (-1) else [||]);
-      exec_ns = (if config.record_exec_ns then Array.make n 0 else [||]);
       on_commit;
       failure = Atomic.make None;
     }
@@ -802,7 +782,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     match task with
     | Scheduler.Execution version -> (
         let txn_idx = Version.txn_idx version in
-        let t0 = if inst.record_exec then Trace.now_ns () else 0 in
         let blocked =
           if
             inst.prevalidate
@@ -819,10 +798,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             match vm_execute inst ~txn_idx with
             | Vm_blocked { blocking; reads_so_far } ->
                 P_exec_dep { version; blocking; reads = reads_so_far }
-            | Vm_done vm ->
-                if inst.record_exec then
-                  inst.exec_ns.(txn_idx) <- Trace.now_ns () - t0;
-                P_exec { version; vm }))
+            | Vm_done vm -> P_exec { version; vm }))
     | Scheduler.Validation (version, _) ->
         let txn_idx = Version.txn_idx version in
         if inst.indep.(txn_idx) then begin
@@ -1093,7 +1069,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       outputs;
       metrics = metrics_of inst;
       commit_ns = Array.copy inst.commit_ns;
-      exec_ns = Array.copy inst.exec_ns;
     }
 
   (** Execute a block. [storage] is the pre-block state; [txns] the block in
@@ -1113,7 +1088,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         outputs = [||];
         metrics = metrics_of inst;
         commit_ns = [||];
-        exec_ns = [||];
       }
     else begin
       let guarded worker () =

@@ -126,11 +126,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   type config = {
     num_domains : int;  (** Worker domains (>= 1). *)
-    record_exec_ns : bool;
-        (** Record the wall-clock VM execution time of each transaction's
-            final (committed) incarnation in [result.exec_ns] — the vm-cost
-            experiment's per-txn histogram source. [false]: the hot path
-            takes no timestamps. *)
     sched : sched;
   }
 
@@ -139,7 +134,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       seeding, rolling commit or deltas. *)
 
   val default_config : config
-  (** One domain, no timestamps, [Optimistic default_optimistic]. *)
+  (** One domain, [Optimistic default_optimistic]. *)
 
   val optimistic_config :
     ?num_domains:int -> (optimistic -> optimistic) -> config
@@ -154,9 +149,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     commit_ns : int array;
         (** Per-transaction time-to-commit (ns since the instance was
             created), in preset order. Empty unless rolling commit. *)
-    exec_ns : int array;
-        (** Per-transaction VM execution time (ns) of the committed
-            incarnation, in preset order. Empty unless [record_exec_ns]. *)
   }
 
   type 'o instance

@@ -81,11 +81,11 @@ let init_array (n : int) (f : int -> 'a) : 'a array =
     bandwidth from working threads) while still reacting within a bounded
     pause once work appears. Not thread-safe — one value per worker. *)
 module Backoff = struct
-  type t = { mutable exp : int; max_exp : int }
+  type t = { mutable exp : int }
 
-  let create ?(max_exp = 8) () =
-    if max_exp < 0 then invalid_arg "Backoff.create: negative max_exp";
-    { exp = 0; max_exp }
+  (* At most 2^8 = 256 pauses per call. *)
+  let max_exp = 8
+  let create () = { exp = 0 }
 
   let reset (b : t) : unit = b.exp <- 0
 
@@ -94,5 +94,5 @@ module Backoff = struct
     for _ = 1 to spins do
       Domain.cpu_relax ()
     done;
-    if b.exp < b.max_exp then b.exp <- b.exp + 1
+    if b.exp < max_exp then b.exp <- b.exp + 1
 end

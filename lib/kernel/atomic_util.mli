@@ -34,13 +34,12 @@ val init_array : int -> (int -> 'a) -> 'a array
     element is a young block. For every per-block array of heap values. *)
 
 (** Per-worker exponential backoff for idle spin loops: each {!Backoff.once}
-    spins [2^k] [Domain.cpu_relax] pauses and doubles [k] up to [max_exp]
-    (default 8, i.e. at most 256 pauses per call). Not thread-safe — one
-    value per worker. *)
+    spins [2^k] [Domain.cpu_relax] pauses and doubles [k] up to 8, i.e. at
+    most 256 pauses per call. Not thread-safe — one value per worker. *)
 module Backoff : sig
   type t
 
-  val create : ?max_exp:int -> unit -> t
+  val create : unit -> t
   val reset : t -> unit
 
   val once : t -> unit

@@ -39,9 +39,12 @@ type slot = {
 
 type handle = C of int | H of int
 
+(* Histograms per registry: the engine registers three, a chain stream
+   one. *)
+let max_histograms = 4
+
 type t = {
   max_counters : int;
-  max_histograms : int;
   buckets : int;  (** Power-of-two buckets per histogram. *)
   hwidth : int;  (** [buckets + 2]: buckets, sum, max. *)
   table : slot option Atomic.t array;  (** Open addressing, size 2^k. *)
@@ -67,15 +70,13 @@ let make_slot t dom =
   {
     dom;
     counters = Array.make (t.max_counters * stride) 0;
-    hcells = Array.make (t.max_histograms * t.hwidth) 0;
+    hcells = Array.make (max_histograms * t.hwidth) 0;
   }
 
-let create ?(max_domains = 16) ?(max_counters = 16) ?(max_histograms = 4)
-    ?(buckets = 48) () : t =
+let create ?(max_domains = 16) ?(max_counters = 16) ?(buckets = 48) () : t =
   if max_domains < 1 then invalid_arg "Metrics.create: max_domains < 1";
   if max_counters < 1 then invalid_arg "Metrics.create: max_counters < 1";
   if buckets < 2 then invalid_arg "Metrics.create: buckets < 2";
-  let max_histograms = max 1 max_histograms in
   let hwidth = buckets + 2 in
   (* 4x the domain budget keeps probe chains short. *)
   let size = next_pow2 (max_domains * 4) in
@@ -88,7 +89,6 @@ let create ?(max_domains = 16) ?(max_counters = 16) ?(max_histograms = 4)
   in
   {
     max_counters;
-    max_histograms;
     buckets;
     hwidth;
     table = Array.init size (fun _ -> Atomic.make None);
@@ -136,12 +136,12 @@ let histogram (t : t) (name : string) : histogram =
     match Hashtbl.find_opt t.names name with
     | Some h -> h
     | None ->
-        if t.nhistograms >= t.max_histograms then (
+        if t.nhistograms >= max_histograms then (
           Mutex.unlock t.reg_lock;
           invalid_arg
             (Printf.sprintf
                "Metrics.histogram: registry full (max_histograms=%d)"
-               t.max_histograms));
+               max_histograms));
         let h = H t.nhistograms in
         t.nhistograms <- t.nhistograms + 1;
         t.histogram_names <- name :: t.histogram_names;

@@ -19,16 +19,12 @@ type counter
 type histogram
 
 val create :
-  ?max_domains:int ->
-  ?max_counters:int ->
-  ?max_histograms:int ->
-  ?buckets:int ->
-  unit ->
-  t
+  ?max_domains:int -> ?max_counters:int -> ?buckets:int -> unit -> t
 (** [max_domains] (default 16) sizes the per-domain slot table;
-    [max_counters] (default 16) and [max_histograms] (default 4) bound
-    registration; [buckets] (default 48) is the number of power-of-two
-    histogram buckets. @raise Invalid_argument on non-positive sizes. *)
+    [max_counters] (default 16) bounds counter registration, and at most 4
+    histograms register; [buckets] (default 48) is the number of
+    power-of-two histogram buckets. @raise Invalid_argument on non-positive
+    sizes. *)
 
 val counter : t -> string -> counter
 (** Register (or look up — registration is idempotent by name) a counter.

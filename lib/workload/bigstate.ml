@@ -31,53 +31,33 @@ let lean_genesis ?(initial_balance = Ledger.default_initial_balance)
   done;
   store
 
-(** A block of two-party transfers over a [num_accounts]-sized state. Sender
-    and receiver are drawn uniformly ([theta = 0.], the default) or
-    Zipfian-skewed (hot accounts, more conflicts). Each transaction moves
+(** A block of two-party transfers over a [num_accounts]-sized state, sender
+    and receiver drawn uniformly. With [lanes > 1] each pair is drawn by
+    {!P2p.draw_laned_pair}: inside one of [lanes] contiguous account ranges
+    unless the [cross_fraction] coin flips. Each transaction moves
     [1 + i mod 7] units; the output is the sender's post-balance. *)
-let transfers ?(theta = 0.) ?(lanes = 1) ?(cross_fraction = 0.) ~block_size
-    ~num_accounts ~seed () : generated =
+let transfers ?(lanes = 1) ?(cross_fraction = 0.) ~block_size ~num_accounts
+    ~seed () : generated =
   if num_accounts < 2 then invalid_arg "Bigstate.transfers: need >= 2 accounts";
   if lanes < 1 then invalid_arg "Bigstate.transfers: lanes must be >= 1";
   if cross_fraction < 0. || cross_fraction > 1. then
     invalid_arg "Bigstate.transfers: cross_fraction must be in [0, 1]";
   if cross_fraction > 0. && lanes < 2 then
     invalid_arg "Bigstate.transfers: cross_fraction requires lanes > 1";
-  if lanes > 1 && theta > 0. then
-    invalid_arg "Bigstate.transfers: lane confinement excludes zipf skew";
   if lanes > 1 && num_accounts < 2 * lanes then
     invalid_arg "Bigstate.transfers: need >= 2 accounts per lane";
   let rng = Rng.create seed in
-  let pick () =
-    if theta > 0. then Rng.zipf rng ~n:num_accounts ~theta
-    else Rng.int rng num_accounts
-  in
   let pairs =
-    if lanes = 1 then
-      Array.init block_size (fun _ ->
-          let src = pick () in
-          let dst = ref (pick ()) in
-          while !dst = src do dst := pick () done;
+    Array.init block_size (fun _ ->
+        if lanes > 1 then
+          P2p.draw_laned_pair rng ~num_accounts ~lanes ~cross_fraction
+        else
+          let src = Rng.int rng num_accounts in
+          let dst = ref (Rng.int rng num_accounts) in
+          while !dst = src do
+            dst := Rng.int rng num_accounts
+          done;
           (src, !dst))
-    else
-      (* Lane-skew knob (DESIGN.md §16): the pair stays inside one
-         contiguous account range unless the cross_fraction coin flips. *)
-      let lo l = l * num_accounts / lanes in
-      let size l = lo (l + 1) - lo l in
-      Array.init block_size (fun _ ->
-          if cross_fraction > 0. && Rng.float rng < cross_fraction then begin
-            let l1 = Rng.int rng lanes in
-            let l2 = ref (Rng.int rng lanes) in
-            while !l2 = l1 do
-              l2 := Rng.int rng lanes
-            done;
-            (lo l1 + Rng.int rng (size l1), lo !l2 + Rng.int rng (size !l2))
-          end
-          else begin
-            let l = Rng.int rng lanes in
-            let s, r = Rng.distinct_pair rng (size l) in
-            (lo l + s, lo l + r)
-          end)
   in
   let storage = lean_genesis ~num_accounts () in
   let txn i : (Loc.t, Value.t, int) Txn.t =

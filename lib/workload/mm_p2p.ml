@@ -27,7 +27,6 @@ type spec = {
   block_size : int;
   flavor : P2p.flavor;
   seed : int;
-  amount_max : int;  (** Transfer amounts drawn uniformly from [1..max]. *)
   vm : Runtime.vm;  (** Which MiniMove VM executes the scripts. *)
 }
 
@@ -37,7 +36,6 @@ let default_spec =
     block_size = 1000;
     flavor = P2p.Standard;
     seed = 42;
-    amount_max = 100;
     vm = Runtime.Compiled;
   }
 
@@ -59,8 +57,9 @@ let source_of_flavor = function
   | P2p.Simplified -> Stdlib_contracts.coin_simplified_source
 
 (** Generate a block of MiniMove p2p transfers. Same shape as
-    {!P2p.generate}: distinct sender/recipient pairs, per-sender sequence
-    numbers matching sequential execution order. *)
+    {!P2p.generate}: distinct sender/recipient pairs, amounts in
+    [1..{!P2p.amount_max}], per-sender sequence numbers matching sequential
+    execution order. *)
 let generate (spec : spec) : t =
   let rng = Rng.create spec.seed in
   let script =
@@ -78,7 +77,7 @@ let generate (spec : spec) : t =
         {
           P2p.sender;
           recipient;
-          amount = 1 + Rng.int rng spec.amount_max;
+          amount = 1 + Rng.int rng P2p.amount_max;
           exp_seqno;
         })
   in

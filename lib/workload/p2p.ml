@@ -33,7 +33,6 @@ type spec = {
   block_size : int;
   flavor : flavor;
   seed : int;
-  amount_max : int;  (** Transfer amounts drawn uniformly from [1..max]. *)
   work : int;
       (** Artificial per-transaction compute (spin iterations), to emulate
           VM interpretation cost in real-execution mode. 0 = none. *)
@@ -45,10 +44,10 @@ type spec = {
   cross_fraction : float;
       (** Probability a transfer straddles two lanes (requires
           [lanes_hint > 1]). *)
-  lane_skew : float;
-      (** Zipf theta over lane choice: [0.] = uniform lanes, larger values
-          pile transfers onto the first lanes (imbalance stress). *)
 }
+
+(** Transfer amounts are drawn uniformly from [1..amount_max]. *)
+let amount_max = 100
 
 let default_spec =
   {
@@ -56,11 +55,9 @@ let default_spec =
     block_size = 1000;
     flavor = Standard;
     seed = 42;
-    amount_max = 100;
     work = 0;
     lanes_hint = 1;
     cross_fraction = 0.;
-    lane_skew = 0.;
   }
 
 (** Lane of an account under [spec]'s contiguous-range partition. *)
@@ -68,38 +65,23 @@ let lane_of_account (spec : spec) acct =
   Ledger.account_lane ~num_accounts:spec.num_accounts
     ~lanes:(max 1 spec.lanes_hint) acct
 
-let validate_lane_knobs ~fn (spec : spec) =
-  if spec.lanes_hint < 1 then
-    Fmt.invalid_arg "P2p.%s: lanes_hint must be >= 1" fn;
-  if spec.cross_fraction < 0. || spec.cross_fraction > 1. then
-    Fmt.invalid_arg "P2p.%s: cross_fraction must be in [0, 1]" fn;
-  if spec.cross_fraction > 0. && spec.lanes_hint < 2 then
-    Fmt.invalid_arg "P2p.%s: cross_fraction requires lanes_hint > 1" fn;
-  if spec.lanes_hint > 1 && spec.num_accounts < 2 * spec.lanes_hint then
-    Fmt.invalid_arg "P2p.%s: need >= 2 accounts per lane" fn
-
-(* One laned transfer pair: pick a (possibly skewed) lane, keep the pair
-   inside it, or — with probability [cross_fraction] — span two distinct
-   lanes. Only reached when [lanes_hint > 1], so the default spec's RNG
-   stream is untouched. *)
-let draw_laned_pair rng (spec : spec) : int * int =
-  let k = spec.lanes_hint in
-  let lo l = l * spec.num_accounts / k in
+(** One laned transfer pair over [num_accounts] accounts cut into [lanes]
+    contiguous ranges: pick a lane uniformly and keep the pair inside it,
+    or — with probability [cross_fraction] — span two distinct lanes. Only
+    drawn when [lanes > 1], so an unlaned draw's RNG stream is untouched. *)
+let draw_laned_pair rng ~num_accounts ~lanes ~cross_fraction : int * int =
+  let lo l = l * num_accounts / lanes in
   let size l = lo (l + 1) - lo l in
-  let pick_lane () =
-    if spec.lane_skew > 0. then Rng.zipf rng ~n:k ~theta:spec.lane_skew
-    else Rng.int rng k
-  in
-  if spec.cross_fraction > 0. && Rng.float rng < spec.cross_fraction then begin
-    let l1 = pick_lane () in
-    let l2 = ref (pick_lane ()) in
+  if cross_fraction > 0. && Rng.float rng < cross_fraction then begin
+    let l1 = Rng.int rng lanes in
+    let l2 = ref (Rng.int rng lanes) in
     while !l2 = l1 do
-      l2 := pick_lane ()
+      l2 := Rng.int rng lanes
     done;
     (lo l1 + Rng.int rng (size l1), lo !l2 + Rng.int rng (size !l2))
   end
   else begin
-    let l = pick_lane () in
+    let l = Rng.int rng lanes in
     let s, r = Rng.distinct_pair rng (size l) in
     (lo l + s, lo l + r)
   end
@@ -239,7 +221,6 @@ type hotspot_spec = {
   h_hot_accounts : int;  (** Accounts [0, h_hot_accounts) receive everything. *)
   h_block_size : int;
   h_seed : int;
-  h_amount_max : int;
   h_work : int;  (** Spin iterations, as in {!spec.work}. *)
 }
 
@@ -249,7 +230,6 @@ let default_hotspot_spec =
     h_hot_accounts = 2;
     h_block_size = 1000;
     h_seed = 42;
-    h_amount_max = 100;
     h_work = 0;
   }
 
@@ -306,44 +286,15 @@ let hotspot_txn_spec { sender; recipient; _ } : Loc.t Access_spec.t =
 let hotspot_txn_specs (h : hotspot) : Loc.t Access_spec.t array =
   Array.map hotspot_txn_spec h.h_transfers
 
-let generate_hotspot (spec : hotspot_spec) : hotspot =
-  if spec.h_hot_accounts < 1 then
-    invalid_arg "P2p.generate_hotspot: need at least 1 hot account";
-  if spec.h_num_accounts <= spec.h_hot_accounts then
-    invalid_arg "P2p.generate_hotspot: need cold accounts to send from";
-  if spec.h_amount_max < 1 then
-    invalid_arg "P2p.generate_hotspot: amount_max >= 1";
-  let rng = Rng.create spec.h_seed in
-  let ncold = spec.h_num_accounts - spec.h_hot_accounts in
-  let next_seqno = Array.make spec.h_num_accounts 0 in
-  let transfers =
-    Array.init spec.h_block_size (fun _ ->
-        let sender = spec.h_hot_accounts + Rng.int rng ncold in
-        let recipient = Rng.int rng spec.h_hot_accounts in
-        let amount = 1 + Rng.int rng spec.h_amount_max in
-        let exp_seqno = next_seqno.(sender) in
-        next_seqno.(sender) <- exp_seqno + 1;
-        { sender; recipient; amount; exp_seqno })
-  in
-  {
-    h_spec = spec;
-    h_storage = genesis ~num_accounts:spec.h_num_accounts ();
-    h_txns = Array.map (hotspot_txn ~work:spec.h_work) transfers;
-    h_declared_writes = Array.map hotspot_txn_writes transfers;
-    h_transfers = transfers;
-  }
-
-(** Hotspot analogue of {!generate_stream}: [nblocks] consecutive blocks of
-    commutative payments into the hot accounts, sender sequence numbers
-    threaded across the stream. All blocks share one genesis. *)
+(** [nblocks] consecutive blocks of commutative payments into the hot
+    accounts, sender sequence numbers threaded across the stream. All
+    blocks share one genesis. *)
 let generate_hotspot_stream (spec : hotspot_spec) ~(nblocks : int) :
     hotspot list =
   if spec.h_hot_accounts < 1 then
     invalid_arg "P2p.generate_hotspot_stream: need at least 1 hot account";
   if spec.h_num_accounts <= spec.h_hot_accounts then
     invalid_arg "P2p.generate_hotspot_stream: need cold accounts to send from";
-  if spec.h_amount_max < 1 then
-    invalid_arg "P2p.generate_hotspot_stream: amount_max >= 1";
   if nblocks < 1 then invalid_arg "P2p.generate_hotspot_stream: nblocks >= 1";
   let rng = Rng.create spec.h_seed in
   let ncold = spec.h_num_accounts - spec.h_hot_accounts in
@@ -354,7 +305,7 @@ let generate_hotspot_stream (spec : hotspot_spec) ~(nblocks : int) :
         Array.init spec.h_block_size (fun _ ->
             let sender = spec.h_hot_accounts + Rng.int rng ncold in
             let recipient = Rng.int rng spec.h_hot_accounts in
-            let amount = 1 + Rng.int rng spec.h_amount_max in
+            let amount = 1 + Rng.int rng amount_max in
             let exp_seqno = next_seqno.(sender) in
             next_seqno.(sender) <- exp_seqno + 1;
             { sender; recipient; amount; exp_seqno })
@@ -367,36 +318,10 @@ let generate_hotspot_stream (spec : hotspot_spec) ~(nblocks : int) :
         h_transfers = transfers;
       })
 
-let generate (spec : spec) : t =
-  if spec.num_accounts < 2 then
-    invalid_arg "P2p.generate: need at least 2 accounts";
-  if spec.amount_max < 1 then invalid_arg "P2p.generate: amount_max >= 1";
-  validate_lane_knobs ~fn:"generate" spec;
-  let rng = Rng.create spec.seed in
-  let next_seqno = Array.make spec.num_accounts 0 in
-  let transfers =
-    Array.init spec.block_size (fun _ ->
-        let sender, recipient =
-          if spec.lanes_hint > 1 then draw_laned_pair rng spec
-          else Rng.distinct_pair rng spec.num_accounts
-        in
-        let amount = 1 + Rng.int rng spec.amount_max in
-        let exp_seqno = next_seqno.(sender) in
-        next_seqno.(sender) <- exp_seqno + 1;
-        { sender; recipient; amount; exp_seqno })
-  in
-  let mk =
-    match spec.flavor with
-    | Standard -> standard_txn ~work:spec.work
-    | Simplified -> simplified_txn ~work:spec.work
-  in
-  {
-    spec;
-    storage = genesis ~num_accounts:spec.num_accounts ();
-    txns = Array.map mk transfers;
-    declared_writes = Array.map txn_writes transfers;
-    transfers;
-  }
+(** One block of hotspot payments: the first block of
+    {!generate_hotspot_stream}. *)
+let generate_hotspot (spec : hotspot_spec) : hotspot =
+  List.hd (generate_hotspot_stream spec ~nblocks:1)
 
 (** Generate [nblocks] consecutive blocks of [spec] with sequence numbers
     threaded across the whole stream: block [k+1]'s transfers expect the
@@ -407,10 +332,15 @@ let generate (spec : spec) : t =
 let generate_stream (spec : spec) ~(nblocks : int) : t list =
   if spec.num_accounts < 2 then
     invalid_arg "P2p.generate_stream: need at least 2 accounts";
-  if spec.amount_max < 1 then
-    invalid_arg "P2p.generate_stream: amount_max >= 1";
   if nblocks < 1 then invalid_arg "P2p.generate_stream: nblocks >= 1";
-  validate_lane_knobs ~fn:"generate_stream" spec;
+  if spec.lanes_hint < 1 then
+    invalid_arg "P2p.generate_stream: lanes_hint must be >= 1";
+  if spec.cross_fraction < 0. || spec.cross_fraction > 1. then
+    invalid_arg "P2p.generate_stream: cross_fraction must be in [0, 1]";
+  if spec.cross_fraction > 0. && spec.lanes_hint < 2 then
+    invalid_arg "P2p.generate_stream: cross_fraction requires lanes_hint > 1";
+  if spec.lanes_hint > 1 && spec.num_accounts < 2 * spec.lanes_hint then
+    invalid_arg "P2p.generate_stream: need >= 2 accounts per lane";
   let rng = Rng.create spec.seed in
   let next_seqno = Array.make spec.num_accounts 0 in
   let storage = genesis ~num_accounts:spec.num_accounts () in
@@ -423,10 +353,12 @@ let generate_stream (spec : spec) ~(nblocks : int) : t list =
       let transfers =
         Array.init spec.block_size (fun _ ->
             let sender, recipient =
-              if spec.lanes_hint > 1 then draw_laned_pair rng spec
+              if spec.lanes_hint > 1 then
+                draw_laned_pair rng ~num_accounts:spec.num_accounts
+                  ~lanes:spec.lanes_hint ~cross_fraction:spec.cross_fraction
               else Rng.distinct_pair rng spec.num_accounts
             in
-            let amount = 1 + Rng.int rng spec.amount_max in
+            let amount = 1 + Rng.int rng amount_max in
             let exp_seqno = next_seqno.(sender) in
             next_seqno.(sender) <- exp_seqno + 1;
             { sender; recipient; amount; exp_seqno })
@@ -438,6 +370,9 @@ let generate_stream (spec : spec) ~(nblocks : int) : t list =
         declared_writes = Array.map txn_writes transfers;
         transfers;
       })
+
+(** One block of transfers: the first block of {!generate_stream}. *)
+let generate (spec : spec) : t = List.hd (generate_stream spec ~nblocks:1)
 
 let balance_delta_of_transfers ~num_accounts transfers : int array =
   let delta = Array.make num_accounts 0 in

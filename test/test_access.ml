@@ -168,7 +168,7 @@ let test_spec_dag_identity () =
       List.iter
         (fun num_domains ->
           let config =
-            { Bstm.default_config with num_domains; sched = Spec_dag }
+            { Bstm.num_domains; sched = Spec_dag }
           in
           let r =
             Harness.run_blockstm ~config ~specs ~storage:w.P2p.storage
@@ -193,7 +193,7 @@ let test_spec_dag_identity () =
   in
   let specs = P2p.hotspot_txn_specs h in
   let seq = Harness.run_sequential ~storage:h.P2p.h_storage h.P2p.h_txns in
-  let config = { Bstm.default_config with num_domains = 4; sched = Spec_dag } in
+  let config = { Bstm.num_domains = 4; sched = Spec_dag } in
   let r =
     Harness.run_blockstm ~config ~specs ~storage:h.P2p.h_storage h.P2p.h_txns
   in

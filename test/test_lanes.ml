@@ -40,8 +40,10 @@ let check_same label (seq : int Harness.Seq.result) (r : int LanesX.result) =
 (* --- Lane-identity matrix ------------------------------------------------ *)
 
 (* Laned p2p (10% deliberate cross-lane transfers) through every
-   lanes × domains grid point: snapshots, outputs and the metrics-visible
-   committed count must be bit-identical to the sequential reference. *)
+   lanes × domains × engine config grid point (the paper engine, rolling
+   commit, and spec-DAG scheduling): snapshots, outputs and the
+   metrics-visible committed count must be bit-identical to the sequential
+   reference. *)
 let test_identity_matrix () =
   let spec =
     {
@@ -55,17 +57,29 @@ let test_identity_matrix () =
   let w = P2p.generate spec in
   let specs = P2p.txn_specs w in
   let seq = Harness.run_sequential ~storage:w.P2p.storage w.P2p.txns in
+  let configs =
+    [
+      ("paper", fun num_domains -> { Bstm.default_config with num_domains });
+      ( "rolling",
+        fun num_domains ->
+          Bstm.optimistic_config ~num_domains (fun o ->
+              { o with rolling_commit = true }) );
+      ("spec-dag", fun num_domains -> { Bstm.num_domains; sched = Spec_dag });
+    ]
+  in
   List.iter
-    (fun lanes ->
+    (fun ((cname, config), lanes) ->
       let partition = Harness.account_partition ~num_accounts:240 ~lanes in
       List.iter
         (fun num_domains ->
-          let config = { Bstm.default_config with num_domains } in
+          let config = config num_domains in
           let r =
             Harness.run_lanes ~config ~partition ~specs ~storage:w.P2p.storage
               w.P2p.txns
           in
-          let label = Fmt.str "p2p %d lanes @ %d domains" lanes num_domains in
+          let label =
+            Fmt.str "p2p %s %d lanes @ %d domains" cname lanes num_domains
+          in
           check_same label seq r;
           let m = r.LanesX.metrics in
           Alcotest.(check int)
@@ -77,7 +91,9 @@ let test_identity_matrix () =
             (Array.fold_left ( + ) m.LanesX.cross_lane_txns
                m.LanesX.lane_txn_counts))
         [ 1; 4; 8 ])
-    [ 1; 2; 4 ]
+    (List.concat_map
+       (fun c -> List.map (fun lanes -> (c, lanes)) [ 1; 2; 4 ])
+       configs)
 
 (* The deltas axis: hotspot blocks whose balance updates ride the
    commutative-delta machinery when [delta_ops] is on. Cold senders spread

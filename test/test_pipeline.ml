@@ -227,7 +227,7 @@ let test_stream_forwards_specs () =
           marking = Estimates { seed_from_specs = true };
         })
   in
-  let dag = { CBstm.default_config with num_domains = 2; sched = Spec_dag } in
+  let dag = { CBstm.num_domains = 2; sched = Spec_dag } in
   let lanes k =
     Chain.Lanes
       {

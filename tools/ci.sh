@@ -20,9 +20,11 @@
 #   - the compiled MiniMove VM must stay >= 2x the tree-walk interpreter on
 #     the p2p standard workload at 1 domain (vm-cost smoke; the pure-VM
 #     replay row, which is immune to single-core scheduling noise);
-#   - with delta_ops off (the default) the engine is byte-for-byte the
-#     paper's: fig3-fig6 and the ablations virtual-time tables must match
-#     the golden captures in tools/golden/ exactly;
+#   - every deterministic virtual-time table is byte-for-byte pinned: with
+#     delta_ops off (the default) the engine is the paper's, so fig3-fig6,
+#     seq-overhead, aborts, ablations, hotspot-delta and spec-cost must
+#     match the golden captures in tools/golden/ exactly (lane-scaling is
+#     pinned by the lane gates below);
 #   - the CLI exits 2 on a flag combination the engine config cannot
 #     express (--no-estimates --specs);
 #   - commutative deltas (DESIGN.md §12) must beat paper read-modify-write
@@ -174,21 +176,24 @@ if [ "$vm_comp" -lt $((2 * vm_tree)) ]; then
 fi
 echo "ci: vm-cost gate passed (compiled $vm_comp tps >= 2x tree-walk $vm_tree tps)"
 
-# --- Deltas-off byte-identity gate ------------------------------------------
+# --- Virtual-table byte-identity gate ---------------------------------------
 # delta_ops is strictly opt-in: with it off (the default, which is what the
 # figure experiments use) the engine must remain byte-for-byte the paper's.
-# The ablations table pins the paper's design-choice variants the same way.
-# The quick grids are virtual-time and fully deterministic, so the
-# regenerated tables must match the golden captures exactly.
-for fig in fig3 fig4 fig5 fig6 ablations; do
+# The ablations table pins the paper's design-choice variants the same way,
+# and seq-overhead, aborts, hotspot-delta and spec-cost pin the overhead,
+# abort, delta and static-spec paths. The quick grids are virtual-time and
+# fully deterministic, so the regenerated tables must match the golden
+# captures exactly.
+for fig in fig3 fig4 fig5 fig6 seq-overhead aborts ablations hotspot-delta \
+  spec-cost; do
   out=$(dune exec bench/main.exe -- "$fig")
   if ! printf '%s\n' "$out" | diff "tools/golden/$fig.txt" - >/dev/null; then
     printf '%s\n' "$out" | diff "tools/golden/$fig.txt" - | head -20 || true
-    echo "ci: FAIL — $fig output differs from tools/golden/$fig.txt (deltas-off must stay byte-identical to the paper engine)"
+    echo "ci: FAIL — $fig output differs from tools/golden/$fig.txt (virtual-time tables must stay byte-identical)"
     exit 1
   fi
 done
-echo "ci: deltas-off byte-identity gate passed (fig3-fig6 and ablations match tools/golden/)"
+echo "ci: virtual-table byte-identity gate passed (fig3-fig6, seq-overhead, aborts, ablations, hotspot-delta and spec-cost match tools/golden/)"
 
 # --- Inexpressible flag combinations ----------------------------------------
 # Spec seeding exists only with ESTIMATE markers, so the CLI must refuse
@@ -316,11 +321,13 @@ echo "ci: spec-skip gate passed ($sskips validations skipped; $sspec validations
 
 # --- Execution-lane gates ---------------------------------------------------
 # Sharded execution lanes (DESIGN.md §16). Four checks:
-#   - identity sweep, unconditional: the lane-scaling experiment asserts
-#     (and Fmt.failwiths on divergence) that every (workload, lanes,
-#     threads) grid point commits a snapshot and outputs bit-identical to
-#     the single-instance engine, and the CLI runs below re-check commits
-#     against sequential on real domains;
+#   - identity sweep, unconditional: the lane-scaling experiment's oracle
+#     fails the run unless every (workload, lanes, threads) grid point
+#     commits a snapshot and outputs bit-identical to the block's
+#     sequential reference, for the lanes and the single instance alike,
+#     and the CLI runs below re-check commits
+#     against sequential on real domains, and pipelined 2-lane roots
+#     against the unpipelined chain's;
 #   - golden byte-identity, unconditional: the lane-scaling table is
 #     virtual time and fully deterministic, so it must match
 #     tools/golden/lane-scaling.txt exactly (the same output feeds the
@@ -356,7 +363,11 @@ echo "ci: lane identity sweep + virtual headline passed (p2p-hot 8 lanes @ 8 thr
 dune exec bin/blockstm_cli.exe -- run -w p2p -a 1000 -b 1000 -d 4   --lanes 2 --verify >/dev/null
 dune exec bin/blockstm_cli.exe -- run -w p2p -a 1000 -b 1000 -d 4 --lanes 4 --verify >/dev/null
 dune exec bin/blockstm_cli.exe -- run -w p2p-hotspot -a 100 -b 500 -d 4   --lanes 2 --deltas --verify >/dev/null
-echo "ci: lane CLI identity passed (2 lanes, 4 lanes and deltas commits match sequential)"
+# Lanes under the pipelined chain: the run exits 1 if any pipelined root
+# differs from the unpipelined chain's.
+dune exec bin/blockstm_cli.exe -- run -w p2p -a 1000 -b 1000 -d 4 --lanes 2 \
+  --pipeline >/dev/null
+echo "ci: lane CLI identity passed (2 lanes, 4 lanes and deltas commits match sequential; pipelined 2-lane roots match unpipelined)"
 ltps() {
   dune exec bin/blockstm_cli.exe -- run -w p2p -a 1024 -b 4000 -d 8     --seed 42 --lane-hint 2 "$@"     | sed -n 's/^executed .*: \([0-9]*\) tps.*/\1/p'
 }
