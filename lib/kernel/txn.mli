@@ -27,7 +27,17 @@ type ('loc, 'value) effects = {
 
 (** Transaction code producing an output of type ['o]. Must be a pure
     function of the values its reads return; executors may run it any number
-    of times. *)
+    of times.
+
+    It must also return or raise for {e every} combination of read results,
+    including combinations that no sequential run produces. A speculative
+    executor can hand one incarnation reads from different points of the
+    block (one location before a lower transaction's write, another after
+    it), and it discards that incarnation only once the code has returned:
+    a loop that ends only when two reads agree never ends on such a view,
+    and the block never finishes (DESIGN.md §4). A VM meets this with gas
+    (MiniMove's default limit is 10^6); closure code must bound every loop
+    by something other than the values it reads. *)
 type ('loc, 'value, 'o) t = ('loc, 'value) effects -> 'o
 
 (** Outcome of a committed transaction. [Failed] captures an exception

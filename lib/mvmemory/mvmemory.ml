@@ -14,8 +14,12 @@
     immutable slots, each published with a release store; the table pointer
     is an [Atomic.t]. Readers probe with plain loads; the shard mutex is
     taken only to insert a missing location or to resize. Each location's
-    version chain is an immutable tree held in one [Atomic.t]: readers do
-    one [Atomic.get], writers CAS a rebuilt chain. Per-transaction
+    version chain is an immutable list, sorted by descending transaction
+    index, held in one [Atomic.t]: readers do one [Atomic.get] and skip
+    down it by jump pointers; a writer replacing its entry stores into the
+    node and republishes the chain with a copy of its head, and one
+    inserting or removing a node CASes a chain that rebuilds the nodes
+    above it. Per-transaction
     bookkeeping ([last_written], [last_reads]) uses RCU-style atomic swaps
     of immutable values.
 
@@ -36,102 +40,70 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             onto the highest plain write below it at read-materialization
             time, and rewritten as a plain write by {!flush_committed}. *)
     | Estimate  (** Placeholder left by an aborted incarnation's write. *)
+    | Flushed of { version : Version.t; value : V.t }
+        (** A kept node's write once the flush keeps a higher writer: a
+            fold that passes a delta above it still anchors on it, but a
+            read that finds it first — one at or below the flushed prefix —
+            finds nothing. *)
 
-  (* A location's version chain: a persistent AVL tree keyed by transaction
-     index (the balancing of [Stdlib.Map]). Lookups return the node they
-     found, or [Empty], so they allocate nothing. *)
+  (* A location's version chain (DESIGN.md §9): a list sorted by descending
+     transaction index, so a write above the top conses one node. [len]
+     counts the nodes from this one down, and [jump] skips to a node below
+     chosen from [len] (skew-binary jump pointers), so a lookup takes
+     O(log a) steps for a nodes above its target. Only [e] is mutable: the
+     writer of [idx] replaces its entry in place (see [put]). Lookups return
+     the node they found, or [Empty], so they allocate nothing. *)
   type chain =
     | Empty
-    | Node of { l : chain; idx : int; e : entry; r : chain; h : int }
+    | Node of {
+        idx : int; mutable e : entry; next : chain; len : int; jump : chain }
 
-  let height = function Empty -> 0 | Node { h; _ } -> h
+  let len_of = function Empty -> 0 | Node { len; _ } -> len
+  let jump_of = function Empty -> Empty | Node { jump; _ } -> jump
 
-  let node l idx e r =
-    let hl = height l and hr = height r in
-    Node { l; idx; e; r; h = (if hl >= hr then hl + 1 else hr + 1) }
+  (* The node [idx] with entry [e] on top of [next]. Its jump skips as far
+     as [next]'s jump and that node's jump together when those two spans
+     are equal, and to [next] otherwise. *)
+  let cons idx e next =
+    let j = jump_of next in
+    let jump =
+      if len_of next - len_of j = len_of j - len_of (jump_of j) then jump_of j
+      else next
+    in
+    Node { idx; e; next; len = len_of next + 1; jump }
 
-  let bal l idx e r =
-    let hl = height l and hr = height r in
-    if hl > hr + 2 then
-      match l with
-      | Node { l = ll; idx = li; e = le; r = lr; _ }
-        when height ll >= height lr ->
-          node ll li le (node lr idx e r)
-      | Node
-          {
-            l = ll;
-            idx = li;
-            e = le;
-            r = Node { l = lrl; idx = lri; e = lre; r = lrr; _ };
-            _;
-          } ->
-          node (node ll li le lrl) lri lre (node lrr idx e r)
-      | _ -> assert false
-    else if hr > hl + 2 then
-      match r with
-      | Node { l = rl; idx = ri; e = re; r = rr; _ }
-        when height rr >= height rl ->
-          node (node l idx e rl) ri re rr
-      | Node
-          {
-            l = Node { l = rll; idx = rli; e = rle; r = rlr; _ };
-            idx = ri;
-            e = re;
-            r = rr;
-            _;
-          } ->
-          node (node l idx e rll) rli rle (node rlr ri re rr)
-      | _ -> assert false
-    else node l idx e r
-
-  (* The chain with [e] at [idx], replacing any entry there. *)
-  let rec add idx e = function
-    | Empty -> Node { l = Empty; idx; e; r = Empty; h = 1 }
-    | Node n ->
-        if idx = n.idx then Node { n with e }
-        else if idx < n.idx then bal (add idx e n.l) n.idx n.e n.r
-        else bal n.l n.idx n.e (add idx e n.r)
-
-  let rec min_node = function
-    | Node { l = Empty; _ } as n -> n
-    | Node { l; _ } -> min_node l
-    | Empty -> Empty
-
-  let rec remove_min = function
-    | Node { l = Empty; r; _ } -> r
-    | Node n -> bal (remove_min n.l) n.idx n.e n.r
-    | Empty -> Empty
-
-  let rec remove idx = function
-    | Empty -> Empty
-    | Node n ->
-        if idx = n.idx then (
-          match min_node n.r with
-          | Node m -> bal n.l m.idx m.e (remove_min n.r)
-          | Empty -> n.l)
-        else if idx < n.idx then bal (remove idx n.l) n.idx n.e n.r
-        else bal n.l n.idx n.e (remove idx n.r)
+  (* The first node with an index below [bound], or [Empty]. Indices fall
+     down the list, so a jump to a node still at or above [bound] passes
+     only nodes at or above it. *)
+  let rec below bound = function
+    | Node { idx; next; jump; _ } when idx >= bound -> (
+        match jump with
+        | Node { idx = j; _ } when j >= bound -> below bound jump
+        | _ -> below bound next)
+    | found -> found
 
   (* The node at [idx], or [Empty]. *)
-  let rec find idx = function
-    | Empty -> Empty
-    | Node n as found ->
-        if idx = n.idx then found
-        else find idx (if idx < n.idx then n.l else n.r)
+  let find idx chain =
+    match below (idx + 1) chain with
+    | Node { idx = i; _ } as found when i = idx -> found
+    | _ -> Empty
 
-  (* The node with the highest index below [bound], or [best] if there is
-     none; called with [best = Empty]. *)
-  let rec below bound best = function
-    | Empty -> best
-    | Node n as found ->
-        if n.idx < bound then below bound found n.r else below bound best n.l
+  (* [chain] with its nodes from [idx] down replaced by [tail]: the nodes
+     above [idx] are rebuilt on [tail], with their entries as read now, and
+     every node below them is shared. *)
+  let rec graft idx tail = function
+    | Node n when n.idx > idx -> cons n.idx n.e (graft idx tail n.next)
+    | _ -> tail
 
-  (* A location's state: its version chain, swapped atomically. Readers load
-     it with one [Atomic.get]; every writer CASes a rebuilt chain. Once the
-     rolling flush has passed a writer of the location, the chain's lowest
-     node is the highest flushed writer, kept as a plain [Written] entry
-     (see [flush_committed]); every other node belongs to an unflushed
-     transaction. *)
+  (* [chain] with a fresh copy of its head node: publishing it fails every
+     CAS that expects [chain]. *)
+  let touch = function Node n -> Node { n with len = n.len } | Empty -> Empty
+
+  (* A location's state: its version chain, swapped atomically. Once the
+     rolling flush has passed a writer of the location, the highest flushed
+     writer is the kept node, a plain [Written] entry, with only [Flushed]
+     entries below it (see [flush_committed]); every node above it belongs
+     to an unflushed transaction. *)
   type cell = chain Atomic.t
 
   (* A table slot. An occupied slot is immutable, built whole before the
@@ -331,15 +303,23 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let written_cell t loc : cell =
     match find_slot t loc with Slot { cell; _ } -> cell | Vacant -> assert false
 
-  (* Writer side: CAS a rebuilt chain, retrying only on a racing writer to
-     the same location. [put] publishes [e] at [idx], replacing any entry
-     there, and answers whether there was none; only the writer of index
-     [idx] changes its entry, so the answer is the same on every retry. *)
+  (* Writer side. [put] publishes [e] at [idx], replacing any entry there,
+     and answers whether there was none. An insertion CASes a rebuilt
+     chain. A replacement stores into the node — only index [idx]'s
+     incarnation adds, replaces or removes its node — and then CASes the
+     chain with a copy of its head: a writer that rebuilt the node before
+     the store fails its own CAS and rebuilds it again, so the store is not
+     lost. Both retry only on a racing writer to the same location. *)
   let rec put (cell : cell) idx e : bool =
     let old = Atomic.get cell in
-    if Atomic.compare_and_set cell old (add idx e old) then
-      match find idx old with Empty -> true | Node _ -> false
-    else put cell idx e
+    match below (idx + 1) old with
+    | Node n when n.idx = idx ->
+        n.e <- e;
+        if Atomic.compare_and_set cell old (touch old) then false
+        else put cell idx e
+    | at ->
+        Atomic.compare_and_set cell old (graft idx (cons idx e at) old)
+        || put cell idx e
 
   (* Remove the entry at [idx], unless incarnation [keep] wrote it (pass -1
      to remove any entry). *)
@@ -350,28 +330,31 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Node { e = Written { version; _ } | Delta { version; _ }; _ }
       when Version.incarnation version = keep ->
         ()
-    | Node _ ->
-        if not (Atomic.compare_and_set cell old (remove idx old)) then
+    | Node { next; _ } ->
+        if not (Atomic.compare_and_set cell old (graft idx next old)) then
           drop cell idx ~keep
 
   (* Slow path of [read] for a delta-topped chain (DESIGN.md §12): fold the
-     delta nets downward until an anchor — the highest plain write below the
-     reader (a chain entry, possibly the flush's kept node, or pre-block
-     storage; absent counts as 0). Integer anchors yield a [Merged]
-     materialized value; hitting an ESTIMATE mid-chain is a dependency on
-     it. A non-integer anchor under deltas is a transient speculative state
-     (the delta writer observed an integer base; its range validation will
-     fail and remove the entry): serve the anchor itself so the reader's
-     descriptor converges once the bogus delta disappears. Lock-free: pure
-     lookups over the already-loaded chain. *)
-  let read_delta_chain t (loc : L.t) (versions : chain) ~(txn_idx : int) :
-      read_result =
-    let rec walk idx net =
-      match below idx Empty versions with
-      | Node { idx = i; e = Estimate; _ } -> Read_error { blocking_txn_idx = i }
-      | Node { idx = i; e = Delta { delta; _ }; _ } ->
-          walk i (net + delta.Delta.net)
-      | Node { e = Written { version; value }; _ } -> anchor version value net
+     delta nets from [top], the node below the reader, down the list until
+     an anchor — the highest plain write below the reader (a chain entry,
+     possibly the flush's kept node, or pre-block storage; absent counts as
+     0). Integer anchors yield a [Merged] materialized value; hitting an
+     ESTIMATE mid-chain is a dependency on it. A non-integer anchor under
+     deltas is a transient speculative state (the delta writer observed an
+     integer base; its range validation will fail and remove the entry):
+     serve the anchor itself so the reader's descriptor converges once the
+     bogus delta disappears. Lock-free: one pass down the already-loaded
+     chain, one node per delta, each entry read as the walk reaches it. *)
+  let read_delta_chain t (loc : L.t) (top : chain) : read_result =
+    let rec walk net = function
+      | Node { idx; e = Estimate; _ } -> Read_error { blocking_txn_idx = idx }
+      | Node { e = Delta { delta; _ }; next; _ } ->
+          walk (net + delta.Delta.net) next
+      | Node { e = Written { version; value } | Flushed { version; value }; _ }
+        -> (
+          match V.as_counter value with
+          | Some b -> Merged { value = b + net }
+          | None -> Ok (version, value))
       | Empty -> (
           match t.base_storage loc with
           | Some value -> (
@@ -379,12 +362,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               | Some b -> Merged { value = b + net }
               | None -> Not_found (* deltas over non-counter storage *))
           | None -> Merged { value = net } (* absent anchor counts as 0 *))
-    and anchor ver value net =
-      match V.as_counter value with
-      | Some b -> Merged { value = b + net }
-      | None -> Ok (ver, value)
     in
-    walk txn_idx 0
+    walk 0 top
 
   (* Materialized integer base of [loc] as seen by [txn_idx] (DESIGN.md
      §12): the value of the highest plain write below it plus the nets of
@@ -406,19 +385,19 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     match find_slot t loc with
     | Vacant -> from_storage 0
     | Slot { cell; _ } ->
-        let versions = Atomic.get cell in
-        let rec walk idx net =
-          match below idx Empty versions with
+        let rec walk net = function
           | Node { e = Estimate; _ } -> M_blocked
-          | Node { idx = i; e = Delta { delta; _ }; _ } ->
-              walk i (net + delta.Delta.net)
-          | Node { e = Written { value; _ }; _ } -> (
+          | Node { e = Delta { delta; _ }; next; _ } ->
+              walk (net + delta.Delta.net) next
+          | Node { e = Written { value; _ } | Flushed { value; _ }; _ } -> (
               match V.as_counter value with
               | Some b -> M_int (b + net)
               | None -> M_other)
           | Empty -> from_storage net
         in
-        walk txn_idx 0
+        match below txn_idx (Atomic.get cell) with
+        | Node { e = Flushed _; _ } -> from_storage 0
+        | top -> walk 0 top
 
   (* Algorithm 3, [read], over one loaded chain: the entry by the highest
      transaction index < txn_idx. The flush's kept node is an ordinary
@@ -428,11 +407,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      which folds nets down to the anchoring plain write and answers
      [Merged]. *)
   let read_chain t loc (versions : chain) ~txn_idx : read_result =
-    match below txn_idx Empty versions with
+    match below txn_idx versions with
     | Node { e = Written { version; value }; _ } -> Ok (version, value)
     | Node { idx; e = Estimate; _ } -> Read_error { blocking_txn_idx = idx }
-    | Node { e = Delta _; _ } -> read_delta_chain t loc versions ~txn_idx
-    | Empty -> Not_found
+    | Node { e = Delta _; _ } as top -> read_delta_chain t loc top
+    | Node { e = Flushed _; _ } | Empty -> Not_found
 
   (* Lock-free: one atomic chain load, then pure lookups. A hit allocates
      only the [Ok] block; a miss allocates nothing. *)
@@ -533,16 +512,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     match find_slot t loc with
     | Vacant -> is_storage origin
     | Slot { cell; _ } -> (
-        let versions = Atomic.get cell in
-        match below txn_idx Empty versions with
+        match below txn_idx (Atomic.get cell) with
         | Node { e = Written { version; _ }; _ } -> is_version origin version
         | Node { e = Estimate; _ } -> false
-        | Node { e = Delta _; _ } -> (
-            match read_delta_chain t loc versions ~txn_idx with
+        | Node { e = Delta _; _ } as top -> (
+            match read_delta_chain t loc top with
             | Ok (version, _) -> is_version origin version
             | Not_found -> is_storage origin
             | Merged _ | Read_error _ -> false)
-        | Empty -> is_storage origin)
+        | Node { e = Flushed _; _ } | Empty -> is_storage origin)
 
   (* One read descriptor's validity against the current state (Algorithm 3
      per-entry check). Version descriptors must re-read the same outcome;
@@ -620,29 +598,33 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (* --- Rolling-commit flush ---------------------------------------------- *)
 
   (* Flush index [j]'s entry in [cell]: it becomes the location's kept node,
-     and the previous kept node — the only entry below [j], since every
-     lower committed writer was flushed first — is removed. A [Delta] entry
-     is rewritten as the [Written] value it materializes to, so the kept
-     node is always a plain write: a delta flushed later anchors on it, and
-     a reader above [j] gets the same answer, with the same version, as
-     through the delta. *)
-  let rec flush_entry t (loc : L.t) (cell : cell) j : unit =
+     in place, and the previous kept node — the first entry below [j],
+     since every lower committed writer was flushed first — becomes
+     [Flushed]. A [Delta] entry is rewritten as the [Written] value it
+     materializes to: a delta flushed later anchors on it, and a reader
+     above [j] gets the same answer, with the same version, as through the
+     delta. Like [put]'s replacement, the stores are published by a CAS of
+     the chain, on every retry once anything was stored ([stored]); that
+     CAS also cuts the nodes below [j] off, which rebuilds the nodes above
+     it, once they outnumber those, so each flushed entry pays for at most
+     one rebuilt node (DESIGN.md §9). *)
+  let rec flush_entry ?(stored = false) t (loc : L.t) (cell : cell) j : unit =
     let old = Atomic.get cell in
     match find j old with
     | Empty -> ()
-    | Node { e; _ } ->
-        let prev = below j Empty old in
-        let kept =
-          match e with
-          | Written _ -> e
+    | Node n ->
+        let rewritten =
+          match n.e with
           | Delta { version; delta } ->
-              (* Commit fold (DESIGN.md §12): the anchor is the previous
-                 kept node, or pre-block storage (absent counts as 0). A
-                 committed delta passed range validation, so the anchor is
-                 an integer and the sum is within bounds. *)
+            (* Commit fold (DESIGN.md §12): the anchor is the previous kept
+               node, or pre-block storage (absent counts as 0). A committed
+               delta passed range validation, so the anchor is an integer
+               and the sum is within bounds. *)
               let anchor =
-                match prev with
-                | Node { e = Written { value; _ }; _ } -> V.as_counter value
+                match n.next with
+                | Node { e = Written { value; _ } | Flushed { value; _ }; _ }
+                  ->
+                    V.as_counter value
                 | Node _ -> assert false (* kept nodes are plain writes *)
                 | Empty -> (
                     match t.base_storage loc with
@@ -654,22 +636,35 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                 | Some b -> b
                 | None -> assert false (* committed delta, integer anchor *)
               in
-              Written { version; value = V.of_counter (b + delta.Delta.net) }
+              n.e <-
+                Written { version; value = V.of_counter (b + delta.Delta.net) };
+              true
+          | Written _ | Flushed _ -> false
           | Estimate ->
               (* A committed transaction has no unresolved estimates. *)
               assert false
         in
-        let chain =
-          match prev with Node p -> remove p.idx old | Empty -> old
+        let retired =
+          match n.next with
+          | Node ({ e = Written { version; value }; _ } as p) ->
+              p.e <- Flushed { version; value };
+              true
+          | _ -> false
         in
-        let chain = if kept == e then chain else add j kept chain in
+        let stored = stored || rewritten || retired in
+        let chain =
+          if len_of n.next > len_of old - n.len then
+            graft j (cons j n.e Empty) old
+          else if stored then touch old
+          else old
+        in
         if chain != old && not (Atomic.compare_and_set cell old chain) then
-          flush_entry t loc cell j
+          flush_entry ~stored t loc cell j
 
   (** Flush the committed prefix [0, upto): per location, keep the highest
-      committed writer as the chain's lowest node (a delta rewritten as the
-      plain value it materializes to) and prune the committed entries below
-      it, shrinking {!entry_count} as the prefix advances. Only call with
+      committed writer as the location's kept node (a delta rewritten as
+      the plain value it materializes to) and retire the committed entries
+      below it, shrinking {!entry_count} as the prefix advances. Only call with
       [upto] at most the scheduler's committed prefix: flushed transactions
       must be final (their last incarnation recorded, no ESTIMATEs, never
       re-executed). Thread-safe and idempotent — concurrent calls serialize
@@ -694,21 +689,25 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (** Prefix length already flushed. *)
   let flushed_upto t : int = t.flushed_upto
 
-  let rec size = function Empty -> 0 | Node { l; r; _ } -> size l + 1 + size r
+  (* [acc] plus the nodes of a chain that are not [Flushed], less the kept
+     node: the first node below [flushed]. *)
+  let rec unflushed flushed acc = function
+    | Node { idx; next; _ } when idx >= flushed ->
+        unflushed flushed (acc + 1) next
+    | Node { next; _ } -> below_kept acc next
+    | Empty -> acc
+
+  and below_kept acc = function
+    | Node { e = Flushed _; next; _ } -> below_kept acc next
+    | Node { next; _ } -> below_kept (acc + 1) next
+    | Empty -> acc
 
   (** Diagnostic: number of version entries currently stored, less each
-      chain's kept node (its lowest node, when a flushed transaction wrote
-      it). After a flush that pruned correctly, that is the entries of
-      unflushed transactions; a flushed entry left below the kept node
-      still counts. *)
+      chain's kept node (its first node below the flushed prefix) and the
+      [Flushed] entries below it. After a flush that retired correctly,
+      that is the entries of unflushed transactions; a flushed entry left
+      unretired below the kept node still counts. *)
   let entry_count t : int =
-    let flushed = t.flushed_upto in
     fold_slots t ~init:0 ~f:(fun acc _ cell ->
-        let chain = Atomic.get cell in
-        let kept =
-          match min_node chain with
-          | Node { idx; _ } when idx < flushed -> 1
-          | _ -> 0
-        in
-        acc + size chain - kept)
+        unflushed t.flushed_upto acc (Atomic.get cell))
 end

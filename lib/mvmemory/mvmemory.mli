@@ -13,8 +13,14 @@
     open-addressing tables of immutable slots, published with release stores
     under an atomically published table pointer (the shard mutex is taken
     only to insert a missing location or to resize), and each location's
-    version chain is an immutable tree held in one [Atomic.t]: readers do
-    one [Atomic.get], writers CAS a rebuilt chain. Chain entries carry the
+    version chain is a list, sorted by descending transaction index, held in
+    one [Atomic.t]: readers do one [Atomic.get] and skip down the list by
+    jump pointers to the first entry below them, in O(log a) steps for a
+    entries above it. A write above every other writer of its location, the
+    common case in the preset order, adds one node; a write that replaces
+    an entry stores into its node and republishes the chain with a copy of
+    the head node; only inserting or removing a node under the top CASes a
+    chain that rebuilds the nodes above it. Chain entries carry the
     writer's version. A read that misses allocates nothing and a hit
     allocates only its {!Ok} block; validating [Storage] / [Mv] descriptors
     allocates nothing. Per-transaction bookkeeping (last written locations,
@@ -178,16 +184,20 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       ([Merged] through [V.of_counter]; [Not_found] locations absent). One
       pass over the locations, taking each version chain's top entry, then
       one sort; after a full {!flush_committed} every chain holds only its
-      kept node. Only call after the block commits (all estimates
+      kept node, and after a partial one the kept node is the top of every
+      chain no unflushed transaction wrote. Only call after the block commits (all estimates
       resolved). *)
 
   (** {2 Rolling-commit flush} *)
 
   val flush_committed : t -> upto:int -> unit
   (** Flush the committed prefix [0, upto): per location, keep the entry of
-      the highest committed writer as the chain's lowest node and prune the
-      committed entries below it, shrinking {!entry_count} as the prefix
-      advances. The kept node keeps its exact version, so reads and
+      the highest committed writer as the location's kept node and retire
+      the committed entries below it, which no read above the prefix
+      reaches and no read at or below it finds, shrinking {!entry_count} as
+      the prefix advances. Retired entries are cut off the chain once they
+      outnumber the entries above the kept node, so a chain holds at most
+      about twice its unflushed entries. The kept node keeps its exact version, so reads and
       validation above the prefix are unchanged. Committed delta entries are
       folded in ascending transaction order: a kept delta is rewritten as a
       plain write of its net added to the kept node below it (or to the
@@ -203,7 +213,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val entry_count : t -> int
   (** Diagnostic: number of version entries currently stored, less each
-      chain's kept node. After a flush, that is the entries of unflushed
-      transactions; a committed entry the flush failed to prune below a kept
-      node still counts. *)
+      chain's kept node and the entries it retired. After a flush, that is
+      the entries of unflushed transactions; a committed entry the flush
+      failed to retire below a kept node still counts. *)
 end

@@ -60,11 +60,6 @@ let default_spec =
     cross_fraction = 0.;
   }
 
-(** Lane of an account under [spec]'s contiguous-range partition. *)
-let lane_of_account (spec : spec) acct =
-  Ledger.account_lane ~num_accounts:spec.num_accounts
-    ~lanes:(max 1 spec.lanes_hint) acct
-
 (** One laned transfer pair over [num_accounts] accounts cut into [lanes]
     contiguous ranges: pick a lane uniformly and keep the pair inside it,
     or — with probability [cross_fraction] — span two distinct lanes. Only

@@ -345,6 +345,31 @@ let test_committed_snapshot_after_full_flush () =
   Alcotest.(check (list (pair int int)))
     "kept nodes = snapshot before the flush" expected (Mv.snapshot mv)
 
+(* The rolling sweep flushes one committed transaction at a time. Flushing
+   three quarters of one location's 4,000 writers that way frees at least a
+   third of the words the 4,000 records added: the entries retired below
+   the kept node are cut off once they outnumber the entries above it.
+   Keeping every retired node would free about none. *)
+let test_flush_cuts_retired_entries () =
+  let n = 4_000 in
+  let words mv = Obj.reachable_words (Obj.repr mv) in
+  let mv = Mv.create ~block_size:n () in
+  let empty = words mv in
+  for j = 0 to n - 1 do
+    ignore (record mv ~txn:j ~inc:0 [ (0, j) ])
+  done;
+  let before = words mv in
+  for upto = 1 to 3 * n / 4 do
+    Mv.flush_committed mv ~upto
+  done;
+  let after = words mv in
+  check_read "reader above the prefix" mv 0 ~txn:(3 * n / 4)
+    (Mv.Ok (ver ((3 * n / 4) - 1) 0, (3 * n / 4) - 1));
+  if 3 * (before - after) < before - empty then
+    Alcotest.failf
+      "flushing 3/4 of the chain freed %d of the %d words the records added"
+      (before - after) (before - empty)
+
 (* --- record: wrote_new_location transitions (one test per documented
    transition of the bool — see mvmemory.mli) ------------------------------- *)
 
@@ -413,8 +438,11 @@ let test_concurrent_disjoint_records () =
 
 (* One location written by 500 transactions in a shuffled order, then a
    third of them removed and a seventh turned into ESTIMATEs: every read
-   answers the highest remaining writer below the reader. Deep chains
-   exercise the tree's rebalancing on insert and removal. *)
+   answers the highest remaining writer below the reader. A shuffled order
+   lands most inserts and removals in the middle of the list, where each
+   rebuilds the nodes above it, jump pointers included, and shares the
+   rest; an ESTIMATE conversion stores into its node in place; and the
+   reads at every position skip down the rebuilt jump pointers. *)
 let test_long_chain () =
   let n = 500 in
   let mv = Mv.create ~block_size:n () in
@@ -457,6 +485,89 @@ let test_long_chain () =
       mv 0 ~txn:reader
       (expected (reader - 1))
   done
+
+(* Writes arrive in roughly ascending transaction index, so a write above
+   a chain's top is the common case, and it conses one node however long
+   the chain is. 1,000 records at the top of a 10^4-entry chain allocate,
+   per record, what they allocate at the top of a 1-entry chain, and at
+   most 11 words: the written-set array (2), the [Written] entry (3) and
+   the node (6). *)
+let test_top_put_allocation () =
+  let words_per_top_record ~below =
+    let n = below + 1_000 in
+    let mv = Mv.create ~block_size:n () in
+    let versions = Array.init n (fun j -> ver j 0) in
+    let writes = Array.init n (fun j -> [| (0, j) |]) in
+    let record j =
+      ignore (Mv.record mv versions.(j) Mv.empty_read_set writes.(j))
+    in
+    for j = 0 to below - 1 do
+      record j
+    done;
+    let w0 = Gc.minor_words () in
+    for j = below to n - 1 do
+      record j
+    done;
+    (Gc.minor_words () -. w0) /. 1_000.
+  in
+  let long = words_per_top_record ~below:10_000 in
+  let short = words_per_top_record ~below:1 in
+  if long <> short || long > 11.01 then
+    Alcotest.failf
+      "%.2f minor words per top record on a 10^4-entry chain, %.2f on a \
+       1-entry chain (want equal, at most 11)"
+      long short
+
+(* A reader far below the top of a long chain skips down it by the jump
+   pointers. 2 x 10^4 reads by transaction 1 under 10^5 higher entries
+   take O(log n) steps each, about a millisecond of CPU in all; walking
+   node by node would take 2 x 10^9 steps, seconds. The bound, half a
+   second of the process's CPU time, is far from both. *)
+let test_deep_reads_skip () =
+  let n = 100_000 in
+  let mv = Mv.create ~block_size:n () in
+  for j = 0 to n - 1 do
+    ignore (record mv ~txn:j ~inc:0 [ (0, j) ])
+  done;
+  let reads = 20_000 in
+  let t0 = Sys.time () in
+  for _ = 1 to reads do
+    ignore (Sys.opaque_identity (Mv.read mv 0 ~txn_idx:1))
+  done;
+  let cpu = Sys.time () -. t0 in
+  check_read "bottom entry" mv 0 ~txn:1 (Mv.Ok (ver 0 0, 0));
+  if cpu > 0.5 then
+    Alcotest.failf "%.2f s of CPU for %d reads under %d entries" cpu reads n
+
+(* A re-execution rewrites its own entry, wherever it sits in the chain:
+   the write stores into the node and republishes the chain with a copy of
+   its head. 1,000 re-records under 10^4 higher entries allocate, per
+   record, what they allocate under none, and at most 11 words: the
+   written-set array (2), the [Written] entry (3) and the head copy (6). *)
+let test_rewrite_allocation () =
+  let words_per_rewrite ~above =
+    let n = above + 1_000 in
+    let mv = Mv.create ~block_size:n () in
+    for j = 0 to n - 1 do
+      ignore (record mv ~txn:j ~inc:0 [ (0, j) ])
+    done;
+    let versions = Array.init 1_000 (fun j -> ver j 1) in
+    let writes = Array.init 1_000 (fun j -> [| (0, -j) |]) in
+    let w0 = Gc.minor_words () in
+    for j = 0 to 999 do
+      ignore (Mv.record mv versions.(j) Mv.empty_read_set writes.(j))
+    done;
+    let words = (Gc.minor_words () -. w0) /. 1_000. in
+    check_read "rewritten entry" mv 0 ~txn:1 (Mv.Ok (ver 0 1, 0));
+    words
+  in
+  let deep = words_per_rewrite ~above:10_000 in
+  let shallow = words_per_rewrite ~above:0 in
+  if deep <> shallow || deep > 11.01 then
+    Alcotest.failf
+      "%.2f minor words per re-record under 10^4 entries, %.2f under none \
+       (want equal, at most 11)"
+      deep shallow
 
 (* --- Allocation on the hit paths ------------------------------------------ *)
 
@@ -556,6 +667,8 @@ let suite =
       test_flush_idempotent_and_monotone;
     Alcotest.test_case "flush: committed snapshot after full flush" `Quick
       test_committed_snapshot_after_full_flush;
+    Alcotest.test_case "flush: retired entries are cut off" `Quick
+      test_flush_cuts_retired_entries;
     Alcotest.test_case "record: estimate rewrite is not new" `Quick
       test_record_estimate_rewrite_not_new;
     Alcotest.test_case "record: prefilled locations are not new" `Quick
@@ -566,6 +679,12 @@ let suite =
       test_concurrent_disjoint_records;
     Alcotest.test_case "long chain: reads after shuffled writes and removals"
       `Quick test_long_chain;
+    Alcotest.test_case "top write allocates one node at any chain length"
+      `Quick test_top_put_allocation;
+    Alcotest.test_case "rewrite in place at any depth" `Quick
+      test_rewrite_allocation;
+    Alcotest.test_case "deep reads skip down a long chain" `Quick
+      test_deep_reads_skip;
     Alcotest.test_case "hit paths allocate nothing but the result" `Quick
       test_hit_paths_allocation;
   ]
