@@ -16,6 +16,7 @@ open Blockstm_workload
 module CM = Blockstm_simexec.Cost_model
 module D = Blockstm_stats.Descriptive
 module G = Grid
+module C = Harness.ChainX
 
 type mode = Quick | Full
 
@@ -344,7 +345,7 @@ let gas_sharding _mode =
       let label = Printf.sprintf "gas_sharding/real/%s/shards=%d%s" in
       let seq =
         row "Sequential" 1
-          (G.wall_tps ~n:3 ~label:(label "seq" shards "") b G.Sequential)
+          (G.wall_tps ~n:3 ~label:(label "seq" shards "") b C.Sequential)
       in
       let domain_rows domains =
         let config = bstm_config domains in
@@ -352,7 +353,7 @@ let gas_sharding _mode =
         let bstm =
           row "Block-STM" domains
             (G.wall_tps ~n:3 ~label:(label "bstm" shards at) b
-               (G.Block_stm config))
+               (C.Block_stm config))
         in
         if shards = 1 then [ bstm ]
         else
@@ -367,10 +368,15 @@ let gas_sharding _mode =
           [
             bstm;
             row (Printf.sprintf "Lanes (%d)" lanes) domains
-              (G.wall_tps ~n:3
+              (G.wall_tps ~n:3 ~specs
                  ~label:(label (Printf.sprintf "lanes=%d" lanes) shards at)
                  b
-                 (G.Lanes { config; partition; specs }));
+                 (C.Lanes
+                    {
+                      config;
+                      partition;
+                      namespace = Some Ledger.Loc.namespace;
+                    }));
           ]
       in
       seq :: List.concat_map domain_rows !domains_grid)
@@ -529,14 +535,13 @@ let scaling mode =
         G.wall_tps
           ~label:
             (Printf.sprintf "scaling/%s/%s/domains=%d" workload
-               (match executor with G.Sequential -> "seq" | _ -> "bstm")
+               (match executor with C.Sequential -> "seq" | _ -> "bstm")
                domains)
           b executor
       in
-      let seq = tps G.Sequential 1 in
+      let seq = tps C.Sequential 1 in
       let bstm =
-        List.map
-          (fun d -> (d, tps (G.Block_stm (bstm_config d)) d))
+        List.map (fun d -> (d, tps (C.Block_stm (bstm_config d)) d))
           !domains_grid
       in
       let base = snd (List.hd bstm) in
@@ -733,6 +738,18 @@ let mm_replay (txns : (_, _, 'o) Blockstm_kernel.Txn.t array) traces =
       ignore (txn { Txn.read; write; delta }))
     txns
 
+(* [pairs] ratios time(a) / time(b) of interleaved runs of [a] and [b], the
+   first of each pair alternating. *)
+let pair_ratios ~pairs a b =
+  let time f = Int64.to_float (snd (Blockstm_stats.Clock.time_ns f)) in
+  Array.init pairs (fun i ->
+      if i mod 2 = 0 then
+        let ta = time a in
+        ta /. time b
+      else
+        let tb = time b in
+        time a /. tb)
+
 (* Each transaction wrapped to stamp its own VM time into [ns]. Incarnations
    of one transaction run one after another, so after a Block-STM run slot
    [j] holds the time of tx_j's last completed call: its committed
@@ -752,15 +769,19 @@ let timed_txns (txns : (_, _, 'o) Blockstm_kernel.Txn.t array) =
 (* One vm-cost table over [accounts]: per (flavor, VM), the pure-VM trace
    replay, the sequential executor and Block-STM at each of [domains], each
    the best of [n] wall-clock runs; every compiled row also reports its
-   speedup over the matching tree-walk row. A row starts with [key]'s cell
-   for its flavor, under [key]'s header; [prefix] starts the sample
-   labels. *)
+   speedup over the matching tree-walk row. The compiled vm row's speedup
+   is instead the median ratio of 21 replay pairs alternating between the
+   two VMs: replays within one process agree to about 10% while whole
+   processes spread 2.4-7x, and tools/ci.sh gates on that cell. A row
+   starts with [key]'s cell for its flavor, under [key]'s header; [prefix]
+   starts the sample labels. *)
 let vm_cost_table ~title ~key:(key_header, key_cell) ~prefix ~accounts ~flavors
     ~domains ~block ~n =
   let open Blockstm_minimove in
   (* Tree-walk tps per (flavor, executor, domains), so each compiled row can
-     report its speedup against the matching tree-walk row. *)
-  let base = Hashtbl.create 16 in
+     report its speedup against the matching tree-walk row, and each
+     flavor's tree-walk replay, for the compiled replay to alternate with. *)
+  let base = Hashtbl.create 16 and tree_replay = Hashtbl.create 2 in
   G.table ~title
     ~header:[ key_header; "vm"; "executor"; "domains"; "tps"; "vs tree-walk" ]
     (G.cross flavors [ Runtime.Tree_walk; Runtime.Compiled ])
@@ -771,14 +792,15 @@ let vm_cost_table ~title ~key:(key_header, key_cell) ~prefix ~accounts ~flavors
         Printf.sprintf "%s/%s/%s/%s/domains=%d" prefix fname vname executor
           domains
       in
-      let row executor domains tps =
+      let row ?vs executor domains tps =
         let key = (fname, executor, domains) in
         let vs =
-          match vm with
-          | Runtime.Tree_walk ->
+          match (vm, vs) with
+          | _, Some vs -> vs
+          | Runtime.Tree_walk, None ->
               Hashtbl.replace base key tps;
               "-"
-          | Runtime.Compiled -> (
+          | Runtime.Compiled, None -> (
               match Hashtbl.find_opt base key with
               | Some b -> fmt_x (tps /. b)
               | None -> "-")
@@ -816,7 +838,21 @@ let vm_cost_table ~title ~key:(key_header, key_cell) ~prefix ~accounts ~flavors
           ~metric:(G.tps ~txns:block) run
       in
       let traces = mm_read_traces ~storage:(storage ()) w.txns in
-      let vm_tps = tps "vm" 1 (fun _ -> mm_replay w.txns traces) in
+      let replay () = mm_replay w.txns traces in
+      let vm_tps = tps "vm" 1 (fun _ -> replay ()) in
+      let vm_vs =
+        match vm with
+        | Runtime.Tree_walk ->
+            Hashtbl.replace tree_replay fname replay;
+            None
+        | Runtime.Compiled ->
+            Option.map
+              (fun tree ->
+                let r = pair_ratios ~pairs:21 tree replay in
+                Array.iter (Report.sample ~label:(label "vm_pair_ratio" 1)) r;
+                Printf.sprintf "%.2fx" (D.median r))
+              (Hashtbl.find_opt tree_replay fname)
+      in
       let seq_tps =
         tps "seq" 1
           ~check:(fun (r : _ Runtime.Seq.result) ->
@@ -844,7 +880,8 @@ let vm_cost_table ~title ~key:(key_header, key_cell) ~prefix ~accounts ~flavors
           (Array.map float_of_int exec_ns);
         row "bstm" domains v
       in
-      row "vm" 1 vm_tps :: row "seq" 1 seq_tps :: List.map bstm_row domains)
+      row ?vs:vm_vs "vm" 1 vm_tps :: row "seq" 1 seq_tps
+      :: List.map bstm_row domains)
 
 let vm_cost mode =
   let block = match mode with Quick -> 2_000 | Full -> 5_000 in
@@ -875,7 +912,6 @@ let vm_cost mode =
 (* --- State scale: incremental Merkle roots vs whole-state fold (§13) -------- *)
 
 let state_scale mode =
-  let module C = Harness.ChainX in
   let block = 10_000 in
   let domains = 4 in
   G.table
@@ -958,7 +994,7 @@ let state_scale mode =
         ];
       ])
 
-(* --- Sustained throughput: continuous block pipeline (DESIGN.md §14) -------- *)
+(* --- Sustained throughput: block streams and the mempool (DESIGN.md §14) ---- *)
 
 (* Knobs for the [sustained] experiment, settable from the command line
    (bench --mempool-rate/--block-size/--block-deadline-ms). Zero means "use
@@ -974,8 +1010,8 @@ let set_sustained_deadline_ms d = if d > 0. then sustained_deadline_ms := d
 (* A transfer with no cross-transaction assertions: deterministic for any
    serialization, so the Poisson phase can cut blocks at arbitrary
    boundaries (a deadline cut does not care which sender lands where). The
-   throughput phase uses the real p2p scripts, whose sequence numbers the
-   pipeline must — and does — preserve. *)
+   throughput phase uses the real p2p scripts, whose sequence numbers a
+   stream must — and does — preserve. *)
 let free_transfer ~work ~sender ~recipient ~amount :
     (Ledger.Loc.t, Ledger.Value.t, int) Blockstm_kernel.Txn.t =
  fun e ->
@@ -993,7 +1029,6 @@ let free_transfer ~work ~sender ~recipient ~amount :
   amt
 
 let sustained mode =
-  let module C = Harness.ChainX in
   let module Mp = Blockstm_chain.Mempool in
   let block =
     if !sustained_block_size > 0 then !sustained_block_size
@@ -1022,70 +1057,38 @@ let sustained mode =
       same = (fun r c -> C.first_divergence r c = None);
     }
   in
-  let of_list blocks =
-    let rem = ref blocks in
-    fun () ->
-      match !rem with
-      | [] -> None
-      | b :: r ->
-          rem := r;
-          Some b
-  in
   (* Phase B — steady-state committed throughput over a deterministic block
      stream, checked against the per-block sequential reference at every
      grid point. *)
   let oracles =
     [ (`Flat, oracle `Flat blocks); (`Merkle, oracle `Merkle blocks) ]
   in
-  let modes = [ ("per-block", `Per_block); ("pipelined", `Pipelined) ] in
-  let tps_tbl = Hashtbl.create 32 in
+  let tps_tbl = Hashtbl.create 16 in
   G.table
     ~title:
       (Printf.sprintf
-         "Sustained pipeline: committed throughput over %d-block streams \
+         "Sustained stream: committed throughput over %d-block streams \
           (standard p2p, %d accounts, block %d, wall clock)"
          nblocks accounts block)
-    ~header:
-      [ "store"; "mode"; "domains"; "tps"; "vs per-block"; "idle ms"; "roots" ]
-    (G.cross
-       [ ("flat", `Flat); ("merkle", `Merkle) ]
-       (G.cross !domains_grid modes))
-    (fun ((sname, store), (domains, (mname, m))) ->
+    ~header:[ "store"; "domains"; "tps"; "roots" ]
+    (G.cross [ ("flat", `Flat); ("merkle", `Merkle) ] !domains_grid)
+    (fun ((sname, store), domains) ->
       let chain =
         C.create ~store ~executor:(C.Block_stm (rolling_config domains))
           ~genesis ()
       in
-      let label =
-        Printf.sprintf "sustained/%s/%s/domains=%d" sname mname domains
-      in
-      let stats = ref None in
+      let label = Printf.sprintf "sustained/%s/domains=%d" sname domains in
       let tps =
-        G.wall ~label
-          ~check:(fun (_, s) -> stats := Some s)
-          ~metric:(G.tps ~txns:total)
-          (fun _ -> C.execute_stream ~mode:m chain ~next:(of_list blocks))
+        G.wall ~label ~metric:(G.tps ~txns:total) (fun _ ->
+            C.execute_blocks chain blocks)
       in
       G.check ~point:label (List.assoc store oracles) chain;
-      Hashtbl.replace tps_tbl (sname, mname, domains) tps;
+      Hashtbl.replace tps_tbl (sname, domains) tps;
       Report.sample
         ~label:
-          (Printf.sprintf "sustained/roots_equal/%s/%s/domains=%d" sname mname
-             domains)
+          (Printf.sprintf "sustained/roots_equal/%s/domains=%d" sname domains)
         1.;
-      [
-        [
-          sname;
-          mname;
-          string_of_int domains;
-          fmt_tps tps;
-          (match Hashtbl.find_opt tps_tbl (sname, "per-block", domains) with
-          | Some b when mname <> "per-block" -> fmt_x (tps /. b)
-          | _ -> "-");
-          Printf.sprintf "%.1f"
-            (float_of_int (Option.get !stats).C.s_idle_ns /. 1e6);
-          "ok";
-        ];
-      ]);
+      [ [ sname; string_of_int domains; fmt_tps tps; "ok" ] ]);
   (* Phase A — commit latency under Poisson ingestion: a producer domain
      submits boundary-insensitive transfers through the bounded mempool at
      rate lambda; the driver cuts blocks at [block] txns or the deadline and
@@ -1096,7 +1099,7 @@ let sustained mode =
   let rate =
     if !sustained_rate > 0. then !sustained_rate
     else
-      let measured = Hashtbl.find_opt tps_tbl ("flat", "per-block", domains) in
+      let measured = Hashtbl.find_opt tps_tbl ("flat", domains) in
       0.6 *. Option.value ~default:5_000. measured
   in
   let deadline_ns = int_of_float (!sustained_deadline_ms *. 1e6) in
@@ -1112,22 +1115,13 @@ let sustained mode =
   G.table
     ~title:
       (Printf.sprintf
-         "Sustained pipeline: commit latency under Poisson ingestion (rate \
+         "Sustained stream: commit latency under Poisson ingestion (rate \
           %.0f tps, block %d or %.0f ms, %d domains, flat store)"
          rate block !sustained_deadline_ms domains)
     ~header:
-      [
-        "mode";
-        "tps";
-        "p50 ms";
-        "p95 ms";
-        "p99 ms";
-        "blocks";
-        "depth p95";
-        "idle ms";
-      ]
-    modes
-    (fun (mname, m) ->
+      [ "tps"; "p50 ms"; "p95 ms"; "p99 ms"; "blocks"; "depth p95"; "idle ms" ]
+    [ () ]
+    (fun () ->
       let mp = Mp.create ~capacity:(4 * block) () in
       let interval_ns = 1e9 /. rate in
       let producer =
@@ -1178,18 +1172,15 @@ let sustained mode =
           ~check:(fun (_, s) -> stats := Some s)
           ~metric:Fun.id
           (fun _ ->
-            C.execute_stream ~mode:m ~on_block
+            C.execute_stream ~on_block
               ~queue_depth:(fun () -> Mp.depth mp)
               chain ~next)
       in
       Domain.join producer;
-      G.check
-        ~point:(Printf.sprintf "sustained/latency/%s" mname)
-        (oracle `Flat (List.rev !cut))
-        chain;
+      G.check ~point:"sustained/latency" (oracle `Flat (List.rev !cut)) chain;
       let stats = Option.get !stats in
       let s = D.summarize (Array.of_list !lats) in
-      let label p = Printf.sprintf "sustained/latency/%s/%s_ms" mname p in
+      let label p = Printf.sprintf "sustained/latency/%s_ms" p in
       Report.sample ~label:(label "p50") s.D.median;
       Report.sample ~label:(label "p95") s.D.p95;
       Report.sample ~label:(label "p99") s.D.p99;
@@ -1201,7 +1192,6 @@ let sustained mode =
       let ms v = Printf.sprintf "%.1f" v in
       [
         [
-          mname;
           fmt_tps (G.tps ~txns:lat_total ns);
           ms s.D.median;
           ms s.D.p95;
@@ -1317,6 +1307,6 @@ let all : (string * string * (mode -> unit)) list =
     ("hotspot-delta", "Hotspot deltas: commutative aggregators vs RMW (§12)", hotspot_delta);
     ("state-scale", "State scale: incremental Merkle roots vs whole-state fold (§13)", state_scale);
     ("vm-cost", "VM cost: tree-walk vs compiled MiniMove VM (§11)", vm_cost);
-    ("sustained", "Sustained: continuous block pipeline (§14)", sustained);
+    ("sustained", "Sustained: block streams and the mempool (§14)", sustained);
     ("spec-cost", "Static access specs: seeding, skips, spec-DAG (§15)", spec_cost);
   ]

@@ -159,32 +159,15 @@ let wall ?(n = 1) ?label ?(check = ignore) ~metric run =
   done;
   metric !best
 
-(** Ledger executors timed by {!wall_tps}. *)
-type executor =
-  | Sequential
-  | Block_stm of Harness.Bstm.config
-  | Lanes of {
-      config : Harness.Bstm.config;
-      partition : Harness.LanesX.partition;
-      specs : Ledger.Loc.t Blockstm_kernel.Access_spec.t array;
-    }
-
-let execute b = function
-  | Sequential ->
-      let r = Harness.run_sequential ~storage:b.storage b.txns in
-      (r.snapshot, r.outputs)
-  | Block_stm config ->
-      let r = Harness.run_blockstm ~config ~storage:b.storage b.txns in
-      (r.snapshot, r.outputs)
-  | Lanes { config; partition; specs } ->
-      let r =
-        Harness.run_lanes ~config ~partition ~specs ~storage:b.storage b.txns
-      in
-      (r.snapshot, r.outputs)
-
-(** Wall-clock throughput of [executor] on [b], the fastest of [n] runs,
-    each checked by the oracle; [label] names the point. *)
-let wall_tps ?n ~label b executor =
+(** Wall-clock throughput of a chain [executor] on [b], the fastest of [n]
+    runs through the chain's own block runner, each checked by the oracle;
+    [specs] feeds the lanes executor, and [label] names the point. *)
+let wall_tps ?n ?specs ~label b executor =
   wall ?n ~label ~check:(check ~point:label b.oracle)
     ~metric:(tps ~txns:(txns b))
-    (fun _ -> execute b executor)
+    (fun _ ->
+      let snapshot, outputs, _ =
+        Harness.ChainX.exec_block ?specs executor
+          ~storage:(Ledger.Store.reader b.storage) b.txns
+      in
+      (snapshot, outputs))

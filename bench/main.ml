@@ -13,7 +13,7 @@
                                               # sweep execution-lane counts
      dune exec bench/main.exe -- sustained --mempool-rate 5000 \
          --block-size 1000 --block-deadline-ms 50
-                                              # continuous-pipeline knobs
+                                              # mempool-fed stream knobs
 
    See DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
    paper-vs-measured results. *)
@@ -68,7 +68,7 @@ let () =
         Blockstm_bench.Experiments.set_domains_grid (parse_domains spec);
         strip_json rest
     | [ "--mempool-rate" ] | [ "--block-size" ] | [ "--block-deadline-ms" ] ->
-        prerr_endline "missing argument for sustained-pipeline flag";
+        prerr_endline "missing argument for a sustained flag";
         exit 2
     | "--mempool-rate" :: v :: rest ->
         Blockstm_bench.Experiments.set_sustained_rate (num_arg "--mempool-rate" v);

@@ -202,42 +202,6 @@ let run_cmd =
              MiniMove agg_add/agg_sub) stop serializing on hot locations \
              (blockstm executor only; composes with every other flag).")
   in
-  let pipeline =
-    Arg.(
-      value & flag
-      & info [ "pipeline" ]
-          ~doc:
-            "Run the workload as a chain of blocks (see $(b,--blocks)) with \
-             block $(i,h+1) executing while block $(i,h)'s state root is \
-             finalized in the background; verifies the roots against the \
-             unpipelined chain.")
-  in
-  let blocks =
-    Arg.(
-      value & opt int 8
-      & info [ "blocks" ] ~docv:"N"
-          ~doc:"Number of chain blocks for $(b,--pipeline).")
-  in
-  let store_arg =
-    let store_conv =
-      let parse = function
-        | "flat" -> Ok `Flat
-        | "merkle" -> Ok `Merkle
-        | s -> Error (`Msg (Printf.sprintf "unknown store %S (flat|merkle)" s))
-      in
-      let print ppf s =
-        Fmt.string ppf (match s with `Flat -> "flat" | `Merkle -> "merkle")
-      in
-      Arg.conv (parse, print)
-    in
-    Arg.(
-      value & opt store_conv `Flat
-      & info [ "store" ] ~docv:"KIND"
-          ~doc:
-            "Chain state substrate for $(b,--pipeline): $(b,flat) \
-             (whole-state root fold after every block, the default) or \
-             $(b,merkle) (incremental authenticated roots, DESIGN.md §13).")
-  in
   let verify =
     Arg.(
       value & flag
@@ -319,70 +283,8 @@ let run_cmd =
              uniform draw. Independent of $(b,--lanes) — hint without \
              lanes shows the single instance on a partitionable block.")
   in
-  (* The block list as a chain of [n_blocks] chunks, each with its slice of
-     [specs] when there are specs: the executor is Block-STM with [config],
-     execution lanes over [partition], or sequential. *)
-  let run_pipeline g ~specs ~partition config executor store n_blocks n =
-    let module C = Harness.ChainX in
-    let executor =
-      match (executor, partition) with
-      | E_sequential, _ -> C.Sequential
-      | E_blockstm, None -> C.Block_stm config
-      | E_blockstm, Some partition ->
-          C.Lanes
-            { config; partition; namespace = Some Ledger.Loc.namespace }
-      | _ ->
-          Fmt.epr "--pipeline supports the blockstm and sequential executors@.";
-          exit 2
-    in
-    let n_blocks = max 1 (min n_blocks (max 1 n)) in
-    let size = (n + n_blocks - 1) / n_blocks in
-    let chunks =
-      List.init n_blocks (fun i -> i * size)
-      |> List.filter (fun lo -> lo < n)
-      |> List.map (fun lo ->
-             let len = min size (n - lo) in
-             ( Array.sub g.Synthetic.txns lo len,
-               Option.map (fun s -> Array.sub s lo len) specs ))
-    in
-    let exec ~pipeline =
-      let chain = C.create ~store ~executor ~genesis:g.Synthetic.storage () in
-      let rem = ref chunks and cur = ref None in
-      let next () =
-        match !rem with
-        | [] -> None
-        | (txns, s) :: r ->
-            rem := r;
-            cur := s;
-            Some txns
-      in
-      let _, ns =
-        Blockstm_stats.Clock.time_ns (fun () ->
-            C.execute_stream
-              ~mode:(if pipeline then `Pipelined else `Per_block)
-              ~next_specs:(fun () -> !cur)
-              chain ~next)
-      in
-      (chain, ns)
-    in
-    let piped, ns_piped = exec ~pipeline:true in
-    let plain, ns_plain = exec ~pipeline:false in
-    List.iter
-      (fun c -> Fmt.pr "%a@." C.pp_commit c)
-      (C.commits piped);
-    Fmt.pr "pipelined: %.0f tps, unpipelined: %.0f tps (%d blocks)@."
-      (Blockstm_stats.Clock.tps ~txns:n ~elapsed_ns:ns_piped)
-      (Blockstm_stats.Clock.tps ~txns:n ~elapsed_ns:ns_plain)
-      (List.length chunks);
-    match C.first_divergence piped plain with
-    | None -> Fmt.pr "verify vs unpipelined chain: OK@."
-    | Some h ->
-        Fmt.pr "verify vs unpipelined chain: MISMATCH at height %d@." h;
-        exit 1
-  in
   let action workload accounts block seed theta executor domains no_estimates
-      rolling deltas pipeline blocks store verify trace_out use_specs sched
-      lanes lane_hint =
+      rolling deltas verify trace_out use_specs sched lanes lane_hint =
     if lane_hint < 0 then begin
       Fmt.epr "--lane-hint must be >= 0@.";
       exit 2
@@ -453,9 +355,6 @@ let run_cmd =
     let config =
       { Harness.Bstm.num_domains = domains; sched }
     in
-    if pipeline then
-      run_pipeline g ~specs ~partition config executor store blocks n
-    else begin
     let time f =
       let r, ns = Blockstm_stats.Clock.time_ns f in
       (r, Blockstm_stats.Clock.tps ~txns:n ~elapsed_ns:ns)
@@ -566,14 +465,12 @@ let run_cmd =
       Fmt.pr "verify vs sequential: %s@." (if ok then "OK" else "MISMATCH");
       if not ok then exit 1
     end
-    end
   in
   let term =
     Term.(
       const action $ workload_arg $ accounts_arg $ block_arg $ seed_arg
       $ theta_arg $ executor $ domains $ no_estimates $ rolling $ deltas
-      $ pipeline $ blocks $ store_arg $ verify $ trace_out $ specs_flag
-      $ sched_arg $ lanes_arg $ lane_hint_arg)
+      $ verify $ trace_out $ specs_flag $ sched_arg $ lanes_arg $ lane_hint_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a workload with a chosen executor") term
 

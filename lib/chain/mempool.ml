@@ -1,6 +1,6 @@
 (** Bounded MPSC transaction mempool and block builder (DESIGN.md §14).
 
-    The ingestion front end of the continuous pipeline: any number of
+    The ingestion front end of a block stream: any number of
     producer domains {!submit} (blocking on a full pool — backpressure) or
     {!try_submit} (dropping on a full pool) transactions; one consumer — the
     chain driver — cuts blocks with {!next_block}, which waits for the first

@@ -127,7 +127,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       [on_commit j output] fires for every transaction in preset order:
       batch ranges are contiguous, so the coordinator emits each batch's
       range as soon as the batch (lanes, then stragglers) completes — the
-      ordering contract the chain pipeline relies on. With [lanes = 1] the
+      same preset-order contract as {!Bstm.run}'s hook. With [lanes = 1] the
       hook goes straight to the engine. [obs], when given,
       receives the lane counters (["cross_lane_txns"], ["lane_batches"],
       ["laneK_txns"]) — size its registry accordingly. [trace_for lane]

@@ -321,8 +321,8 @@ let generate_hotspot (spec : hotspot_spec) : hotspot =
 (** Generate [nblocks] consecutive blocks of [spec] with sequence numbers
     threaded across the whole stream: block [k+1]'s transfers expect the
     seqnos block [k] left behind, so the blocks only execute correctly {e in
-    order against the evolving state} — exactly what the continuous pipeline
-    must preserve. All blocks share one genesis ([(List.hd l).storage]);
+    order against the evolving state} — exactly what a block stream must
+    preserve. All blocks share one genesis ([(List.hd l).storage]);
     [txns]/[transfers]/[declared_writes] differ per block. *)
 let generate_stream (spec : spec) ~(nblocks : int) : t list =
   if spec.num_accounts < 2 then

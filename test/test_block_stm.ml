@@ -794,6 +794,123 @@ let test_helper_exception_raises () =
   Alcotest.(check bool) "some trial raised the hook's exception" true
     (raised > 0)
 
+(* --- Zombie incarnations (txn.mli's termination contract) ----------------- *)
+
+(* A zombie is an incarnation that runs on a view no sequential run
+   produces. tx1 reads x before tx0 writes x and y, and y after tx0 has
+   executed: its two reads disagree, and its MiniMove code loops while they
+   do. Gas must end that incarnation, validation must discard it (its read
+   of x is stale), and the block must commit the sequential result. *)
+let zombie_source =
+  {|
+fun main() {
+  let a = load(@1, X);
+  let b = load(@1, Y);
+  while (a != b) { a = a + 0; }
+  return a;
+}
+|}
+
+(* One 2-domain block of [tx0; tx1] through the instance API. Both waits
+   are bounded, so a schedule that runs tx0 before tx1 starts still ends,
+   without a zombie. Returns the zombie incarnations of tx1, how many of
+   them gas ended, and the block's validation aborts. *)
+let zombie_attempt () =
+  let module R = Blockstm_minimove.Runtime in
+  let module V = Blockstm_minimove.Mv_value in
+  let x = R.loc ~addr:1 ~resource:"X" and y = R.loc ~addr:1 ~resource:"Y" in
+  let storage () =
+    let s = R.Store.create () in
+    R.Store.set s x (V.Value.Int 0);
+    R.Store.set s y (V.Value.Int 0);
+    R.Store.reader s
+  in
+  let script = R.script_txn (R.load zombie_source) ~args:[] in
+  let writer (e : _ Txn.effects) =
+    e.write x (V.Value.Int 1);
+    e.write y (V.Value.Int 1);
+    V.Value.Unit
+  in
+  let await cond =
+    let deadline = Unix.gettimeofday () +. 1. in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done
+  in
+  let inst = Atomic.make None in
+  let x_read = Atomic.make false in
+  let zombies = Atomic.make 0 and gas_ended = Atomic.make 0 in
+  let tx0_executed () =
+    match Atomic.get inst with
+    | Some i -> snd (Scheduler.status (R.Bstm.sched i) 0) = Scheduler.Executed
+    | None -> false
+  in
+  let tx0 e =
+    await (fun () -> Atomic.get x_read);
+    writer e
+  in
+  let tx1 (e : _ Txn.effects) =
+    let seen_x = ref None and zombie = ref false in
+    let read l =
+      if V.Loc.equal l x then begin
+        let v = e.read l in
+        seen_x := v;
+        Atomic.set x_read true;
+        v
+      end
+      else if V.Loc.equal l y then begin
+        await tx0_executed;
+        let v = e.read l in
+        if not (Option.equal V.Value.equal v !seen_x) then begin
+          zombie := true;
+          Atomic.incr zombies
+        end;
+        v
+      end
+      else e.read l
+    in
+    match script { e with read } with
+    | v -> v
+    | exception (Blockstm_minimove.Interp.Abort "out of gas" as ex) ->
+        if !zombie then Atomic.incr gas_ended;
+        raise ex
+  in
+  let i =
+    R.Bstm.create_instance
+      ~config:{ R.Bstm.default_config with num_domains = 2 }
+      ~storage:(storage ()) [| tx0; tx1 |]
+  in
+  Atomic.set inst (Some i);
+  let helper = Domain.spawn (fun () -> R.Bstm.worker_loop ~worker:1 i) in
+  R.Bstm.worker_loop i;
+  Domain.join helper;
+  let r = R.Bstm.finalize i in
+  let seq = R.Seq.run ~storage:(storage ()) [| writer; script |] in
+  Alcotest.(check bool) "snapshot = sequential" true
+    (List.equal
+       (fun (l, v) (l', v') -> V.Loc.equal l l' && V.Value.equal v v')
+       seq.snapshot r.snapshot);
+  Alcotest.(check bool) "outputs = sequential" true
+    (Array.for_all2 (Txn.equal_output V.Value.equal) seq.outputs r.outputs);
+  (Atomic.get zombies, Atomic.get gas_ended, r.metrics.validation_aborts)
+
+(* Repeat until some attempt produced a zombie; fail if none of 20 did. *)
+let test_zombie_ended_by_gas () =
+  let rec go n =
+    if n = 0 then Alcotest.fail "no attempt produced a zombie incarnation"
+    else
+      let zombies, gas_ended, aborts = zombie_attempt () in
+      if zombies = 0 then go (n - 1)
+      else begin
+        Alcotest.(check int) "gas ended every zombie" zombies gas_ended;
+        Alcotest.(check bool) "validation discarded the zombie" true
+          (aborts >= 1)
+      end
+  in
+  match Tutil.with_timeout ~secs:60. (fun () -> go 20) with
+  | Ok () -> ()
+  | Error e -> raise e
+
 let suite =
   [
     Alcotest.test_case "empty block" `Quick test_empty_block;
@@ -839,6 +956,8 @@ let suite =
       test_rolling_commits_during_execution;
     Alcotest.test_case "caught dependency still aborts" `Quick
       test_caught_dependency;
+    Alcotest.test_case "zombie incarnation ended by gas, then discarded"
+      `Quick test_zombie_ended_by_gas;
     Alcotest.test_case "prevalidation skips re-execution on estimate" `Quick
       test_prevalidation_skip;
     Alcotest.test_case "no prevalidation: block mid-execution" `Quick

@@ -58,40 +58,11 @@ let test_rolling_replica_agrees () =
 
 let blocks_of n_blocks = List.init n_blocks (fun i -> block_of_seed (i + 1))
 
-(* Pipelined mode overlaps block h's state-root computation with block h+1's
-   execution; the roots must be byte-identical to a plain sequential chain. *)
-let test_pipelined_roots_identical () =
-  let seq = run_chain Chain.Sequential 6 in
-  let run_pipelined executor =
-    let chain = Chain.create ~executor ~genesis:(genesis ()) () in
-    let commits = Chain.execute_blocks ~pipeline:true chain (blocks_of 6) in
-    Alcotest.(check int) "six commits returned" 6 (List.length commits);
-    chain
-  in
-  let p_seq = run_pipelined Chain.Sequential in
-  let p_par =
-    run_pipelined
-      (Chain.Block_stm { Chain.Bstm.default_config with num_domains = 4 })
-  in
-  let p_roll =
-    run_pipelined
-      (Chain.Block_stm
-         (Chain.Bstm.optimistic_config ~num_domains:4 (fun o ->
-              { o with rolling_commit = true })))
-  in
-  Alcotest.(check (option int)) "pipelined sequential executor" None
-    (Chain.first_divergence seq p_seq);
-  Alcotest.(check (option int)) "pipelined block-stm" None
-    (Chain.first_divergence seq p_par);
-  Alcotest.(check (option int)) "pipelined rolling block-stm" None
-    (Chain.first_divergence seq p_roll);
-  Alcotest.(check int) "height" 6 (Chain.height p_par);
-  Alcotest.(check int) "commit count" 6 (List.length (Chain.commits p_par))
-
-let test_execute_blocks_unpipelined_matches_loop () =
+let test_execute_blocks_matches_loop () =
   let a = run_chain Chain.Sequential 3 in
   let b = Chain.create ~executor:Chain.Sequential ~genesis:(genesis ()) () in
-  ignore (Chain.execute_blocks b (blocks_of 3));
+  let commits = Chain.execute_blocks b (blocks_of 3) in
+  Alcotest.(check int) "three commits returned" 3 (List.length commits);
   Alcotest.(check (option int)) "same commits" None
     (Chain.first_divergence a b)
 
@@ -190,10 +161,8 @@ let suite =
       test_replicas_agree;
     Alcotest.test_case "rolling-commit replica agrees" `Quick
       test_rolling_replica_agrees;
-    Alcotest.test_case "pipelined roots identical to sequential" `Quick
-      test_pipelined_roots_identical;
     Alcotest.test_case "execute_blocks = per-block loop" `Quick
-      test_execute_blocks_unpipelined_matches_loop;
+      test_execute_blocks_matches_loop;
     Alcotest.test_case "divergence detected at first bad height" `Quick
       test_divergence_detected;
     Alcotest.test_case "state roots change per block" `Quick

@@ -1,9 +1,10 @@
-(** Tests for the continuous block pipeline (DESIGN.md §14): streamed and
-    pipelined execution must produce commits — heights, state roots, delta
-    roots {e and outputs} — byte-identical to a per-block
-    sequential-executor chain, across domain counts, both state substrates
-    and both write disciplines (plain writes and commutative deltas). Plus
-    unit tests for the mempool that feeds the stream. *)
+(** Tests for block streams (DESIGN.md §14): [Chain.execute_stream] must
+    produce commits — heights, state roots, delta roots {e and outputs} —
+    byte-identical to a per-block sequential-executor chain, across domain
+    counts, both state substrates and both write disciplines (plain writes
+    and commutative deltas), and a raising hook must leave the chain at a
+    block boundary. Plus unit tests for the mempool that feeds the
+    stream. *)
 
 open Blockstm_kernel
 module W = Blockstm_workload
@@ -13,7 +14,7 @@ module CBstm = Chain.Bstm
 module Mempool = Blockstm_chain.Mempool
 
 (* ------------------------------------------------------------------ *)
-(* Stream identity: every mode commits exactly what per-block does    *)
+(* Stream identity: a stream commits what the sequential chain does   *)
 (* ------------------------------------------------------------------ *)
 
 let nblocks = 4
@@ -56,10 +57,10 @@ let reference ?(store = `Flat) ~genesis ~blocks () =
   chain
 
 let check_stream_matches ~ctx ~(reference : _ Chain.t) ~genesis ~blocks
-    ?next_specs ~executor ~store ~mode () =
+    ?next_specs ~executor ~store () =
   let chain = Chain.create ~executor ~store ~genesis () in
   let commits, stats =
-    Chain.execute_stream ~mode ?next_specs chain ~next:(next_of blocks)
+    Chain.execute_stream ?next_specs chain ~next:(next_of blocks)
   in
   Alcotest.(check (option int))
     (ctx ^ ": no divergence") None
@@ -108,19 +109,19 @@ let grid_sweep ~deltas () =
           in
           check_stream_matches
             ~ctx:
-              (Fmt.str "%s pipelined %s %dd"
+              (Fmt.str "%s %s %dd"
                  (if deltas then "hotspot" else "p2p")
                  sname domains)
             ~reference:refc ~genesis:(genesis ()) ~blocks:wblocks ~executor
-            ~store ~mode:`Pipelined ())
+            ~store ())
         [ `Flat; `Merkle ])
     [ 1; 2; 4; 8 ]
 
 let test_stream_identity_plain () = grid_sweep ~deltas:false ()
 let test_stream_identity_deltas () = grid_sweep ~deltas:true ()
 
-(* Sequential executor through the pipelined stream (root overlap only). *)
-let test_stream_sequential_pipelined () =
+(* The sequential executor through the stream, on both substrates. *)
+let test_stream_sequential () =
   let blocks = List.map (fun w -> w.P2p.txns) (p2p_blocks ()) in
   let genesis = (List.hd (p2p_blocks ())).P2p.storage in
   List.iter
@@ -128,90 +129,73 @@ let test_stream_sequential_pipelined () =
       let refc = reference ~store ~genesis ~blocks () in
       check_stream_matches
         ~ctx:
-          (Fmt.str "seq pipelined %s"
+          (Fmt.str "seq stream %s"
              (match store with `Flat -> "flat" | `Merkle -> "merkle"))
-        ~reference:refc ~genesis ~blocks ~executor:Chain.Sequential ~store
-        ~mode:`Pipelined ())
+        ~reference:refc ~genesis ~blocks ~executor:Chain.Sequential ~store ())
     [ `Flat; `Merkle ]
 
-(* A rolling-commit Merkle chain through [execute_blocks ~pipeline:true]. *)
-let test_merkle_rolling_pipelined () =
+exception Source_failed
+exception Hook_failed
+
+(* A raising [next] or [on_block] propagates out of the stream unchanged,
+   and the chain keeps exactly the commits made before the failure: when
+   [next] raises at its k-th call, blocks 1..k-1 have committed; when
+   [on_block] raises at its k-th call, block k has committed too, since
+   the hook runs after its block's commit. *)
+let test_raising_hooks_propagate () =
   let blocks = List.map (fun w -> w.P2p.txns) (p2p_blocks ()) in
   let genesis = (List.hd (p2p_blocks ())).P2p.storage in
-  let refc = reference ~store:`Merkle ~genesis ~blocks () in
-  let executor =
-    Chain.Block_stm
-      (CBstm.optimistic_config ~num_domains:4 (fun o ->
-           { o with rolling_commit = true }))
+  let refc = reference ~genesis ~blocks () in
+  let ref_roots =
+    List.map (fun (c : _ Chain.block_commit) -> c.state_root)
+      (Chain.commits refc)
   in
-  let chain = Chain.create ~executor ~store:`Merkle ~genesis () in
-  let commits = Chain.execute_blocks ~pipeline:true chain blocks in
-  Alcotest.(check int) "commit count" nblocks (List.length commits);
-  Alcotest.(check (option int))
-    "rolling merkle pipelined" None
-    (Chain.first_divergence refc chain)
-
-(* A job that raises on the digest worker is an error of the stream, not a
-   hang: [hash_loc] raises off the domain running the stream, i.e. in the
-   first state-root job, so the stream must raise it and commit no block. *)
-let test_digest_failure () =
-  let ws =
-    P2p.generate_stream
-      { P2p.default_spec with num_accounts = 60; block_size = 50; seed = 3 }
-      ~nblocks:3
+  let check_prefix ~ctx chain n =
+    Alcotest.(check int) (ctx ^ ": height") n (Chain.height chain);
+    Alcotest.(check int)
+      (ctx ^ ": height = commits") (Chain.height chain)
+      (List.length (Chain.commits chain));
+    Alcotest.(check (list int64))
+      (ctx ^ ": committed roots")
+      (List.filteri (fun i _ -> i < n) ref_roots)
+      (List.map (fun (c : _ Chain.block_commit) -> c.state_root)
+         (Chain.commits chain))
   in
-  let blocks = List.map (fun w -> w.P2p.txns) ws in
-  let genesis = (List.hd ws).P2p.storage in
-  let stream_dom = Atomic.make (Domain.self ()) in
-  let hash_loc l =
-    if Domain.self () = Atomic.get stream_dom then W.Ledger.Loc.hash l
-    else failwith "digest failed"
+  let expect_raise ~ctx exn run =
+    match run () with
+    | _ -> Alcotest.failf "%s: stream did not raise" ctx
+    | exception e when e == exn -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" ctx (Printexc.to_string e)
   in
   List.iter
-    (fun (ctx, executor) ->
-      let chain = Chain.create ~hash_loc ~executor ~genesis () in
-      match
-        Tutil.with_timeout ~secs:20. (fun () ->
-            Atomic.set stream_dom (Domain.self ());
-            Chain.execute_stream ~mode:`Pipelined chain ~next:(next_of blocks))
-      with
-      | Error (Failure msg) when msg = "digest failed" ->
-          Alcotest.(check int)
-            (ctx ^ ": no block committed")
-            0
-            (List.length (Chain.commits chain))
-      | Error e -> Alcotest.failf "%s: raised %s" ctx (Printexc.to_string e)
-      | Ok _ -> Alcotest.failf "%s: stream did not fail" ctx)
+    (fun (ename, executor) ->
+      for k = 1 to nblocks do
+        let ctx = Fmt.str "%s, next raises at call %d" ename k in
+        let chain = Chain.create ~executor ~genesis () in
+        let calls = ref 0 and src = next_of blocks in
+        let next () =
+          incr calls;
+          if !calls = k then raise Source_failed else src ()
+        in
+        expect_raise ~ctx Source_failed (fun () ->
+            Chain.execute_stream chain ~next);
+        check_prefix ~ctx chain (k - 1);
+        let ctx = Fmt.str "%s, on_block raises at call %d" ename k in
+        let chain = Chain.create ~executor ~genesis () in
+        let calls = ref 0 in
+        let on_block _ =
+          incr calls;
+          if !calls = k then raise Hook_failed
+        in
+        expect_raise ~ctx Hook_failed (fun () ->
+            Chain.execute_stream ~on_block chain ~next:(next_of blocks));
+        check_prefix ~ctx chain k
+      done)
     [
       ("sequential", Chain.Sequential);
-      ("block-stm 2d", Chain.Block_stm { CBstm.default_config with num_domains = 2 });
+      ( "block-stm 2d",
+        Chain.Block_stm { CBstm.default_config with num_domains = 2 } );
     ]
-
-exception Source_failed
-
-(* A stream whose source raises must not leak its digest domain. [next]
-   raises on its second call, after the first block queued its root on the
-   digest worker. Each of 200 pipelined streams must re-raise the source's
-   exception; had each left its worker blocked, the runtime's domain limit
-   (128 on OCaml 5.1) would fail a later stream's [Domain.spawn]. *)
-let test_raising_source_joins_worker () =
-  let w =
-    P2p.generate
-      { P2p.default_spec with num_accounts = 20; block_size = 10; seed = 4 }
-  in
-  for i = 1 to 200 do
-    let chain = Chain.create ~executor:Chain.Sequential ~genesis:w.storage () in
-    let calls = ref 0 in
-    let next () =
-      incr calls;
-      if !calls > 1 then raise Source_failed else Some w.txns
-    in
-    match Chain.execute_stream ~mode:`Pipelined chain ~next with
-    | _ -> Alcotest.failf "stream %d did not raise" i
-    | exception Source_failed -> ()
-    | exception e ->
-        Alcotest.failf "stream %d raised %s" i (Printexc.to_string e)
-  done
 
 (* The chain hands each block's specs to the executor: Block-STM configs
    that seed from specs or schedule from the spec DAG need them, and so do
@@ -241,24 +225,21 @@ let test_stream_forwards_specs () =
       let refc = reference ~store ~genesis ~blocks () in
       List.iter
         (fun (ename, executor) ->
-          List.iter
-            (fun (mname, mode) ->
-              check_stream_matches
-                ~ctx:
-                  (Fmt.str "%s %s %s" ename mname
-                     (match store with `Flat -> "flat" | `Merkle -> "merkle"))
-                ~reference:refc ~genesis ~blocks
-                ~next_specs:(next_of (List.map P2p.txn_specs ws))
-                ~executor ~store ~mode ())
-            [ ("per-block", `Per_block); ("pipelined", `Pipelined) ])
+          check_stream_matches
+            ~ctx:
+              (Fmt.str "%s %s" ename
+                 (match store with `Flat -> "flat" | `Merkle -> "merkle"))
+            ~reference:refc ~genesis ~blocks
+            ~next_specs:(next_of (List.map P2p.txn_specs ws))
+            ~executor ~store ())
         ([ ("seeded", Chain.Block_stm seeded); ("spec-dag", Chain.Block_stm dag) ]
         @ List.map (fun k -> (Fmt.str "%d-lane" k, lanes k)) [ 1; 2; 4 ]))
     [ `Flat; `Merkle ]
 
 (* Mempool-fed end-to-end: a producer domain submits the whole stream; the
-   pipelined driver cuts fixed-size blocks; commits must match the
-   reference chain over the same block boundaries. *)
-let test_mempool_driven_pipelined () =
+   stream's [next] cuts fixed-size blocks; commits must match the reference
+   chain over the same block boundaries. *)
+let test_mempool_driven () =
   let ws = p2p_blocks () in
   let blocks = List.map (fun w -> w.P2p.txns) ws in
   let genesis = (List.hd ws).P2p.storage in
@@ -287,13 +268,13 @@ let test_mempool_driven_pipelined () =
     | b -> Some b
   in
   let _, stats =
-    Chain.execute_stream ~mode:`Pipelined
+    Chain.execute_stream
       ~queue_depth:(fun () -> Mempool.depth mp)
       chain ~next
   in
   Domain.join producer;
   Alcotest.(check (option int))
-    "mempool-fed pipelined" None
+    "mempool-fed stream" None
     (Chain.first_divergence refc chain);
   Alcotest.(check int) "all txns committed" (nblocks * block_size) stats.s_txns;
   Alcotest.(check int)
@@ -364,18 +345,13 @@ let suite =
       `Slow test_stream_identity_plain;
     Alcotest.test_case "stream identity: hotspot deltas, 1/2/4/8 domains"
       `Slow test_stream_identity_deltas;
-    Alcotest.test_case "sequential executor, pipelined stream" `Quick
-      test_stream_sequential_pipelined;
-    Alcotest.test_case "rolling merkle chain, pipelined blocks" `Quick
-      test_merkle_rolling_pipelined;
-    Alcotest.test_case "failed digest job raises, does not hang" `Quick
-      test_digest_failure;
-    Alcotest.test_case "raising source joins the digest worker" `Quick
-      test_raising_source_joins_worker;
+    Alcotest.test_case "sequential executor, stream, both stores" `Quick
+      test_stream_sequential;
+    Alcotest.test_case "raising next or on_block keeps committed prefix"
+      `Quick test_raising_hooks_propagate;
     Alcotest.test_case "streams forward specs to the executor" `Quick
       test_stream_forwards_specs;
-    Alcotest.test_case "mempool-fed pipelined stream" `Quick
-      test_mempool_driven_pipelined;
+    Alcotest.test_case "mempool-fed stream" `Quick test_mempool_driven;
     Alcotest.test_case "mempool: size cut" `Quick test_mempool_size_cut;
     Alcotest.test_case "mempool: deadline cut" `Quick test_mempool_deadline_cut;
     Alcotest.test_case "mempool: backpressure" `Quick test_mempool_backpressure;

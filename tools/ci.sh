@@ -6,8 +6,8 @@
 #     slot probe and the chain lookup, and the engine's ESTIMATE scan over
 #     a recorded read log; nor may the scheduler's task path, from claiming
 #     a task to a validation abort (grep gate);
-#   - per-block fixed cost: nothing under lib/mvmemory or lib/scheduler
-#     spawns a domain, and Scheduler.create, Mvmemory.create/fresh_table and
+#   - per-block fixed cost: nothing under lib/mvmemory, lib/scheduler,
+#     lib/chain or lib/storage spawns a domain, and Scheduler.create, Mvmemory.create/fresh_table and
 #     Block_stm.create_instance build no array with Array.init (grep gate);
 #   - the cross-domain stress suite passes (covers 1/2/4/8-domain runs);
 #   - on a multi-core host, the 4-domain scaling point must not fall below
@@ -18,8 +18,8 @@
 #   - location-key interning (DESIGN.md §11): Compile.intern_get's hit path
 #     must stay allocation- and lock-free (grep gate);
 #   - the compiled MiniMove VM must stay >= 2x the tree-walk interpreter on
-#     the p2p standard workload at 1 domain (vm-cost smoke; the pure-VM
-#     replay row, which is immune to single-core scheduling noise);
+#     the p2p standard workload (vm-cost smoke; the median of per-pair
+#     ratios from interleaved pure-VM replays in one process);
 #   - every deterministic virtual-time table is byte-for-byte pinned: with
 #     delta_ops off (the default) the engine is the paper's, so fig3-fig6,
 #     seq-overhead, aborts, ablations, hotspot-delta and spec-cost must
@@ -87,13 +87,14 @@ echo "ci: lock-free gate passed (Mvmemory read and validation paths, the ESTIMAT
 
 # --- Per-block fixed-cost gate ----------------------------------------------
 # Block_stm.run's helpers are the only per-block Domain.spawn: MVMemory and
-# the scheduler spawn none. And the per-block create path builds no array
+# the scheduler spawn none, and the chain and the state stores keep no
+# long-lived domain (one would join every stop-the-world collection). And the per-block create path builds no array
 # with Array.init, which in OCaml 5.1 empties the minor heap before it
 # builds an array of more than 256 words from a young element; the path
 # uses Atomic_util.init_array instead (DESIGN.md §9). Bodies are extracted
 # with the lock-free gate's awk, at either indentation.
-if grep -rn "Domain\.spawn" lib/mvmemory lib/scheduler; then
-  echo "ci: FAIL — Domain.spawn under lib/mvmemory or lib/scheduler; Block_stm.run must stay the only per-block spawn site"
+if grep -rn "Domain\.spawn" lib/mvmemory lib/scheduler lib/chain lib/storage; then
+  echo "ci: FAIL — Domain.spawn under lib/mvmemory, lib/scheduler, lib/chain or lib/storage; Block_stm.run must stay the only spawn site"
   exit 1
 fi
 for spec in lib/scheduler/scheduler.ml:create lib/mvmemory/mvmemory.ml:create \
@@ -109,7 +110,7 @@ for spec in lib/scheduler/scheduler.ml:create lib/mvmemory/mvmemory.ml:create \
     exit 1
   fi
 done
-echo "ci: per-block fixed-cost gate passed (no spawn in MVMemory/scheduler, no Array.init on the create path)"
+echo "ci: per-block fixed-cost gate passed (no spawn in MVMemory/scheduler/chain/storage, no Array.init on the create path)"
 
 # --- Cross-domain test pass -------------------------------------------------
 # The scaling_stress suite runs the engine on 1/2/4/8 real domains and
@@ -156,25 +157,25 @@ echo "ci: interning gate passed (Compile.intern_get hit path is allocation-free)
 
 # --- Compiled-VM smoke ------------------------------------------------------
 # The vm-cost experiment (EXPERIMENTS.md) compares the tree-walk interpreter
-# against the compiled VM. Gate on the "vm" executor rows — a read-trace
-# replay that isolates pure VM cost, so the ratio is stable even on a
-# single, oversubscribed core. The standard-flavor compiled row must hold
-# at least 2x tree-walk (measured ~6x; the gate leaves wide noise margin).
+# against the compiled VM. Gate on the "vm" executor rows: read-trace
+# replays that isolate pure VM cost. The compiled vm row's "vs tree-walk"
+# cell is the median ratio of replay pairs that alternate between the two
+# VMs on the same block within one process; whole processes spread 2.4-7x,
+# so no single pair of best-of-n rows decides it. The standard flavor must
+# hold at least 2x.
 out=$(dune exec bench/main.exe -- vm-cost)
 printf '%s\n' "$out"
-vm_tree=$(printf '%s\n' "$out" \
-  | awk '$1=="standard" && $2=="tree-walk" && $3=="vm" && $4=="1" {print int($5)}')
-vm_comp=$(printf '%s\n' "$out" \
-  | awk '$1=="standard" && $2=="compiled" && $3=="vm" && $4=="1" {print int($5)}')
-if [ -z "$vm_tree" ] || [ -z "$vm_comp" ] || [ "$vm_tree" -le 0 ]; then
-  echo "ci: FAIL — vm-cost did not report tree-walk and compiled tps on the standard vm rows"
+vm_ratio=$(printf '%s\n' "$out" \
+  | awk '$1=="standard" && $2=="compiled" && $3=="vm" && $4=="1" {sub(/x$/,"",$6); print $6}')
+if [ -z "$vm_ratio" ]; then
+  echo "ci: FAIL — vm-cost did not report the standard compiled vm row's replay-pair ratio"
   exit 1
 fi
-if [ "$vm_comp" -lt $((2 * vm_tree)) ]; then
-  echo "ci: FAIL — compiled VM ($vm_comp tps) < 2x tree-walk ($vm_tree tps) on p2p standard"
+if ! awk "BEGIN{exit !($vm_ratio >= 2.0)}"; then
+  echo "ci: FAIL — compiled VM only ${vm_ratio}x tree-walk (median of interleaved replay pairs) on p2p standard"
   exit 1
 fi
-echo "ci: vm-cost gate passed (compiled $vm_comp tps >= 2x tree-walk $vm_tree tps)"
+echo "ci: vm-cost gate passed (compiled ${vm_ratio}x >= 2x tree-walk, median of interleaved replay pairs)"
 
 # --- Virtual-table byte-identity gate ---------------------------------------
 # delta_ops is strictly opt-in: with it off (the default, which is what the
@@ -253,41 +254,29 @@ if ! awk "BEGIN{exit !($sspeed >= 5.0)}"; then
 fi
 echo "ci: state-scale gate passed (incremental ${sspeed}x >= 5x fold at 10^5 accounts, roots ok)"
 
-# --- Sustained pipeline smoke -----------------------------------------------
-# The continuous block pipeline (DESIGN.md §14). Two invariants:
-#   - identity is unconditional: every (store, mode, domains) grid point
-#     must report "ok" in the roots column — per-block and pipelined
-#     execution both commit bit-identically to the per-block sequential
-#     reference. Any MISMATCH fails on any host.
-#   - throughput is gated like the scaling bench: on >= 4 cores (or with
-#     BLOCKSTM_SUSTAINED_GATE=1) the flat pipelined 4-domain point must not
-#     fall below flat per-block at 4 domains; on single-core hosts the
-#     overlap has no spare core to run on, so the comparison is report-only.
+# --- Sustained stream smoke -------------------------------------------------
+# Block streams through the chain (DESIGN.md §14). Identity is
+# unconditional: every (store, domains) grid point must report "ok" in the
+# roots column, i.e. the stream commits bit-identically to the per-block
+# sequential reference (the experiment's oracle also fails the run on a
+# divergence). The tps column is report-only.
 out=$(dune exec bench/main.exe -- sustained)
 printf '%s\n' "$out"
+sus_ok() {
+  printf '%s\n' "$out" | awk -v s="$1" '$1==s && NF==4 && $4=="ok"' | wc -l
+}
+sus_flat=$(sus_ok flat) sus_merkle=$(sus_ok merkle)
 if printf '%s\n' "$out" \
-  | awk '($1=="flat" || $1=="merkle") && NF>=7 && $7!="ok" {exit 1}'
+  | awk '($1=="flat" || $1=="merkle") && NF>=4 && $4!="ok" {exit 1}'
 then :; else
-  echo "ci: FAIL — sustained reported a commit divergence (see the roots column): pipelined streams must be bit-identical to per-block"
+  echo "ci: FAIL — sustained reported a commit divergence (see the roots column): streams must be bit-identical to the sequential chain"
   exit 1
 fi
-sus_pb=$(printf '%s\n' "$out" \
-  | awk '$1=="flat" && $2=="per-block" && $3=="4" {print int($4)}')
-sus_pl=$(printf '%s\n' "$out" \
-  | awk '$1=="flat" && $2=="pipelined" && $3=="4" {print int($4)}')
-if [ -z "$sus_pb" ] || [ -z "$sus_pl" ]; then
-  echo "ci: FAIL — sustained did not report flat per-block and pipelined tps at 4 domains"
+if [ "$sus_flat" -lt 1 ] || [ "$sus_flat" -ne "$sus_merkle" ]; then
+  echo "ci: FAIL — sustained did not report ok roots at the same domain counts for the flat ($sus_flat) and merkle ($sus_merkle) stores"
   exit 1
 fi
-if [ "$cores" -ge 4 ] || [ "${BLOCKSTM_SUSTAINED_GATE:-0}" = "1" ]; then
-  if [ "$sus_pl" -lt "$sus_pb" ]; then
-    echo "ci: FAIL — sustained regression: pipelined ($sus_pl tps) < per-block ($sus_pb tps) on flat/4 domains"
-    exit 1
-  fi
-  echo "ci: sustained gate passed (pipelined $sus_pl tps >= per-block $sus_pb tps, all roots ok)"
-else
-  echo "ci: sustained gate report-only on $cores core(s): per-block $sus_pb tps, pipelined $sus_pl tps; roots all ok"
-fi
+echo "ci: sustained gate passed (roots ok at all $sus_flat flat and $sus_merkle merkle points)"
 
 # --- Spec-skip smoke --------------------------------------------------------
 # Static access specs (DESIGN.md §15): on a large-account p2p block most
@@ -326,8 +315,7 @@ echo "ci: spec-skip gate passed ($sskips validations skipped; $sspec validations
 #     commits a snapshot and outputs bit-identical to the block's
 #     sequential reference, for the lanes and the single instance alike,
 #     and the CLI runs below re-check commits
-#     against sequential on real domains, and pipelined 2-lane roots
-#     against the unpipelined chain's;
+#     against sequential on real domains;
 #   - golden byte-identity, unconditional: the lane-scaling table is
 #     virtual time and fully deterministic, so it must match
 #     tools/golden/lane-scaling.txt exactly (the same output feeds the
@@ -363,11 +351,7 @@ echo "ci: lane identity sweep + virtual headline passed (p2p-hot 8 lanes @ 8 thr
 dune exec bin/blockstm_cli.exe -- run -w p2p -a 1000 -b 1000 -d 4   --lanes 2 --verify >/dev/null
 dune exec bin/blockstm_cli.exe -- run -w p2p -a 1000 -b 1000 -d 4 --lanes 4 --verify >/dev/null
 dune exec bin/blockstm_cli.exe -- run -w p2p-hotspot -a 100 -b 500 -d 4   --lanes 2 --deltas --verify >/dev/null
-# Lanes under the pipelined chain: the run exits 1 if any pipelined root
-# differs from the unpipelined chain's.
-dune exec bin/blockstm_cli.exe -- run -w p2p -a 1000 -b 1000 -d 4 --lanes 2 \
-  --pipeline >/dev/null
-echo "ci: lane CLI identity passed (2 lanes, 4 lanes and deltas commits match sequential; pipelined 2-lane roots match unpipelined)"
+echo "ci: lane CLI identity passed (2 lanes, 4 lanes and deltas commits match sequential)"
 ltps() {
   dune exec bin/blockstm_cli.exe -- run -w p2p -a 1024 -b 4000 -d 8     --seed 42 --lane-hint 2 "$@"     | sed -n 's/^executed .*: \([0-9]*\) tps.*/\1/p'
 }
