@@ -78,8 +78,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let entry_hash_hm (hm : int) (v : V.t) : int =
     mix ((hm * golden) + mix (V.hash v))
 
-  let entry_hash (l : L.t) (v : V.t) : int = entry_hash_hm (mix (L.hash l)) v
-
   (* Leaf digest folds the count in so an empty bucket differs from one whose
      entry hashes happen to sum to zero. *)
   let leaf_hash acc count = mix (acc lxor (count * golden))
@@ -92,14 +90,26 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     let rec go p = if p >= n then p else go (p * 2) in
     go 1
 
-  let create ?(buckets = default_buckets) () : t =
+  (* Add every binding of [flat] into [acc]/[counts] in one pass, hashing
+     each location once (the sum is commutative: any order will do). *)
+  let sweep flat ~mask acc counts =
+    Flat.iter flat (fun l v ->
+        let hl = L.hash l in
+        let b = hl land mask in
+        acc.(b) <- acc.(b) + entry_hash_hm (mix hl) v;
+        counts.(b) <- counts.(b) + 1)
+
+  (* Base tier: [flat]'s bucket array copied as it is, nothing rehashed. *)
+  let of_store ?(buckets = default_buckets) (flat : Flat.t) : t =
     let nbuckets = next_pow2 (max 1 buckets) in
+    let acc = Array.make nbuckets 0 and counts = Array.make nbuckets 0 in
+    sweep flat ~mask:(nbuckets - 1) acc counts;
     {
-      flat = Flat.create ();
+      flat = Flat.copy flat;
       nbuckets;
       mask = nbuckets - 1;
-      acc = Array.make nbuckets 0;
-      counts = Array.make nbuckets 0;
+      acc;
+      counts;
       tree = Array.make (2 * nbuckets) 0;
       (* Every leaf starts dirty: the all-zero tree has never been built. *)
       dirty = List.init nbuckets Fun.id;
@@ -109,7 +119,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       scratch = Array.make nbuckets 0;
     }
 
-  let bucket_of t l = L.hash l land t.mask
+  let create ?buckets () = of_store ?buckets (Flat.create ())
   let buckets t = t.nbuckets
   let cardinal t = Flat.cardinal t.flat
 
@@ -159,11 +169,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let apply_delta t delta = List.iter (fun (l, v) -> set t l v) delta
 
-  let of_store ?buckets (flat : Flat.t) : t =
-    let t = create ?buckets () in
-    Flat.iter flat (fun l v -> set t l v);
-    t
-
   (* --- Reads ------------------------------------------------------------- *)
 
   let get t l = Flat.get t.flat l
@@ -172,7 +177,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let reader t : (L.t, V.t) Intf.storage = Flat.reader t.flat
 
   let base t : Flat.t = t.flat
-  let to_alist t = Flat.to_alist t.flat
 
   (* --- Root -------------------------------------------------------------- *)
 
@@ -224,12 +228,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      the analogue of the flat store's whole-state fold in the state-scale
      benchmark. *)
   let recompute_root t : int64 =
-    let acc = Array.make t.nbuckets 0 in
-    let counts = Array.make t.nbuckets 0 in
-    Flat.iter t.flat (fun l v ->
-        let b = bucket_of t l in
-        acc.(b) <- acc.(b) + entry_hash l v;
-        counts.(b) <- counts.(b) + 1);
+    let acc = Array.make t.nbuckets 0 and counts = Array.make t.nbuckets 0 in
+    sweep t.flat ~mask:t.mask acc counts;
     let tree = Array.make (2 * t.nbuckets) 0 in
     for b = 0 to t.nbuckets - 1 do
       tree.(t.nbuckets + b) <- leaf_hash acc.(b) counts.(b)

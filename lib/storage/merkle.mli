@@ -27,8 +27,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       buckets. *)
 
   val of_store : ?buckets:int -> Memstore.Make(L)(V).t -> t
-  (** Build from an existing flat store (e.g. a genesis {!Memstore});
-      contents are copied, the argument is not retained. *)
+  (** Build from an existing flat store (e.g. a genesis {!Memstore}) in one
+      sweep: the base tier is a copy of the table as it is (same bucket
+      count, nothing rehashed), and each binding is hashed once into its
+      digest bucket. The argument is not retained; mutating either store
+      afterwards leaves the other unchanged. *)
 
   val get : t -> L.t -> V.t option
   val mem : t -> L.t -> bool
@@ -51,8 +54,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   val base : t -> Memstore.Make(L)(V).t
   (** The flat base tier itself (for chain-level state accessors). Mutating
       it directly desynchronizes the digest; treat as read-only. *)
-
-  val to_alist : t -> (L.t * V.t) list
 
   val root : t -> int64
   (** Authenticated root. Refreshes dirty paths (O(dirty · log buckets)),

@@ -59,23 +59,27 @@ type check = {
 
 let check_ok c = c.snapshot_ok && c.outputs_ok
 
+(** Compare an executor's [snapshot] with the sequential reference [seq],
+    and every transaction's output too when [outputs] is given: executors
+    that commit in preset order (Block-STM, lanes, BOHM) pass theirs. *)
+let check_against (seq : int Seq.result) ?outputs snapshot : check =
+  {
+    snapshot_ok = equal_snapshot seq.Seq.snapshot snapshot;
+    outputs_ok =
+      Option.fold ~none:true ~some:(equal_outputs seq.outputs) outputs;
+  }
+
 (** Run Block-STM with [num_domains] domains and compare snapshot and
     outputs against the sequential reference. *)
 let check_blockstm ?config ~storage txns : check =
   let seq = run_sequential ~storage txns in
   let par = run_blockstm ?config ~storage txns in
-  {
-    snapshot_ok = equal_snapshot seq.Seq.snapshot par.Bstm.snapshot;
-    outputs_ok = equal_outputs seq.Seq.outputs par.Bstm.outputs;
-  }
+  check_against seq ~outputs:par.Bstm.outputs par.snapshot
 
 let check_bohm ?num_domains ~storage ~declared_writes txns : check =
   let seq = run_sequential ~storage txns in
   let bohm = run_bohm ?num_domains ~storage ~declared_writes txns in
-  {
-    snapshot_ok = equal_snapshot seq.Seq.snapshot bohm.BohmX.snapshot;
-    outputs_ok = equal_outputs seq.Seq.outputs bohm.BohmX.outputs;
-  }
+  check_against seq ~outputs:bohm.BohmX.outputs bohm.snapshot
 
 (* --- Virtual-time (simulated parallelism) runners ------------------------ *)
 (* These reproduce the paper's thread-scaling measurements on a single-core

@@ -106,6 +106,100 @@ let prop_random_ops =
       let rebuilt = M.of_store ~buckets:8 (M.base m) in
       ok_incr && Int64.equal (M.root m) (M.root rebuilt))
 
+(* [of_store] builds in one sweep: the base tier is a copy of the source
+   table, and each binding is hashed once into its bucket. It must give the
+   same bindings, [root] and [recompute_root] as setting the bindings one by
+   one into [create ()], at any bucket count, from source tables of any
+   size (the empty one included), and the built store and its source must
+   not share state afterwards. *)
+let prop_of_store_sweep =
+  let state =
+    QCheck2.Gen.(
+      frequency
+        [
+          (1, return []);
+          (9, list_size (int_bound 120) (pair (int_bound 63) (int_bound 1000)));
+        ])
+  in
+  QCheck2.Test.make ~count:300
+    ~name:"merkle: of_store = one-by-one set, independent of its source"
+    QCheck2.Gen.(
+      quad
+        (oneofl [ 1; 8; M.default_buckets ])
+        (oneofl [ 1; 16; 1024 ])
+        state
+        (pair (pair (int_bound 63) (int_bound 1000)) (int_bound 63)))
+    (fun (buckets, initial_size, pairs, ((l, v), gone)) ->
+      let src = Store.create ~initial_size () in
+      List.iter (fun (l, v) -> Store.set src l v) pairs;
+      let built = M.of_store ~buckets src in
+      let by_set = M.create ~buckets () in
+      Store.iter src (fun l v -> M.set by_set l v);
+      let bindings m = Store.to_alist (M.base m) in
+      let same =
+        bindings built = bindings by_set
+        && Int64.equal (M.root built) (M.root by_set)
+        && Int64.equal (M.recompute_root built) (M.recompute_root by_set)
+        && Int64.equal (M.root built) (M.recompute_root built)
+      in
+      (* Mutating the built store leaves the source's bindings, and the
+         root of a store built from it, unchanged... *)
+      let src_bindings = Store.to_alist src and src_root = M.root built in
+      M.set built l (v + 1);
+      M.remove built gone;
+      let src_kept =
+        Store.to_alist src = src_bindings
+        && Int64.equal (M.root (M.of_store ~buckets src)) src_root
+      in
+      (* ...and mutating the source leaves the built store's unchanged. *)
+      let built_bindings = bindings built and built_root = M.root built in
+      Store.set src gone (v + 2);
+      Store.remove src l;
+      let built_kept =
+        bindings built = built_bindings
+        && Int64.equal (M.root built) built_root
+        && Int64.equal (M.recompute_root built) built_root
+      in
+      same && src_kept && built_kept)
+
+(* A location module that counts its [hash] calls. *)
+module Counted_loc = struct
+  include IntLoc
+
+  let calls = ref 0
+
+  let hash x =
+    incr calls;
+    IntLoc.hash x
+end
+
+module Counted = Blockstm_storage.Merkle.Make (Counted_loc) (IntVal)
+module Counted_store = Blockstm_storage.Memstore.Make (Counted_loc) (IntVal)
+
+(* The work pin: building over n bindings hashes each location exactly
+   once (no lookups, no table growth), and so does the from-scratch
+   recompute, which shares the sweep. Replaying every binding through [set]
+   costs at least 3n calls plus a rehash per table resize. *)
+let test_of_store_hashes_once () =
+  List.iter
+    (fun n ->
+      let src = Counted_store.create () in
+      for i = 0 to n - 1 do
+        Counted_store.set src i (i * 7)
+      done;
+      Counted_loc.calls := 0;
+      let m = Counted.of_store src in
+      Alcotest.(check int)
+        (Fmt.str "of_store over %d bindings: hash calls" n)
+        n !Counted_loc.calls;
+      Counted_loc.calls := 0;
+      ignore (Counted.recompute_root m);
+      Alcotest.(check int)
+        (Fmt.str "recompute_root over %d bindings: hash calls" n)
+        n !Counted_loc.calls;
+      Alcotest.(check int) "cardinal" n (Counted.cardinal m))
+    [ 0; 1; 100; 5_000 ]
+
 (* --- Chain level --------------------------------------------------------- *)
 
 let genesis () =
@@ -201,6 +295,9 @@ let suite =
     Alcotest.test_case "merkle: apply_delta idempotent" `Quick
       test_apply_delta_idempotent;
     qcheck_to_alcotest prop_random_ops;
+    qcheck_to_alcotest prop_of_store_sweep;
+    Alcotest.test_case "merkle: of_store hashes each location once" `Quick
+      test_of_store_hashes_once;
     Alcotest.test_case "chain: substrate/executor/domain matrix" `Slow
       test_matrix;
   ]

@@ -343,6 +343,97 @@ let test_coin_block_parallel_equals_sequential () =
         (Blockstm_kernel.Txn.equal_output Value.equal o par.outputs.(i)))
     seq.outputs
 
+(* Injected fault: a transaction that always runs out of gas. It moves
+   coin between the accounts its neighbouring transfers touch, then loops,
+   so every incarnation ends on gas with writes staged. The block must
+   commit it as [Failed] out of gas with none of its writes, exactly as the
+   sequential run does, on both VMs and on 1 and 2 domains. *)
+let burn_source =
+  {|
+fun main(a, b) {
+  let x = load(a, Coin);
+  store(a, Coin, Coin { value: x.value - 1 });
+  let y = load(b, Coin);
+  store(b, Coin, Coin { value: y.value + 1 });
+  while (true) { x = load(a, Coin); }
+}
+|}
+
+let test_out_of_gas_commits_failed () =
+  let n_accounts = 3 in
+  let store = Runtime.coin_genesis ~num_accounts:n_accounts () in
+  let out_of_gas =
+    Blockstm_kernel.Txn.Failed (Printexc.to_string (Interp.Abort "out of gas"))
+  in
+  let block vm =
+    let coin = Runtime.load ~vm Stdlib_contracts.coin_source in
+    let burn = Runtime.load ~vm burn_source in
+    let next_seq = Array.make (n_accounts + 1) 0 in
+    let pair i = (1 + (i mod n_accounts), 1 + ((i + 1) mod n_accounts)) in
+    Array.init 24 (fun i ->
+        if i mod 3 = 1 then
+          (* The accounts of the transfer before it. *)
+          let a, b = pair (i - 1) in
+          Runtime.script_txn ~gas_limit:20_000 burn
+            ~args:[ Value.Addr a; Value.Addr b ]
+        else
+          let sender, recipient = pair i in
+          let seq = next_seq.(sender) in
+          next_seq.(sender) <- seq + 1;
+          Runtime.script_txn coin
+            ~args:
+              [
+                Value.Addr sender; Value.Addr recipient; Value.Int (10 + i);
+                Value.Int seq;
+              ])
+  in
+  List.iter
+    (fun vm ->
+      let txns = block vm in
+      let storage = Runtime.Store.reader store in
+      let seq = Runtime.Seq.run ~storage txns in
+      Array.iteri
+        (fun i o ->
+          Alcotest.(check bool)
+            (Fmt.str "%s: sequential tx%d %s" (Runtime.vm_name vm) i
+               (if i mod 3 = 1 then "out of gas" else "succeeds"))
+            true
+            (if i mod 3 = 1 then
+               Blockstm_kernel.Txn.equal_output Value.equal out_of_gas o
+             else
+               match o with
+               | Blockstm_kernel.Txn.Success _ -> true
+               | Blockstm_kernel.Txn.Failed _ -> false))
+        seq.outputs;
+      List.iter
+        (fun domains ->
+          let name = Fmt.str "%s, %d domains" (Runtime.vm_name vm) domains in
+          let par =
+            match
+              Tutil.with_timeout ~secs:60. (fun () ->
+                  Runtime.Bstm.run
+                    ~config:
+                      { Runtime.Bstm.default_config with num_domains = domains }
+                    ~storage txns)
+            with
+            | Ok r -> r
+            | Error e -> raise e
+          in
+          Alcotest.(check bool) (name ^ ": snapshot = sequential") true
+            (List.equal
+               (fun (l, v) (l', v') -> Loc.equal l l' && Value.equal v v')
+               seq.snapshot par.snapshot);
+          Array.iteri
+            (fun i o ->
+              Alcotest.(check bool)
+                (Fmt.str "%s: tx%d output = sequential" name i)
+                true
+                (Blockstm_kernel.Txn.equal_output Value.equal o
+                   par.outputs.(i)))
+            seq.outputs)
+        [ 1; 2 ])
+    [ Runtime.Compiled; Runtime.Tree_walk ]
+
 let test_auction_contract () =
   let auction = Interp.compile Stdlib_contracts.auction_source in
   let house = 500 in
@@ -533,6 +624,8 @@ let suite =
     Alcotest.test_case "coin: failure modes" `Quick test_coin_transfer_failures;
     Alcotest.test_case "coin: parallel block = sequential" `Quick
       test_coin_block_parallel_equals_sequential;
+    Alcotest.test_case "coin: always out of gas commits Failed" `Quick
+      test_out_of_gas_commits_failed;
     Alcotest.test_case "auction contract" `Quick test_auction_contract;
     Alcotest.test_case "amm: constant-product swap" `Quick test_amm_swap;
     Alcotest.test_case "amm: contended block = sequential" `Quick

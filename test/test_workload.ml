@@ -107,6 +107,27 @@ let test_declared_writes_are_perfect () =
   in
   Alcotest.(check bool) "bohm = sequential" true (Harness.check_ok c)
 
+(* The check behind [blockstm run --verify]: a result whose snapshot is
+   right but one of whose outputs is wrong is refused, and so is a wrong
+   snapshot; without outputs (litm) only the snapshot is compared. *)
+let test_check_against_refuses_wrong_output () =
+  let w = P2p.generate { P2p.default_spec with block_size = 50 } in
+  let seq = Harness.run_sequential ~storage:w.storage w.txns in
+  let ok c = Harness.check_ok c in
+  Alcotest.(check bool) "reference accepted" true
+    (ok (Harness.check_against seq ~outputs:seq.outputs seq.snapshot));
+  let wrong = Array.copy seq.outputs in
+  wrong.(17) <- Blockstm_kernel.Txn.Failed "injected";
+  let c = Harness.check_against seq ~outputs:wrong seq.snapshot in
+  Alcotest.(check bool) "snapshot right" true c.snapshot_ok;
+  Alcotest.(check bool) "one wrong output refused" false (ok c);
+  Alcotest.(check bool) "wrong snapshot refused" false
+    (ok
+       (Harness.check_against seq ~outputs:seq.outputs
+          (List.tl seq.snapshot)));
+  Alcotest.(check bool) "no outputs: snapshot only" true
+    (ok (Harness.check_against seq seq.snapshot))
+
 let test_balance_conservation () =
   let spec =
     { P2p.default_spec with block_size = 400; num_accounts = 20; seed = 9 }
@@ -318,6 +339,8 @@ let suite =
       test_declared_writes_are_perfect;
     Alcotest.test_case "10^4-txn p2p block = sequential, 2 domains" `Quick
       test_paper_block_size_equals_sequential;
+    Alcotest.test_case "verify check refuses a wrong output" `Quick
+      test_check_against_refuses_wrong_output;
     Alcotest.test_case "balance conservation" `Quick test_balance_conservation;
     Alcotest.test_case "genesis contents" `Quick test_genesis_contents;
     Alcotest.test_case "synthetic: hotspot" `Quick test_synthetic_hotspot;

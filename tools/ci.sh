@@ -234,7 +234,8 @@ echo "ci: hotspot-delta gate passed (deltas $hdelta tps >= 2x paper $hpaper tps)
 # (measured 5.5-7x; the experiment takes per-side best-of-3 minima, so the
 # ratio is stable under load). The roots column also asserts correctness at
 # every grid point: sequential root = Block-STM root = from-scratch
-# recompute; any mismatch is a hard failure regardless of speed.
+# recompute; any mismatch is a hard failure regardless of speed. The last
+# column, build (ms), is report-only.
 out=$(dune exec bench/main.exe -- state-scale)
 printf '%s\n' "$out"
 if printf '%s\n' "$out" | awk 'NF>=6 && $1 ~ /^[0-9]+$/ && $6!="ok" {exit 1}'
@@ -284,7 +285,8 @@ echo "ci: sustained gate passed (roots ok at all $sus_flat flat and $sus_merkle 
 # validation work — spec_skips > 0 and strictly fewer validations than the
 # optimistic run of the same block. Deterministic in the skip/seeding
 # direction (independence is computed statically), so this gates on any
-# host. --verify additionally checks committed state against sequential.
+# host. --verify additionally checks committed state and outputs against
+# sequential.
 spec_run() {
   dune exec bin/blockstm_cli.exe -- run -w p2p -a 10000 -b 1000 -d 4 \
     --seed 42 --verify "$@" | tr ';' '\n'
