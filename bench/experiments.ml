@@ -937,26 +937,24 @@ let state_scale mode =
          commit), both on the Merkle substrate: the authenticated roots must
          agree at every grid point. *)
       let root_after executor =
-        let c = C.create ~store:`Merkle ~executor ~genesis:w1.storage () in
+        let c = C.create ~executor ~genesis:w1.storage () in
         ((C.execute_block c w1.txns).state_root, c)
       in
       let seq_root, seq_chain = root_after C.Sequential in
       G.check ~point:(label "roots")
         { G.reference = lazy seq_root; same = Int64.equal }
         (fst (root_after (C.Block_stm (rolling_config domains))));
-      let m = Option.get (C.merkle_state seq_chain) in
+      let m = C.merkle_state seq_chain in
       let roots_ok =
         Int64.equal (C.Mstore.root m) (C.Mstore.recompute_root m)
       in
       (* Cost of folding a further block's delta into the post-state and
-         producing the new root, both substrates. The flat substrate digests
-         the whole state from scratch; the Merkle substrate refreshes only
-         the dirty digest paths. Best of 3 distinct deltas per side, applied
-         in the same order to both stores, which stay in sync. *)
-      let flat_chain =
-        C.create ~store:`Flat ~executor:C.Sequential
-          ~genesis:(C.state seq_chain) ()
-      in
+         producing the new root. The yardstick is a flat copy of the state
+         digested from scratch by a sorted fold over every binding; the
+         Merkle substrate refreshes only the dirty digest paths. Best of 3
+         distinct deltas per side, applied in the same order to both
+         stores, which stay in sync. *)
+      let flat = Ledger.Store.copy (C.state seq_chain) in
       let deltas =
         let scratch = Ledger.Store.copy (C.state seq_chain) in
         Array.map
@@ -976,9 +974,9 @@ let state_scale mode =
             ignore (root ()))
       in
       let fold_ns =
-        best "fold_ns"
-          (Ledger.Store.apply_delta (C.state flat_chain))
-          (fun () -> C.state_root flat_chain)
+        best "fold_ns" (Ledger.Store.apply_delta flat) (fun () ->
+            C.digest ~hash_loc:Ledger.Loc.hash ~hash_value:Ledger.Value.hash
+              (Ledger.Store.to_alist flat))
       in
       let incr_ns =
         best "incr_ns" (C.Mstore.apply_delta m) (fun () -> C.Mstore.root m)
@@ -987,8 +985,7 @@ let state_scale mode =
          table and one hashing sweep (DESIGN.md §13). Report-only. *)
       let build_ns =
         G.wall ~n:3 ~label:(label "build_ns") ~metric:Fun.id (fun _ ->
-            C.create ~store:`Merkle ~executor:C.Sequential ~genesis:w1.storage
-              ())
+            C.create ~executor:C.Sequential ~genesis:w1.storage ())
       in
       let speedup = fold_ns /. incr_ns in
       Report.sample ~label:(label "speedup") speedup;
@@ -1056,13 +1053,12 @@ let sustained mode =
   let genesis = (List.hd ws).P2p.storage in
   let total = nblocks * block in
   (* The oracle of a block stream: the same blocks committed one by one by
-     the sequential executor, on the same substrate (the Merkle root
-     algorithm differs from the flat fold by design). *)
-  let oracle store blocks =
+     the sequential executor. *)
+  let oracle blocks =
     {
       G.reference =
         lazy
-          (let c = C.create ~store ~executor:C.Sequential ~genesis () in
+          (let c = C.create ~executor:C.Sequential ~genesis () in
            List.iter (fun b -> ignore (C.execute_block c b)) blocks;
            c);
       same = (fun r c -> C.first_divergence r c = None);
@@ -1071,9 +1067,7 @@ let sustained mode =
   (* Phase B — steady-state committed throughput over a deterministic block
      stream, checked against the per-block sequential reference at every
      grid point. *)
-  let oracles =
-    [ (`Flat, oracle `Flat blocks); (`Merkle, oracle `Merkle blocks) ]
-  in
+  let stream_oracle = oracle blocks in
   let tps_tbl = Hashtbl.create 16 in
   G.table
     ~title:
@@ -1081,25 +1075,23 @@ let sustained mode =
          "Sustained stream: committed throughput over %d-block streams \
           (standard p2p, %d accounts, block %d, wall clock)"
          nblocks accounts block)
-    ~header:[ "store"; "domains"; "tps"; "roots" ]
-    (G.cross [ ("flat", `Flat); ("merkle", `Merkle) ] !domains_grid)
-    (fun ((sname, store), domains) ->
+    ~header:[ "domains"; "tps"; "roots" ]
+    !domains_grid
+    (fun domains ->
       let chain =
-        C.create ~store ~executor:(C.Block_stm (rolling_config domains))
-          ~genesis ()
+        C.create ~executor:(C.Block_stm (rolling_config domains)) ~genesis ()
       in
-      let label = Printf.sprintf "sustained/%s/domains=%d" sname domains in
+      let label = Printf.sprintf "sustained/domains=%d" domains in
       let tps =
         G.wall ~label ~metric:(G.tps ~txns:total) (fun _ ->
             C.execute_blocks chain blocks)
       in
-      G.check ~point:label (List.assoc store oracles) chain;
-      Hashtbl.replace tps_tbl (sname, domains) tps;
+      G.check ~point:label stream_oracle chain;
+      Hashtbl.replace tps_tbl domains tps;
       Report.sample
-        ~label:
-          (Printf.sprintf "sustained/roots_equal/%s/domains=%d" sname domains)
+        ~label:(Printf.sprintf "sustained/roots_equal/domains=%d" domains)
         1.;
-      [ [ sname; string_of_int domains; fmt_tps tps; "ok" ] ]);
+      [ [ string_of_int domains; fmt_tps tps; "ok" ] ]);
   (* Phase A — commit latency under Poisson ingestion: a producer domain
      submits boundary-insensitive transfers through the bounded mempool at
      rate lambda; the driver cuts blocks at [block] txns or the deadline and
@@ -1110,7 +1102,7 @@ let sustained mode =
   let rate =
     if !sustained_rate > 0. then !sustained_rate
     else
-      let measured = Hashtbl.find_opt tps_tbl ("flat", domains) in
+      let measured = Hashtbl.find_opt tps_tbl domains in
       0.6 *. Option.value ~default:5_000. measured
   in
   let deadline_ns = int_of_float (!sustained_deadline_ms *. 1e6) in
@@ -1127,7 +1119,7 @@ let sustained mode =
     ~title:
       (Printf.sprintf
          "Sustained stream: commit latency under Poisson ingestion (rate \
-          %.0f tps, block %d or %.0f ms, %d domains, flat store)"
+          %.0f tps, block %d or %.0f ms, %d domains)"
          rate block !sustained_deadline_ms domains)
     ~header:
       [ "tps"; "p50 ms"; "p95 ms"; "p99 ms"; "blocks"; "depth p95"; "idle ms" ]
@@ -1188,7 +1180,7 @@ let sustained mode =
               chain ~next)
       in
       Domain.join producer;
-      G.check ~point:"sustained/latency" (oracle `Flat (List.rev !cut)) chain;
+      G.check ~point:"sustained/latency" (oracle (List.rev !cut)) chain;
       let stats = Option.get !stats in
       let s = D.summarize (Array.of_list !lats) in
       let label p = Printf.sprintf "sustained/latency/%s_ms" p in

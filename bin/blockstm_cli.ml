@@ -207,14 +207,12 @@ let run_cmd =
       value & flag
       & info [ "verify" ]
           ~doc:
-            "Also run the sequential executor and compare: the written \
-             snapshot always, and every transaction's output for the \
-             executors that commit in preset order (blockstm, lanes \
-             included; bohm; sequential). litm commits in its own round \
-             order, so its outputs are not compared, and its snapshot \
-             matches only where that order does not change the result. \
-             Prints $(b,verify vs sequential: OK), or $(b,MISMATCH) and \
-             exits 1.")
+            "Also run the sequential executor and compare the written \
+             snapshot and every transaction's output. The sequential run \
+             takes the block in preset order, except for litm, which \
+             commits round by round: its reference runs the block in the \
+             order litm committed it. Prints $(b,verify vs sequential: \
+             OK), or $(b,MISMATCH) and exits 1.")
   in
   let trace_out =
     Arg.(
@@ -367,14 +365,20 @@ let run_cmd =
       let r, ns = Blockstm_stats.Clock.time_ns f in
       (r, Blockstm_stats.Clock.tps ~txns:n ~elapsed_ns:ns)
     in
-    (* [outputs] is [None] only for litm, which does not commit in preset
+    (* Each branch returns, for --verify, a thunk comparing its result with
+       the sequential reference; [preset] runs that reference in preset
        order. *)
-    let snapshot, outputs, tps =
+    let preset snapshot outputs () =
+      Harness.check_against
+        (Harness.run_sequential ~storage:g.storage g.txns)
+        ~outputs snapshot
+    in
+    let snapshot, tps, check =
       match executor with
       | E_sequential ->
           let r, tps = time (fun () -> Harness.run_sequential
                                 ~storage:g.storage g.txns) in
-          (r.snapshot, Some r.outputs, tps)
+          (r.snapshot, tps, preset r.snapshot r.outputs)
       | E_blockstm when lanes > 1 ->
           let specs = Option.get specs and partition = Option.get partition in
           let traces =
@@ -413,7 +417,9 @@ let run_cmd =
                     (Blockstm_obs.Trace.dropped tr))
                 ts
           | _ -> ());
-          (r.Harness.LanesX.snapshot, Some r.Harness.LanesX.outputs, tps)
+          ( r.Harness.LanesX.snapshot,
+            tps,
+            preset r.Harness.LanesX.snapshot r.Harness.LanesX.outputs )
       | E_blockstm ->
           let trace =
             Option.map
@@ -443,7 +449,7 @@ let run_cmd =
                 (List.length (Blockstm_obs.Trace.events tr))
                 (Blockstm_obs.Trace.dropped tr)
           | _ -> ());
-          (r.snapshot, Some r.outputs, tps)
+          (r.snapshot, tps, preset r.snapshot r.outputs)
       | E_bohm -> (
           match declared with
           | None ->
@@ -457,7 +463,7 @@ let run_cmd =
               in
               Fmt.pr "executions=%d blocked=%d undeclared=%d@." r.executions
                 r.blocked r.undeclared_writes;
-              (r.snapshot, Some r.outputs, tps))
+              (r.snapshot, tps, preset r.snapshot r.outputs))
       | E_litm ->
           let r, tps =
             time (fun () ->
@@ -465,16 +471,14 @@ let run_cmd =
                   g.txns)
           in
           Fmt.pr "rounds=%d executions=%d@." r.rounds r.executions;
-          (r.snapshot, None, tps)
+          ( r.snapshot,
+            tps,
+            fun () -> Harness.check_litm ~storage:g.storage g.txns r )
     in
     Fmt.pr "executed %d txns: %.0f tps (wall clock), %d locations written@." n
       tps (List.length snapshot);
     if verify then begin
-      let c =
-        Harness.check_against
-          (Harness.run_sequential ~storage:g.storage g.txns)
-          ?outputs snapshot
-      in
+      let c = check () in
       Fmt.pr "verify vs sequential: %s@."
         (match (c.snapshot_ok, c.outputs_ok) with
         | true, true -> "OK"

@@ -33,8 +33,6 @@ let blocks =
 
 let () =
   let genesis = Ledger.genesis ~num_accounts () in
-  (* Ledger values contain no cyclic/functional data, so the generic hash is
-     stable; chains use it by default. *)
   let replicas =
     [
       ("validator-A (sequential)", Chain.create ~executor:Chain.Sequential

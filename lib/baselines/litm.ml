@@ -12,8 +12,11 @@
     This is deterministic (every round's outcome depends only on the previous
     state), but the resulting serialization is the round-greedy order, not
     necessarily the preset block order — which is exactly why the paper
-    contrasts it with Block-STM. It thrives at low contention (one round) and
-    degrades under conflicts (many rounds of wasted re-execution). *)
+    contrasts it with Block-STM. The result records that serialization as
+    [order]: running the sequential executor over the block in that order
+    gives the same snapshot and outputs. It thrives at low contention (one
+    round) and degrades under conflicts (many rounds of wasted
+    re-execution). *)
 
 open Blockstm_kernel
 
@@ -28,6 +31,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     round_sizes : int list;
         (** Number of transactions (re-)executed in each round, in round
             order. Drives the virtual-time LiTM cost model. *)
+    order : int array;
+        (** The serialization: transaction indices in commit order, round
+            by round, in preset order within a round. A round's committed
+            transactions do not conflict with each other, so each reads
+            exactly the state its predecessors in [order] leave. *)
   }
 
   type 'o attempt = {
@@ -45,6 +53,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     let rounds = ref 0 in
     let executions = ref 0 in
     let round_sizes = ref [] in
+    let order = ref [] in
     let remaining = ref (List.init n Fun.id) in
     while !remaining <> [] do
       incr rounds;
@@ -131,6 +140,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               LTbl.replace committed_writes loc ();
               LTbl.replace overlay loc v)
             a.at_writes;
+          order := j :: !order;
           outputs.(j) <- Some a.at_output)
       done;
       remaining := List.rev !next_remaining
@@ -150,5 +160,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       rounds = !rounds;
       executions = !executions;
       round_sizes = List.rev !round_sizes;
+      order = Array.of_list (List.rev !order);
     }
 end

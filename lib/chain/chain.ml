@@ -9,15 +9,12 @@
     configuration, or the sequential baseline, must yield identical roots —
     the repository's end-to-end consensus check.
 
-    The state substrate is pluggable too (DESIGN.md §13). The default flat
-    store digests the whole state with an O(n) sorted fold after every block
-    — the paper-faithful baseline. The authenticated [`Merkle] substrate
-    maintains the root incrementally: folding a block's delta touches only
-    the affected digest buckets, so the root update is O(|delta| · log
-    buckets). Both substrates are deterministic functions of the final
-    state, so replicas on different substrates still agree with
-    {e themselves} — roots are only comparable between replicas using the
-    same substrate. *)
+    The state lives in the authenticated Merkle substrate (DESIGN.md §13):
+    a flat {!Store} base tier, which executors read, plus digest buckets
+    that fold each block's delta into the root incrementally, touching only
+    the affected buckets, so the root update is O(|delta| · log buckets).
+    The root is a pure function of the final state, so replicas agree on it
+    whatever executor they run. *)
 
 open Blockstm_kernel
 
@@ -59,13 +56,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     metrics : Bstm.metrics option;  (** Present for Block-STM execution. *)
   }
 
-  (* The running state: a flat table digested from scratch each block, or
-     the incrementally-hashed Merkle substrate. *)
-  type state_store = S_flat of Store.t | S_merkle of Mstore.t
-
   type 'o t = {
     executor : executor;
-    state : state_store;
+    state : Mstore.t;
     mutable height : int;
     mutable commits : 'o block_commit list;  (* newest first *)
     retain_outputs : int option;
@@ -85,62 +78,47 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       (fun h (l, v) -> mix (mix h (hash_loc l)) (hash_value v))
       fnv_offset pairs
 
-  (** [create ~executor ~genesis ()] starts a chain whose state is a private
-      copy of [genesis].
-
-      [store] selects the substrate: [`Flat] (default — the paper-faithful
-      whole-state fold) or [`Merkle] (incremental authenticated roots, with
-      {!Mstore.default_buckets} digest buckets, built from [genesis] in one
-      sweep by {!Mstore.of_store}). The flat store sorts and folds the
-      whole state after every block: over 10^4 accounts (50,000 bindings)
-      with 1,000-transaction blocks on 1 domain of a 2-core host, a flat
-      stream ran at 18.2k tps against 60.8k on the Merkle store. Long
-      streams should pass [~store:`Merkle].
+  (** [create ~executor ~genesis ()] starts a chain whose state is a
+      Merkle substrate built from [genesis] in one sweep by
+      {!Mstore.of_store} ([genesis] itself is not retained). [store] is
+      ignored — the Merkle substrate is the only one — and kept so callers
+      that still pass [~store:`Merkle] compile.
 
       [retain_outputs] bounds chain history: only the newest N commits keep
       their [outputs] arrays (roots and metrics are kept forever). *)
-  let create ?(store = `Flat) ?retain_outputs ~executor ~(genesis : Store.t)
-      () : 'o t =
+  let create ?store:(_ : [ `Merkle ] option) ?retain_outputs ~executor
+      ~(genesis : Store.t) () : 'o t =
     (match retain_outputs with
     | Some w when w < 0 ->
         invalid_arg "Chain.create: retain_outputs must be >= 0"
     | _ -> ());
-    let state =
-      match store with
-      | `Flat -> S_flat (Store.copy genesis)
-      | `Merkle -> S_merkle (Mstore.of_store genesis)
-    in
-    { executor; state; height = 0; commits = []; retain_outputs }
+    {
+      executor;
+      state = Mstore.of_store genesis;
+      height = 0;
+      commits = [];
+      retain_outputs;
+    }
 
   let height t = t.height
 
   (** The flat view of the current state (the Merkle substrate's base
       tier). Treat as read-only: direct mutation desynchronizes the
       authenticated digest. *)
-  let state t =
-    match t.state with S_flat s -> s | S_merkle m -> Mstore.base m
+  let state t = Mstore.base t.state
 
-  (** The Merkle substrate, when this chain uses one — exposed so tests can
-      check the incremental root against {!Mstore.recompute_root}. *)
-  let merkle_state t =
-    match t.state with S_flat _ -> None | S_merkle m -> Some m
+  (** The Merkle substrate itself — exposed so tests and the state-scale
+      experiment can check the incremental root against
+      {!Mstore.recompute_root}. *)
+  let merkle_state t = t.state
 
   let commits t = List.rev t.commits
   let last_commit t = match t.commits with [] -> None | c :: _ -> Some c
-
-  let state_root t : int64 =
-    match t.state with
-    | S_flat s ->
-        digest ~hash_loc:L.hash ~hash_value:V.hash (Store.to_alist s)
-    | S_merkle m -> Mstore.root m
-
-  let storage_reader t : (L.t, V.t) Intf.storage =
-    match t.state with S_flat s -> Store.reader s | S_merkle m -> Mstore.reader m
+  let state_root t : int64 = Mstore.root t.state
+  let storage_reader t : (L.t, V.t) Intf.storage = Mstore.reader t.state
 
   let apply_state_delta t (snapshot : (L.t * V.t) list) : unit =
-    match t.state with
-    | S_flat s -> Store.apply_delta s snapshot
-    | S_merkle m -> Mstore.apply_delta m snapshot
+    Mstore.apply_delta t.state snapshot
 
   (* Bounded history retention: blank the outputs of commits beyond the
      window. The commits list is newest-first, so walk [window] entries,
@@ -296,10 +274,4 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       | [], cb :: _ -> Some cb.height
     in
     scan (ra, rb)
-
-  let pp_commit ppf (c : 'o block_commit) =
-    Fmt.pf ppf "block %d: %d txns%s, state_root=%Lx delta_root=%Lx" c.height
-      c.txn_count
-      (if c.outputs_retained then "" else " (outputs pruned)")
-      c.state_root c.delta_root
 end

@@ -30,7 +30,7 @@ module type VALUE = sig
 
   val hash : t -> int
   (** Structural hash, consistent with [equal] and stable across processes:
-      the chain's state digests and the Merkle substrate (DESIGN.md §13)
+      the chain's delta digests and the Merkle substrate (DESIGN.md §13)
       fold it into roots that replicas compare byte-for-byte, so it must
       depend only on the value's contents — never on physical identity, and
       never through the depth/width-limited generic [Hashtbl.hash] for

@@ -225,8 +225,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   (* From-scratch rebuild over the base tier only — ignores incremental
      state. The yardstick [root] is checked against in property tests, and
-     the analogue of the flat store's whole-state fold in the state-scale
-     benchmark. *)
+     an O(n) whole-state digest like the sorted fold the state-scale
+     experiment measures [root] against. *)
   let recompute_root t : int64 =
     let acc = Array.make t.nbuckets 0 and counts = Array.make t.nbuckets 0 in
     sweep t.flat ~mask:t.mask acc counts;

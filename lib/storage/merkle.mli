@@ -6,8 +6,8 @@
     [buckets] commutative per-bucket accumulators, and bucket digests fold up
     a complete binary tree. Updating a binding dirties one bucket; {!root}
     refreshes only dirty leaf-to-root paths, so a block's root update costs
-    O(|delta| · log buckets) instead of the flat store's O(n) whole-state
-    fold. The accumulator is commutative, so the root is a pure function of
+    O(|delta| · log buckets) instead of an O(n) fold over the whole
+    state. The accumulator is commutative, so the root is a pure function of
     the final map — sequential and Block-STM executions agree byte-for-byte.
 
     Mutators ([set], [remove], [apply_delta]) are between-blocks-only, like

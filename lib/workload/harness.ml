@@ -59,14 +59,12 @@ type check = {
 
 let check_ok c = c.snapshot_ok && c.outputs_ok
 
-(** Compare an executor's [snapshot] with the sequential reference [seq],
-    and every transaction's output too when [outputs] is given: executors
-    that commit in preset order (Block-STM, lanes, BOHM) pass theirs. *)
-let check_against (seq : int Seq.result) ?outputs snapshot : check =
+(** Compare an executor's [snapshot] and every transaction's [outputs]
+    with the sequential reference [seq]. *)
+let check_against (seq : int Seq.result) ~outputs snapshot : check =
   {
     snapshot_ok = equal_snapshot seq.Seq.snapshot snapshot;
-    outputs_ok =
-      Option.fold ~none:true ~some:(equal_outputs seq.outputs) outputs;
+    outputs_ok = equal_outputs seq.outputs outputs;
   }
 
 (** Run Block-STM with [num_domains] domains and compare snapshot and
@@ -80,6 +78,15 @@ let check_bohm ?num_domains ~storage ~declared_writes txns : check =
   let seq = run_sequential ~storage txns in
   let bohm = run_bohm ?num_domains ~storage ~declared_writes txns in
   check_against seq ~outputs:bohm.BohmX.outputs bohm.snapshot
+
+(** Compare a LiTM result [r] over [txns] with the sequential executor run
+    over the block in LiTM's own serialization, {!LitmX.result.order}:
+    LiTM commits round by round, not in preset order. *)
+let check_litm ~storage txns (r : int LitmX.result) : check =
+  let in_order a = Array.map (fun j -> a.(j)) r.LitmX.order in
+  check_against
+    (run_sequential ~storage (in_order txns))
+    ~outputs:(in_order r.LitmX.outputs) r.LitmX.snapshot
 
 (* --- Virtual-time (simulated parallelism) runners ------------------------ *)
 (* These reproduce the paper's thread-scaling measurements on a single-core

@@ -158,6 +158,34 @@ let test_litm_serializes_but_not_preset_order () =
   Alcotest.(check int) "total conserved" (total seq.snapshot)
     (total r.snapshot)
 
+(* [order] is LiTM's serialization: the sequential executor run over the
+   block in that order gives LiTM's snapshot and every one of its outputs,
+   the reference of [blockstm run -e litm --verify]. Read-modify-writes
+   over 6 locations make both depend on the order, and the preset order
+   gives a different snapshot, so the check is not vacuous. *)
+let test_litm_order_is_its_serialization () =
+  let rng = Blockstm_workload.Rng.create 5 in
+  let txns =
+    Array.init 120 (fun _ ->
+        let a, b = Blockstm_workload.Rng.distinct_pair rng 6 in
+        rmw ~src:a ~dst:b (fun v -> (v * 3) + 1))
+  in
+  let storage = range_storage 6 in
+  List.iter
+    (fun d ->
+      let r = LitmI.run ~num_domains:d ~storage txns in
+      let seq = Seq.run ~storage (Array.map (fun j -> txns.(j)) r.order) in
+      Alcotest.(check (list (pair int int)))
+        "snapshot = sequential in LiTM's order" seq.snapshot r.snapshot;
+      Alcotest.(check bool)
+        "outputs = sequential in LiTM's order" true
+        (Array.for_all2 (Txn.equal_output Int.equal) seq.outputs
+           (Array.map (fun j -> r.outputs.(j)) r.order));
+      Alcotest.(check bool)
+        "preset order differs" false
+        ((Seq.run ~storage txns).snapshot = r.snapshot))
+    [ 1; 3 ]
+
 let test_litm_deterministic () =
   let txns, _ = bohm_spec 100 ~accounts:4 ~seed:21 in
   let r1 = LitmI.run ~num_domains:1 ~storage:zero_storage txns in
@@ -225,6 +253,8 @@ let suite =
       test_litm_hotspot_n_rounds;
     Alcotest.test_case "litm serializes (round-greedy, not preset order)"
       `Quick test_litm_serializes_but_not_preset_order;
+    Alcotest.test_case "litm: order is its serialization" `Quick
+      test_litm_order_is_its_serialization;
     Alcotest.test_case "litm: deterministic" `Quick test_litm_deterministic;
     Alcotest.test_case "litm: failed transactions" `Quick test_litm_failed_txn;
     Alcotest.test_case "profile: counts and dependencies" `Quick

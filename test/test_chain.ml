@@ -1,7 +1,8 @@
 (** Tests for the chain manager: replicas running different executors (and
     different domain counts) must commit identical state roots at every
     height — the repository's end-to-end "every entity arrives at the same
-    final state" check. *)
+    final state" check — and every root a commit records must equal the
+    Merkle store's from-scratch recompute over the state it leaves. *)
 
 open Tutil
 module Chain = Blockstm_chain.Chain.Make (IntLoc) (IntVal)
@@ -20,10 +21,15 @@ let block_of_seed seed : itxn array =
       let b = Blockstm_workload.Rng.int rng 10 in
       rmw ~src:a ~dst:b (fun v -> (v * 3) + 1))
 
+(* Checks the committed root after every block, not only the last. *)
 let run_chain executor n_blocks =
   let chain = Chain.create ~executor ~genesis:(genesis ()) () in
   for seed = 1 to n_blocks do
-    ignore (Chain.execute_block chain (block_of_seed seed))
+    let c = Chain.execute_block chain (block_of_seed seed) in
+    Alcotest.(check int64)
+      (Fmt.str "root = recompute at height %d" c.height)
+      (Chain.Mstore.recompute_root (Chain.merkle_state chain))
+      c.state_root
   done;
   chain
 
@@ -46,15 +52,20 @@ let test_replicas_agree () =
 
 let test_rolling_replica_agrees () =
   let seq = run_chain Chain.Sequential 4 in
-  let roll =
-    run_chain
-      (Chain.Block_stm
-         (Chain.Bstm.optimistic_config ~num_domains:4 (fun o ->
-              { o with rolling_commit = true })))
-      4
-  in
-  Alcotest.(check (option int)) "no divergence" None
-    (Chain.first_divergence seq roll)
+  List.iter
+    (fun num_domains ->
+      let roll =
+        run_chain
+          (Chain.Block_stm
+             (Chain.Bstm.optimistic_config ~num_domains (fun o ->
+                  { o with rolling_commit = true })))
+          4
+      in
+      Alcotest.(check (option int))
+        (Fmt.str "no divergence, %d domains" num_domains)
+        None
+        (Chain.first_divergence seq roll))
+    [ 1; 4 ]
 
 let blocks_of n_blocks = List.init n_blocks (fun i -> block_of_seed (i + 1))
 

@@ -125,9 +125,8 @@ let test_identity_deltas () =
         [ false; true ])
     [ 1; 2; 4 ]
 
-(* State-root identity through the chain: flat and Merkle stores. Lanes
-   replicas must agree with the per-store sequential replica on every
-   committed root. *)
+(* State-root identity through the chain: lanes replicas must agree with
+   the sequential replica on every committed root. *)
 let test_chain_roots () =
   let spec =
     {
@@ -141,16 +140,15 @@ let test_chain_roots () =
   in
   let blocks = P2p.generate_stream spec ~nblocks:3 in
   let genesis = (List.hd blocks).P2p.storage in
-  let run ?(store = `Flat) executor =
-    let chain = Chain.create ~store ~executor ~genesis () in
+  let run executor =
+    let chain = Chain.create ~executor ~genesis () in
     List.iter
       (fun (w : P2p.t) ->
         ignore (Chain.execute_block ~specs:(P2p.txn_specs w) chain w.P2p.txns))
       blocks;
     chain
   in
-  let seq_flat = run Chain.Sequential in
-  let seq_merkle = run ~store:`Merkle Chain.Sequential in
+  let seq = run Chain.Sequential in
   List.iter
     (fun lanes ->
       let executor =
@@ -161,14 +159,10 @@ let test_chain_roots () =
             namespace = Some Ledger.Loc.namespace;
           }
       in
-      List.iter
-        (fun (store, reference, sname) ->
-          let c = run ~store executor in
-          Alcotest.(check (option int))
-            (Fmt.str "chain %d lanes %s: no root divergence" lanes sname)
-            None
-            (Chain.first_divergence reference c))
-        [ (`Flat, seq_flat, "flat"); (`Merkle, seq_merkle, "merkle") ])
+      Alcotest.(check (option int))
+        (Fmt.str "chain %d lanes: no root divergence" lanes)
+        None
+        (Chain.first_divergence seq (run executor)))
     [ 1; 2; 4 ]
 
 (* Bigstate laned transfers carry their own generated specs. *)
@@ -526,7 +520,7 @@ let suite =
       test_identity_matrix;
     Alcotest.test_case "identity matrix: hotspot deltas on/off" `Quick
       test_identity_deltas;
-    Alcotest.test_case "chain roots: flat/merkle stores" `Quick
+    Alcotest.test_case "chain roots: lanes = sequential" `Quick
       test_chain_roots;
     Alcotest.test_case "bigstate laned transfers" `Quick test_bigstate_lanes;
     Alcotest.test_case "gas workload: single cross-free batch" `Quick

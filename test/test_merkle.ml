@@ -5,9 +5,9 @@
     staged writes), and must be a pure function of the final map — history
     and insertion order must not matter.
 
-    Chain level: flat and Merkle substrates, sequential and Block-STM
-    executors, and 1/2/4/8 domains must all agree on final state and block
-    delta roots; same-substrate replicas must agree on every state root. *)
+    Chain level: sequential and Block-STM executors, on 1/2/4/8 domains
+    with rolling commit on and off, must all agree on final state, block
+    delta roots and every state root. *)
 
 open Tutil
 open Blockstm_kernel
@@ -231,8 +231,8 @@ let block_of_seed seed : itxn array =
 
 let blocks () = List.map block_of_seed [ 0; 1; 2 ]
 
-let run_chain ?(store = `Flat) executor =
-  let c = Chain.create ~store ~executor ~genesis:(genesis ()) () in
+let run_chain executor =
+  let c = Chain.create ~executor ~genesis:(genesis ()) () in
   let commits = Chain.execute_blocks c (blocks ()) in
   (c, commits)
 
@@ -242,14 +242,13 @@ let bstm_config ~domains ~rolling =
   Bstm.optimistic_config ~num_domains:domains (fun o ->
       { o with rolling_commit = rolling })
 
-(* Every substrate × executor × domain-count combination agrees with the
-   sequential flat reference on final state and per-block delta roots; the
-   Merkle chains additionally keep incremental root = recompute. *)
+(* Every executor × domain-count × rolling combination agrees with the
+   sequential reference on final state, per-block delta roots and every
+   state root, and keeps incremental root = recompute. *)
 let test_matrix () =
   let ref_chain, ref_commits = run_chain Chain.Sequential in
   let ref_state = sorted_state ref_chain in
   let ref_deltas = List.map (fun c -> c.Chain.delta_root) ref_commits in
-  let seq_merkle, _ = run_chain ~store:`Merkle Chain.Sequential in
   let check name (c, commits) =
     Alcotest.(check (list (pair int int)))
       (name ^ ": final state") ref_state (sorted_state c);
@@ -257,33 +256,21 @@ let test_matrix () =
       (name ^ ": delta roots")
       ref_deltas
       (List.map (fun cm -> cm.Chain.delta_root) commits);
-    match Chain.merkle_state c with
-    | None ->
-        Alcotest.(check (option int))
-          (name ^ ": no divergence vs flat reference")
-          None
-          (Chain.first_divergence ref_chain c)
-    | Some m ->
-        check_root_consistent name m;
-        Alcotest.(check (option int))
-          (name ^ ": no divergence vs merkle reference")
-          None
-          (Chain.first_divergence seq_merkle c)
+    check_root_consistent name (Chain.merkle_state c);
+    Alcotest.(check (option int))
+      (name ^ ": no divergence vs sequential")
+      None
+      (Chain.first_divergence ref_chain c)
   in
-  check "seq/merkle" (seq_merkle, Chain.commits seq_merkle);
+  check "seq" (ref_chain, ref_commits);
   List.iter
     (fun domains ->
-      let name store rolling =
-        Fmt.str "bstm/%s/%d-domain%s" store domains
-          (if rolling then "/rolling" else "")
-      in
-      check (name "flat" false)
-        (run_chain (Block_stm (bstm_config ~domains ~rolling:false)));
       List.iter
         (fun rolling ->
-          check (name "merkle" rolling)
-            (run_chain ~store:`Merkle
-               (Block_stm (bstm_config ~domains ~rolling))))
+          check
+            (Fmt.str "bstm/%d-domain%s" domains
+               (if rolling then "/rolling" else ""))
+            (run_chain (Block_stm (bstm_config ~domains ~rolling))))
         [ false; true ])
     [ 1; 2; 4; 8 ]
 
@@ -298,6 +285,5 @@ let suite =
     qcheck_to_alcotest prop_of_store_sweep;
     Alcotest.test_case "merkle: of_store hashes each location once" `Quick
       test_of_store_hashes_once;
-    Alcotest.test_case "chain: substrate/executor/domain matrix" `Slow
-      test_matrix;
+    Alcotest.test_case "chain: executor/domain matrix" `Slow test_matrix;
   ]

@@ -1,10 +1,9 @@
 (** Tests for block streams (DESIGN.md §14): [Chain.execute_stream] must
     produce commits — heights, state roots, delta roots {e and outputs} —
     byte-identical to a per-block sequential-executor chain, across domain
-    counts, both state substrates and both write disciplines (plain writes
-    and commutative deltas), and a raising hook must leave the chain at a
-    block boundary. Plus unit tests for the mempool that feeds the
-    stream. *)
+    counts and both write disciplines (plain writes and commutative
+    deltas), and a raising hook must leave the chain at a block boundary.
+    Plus unit tests for the mempool that feeds the stream. *)
 
 open Blockstm_kernel
 module W = Blockstm_workload
@@ -47,18 +46,15 @@ let next_of blocks =
         rem := r;
         Some b
 
-(* Reference: per-block sequential executor. The Merkle root algorithm
-   differs from the flat fold by design, so each substrate compares against
-   a reference on the same substrate (delta roots and outputs are
-   substrate-independent and checked against either). *)
-let reference ?(store = `Flat) ~genesis ~blocks () =
-  let chain = Chain.create ~executor:Chain.Sequential ~store ~genesis () in
+(* Reference: per-block sequential executor. *)
+let reference ~genesis ~blocks () =
+  let chain = Chain.create ~executor:Chain.Sequential ~genesis () in
   List.iter (fun b -> ignore (Chain.execute_block chain b)) blocks;
   chain
 
 let check_stream_matches ~ctx ~(reference : _ Chain.t) ~genesis ~blocks
-    ?next_specs ~executor ~store () =
-  let chain = Chain.create ~executor ~store ~genesis () in
+    ?next_specs ~executor () =
+  let chain = Chain.create ~executor ~genesis () in
   let commits, stats =
     Chain.execute_stream ?next_specs chain ~next:(next_of blocks)
   in
@@ -92,47 +88,29 @@ let grid_sweep ~deltas () =
     if deltas then (List.hd (hotspot_blocks ())).P2p.h_storage
     else (List.hd (p2p_blocks ())).P2p.storage
   in
-  let ref_flat = reference ~genesis:(genesis ()) ~blocks:wblocks () in
-  let ref_merkle =
-    reference ~store:`Merkle ~genesis:(genesis ()) ~blocks:wblocks ()
-  in
+  let refc = reference ~genesis:(genesis ()) ~blocks:wblocks () in
   List.iter
     (fun domains ->
-      List.iter
-        (fun store ->
-          let sname = match store with `Flat -> "flat" | `Merkle -> "merkle" in
-          let refc = match store with `Flat -> ref_flat | `Merkle -> ref_merkle in
-          let executor =
-            Chain.Block_stm
-              (CBstm.optimistic_config ~num_domains:domains (fun o ->
-                   { o with rolling_commit = true; delta_ops = deltas }))
-          in
-          check_stream_matches
-            ~ctx:
-              (Fmt.str "%s %s %dd"
-                 (if deltas then "hotspot" else "p2p")
-                 sname domains)
-            ~reference:refc ~genesis:(genesis ()) ~blocks:wblocks ~executor
-            ~store ())
-        [ `Flat; `Merkle ])
+      let executor =
+        Chain.Block_stm
+          (CBstm.optimistic_config ~num_domains:domains (fun o ->
+               { o with rolling_commit = true; delta_ops = deltas }))
+      in
+      check_stream_matches
+        ~ctx:(Fmt.str "%s %dd" (if deltas then "hotspot" else "p2p") domains)
+        ~reference:refc ~genesis:(genesis ()) ~blocks:wblocks ~executor ())
     [ 1; 2; 4; 8 ]
 
 let test_stream_identity_plain () = grid_sweep ~deltas:false ()
 let test_stream_identity_deltas () = grid_sweep ~deltas:true ()
 
-(* The sequential executor through the stream, on both substrates. *)
+(* The sequential executor through the stream. *)
 let test_stream_sequential () =
   let blocks = List.map (fun w -> w.P2p.txns) (p2p_blocks ()) in
   let genesis = (List.hd (p2p_blocks ())).P2p.storage in
-  List.iter
-    (fun store ->
-      let refc = reference ~store ~genesis ~blocks () in
-      check_stream_matches
-        ~ctx:
-          (Fmt.str "seq stream %s"
-             (match store with `Flat -> "flat" | `Merkle -> "merkle"))
-        ~reference:refc ~genesis ~blocks ~executor:Chain.Sequential ~store ())
-    [ `Flat; `Merkle ]
+  check_stream_matches ~ctx:"seq stream"
+    ~reference:(reference ~genesis ~blocks ())
+    ~genesis ~blocks ~executor:Chain.Sequential ()
 
 exception Source_failed
 exception Hook_failed
@@ -220,21 +198,14 @@ let test_stream_forwards_specs () =
         namespace = Some W.Ledger.Loc.namespace;
       }
   in
+  let refc = reference ~genesis ~blocks () in
   List.iter
-    (fun store ->
-      let refc = reference ~store ~genesis ~blocks () in
-      List.iter
-        (fun (ename, executor) ->
-          check_stream_matches
-            ~ctx:
-              (Fmt.str "%s %s" ename
-                 (match store with `Flat -> "flat" | `Merkle -> "merkle"))
-            ~reference:refc ~genesis ~blocks
-            ~next_specs:(next_of (List.map P2p.txn_specs ws))
-            ~executor ~store ())
-        ([ ("seeded", Chain.Block_stm seeded); ("spec-dag", Chain.Block_stm dag) ]
-        @ List.map (fun k -> (Fmt.str "%d-lane" k, lanes k)) [ 1; 2; 4 ]))
-    [ `Flat; `Merkle ]
+    (fun (ename, executor) ->
+      check_stream_matches ~ctx:ename ~reference:refc ~genesis ~blocks
+        ~next_specs:(next_of (List.map P2p.txn_specs ws))
+        ~executor ())
+    ([ ("seeded", Chain.Block_stm seeded); ("spec-dag", Chain.Block_stm dag) ]
+    @ List.map (fun k -> (Fmt.str "%d-lane" k, lanes k)) [ 1; 2; 4 ])
 
 (* Mempool-fed end-to-end: a producer domain submits the whole stream; the
    stream's [next] cuts fixed-size blocks; commits must match the reference
@@ -341,11 +312,11 @@ let test_mempool_close_drains () =
 
 let suite =
   [
-    Alcotest.test_case "stream identity: p2p, 1/2/4/8 domains, both stores"
-      `Slow test_stream_identity_plain;
+    Alcotest.test_case "stream identity: p2p, 1/2/4/8 domains" `Slow
+      test_stream_identity_plain;
     Alcotest.test_case "stream identity: hotspot deltas, 1/2/4/8 domains"
       `Slow test_stream_identity_deltas;
-    Alcotest.test_case "sequential executor, stream, both stores" `Quick
+    Alcotest.test_case "sequential executor, stream" `Quick
       test_stream_sequential;
     Alcotest.test_case "raising next or on_block keeps committed prefix"
       `Quick test_raising_hooks_propagate;

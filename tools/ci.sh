@@ -29,7 +29,10 @@
 #     express (--no-estimates --specs);
 #   - commutative deltas (DESIGN.md §12) must beat paper read-modify-write
 #     by >= 2x on the 2-hot-account / 8-thread hotspot-delta row (virtual
-#     time, so deterministic and enforced on any host).
+#     time, so deterministic and enforced on any host);
+#   - blockstm run -e litm --verify matches the sequential executor run in
+#     LiTM's own commit order;
+#   - every program under examples/ runs to completion with exit status 0.
 # Usage: tools/ci.sh   (run from the repository root)
 set -eu
 
@@ -229,13 +232,15 @@ echo "ci: hotspot-delta gate passed (deltas $hdelta tps >= 2x paper $hpaper tps)
 
 # --- State-scale smoke ------------------------------------------------------
 # The incremental Merkle substrate (DESIGN.md §13) exists to make per-block
-# authenticated roots O(|delta| log buckets) instead of the flat store's
-# O(n) fold: at 10^5 accounts the incremental update must be >= 5x cheaper
-# (measured 5.5-7x; the experiment takes per-side best-of-3 minima, so the
-# ratio is stable under load). The roots column also asserts correctness at
-# every grid point: sequential root = Block-STM root = from-scratch
-# recompute; any mismatch is a hard failure regardless of speed. The last
-# column, build (ms), is report-only.
+# authenticated roots O(|delta| log buckets) instead of an O(n) fold over
+# the whole state. The fold column is that yardstick, computed in the
+# experiment: apply the delta to a flat copy of the state, then digest its
+# sorted bindings. At 10^5 accounts the incremental update must be >= 5x
+# cheaper (read 5.3-8.8x in twelve runs on a 2-core host; the experiment
+# takes per-side best-of-3 minima). The roots column also asserts
+# correctness at every grid point: sequential root = Block-STM root =
+# from-scratch recompute; any mismatch is a hard failure regardless of
+# speed. The last column, build (ms), is report-only.
 out=$(dune exec bench/main.exe -- state-scale)
 printf '%s\n' "$out"
 if printf '%s\n' "$out" | awk 'NF>=6 && $1 ~ /^[0-9]+$/ && $6!="ok" {exit 1}'
@@ -257,27 +262,25 @@ echo "ci: state-scale gate passed (incremental ${sspeed}x >= 5x fold at 10^5 acc
 
 # --- Sustained stream smoke -------------------------------------------------
 # Block streams through the chain (DESIGN.md §14). Identity is
-# unconditional: every (store, domains) grid point must report "ok" in the
-# roots column, i.e. the stream commits bit-identically to the per-block
+# unconditional: the throughput table (domains, tps, roots) must report
+# "ok" in the roots column at every domain count of the default grid
+# (1, 2, 4), i.e. the stream commits bit-identically to the per-block
 # sequential reference (the experiment's oracle also fails the run on a
 # divergence). The tps column is report-only.
 out=$(dune exec bench/main.exe -- sustained)
 printf '%s\n' "$out"
-sus_ok() {
-  printf '%s\n' "$out" | awk -v s="$1" '$1==s && NF==4 && $4=="ok"' | wc -l
-}
-sus_flat=$(sus_ok flat) sus_merkle=$(sus_ok merkle)
-if printf '%s\n' "$out" \
-  | awk '($1=="flat" || $1=="merkle") && NF>=4 && $4!="ok" {exit 1}'
+if printf '%s\n' "$out" | awk 'NF==3 && $1 ~ /^[0-9]+$/ && $3!="ok" {exit 1}'
 then :; else
   echo "ci: FAIL — sustained reported a commit divergence (see the roots column): streams must be bit-identical to the sequential chain"
   exit 1
 fi
-if [ "$sus_flat" -lt 1 ] || [ "$sus_flat" -ne "$sus_merkle" ]; then
-  echo "ci: FAIL — sustained did not report ok roots at the same domain counts for the flat ($sus_flat) and merkle ($sus_merkle) stores"
-  exit 1
-fi
-echo "ci: sustained gate passed (roots ok at all $sus_flat flat and $sus_merkle merkle points)"
+for d in 1 2 4; do
+  if [ -z "$(printf '%s\n' "$out" | awk -v d="$d" 'NF==3 && $1==d && $3=="ok"')" ]; then
+    echo "ci: FAIL — sustained did not report ok roots at $d domain(s)"
+    exit 1
+  fi
+done
+echo "ci: sustained gate passed (roots ok at 1, 2 and 4 domains)"
 
 # --- Spec-skip smoke --------------------------------------------------------
 # Static access specs (DESIGN.md §15): on a large-account p2p block most
@@ -372,5 +375,31 @@ if [ "$cores" -ge 8 ] || [ "${BLOCKSTM_LANES_GATE:-0}" = "1" ]; then
 else
   echo "ci: lane perf smoke report-only on $cores core(s): single $lane_single tps, 2 lanes $lane_two tps"
 fi
+
+# --- LiTM verify ------------------------------------------------------------
+# LiTM commits round by round, not in preset order, so --verify runs the
+# sequential executor over the block in LiTM's own commit order and
+# compares the snapshot and every output: on a contended block (100
+# accounts, 20 rounds) and on a 10^4-account one.
+dune exec bin/blockstm_cli.exe -- run -e litm -w p2p -a 100 -b 1000 -d 2 --verify >/dev/null
+dune exec bin/blockstm_cli.exe -- run -e litm -w p2p -a 10000 -d 1 --verify >/dev/null
+echo "ci: litm verify passed (snapshot and outputs match sequential in LiTM's commit order)"
+
+# --- Examples ---------------------------------------------------------------
+# Every example must run to completion. Five check their own result and
+# exit 1 on a failure: validator_replicas unless three replicas on
+# different executors commit the same state root at every height,
+# block_pipeline unless the total balance is conserved and the chain
+# matches its sequential replica, quickstart and minimove_coin unless
+# Block-STM matches the sequential executor, and nft_auction unless the
+# auction matches it and the mints take ids in preset order.
+for f in examples/*.ml; do
+  ex=$(basename "$f" .ml)
+  if ! dune exec "examples/$ex.exe" >/dev/null; then
+    echo "ci: FAIL — examples/$ex.exe exited non-zero"
+    exit 1
+  fi
+done
+echo "ci: examples passed (every program under examples/ exited 0)"
 
 echo "ci: all checks passed"
