@@ -951,36 +951,55 @@ let state_scale mode =
       (* Cost of folding a further block's delta into the post-state and
          producing the new root. The yardstick is a flat copy of the state
          digested from scratch by a sorted fold over every binding; the
-         Merkle substrate refreshes only the dirty digest paths. Best of 3
-         distinct deltas per side, applied in the same order to both
-         stores, which stay in sync. *)
+         Merkle substrate refreshes only the dirty digest paths. Repetition
+         [r] applies one block's delta ([r] even) or the delta that undoes
+         it ([r] odd) to both stores, so each repetition rewrites the same
+         locations and the stores stay in sync. The sides alternate within
+         this process, the first side alternating too, and each side's time
+         is the median of its repetitions: per-side minima from separate
+         runs swung 20-30% with the host's load. *)
       let flat = Ledger.Store.copy (C.state seq_chain) in
       let deltas =
-        let scratch = Ledger.Store.copy (C.state seq_chain) in
-        Array.map
-          (fun seed ->
-            let w =
-              Bigstate.transfers ~block_size:block ~num_accounts:accounts ~seed
-                ()
-            in
-            let d = (Harness.run_sequential ~storage:scratch w.txns).snapshot in
-            Ledger.Store.apply_delta scratch d;
-            d)
-          [| 43; 44; 45 |]
+        let w =
+          Bigstate.transfers ~block_size:block ~num_accounts:accounts ~seed:43
+            ()
+        in
+        let d = (Harness.run_sequential ~storage:flat w.txns).snapshot in
+        let undo =
+          List.map (fun (l, _) -> (l, Option.get (Ledger.Store.get flat l))) d
+        in
+        [| d; undo |]
       in
-      let best k apply root =
-        G.wall ~n:3 ~label:(label k) ~metric:Fun.id (fun rep ->
-            apply deltas.(rep);
-            ignore (root ()))
+      let reps = 11 in
+      let time k f rep =
+        let ns =
+          Int64.to_float (snd (Blockstm_stats.Clock.time_ns (fun () -> f rep)))
+        in
+        Report.sample ~label:(label k) ns;
+        ns
       in
-      let fold_ns =
-        best "fold_ns" (Ledger.Store.apply_delta flat) (fun () ->
+      let fold =
+        time "fold_ns" (fun rep ->
+            Ledger.Store.apply_delta flat deltas.(rep mod 2);
             C.digest ~hash_loc:Ledger.Loc.hash ~hash_value:Ledger.Value.hash
               (Ledger.Store.to_alist flat))
+      and incr =
+        time "incr_ns" (fun rep ->
+            C.Mstore.apply_delta m deltas.(rep mod 2);
+            C.Mstore.root m)
       in
-      let incr_ns =
-        best "incr_ns" (C.Mstore.apply_delta m) (fun () -> C.Mstore.root m)
-      in
+      let fold_ns = Array.make reps 0. and incr_ns = Array.make reps 0. in
+      for rep = 0 to reps - 1 do
+        if rep mod 2 = 0 then begin
+          fold_ns.(rep) <- fold rep;
+          incr_ns.(rep) <- incr rep
+        end
+        else begin
+          incr_ns.(rep) <- incr rep;
+          fold_ns.(rep) <- fold rep
+        end
+      done;
+      let fold_ns = D.median fold_ns and incr_ns = D.median incr_ns in
       (* Building the Merkle substrate over the genesis: one copy of the
          table and one hashing sweep (DESIGN.md §13). Report-only. *)
       let build_ns =

@@ -6,6 +6,11 @@
     {!Make.apply_delta} folds the MVMemory snapshot back in, yielding the
     pre-state of the next block.
 
+    The table is open-addressed (DESIGN.md §13): keys and values in two
+    parallel arrays, linear probing at load 3/4 or less, and removal by
+    backward shift, so a binding costs two array words and no block of its
+    own, and {!Make.copy} is two array copies.
+
     Not thread-safe for mutation — mutate only between blocks. *)
 
 open Blockstm_kernel
@@ -17,6 +22,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   val of_list : (L.t * V.t) list -> t
   val get : t -> L.t -> V.t option
   val set : t -> L.t -> V.t -> unit
+
+  val exchange : t -> hash:int -> L.t -> V.t -> V.t option
+  (** [exchange t ~hash l v] binds [l] to [v] and returns its previous
+      binding, finding [l]'s slot once. [hash] must be [L.hash l]: a caller
+      that hashes the location anyway (the Merkle store, for its digest
+      bucket) passes it in, so the location is hashed once per write. *)
+
   val remove : t -> L.t -> unit
   val mem : t -> L.t -> bool
   val cardinal : t -> int
@@ -29,6 +41,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** Iterate over all bindings in unspecified order. *)
 
   val copy : t -> t
+  (** Two array copies: nothing is rehashed and no block is allocated per
+      binding. *)
 
   val apply_delta : t -> (L.t * V.t) list -> unit
   (** Apply a block's output delta (e.g. an MVMemory snapshot) in place. *)

@@ -99,29 +99,19 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         acc.(b) <- acc.(b) + entry_hash_hm (mix hl) v;
         counts.(b) <- counts.(b) + 1)
 
-  (* Base tier: [flat]'s bucket array copied as it is, nothing rehashed. *)
-  let of_store ?(buckets = default_buckets) (flat : Flat.t) : t =
-    let nbuckets = next_pow2 (max 1 buckets) in
-    let acc = Array.make nbuckets 0 and counts = Array.make nbuckets 0 in
-    sweep flat ~mask:(nbuckets - 1) acc counts;
-    {
-      flat = Flat.copy flat;
-      nbuckets;
-      mask = nbuckets - 1;
-      acc;
-      counts;
-      tree = Array.make (2 * nbuckets) 0;
-      (* Every leaf starts dirty: the all-zero tree has never been built. *)
-      dirty = List.init nbuckets Fun.id;
-      dirty_flag = Array.make nbuckets true;
-      seen = Array.make nbuckets 0;
-      gen = 0;
-      scratch = Array.make nbuckets 0;
-    }
-
-  let create ?buckets () = of_store ?buckets (Flat.create ())
-  let buckets t = t.nbuckets
-  let cardinal t = Flat.cardinal t.flat
+  (* The digest tree of an empty store: every node of a level (heap slots
+     [lo, 2 lo), the leaves at [lo = nbuckets]) holds that level's all-empty
+     digest, so filling it hashes once per level, not once per node. *)
+  let empty_tree nbuckets =
+    let tree = Array.make (2 * nbuckets) 0 in
+    let rec fill lo digest =
+      if lo >= 1 then begin
+        Array.fill tree lo lo digest;
+        fill (lo / 2) (node_hash digest digest)
+      end
+    in
+    fill nbuckets (leaf_hash 0 0);
+    tree
 
   let mark_dirty t b =
     if not t.dirty_flag.(b) then begin
@@ -129,43 +119,67 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       t.dirty <- b :: t.dirty
     end
 
+  (* Base tier: [Flat.copy] of [flat], nothing rehashed. The tree starts as
+     the empty store's, and only the buckets the sweep filled are dirty, so
+     the first [root] hashes their paths and nothing else. *)
+  let of_store ?(buckets = default_buckets) (flat : Flat.t) : t =
+    let nbuckets = next_pow2 (max 1 buckets) in
+    let acc = Array.make nbuckets 0 and counts = Array.make nbuckets 0 in
+    sweep flat ~mask:(nbuckets - 1) acc counts;
+    let t =
+      {
+        flat = Flat.copy flat;
+        nbuckets;
+        mask = nbuckets - 1;
+        acc;
+        counts;
+        tree = empty_tree nbuckets;
+        dirty = [];
+        dirty_flag = Array.make nbuckets false;
+        seen = Array.make nbuckets 0;
+        gen = 0;
+        scratch = Array.make nbuckets 0;
+      }
+    in
+    Array.iteri (fun b n -> if n > 0 then mark_dirty t b) counts;
+    t
+
+  let create ?buckets () = of_store ?buckets (Flat.create ())
+  let buckets t = t.nbuckets
+  let cardinal t = Flat.cardinal t.flat
+
   (* --- Accumulator updates ---------------------------------------------- *)
 
-  (* Fold a binding change (old -> new) for location [l] into the bucket
-     accumulators. Equal old/new values are a no-op, so re-applying a
-     snapshot is idempotent. *)
-  let account t l ~old_v ~new_v =
-    match (old_v, new_v) with
-    | None, None -> ()
-    | Some ov, Some nv when V.equal ov nv -> ()
-    | _ ->
-        let hl = L.hash l in
-        let b = hl land t.mask in
-        let hm = mix hl in
-        (match old_v with
-        | Some ov ->
-            t.acc.(b) <- t.acc.(b) - entry_hash_hm hm ov;
-            t.counts.(b) <- t.counts.(b) - 1
-        | None -> ());
-        (match new_v with
-        | Some nv ->
-            t.acc.(b) <- t.acc.(b) + entry_hash_hm hm nv;
-            t.counts.(b) <- t.counts.(b) + 1
-        | None -> ());
-        mark_dirty t b
+  (* Add ([sign] = 1) or take out ([sign] = -1) the entry of value [v] at a
+     location of pre-mixed hash [hm] in bucket [b], and dirty the bucket. *)
+  let fold_entry t ~b ~hm ~sign v =
+    t.acc.(b) <- t.acc.(b) + (sign * entry_hash_hm hm v);
+    t.counts.(b) <- t.counts.(b) + sign;
+    mark_dirty t b
 
   (* --- Between-blocks mutation (base tier + accumulators) ---------------- *)
 
+  (* One [L.hash] and one probe per write: the hash picks the digest bucket
+     and is handed to [Flat.exchange], which finds the slot once and returns
+     the binding it replaces. An equal value leaves the digest untouched, so
+     re-applying a snapshot is idempotent. *)
   let set t l v =
-    account t l ~old_v:(Flat.get t.flat l) ~new_v:(Some v);
-    Flat.set t.flat l v
+    let hl = L.hash l in
+    let b = hl land t.mask and hm = mix hl in
+    match Flat.exchange t.flat ~hash:hl l v with
+    | None -> fold_entry t ~b ~hm ~sign:1 v
+    | Some ov when V.equal ov v -> ()
+    | Some ov ->
+        fold_entry t ~b ~hm ~sign:(-1) ov;
+        fold_entry t ~b ~hm ~sign:1 v
 
   let remove t l =
     match Flat.get t.flat l with
     | None -> ()
-    | Some _ as old_v ->
-        account t l ~old_v ~new_v:None;
-        Flat.remove t.flat l
+    | Some ov ->
+        Flat.remove t.flat l;
+        let hl = L.hash l in
+        fold_entry t ~b:(hl land t.mask) ~hm:(mix hl) ~sign:(-1) ov
 
   let apply_delta t delta = List.iter (fun (l, v) -> set t l v) delta
 

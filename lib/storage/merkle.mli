@@ -28,9 +28,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val of_store : ?buckets:int -> Memstore.Make(L)(V).t -> t
   (** Build from an existing flat store (e.g. a genesis {!Memstore}) in one
-      sweep: the base tier is a copy of the table as it is (same bucket
-      count, nothing rehashed), and each binding is hashed once into its
-      digest bucket. The argument is not retained; mutating either store
+      sweep: the base tier is a copy of the table as it is (two array
+      copies, nothing rehashed), and each binding is hashed once into its
+      digest bucket. Only the buckets that sweep fills are hashed up the
+      tree on the first {!root}, so a small state builds cheaply at any
+      bucket count. The argument is not retained; mutating either store
       afterwards leaves the other unchanged. *)
 
   val get : t -> L.t -> V.t option
@@ -41,6 +43,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** Number of digest buckets (power of two). *)
 
   val set : t -> L.t -> V.t -> unit
+  (** Hashes [l] once and finds its slot once ({!Memstore.Make.exchange}). *)
+
   val remove : t -> L.t -> unit
 
   val apply_delta : t -> (L.t * V.t) list -> unit

@@ -200,6 +200,71 @@ let test_of_store_hashes_once () =
       Alcotest.(check int) "cardinal" n (Counted.cardinal m))
     [ 0; 1; 100; 5_000 ]
 
+(* One hash and one probe per applied write: [set] hashes the location for
+   its digest bucket and hands that hash to [Memstore.exchange], which finds
+   the slot once and returns the binding it replaces, so neither the lookup
+   of the old value nor the store hashes the location again. *)
+let test_set_hashes_once () =
+  let src = Counted_store.create () in
+  for i = 0 to 999 do
+    Counted_store.set src i (i * 7)
+  done;
+  let m = Counted.of_store src in
+  Counted_loc.calls := 0;
+  Counted.set m 17 1;
+  Alcotest.(check int) "set on an existing binding: hash calls" 1
+    !Counted_loc.calls;
+  Counted_loc.calls := 0;
+  Counted.apply_delta m (List.init 100 (fun i -> (i * 3, i)));
+  Alcotest.(check int) "apply_delta over 100 existing bindings: hash calls"
+    100 !Counted_loc.calls;
+  Alcotest.(check int64) "root = recompute" (Counted.recompute_root m)
+    (Counted.root m)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* The base tier is two arrays, so copying it allocates no block per
+   binding (arrays this large go straight to the major heap), and
+   [of_store] adds only its dirty list, one 3-word cell per filled bucket:
+   under 1 minor word per binding where a cell per binding would cost 4. *)
+let test_build_allocation () =
+  let n = 100_000 in
+  let src = Store.create () in
+  for i = 0 to n - 1 do
+    Store.set src i i
+  done;
+  let per_binding f = minor_words f /. float_of_int n in
+  let copy = per_binding (fun () -> Store.copy src)
+  and build = per_binding (fun () -> M.of_store src) in
+  if copy >= 1. || build >= 1. then
+    Alcotest.failf
+      "minor words per binding over %d bindings: copy %.2f, of_store %.2f \
+       (need < 1)"
+      n copy build
+
+(* A tiny state builds a tiny digest: the tree starts as the empty store's
+   (one digest per level, no hashing) and only the buckets the sweep filled
+   are dirty, so [of_store] and the first [root] over 10 bindings allocate
+   about a hundred words (113 when written), where a dirty list of all
+   16,384 buckets alone is 49,152. *)
+let test_tiny_build () =
+  let src = Store.of_list (List.init 10 (fun i -> (i, 100 + i))) in
+  let m = ref (M.create ()) in
+  let words =
+    minor_words (fun () ->
+        m := M.of_store src;
+        M.root !m)
+  in
+  Alcotest.(check int64) "root = recompute" (M.recompute_root !m) (M.root !m);
+  Alcotest.(check int) "buckets" M.default_buckets (M.buckets !m);
+  if words > 1_000. then
+    Alcotest.failf
+      "of_store + first root over 10 bindings: %.0f minor words (bound 1000)"
+      words
+
 (* --- Chain level --------------------------------------------------------- *)
 
 let genesis () =
@@ -285,5 +350,10 @@ let suite =
     qcheck_to_alcotest prop_of_store_sweep;
     Alcotest.test_case "merkle: of_store hashes each location once" `Quick
       test_of_store_hashes_once;
+    Alcotest.test_case "merkle: set hashes each location once" `Quick
+      test_set_hashes_once;
+    Alcotest.test_case "merkle: copy and of_store allocate no cell per binding"
+      `Quick test_build_allocation;
+    Alcotest.test_case "merkle: tiny state, tiny build" `Quick test_tiny_build;
     Alcotest.test_case "chain: executor/domain matrix" `Slow test_matrix;
   ]

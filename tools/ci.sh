@@ -236,8 +236,10 @@ echo "ci: hotspot-delta gate passed (deltas $hdelta tps >= 2x paper $hpaper tps)
 # the whole state. The fold column is that yardstick, computed in the
 # experiment: apply the delta to a flat copy of the state, then digest its
 # sorted bindings. At 10^5 accounts the incremental update must be >= 5x
-# cheaper (read 5.3-8.8x in twelve runs on a 2-core host; the experiment
-# takes per-side best-of-3 minima). The roots column also asserts
+# cheaper. The experiment interleaves 11 fold and incremental repetitions
+# in one process and takes each side's median, as the vm-cost gate does:
+# per-side best-of-3 minima read 5.3x in one run of five on a 2-core host,
+# against 5.9-7.2x in the others. The roots column also asserts
 # correctness at every grid point: sequential root = Block-STM root =
 # from-scratch recompute; any mismatch is a hard failure regardless of
 # speed. The last column, build (ms), is report-only.
