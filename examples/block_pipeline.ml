@@ -52,7 +52,7 @@ let () =
   let total store =
     List.fold_left
       (fun acc (loc, v) ->
-        match (loc : Ledger.Loc.t) with
+        match Ledger.Loc.view loc with
         | Ledger.Loc.Account { field = Ledger.Balance; _ } ->
             acc + Ledger.Value.as_int v
         | _ -> acc)

@@ -38,8 +38,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (** Outcome of the final incarnation of a transaction. *)
   type 'o txn_output = 'o Txn.output = Success of 'o | Failed of string
 
-  let pp_txn_output = Txn.pp_output
-
   (** Execution statistics, aggregated across all domains. *)
   type metrics = {
     incarnations : int;  (** VM executions that ran to completion. *)

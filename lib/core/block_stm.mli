@@ -34,8 +34,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** Outcome of the final incarnation of a transaction. *)
   type 'o txn_output = 'o Txn.output = Success of 'o | Failed of string
 
-  val pp_txn_output : 'o Fmt.t -> Format.formatter -> 'o txn_output -> unit
-
   (** Execution statistics, aggregated across all domains. Snapshot of the
       engine's metrics registry (see {!metrics_registry} for the live,
       extensible view including VM read/write totals and step-duration
@@ -266,8 +264,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       another worker has failed. [worker] (default 0) is the trace ring
       index; pass distinct values from distinct domains when the instance
       was created with [?trace]. *)
-
-  val metrics_of : 'o instance -> metrics
 
   val recorded_read_set :
     'o instance -> int -> Blockstm_mvmemory.Mvmemory.Make(L)(V).read_set

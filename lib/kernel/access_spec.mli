@@ -21,8 +21,6 @@ type 'loc t = { reads : 'loc entry list; writes : 'loc entry list }
 
 val empty : 'loc t
 
-val is_exact : 'loc entry -> bool
-
 val all_exact : 'loc t -> bool
 (** Every read and write entry is [Exact]. *)
 

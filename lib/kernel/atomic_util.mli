@@ -12,14 +12,11 @@ val decr : int Atomic.t -> unit
 val get_and_incr : int Atomic.t -> int
 (** The paper's [fetch_and_increment]: returns the pre-increment value. *)
 
-val cache_line_words : int
-(** Words per padded block (two 64-byte lines: x86 prefetches line pairs). *)
-
 val pad : 'a -> 'a
-(** [pad v] reallocates the heap block [v] into a block of at least
-    {!cache_line_words} words so no other allocation shares its cache lines;
-    observable fields keep their offsets, so the result behaves exactly like
-    [v]. Apply to freshly allocated, not-yet-shared blocks (an [Atomic.t], a
+(** [pad v] reallocates the heap block [v] into a block of at least 16
+    words (two 64-byte lines: x86 prefetches line pairs), so no other
+    allocation shares its cache lines; observable fields keep their
+    offsets, so the result behaves exactly like [v]. Apply to freshly allocated, not-yet-shared blocks (an [Atomic.t], a
     small mutable record about to enter a hot array). Not for immediates or
     custom/float blocks. *)
 

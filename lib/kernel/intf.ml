@@ -1,12 +1,16 @@
 (** Interfaces shared by every executor in the repository.
 
     The whole engine is polymorphic in the type of memory locations (the
-    paper's {e access paths}) and the type of stored values. Benchmarks use
-    compact integer-based locations; the MiniMove virtual machine uses
-    structured [(address, resource)] paths. *)
+    paper's {e access paths}) and the type of stored values. The benchmark
+    ledger's locations are immediates ([Ledger.Loc.t], a [private int]
+    packing account and field); the MiniMove virtual machine's are
+    [{addr; resource}] records. *)
 
 (** Memory locations / access paths. Must be hashable (MVMemory shards by
-    hash) and totally ordered (deterministic snapshots). *)
+    hash) and totally ordered (deterministic snapshots). An immediate [t]
+    keeps the key arrays of MVMemory and the base tier free of pointers,
+    and lets [equal] and [compare] run without touching memory; a boxed
+    [t] costs a dereference in every table probe. *)
 module type LOCATION = sig
   type t
 

@@ -9,10 +9,5 @@ val builtins : (string * int) list
 (** Builtin functions available to every script: name and arity
     ([to_addr], [addr_of], [min], [max]). *)
 
-val func_table : Ast.program -> (string * int) list
-(** The program's callable-function table: {!builtins} plus every defined
-    function, name to arity.
-    @raise Check_error on duplicate function definitions. *)
-
 val check : ?require_main:bool -> Ast.program -> unit
 (** @raise Check_error describing the first problem found. *)

@@ -154,10 +154,7 @@ type cfunc = {
   mutable c_body : rt -> Value.t array -> Value.t;
 }
 
-type compiled = {
-  p_funcs : (string * cfunc) list;
-  p_interns : (string * intern) list;  (* kept for introspection/tests *)
-}
+type compiled = { p_funcs : (string * cfunc) list }
 
 (* Compile-time environment: function records, interned key tables, and the
    field-name string pool backing {!find_field}'s fast path. *)
@@ -1226,7 +1223,7 @@ let of_program ?(require_main = true) ?(intern_addrs = default_intern_addrs)
   List.iter
     (fun (f : Ast.func) -> compile_func env f (List.assoc f.fname funcs))
     prog.funcs;
-  { p_funcs = funcs; p_interns = interns }
+  { p_funcs = funcs }
 
 let compile ?require_main ?intern_addrs (src : string) : compiled =
   of_program ?require_main ?intern_addrs (Parser.parse src)
@@ -1291,13 +1288,3 @@ let txn_with_gas ?(entry = "main") ?(gas_limit = default_gas_limit)
       fun effects ->
         let rt, value = enter ~gas_limit cf args effects in
         (value, gas_limit - rt.gas)
-
-(* --- Introspection (tests) -------------------------------------------------- *)
-
-let interned_resources (c : compiled) : string list =
-  List.map fst c.p_interns
-
-let intern_table_capacity (c : compiled) ~resource : int option =
-  Option.map
-    (fun t -> Array.length t.i_locs)
-    (List.assoc_opt resource c.p_interns)

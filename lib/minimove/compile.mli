@@ -27,22 +27,15 @@ open Mv_value
 
 type compiled
 
-val default_intern_addrs : int
-(** Default capacity of each per-resource interned-key table (addresses
-    [0..default_intern_addrs - 1]); out-of-range addresses fall back to
-    allocating a key per access, like the tree-walk VM. *)
-
 val compile : ?require_main:bool -> ?intern_addrs:int -> string -> compiled
 (** Parse, statically check and compile a MiniMove source string.
-    [intern_addrs] sizes the interned location-key tables (default
-    {!default_intern_addrs}; workloads pass their account count).
+    [intern_addrs] sizes each per-resource interned location-key table
+    (addresses [0..intern_addrs - 1], default 1024; workloads pass their
+    account count); out-of-range addresses fall back to allocating a key
+    per access, like the tree-walk VM.
     @raise Lexer.Lex_error on tokenization errors
     @raise Parser.Parse_error on syntax errors
     @raise Check.Check_error on unbound variables, arity mismatches, etc. *)
-
-val of_program :
-  ?require_main:bool -> ?intern_addrs:int -> Ast.program -> compiled
-(** Check and compile an already-parsed program. *)
 
 val of_checked : ?intern_addrs:int -> Interp.compiled -> compiled
 (** Compile a script already compiled for the tree-walk VM, so both VMs can
@@ -88,11 +81,3 @@ val txn_with_gas :
   args:Value.t list ->
   (Loc.t, Value.t, Value.t * int) Txn.t
 (** Transaction variant whose output is [(result, gas_used)]. *)
-
-(** {2 Introspection (tests and tooling)} *)
-
-val interned_resources : compiled -> string list
-(** Resource names with a preallocated location-key table, sorted. *)
-
-val intern_table_capacity : compiled -> resource:string -> int option
-(** Capacity of the key table for [resource], if one exists. *)

@@ -178,24 +178,3 @@ let events (t : t) : event list =
 (** Events overwritten by ring wraparound, across all workers. *)
 let dropped (t : t) : int =
   Array.fold_left (fun acc r -> acc + max 0 (r.total - r.cap)) 0 t.rings
-
-let pp_event ppf (e : event) =
-  match e.payload with
-  | Exec { version; reads; writes } ->
-      Fmt.pf ppf "[w%d +%dns %dns] exec %a r=%d w=%d" e.worker e.start_ns
-        e.dur_ns Version.pp version reads writes
-  | Exec_blocked { version; blocking; reads } ->
-      Fmt.pf ppf "[w%d +%dns %dns] blocked %a on %d r=%d" e.worker e.start_ns
-        e.dur_ns Version.pp version blocking reads
-  | Validation { version; aborted; reads } ->
-      Fmt.pf ppf "[w%d +%dns %dns] validate %a aborted=%b r=%d" e.worker
-        e.start_ns e.dur_ns Version.pp version aborted reads
-  | Idle { spins } ->
-      Fmt.pf ppf "[w%d +%dns %dns] idle spins=%d" e.worker e.start_ns e.dur_ns
-        spins
-  | Commit { upto; count } ->
-      Fmt.pf ppf "[w%d +%dns %dns] commit upto=%d count=%d" e.worker
-        e.start_ns e.dur_ns upto count
-  | Cold { version; reads } ->
-      Fmt.pf ppf "[w%d +%dns %dns] cold-fetch %a r=%d" e.worker e.start_ns
-        e.dur_ns Version.pp version reads

@@ -66,5 +66,3 @@ val events : t -> event list
 
 val dropped : t -> int
 (** Events lost to ring wraparound, across all workers. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -104,11 +104,6 @@ val decrease_validation_idx : t -> target_idx:int -> unit
     [target_idx], so every transaction from there up is revalidated. Exposed
     so tests can fire pullbacks against in-flight validation claims. *)
 
-(** Claim a transaction for execution: READY_TO_EXECUTE -> EXECUTING.
-    Exposed for the engine's task handoff; most callers want
-    {!next_task}. No effect on the active-task count. *)
-val try_incarnate : t -> int -> Version.t option
-
 (** {2 Rolling commit} *)
 
 val committed_prefix : t -> int

@@ -27,7 +27,6 @@ type t = {
           finished) and the engine records writes under fixed versions, so
           the committed state is schedule-independent. *)
   completed : int Atomic.t;
-  edges : int;  (** Total dependency edges (introspection). *)
 }
 
 (** [create ~preds] builds the DAG. [preds.(j)] lists the transactions that
@@ -67,11 +66,9 @@ let create ~(preds : int list array) : t =
     succs;
     ready = Atomic.make !ready;
     completed = Atomic.make 0;
-    edges = Array.fold_left ( + ) 0 nsucc;
   }
 
 let block_size t = t.n
-let num_edges t = t.edges
 
 let rec push t j =
   let cur = Atomic.get t.ready in

@@ -13,9 +13,6 @@ val create : preds:int list array -> t
 
 val block_size : t -> int
 
-val num_edges : t -> int
-(** Total dependency edges (introspection / reporting). *)
-
 val next_task : t -> Scheduler.task option
 (** Claim a ready transaction as an incarnation-0 execution task. [None]
     does {e not} imply completion (predecessors may still be running);

@@ -55,18 +55,6 @@ let dep_abort_cost t ~reads =
 let validation_cost t ~reads =
   t.val_base +. (float_of_int reads *. t.per_val_read)
 
-(** Virtual cost of one engine step. *)
-let of_event t (ev : Blockstm_kernel.Step_event.t) : float =
-  match ev with
-  | Executed { reads; writes; _ } -> exec_cost t ~reads ~writes
-  | Exec_dependency { reads; _ } -> dep_abort_cost t ~reads
-  | Validated { reads; _ } -> validation_cost t ~reads
-  | Got_task | No_task -> t.sched
-  | Committed _ -> t.sched
-  (* No engine path produces a cold fetch; charge like a dependency stop if
-     one ever surfaces. *)
-  | Cold_fetch { reads; _ } -> dep_abort_cost t ~reads
-
 let pp ppf t =
   Fmt.pf ppf
     "{exec_base=%.1f per_read=%.1f per_write=%.1f val_base=%.1f \

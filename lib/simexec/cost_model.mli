@@ -24,7 +24,4 @@ val dep_abort_cost : t -> reads:int -> float
 
 val validation_cost : t -> reads:int -> float
 
-val of_event : t -> Blockstm_kernel.Step_event.t -> float
-(** Virtual cost of one engine step. *)
-
 val pp : Format.formatter -> t -> unit

@@ -13,9 +13,6 @@ val create : costs:float array -> deps:int list array -> t
     @raise Invalid_argument if a dependency is not on a strictly lower
     index (the preset order makes the DAG acyclic by construction). *)
 
-val earliest_finish : t -> float array
-(** Earliest possible finish time per transaction with unbounded workers. *)
-
 val critical_path : t -> float
 (** Length of the longest dependency chain: the makespan lower bound no
     number of workers can beat (the workload's inherent parallelism is

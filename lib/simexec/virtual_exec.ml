@@ -27,13 +27,6 @@ type stats = {
   validation_aborts : int;
 }
 
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "makespan=%.0fus busy=%.0fus idle=%.0fus steps=%d exec=%d dep=%d val=%d \
-     aborts=%d"
-    s.makespan_us s.busy_us s.idle_us s.steps s.executions s.dependency_aborts
-    s.validations s.validation_aborts
-
 (** Throughput in transactions/second implied by the virtual makespan. *)
 let tps ~txns (s : stats) : float =
   if s.makespan_us <= 0. then infinity

@@ -18,8 +18,6 @@ type stats = {
   validation_aborts : int;
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 val tps : txns:int -> stats -> float
 (** Throughput implied by the virtual makespan. *)
 

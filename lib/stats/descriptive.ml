@@ -68,11 +68,6 @@ let summarize xs =
     p99 = percentile 99. xs;
   }
 
-let pp_summary ppf s =
-  Fmt.pf ppf
-    "n=%d mean=%.1f sd=%.1f min=%.1f med=%.1f p95=%.1f p99=%.1f max=%.1f" s.n
-    s.mean s.stddev s.min s.median s.p95 s.p99 s.max
-
 (** Geometric mean, for aggregating speedup ratios. *)
 let geomean xs =
   let n = Array.length xs in

@@ -24,9 +24,7 @@ val percentile : float -> float array -> float
     @raise Invalid_argument if the percentile is outside [0, 100]. *)
 
 val median : float array -> float
-val min_max : float array -> float * float
 val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit
 
 val geomean : float array -> float
 (** Geometric mean, for aggregating speedup ratios. *)

@@ -6,7 +6,17 @@
     entries (block time, chain id, gas schedule, ...). The global entries are
     written before the block and only read during it — exactly like Diem's
     on-chain config — so conflicts arise purely from account accesses, and
-    the number of accounts controls contention (paper §4.1). *)
+    the number of accounts controls contention (paper §4.1).
+
+    A location is an immediate [private int], not a heap block: field [f]
+    of account [a] is [a * 8 + field_index f] and global [g] is
+    [min_int + g]. Building one allocates nothing, key arrays in MVMemory
+    and the base tier hold no pointers, and [equal] and [compare] are int
+    comparisons that touch no memory. [hash], the order [compare] gives
+    (globals by index, then accounts by (account, field)) and [pp] are the
+    ones the locations had as a boxed variant, so every state root, delta
+    root, MVMemory shard placement and printed table is unchanged by the
+    encoding. *)
 
 open Blockstm_kernel
 
@@ -33,52 +43,118 @@ let field_name = function
   | Auth_key -> "auth_key"
   | Exists -> "exists"
 
-module Loc = struct
-  type t =
-    | Global of int  (** On-chain configuration entry [0..n_globals). *)
-    | Account of { acct : int; field : field }
+(* The sealed signature makes the six constructors below the only way to
+   build a location: [Loc.t] is a [private int], which callers can read as
+   an int but not forge. *)
+include (
+  struct
+    module Loc = struct
+      type t = int
 
-  let equal a b =
-    match (a, b) with
-    | Global x, Global y -> Int.equal x y
-    | Account a, Account b -> a.acct = b.acct && a.field = b.field
-    | _ -> false
+      type view =
+        | Global of int
+        | Account of { acct : int; field : field }
 
-  (* Full avalanche mix, not just a multiply: a multiplicative hash of
-     [(acct * 8) + field] leaves the low bits stuck in a stride-8 subgroup
-     when only one field is populated (e.g. {!Bigstate.lean_genesis}), so
-     Hashtbl and digest buckets — both selected by low bits — degrade to
-     1/8 occupancy with 8x-long chains. *)
-  let mix_int x =
-    let x = (x lxor (x lsr 16)) * 0x45d9f3b in
-    let x = (x lxor (x lsr 16)) * 0x45d9f3b in
-    x lxor (x lsr 16)
+      let fields = [| Balance; Seqno; Frozen; Auth_key; Exists |]
+      let is_global l = l < 0
 
-  let hash = function
-    | Global g -> mix_int (g lxor 0x55aa55)
-    | Account { acct; field } -> mix_int ((acct * 8) + field_index field)
+      let acct l =
+        if l < 0 then invalid_arg "Ledger.Loc.acct: a global entry";
+        l lsr 3
 
-  let compare a b =
-    match (a, b) with
-    | Global x, Global y -> Int.compare x y
-    | Global _, Account _ -> -1
-    | Account _, Global _ -> 1
-    | Account a, Account b -> (
-        match Int.compare a.acct b.acct with
-        | 0 -> Int.compare (field_index a.field) (field_index b.field)
-        | c -> c)
+      let view l =
+        if l < 0 then Global (l - min_int)
+        else Account { acct = l lsr 3; field = fields.(l land 7) }
 
-  let pp ppf = function
-    | Global g -> Fmt.pf ppf "global/%d" g
-    | Account { acct; field } ->
-        Fmt.pf ppf "acct/%d/%s" acct (field_name field)
+      let equal (a : t) b = a = b
 
-  (** Namespace string matched by [Access_spec.Wildcard] entries
-      (DESIGN.md §15): the resource kind, ignoring the account. *)
-  let namespace = function
-    | Global _ -> "global"
-    | Account { field; _ } -> field_name field
-end
+      (* Full avalanche mix, not just a multiply: a multiplicative hash of
+         [(acct * 8) + field] leaves the low bits stuck in a stride-8
+         subgroup when only one field is populated (e.g.
+         {!Bigstate.lean_genesis}), so Hashtbl and digest buckets — both
+         selected by low bits — degrade to 1/8 occupancy with 8x-long
+         chains. *)
+      let mix_int x =
+        let x = (x lxor (x lsr 16)) * 0x45d9f3b in
+        let x = (x lxor (x lsr 16)) * 0x45d9f3b in
+        x lxor (x lsr 16)
+
+      (* An account location is already [(acct * 8) + field_index field];
+         a global hashes its index, as the boxed variant did. *)
+      let hash l =
+        if l < 0 then mix_int ((l - min_int) lxor 0x55aa55) else mix_int l
+
+      let compare (a : t) b = Int.compare a b
+
+      let pp ppf l =
+        match view l with
+        | Global g -> Fmt.pf ppf "global/%d" g
+        | Account { acct; field } ->
+            Fmt.pf ppf "acct/%d/%s" acct (field_name field)
+
+      let namespace l =
+        if l < 0 then "global" else field_name fields.(l land 7)
+    end
+
+    (* The largest account whose fields all encode below [max_int]. *)
+    let max_acct = max_int lsr 3
+
+    let[@inline] account field acct =
+      if acct < 0 || acct > max_acct then
+        invalid_arg "Ledger: account out of range";
+      (acct lsl 3) lor field_index field
+
+    let balance acct = account Balance acct
+    let seqno acct = account Seqno acct
+    let frozen acct = account Frozen acct
+    let auth_key acct = account Auth_key acct
+    let exists acct = account Exists acct
+
+    let global g =
+      if g < 0 then invalid_arg "Ledger.global: negative index";
+      min_int + g
+  end :
+    sig
+      module Loc : sig
+        type t = private int
+
+        (** A location taken apart, for code that matches on its kind. *)
+        type view =
+          | Global of int  (** On-chain configuration entry [0..n_globals). *)
+          | Account of { acct : int; field : field }
+
+        val view : t -> view
+        (** Allocates the [view]; hot paths use {!is_global} and {!acct}. *)
+
+        val is_global : t -> bool
+
+        val acct : t -> int
+        (** The account of an account location, allocation-free. Raises
+            [Invalid_argument] on a global entry. *)
+
+        val equal : t -> t -> bool
+        val hash : t -> int
+        val compare : t -> t -> int
+        val pp : Format.formatter -> t -> unit
+
+        val namespace : t -> string
+        (** Namespace string matched by [Access_spec.Wildcard] entries
+            (DESIGN.md §15): the resource kind, ignoring the account. *)
+      end
+
+      val balance : int -> Loc.t
+      (** Each account constructor takes an account [a] with
+          [0 <= a <= max_int / 8] and raises [Invalid_argument] outside
+          that range. *)
+
+      val seqno : int -> Loc.t
+      val frozen : int -> Loc.t
+      val auth_key : int -> Loc.t
+      val exists : int -> Loc.t
+
+      val global : int -> Loc.t
+      (** Global configuration entry [g >= 0]. *)
+    end)
 
 (* --- Values -------------------------------------------------------------- *)
 
@@ -128,15 +204,6 @@ end
 
 module Store = Blockstm_storage.Memstore.Make (Loc) (Value)
 
-(* --- Convenience constructors ------------------------------------------- *)
-
-let balance acct = Loc.Account { acct; field = Balance }
-let seqno acct = Loc.Account { acct; field = Seqno }
-let frozen acct = Loc.Account { acct; field = Frozen }
-let auth_key acct = Loc.Account { acct; field = Auth_key }
-let exists acct = Loc.Account { acct; field = Exists }
-let global g = Loc.Global g
-
 (** Number of distinct global configuration entries installed in genesis. *)
 let n_globals = 16
 
@@ -152,9 +219,9 @@ let account_lane ~num_accounts ~lanes acct =
 (** Lane of a location under the account-range partition. Global entries are
     read-only in every workload here, so their lane never matters for
     correctness; they go to lane 0. *)
-let loc_lane ~num_accounts ~lanes = function
-  | Loc.Global _ -> 0
-  | Loc.Account { acct; _ } -> account_lane ~num_accounts ~lanes acct
+let loc_lane ~num_accounts ~lanes loc =
+  if Loc.is_global loc then 0
+  else account_lane ~num_accounts ~lanes (Loc.acct loc)
 
 let default_initial_balance = 1_000_000_000
 

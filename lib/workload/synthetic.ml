@@ -185,11 +185,11 @@ let gas_specs ~block_size ~shards : Loc.t Access_spec.t array =
 let gas_lane ~block_size ~shards ~lanes : Loc.t -> int =
   if lanes < 1 then invalid_arg "Synthetic.gas_lane: lanes must be >= 1";
   fun loc ->
-    match loc with
-    | Loc.Global _ -> 0
-    | Loc.Account { acct; _ } ->
-        if acct >= block_size then (acct - block_size) mod lanes
-        else acct mod shards mod lanes
+    if Loc.is_global loc then 0
+    else
+      let acct = Loc.acct loc in
+      if acct >= block_size then (acct - block_size) mod lanes
+      else acct mod shards mod lanes
 
 (** Write-set churn: each transaction writes a location chosen by the value
     it reads, so consecutive incarnations write {e different} locations —

@@ -199,9 +199,9 @@ let prop_ledger_model =
         [
           map global (int_bound (n_globals - 1));
           map2
-            (fun acct field -> Loc.Account { acct; field })
+            (fun acct loc -> loc acct)
             (int_bound 80)
-            (oneofl [ Balance; Seqno; Frozen; Auth_key; Exists ]);
+            (oneofl [ balance; seqno; frozen; auth_key; exists ]);
         ])
   and value =
     QCheck2.Gen.(

@@ -138,7 +138,7 @@ let test_balance_conservation () =
   (* ... and each account's final balance = initial + delta. *)
   List.iter
     (fun (loc, v) ->
-      match (loc : Ledger.Loc.t) with
+      match Ledger.Loc.view loc with
       | Ledger.Loc.Account { acct; field = Ledger.Balance } ->
           Alcotest.(check int)
             (Printf.sprintf "balance of %d" acct)
@@ -146,6 +146,99 @@ let test_balance_conservation () =
             (Ledger.Value.as_int v)
       | _ -> ())
     r.snapshot
+
+(* --- Location encoding ----------------------------------------------------- *)
+
+(* A location as the boxed variant spelled it, with that variant's hash,
+   order and printer: the immediate encoding must keep all three, since the
+   hash feeds every root and MVMemory shard placement, the order every
+   snapshot, and the printer every table. *)
+type boxed_loc = G of int | A of int * Ledger.field
+
+let boxed_hash =
+  let mix_int x =
+    let x = (x lxor (x lsr 16)) * 0x45d9f3b in
+    let x = (x lxor (x lsr 16)) * 0x45d9f3b in
+    x lxor (x lsr 16)
+  in
+  function
+  | G g -> mix_int (g lxor 0x55aa55)
+  | A (acct, f) -> mix_int ((acct * 8) + Ledger.field_index f)
+
+let boxed_compare a b =
+  match (a, b) with
+  | G x, G y -> Int.compare x y
+  | G _, A _ -> -1
+  | A _, G _ -> 1
+  | A (a, f), A (b, g) -> (
+      match Int.compare a b with
+      | 0 -> Int.compare (Ledger.field_index f) (Ledger.field_index g)
+      | c -> c)
+
+let boxed_pp = function
+  | G g -> Printf.sprintf "global/%d" g
+  | A (acct, f) -> Printf.sprintf "acct/%d/%s" acct (Ledger.field_name f)
+
+let encode = function
+  | G g -> Ledger.global g
+  | A (acct, f) ->
+      let mk =
+        match f with
+        | Balance -> Ledger.balance
+        | Seqno -> Ledger.seqno
+        | Frozen -> Ledger.frozen
+        | Auth_key -> Ledger.auth_key
+        | Exists -> Ledger.exists
+      in
+      mk acct
+
+let gen_boxed_loc =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun g -> G g) (int_bound (Ledger.n_globals - 1));
+        map2
+          (fun acct f -> A (acct, f))
+          (int_bound 10_000_000)
+          (oneofl Ledger.[ Balance; Seqno; Frozen; Auth_key; Exists ]);
+      ])
+
+let prop_loc_encoding =
+  QCheck2.Test.make ~count:2000
+    ~name:"ledger locations: immediate, boxed hash/order/pp kept"
+    ~print:(fun (a, b) -> boxed_pp a ^ " vs " ^ boxed_pp b)
+    QCheck2.Gen.(pair gen_boxed_loc gen_boxed_loc)
+    (fun (a, b) ->
+      let la = encode a and lb = encode b in
+      let kept s l =
+        Obj.is_int (Obj.repr l)
+        && (match (Ledger.Loc.view l, s) with
+           | Global g, G g' -> g = g'
+           | Account { acct; field }, A (acct', field') ->
+               acct = acct' && field = field'
+           | _ -> false)
+        && Ledger.Loc.hash l = boxed_hash s
+        && Fmt.str "%a" Ledger.Loc.pp l = boxed_pp s
+        && Ledger.Loc.namespace l
+           = (match s with G _ -> "global" | A (_, f) -> Ledger.field_name f)
+      in
+      kept a la && kept b lb
+      && Int.compare (Ledger.Loc.compare la lb) 0
+         = Int.compare (boxed_compare a b) 0
+      && Ledger.Loc.equal la lb = (a = b))
+
+(* The lean genesis allocates each binding's [Value.Int] box (2 words) on
+   the minor heap and nothing else: a location is an immediate, and the
+   store's two arrays, sized up front, are made on the major heap. *)
+let test_lean_genesis_words () =
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  let s = Bigstate.lean_genesis ~num_accounts:n () in
+  let per_binding = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "bindings" n (Ledger.Store.cardinal s);
+  Alcotest.(check string)
+    "minor words per binding" "2.00"
+    (Printf.sprintf "%.2f" per_binding)
 
 let test_genesis_contents () =
   let s = Ledger.genesis ~num_accounts:3 () in
@@ -202,7 +295,7 @@ let test_gas_total_independent_of_sharding () =
     let r = Harness.run_sequential ~storage:g.storage g.txns in
     List.fold_left
       (fun acc (loc, v) ->
-        match (loc : Ledger.Loc.t) with
+        match Ledger.Loc.view loc with
         | Ledger.Loc.Account { acct; field = Ledger.Balance }
           when acct >= 150 ->
             (* Gas accounts live above the workload accounts; subtract the
@@ -318,6 +411,63 @@ let test_rng_zipf_theta0_uniformish () =
     (fun c -> Alcotest.(check bool) "roughly uniform" true (c > 500))
     counts
 
+(* --- Pinned roots ---------------------------------------------------------- *)
+
+(* Absolute roots of two fixed chains. Every other root test compares two
+   executors, or a root with its from-scratch recompute, so a change to
+   [Ledger.Loc.hash], [Ledger.Value.hash] or the digests would pass them
+   unseen. These values were read while locations were still boxed
+   variants; the immediate encoding keeps every hash, so they must not
+   move. *)
+let hex = Printf.sprintf "0x%016Lx"
+
+let check_roots ctx ~state ~delta commits =
+  Alcotest.(check int)
+    (ctx ^ ": blocks") (List.length state) (List.length commits);
+  List.iteri
+    (fun i (c : _ Harness.ChainX.block_commit) ->
+      Alcotest.(check string)
+        (Fmt.str "%s: state root @ %d" ctx c.height)
+        (List.nth state i) (hex c.state_root);
+      Alcotest.(check string)
+        (Fmt.str "%s: delta root @ %d" ctx c.height)
+        (List.nth delta i) (hex c.delta_root))
+    commits
+
+let test_pinned_p2p_roots () =
+  let blocks =
+    P2p.generate_stream
+      { P2p.default_spec with num_accounts = 100; block_size = 200 }
+      ~nblocks:3
+  in
+  let genesis = (List.hd blocks).storage in
+  List.iter
+    (fun (ctx, executor) ->
+      let chain = Harness.ChainX.create ~executor ~genesis () in
+      check_roots ctx
+        ~state:
+          [ "0x2cc5d0259e212d3d"; "0x0b33944345331938"; "0x19aa02e057055031" ]
+        ~delta:
+          [ "0x1669b894d9393c2b"; "0x94a6063bd790b0e4"; "0xba655ac4002b95d6" ]
+        (Harness.ChainX.execute_blocks chain
+           (List.map (fun (b : P2p.t) -> b.txns) blocks)))
+    [
+      ("sequential", Harness.ChainX.Sequential);
+      ( "block-stm, 2 domains",
+        Harness.ChainX.Block_stm
+          { Harness.Bstm.default_config with num_domains = 2 } );
+    ]
+
+let test_pinned_bigstate_roots () =
+  let g = Bigstate.transfers ~block_size:500 ~num_accounts:5000 ~seed:7 () in
+  let chain =
+    Harness.ChainX.create ~executor:Harness.ChainX.Sequential
+      ~genesis:g.storage ()
+  in
+  check_roots "bigstate" ~state:[ "0xc7505baf17daa609" ]
+    ~delta:[ "0xaee7896084cb8985" ]
+    [ Harness.ChainX.execute_block chain g.txns ]
+
 let suite =
   [
     Alcotest.test_case "standard p2p: 21 reads / 4 writes" `Quick
@@ -341,6 +491,9 @@ let suite =
       test_check_against_refuses_wrong_output;
     Alcotest.test_case "balance conservation" `Quick test_balance_conservation;
     Alcotest.test_case "genesis contents" `Quick test_genesis_contents;
+    Tutil.qcheck_to_alcotest prop_loc_encoding;
+    Alcotest.test_case "lean genesis: 2 minor words per binding" `Quick
+      test_lean_genesis_words;
     Alcotest.test_case "synthetic: hotspot" `Quick test_synthetic_hotspot;
     Alcotest.test_case "synthetic: independent" `Quick
       test_synthetic_independent;
@@ -366,4 +519,8 @@ let suite =
     Alcotest.test_case "rng: zipf skew" `Quick test_rng_zipf;
     Alcotest.test_case "rng: zipf theta=0 uniform" `Quick
       test_rng_zipf_theta0_uniformish;
+    Alcotest.test_case "pinned roots: p2p chain, sequential and 2 domains"
+      `Quick test_pinned_p2p_roots;
+    Alcotest.test_case "pinned roots: bigstate block" `Quick
+      test_pinned_bigstate_roots;
   ]

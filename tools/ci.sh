@@ -32,13 +32,16 @@
 #     time, so deterministic and enforced on any host);
 #   - blockstm run -e litm --verify matches the sequential executor run in
 #     LiTM's own commit order;
-#   - every program under examples/ runs to completion with exit status 0.
+#   - every program under examples/ runs to completion with exit status 0;
+#   - every value a library .mli exports is named outside its own module
+#     (tools/unused_exports.sh).
 # Usage: tools/ci.sh   (run from the repository root)
 set -eu
 
 dune build
 dune runtest
 tools/check_doc.sh
+bash tools/unused_exports.sh
 
 # --- Lock-free gate ---------------------------------------------------------
 # The MVMemory read and validation paths must acquire zero mutexes: extract
