@@ -162,7 +162,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     deltas : bool;
     outputs : 'o txn_output option array;
         (* Slot [j] is written only by the executor of tx_j's incarnations
-           (sequential per Corollary 1) and read after all domains join. *)
+           (sequential per Corollary 1) and read once every worker has left
+           its loop. *)
     obs : Metrics.t;
         (* Engine counters live in per-domain padded cells — no cross-domain
            contention on the hot path (previously: shared atomics). *)
@@ -178,7 +179,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     trace : Trace.t option;
     (* Rolling-commit streaming state. [commit_ns.(j)] is written once, by
        whichever domain commits j (under the scheduler's commit mutex), and
-       read after all domains join. [t0_ns] is the latency origin. *)
+       read once every worker has left its loop. [t0_ns] is the latency
+       origin. *)
     t0_ns : int;
     commit_ns : int array;
     on_commit : (int -> 'o txn_output -> unit) option;
@@ -1069,11 +1071,105 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       commit_ns = Array.copy inst.commit_ns;
     }
 
+  (* Run one worker loop of [run]; an exception that escapes it is recorded
+     as the block's failure, which stops the other workers. *)
+  let guarded (inst : _ instance) worker : unit =
+    try worker_loop ~worker inst
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Atomic.compare_and_set inst.failure None (Some (e, bt)))
+
+  (* What [run] shares with its helper domains. A helper does not capture
+     the instance: a domain's exit runs a stop-the-world minor collection
+     (OCaml 5.1) that promotes whatever is still reachable, and
+     [Domain.spawn] keeps the helper's closure reachable until after it. So
+     the closure holds the crew, and the helper takes the instance from
+     [cell], which [run] empties once it has read the result out. The
+     helper leaves last: by its exit collection the block's bookkeeping is
+     garbage, and only the result is copied. *)
+  type 'o crew = {
+    cell : 'o instance option Atomic.t;
+        (* The instance until [run] has read the result; [None] releases
+           the helpers. *)
+    running : int Atomic.t;  (* Helpers still in their worker loops. *)
+    lock : Mutex.t;
+    cond : Condition.t;
+        (* Where a wait that outlasts its spin sleeps; see [await]. *)
+  }
+
+  (* Idle rounds of [Atomic_util.Backoff] before a wait sleeps: 16 rounds
+     are 2,303 [Domain.cpu_relax] pauses, about 80 us at 35 ns a pause,
+     longer than a helper takes to leave its loop once the block is done.
+     Sleeping matters only when the domains outnumber the cores: a spinning
+     waiter then holds a core that the domain it waits for needs. *)
+  let spin_rounds = 16
+
+  (* Wait until [ready ()], which another domain makes true and then calls
+     [wake]: spin as idle workers do, then sleep on the crew's condition.
+     [ready] is checked under the lock before each sleep, so a [wake] after
+     the state change is never lost. *)
+  let await (c : _ crew) (ready : unit -> bool) : unit =
+    let backoff = Atomic_util.Backoff.create () in
+    let rec spin round =
+      if ready () then ()
+      else if round < spin_rounds then begin
+        Atomic_util.Backoff.once backoff;
+        spin (round + 1)
+      end
+      else begin
+        Mutex.lock c.lock;
+        while not (ready ()) do
+          Condition.wait c.cond c.lock
+        done;
+        Mutex.unlock c.lock
+      end
+    in
+    spin 0
+
+  let wake (c : _ crew) : unit =
+    Mutex.lock c.lock;
+    Condition.broadcast c.cond;
+    Mutex.unlock c.lock
+
+  (* Release the helpers: after this, no domain reaches the instance through
+     the crew. *)
+  let release (c : _ crew) : unit =
+    Atomic.set c.cell None;
+    wake c
+
+  (* The body of helper domain [worker]: run the worker loop, report that
+     it has left it, then wait for the release. The cell is empty at the
+     start only if a later spawn failed first. *)
+  let helper (c : _ crew) worker () : unit =
+    (match Atomic.get c.cell with
+    | Some inst -> guarded inst worker
+    | None -> ());
+    if Atomic.fetch_and_add c.running (-1) = 1 then wake c;
+    await c (fun () -> Option.is_none (Atomic.get c.cell))
+
+  (* Spawn [k] helpers. If a spawn fails, the helpers already started are
+     stopped, released and joined before the exception propagates. *)
+  let spawn_helpers (inst : _ instance) (c : _ crew) k : unit Domain.t array =
+    let rec go acc w =
+      if w > k then Array.of_list acc
+      else
+        match Domain.spawn (helper c w) with
+        | d -> go (d :: acc) (w + 1)
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            ignore (Atomic.compare_and_set inst.failure None (Some (e, bt)));
+            release c;
+            List.iter Domain.join acc;
+            Printexc.raise_with_backtrace e bt
+    in
+    go [] 1
+
   (** Execute a block. [storage] is the pre-block state; [txns] the block in
       its preset serialization order. Spawns [config.num_domains - 1] extra
-      domains and participates with the calling domain. An exception that
-      escapes any worker stops the others and is re-raised once all have
-      joined. *)
+      domains and participates with the calling domain; the helpers leave
+      after [finalize] (see [crew]). An exception that escapes any worker,
+      [finalize] or a spawn is re-raised once every started helper has been
+      released and joined. *)
   let run ?(config = default_config) ?specs ?loc_namespace ?trace ?on_commit
       ~storage (txns : 'o txn array) : 'o result =
     let inst =
@@ -1088,20 +1184,34 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         commit_ns = [||];
       }
     else begin
-      let guarded worker () =
-        try worker_loop ~worker inst
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          ignore (Atomic.compare_and_set inst.failure None (Some (e, bt)))
+      let k = config.num_domains - 1 in
+      let c =
+        {
+          cell = Atomic_util.padded_atomic (Some inst);
+          running = Atomic_util.padded_atomic k;
+          lock = Mutex.create ();
+          cond = Condition.create ();
+        }
       in
-      let others =
-        Array.init (config.num_domains - 1) (fun i ->
-            Domain.spawn (guarded (i + 1)))
+      let helpers = spawn_helpers inst c k in
+      guarded inst 0;
+      (* A helper's stats and commits are flushed once it has left its
+         worker loop. *)
+      await c (fun () -> Atomic.get c.running = 0);
+      let r =
+        match Atomic.get inst.failure with
+        | Some (e, bt) -> Error (e, bt)
+        | None -> (
+            match finalize inst with
+            | r -> Ok r
+            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
       in
-      guarded 0 ();
-      Array.iter Domain.join others;
-      match Atomic.get inst.failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> finalize inst
+      (* The result is read out, or the block failed: the instance is dead
+         from here on, so the helpers can leave. *)
+      release c;
+      Array.iter Domain.join helpers;
+      match r with
+      | Ok r -> r
+      | Error (e, bt) -> Printexc.raise_with_backtrace e bt
     end
 end

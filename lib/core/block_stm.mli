@@ -297,5 +297,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       that escapes a worker on any domain (a raising [on_commit] hook under
       rolling commit, say) stops the other workers at their next idle poll;
       once all have joined, [run] re-raises it with its backtrace instead of
-      finalizing the block. *)
+      finalizing the block.
+
+      The helper domains leave last. Each waits after its worker loop until
+      the calling domain has run {!finalize}, and none holds the instance in
+      its closure. A domain's exit runs a stop-the-world minor collection
+      (OCaml 5.1) that promotes everything still reachable, so this way it
+      copies the block's result, not its bookkeeping (DESIGN.md §4). Every
+      path out of [run] releases and joins every helper it started: a
+      worker exception, a raising {!finalize} (an [on_commit] hook, say) and
+      a failed [Domain.spawn], which [run] re-raises. *)
 end

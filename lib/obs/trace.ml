@@ -15,8 +15,12 @@
     does not flood its ring.
 
     Readers ({!events}, {!dropped}) are meant to run after the traced
-    execution completes (after [Domain.join]); reading concurrently with a
-    writer yields a torn-but-harmless snapshot. *)
+    execution completes: after [Block_stm.run] returns, or after joining the
+    domains of a hand-driven instance. [run]'s helper domains outlive their
+    worker loops until the block's result is read out, but they record no
+    event after leaving the loop, and [run] joins them before it returns.
+    Reading concurrently with a writer yields a torn-but-harmless
+    snapshot. *)
 
 open Blockstm_kernel
 

@@ -683,6 +683,34 @@ let test_minor_words_per_txn () =
     Alcotest.failf "%.1f minor words per transaction (bound %.0f)" per_txn
       minor_words_per_txn_bound
 
+(* A helper domain's exit runs a stop-the-world minor collection (OCaml
+   5.1), which promotes everything still reachable. [run] keeps its helpers
+   until the result has been read out of the instance, and a helper's
+   closure does not hold the instance, so that collection copies the result
+   and not the block's bookkeeping. One 2-domain block of 200 lean transfers
+   (2 reads, 2 writes each) fits in the minor heaps, so the exit collection
+   is its only promotion. It read 19.5–21.0 words per transaction (OCaml
+   5.1.1 without flambda); the bound leaves 4 words of margin. With the
+   helper leaving before [finalize] it read 105.7, and with a helper that
+   left last but whose closure held the instance, 118.7. *)
+let promoted_words_per_txn_bound = 25.
+
+let test_helper_exit_promotes_result_only () =
+  let module H = Blockstm_workload.Harness in
+  let w =
+    Blockstm_workload.Bigstate.transfers ~block_size:200 ~num_accounts:10_000
+      ~seed:3 ()
+  in
+  let config = H.Bstm.optimistic_config ~num_domains:2 Fun.id in
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).promoted_words in
+  let r = H.run_blockstm ~config ~storage:w.storage w.txns in
+  let per_txn = ((Gc.quick_stat ()).promoted_words -. p0) /. 200. in
+  Alcotest.(check int) "all outputs" 200 (Array.length r.outputs);
+  if per_txn > promoted_words_per_txn_bound then
+    Alcotest.failf "%.1f promoted words per transaction (bound %.0f)" per_txn
+      promoted_words_per_txn_bound
+
 (* Retention gate: the read log a transaction leaves recorded until the
    block ends. For n Storage reads it is one record of two n-element arrays,
    2(n+1)+3 words besides the locations (immediate here), and no block per
@@ -743,21 +771,81 @@ let test_read_logs_not_shared () =
 
 exception Hook_failed
 
-(* An exception that escapes a worker on a helper domain is an error of the
-   block, not a hang. A rolling [on_commit] hook runs in the commit sweep,
-   outside the VM's exception capture, and may fire while its worker holds a
-   claimed task that then never finishes. The hook raises only off the
-   calling domain; every trial must return the sequential result or raise
-   the hook's exception. *)
+(* A helper that cannot be spawned is an error of the block too, and the
+   helpers already started are released and joined before [run] raises.
+   Parked domains fill every domain slot of the runtime but one, so a
+   3-domain block's first helper starts and its second spawn fails. The
+   free slot is back once [run] has raised. *)
+let check_failed_spawn () =
+  let outcome =
+    with_timeout ~secs:30. (fun () ->
+        let lock = Mutex.create () and cond = Condition.create () in
+        let leave = ref 0 in
+        let park i () =
+          Mutex.lock lock;
+          while !leave <= i do
+            Condition.wait cond lock
+          done;
+          Mutex.unlock lock
+        in
+        let set_leave n =
+          Mutex.protect lock (fun () ->
+              leave := n;
+              Condition.broadcast cond)
+        in
+        let rec fill acc i =
+          match Domain.spawn (park i) with
+          | d -> fill (d :: acc) (i + 1)
+          | exception Failure _ -> List.rev acc
+        in
+        let parked = fill [] 0 in
+        set_leave 1;
+        Domain.join (List.hd parked);
+        let raised =
+          match
+            run ~config:(config ~num_domains:3 ()) ~storage:zero_storage
+              (contended_txns 60)
+          with
+          | _ -> false
+          | exception Failure _ -> true
+        in
+        let slot_free =
+          match Domain.spawn ignore with
+          | d ->
+              Domain.join d;
+              true
+          | exception Failure _ -> false
+        in
+        set_leave max_int;
+        List.iter Domain.join (List.tl parked);
+        (List.length parked, raised, slot_free))
+  in
+  match outcome with
+  | Error e -> raise e
+  | Ok (parked, raised, slot_free) ->
+      Alcotest.(check bool) "domain slots filled" true (parked > 0);
+      Alcotest.(check bool) "failed spawn raised from run" true raised;
+      Alcotest.(check bool) "started helper joined" true slot_free
+
+(* An exception that escapes a worker is an error of the block, not a hang.
+   A rolling [on_commit] hook runs in the commit sweep, outside the VM's
+   exception capture, and may fire while its worker holds a claimed task
+   that then never finishes. The hook raises only off the calling domain,
+   or only on it: under rolling commit in its worker loop or in
+   [finalize]'s drain, and under the lazy commit always in [finalize].
+   Every trial must return the sequential result or raise the hook's
+   exception. [run]'s helpers wait for it to read out the result before
+   they leave, so every path out of [run] must release them: the caller
+   raises in more trials than the runtime's 128 domains, so a helper left
+   waiting makes a later [Domain.spawn] fail instead of hanging. *)
 let test_helper_exception_raises () =
   let module H = Blockstm_workload.Harness in
   let module P2p = Blockstm_workload.P2p in
-  let config =
-    H.Bstm.optimistic_config ~num_domains:2 (fun o ->
-        { o with rolling_commit = true })
-  in
   let trials = 100 in
-  let raised =
+  let raised ~rolling_commit ~on_caller =
+    let config =
+      H.Bstm.optimistic_config ~num_domains:2 (fun o -> { o with rolling_commit })
+    in
     List.fold_left
       (fun raised accounts ->
         let w =
@@ -769,7 +857,7 @@ let test_helper_exception_raises () =
           with_timeout ~secs:30. (fun () ->
               let caller = Domain.self () in
               let on_commit _ _ =
-                if Domain.self () <> caller then raise Hook_failed
+                if (Domain.self () = caller) = on_caller then raise Hook_failed
               in
               let raised = ref 0 in
               for trial = 1 to trials do
@@ -792,8 +880,16 @@ let test_helper_exception_raises () =
         match outcome with Ok n -> raised + n | Error e -> raise e)
       0 [ 10; 1_000 ]
   in
-  Alcotest.(check bool) "some trial raised the hook's exception" true
-    (raised > 0)
+  Alcotest.(check bool) "some trial raised the helper's exception" true
+    (raised ~rolling_commit:true ~on_caller:false > 0);
+  let n =
+    raised ~rolling_commit:true ~on_caller:true
+    + raised ~rolling_commit:false ~on_caller:true
+  in
+  if n <= 128 then
+    Alcotest.failf "the caller's exception raised in %d of %d trials" n
+      (4 * trials);
+  check_failed_spawn ()
 
 (* --- Zombie incarnations (txn.mli's termination contract) ----------------- *)
 
@@ -912,6 +1008,101 @@ let test_zombie_ended_by_gas () =
   | Ok () -> ()
   | Error e -> raise e
 
+(* The same view for closure code, which has no gas: tx1 loops while its
+   reads of x and y disagree, under a fuel bound of its own, and raises when
+   the fuel runs out. On 2 domains tx1 reads x before tx0 writes x and y, and
+   y after tx0 has executed, as in [zombie_attempt]; on 1 domain tx0 runs
+   first and no zombie arises. Either way the block must commit the
+   sequential result. Returns the zombie incarnations of tx1, how many of
+   them ran out of fuel, and the block's validation aborts. *)
+let closure_zombie_attempt ~num_domains =
+  let x = 0 and y = 1 in
+  let fuel = 100_000 in
+  let await cond =
+    let deadline = Unix.gettimeofday () +. 1. in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done
+  in
+  let inst = Atomic.make None and x_read = Atomic.make false in
+  let zombies = Atomic.make 0 and fuel_ended = Atomic.make 0 in
+  let tx0_executed () =
+    match Atomic.get inst with
+    | Some i -> snd (Scheduler.status (Bstm.sched i) 0) = Scheduler.Executed
+    | None -> false
+  in
+  let writer : itxn =
+   fun e ->
+    e.write x 1;
+    e.write y 1;
+    0
+  in
+  let looper ~coordinate : itxn =
+   fun e ->
+    let a = Option.value (e.read x) ~default:0 in
+    if coordinate then begin
+      Atomic.set x_read true;
+      await tx0_executed
+    end;
+    let b = Option.value (e.read y) ~default:0 in
+    if a <> b then Atomic.incr zombies;
+    let left = ref fuel in
+    while a <> b do
+      decr left;
+      if !left = 0 then begin
+        Atomic.incr fuel_ended;
+        failwith "out of fuel"
+      end
+    done;
+    a
+  in
+  let coordinate = num_domains > 1 in
+  let tx0 : itxn =
+   fun e ->
+    if coordinate then await (fun () -> Atomic.get x_read);
+    writer e
+  in
+  let i =
+    Bstm.create_instance ~config:(config ~num_domains ()) ~storage:zero_storage
+      [| tx0; looper ~coordinate |]
+  in
+  Atomic.set inst (Some i);
+  let helpers =
+    List.init (num_domains - 1) (fun w ->
+        Domain.spawn (fun () -> Bstm.worker_loop ~worker:(w + 1) i))
+  in
+  Bstm.worker_loop i;
+  List.iter Domain.join helpers;
+  let r = Bstm.finalize i in
+  let seq =
+    Seq.run ~storage:zero_storage [| writer; looper ~coordinate:false |]
+  in
+  Alcotest.(check (list (pair int int))) "snapshot = sequential" seq.snapshot
+    r.snapshot;
+  Alcotest.(check bool) "outputs = sequential" true
+    (Array.for_all2 (Txn.equal_output Int.equal) seq.outputs r.outputs);
+  (Atomic.get zombies, Atomic.get fuel_ended, r.metrics.validation_aborts)
+
+(* On 2 domains, repeat until some attempt produced a zombie; fail if none
+   of 20 did. *)
+let test_closure_zombie_ended_by_fuel () =
+  let zombies, _, _ = closure_zombie_attempt ~num_domains:1 in
+  Alcotest.(check int) "no zombie on 1 domain" 0 zombies;
+  let rec go n =
+    if n = 0 then Alcotest.fail "no attempt produced a zombie incarnation"
+    else
+      let zombies, fuel_ended, aborts = closure_zombie_attempt ~num_domains:2 in
+      if zombies = 0 then go (n - 1)
+      else begin
+        Alcotest.(check int) "fuel ended every zombie" zombies fuel_ended;
+        Alcotest.(check bool) "validation discarded the zombie" true
+          (aborts >= 1)
+      end
+  in
+  match Tutil.with_timeout ~secs:60. (fun () -> go 20) with
+  | Ok () -> ()
+  | Error e -> raise e
+
 let suite =
   [
     Alcotest.test_case "empty block" `Quick test_empty_block;
@@ -959,6 +1150,8 @@ let suite =
       test_caught_dependency;
     Alcotest.test_case "zombie incarnation ended by gas, then discarded"
       `Quick test_zombie_ended_by_gas;
+    Alcotest.test_case "closure zombie ended by fuel, then discarded" `Quick
+      test_closure_zombie_ended_by_fuel;
     Alcotest.test_case "prevalidation skips re-execution on estimate" `Quick
       test_prevalidation_skip;
     Alcotest.test_case "no prevalidation: block mid-execution" `Quick
@@ -972,6 +1165,8 @@ let suite =
       test_create_forces_no_minor_collections;
     Alcotest.test_case "minor words per transaction bounded" `Quick
       test_minor_words_per_txn;
+    Alcotest.test_case "helper exit promotes only the result" `Quick
+      test_helper_exit_promotes_result_only;
     Alcotest.test_case "read log retains two arrays, no block per read"
       `Quick test_read_log_retained_shape;
     Alcotest.test_case "each transaction keeps its own read log" `Quick
