@@ -1169,14 +1169,16 @@ let sustained mode =
         C.create ~executor:(C.Block_stm (rolling_config domains)) ~genesis ()
       in
       (* Submission stamps of each cut block, FIFO: commits arrive in cut
-         order, so [on_block] pops the matching stamps. *)
+         order, so [on_block] pops the matching stamps. The mempool's depth
+         is sampled right after each cut. *)
       let submit_q : int array Queue.t = Queue.create () in
       let cut = ref [] in
-      let lats = ref [] in
+      let lats = ref [] and depths = ref [] in
       let next () =
         match Mp.next_block mp ~max_txns:block ~deadline_ns with
         | [||] -> None
         | b ->
+            depths := float_of_int (Mp.depth mp) :: !depths;
             Queue.push (Array.map fst b) submit_q;
             let txns = Array.map snd b in
             cut := txns :: !cut;
@@ -1193,10 +1195,7 @@ let sustained mode =
         G.wall
           ~check:(fun (_, s) -> stats := Some s)
           ~metric:Fun.id
-          (fun _ ->
-            C.execute_stream ~on_block
-              ~queue_depth:(fun () -> Mp.depth mp)
-              chain ~next)
+          (fun _ -> C.execute_stream ~on_block chain ~next)
       in
       Domain.join producer;
       G.check ~point:"sustained/latency" (oracle (List.rev !cut)) chain;
@@ -1206,11 +1205,7 @@ let sustained mode =
       Report.sample ~label:(label "p50") s.D.median;
       Report.sample ~label:(label "p95") s.D.p95;
       Report.sample ~label:(label "p99") s.D.p99;
-      let depth_p95 =
-        Blockstm_obs.Metrics.quantile
-          (Blockstm_obs.Metrics.histogram stats.C.s_registry "mempool_depth")
-          0.95
-      in
+      let depth_p95 = D.percentile 95. (Array.of_list !depths) in
       let ms v = Printf.sprintf "%.1f" v in
       [
         [

@@ -24,7 +24,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   module Seq = Blockstm_baselines.Sequential.Make (L) (V)
   module Store = Blockstm_storage.Memstore.Make (L) (V)
   module Mstore = Blockstm_storage.Merkle.Make (L) (V)
-  module Metrics = Blockstm_obs.Metrics
   module Trace = Blockstm_obs.Trace
 
   (** How blocks are executed. *)
@@ -200,12 +199,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     s_txns : int;
     s_idle_ns : int;
         (** Wall time the driver spent inside [next] waiting for block
-            material (mempool deadline waits, generator time). Also the
-            registry counter ["inter_block_idle_ns"]. *)
-    s_registry : Metrics.t;
-        (** Live registry: the counter above plus the
-            ["mempool_depth"] histogram (one observation per block cut,
-            when [queue_depth] is wired). *)
+            material (mempool deadline waits, generator time). *)
   }
 
   (** Execute a stream of blocks, one {!execute_block} per block: [next ()]
@@ -213,8 +207,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       this stream's commits (oldest first) and its {!stream_stats}; the
       commits also land on the chain exactly as {!execute_block}'s do.
       [on_block] receives each commit once its state root is computed.
-      [queue_depth] (typically {!Mempool.depth} partially applied) is
-      sampled once per block cut into the ["mempool_depth"] histogram.
 
       [next_specs], called once right after each successful [next], yields
       the block's access specs — required by the [Lanes] executor and by
@@ -223,13 +215,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       An exception from [next], the executor or [on_block] propagates
       unchanged, and the chain keeps exactly the blocks committed before
       it. *)
-  let execute_stream ?on_block ?queue_depth
+  let execute_stream ?on_block
       ?(next_specs : (unit -> L.t Access_spec.t array option) option)
       (t : 'o t) ~(next : unit -> (L.t, V.t, 'o) Txn.t array option) :
       'o block_commit list * stream_stats =
-    let reg = Metrics.create ~max_domains:1 () in
-    let c_idle = Metrics.counter reg "inter_block_idle_ns" in
-    let h_depth = Metrics.histogram reg "mempool_depth" in
     let idle_ns = ref 0 in
     let blocks = ref 0 and ntxns = ref 0 in
     let commits = ref [] in
@@ -239,12 +228,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       idle_ns := !idle_ns + (Trace.now_ns () - t0);
       match b with
       | None ->
-          Metrics.add c_idle !idle_ns;
           ( List.rev !commits,
-            { s_blocks = !blocks; s_txns = !ntxns; s_idle_ns = !idle_ns;
-              s_registry = reg } )
+            { s_blocks = !blocks; s_txns = !ntxns; s_idle_ns = !idle_ns } )
       | Some txns ->
-          Option.iter (fun d -> Metrics.observe h_depth (d ())) queue_depth;
           let specs = match next_specs with None -> None | Some f -> f () in
           let c = execute_block ?specs t txns in
           incr blocks;

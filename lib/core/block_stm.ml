@@ -15,7 +15,6 @@
 open Blockstm_kernel
 module Scheduler = Blockstm_scheduler.Scheduler
 module Spec_dag = Blockstm_scheduler.Spec_dag
-module Metrics = Blockstm_obs.Metrics
 module Trace = Blockstm_obs.Trace
 
 module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
@@ -110,32 +109,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (* Engine instance: shared state of one block execution.                  *)
   (* ---------------------------------------------------------------------- *)
 
-  (* Batched per-worker stat slots (see [local_stats] below): one index per
-     counter that the step loop accumulates. The registry counter names live
-     in [stat_names], in slot order. *)
+  (* Engine counter slots (see [local_stats] below): one index per
+     [metrics] field the step loop counts. *)
   let stat_incarnations = 0
 
   let stat_dep_aborts = 1
   let stat_validations = 2
   let stat_val_aborts = 3
   let stat_preval_skips = 4
-  let stat_vm_reads = 5
-  let stat_vm_writes = 6
-  let stat_delta_applies = 7
-  let stat_spec_skips = 8
-
-  let stat_names =
-    [|
-      "incarnations";
-      "dependency_aborts";
-      "validations";
-      "validation_aborts";
-      "prevalidation_skips";
-      "vm_reads";
-      "vm_writes";
-      "delta_applies";
-      "spec_skips";
-    |]
+  let stat_delta_applies = 5
+  let stat_spec_skips = 6
+  let num_stats = 7
 
   type 'o instance = {
     txns : 'o txn array;
@@ -164,18 +148,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (* Slot [j] is written only by the executor of tx_j's incarnations
            (sequential per Corollary 1) and read once every worker has left
            its loop. *)
-    obs : Metrics.t;
-        (* Engine counters live in per-domain padded cells — no cross-domain
-           contention on the hot path (previously: shared atomics). *)
-    ctab : Metrics.counter array;
-        (* Batch-flushed counters, indexed by the [stat_*] constants. *)
-    c_commits : Metrics.counter;
-    h_exec_ns : Metrics.histogram;
-        (* Step-duration histograms, observed only when tracing is on (the
-           untraced loop takes no timestamps). *)
-    h_val_ns : Metrics.histogram;
-    h_commit_ns : Metrics.histogram;
-        (* Time-to-commit per transaction (rolling_commit only). *)
+    counts : int Atomic.t array;
+        (* The block's engine counters, indexed by the [stat_*] constants.
+           Several domains add to them, so each is padded onto its own
+           cache lines (see [local_stats]). *)
     trace : Trace.t option;
     (* Rolling-commit streaming state. [commit_ns.(j)] is written once, by
        whichever domain commits j (under the scheduler's commit mutex), and
@@ -406,10 +382,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       | Some sp when Option.is_none dag -> spec_independence ?loc_namespace sp
       | _ -> Array.make n false
     in
-    let obs =
-      (* 9 stat slots + 1 named counter; leave headroom for probes. *)
-      Metrics.create ~max_domains:(config.num_domains + 1) ~max_counters:24 ()
-    in
     {
       txns;
       storage;
@@ -423,12 +395,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       commit_valid = (fun j -> indep.(j) || Mv.validate_read_set mv j);
       deltas = o.delta_ops;
       outputs = Array.make n None;
-      obs;
-      ctab = Array.map (Metrics.counter obs) stat_names;
-      c_commits = Metrics.counter obs "commits";
-      h_exec_ns = Metrics.histogram obs "exec_step_ns";
-      h_val_ns = Metrics.histogram obs "validation_step_ns";
-      h_commit_ns = Metrics.histogram obs "commit_latency_ns";
+      counts =
+        Atomic_util.init_array num_stats (fun _ -> Atomic_util.padded_atomic 0);
       trace;
       t0_ns = Trace.now_ns ();
       commit_ns = (if rolling then Array.make n (-1) else [||]);
@@ -753,29 +721,26 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | P_exec_dep { reads; _ } -> `Dep reads
     | P_val { reads; _ } -> `Val reads
 
-  (* Per-worker batched metric accumulation: the step loop counts into a
-     plain int array — one slot per [stat_*] constant, mirroring the
-     instance's [ctab] — and flushes once (via [Metrics.add]) when the
-     worker loop exits, so the hot path never touches the shared registry
-     cells. Table-driven: adding a counter means adding a slot constant, a
-     name in [stat_names], and the [bump] call sites. The public
-     {!start_task}/{!finish_task} wrappers flush per call, keeping counter
-     visibility unchanged for external drivers (the virtual-time simulator
-     reads metrics between steps). *)
+  (* Per-worker tallies: the step loop counts into a plain int array, one
+     slot per [stat_*] constant, and adds it into the instance's [counts]
+     once, when the worker loop exits, so the hot path touches no shared
+     cell. The public {!start_task}/{!finish_task}/{!step} add theirs per
+     call: an external driver has no loop exit, and may step one instance
+     from several domains. *)
   type local_stats = int array
 
-  let fresh_stats () : local_stats = Array.make (Array.length stat_names) 0
+  let fresh_stats () : local_stats = Array.make num_stats 0
   let bump (s : local_stats) i = s.(i) <- s.(i) + 1
   let bump_by (s : local_stats) i n = s.(i) <- s.(i) + n
 
   let flush_stats (inst : _ instance) (s : local_stats) : unit =
-    Array.iteri
-      (fun i n ->
-        if n <> 0 then begin
-          Metrics.add inst.ctab.(i) n;
-          s.(i) <- 0
-        end)
-      s
+    for i = 0 to num_stats - 1 do
+      let n = s.(i) in
+      if n <> 0 then begin
+        ignore (Atomic.fetch_and_add inst.counts.(i) n);
+        s.(i) <- 0
+      end
+    done
 
   let start_task_s (inst : 'o instance) (stats : local_stats)
       (task : Scheduler.task) : 'o pending =
@@ -823,8 +788,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let txn_idx = Version.txn_idx version in
         let incarnation = Version.incarnation version in
         bump stats stat_incarnations;
-        bump_by stats stat_vm_reads vm.vm_reads;
-        bump_by stats stat_vm_writes vm.vm_writes;
         bump_by stats stat_delta_applies (Array.length vm.vm_delta_set);
         inst.outputs.(txn_idx) <- Some vm.vm_output;
         let wrote_new_location =
@@ -892,9 +855,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         | Some t -> (Some t, Got_task)
         | None -> (None, No_task))
 
-  (* Public per-call variants: flush the counters immediately so external
-     drivers observe every step's metrics, exactly as before batching. *)
-
   let start_task (inst : 'o instance) (task : Scheduler.task) : 'o pending =
     let stats = fresh_stats () in
     let p = start_task_s inst stats task in
@@ -924,8 +884,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      the slot was filled by [finish_task] before the status flip. *)
   let commit_one (inst : 'o instance) (j : int) : unit =
     inst.commit_ns.(j) <- Trace.now_ns () - inst.t0_ns;
-    Metrics.incr inst.c_commits;
-    Metrics.observe inst.h_commit_ns inst.commit_ns.(j);
     match inst.on_commit with
     | None -> ()
     | Some f -> (
@@ -980,17 +938,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let ring = Trace.ring tr ~worker in
         let task = ref None in
         while !live && not (is_done inst) do
-          let carried = !task in
           let t0 = Trace.now_ns () in
-          let task', ev = step_s inst stats carried in
-          let t1 = Trace.now_ns () in
-          (match carried with
-          | Some (Scheduler.Execution _) ->
-              Metrics.observe inst.h_exec_ns (t1 - t0)
-          | Some (Scheduler.Validation _) ->
-              Metrics.observe inst.h_val_ns (t1 - t0)
-          | None -> ());
-          Trace.record tr ring ~t0_ns:t0 ~t1_ns:t1 ev;
+          let task', ev = step_s inst stats !task in
+          Trace.record tr ring ~t0_ns:t0 ~t1_ns:(Trace.now_ns ()) ev;
           (match ev with
           | No_task -> live := idle_poll inst backoff
           | _ -> Atomic_util.Backoff.reset backoff);
@@ -1009,22 +959,23 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         done);
     flush_stats inst stats
 
+  (* Exact once every worker has added its tallies in. Every transaction
+     the rolling sweep committed is in the committed prefix, which stays 0
+     without rolling commit. *)
   let metrics_of (inst : _ instance) : metrics =
-    let v i = Metrics.value inst.ctab.(i) in
+    let v i = Atomic.get inst.counts.(i) in
     {
       incarnations = v stat_incarnations;
       dependency_aborts = v stat_dep_aborts;
       validations = v stat_validations;
       validation_aborts = v stat_val_aborts;
       prevalidation_skips = v stat_preval_skips;
-      commits = Metrics.value inst.c_commits;
+      commits = Scheduler.committed_prefix inst.sched;
       delta_applies = v stat_delta_applies;
       spec_skips = v stat_spec_skips;
     }
 
   let sched (inst : _ instance) : Scheduler.t = inst.sched
-
-  let metrics_registry (inst : _ instance) : Metrics.t = inst.obs
 
   (* Final recorded read-set of a transaction — exposed so tests can assert
      that speculative execution observed exactly the reads a sequential
@@ -1195,8 +1146,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       in
       let helpers = spawn_helpers inst c k in
       guarded inst 0;
-      (* A helper's stats and commits are flushed once it has left its
-         worker loop. *)
+      (* A helper has added its tallies in once it has left its worker
+         loop. *)
       await c (fun () -> Atomic.get c.running = 0);
       let r =
         match Atomic.get inst.failure with

@@ -15,7 +15,6 @@
 open Blockstm_kernel
 
 module Scheduler = Blockstm_scheduler.Scheduler
-module Metrics = Blockstm_obs.Metrics
 module Trace = Blockstm_obs.Trace
 
 module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
@@ -34,10 +33,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** Outcome of the final incarnation of a transaction. *)
   type 'o txn_output = 'o Txn.output = Success of 'o | Failed of string
 
-  (** Execution statistics, aggregated across all domains. Snapshot of the
-      engine's metrics registry (see {!metrics_registry} for the live,
-      extensible view including VM read/write totals and step-duration
-      histograms). *)
+  (** Execution statistics of one block, summed over every domain that
+      drove it. Each worker tallies into its own slots and adds them into
+      the instance's counters once, when its loop exits; {!start_task},
+      {!finish_task} and {!step} add theirs per call. [commits] is the
+      committed prefix. Exact in {!finalize}'s result. *)
   type metrics = {
     incarnations : int;  (** VM executions that ran to completion. *)
     dependency_aborts : int;  (** Executions stopped by an ESTIMATE read. *)
@@ -203,15 +203,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   val is_done : 'o instance -> bool
   (** Whether every transaction has finished under this instance's task
       source (see {!next_task}). Monotone. *)
-
-  val metrics_registry : 'o instance -> Metrics.t
-  (** The live metrics registry: counters ["incarnations"],
-      ["dependency_aborts"], ["validations"], ["validation_aborts"],
-      ["prevalidation_skips"], ["vm_reads"], ["vm_writes"],
-      ["delta_applies"], ["spec_skips"] and ["commits"]; histograms
-      ["exec_step_ns"] and ["validation_step_ns"] (populated only when
-      tracing is enabled) and ["commit_latency_ns"] (per-transaction
-      time-to-commit, rolling commit only). *)
 
   val committed_prefix : 'o instance -> int
   (** Length of the committed prefix so far (0 unless rolling commit).

@@ -23,7 +23,6 @@ open Blockstm_kernel
 module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   module Bstm = Blockstm_core.Block_stm.Make (L) (V)
   module Seq = Blockstm_baselines.Sequential.Make (L) (V)
-  module Metrics = Blockstm_obs.Metrics
   module LTbl = Hashtbl.Make (L)
 
   type partition = { lanes : int; loc_lane : L.t -> int }
@@ -156,7 +155,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     lanes : int;
     batches : int;
     cross_lane_txns : int;
-    committed_txns : int;
     lane_txn_counts : int array;
     imbalance : float;
     engine : Bstm.metrics;
@@ -207,8 +205,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let subset (arr : 'a array) (idxs : int array) : 'a array =
     Array.map (fun i -> arr.(i)) idxs
 
-  let run ?(config = Bstm.default_config) ?loc_namespace ?on_commit ?obs
-      ?trace_for
+  let run ?(config = Bstm.default_config) ?loc_namespace ?on_commit ?trace_for
       ~(partition : partition) ~(specs : L.t Access_spec.t array)
       ~(storage : (L.t, V.t) Intf.storage)
       (txns : (L.t, V.t, 'o) Txn.t array) : 'o result =
@@ -231,7 +228,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             lanes = 1;
             batches = 1;
             cross_lane_txns = 0;
-            committed_txns = n;
             lane_txn_counts = [| n |];
             imbalance = (if n = 0 then 0. else 1.);
             engine = r.Bstm.metrics;
@@ -336,16 +332,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         LTbl.fold (fun l v acc -> (l, v) :: acc) overlay []
         |> List.sort (fun (a, _) (b, _) -> L.compare a b)
       in
-      (match obs with
-      | None -> ()
-      | Some m ->
-          Metrics.add (Metrics.counter m "cross_lane_txns") pl.cross_lane_txns;
-          Metrics.add (Metrics.counter m "lane_batches")
-            (List.length pl.batches);
-          Array.iteri
-            (fun l c ->
-              Metrics.add (Metrics.counter m (Fmt.str "lane%d_txns" l)) c)
-            pl.lane_txn_counts);
       {
         snapshot;
         outputs;
@@ -354,7 +340,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             lanes = partition.lanes;
             batches = List.length pl.batches;
             cross_lane_txns = pl.cross_lane_txns;
-            committed_txns = n;
             lane_txn_counts = pl.lane_txn_counts;
             imbalance = imbalance_of ~lanes:partition.lanes pl.lane_txn_counts;
             engine = !engine;

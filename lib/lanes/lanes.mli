@@ -82,12 +82,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       {!Access_spec.conflict}. *)
 
   (** Aggregated execution metrics: the engine counters summed over every
-      lane instance, plus the lane-specific counters the obs layer exports. *)
+      lane instance, plus the coordinator's own counts. *)
   type lane_metrics = {
     lanes : int;
     batches : int;
     cross_lane_txns : int;  (** Transactions executed by the coordinator. *)
-    committed_txns : int;  (** Always the block size on success. *)
     lane_txn_counts : int array;
     imbalance : float;
         (** Largest lane's share of single-lane transactions relative to a
@@ -113,7 +112,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?config:Bstm.config ->
     ?loc_namespace:(L.t -> string) ->
     ?on_commit:(int -> 'o Txn.output -> unit) ->
-    ?obs:Blockstm_obs.Metrics.t ->
     ?trace_for:(int -> Blockstm_obs.Trace.t option) ->
     partition:partition ->
     specs:L.t Access_spec.t array ->
@@ -128,9 +126,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       batch ranges are contiguous, so the coordinator emits each batch's
       range as soon as the batch (lanes, then stragglers) completes — the
       same preset-order contract as {!Bstm.run}'s hook. With [lanes = 1] the
-      hook goes straight to the engine. [obs], when given,
-      receives the lane counters (["cross_lane_txns"], ["lane_batches"],
-      ["laneK_txns"]) — size its registry accordingly. [trace_for lane]
+      hook goes straight to the engine. [trace_for lane]
       supplies an optional per-lane trace sink reused across that lane's
       batches, giving lane-tagged step events. [loc_namespace] is forwarded
       to the per-lane instances.

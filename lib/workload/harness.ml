@@ -179,9 +179,8 @@ let account_partition ~num_accounts ~lanes : LanesX.partition =
 (** Run the block through [partition.lanes] parallel engine instances under
     the lane coordinator; [partition.lanes = 1] is the unmodified paper
     engine. Results are bit-identical to {!run_blockstm} either way. *)
-let run_lanes ?config ?on_commit ?obs ?trace_for ~partition ~specs ~storage
-    txns =
-  LanesX.run ?config ~loc_namespace:Loc.namespace ?on_commit ?obs ?trace_for
+let run_lanes ?config ?on_commit ?trace_for ~partition ~specs ~storage txns =
+  LanesX.run ?config ~loc_namespace:Loc.namespace ?on_commit ?trace_for
     ~partition ~specs ~storage:(Store.reader storage) txns
 
 (** Virtual-time lane execution result (the lane analogue of

@@ -22,7 +22,6 @@ module Synthetic = Blockstm_workload.Synthetic
 module Bigstate = Blockstm_workload.Bigstate
 module Ledger = Blockstm_workload.Ledger
 module Harness = Blockstm_workload.Harness
-module Metrics = Blockstm_obs.Metrics
 module Bstm = Harness.Bstm
 module LanesX = Harness.LanesX
 module Chain = Harness.ChainX
@@ -82,9 +81,6 @@ let test_identity_matrix () =
           in
           check_same label seq r;
           let m = r.LanesX.metrics in
-          Alcotest.(check int)
-            (label ^ ": committed_txns")
-            300 m.LanesX.committed_txns;
           Alcotest.(check int)
             (label ^ ": lane counts + cross tile the block")
             300
@@ -351,8 +347,8 @@ let test_on_commit_order () =
     (List.init 150 Fun.id)
     (List.rev !order)
 
-(* Lane counters exported through the obs registry. *)
-let test_obs_counters () =
+(* The coordinator's counts on a block with cross-lane traffic. *)
+let test_lane_metrics () =
   let spec =
     {
       P2p.default_spec with
@@ -366,19 +362,10 @@ let test_obs_counters () =
   let w = P2p.generate spec in
   let specs = P2p.txn_specs w in
   let partition = Harness.account_partition ~num_accounts:120 ~lanes:2 in
-  let reg = Metrics.create ~max_domains:1 () in
-  let r = Harness.run_lanes ~obs:reg ~partition ~specs ~storage:w.P2p.storage w.P2p.txns in
+  let r =
+    Harness.run_lanes ~partition ~specs ~storage:w.P2p.storage w.P2p.txns
+  in
   let m = r.LanesX.metrics in
-  Alcotest.(check int)
-    "cross_lane_txns counter" m.LanesX.cross_lane_txns
-    (Metrics.value (Metrics.counter reg "cross_lane_txns"));
-  Alcotest.(check int)
-    "lane_batches counter" m.LanesX.batches
-    (Metrics.value (Metrics.counter reg "lane_batches"));
-  Alcotest.(check int)
-    "lane0_txns counter"
-    m.LanesX.lane_txn_counts.(0)
-    (Metrics.value (Metrics.counter reg "lane0_txns"));
   Alcotest.(check bool)
     "some cross-lane traffic" true
     (m.LanesX.cross_lane_txns > 0);
@@ -529,7 +516,8 @@ let suite =
       test_coordinator_execution;
     Alcotest.test_case "empty block" `Quick test_empty_block;
     Alcotest.test_case "on_commit preset order" `Quick test_on_commit_order;
-    Alcotest.test_case "obs lane counters" `Quick test_obs_counters;
+    Alcotest.test_case "lane metrics: cross-lane traffic" `Quick
+      test_lane_metrics;
     Alcotest.test_case "sim_lanes virtual-time identity" `Quick
       test_sim_lanes_identity;
     Alcotest.test_case "partitioner totality" `Quick test_partitioner_total;

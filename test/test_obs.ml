@@ -1,106 +1,11 @@
-(** Observability layer: metrics registry (per-domain cells, overflow),
-    JSON printer/parser, trace rings (wraparound, idle coalescing), Chrome
-    trace export, the bench JSON report, and the traced engine loop. *)
+(** Observability layer: JSON printer/parser, trace rings (wraparound,
+    idle coalescing), Chrome trace export, the bench JSON report, the traced
+    engine loop, and the engine's counters across domains. *)
 
 open Blockstm_kernel
-module M = Blockstm_obs.Metrics
 module J = Blockstm_obs.Json
 module Trace = Blockstm_obs.Trace
 module Trace_export = Blockstm_obs.Trace_export
-
-(* --- Metrics ---------------------------------------------------------------- *)
-
-let test_counter_single_domain () =
-  let t = M.create () in
-  let c = M.counter t "hits" in
-  for _ = 1 to 100 do
-    M.incr c
-  done;
-  M.add c 11;
-  Alcotest.(check int) "value" 111 (M.value c);
-  Alcotest.(check (list (pair string int))) "counters" [ ("hits", 111) ]
-    (M.counters t)
-
-let test_counter_registration () =
-  let t = M.create ~max_counters:2 () in
-  let a = M.counter t "a" in
-  let a' = M.counter t "a" in
-  M.incr a;
-  M.incr a';
-  Alcotest.(check int) "idempotent registration" 2 (M.value a);
-  let _b = M.counter t "b" in
-  Alcotest.check_raises "registry full"
-    (Invalid_argument "Metrics.counter: registry full (max_counters=2)")
-    (fun () -> ignore (M.counter t "c"));
-  let _h = M.histogram t "h" in
-  Alcotest.check_raises "name clash across kinds"
-    (Invalid_argument "Metrics.counter: \"h\" is registered as a histogram")
-    (fun () -> ignore (M.counter t "h"))
-
-let test_counter_multi_domain () =
-  let t = M.create ~max_domains:8 () in
-  let c = M.counter t "n" in
-  let per_domain = 10_000 in
-  let worker () =
-    for _ = 1 to per_domain do
-      M.incr c
-    done
-  in
-  let ds = Array.init 4 (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join ds;
-  Alcotest.(check int) "aggregated across 5 domains" (5 * per_domain)
-    (M.value c)
-
-let test_counter_overflow_domains () =
-  (* max_domains:1 -> a 4-entry slot table; 6 spawned domains + the main
-     one exceed it, so some land on the shared overflow slot. The count
-     must still be exact. *)
-  let t = M.create ~max_domains:1 () in
-  let c = M.counter t "n" in
-  let per_domain = 5_000 in
-  let worker () =
-    for _ = 1 to per_domain do
-      M.incr c
-    done
-  in
-  let ds = Array.init 6 (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join ds;
-  Alcotest.(check int) "exact despite overflow" (7 * per_domain) (M.value c)
-
-let test_histogram () =
-  let t = M.create () in
-  let h = M.histogram t "lat" in
-  List.iter (M.observe h) [ 1; 2; 3; 1_000 ];
-  let s = M.hist_summary h in
-  Alcotest.(check int) "count" 4 s.M.count;
-  Alcotest.(check int) "sum" 1_006 s.M.sum;
-  Alcotest.(check int) "max" 1_000 s.M.max;
-  Alcotest.(check (float 0.001)) "mean" 251.5 s.M.mean;
-  Alcotest.(check bool) "p50 <= p99" true (s.M.p50 <= s.M.p99);
-  (* The p99 sample (1000) lives in bucket [512, 1024). *)
-  Alcotest.(check bool) "p99 in its bucket's range" true
-    (s.M.p99 >= 512. && s.M.p99 <= 1024.);
-  Alcotest.(check bool) "empty quantile is nan" true
-    (Float.is_nan (M.quantile (M.histogram t "empty") 0.5))
-
-let test_histogram_multi_domain () =
-  let t = M.create ~max_domains:8 () in
-  let h = M.histogram t "lat" in
-  let per_domain = 1_000 in
-  let worker () =
-    for i = 1 to per_domain do
-      M.observe h i
-    done
-  in
-  let ds = Array.init 3 (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join ds;
-  let s = M.hist_summary h in
-  Alcotest.(check int) "count" (4 * per_domain) s.M.count;
-  Alcotest.(check int) "sum" (4 * (per_domain * (per_domain + 1) / 2)) s.M.sum;
-  Alcotest.(check int) "max" per_domain s.M.max
 
 (* --- Json ------------------------------------------------------------------- *)
 
@@ -328,28 +233,98 @@ let test_traced_engine () =
   Alcotest.(check int) "one trace event per incarnation"
     r.Tutil.Bstm.metrics.Tutil.Bstm.incarnations execs
 
-let test_engine_registry () =
+(* The engine's counts against the events its steps produced, on 2
+   domains. Under [run] each worker adds its tallies in when its loop
+   exits; a driver that steps one instance from two domains, as the e2e
+   benchmark's traced driver does, adds them on every call. *)
+type tally = {
+  mutable execs : int;
+  mutable blocked : int;
+  mutable vals : int;
+  mutable val_aborts : int;
+}
+
+let fresh_tally () = { execs = 0; blocked = 0; vals = 0; val_aborts = 0 }
+
+let tally_validation t aborted =
+  t.vals <- t.vals + 1;
+  if aborted then t.val_aborts <- t.val_aborts + 1
+
+let check_counts label t (m : Tutil.Bstm.metrics) =
+  let check what want got =
+    Alcotest.(check int) (label ^ ": " ^ what) want got
+  in
+  check "incarnations" t.execs m.Tutil.Bstm.incarnations;
+  check "dependency_aborts" t.blocked m.Tutil.Bstm.dependency_aborts;
+  check "validations" t.vals m.Tutil.Bstm.validations;
+  check "validation_aborts" t.val_aborts m.Tutil.Bstm.validation_aborts
+
+let test_counts_across_domains () =
+  let n = 200 in
+  List.iter
+    (fun rolling ->
+      let label = if rolling then "run, rolling" else "run" in
+      let trace = Trace.create ~num_workers:2 () in
+      let config =
+        Tutil.Bstm.optimistic_config ~num_domains:2 (fun o ->
+            { o with rolling_commit = rolling })
+      in
+      let r =
+        Tutil.Bstm.run ~config ~trace ~storage:(fun _ -> None)
+          (contended_txns n)
+      in
+      Alcotest.(check int) (label ^ ": no event dropped") 0
+        (Trace.dropped trace);
+      let t = fresh_tally () in
+      List.iter
+        (fun (e : Trace.event) ->
+          match e.Trace.payload with
+          | Trace.Exec _ -> t.execs <- t.execs + 1
+          | Trace.Exec_blocked _ -> t.blocked <- t.blocked + 1
+          | Trace.Validation { aborted; _ } -> tally_validation t aborted
+          | _ -> ())
+        (Trace.events trace);
+      let m = r.Tutil.Bstm.metrics in
+      check_counts label t m;
+      Alcotest.(check int) (label ^ ": commits")
+        (if rolling then n else 0)
+        m.Tutil.Bstm.commits)
+    [ false; true ];
   let inst =
     Tutil.Bstm.create_instance
-      ~config:{ Tutil.Bstm.default_config with num_domains = 1 }
-      ~trace:(Trace.create ~num_workers:1 ())
+      ~config:{ Tutil.Bstm.default_config with num_domains = 2 }
       ~storage:(fun _ -> None)
-      (contended_txns 10)
+      (contended_txns n)
   in
-  Tutil.Bstm.worker_loop ~worker:0 inst;
-  let r = Tutil.Bstm.finalize inst in
-  let reg = Tutil.Bstm.metrics_registry inst in
-  let counters = M.counters reg in
-  Alcotest.(check (option int))
-    "registry matches metrics record"
-    (Some r.Tutil.Bstm.metrics.Tutil.Bstm.incarnations)
-    (List.assoc_opt "incarnations" counters);
-  Alcotest.(check (option int))
-    "vm_reads counted" (Some 10) (List.assoc_opt "vm_reads" counters);
-  let hists = M.histograms reg in
-  let exec_h = List.assoc "exec_step_ns" hists in
-  Alcotest.(check bool) "exec histogram populated when traced" true
-    (exec_h.M.count > 0)
+  let drive () =
+    let t = fresh_tally () in
+    let backoff = Atomic_util.Backoff.create () in
+    let task = ref None in
+    while not (Tutil.Bstm.is_done inst) do
+      let task', ev = Tutil.Bstm.step inst !task in
+      (match ev with
+      | Tutil.Bstm.No_task -> Atomic_util.Backoff.once backoff
+      | _ -> Atomic_util.Backoff.reset backoff);
+      (match ev with
+      | Tutil.Bstm.Executed _ -> t.execs <- t.execs + 1
+      | Exec_dependency _ -> t.blocked <- t.blocked + 1
+      | Validated { aborted; _ } -> tally_validation t aborted
+      | _ -> ());
+      task := task'
+    done;
+    t
+  in
+  let helper = Domain.spawn drive in
+  let a = drive () in
+  let b = Domain.join helper in
+  check_counts "step on 2 domains"
+    {
+      execs = a.execs + b.execs;
+      blocked = a.blocked + b.blocked;
+      vals = a.vals + b.vals;
+      val_aborts = a.val_aborts + b.val_aborts;
+    }
+    (Tutil.Bstm.finalize inst).Tutil.Bstm.metrics
 
 let test_trace_too_small () =
   Alcotest.check_raises "trace with fewer workers than domains"
@@ -469,18 +444,6 @@ let test_report_samples () =
 
 let suite =
   [
-    Alcotest.test_case "counter: single domain" `Quick
-      test_counter_single_domain;
-    Alcotest.test_case "counter: registration rules" `Quick
-      test_counter_registration;
-    Alcotest.test_case "counter: multi-domain aggregation" `Quick
-      test_counter_multi_domain;
-    Alcotest.test_case "counter: domain overflow stays exact" `Quick
-      test_counter_overflow_domains;
-    Alcotest.test_case "histogram: summary and quantiles" `Quick
-      test_histogram;
-    Alcotest.test_case "histogram: multi-domain aggregation" `Quick
-      test_histogram_multi_domain;
     Alcotest.test_case "json: roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json: printing edge cases" `Quick test_json_printing;
     Alcotest.test_case "json: parser" `Quick test_json_parse;
@@ -493,8 +456,8 @@ let suite =
       test_trace_export;
     Alcotest.test_case "engine: traced run matches sequential" `Quick
       test_traced_engine;
-    Alcotest.test_case "engine: metrics registry view" `Quick
-      test_engine_registry;
+    Alcotest.test_case "engine: counts exact across domains" `Quick
+      test_counts_across_domains;
     Alcotest.test_case "engine: undersized trace rejected" `Quick
       test_trace_too_small;
     Alcotest.test_case "report: --json golden file" `Quick test_report_json;

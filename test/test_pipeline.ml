@@ -238,11 +238,7 @@ let test_mempool_driven () =
     | [||] -> None
     | b -> Some b
   in
-  let _, stats =
-    Chain.execute_stream
-      ~queue_depth:(fun () -> Mempool.depth mp)
-      chain ~next
-  in
+  let _, stats = Chain.execute_stream chain ~next in
   Domain.join producer;
   Alcotest.(check (option int))
     "mempool-fed stream" None

@@ -1,6 +1,8 @@
 #!/bin/sh
 # The full local CI gate: build, run every test, check the odoc build is
-# warning-free, and enforce the perf invariants of the lock-free hot paths:
+# warning-free and DESIGN.md's experiment index and counter table in sync
+# (tools/check_doc.sh), and enforce the perf invariants of the lock-free
+# hot paths:
 #   - the MVMemory read and validation paths must not acquire a mutex: every
 #     function Mvmemory.read and Mvmemory.validate_read_set call, down to the
 #     slot probe and the chain lookup, and the engine's ESTIMATE scan over
