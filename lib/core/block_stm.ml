@@ -121,6 +121,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let stat_spec_skips = 6
   let num_stats = 7
 
+  (* What an output slot holds until its transaction's first incarnation
+     finishes. It is told apart by [==], so an output equal to it (a
+     transaction failing with the same text) is still an output. *)
+  let no_output : 'o txn_output = Failed "Block_stm: no output"
+
   type 'o instance = {
     txns : 'o txn array;
     storage : (L.t, V.t) Intf.storage;
@@ -144,10 +149,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (* The commit sweep's read-set check (DESIGN.md §8): the decision a
            validation task for the transaction would make. *)
     deltas : bool;
-    outputs : 'o txn_output option array;
-        (* Slot [j] is written only by the executor of tx_j's incarnations
-           (sequential per Corollary 1) and read once every worker has left
-           its loop. *)
+    outputs : 'o txn_output array;
+        (* Slot [j] holds [no_output] until tx_j's first incarnation
+           finishes. It is written only by the executor of tx_j's
+           incarnations (sequential per Corollary 1) and read once every
+           worker has left its loop; [finalize] hands the array to the
+           result. *)
     counts : int Atomic.t array;
         (* The block's engine counters, indexed by the [stat_*] constants.
            Several domains add to them, so each is padded onto its own
@@ -394,7 +401,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       rolling;
       commit_valid = (fun j -> indep.(j) || Mv.validate_read_set mv j);
       deltas = o.delta_ops;
-      outputs = Array.make n None;
+      outputs = Array.make n no_output;
       counts =
         Atomic_util.init_array num_stats (fun _ -> Atomic_util.padded_atomic 0);
       trace;
@@ -506,6 +513,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         ws.(i) <- (loc, LTbl.find sc.s_writes loc);
         fill_writes sc ws (i - 1) locs
 
+  (* Forget the previous incarnation's read log, writes and deltas. *)
+  let clear_scratch (sc : scratch) : unit =
+    sc.r_locs <- [||];
+    sc.r_origins <- [||];
+    LTbl.clear sc.s_writes;
+    sc.s_worder <- [];
+    LTbl.clear sc.s_deltas;
+    sc.s_dorder <- []
+
   (* Executes the transaction's code, intercepting reads and writes. Never
      touches MVMemory or Storage mutably. Returns [Vm_blocked] when a read
      observed an ESTIMATE written by a lower transaction. *)
@@ -513,12 +529,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     let txn = inst.txns.(txn_idx) in
     let sc = Domain.DLS.get scratch_key in
     sc.r_len <- 0;
-    sc.r_locs <- [||];
-    sc.r_origins <- [||];
-    LTbl.clear sc.s_writes;
-    sc.s_worder <- [];
-    LTbl.clear sc.s_deltas;
-    sc.s_dorder <- [];
+    clear_scratch sc;
     sc.s_blocked <- -1;
     let nreads = ref 0 in
     let read loc =
@@ -789,7 +800,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let incarnation = Version.incarnation version in
         bump stats stat_incarnations;
         bump_by stats stat_delta_applies (Array.length vm.vm_delta_set);
-        inst.outputs.(txn_idx) <- Some vm.vm_output;
+        inst.outputs.(txn_idx) <- vm.vm_output;
         let wrote_new_location =
           Mv.record ~deltas:vm.vm_delta_set inst.mv version vm.vm_read_set
             vm.vm_write_set
@@ -886,10 +897,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     inst.commit_ns.(j) <- Trace.now_ns () - inst.t0_ns;
     match inst.on_commit with
     | None -> ()
-    | Some f -> (
-        match inst.outputs.(j) with
-        | Some o -> f j o
-        | None -> assert false (* EXECUTED implies output recorded *))
+    | Some f ->
+        let o = inst.outputs.(j) in
+        assert (o != no_output) (* EXECUTED implies output recorded *);
+        f j o
 
   (** Opportunistic rolling-commit step: advance the scheduler's commit
       sweep and flush newly committed transactions out of MVMemory. Returns
@@ -957,6 +968,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           end;
           task := task'
         done);
+    (* The domain outlives the block: keep none of its values alive in the
+       scratch until the domain's next incarnation. *)
+    clear_scratch (Domain.DLS.get scratch_key);
     flush_stats inst stats
 
   (* Exact once every worker has added its tallies in. Every transaction
@@ -1002,25 +1016,22 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           prefix n;
       Mv.flush_committed inst.mv ~upto:n
     end;
+    let outputs = inst.outputs in
+    for j = 0 to n - 1 do
+      if outputs.(j) == no_output then
+        Fmt.failwith "Block_stm: transaction %d has no output" j
+    done;
     (* The paper's final snapshot, one pass over the affected locations
        (DESIGN.md §4). *)
     let snapshot = Mv.snapshot inst.mv in
-    let outputs =
-      Atomic_util.init_array n (fun j ->
-          match inst.outputs.(j) with
-          | Some o -> o
-          | None -> Fmt.failwith "Block_stm: transaction %d has no output" j)
-    in
     if not inst.rolling then
       (* The whole block commits at once: the hook fires here, in the same
          order a rolling sweep would fire it. *)
       Option.iter (fun f -> Array.iteri f outputs) inst.on_commit;
-    {
-      snapshot;
-      outputs;
-      metrics = metrics_of inst;
-      commit_ns = Array.copy inst.commit_ns;
-    }
+    (* The result takes the instance's arrays over rather than copying
+       them: a block's finalize allocates only its snapshot list (DESIGN.md
+       §9). *)
+    { snapshot; outputs; metrics = metrics_of inst; commit_ns = inst.commit_ns }
 
   (* Run one worker loop of [run]; an exception that escapes it is recorded
      as the block's failure, which stops the other workers. *)

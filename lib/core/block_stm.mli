@@ -271,6 +271,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       otherwise it computes the paper's lazy block-at-once snapshot in one
       pass over the affected locations and fires the [on_commit] hook for
       the whole block.
+
+      The result owns the instance's arrays: its [outputs] is the array the
+      workers filled, and under rolling commit its [commit_ns] is the one
+      the sweep filled, handed over rather than copied. So the instance must
+      not be stepped after [finalize]. Besides the snapshot list (a tuple
+      and a cons cell per binding) it allocates only a few records
+      (DESIGN.md §9).
       @raise Failure if some transaction never produced an output. *)
 
   val run :

@@ -581,19 +581,130 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       t.shards;
     !acc
 
-  (* Algorithm 3, [snapshot]: final value for every affected location; called
-     after the block commits. One pass over the cells, each answered as a
-     read at [block_size]: the chain's top entry is the highest writer (the
-     flush's kept node once every writer is flushed), and a delta-topped
-     chain materializes. *)
-  let snapshot t : (L.t * V.t) list =
-    fold_slots t ~init:[] ~f:(fun acc key cell ->
-        match read_chain t key (Atomic.get cell) ~txn_idx:t.block_size with
-        | Ok (_, value) -> (key, value) :: acc
-        | Merged { value } -> (key, V.of_counter value) :: acc
-        | Not_found -> acc
+  (* The snapshot's scratch, one per domain and reused across blocks
+     (DESIGN.md §9): the bindings' keys and values in index order, and two
+     [int] arrays for the merge sort of their permutation. All four grow by
+     doubling and live in the major heap once large, so a block allocates
+     none of them; [snapshot] clears [keys] and [vals] after each use, so
+     they keep no location or value alive between blocks. The placeholder
+     is an immediate, so neither array takes the float layout. *)
+  type snap_scratch = {
+    mutable keys : L.t array;
+    mutable vals : V.t array;
+    mutable perm : int array;
+    mutable tmp : int array;
+  }
+
+  let snap_key =
+    Domain.DLS.new_key (fun () ->
+        { keys = [||]; vals = [||]; perm = [||]; tmp = [||] })
+
+  let vacant_key : L.t = Obj.magic 0
+  let vacant_val : V.t = Obj.magic 0
+
+  (* Room for [n] bindings in [sc]. *)
+  let reserve (sc : snap_scratch) n =
+    let cap = Array.length sc.keys in
+    if n > cap then begin
+      let cap = Int.max n (2 * cap) in
+      sc.keys <- Array.make cap vacant_key;
+      sc.vals <- Array.make cap vacant_val;
+      sc.perm <- Array.make cap 0;
+      sc.tmp <- Array.make cap 0
+    end
+
+  (* Merge the sorted runs [src.(lo..mid)] and [src.(mid..hi)] of indices
+     into [keys] into [dst.(lo..hi)]; a tie takes the left run first. *)
+  let merge keys (src : int array) (dst : int array) lo mid hi =
+    let i = ref lo and j = ref mid in
+    for k = lo to hi - 1 do
+      if
+        !j >= hi
+        || (!i < mid && L.compare keys.(src.(!i)) keys.(src.(!j)) <= 0)
+      then begin
+        dst.(k) <- src.(!i);
+        incr i
+      end
+      else begin
+        dst.(k) <- src.(!j);
+        incr j
+      end
+    done
+
+  (* Stable bottom-up merge sort of [perm.(0..n)] by the keys the entries
+     index, ping-ponging with [tmp]: the array that holds the sorted
+     permutation. *)
+  let sort_perm keys perm tmp n =
+    let src = ref perm and dst = ref tmp and width = ref 1 in
+    while !width < n do
+      let lo = ref 0 in
+      while !lo < n do
+        let mid = Int.min (!lo + !width) n
+        and hi = Int.min (!lo + (2 * !width)) n in
+        merge keys !src !dst !lo mid hi;
+        lo := hi
+      done;
+      let s = !src in
+      src := !dst;
+      dst := s;
+      width := 2 * !width
+    done;
+    !src
+
+  (* Binding [n] of [sc] is [key, value]; answers the binding count. *)
+  let put (sc : snap_scratch) n key value =
+    sc.keys.(n) <- key;
+    sc.vals.(n) <- value;
+    n + 1
+
+  (* Store the final value of [cell]'s location as binding [n] of [sc], if
+     it has one, and answer the binding count. The top entry is what
+     [read_chain] would answer at [block_size], taken without building its
+     [read_result]; only a delta-topped chain goes through it. *)
+  let add_binding t (sc : snap_scratch) n key (cell : cell) =
+    match below t.block_size (Atomic.get cell) with
+    | Node { e = Written { value; _ }; _ } -> put sc n key value
+    | Node { e = Delta _; _ } as top -> (
+        match read_delta_chain t key top with
+        | Ok (_, value) -> put sc n key value
+        | Merged { value } -> put sc n key (V.of_counter value)
+        | Not_found -> n
         | Read_error _ -> assert false (* all resolved by commit *))
-    |> List.sort (fun (a, _) (b, _) -> L.compare a b)
+    | Node { e = Estimate; _ } -> assert false (* all resolved by commit *)
+    | Node { e = Flushed _; _ } | Empty -> n
+
+  (* Algorithm 3, [snapshot]: final value for every affected location; called
+     after the block commits. One pass over the cells into the domain's
+     scratch, each location's top entry being the highest writer (the
+     flush's kept node once every writer is flushed), then a merge sort of
+     their permutation, and the list consed last: the result is all it
+     allocates, a tuple and a cons cell per binding. *)
+  let snapshot t : (L.t * V.t) list =
+    let sc = Domain.DLS.get snap_key in
+    reserve sc
+      (Array.fold_left (fun acc shard -> acc + shard.count) 0 t.shards);
+    let n = ref 0 in
+    for s = 0 to Array.length t.shards - 1 do
+      let table = Atomic.get t.shards.(s).table in
+      for i = 0 to Array.length table - 1 do
+        match table.(i) with
+        | Vacant -> ()
+        | Slot { key; cell; _ } -> n := add_binding t sc !n key cell
+      done
+    done;
+    let n = !n in
+    for i = 0 to n - 1 do
+      sc.perm.(i) <- i
+    done;
+    let sorted = sort_perm sc.keys sc.perm sc.tmp n in
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      let p = sorted.(i) in
+      acc := (sc.keys.(p), sc.vals.(p)) :: !acc
+    done;
+    Array.fill sc.keys 0 n vacant_key;
+    Array.fill sc.vals 0 n vacant_val;
+    !acc
 
   (* --- Rolling-commit flush ---------------------------------------------- *)
 

@@ -185,8 +185,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       pass over the locations, taking each version chain's top entry, then
       one sort; after a full {!flush_committed} every chain holds only its
       kept node, and after a partial one the kept node is the top of every
-      chain no unflushed transaction wrote. Only call after the block commits (all estimates
-      resolved). *)
+      chain no unflushed transaction wrote. Only call after the block
+      commits (all estimates resolved).
+
+      It allocates only the list it returns, a tuple and a cons cell per
+      binding (6 words), unless the block has more locations than any
+      earlier snapshot on the calling domain. The keys and values go
+      through scratch arrays kept per domain and reused across calls, and
+      an [int] permutation of them is merge-sorted by [L.compare] in two
+      more; the scratch doubles when it is too small, and the key and
+      value arrays are cleared before [snapshot] returns, so they keep
+      nothing alive. [L.compare], [V.of_counter] and the [storage] given
+      to {!create} must not themselves call [snapshot]. *)
 
   (** {2 Rolling-commit flush} *)
 
