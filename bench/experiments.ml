@@ -34,8 +34,11 @@ let fmt_tps = G.fmt_tps
 let fmt_x = G.fmt_x
 
 let rolling_config domains =
-  Harness.Bstm.optimistic_config ~num_domains:domains (fun o ->
-      { o with rolling_commit = true })
+  {
+    Harness.Bstm.default_config with
+    num_domains = domains;
+    rolling_commit = true;
+  }
 
 let spec_seeding = Harness.Bstm.Estimates { seed_from_specs = true }
 
@@ -235,11 +238,9 @@ let ablations _mode =
     P2p.generate (p2p_spec ~flavor:P2p.Standard ~accounts:100 ~block ~seed:42)
   in
   let b = G.block ~storage:w.storage w.txns in
-  let optimistic = Harness.Bstm.optimistic_config ~num_domains:1 in
+  let paper = Harness.Bstm.default_config in
   (* Write-set pre-estimation (§7) is spec seeding over specs that declare
-     the exact writes and claim nothing about reads: the same ESTIMATE
-     markers, and no transaction provably independent, so no skipped
-     validation. *)
+     the exact writes and claim nothing about reads. *)
   let declared =
     Array.map
       (fun ws ->
@@ -257,15 +258,15 @@ let ablations _mode =
          block threads)
     ~header:[ "variant"; "tps"; "incarnations"; "val-aborts"; "dep-aborts" ]
     [
-      ("baseline", Harness.Bstm.default_config, None);
+      ("baseline", paper, None);
       ( "no ESTIMATE markers (remove on abort)",
-        optimistic (fun o -> { o with marking = Remove_on_abort }),
+        { paper with marking = Remove_on_abort },
         None );
       ( "no read-set pre-check before re-execution",
-        optimistic (fun o -> { o with prevalidate_reads = false }),
+        { paper with prevalidate_reads = false },
         None );
       ( "write-set pre-estimation (declared writes)",
-        optimistic (fun o -> { o with marking = spec_seeding }),
+        { paper with marking = spec_seeding },
         Some declared );
     ]
     (fun (label, config, specs) ->
@@ -654,9 +655,7 @@ let hotspot_delta mode =
               in
               let tps, m =
                 G.sim
-                  ~config:
-                    (Harness.Bstm.optimistic_config (fun o ->
-                         { o with delta_ops }))
+                  ~config:{ Harness.Bstm.default_config with delta_ops }
                   ~point ~threads
                   (G.block ~storage:h.h_storage h.h_txns)
               in
@@ -1221,12 +1220,9 @@ let sustained mode =
 
 (* --- Spec-cost: static access specifications (DESIGN.md §15) ---------------- *)
 
-(* The same block, three ways: optimistic Block-STM, spec-seeded Block-STM
-   (static specs supplied: provably-independent transactions skip the
-   validation read-set walk, exact write specs seed ESTIMATE markers), and
-   the spec-driven dependency DAG (each transaction executed exactly once
-   after its declared writers, no validation at all). The oracle checks
-   every variant against the block's sequential reference. *)
+(* The same block, two ways: optimistic Block-STM, and spec-seeded
+   Block-STM (exact write specs seed ESTIMATE markers). The oracle checks
+   both against the block's sequential reference. *)
 let spec_cost mode =
   let block = 1_000 in
   let thread_grid =
@@ -1238,9 +1234,9 @@ let spec_cost mode =
     in
     (G.block ~storage:w.storage w.txns, P2p.txn_specs w)
   in
-  (* Hotspot grid: every transfer lands in one of [hot] accounts, so the
-     spec DAG is genuinely deep — the regime where optimistic re-execution
-     and spec-driven parking trade places. *)
+  (* Hotspot grid: every transfer lands in one of [hot] accounts, the
+     contention cliff, where first incarnations that park on a seeded
+     marker save the most re-execution. *)
   let hotspot hot =
     let h =
       P2p.generate_hotspot
@@ -1256,7 +1252,7 @@ let spec_cost mode =
   G.table
     ~title:
       (Printf.sprintf
-         "Spec-cost: optimistic vs spec-seeded vs spec-DAG (block %d)" block)
+         "Spec-cost: optimistic vs spec-seeded (block %d)" block)
     ~header:
       [
         "workload";
@@ -1266,7 +1262,6 @@ let spec_cost mode =
         "tps";
         "validations/txn";
         "aborts/txn";
-        "spec-skips/txn";
       ]
     (group "p2p" p2p
        (match mode with
@@ -1292,17 +1287,11 @@ let spec_cost mode =
             fmt_tps tps;
             per m.validations;
             per (m.validation_aborts + m.dependency_aborts);
-            per m.spec_skips;
           ])
         [
           ("optimistic", None, None);
           ( "spec-seeded",
-            Some
-              (Harness.Bstm.optimistic_config (fun o ->
-                   { o with marking = spec_seeding })),
-            Some specs );
-          ( "spec-dag",
-            Some { Harness.Bstm.default_config with sched = Spec_dag },
+            Some { Harness.Bstm.default_config with marking = spec_seeding },
             Some specs );
         ])
 
@@ -1325,5 +1314,5 @@ let all : (string * string * (mode -> unit)) list =
     ("state-scale", "State scale: incremental Merkle roots vs whole-state fold (§13)", state_scale);
     ("vm-cost", "VM cost: tree-walk vs compiled MiniMove VM (§11)", vm_cost);
     ("sustained", "Sustained: block streams and the mempool (§14)", sustained);
-    ("spec-cost", "Static access specs: seeding, skips, spec-DAG (§15)", spec_cost);
+    ("spec-cost", "Static access specs: ESTIMATE seeding (§15)", spec_cost);
   ]

@@ -8,7 +8,7 @@
 
    Examples:
      blockstm run --workload p2p --accounts 100 --block 1000 --domains 4
-     blockstm run --workload p2p --accounts 10000 --specs --sched spec-dag
+     blockstm run --workload p2p --accounts 10000 --specs
      blockstm sim --workload p2p --accounts 2 --threads 1,4,16,32
      blockstm minimove --file contract.mm --args '@1,@2,10,0'
      blockstm analyze --file contract.mm --json *)
@@ -230,41 +230,11 @@ let run_cmd =
       & info [ "specs" ]
           ~doc:
             "Static access specifications (DESIGN.md §15): supply each \
-             transaction's exact read/write spec to the engine — exact \
-             write specs seed ESTIMATE markers before first execution and \
-             provably-independent transactions skip the validation \
-             read-set walk (reported as spec_skips). Blockstm executor \
-             only; requires a spec-capable workload (p2p, p2p-simplified, \
+             transaction's exact read/write spec to the engine, whose exact \
+             write specs seed ESTIMATE markers before first execution (the \
+             paper's §7 write-set pre-estimation). Blockstm executor only; \
+             requires a spec-capable workload (p2p, p2p-simplified, \
              p2p-hotspot).")
-  in
-  let sched_arg =
-    let sched_conv =
-      let parse = function
-        | "optimistic" -> Ok `Optimistic
-        | "spec-dag" -> Ok `Spec_dag
-        | s ->
-            Error
-              (`Msg
-                 (Printf.sprintf "unknown scheduler %S (optimistic|spec-dag)"
-                    s))
-      in
-      let print ppf s =
-        Fmt.string ppf
-          (match s with `Optimistic -> "optimistic" | `Spec_dag -> "spec-dag")
-      in
-      Arg.conv (parse, print)
-    in
-    Arg.(
-      value
-      & opt sched_conv `Optimistic
-      & info [ "sched" ] ~docv:"MODE"
-          ~doc:
-            "Scheduling mode (blockstm executor only): $(b,optimistic) \
-             (the paper's collaborative scheduler, the default) or \
-             $(b,spec-dag) (DESIGN.md §15 — build a dependency DAG from \
-             the static access specs and execute every transaction exactly \
-             once, no validation or re-execution; requires a spec-capable \
-             workload, see $(b,--specs)).")
   in
   let lanes_arg =
     Arg.(
@@ -290,7 +260,7 @@ let run_cmd =
              lanes shows the single instance on a partitionable block.")
   in
   let action workload accounts block seed theta executor domains no_estimates
-      rolling deltas verify trace_out use_specs sched lanes lane_hint =
+      rolling deltas verify trace_out use_specs lanes lane_hint =
     if lane_hint < 0 then begin
       Fmt.epr "--lane-hint must be >= 0@.";
       exit 2
@@ -314,52 +284,37 @@ let run_cmd =
       exit 2
     end;
     let n = Array.length g.txns in
-    let spec_dag = sched = `Spec_dag in
     let specs =
-      if not (use_specs || spec_dag || lanes > 1) then None
+      if not (use_specs || lanes > 1) then None
       else
         match wspecs with
         | Some s -> Some s
         | None ->
             Fmt.epr
-              "--specs, --sched spec-dag and --lanes need a spec-capable \
-               workload (p2p, p2p-simplified, p2p-hotspot)@.";
+              "--specs and --lanes need a spec-capable workload (p2p, \
+               p2p-simplified, p2p-hotspot)@.";
             exit 2
     in
     let partition =
       if lanes = 1 then None
       else Some (Harness.account_partition ~num_accounts:accounts ~lanes)
     in
-    (* The engine config the flags describe; combinations the config type
-       cannot express exit 2. *)
-    let reject msg =
-      Fmt.epr "%s@." msg;
+    (* The engine config the flags describe; a combination the config type
+       cannot express exits 2. *)
+    if no_estimates && use_specs then begin
+      Fmt.epr "--specs needs ESTIMATE markers (drop --no-estimates)@.";
       exit 2
-    in
-    let sched : Harness.Bstm.sched =
-      if spec_dag then begin
-        if no_estimates || rolling || deltas then
-          reject
-            "--sched spec-dag executes each transaction once and takes none \
-             of --no-estimates, --rolling, --deltas";
-        Spec_dag
-      end
-      else begin
-        if no_estimates && use_specs then
-          reject "--specs needs ESTIMATE markers (drop --no-estimates)";
-        Optimistic
-          {
-            Harness.Bstm.default_optimistic with
-            marking =
-              (if no_estimates then Remove_on_abort
-               else Estimates { seed_from_specs = use_specs });
-            rolling_commit = rolling;
-            delta_ops = deltas;
-          }
-      end
-    in
+    end;
     let config =
-      { Harness.Bstm.num_domains = domains; sched }
+      {
+        Harness.Bstm.default_config with
+        num_domains = domains;
+        marking =
+          (if no_estimates then Remove_on_abort
+           else Estimates { seed_from_specs = use_specs });
+        rolling_commit = rolling;
+        delta_ops = deltas;
+      }
     in
     let time f =
       let r, ns = Blockstm_stats.Clock.time_ns f in
@@ -492,7 +447,7 @@ let run_cmd =
     Term.(
       const action $ workload_arg $ accounts_arg $ block_arg $ seed_arg
       $ theta_arg $ executor $ domains $ no_estimates $ rolling $ deltas
-      $ verify $ trace_out $ specs_flag $ sched_arg $ lanes_arg $ lane_hint_arg)
+      $ verify $ trace_out $ specs_flag $ lanes_arg $ lane_hint_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a workload with a chosen executor") term
 
@@ -525,10 +480,7 @@ let sim_cmd =
     in
     List.iter
       (fun threads ->
-        let config =
-          Harness.Bstm.optimistic_config (fun o ->
-              { o with delta_ops = deltas })
-        in
+        let config = { Harness.Bstm.default_config with delta_ops = deltas } in
         let result, stats =
           Harness.sim_blockstm ~config ~num_threads:threads
             ~storage:g.storage g.txns
@@ -697,24 +649,33 @@ let analyze_cmd =
             (spec_reads @ spec_writes)
         in
         if json then begin
+          let module J = Blockstm_obs.Json in
           let entries es =
-            String.concat ", "
-              (List.map (fun e -> Fmt.str "%S" (Fmt.str "%a" Access.pp_entry e)) es)
+            J.List
+              (List.map (fun e -> J.Str (Fmt.str "%a" Access.pp_entry e)) es)
           in
-          Fmt.pr "{@.  \"file\": %S,@.  \"functions\": [" file;
-          List.iteri
-            (fun i (name, fs) ->
-              let e, w, u = precision fs in
-              Fmt.pr "%s@.    { \"name\": %S, \"reads\": [%s], \"writes\": \
-                      [%s],@.      \"precision\": { \"exact\": %d, \
-                      \"wildcard\": %d, \"unknown\": %d } }"
-                (if i = 0 then "" else ",")
-                name
-                (entries fs.Access.spec_reads)
-                (entries fs.Access.spec_writes)
-                e w u)
-            specs;
-          Fmt.pr "@.  ]@.}@."
+          let num n = J.Num (float_of_int n) in
+          let func (name, fs) =
+            let e, w, u = precision fs in
+            J.Obj
+              [
+                ("name", J.Str name);
+                ("reads", entries fs.Access.spec_reads);
+                ("writes", entries fs.Access.spec_writes);
+                ( "precision",
+                  J.Obj
+                    [
+                      ("exact", num e); ("wildcard", num w); ("unknown", num u);
+                    ] );
+              ]
+          in
+          print_endline
+            (J.to_string
+               (J.Obj
+                  [
+                    ("file", J.Str file);
+                    ("functions", J.List (List.map func specs));
+                  ]))
         end
         else begin
           List.iter

@@ -47,8 +47,11 @@ let () =
         Chain.create
           ~executor:
             (Chain.Block_stm
-               (Chain.Bstm.optimistic_config ~num_domains:4 (fun o ->
-                    { o with rolling_commit = true })))
+               {
+                 Chain.Bstm.default_config with
+                 num_domains = 4;
+                 rolling_commit = true;
+               })
           ~genesis () );
     ]
   in

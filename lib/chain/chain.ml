@@ -210,7 +210,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
       [next_specs], called once right after each successful [next], yields
       the block's access specs — required by the [Lanes] executor and by
-      Block-STM configs that seed from specs or use [Spec_dag].
+      Block-STM configs that seed from specs.
 
       An exception from [next], the executor or [on_block] propagates
       unchanged, and the chain keeps exactly the blocks committed before

@@ -14,7 +14,6 @@
 
 open Blockstm_kernel
 module Scheduler = Blockstm_scheduler.Scheduler
-module Spec_dag = Blockstm_scheduler.Spec_dag
 module Trace = Blockstm_obs.Trace
 
 module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
@@ -51,50 +50,36 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     delta_applies : int;
         (** Commutative delta entries recorded by committed-to-MVMemory
             incarnations (0 unless [delta_ops]). *)
-    spec_skips : int;
-        (** Validation tasks short-circuited because the transaction's
-            static access spec is disjoint from every other transaction's
-            (0 unless [specs] were given; DESIGN.md §15). Not counted in
-            [validations]. *)
   }
 
   let pp_metrics ppf m =
     Fmt.pf ppf
       "{ incarnations=%d; dep_aborts=%d; validations=%d; val_aborts=%d; \
-       preval_skips=%d; commits=%d; deltas=%d; spec_skips=%d }"
+       preval_skips=%d; commits=%d; deltas=%d }"
       m.incarnations m.dependency_aborts m.validations m.validation_aborts
-      m.prevalidation_skips m.commits m.delta_applies m.spec_skips
+      m.prevalidation_skips m.commits m.delta_applies
 
-  (* The engine configuration is shaped so that every value runs: options
-     that only make sense for the optimistic scheduler live inside
-     [Optimistic], and options that need ESTIMATE markers inside
-     [Estimates]. The interface documents each field. *)
+  (* The engine configuration is shaped so that every value runs: the
+     option that needs ESTIMATE markers lives inside [Estimates]. The
+     interface documents each field. *)
   type marking = Estimates of { seed_from_specs : bool } | Remove_on_abort
 
-  type optimistic = {
+  type config = {
+    num_domains : int;
     marking : marking;
     prevalidate_reads : bool;
     rolling_commit : bool;
     delta_ops : bool;
   }
 
-  type sched = Spec_dag | Optimistic of optimistic
-
-  type config = { num_domains : int; sched : sched }
-
-  let default_optimistic =
+  let default_config =
     {
+      num_domains = 1;
       marking = Estimates { seed_from_specs = false };
       prevalidate_reads = true;
       rolling_commit = false;
       delta_ops = false;
     }
-
-  let default_config =
-    { num_domains = 1; sched = Optimistic default_optimistic }
-
-  let optimistic_config ?(num_domains = 1) f =
-    { num_domains; sched = Optimistic (f default_optimistic) }
 
   type 'o result = {
     snapshot : (L.t * V.t) list;  (** Final value per affected location. *)
@@ -118,8 +103,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let stat_val_aborts = 3
   let stat_preval_skips = 4
   let stat_delta_applies = 5
-  let stat_spec_skips = 6
-  let num_stats = 7
+  let num_stats = 6
 
   (* What an output slot holds until its transaction's first incarnation
      finishes. It is told apart by [==], so an output equal to it (a
@@ -131,17 +115,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     storage : (L.t, V.t) Intf.storage;
     mv : Mv.t;
     sched : Scheduler.t;
-    dag : Spec_dag.t option;
-        (* Spec-derived dependency DAG (Spec_dag mode): replaces the
-           collaborative scheduler as the task source; [sched] still exists
-           but issues no tasks (its counters stay at their initial state). *)
-    indep : bool array;
-        (* [indep.(j)]: transaction j's static spec is disjoint from every
-           other transaction's, so its reads can never be invalidated — its
-           validation tasks short-circuit to success ([spec_skips]). All-false
-           unless [specs] were given (DESIGN.md §15). *)
-    (* The config, resolved once by [create_instance] (Spec_dag resolves to
-       the inert defaults), so each hot-path check is one load. *)
+    (* The config, resolved once by [create_instance], so each hot-path
+       check is one load. *)
     estimates : bool;  (* [Estimates] marking; [false]: remove on abort. *)
     prevalidate : bool;
     rolling : bool;
@@ -189,160 +164,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (** Distinct locations written or delta'd (cost accounting). *)
   }
 
-  (* ---------------------------------------------------------------------- *)
-  (* Static access specs: independence and the dependency DAG (§15)         *)
-  (* ---------------------------------------------------------------------- *)
-
-  (* Total order on spec entries (dedup); Exact entries order by L.compare. *)
-  let entry_cmp (a : L.t Access_spec.entry) (b : L.t Access_spec.entry) : int =
-    match (a, b) with
-    | Access_spec.Exact x, Access_spec.Exact y -> L.compare x y
-    | Access_spec.Exact _, _ -> -1
-    | _, Access_spec.Exact _ -> 1
-    | Access_spec.Wildcard x, Access_spec.Wildcard y -> String.compare x y
-    | Access_spec.Wildcard _, _ -> -1
-    | _, Access_spec.Wildcard _ -> 1
-    | Access_spec.Unknown, Access_spec.Unknown -> 0
-
-  (* Which transactions' specs are disjoint from every other transaction's?
-     Computed with per-location and per-namespace access counts instead of
-     the O(n^2) pairwise test. Transaction j is independent iff its spec is
-     all-Exact and (a) no other transaction may write any location j reads
-     or writes, and (b) no other transaction may read any location j
-     writes. Wildcard/Unknown entries of OTHER transactions count against j
-     through the namespace ([loc_namespace]) or, absent one, against
-     everything — conservative in exactly the direction soundness needs. *)
-  let spec_independence ?loc_namespace (specs : L.t Access_spec.t array) :
-      bool array =
-    let n = Array.length specs in
-    let rd = LTbl.create (4 * n) and wr = LTbl.create (4 * n) in
-    let wild_r = Hashtbl.create 8 and wild_w = Hashtbl.create 8 in
-    let unk_r = ref 0 and unk_w = ref 0 in
-    let bump_loc tbl l =
-      match LTbl.find_opt tbl l with
-      | Some r -> incr r
-      | None -> LTbl.add tbl l (ref 1)
-    in
-    let bump_ns tbl r =
-      match Hashtbl.find_opt tbl r with
-      | Some c -> incr c
-      | None -> Hashtbl.add tbl r (ref 1)
-    in
-    let count tbl l =
-      match LTbl.find_opt tbl l with Some r -> !r | None -> 0
-    in
-    let count_ns tbl r =
-      match Hashtbl.find_opt tbl r with Some c -> !c | None -> 0
-    in
-    (* Count each transaction's distinct entries once, so a transaction's
-       own contribution to a per-location count is exactly 0 or 1. *)
-    let deduped = Array.make n Access_spec.empty in
-    Array.iteri
-      (fun j (s : L.t Access_spec.t) ->
-        let d =
-          {
-            Access_spec.reads = List.sort_uniq entry_cmp s.reads;
-            writes = List.sort_uniq entry_cmp s.writes;
-          }
-        in
-        deduped.(j) <- d;
-        let side unk wild loc_tbl =
-          List.iter (function
-            | Access_spec.Exact l -> bump_loc loc_tbl l
-            | Access_spec.Wildcard r -> bump_ns wild r
-            | Access_spec.Unknown -> incr unk)
-        in
-        side unk_r wild_r rd d.Access_spec.reads;
-        side unk_w wild_w wr d.Access_spec.writes)
-      specs;
-    let total_wild tbl = Hashtbl.fold (fun _ c acc -> acc + !c) tbl 0 in
-    let wild_hits tbl l =
-      (* Wildcard entries of other transactions that may cover [l]. The
-         independent transaction itself is all-Exact, so every wildcard in
-         the tables belongs to another transaction. *)
-      match loc_namespace with
-      | Some ns -> count_ns tbl (ns l)
-      | None -> total_wild tbl
-    in
-    Array.map
-      (fun (s : L.t Access_spec.t) ->
-        Access_spec.all_exact s
-        && !unk_w = 0
-        && (s.Access_spec.writes = [] || !unk_r = 0)
-        && (let mem entries l =
-              List.exists
-                (function
-                  | Access_spec.Exact x -> L.equal x l | _ -> false)
-                entries
-            in
-            List.for_all
-              (fun l ->
-                count wr l - (if mem s.Access_spec.writes l then 1 else 0) = 0
-                && wild_hits wild_w l = 0)
-              (Access_spec.exact_locs s.Access_spec.reads)
-            && List.for_all
-                 (fun l ->
-                   count wr l = 1
-                   && count rd l
-                      - (if mem s.Access_spec.reads l then 1 else 0)
-                      = 0
-                   && wild_hits wild_w l = 0
-                   && wild_hits wild_r l = 0)
-                 (Access_spec.exact_locs s.Access_spec.writes)))
-      deduped
-
-  (* Dependency edges of the spec DAG (Spec_dag mode): transaction j waits
-     for EVERY lower transaction whose write spec contains a location j
-     reads — all potential writers, not just the highest, because a sound
-     spec may overdeclare: if the highest declared writer dynamically skips
-     the write, the read falls through to the next lower version, which
-     must therefore also be final. WAW/WAR edges are unnecessary — MVMemory
-     entries are keyed by transaction index, so a read at j only ever
-     observes versions below j and the snapshot takes the highest write per
-     location regardless of arrival order. A transaction with any
-     non-Exact entry becomes an order barrier: it waits for everything
-     since the previous barrier (and the barrier chain covers the rest
-     transitively), and later transactions wait for it. *)
-  let spec_dag_preds (specs : L.t Access_spec.t array) : int list array =
-    let n = Array.length specs in
-    let preds = Array.make n [] in
-    let writers : int list ref LTbl.t = LTbl.create (4 * n) in
-    let last_barrier = ref (-1) in
-    for j = 0 to n - 1 do
-      let s = specs.(j) in
-      let base = if !last_barrier >= 0 then [ !last_barrier ] else [] in
-      if Access_spec.all_exact s then begin
-        let ps = ref base in
-        List.iter
-          (fun l ->
-            match LTbl.find_opt writers l with
-            | Some lst -> ps := List.rev_append !lst !ps
-            | None -> ())
-          (Access_spec.exact_locs s.Access_spec.reads);
-        preds.(j) <- List.sort_uniq compare !ps;
-        List.iter
-          (fun l ->
-            match LTbl.find_opt writers l with
-            | Some lst -> lst := j :: !lst
-            | None -> LTbl.add writers l (ref [ j ]))
-          (Access_spec.exact_locs s.Access_spec.writes)
-      end
-      else begin
-        (* Barrier: wait for everything since the previous barrier. *)
-        let ps = ref base in
-        for i = !last_barrier + 1 to j - 1 do
-          ps := i :: !ps
-        done;
-        preds.(j) <- !ps;
-        last_barrier := j;
-        (* Earlier writers are now covered transitively through j. *)
-        LTbl.reset writers
-      end
-    done;
-    preds
-
   let create_instance ?(config = default_config) ?trace ?on_commit ?specs
-      ?loc_namespace ~storage (txns : 'o txn array) : 'o instance =
+      ~storage (txns : 'o txn array) : 'o instance =
     let n = Array.length txns in
     if config.num_domains < 1 then
       invalid_arg "Block_stm: num_domains must be >= 1";
@@ -354,53 +177,35 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Some sp when Array.length sp <> n ->
         invalid_arg "Block_stm: specs length mismatch"
     | _ -> ());
-    let need_specs what =
-      match specs with
-      | Some sp -> sp
-      | None -> invalid_arg ("Block_stm: " ^ what ^ " requires specs")
-    in
-    let o, dag =
-      match config.sched with
-      | Optimistic o -> (o, None)
-      | Spec_dag ->
-          (* Every transaction executes exactly once, so the default
-             optimistic options (estimates and prevalidation aside, all off)
-             are inert: nothing aborts and nothing re-executes. *)
-          let preds = spec_dag_preds (need_specs "Spec_dag") in
-          (default_optimistic, Some (Spec_dag.create ~preds))
-    in
     let estimates, seed =
-      match o.marking with
+      match config.marking with
       | Estimates { seed_from_specs } -> (true, seed_from_specs)
       | Remove_on_abort -> (false, false)
     in
     let mv = Mv.create ~storage ~block_size:n () in
-    if seed then
-      Array.iteri
-        (fun j s ->
-          match Access_spec.exact_writes s with
-          | Some locs when Array.length locs > 0 ->
-              Mv.prefill_estimates mv j locs
-          | _ -> ())
-        (need_specs "seed_from_specs");
-    let rolling = o.rolling_commit in
-    let indep =
+    if seed then begin
       match specs with
-      | Some sp when Option.is_none dag -> spec_independence ?loc_namespace sp
-      | _ -> Array.make n false
-    in
+      | None -> invalid_arg "Block_stm: seed_from_specs requires specs"
+      | Some specs ->
+          Array.iteri
+            (fun j s ->
+              match Access_spec.exact_writes s with
+              | Some locs when Array.length locs > 0 ->
+                  Mv.prefill_estimates mv j locs
+              | _ -> ())
+            specs
+    end;
+    let rolling = config.rolling_commit in
     {
       txns;
       storage;
       mv;
-      dag;
-      indep;
       sched = Scheduler.create ~block_size:n ();
       estimates;
-      prevalidate = o.prevalidate_reads;
+      prevalidate = config.prevalidate_reads;
       rolling;
-      commit_valid = (fun j -> indep.(j) || Mv.validate_read_set mv j);
-      deltas = o.delta_ops;
+      commit_valid = Mv.validate_read_set mv;
+      deltas = config.delta_ops;
       outputs = Array.make n no_output;
       counts =
         Atomic_util.init_array num_stats (fun _ -> Atomic_util.padded_atomic 0);
@@ -759,11 +564,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Scheduler.Execution version -> (
         let txn_idx = Version.txn_idx version in
         let blocked =
-          if
-            inst.prevalidate
-            && Version.incarnation version > 0
-            && not inst.indep.(txn_idx)
-          then find_read_set_dependency inst ~txn_idx
+          if inst.prevalidate && Version.incarnation version > 0 then
+            find_read_set_dependency inst ~txn_idx
           else None
         in
         match blocked with
@@ -777,20 +579,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             | Vm_done vm -> P_exec { version; vm }))
     | Scheduler.Validation (version, _) ->
         let txn_idx = Version.txn_idx version in
-        if inst.indep.(txn_idx) then begin
-          (* Spec-disjoint transaction (DESIGN.md §15): its static spec
-             proves no other transaction writes anything it read, so the
-             read-set walk is a foregone conclusion — short-circuit it.
-             Counted in [spec_skips], not [validations]. *)
-          bump stats stat_spec_skips;
-          P_val { version; valid = true; reads = 0 }
-        end
-        else begin
-          bump stats stat_validations;
-          let reads = Array.length (Mv.last_read_set inst.mv txn_idx).locs in
-          let valid = Mv.validate_read_set inst.mv txn_idx in
-          P_val { version; valid; reads }
-        end
+        bump stats stat_validations;
+        let reads = Array.length (Mv.last_read_set inst.mv txn_idx).locs in
+        let valid = Mv.validate_read_set inst.mv txn_idx in
+        P_val { version; valid; reads }
 
   let finish_task_s (inst : 'o instance) (stats : local_stats)
       (p : 'o pending) : Scheduler.task option * step_event =
@@ -806,16 +598,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             vm.vm_write_set
         in
         let next =
-          match inst.dag with
-          | Some dag ->
-              (* Spec-DAG mode: every predecessor that may write what this
-                 transaction reads has already finished, so the write is
-                 final — release the successors. No validation task is ever
-                 scheduled. *)
-              Spec_dag.finish_execution dag ~txn_idx
-          | None ->
-              Scheduler.finish_execution inst.sched ~txn_idx ~incarnation
-                ~wrote_new_location
+          Scheduler.finish_execution inst.sched ~txn_idx ~incarnation
+            ~wrote_new_location
         in
         (next, Executed { version; reads = vm.vm_reads; writes = vm.vm_writes })
     | P_exec_dep { version; blocking; reads } ->
@@ -843,19 +627,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let next = Scheduler.finish_validation inst.sched ~version ~aborted in
         (next, Validated { version; aborted; reads })
 
-  (** Fetch the next task from whichever source drives this instance: the
-      spec DAG in [spec_dag] mode, the collaborative scheduler otherwise. *)
   let next_task (inst : _ instance) : Scheduler.task option =
-    match inst.dag with
-    | Some dag -> Spec_dag.next_task dag
-    | None -> Scheduler.next_task inst.sched
+    Scheduler.next_task inst.sched
 
-  (** Whether every transaction has finished under this instance's task
-      source (see {!next_task}). Monotone. *)
-  let is_done (inst : _ instance) : bool =
-    match inst.dag with
-    | Some dag -> Spec_dag.done_ dag
-    | None -> Scheduler.done_ inst.sched
+  let is_done (inst : _ instance) : bool = Scheduler.done_ inst.sched
 
   let step_s (inst : _ instance) (stats : local_stats)
       (task : Scheduler.task option) : Scheduler.task option * step_event =
@@ -986,7 +761,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       prevalidation_skips = v stat_preval_skips;
       commits = Scheduler.committed_prefix inst.sched;
       delta_applies = v stat_delta_applies;
-      spec_skips = v stat_spec_skips;
     }
 
   let sched (inst : _ instance) : Scheduler.t = inst.sched
@@ -1132,12 +906,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       after [finalize] (see [crew]). An exception that escapes any worker,
       [finalize] or a spawn is re-raised once every started helper has been
       released and joined. *)
-  let run ?(config = default_config) ?specs ?loc_namespace ?trace ?on_commit
-      ~storage (txns : 'o txn array) : 'o result =
-    let inst =
-      create_instance ~config ?specs ?loc_namespace ?trace ?on_commit ~storage
-        txns
-    in
+  let run ?(config = default_config) ?specs ?trace ?on_commit ~storage
+      (txns : 'o txn array) : 'o result =
+    let inst = create_instance ~config ?specs ?trace ?on_commit ~storage txns in
     if Array.length txns = 0 then
       {
         snapshot = [];

@@ -51,20 +51,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     delta_applies : int;
         (** Commutative delta entries recorded into MVMemory (0 unless
             [delta_ops]). *)
-    spec_skips : int;
-        (** Validation tasks short-circuited because the transaction's
-            static access spec proves it disjoint from every other
-            transaction in the block (0 unless [specs] was supplied). Not
-            counted in [validations]. *)
   }
 
   val pp_metrics : Format.formatter -> metrics -> unit
 
   (** {2 Configuration}
 
-      The configuration is shaped so that every value runs: options that
-      only exist for the optimistic scheduler live inside [Optimistic],
-      and options that need ESTIMATE markers inside [Estimates]. *)
+      The configuration is shaped so that every value runs: the option
+      that needs ESTIMATE markers lives inside [Estimates]. *)
 
   (** What an aborted incarnation leaves behind in MVMemory. *)
   type marking =
@@ -85,8 +79,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
         (** The ablation the paper mentions in §3.2.1: aborted entries are
             simply removed, so conflicts surface only at validation time. *)
 
-  (** Options of the paper's optimistic scheduler. *)
-  type optimistic = {
+  type config = {
+    num_domains : int;  (** Worker domains (>= 1). *)
     marking : marking;
     prevalidate_reads : bool;
         (** §4 optimization: before re-executing an incarnation, re-read the
@@ -110,35 +104,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
             reproducing the paper's behavior byte-identically. *)
   }
 
-  (** How transactions are scheduled. *)
-  type sched =
-    | Spec_dag
-        (** Dependency-DAG scheduling from static access specs (DESIGN.md
-            §15): transaction [j] waits on every lower transaction whose
-            declared writes may feed [j]'s declared reads (transactions with
-            non-exact specs act as barriers), and each transaction executes
-            exactly once in DAG order — no validation, no aborts, no
-            re-execution. Requires [specs] at {!create_instance}. *)
-    | Optimistic of optimistic
-        (** The paper's collaborative scheduler (Algorithms 1–9). *)
-
-  type config = {
-    num_domains : int;  (** Worker domains (>= 1). *)
-    sched : sched;
-  }
-
-  val default_optimistic : optimistic
-  (** The paper's engine: ESTIMATE markers, read-set prevalidation; no
-      seeding, rolling commit or deltas. *)
-
   val default_config : config
-  (** One domain, [Optimistic default_optimistic]. *)
-
-  val optimistic_config :
-    ?num_domains:int -> (optimistic -> optimistic) -> config
-  (** [optimistic_config ~num_domains f] is {!default_config} on
-      [num_domains] domains (default 1) with the optimistic options
-      [f default_optimistic]. *)
+  (** The paper's engine on one domain: ESTIMATE markers, read-set
+      prevalidation; no seeding, rolling commit or deltas. Other configs
+      are record updates of it. *)
 
   type 'o result = {
     snapshot : (L.t * V.t) list;  (** Final value per affected location. *)
@@ -159,7 +128,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
     ?specs:L.t Access_spec.t array ->
-    ?loc_namespace:(L.t -> string) ->
     storage:(L.t, V.t) Intf.storage ->
     'o txn array ->
     'o instance
@@ -174,35 +142,26 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
       [specs] (one per transaction) are static access specifications
       (DESIGN.md §15): sound over-approximations of each transaction's
-      dynamic read and write sets. Supplying them opts into spec-driven
-      independence skipping — transactions whose specs are all-[Exact] and
-      provably disjoint from every other transaction's spec skip the
-      validation read-set walk (counted in [metrics.spec_skips]). They also
-      feed [seed_from_specs] and [Spec_dag], which require them. A spec
-      that under-declares an access is {b unsound} and voids the determinism
-      guarantee. [loc_namespace] assigns each location the namespace string
-      matched by [Access_spec.Wildcard] entries; when omitted, wildcards
-      conservatively overlap every location.
+      dynamic read and write sets. Only [seed_from_specs] reads them, and
+      requires them; without it the engine ignores them. Seeding is safe
+      with any spec: an incarnation's first record drops the markers it did
+      not write, and a write the spec missed takes the paper's path for a
+      new write location, so a spec's precision moves only cost.
       @raise Invalid_argument if [config.num_domains < 1], [trace] has too
       few workers, or [specs] mismatches the block length or is missing
-      where the schedule needs it. *)
+      under [seed_from_specs]. *)
 
   val sched : 'o instance -> Scheduler.t
   (** The collaborative scheduler driving this instance — exposed for the
-      virtual-time simulator and tests. In [Spec_dag] mode the scheduler
-      exists but is inert; drive the instance through {!next_task} /
-      {!is_done} instead of the scheduler's own entry points. *)
+      virtual-time simulator and tests. *)
 
   val next_task : 'o instance -> Scheduler.task option
-  (** Fetch the next task from whichever source drives this instance: the
-      spec dependency DAG in [Spec_dag] mode, the collaborative
-      scheduler otherwise. External drivers should call this (rather than
-      {!Scheduler.next_task} on {!sched}) so they remain correct in every
-      mode. [None] does not imply completion; poll {!is_done}. *)
+  (** [Scheduler.next_task] on the instance's scheduler. [None] does not
+      imply completion; poll {!is_done}. *)
 
   val is_done : 'o instance -> bool
-  (** Whether every transaction has finished under this instance's task
-      source (see {!next_task}). Monotone. *)
+  (** Whether every transaction has finished ([Scheduler.done_]).
+      Monotone. *)
 
   val committed_prefix : 'o instance -> int
   (** Length of the committed prefix so far (0 unless rolling commit).
@@ -283,7 +242,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   val run :
     ?config:config ->
     ?specs:L.t Access_spec.t array ->
-    ?loc_namespace:(L.t -> string) ->
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
     storage:(L.t, V.t) Intf.storage ->

@@ -8,10 +8,10 @@
     by [writes] — each accessed location must match some entry. Precision is
     graded per entry: [Exact] pins a single location, [Wildcard] covers
     every location of one namespace (a resource name for MiniMove locations,
-    see {!conflict}), and [Unknown] covers everything. The engine only
-    derives optimizations (estimate seeding, validation skipping, DAG
-    scheduling) from the precise end of that scale; imprecise entries
-    degrade soundly to the paper's optimistic behavior. *)
+    see {!conflict}), and [Unknown] covers everything. Estimate seeding and
+    lane planning only derive optimizations from the precise end of that
+    scale; imprecise entries degrade soundly to the paper's optimistic
+    behavior. *)
 
 type 'loc entry =
   | Exact of 'loc  (** Exactly this location. *)
@@ -20,8 +20,6 @@ type 'loc entry =
   | Unknown  (** Any location at all. *)
 
 type 'loc t = { reads : 'loc entry list; writes : 'loc entry list }
-
-let empty = { reads = []; writes = [] }
 
 let is_exact = function Exact _ -> true | Wildcard _ | Unknown -> false
 
@@ -73,8 +71,6 @@ let conflict ~equal ?namespace a b =
   lists_overlap ~equal ?namespace a.writes b.reads
   || lists_overlap ~equal ?namespace a.writes b.writes
   || lists_overlap ~equal ?namespace a.reads b.writes
-
-let disjoint ~equal ?namespace a b = not (conflict ~equal ?namespace a b)
 
 (** Does [loc] match some entry of [entries]? The soundness predicate
     checked by the differential test suite. *)

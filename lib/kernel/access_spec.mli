@@ -4,12 +4,11 @@
     A spec is {e sound} when every dynamically-read location matches some
     [reads] entry and every dynamically-written (or delta'd) location
     matches some [writes] entry, for every possible execution of the
-    transaction. The engine consumes sound specs three ways (DESIGN.md
-    §15): seeding MVMemory ESTIMATE markers from exact write entries,
-    skipping validation for pairwise-disjoint transactions, and building
-    the dependency DAG of the [Spec_dag] scheduling mode. Imprecise
-    ([Wildcard] / [Unknown]) entries degrade each consumer soundly toward
-    the paper's optimistic behavior. *)
+    transaction. The engine consumes specs one way (DESIGN.md §15): it
+    seeds MVMemory ESTIMATE markers from exact write entries, which is
+    safe with any spec. The lane coordinator plans lanes from sound specs
+    (DESIGN.md §16). Imprecise ([Wildcard] / [Unknown]) entries degrade
+    each consumer soundly toward the paper's optimistic behavior. *)
 
 type 'loc entry =
   | Exact of 'loc  (** Exactly this location. *)
@@ -18,8 +17,6 @@ type 'loc entry =
   | Unknown  (** Any location at all. *)
 
 type 'loc t = { reads : 'loc entry list; writes : 'loc entry list }
-
-val empty : 'loc t
 
 val all_exact : 'loc t -> bool
 (** Every read and write entry is [Exact]. *)
@@ -54,14 +51,6 @@ val conflict :
     (RAW/WAR/WAW; read-read sharing is not a conflict). [namespace] maps a
     location to its namespace so [Wildcard] entries compare against [Exact]
     ones; when absent, wildcards conservatively overlap everything. *)
-
-val disjoint :
-  equal:('loc -> 'loc -> bool) ->
-  ?namespace:('loc -> string) ->
-  'loc t ->
-  'loc t ->
-  bool
-(** [not (conflict a b)]: on sound specs, the two transactions commute. *)
 
 val covers :
   equal:('loc -> 'loc -> bool) ->

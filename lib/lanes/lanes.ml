@@ -169,7 +169,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       prevalidation_skips = 0;
       commits = 0;
       delta_applies = 0;
-      spec_skips = 0;
     }
 
   let add_engine_metrics (a : Bstm.metrics) (b : Bstm.metrics) : Bstm.metrics
@@ -182,7 +181,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       prevalidation_skips = a.prevalidation_skips + b.prevalidation_skips;
       commits = a.commits + b.commits;
       delta_applies = a.delta_applies + b.delta_applies;
-      spec_skips = a.spec_skips + b.spec_skips;
     }
 
   let imbalance_of ~lanes (counts : int array) : float =
@@ -217,8 +215,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     if partition.lanes = 1 then begin
       (* Strict passthrough: the unmodified engine, caller's config. *)
       let r =
-        Bstm.run ~config ~specs ?loc_namespace ?trace:(trace_for 0) ?on_commit
-          ~storage txns
+        Bstm.run ~config ~specs ?trace:(trace_for 0) ?on_commit ~storage txns
       in
       {
         snapshot = r.Bstm.snapshot;
@@ -269,7 +266,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let work k =
           let lane, idxs = jobs.(k) in
           let r =
-            Bstm.run ~config:lane_cfg ~specs:(subset specs idxs) ?loc_namespace
+            Bstm.run ~config:lane_cfg ~specs:(subset specs idxs)
               ?trace:(trace_for lane) ~storage:read_overlay
               (subset txns idxs)
           in

@@ -128,8 +128,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       same preset-order contract as {!Bstm.run}'s hook. With [lanes = 1] the
       hook goes straight to the engine. [trace_for lane]
       supplies an optional per-lane trace sink reused across that lane's
-      batches, giving lane-tagged step events. [loc_namespace] is forwarded
-      to the per-lane instances.
+      batches, giving lane-tagged step events. [loc_namespace] is {!plan}'s
+      [namespace].
 
       @raise Invalid_argument if [specs] length mismatches the block, if
       [partition.lanes < 1], or if [loc_lane] leaves [\[0, lanes)]. *)

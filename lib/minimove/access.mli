@@ -42,7 +42,7 @@ val specialize :
 
 val namespace : Mv_value.Loc.t -> string
 (** The location's resource name — the namespace function to pass to
-    {!Blockstm_kernel.Access_spec.conflict} and the engine's
+    {!Blockstm_kernel.Access_spec.conflict} and the lane coordinator's
     [loc_namespace]. *)
 
 val pp_entry : Format.formatter -> entry -> unit

@@ -33,13 +33,12 @@ let equal_outputs (a : int Blockstm_kernel.Txn.output array)
   Array.length a = Array.length b
   && Array.for_all2 (Blockstm_kernel.Txn.equal_output Int.equal) a b
 
-(** Run Block-STM on [num_domains] real domains. [specs] opts into static
-    access-specification modes (DESIGN.md §15); wildcards resolve against
-    {!Ledger.Loc.namespace}. *)
+(** Run Block-STM on [num_domains] real domains. [specs] feed the static
+    access-specification modes (DESIGN.md §15). *)
 let run_blockstm ?(config = Bstm.default_config) ?specs ?trace ?on_commit
     ~storage txns =
-  Bstm.run ~config ?specs ~loc_namespace:Loc.namespace ?trace ?on_commit
-    ~storage:(Store.reader storage) txns
+  Bstm.run ~config ?specs ?trace ?on_commit ~storage:(Store.reader storage)
+    txns
 
 let run_sequential ~storage txns =
   Seq.run ~storage:(Store.reader storage) txns
@@ -105,16 +104,13 @@ let sim_blockstm ?(config = Bstm.default_config) ?specs
     int Bstm.result * Virtual_exec.stats =
   let config = { config with Bstm.num_domains = 1 } in
   let inst =
-    Bstm.create_instance ~config ?specs ~loc_namespace:Loc.namespace
-      ~storage:(Store.reader storage) txns
+    Bstm.create_instance ~config ?specs ~storage:(Store.reader storage) txns
   in
   let engine =
     {
       Virtual_exec.start = Bstm.start_task inst;
       finish = Bstm.finish_task inst;
       profile = Bstm.pending_profile;
-      (* Route through the instance-level wrappers, not the scheduler
-         directly, so spec-DAG instances simulate correctly too. *)
       next_task = (fun () -> Bstm.next_task inst);
       is_done = (fun () -> Bstm.is_done inst);
     }
@@ -231,7 +227,7 @@ let sim_lanes ?(config = Bstm.default_config) ?(cost = Cost_model.default)
   let sim_lane idxs ~threads : float =
     let inst =
       Bstm.create_instance ~config:lane_cfg ~specs:(subset specs idxs)
-        ~loc_namespace:Loc.namespace ~storage:read_overlay (subset txns idxs)
+        ~storage:read_overlay (subset txns idxs)
     in
     let engine =
       {

@@ -69,6 +69,3 @@ let zipf (t : t) ~(n : int) ~(theta : float) : int =
     let r = int_of_float rank in
     if r < 1 then 0 else if r > n then n - 1 else r - 1
   end
-
-(** An independent stream derived from this one (for parallel generators). *)
-let split (t : t) : t = { state = next_int64 t }

@@ -25,6 +25,3 @@ val distinct_pair : t -> int -> int * int
 val zipf : t -> n:int -> theta:float -> int
 (** Zipfian-distributed rank in [0, n); [theta = 0] degenerates to uniform.
     Uses the harmonic-approximation inverse CDF. *)
-
-val split : t -> t
-(** An independent stream derived from this one. *)

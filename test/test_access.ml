@@ -9,12 +9,9 @@
     [Unknown]: a healthy majority of corpus programs must infer all-exact
     specs.
 
-    The engine-facing tests then drive the three spec consumers over the
-    Ledger p2p workloads and check each against the sequential reference:
-    ESTIMATE seeding ([seed_from_specs]), validation skipping for
-    pairwise-independent transactions ([metrics.spec_skips]), and the
-    [Spec_dag] scheduling mode (which must commit bit-identical state with
-    zero validations). *)
+    An engine-facing test then drives the engine's spec consumer, ESTIMATE
+    seeding ([seed_from_specs]), over a Ledger p2p block and checks it
+    against the sequential reference. *)
 
 open Blockstm_kernel
 open Blockstm_minimove
@@ -128,10 +125,10 @@ let check_identical label (seq : int Harness.Seq.result)
     true
     (Harness.equal_outputs seq.Harness.Seq.outputs r.Bstm.outputs)
 
-(* Large account range: most pairs are provably independent, so the spec
-   consumers must actually fire — seeding plus validation skipping — while
-   committing the same state. *)
-let test_spec_skips () =
+(* Spec seeding over a large account range, on 4 domains: ESTIMATE markers
+   seeded from every transfer's declared writes must commit the same state
+   and outputs as the sequential reference. *)
+let test_seeding_identity () =
   let w =
     P2p.generate
       { P2p.default_spec with num_accounts = 10_000; block_size = 1_000 }
@@ -139,67 +136,16 @@ let test_spec_skips () =
   let specs = P2p.txn_specs w in
   let seq = Harness.run_sequential ~storage:w.P2p.storage w.P2p.txns in
   let config =
-    Bstm.optimistic_config ~num_domains:4 (fun o ->
-        {
-          o with
-          marking = Estimates { seed_from_specs = true };
-        })
+    {
+      Bstm.default_config with
+      num_domains = 4;
+      marking = Estimates { seed_from_specs = true };
+    }
   in
   let r =
     Harness.run_blockstm ~config ~specs ~storage:w.P2p.storage w.P2p.txns
   in
-  check_identical "spec seeding" seq r;
-  Alcotest.(check bool)
-    "independent transactions skipped validation" true
-    (r.Bstm.metrics.Bstm.spec_skips > 0)
-
-(* Spec-DAG mode: deterministic dependency-ordered execution must commit
-   bit-identical state at every grid point, with zero validation tasks and
-   zero aborts (no optimism, nothing to roll back). *)
-let test_spec_dag_identity () =
-  List.iter
-    (fun accounts ->
-      let w =
-        P2p.generate
-          { P2p.default_spec with num_accounts = accounts; block_size = 300 }
-      in
-      let specs = P2p.txn_specs w in
-      let seq = Harness.run_sequential ~storage:w.P2p.storage w.P2p.txns in
-      List.iter
-        (fun num_domains ->
-          let config =
-            { Bstm.num_domains; sched = Spec_dag }
-          in
-          let r =
-            Harness.run_blockstm ~config ~specs ~storage:w.P2p.storage
-              w.P2p.txns
-          in
-          let label = Fmt.str "spec-dag p2p/%d @ %dd" accounts num_domains in
-          check_identical label seq r;
-          Alcotest.(check int)
-            (label ^ ": no validations")
-            0 r.Bstm.metrics.Bstm.validations;
-          Alcotest.(check int)
-            (label ^ ": no aborts")
-            0
-            (r.Bstm.metrics.Bstm.validation_aborts
-            + r.Bstm.metrics.Bstm.dependency_aborts))
-        [ 1; 4 ])
-    [ 10; 100; 1_000 ];
-  (* Hotspot: a near-sequential DAG, including delta (aggregator) routes
-     covered by read+write spec entries. *)
-  let h =
-    P2p.generate_hotspot { P2p.default_hotspot_spec with h_block_size = 300 }
-  in
-  let specs = P2p.hotspot_txn_specs h in
-  let seq = Harness.run_sequential ~storage:h.P2p.h_storage h.P2p.h_txns in
-  let config = { Bstm.num_domains = 4; sched = Spec_dag } in
-  let r =
-    Harness.run_blockstm ~config ~specs ~storage:h.P2p.h_storage h.P2p.h_txns
-  in
-  check_identical "spec-dag hotspot" seq r;
-  Alcotest.(check int)
-    "spec-dag hotspot: no validations" 0 r.Bstm.metrics.Bstm.validations
+  check_identical "spec seeding" seq r
 
 let suite =
   [
@@ -208,8 +154,6 @@ let suite =
       test_non_vacuity;
     Alcotest.test_case "coin contract: interprocedural specs" `Quick
       test_coin_contract;
-    Alcotest.test_case "engine: seeding + spec_skips vs sequential" `Quick
-      test_spec_skips;
-    Alcotest.test_case "engine: spec-dag bit-identity grid" `Quick
-      test_spec_dag_identity;
+    Alcotest.test_case "engine: seeding identity vs sequential" `Quick
+      test_seeding_identity;
   ]

@@ -57,8 +57,11 @@ let test_rolling_replica_agrees () =
       let roll =
         run_chain
           (Chain.Block_stm
-             (Chain.Bstm.optimistic_config ~num_domains (fun o ->
-                  { o with rolling_commit = true })))
+             {
+               Chain.Bstm.default_config with
+               num_domains;
+               rolling_commit = true;
+             })
           4
       in
       Alcotest.(check (option int))

@@ -165,8 +165,7 @@ let test_mv_flush_fold () =
 
 let config ?(num_domains = 1) ?(delta_ops = false) ?(rolling_commit = false)
     () =
-  Bstm.optimistic_config ~num_domains (fun o ->
-      { o with delta_ops; rolling_commit })
+  { Bstm.default_config with num_domains; delta_ops; rolling_commit }
 
 (* A pure aggregator transaction: positive amounts add, negative subtract;
    the output encodes the observed outcome (1 applied, 0 bounds violation,
@@ -256,7 +255,7 @@ let test_not_a_counter_outcome () =
   in
   List.iter
     (fun delta_ops ->
-      let config = H.Bstm.optimistic_config (fun o -> { o with delta_ops }) in
+      let config = { H.Bstm.default_config with delta_ops } in
       let r = H.run_blockstm ~config ~storage [| txn; txn |] in
       Array.iter
         (function
@@ -301,8 +300,12 @@ let test_hotspot_differential () =
                   rolling deltas
               in
               let config =
-                H.Bstm.optimistic_config ~num_domains:domains (fun o ->
-                    { o with rolling_commit = rolling; delta_ops = deltas })
+                {
+                  H.Bstm.default_config with
+                  num_domains = domains;
+                  rolling_commit = rolling;
+                  delta_ops = deltas;
+                }
               in
               let r = H.run_blockstm ~config ~storage:w.h_storage w.h_txns in
               Alcotest.(check bool)
@@ -492,8 +495,7 @@ let test_minimove_vault_block () =
             Printf.sprintf "%s deltas=%b" (R.vm_name vm) delta_ops
           in
           let config =
-            R.Bstm.optimistic_config ~num_domains:4 (fun o ->
-                { o with delta_ops })
+            { R.Bstm.default_config with num_domains = 4; delta_ops }
           in
           let r = R.Bstm.run ~config ~storage:(storage ()) txns in
           Alcotest.(check bool)

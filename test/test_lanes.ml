@@ -39,8 +39,8 @@ let check_same label (seq : int Harness.Seq.result) (r : int LanesX.result) =
 (* --- Lane-identity matrix ------------------------------------------------ *)
 
 (* Laned p2p (10% deliberate cross-lane transfers) through every
-   lanes × domains × engine config grid point (the paper engine, rolling
-   commit, and spec-DAG scheduling): snapshots, outputs and the
+   lanes × domains × engine config grid point (the paper engine and
+   rolling commit): snapshots, outputs and the
    metrics-visible committed count must be bit-identical to the sequential
    reference. *)
 let test_identity_matrix () =
@@ -61,9 +61,7 @@ let test_identity_matrix () =
       ("paper", fun num_domains -> { Bstm.default_config with num_domains });
       ( "rolling",
         fun num_domains ->
-          Bstm.optimistic_config ~num_domains (fun o ->
-              { o with rolling_commit = true }) );
-      ("spec-dag", fun num_domains -> { Bstm.num_domains; sched = Spec_dag });
+          { Bstm.default_config with num_domains; rolling_commit = true } );
     ]
   in
   List.iter
@@ -108,8 +106,7 @@ let test_identity_deltas () =
       List.iter
         (fun delta_ops ->
           let config =
-            Bstm.optimistic_config ~num_domains:4 (fun o ->
-                { o with delta_ops })
+            { Bstm.default_config with num_domains = 4; delta_ops }
           in
           let r =
             Harness.run_lanes ~config ~partition ~specs

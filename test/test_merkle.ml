@@ -304,8 +304,7 @@ let run_chain executor =
 let sorted_state c = List.sort compare (Chain.Store.to_alist (Chain.state c))
 
 let bstm_config ~domains ~rolling =
-  Bstm.optimistic_config ~num_domains:domains (fun o ->
-      { o with rolling_commit = rolling })
+  { Bstm.default_config with num_domains = domains; rolling_commit = rolling }
 
 (* Every executor × domain-count × rolling combination agrees with the
    sequential reference on final state, per-block delta roots and every

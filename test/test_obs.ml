@@ -266,8 +266,11 @@ let test_counts_across_domains () =
       let label = if rolling then "run, rolling" else "run" in
       let trace = Trace.create ~num_workers:2 () in
       let config =
-        Tutil.Bstm.optimistic_config ~num_domains:2 (fun o ->
-            { o with rolling_commit = rolling })
+        {
+          Tutil.Bstm.default_config with
+          num_domains = 2;
+          rolling_commit = rolling;
+        }
       in
       let r =
         Tutil.Bstm.run ~config ~trace ~storage:(fun _ -> None)

@@ -93,8 +93,12 @@ let grid_sweep ~deltas () =
     (fun domains ->
       let executor =
         Chain.Block_stm
-          (CBstm.optimistic_config ~num_domains:domains (fun o ->
-               { o with rolling_commit = true; delta_ops = deltas }))
+          {
+            CBstm.default_config with
+            num_domains = domains;
+            rolling_commit = true;
+            delta_ops = deltas;
+          }
       in
       check_stream_matches
         ~ctx:(Fmt.str "%s %dd" (if deltas then "hotspot" else "p2p") domains)
@@ -175,21 +179,20 @@ let test_raising_hooks_propagate () =
         Chain.Block_stm { CBstm.default_config with num_domains = 2 } );
     ]
 
-(* The chain hands each block's specs to the executor: Block-STM configs
-   that seed from specs or schedule from the spec DAG need them, and so do
-   lanes; all must commit exactly what the sequential chain does. *)
+(* The chain hands each block's specs to the executor: a Block-STM config
+   that seeds from specs needs them, and so do lanes; all must commit
+   exactly what the sequential chain does. *)
 let test_stream_forwards_specs () =
   let ws = p2p_blocks () in
   let blocks = List.map (fun w -> w.P2p.txns) ws in
   let genesis = (List.hd ws).P2p.storage in
   let seeded =
-    CBstm.optimistic_config ~num_domains:2 (fun o ->
-        {
-          o with
-          marking = Estimates { seed_from_specs = true };
-        })
+    {
+      CBstm.default_config with
+      num_domains = 2;
+      marking = Estimates { seed_from_specs = true };
+    }
   in
-  let dag = { CBstm.num_domains = 2; sched = Spec_dag } in
   let lanes k =
     Chain.Lanes
       {
@@ -204,8 +207,8 @@ let test_stream_forwards_specs () =
       check_stream_matches ~ctx:ename ~reference:refc ~genesis ~blocks
         ~next_specs:(next_of (List.map P2p.txn_specs ws))
         ~executor ())
-    ([ ("seeded", Chain.Block_stm seeded); ("spec-dag", Chain.Block_stm dag) ]
-    @ List.map (fun k -> (Fmt.str "%d-lane" k, lanes k)) [ 1; 2; 4 ])
+    (("seeded", Chain.Block_stm seeded)
+    :: List.map (fun k -> (Fmt.str "%d-lane" k, lanes k)) [ 1; 2; 4 ])
 
 (* Mempool-fed end-to-end: a producer domain submits the whole stream; the
    stream's [next] cuts fixed-size blocks; commits must match the reference
@@ -226,8 +229,7 @@ let test_mempool_driven () =
   in
   let executor =
     Chain.Block_stm
-      (CBstm.optimistic_config ~num_domains:4 (fun o ->
-           { o with rolling_commit = true }))
+      { CBstm.default_config with num_domains = 4; rolling_commit = true }
   in
   let chain = Chain.create ~executor ~genesis () in
   let next () =

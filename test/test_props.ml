@@ -95,13 +95,14 @@ let prop_blockstm_ablations_equal_sequential =
           let par =
             Bstm.run
               ~config:
-                (Bstm.optimistic_config ~num_domains:3 (fun o ->
-                     {
-                       o with
-                       marking =
-                         (if estimates then o.marking else Remove_on_abort);
-                       prevalidate_reads;
-                     }))
+                {
+                  Bstm.default_config with
+                  num_domains = 3;
+                  marking =
+                    (if estimates then Bstm.default_config.marking
+                     else Remove_on_abort);
+                  prevalidate_reads;
+                }
               ~storage:zero_storage txns
           in
           equal_results seq par)

@@ -15,8 +15,7 @@ open Blockstm_kernel
 open Tutil
 
 let stress_config ~domains ~rolling =
-  Bstm.optimistic_config ~num_domains:domains (fun o ->
-      { o with rolling_commit = rolling })
+  { Bstm.default_config with num_domains = domains; rolling_commit = rolling }
 
 (* A transaction plan: [(src, dst, c)] steps, each reading [src] and writing
    [dst := src_value + c]; the output is the sum of all values read. Plans

@@ -7,7 +7,7 @@
 open Tutil
 
 let domains_cfg ?(rolling_commit = false) n =
-  Bstm.optimistic_config ~num_domains:n (fun o -> { o with rolling_commit })
+  { Bstm.default_config with num_domains = n; rolling_commit }
 
 (* Repeated real-domain runs on a contended block: every repetition must
    terminate and agree with the sequential result. *)

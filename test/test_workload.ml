@@ -82,8 +82,7 @@ let test_paper_block_size_equals_sequential () =
   List.iter
     (fun (mode, rolling_commit) ->
       let config =
-        Harness.Bstm.optimistic_config ~num_domains:2 (fun o ->
-            { o with rolling_commit })
+        { Harness.Bstm.default_config with num_domains = 2; rolling_commit }
       in
       let c = Harness.check_blockstm ~config ~storage:w.storage w.txns in
       Alcotest.(check bool) (mode ^ ": snapshot = sequential") true

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Exports with no caller: every `val` a library interface (lib/**/*.mli)
-# declares must be named, as a whole word (grep -w), in at least one .ml or
-# .mli file outside its own module's pair, anywhere under lib/, bench/,
-# bin/, test/ or examples/. A value only its own module uses does not
-# belong in the interface: drop it there, and delete its code if the module
-# does not use it either.
+# declares must be named, as a whole word (grep -w), in the code of at least
+# one .ml or .mli file outside its own module's pair, anywhere under lib/,
+# bench/, bin/, test/ or examples/. Comments and string literals are
+# stripped first, so a word in prose or in a test's name is not a caller.
+# A value only its own module uses does not belong in the interface: drop
+# it there, and delete its code if the module does not use it either.
 #
 #   bash tools/unused_exports.sh     # from anywhere; exit 1 lists each find
 set -euo pipefail
@@ -13,8 +14,58 @@ cd "$(dirname "$0")/.."
 # Module.value pairs whose caller is not in the tree yet.
 allow=" Block_stm.maybe_commit "
 
-mapfile -t sources < <(find lib bench bin test examples -type f \
-  \( -name '*.ml' -o -name '*.mli' \) | sort)
+code=$(mktemp -d)
+trap 'rm -rf "$code"' EXIT
+
+# Copy every source under $code with its comments (nested, and with the
+# string literals OCaml lexes inside them), string literals (quoted
+# "..." and {id|...|id}) and character literals blanked out.
+find lib bench bin test examples -type f \( -name '*.ml' -o -name '*.mli' \) |
+  sort | perl -e '
+  use strict;
+  use warnings;
+  use File::Basename qw(dirname);
+  use File::Path qw(make_path);
+  my $out = shift;
+  while (my $f = <STDIN>) {
+    chomp $f;
+    open my $in, "<", $f or die "$f: $!";
+    my $s = do { local $/; <$in> };
+    close $in;
+    my ($r, $depth, $i, $n) = ("", 0, 0, length $s);
+    while ($i < $n) {
+      my $c = substr $s, $i, 1;
+      my $skip = 0;
+      if (substr($s, $i, 2) eq "(*") { $depth++; $i += 2; next }
+      if ($depth > 0 && substr($s, $i, 2) eq "*)") { $depth--; $i += 2; $skip = 1 }
+      elsif ($c eq "\"") {
+        $i++;
+        while ($i < $n) {
+          my $d = substr $s, $i, 1;
+          $i += $d eq "\\" ? 2 : 1;
+          last if $d eq "\"";
+        }
+        $skip = 1;
+      }
+      elsif (substr($s, $i) =~ /^\{([a-z_]*)\|/) {
+        my $end = index $s, "|$1}", $i + length($1) + 2;
+        $i = $end < 0 ? $n : $end + length($1) + 2;
+        $skip = 1;
+      }
+      elsif (substr($s, $i) =~ /^\x27(?:\\(?:[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3}|.)|[^\\\x27\n])\x27/) {
+        $i += length $&;
+        $skip = 1;
+      }
+      else { $r .= $c if $depth == 0; $i++ }
+      $r .= " " if $skip && $depth == 0;
+    }
+    make_path(dirname("$out/$f"));
+    open my $o, ">", "$out/$f" or die "$out/$f: $!";
+    print $o $r;
+    close $o;
+  }' "$code"
+
+mapfile -t sources < <(cd "$code" && find lib bench bin test examples -type f | sort)
 
 found=0
 while IFS= read -r mli; do
@@ -23,9 +74,9 @@ while IFS= read -r mli; do
   module=${module^}
   others=()
   for f in "${sources[@]}"; do
-    if [ "$f" != "$base.ml" ] && [ "$f" != "$mli" ]; then others+=("$f"); fi
+    if [ "$f" != "$base.ml" ] && [ "$f" != "$mli" ]; then others+=("$code/$f"); fi
   done
-  for v in $(grep -oE "^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_']*" "$mli" |
+  for v in $(grep -oE "^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_']*" "$code/$mli" |
     awk '{print $2}' | sort -u); do
     case "$allow" in *" $module.$v "*) continue ;; esac
     if ! grep -qw -- "$v" "${others[@]}"; then
