@@ -984,7 +984,7 @@ let state_scale mode =
               (Ledger.Store.to_alist flat))
       and incr =
         time "incr_ns" (fun rep ->
-            C.Mstore.apply_delta m deltas.(rep mod 2);
+            ignore (C.Mstore.apply_delta m deltas.(rep mod 2));
             C.Mstore.root m)
       in
       let fold_ns = Array.make reps 0. and incr_ns = Array.make reps 0. in

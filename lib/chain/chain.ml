@@ -51,7 +51,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (** [false] once the retention window dropped this block's outputs;
             roots and metrics are always kept. *)
     state_root : int64;  (** Deterministic digest of the full state. *)
-    delta_root : int64;  (** Digest of just this block's write snapshot. *)
+    delta_root : int64;
+        (** Digest of just this block's write snapshot: the wrapping sum of
+            its bindings' Merkle entry hashes ({!Mstore.apply_delta}), so a
+            function of the snapshot as a set. *)
     metrics : Bstm.metrics option;  (** Present for Block-STM execution. *)
   }
 
@@ -65,7 +68,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   }
 
   (* FNV-1a-style fold over 64-bit lanes: deterministic, order-sensitive
-     (inputs are sorted by location, so replicas agree). *)
+     (inputs are sorted by location, so replicas agree). No chain path
+     calls it: it is the state-scale experiment's whole-state yardstick,
+     and the digest span of bench/e2e's traced runs. *)
   let fnv_offset = 0xcbf29ce484222325L
   let fnv_prime = 0x100000001b3L
 
@@ -117,7 +122,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let storage_reader t : (L.t, V.t) Intf.storage = Mstore.reader t.state
 
   let apply_state_delta t (snapshot : (L.t * V.t) list) : unit =
-    Mstore.apply_delta t.state snapshot
+    ignore (Mstore.apply_delta t.state snapshot)
 
   (* Bounded history retention: blank the outputs of commits beyond the
      window. The commits list is newest-first, so walk [window] entries,
@@ -166,13 +171,44 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (r.LanesE.snapshot, r.LanesE.outputs, Some r.LanesE.metrics.engine)
 
   (** Execute and commit one block. Returns the commit record; the chain
-      state advances to the block's post-state. *)
+      state advances to the block's post-state.
+
+      A Block-STM block commits without a snapshot list: its crew applies
+      MVMemory's final writes to the Merkle store by hash parts
+      ({!Bstm.run_into}, {!Mstore.apply_part}), and the caller completes the
+      staged stores and inserts ({!Mstore.finish_parts}). The sequential and
+      lanes executors apply their sorted snapshot in one part
+      ({!Mstore.apply_delta}). Either way the delta root is the sum of the
+      entry hashes that apply computes.
+
+      If the executor or the commit raises, the exception propagates and
+      the chain's height and commits are unchanged. Its state is then
+      unchanged only if the executor raised: a part that raised in
+      Block-STM's commit job leaves the parts that ran applied to the digest
+      buckets and staged in the store, and the block's other writes
+      unapplied. So after a raise from the commit, as after a raising
+      {!apply_state_delta}, the state is neither the pre- nor the post-state,
+      and the chain should be discarded. *)
   let execute_block ?specs (t : 'o t) (txns : (L.t, V.t, 'o) Txn.t array) :
       'o block_commit =
-    let snapshot, outputs, metrics =
-      exec_block ?specs t.executor ~storage:(storage_reader t) txns
+    let storage = storage_reader t in
+    let outputs, metrics, delta_root =
+      match t.executor with
+      | Block_stm config ->
+          let state = t.state in
+          let outputs, m =
+            Bstm.run_into ~config ?specs ~storage ~parts:(Mstore.parts state)
+              ~apply:(fun part bindings ->
+                Mstore.apply_part state ~part bindings)
+              txns
+          in
+          (outputs, Some m, Mstore.finish_parts state)
+      | Sequential | Lanes _ ->
+          let snapshot, outputs, metrics =
+            exec_block ?specs t.executor ~storage txns
+          in
+          (outputs, metrics, Mstore.apply_delta t.state snapshot)
     in
-    apply_state_delta t snapshot;
     t.height <- t.height + 1;
     let c =
       {
@@ -181,7 +217,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         outputs;
         outputs_retained = true;
         state_root = state_root t;
-        delta_root = digest ~hash_loc:L.hash ~hash_value:V.hash snapshot;
+        delta_root;
         metrics;
       }
     in

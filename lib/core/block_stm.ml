@@ -774,13 +774,15 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let committed_prefix (inst : _ instance) : int =
     Scheduler.committed_prefix inst.sched
 
-  let finalize (inst : 'o instance) : 'o result =
+  (* What [finalize] does besides the snapshot: drain the rolling sweep,
+     check every output and fire the lazy commit hook. *)
+  let settle (inst : 'o instance) : unit =
     let n = Array.length inst.txns in
     if inst.rolling then begin
       (* Drain the sweep: every transaction is EXECUTED with a valid read set
          by the time the scheduler is done (Lemma 2), so one blocking pass
          commits whatever the opportunistic in-loop sweeps left over. The
-         snapshot is then served from the flushed chains. *)
+         final values are then served from the flushed chains. *)
       ignore
         (Scheduler.advance_commit inst.sched ~valid:inst.commit_valid
            ~on_commit:(commit_one inst));
@@ -795,17 +797,23 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       if outputs.(j) == no_output then
         Fmt.failwith "Block_stm: transaction %d has no output" j
     done;
-    (* The paper's final snapshot, one pass over the affected locations
-       (DESIGN.md §4). *)
-    let snapshot = Mv.snapshot inst.mv in
     if not inst.rolling then
       (* The whole block commits at once: the hook fires here, in the same
          order a rolling sweep would fire it. *)
-      Option.iter (fun f -> Array.iteri f outputs) inst.on_commit;
-    (* The result takes the instance's arrays over rather than copying
-       them: a block's finalize allocates only its snapshot list (DESIGN.md
-       §9). *)
-    { snapshot; outputs; metrics = metrics_of inst; commit_ns = inst.commit_ns }
+      Option.iter (fun f -> Array.iteri f outputs) inst.on_commit
+
+  let finalize (inst : 'o instance) : 'o result =
+    settle inst;
+    (* The paper's final snapshot, one pass over the affected locations
+       (DESIGN.md §4). The result takes the instance's arrays over rather
+       than copying them: a block's finalize allocates only its snapshot
+       list (DESIGN.md §9). *)
+    {
+      snapshot = Mv.snapshot inst.mv;
+      outputs = inst.outputs;
+      metrics = metrics_of inst;
+      commit_ns = inst.commit_ns;
+    }
 
   (* Run one worker loop of [run]; an exception that escapes it is recorded
      as the block's failure, which stops the other workers. *)
@@ -814,6 +822,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       ignore (Atomic.compare_and_set inst.failure None (Some (e, bt)))
+
+  (* The commit job of [run_into]: its parts, claimed in turn by every
+     domain of the crew. [part p] applies part [p]; it reaches the
+     instance. *)
+  type job = {
+    parts : int;
+    part : int -> unit;
+    next : int Atomic.t;  (* The next part to claim. *)
+    left : int Atomic.t;  (* Parts not yet finished. *)
+    failed : (exn * Printexc.raw_backtrace) option Atomic.t;
+        (* The first exception a part raised. *)
+  }
 
   (* What [run] shares with its helper domains. A helper does not capture
      the instance: a domain's exit runs a stop-the-world minor collection
@@ -828,6 +848,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (* The instance until [run] has read the result; [None] releases
            the helpers. *)
     running : int Atomic.t;  (* Helpers still in their worker loops. *)
+    job : job option Atomic.t;
+        (* [run_into]'s commit job, from when the caller has settled the
+           block until every part is done; it is cleared before the
+           release, since it reaches the instance. *)
     lock : Mutex.t;
     cond : Condition.t;
         (* Where a wait that outlasts its spin sleeps; see [await]. *)
@@ -873,14 +897,34 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     Atomic.set c.cell None;
     wake c
 
+  (* Claim parts of [j] until none is left. A part that raises is recorded,
+     and once one has, the parts still unclaimed are skipped; each counts
+     as finished either way, so the caller's wait for [left] ends. *)
+  let rec work (c : _ crew) (j : job) : unit =
+    let p = Atomic.fetch_and_add j.next 1 in
+    if p < j.parts then begin
+      (if Option.is_none (Atomic.get j.failed) then
+         try j.part p
+         with e ->
+           let bt = Printexc.get_raw_backtrace () in
+           ignore (Atomic.compare_and_set j.failed None (Some (e, bt))));
+      if Atomic.fetch_and_add j.left (-1) = 1 then wake c;
+      work c j
+    end
+
   (* The body of helper domain [worker]: run the worker loop, report that
-     it has left it, then wait for the release. The cell is empty at the
-     start only if a later spawn failed first. *)
+     it has left it, take parts of the commit job if one comes, then wait
+     for the release. The cell is empty at the start only if a later spawn
+     failed first. *)
   let helper (c : _ crew) worker () : unit =
     (match Atomic.get c.cell with
     | Some inst -> guarded inst worker
     | None -> ());
     if Atomic.fetch_and_add c.running (-1) = 1 then wake c;
+    await c (fun () ->
+        Option.is_some (Atomic.get c.job)
+        || Option.is_none (Atomic.get c.cell));
+    (match Atomic.get c.job with Some j -> work c j | None -> ());
     await c (fun () -> Option.is_none (Atomic.get c.cell))
 
   (* Spawn [k] helpers. If a spawn fails, the helpers already started are
@@ -900,6 +944,49 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     in
     go [] 1
 
+  (* Execute a block on [config.num_domains] domains, then [read_out] the
+     result on the calling domain while the helpers wait, and release and
+     join them. [read_out inst c] may hand the crew a commit job; it
+     answers [Error] for a failure to re-raise once the helpers are joined.
+     An exception that escapes any worker, [read_out] or a spawn is
+     re-raised the same way. The result must not hold the instance: the
+     helpers' exit collections run inside the joins. An empty block spawns
+     no helper and runs no loop. *)
+  let execute ~config ?specs ?trace ?on_commit ~storage txns
+      ~(read_out : 'o instance -> 'o crew -> ('r, exn * _) Stdlib.result) : 'r =
+    let inst = create_instance ~config ?specs ?trace ?on_commit ~storage txns in
+    let empty = Array.length txns = 0 in
+    let k = if empty then 0 else config.num_domains - 1 in
+    let c =
+      {
+        cell = Atomic_util.padded_atomic (Some inst);
+        running = Atomic_util.padded_atomic k;
+        job = Atomic_util.padded_atomic None;
+        lock = Mutex.create ();
+        cond = Condition.create ();
+      }
+    in
+    let helpers = spawn_helpers inst c k in
+    if not empty then guarded inst 0;
+    (* A helper has added its tallies in once it has left its worker
+       loop. *)
+    await c (fun () -> Atomic.get c.running = 0);
+    let r =
+      match Atomic.get inst.failure with
+      | Some (e, bt) -> Error (e, bt)
+      | None -> (
+          match read_out inst c with
+          | r -> r
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+    in
+    (* The result is read out, or the block failed: the instance is dead
+       from here on, so the helpers can leave. *)
+    release c;
+    Array.iter Domain.join helpers;
+    match r with
+    | Ok r -> r
+    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
   (** Execute a block. [storage] is the pre-block state; [txns] the block in
       its preset serialization order. Spawns [config.num_domains - 1] extra
       domains and participates with the calling domain; the helpers leave
@@ -908,43 +995,50 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       released and joined. *)
   let run ?(config = default_config) ?specs ?trace ?on_commit ~storage
       (txns : 'o txn array) : 'o result =
-    let inst = create_instance ~config ?specs ?trace ?on_commit ~storage txns in
-    if Array.length txns = 0 then
-      {
-        snapshot = [];
-        outputs = [||];
-        metrics = metrics_of inst;
-        commit_ns = [||];
-      }
-    else begin
-      let k = config.num_domains - 1 in
-      let c =
-        {
-          cell = Atomic_util.padded_atomic (Some inst);
-          running = Atomic_util.padded_atomic k;
-          lock = Mutex.create ();
-          cond = Condition.create ();
-        }
-      in
-      let helpers = spawn_helpers inst c k in
-      guarded inst 0;
-      (* A helper has added its tallies in once it has left its worker
-         loop. *)
-      await c (fun () -> Atomic.get c.running = 0);
-      let r =
-        match Atomic.get inst.failure with
-        | Some (e, bt) -> Error (e, bt)
-        | None -> (
-            match finalize inst with
-            | r -> Ok r
-            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-      in
-      (* The result is read out, or the block failed: the instance is dead
-         from here on, so the helpers can leave. *)
-      release c;
-      Array.iter Domain.join helpers;
-      match r with
-      | Ok r -> r
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-    end
+    execute ~config ?specs ?trace ?on_commit ~storage txns
+      ~read_out:(fun inst _ -> Ok (finalize inst))
+
+  (** Execute a block and apply its final writes by hash parts on the crew:
+      once the block is settled, the caller and every helper claim the
+      parts [0 .. parts - 1] in turn, and [apply p bindings] applies part
+      [p], whose final bindings [bindings f] passes to [f] — those whose
+      [L.hash l land (parts - 1) = p], from MVMemory's shards [p], [p +
+      parts], ... (see {!Mv.iter_shard}). The job is cleared from the crew
+      before the release, and a part that raises is re-raised once every
+      helper is joined. *)
+  let run_into ?(config = default_config) ?specs ?trace ?on_commit ~storage
+      ~parts ~(apply : int -> ((L.t -> V.t -> unit) -> unit) -> unit)
+      (txns : 'o txn array) : 'o txn_output array * metrics =
+    if parts < 1 || parts > 64 || parts land (parts - 1) <> 0 then
+      invalid_arg "Block_stm.run_into: parts must be a power of two, 1 to 64";
+    execute ~config ?specs ?trace ?on_commit ~storage txns
+      ~read_out:(fun inst c ->
+        settle inst;
+        let mv = inst.mv in
+        let nshards = Mv.nshards mv in
+        let part p =
+          apply p (fun f ->
+              let s = ref p in
+              while !s < nshards do
+                Mv.iter_shard mv !s f;
+                s := !s + parts
+              done)
+        in
+        let j =
+          {
+            parts;
+            part;
+            next = Atomic_util.padded_atomic 0;
+            left = Atomic_util.padded_atomic parts;
+            failed = Atomic.make None;
+          }
+        in
+        Atomic.set c.job (Some j);
+        wake c;
+        work c j;
+        await c (fun () -> Atomic.get j.left = 0);
+        Atomic.set c.job None;
+        match Atomic.get j.failed with
+        | Some failure -> Error failure
+        | None -> Ok (inst.outputs, metrics_of inst))
 end

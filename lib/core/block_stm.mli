@@ -263,4 +263,36 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       path out of [run] releases and joins every helper it started: a
       worker exception, a raising {!finalize} (an [on_commit] hook, say) and
       a failed [Domain.spawn], which [run] re-raises. *)
+
+  val run_into :
+    ?config:config ->
+    ?specs:L.t Access_spec.t array ->
+    ?trace:Trace.t ->
+    ?on_commit:(int -> 'o txn_output -> unit) ->
+    storage:(L.t, V.t) Intf.storage ->
+    parts:int ->
+    apply:(int -> ((L.t -> V.t -> unit) -> unit) -> unit) ->
+    'o txn array ->
+    'o txn_output array * metrics
+  (** Execute a block as {!run} does, but hand its final writes to [apply]
+      by hash parts instead of returning a snapshot: the chain's commit
+      path (DESIGN.md §4). After the worker loops, the calling domain
+      settles the block as {!finalize} does (the rolling drain, the output
+      checks, the lazy [on_commit] hook). Then the crew, the calling domain
+      and every helper, claims the parts [0 .. parts - 1] through an atomic
+      counter, and [apply p bindings] applies part [p]: [bindings f] calls
+      [f l v] for the final value [v] of every location [l] the block wrote
+      with [L.hash l land (parts - 1) = p], in no particular order
+      ({!Blockstm_mvmemory.Mvmemory.Make.iter_shard} over MVMemory's shards
+      [p], [p + parts], ...). So distinct parts run on distinct domains at
+      once, and a descheduled helper holds up at most the part it claimed.
+
+      The job reaches the instance, so it is cleared from the crew before
+      the helpers are released, and a helper's exit still promotes only the
+      result. A part that raises is recorded, the parts not yet claimed are
+      skipped, and the first exception is re-raised once every helper has
+      been released and joined; the parts that ran stay applied. Answers
+      the outputs and the metrics, as {!run}'s result holds them.
+      @raise Invalid_argument if [parts] is not a power of two from 1 to
+      64 (MVMemory's shard count). *)
 end

@@ -651,46 +651,50 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     done;
     !src
 
-  (* Binding [n] of [sc] is [key, value]; answers the binding count. *)
-  let put (sc : snap_scratch) n key value =
-    sc.keys.(n) <- key;
-    sc.vals.(n) <- value;
-    n + 1
-
-  (* Store the final value of [cell]'s location as binding [n] of [sc], if
-     it has one, and answer the binding count. The top entry is what
-     [read_chain] would answer at [block_size], taken without building its
-     [read_result]; only a delta-topped chain goes through it. *)
-  let add_binding t (sc : snap_scratch) n key (cell : cell) =
+  (* [f key v] for the final value [v] of [cell]'s location [key], if it
+     has one. The top entry is what [read_chain] would answer at
+     [block_size], taken without building its [read_result]; only a
+     delta-topped chain goes through it. *)
+  let final_binding t key (cell : cell) f =
     match below t.block_size (Atomic.get cell) with
-    | Node { e = Written { value; _ }; _ } -> put sc n key value
+    | Node { e = Written { value; _ }; _ } -> f key value
     | Node { e = Delta _; _ } as top -> (
         match read_delta_chain t key top with
-        | Ok (_, value) -> put sc n key value
-        | Merged { value } -> put sc n key (V.of_counter value)
-        | Not_found -> n
+        | Ok (_, value) -> f key value
+        | Merged { value } -> f key (V.of_counter value)
+        | Not_found -> ()
         | Read_error _ -> assert false (* all resolved by commit *))
     | Node { e = Estimate; _ } -> assert false (* all resolved by commit *)
-    | Node { e = Flushed _; _ } | Empty -> n
+    | Node { e = Flushed _; _ } | Empty -> ()
+
+  (* The per-shard read-out: [f] on the final binding of every location of
+     shard [s], in table order. It reads published slots and chains only,
+     so domains may read out distinct shards, or the same one, at once. *)
+  let iter_shard t s f =
+    let table = Atomic.get t.shards.(s).table in
+    for i = 0 to Array.length table - 1 do
+      match table.(i) with
+      | Vacant -> ()
+      | Slot { key; cell; _ } -> final_binding t key cell f
+    done
 
   (* Algorithm 3, [snapshot]: final value for every affected location; called
-     after the block commits. One pass over the cells into the domain's
-     scratch, each location's top entry being the highest writer (the
-     flush's kept node once every writer is flushed), then a merge sort of
-     their permutation, and the list consed last: the result is all it
-     allocates, a tuple and a cons cell per binding. *)
+     after the block commits. Every shard's read-out into the domain's
+     scratch, then a merge sort of their permutation, and the list consed
+     last: the result is all it allocates, a tuple and a cons cell per
+     binding, besides one closure. *)
   let snapshot t : (L.t * V.t) list =
     let sc = Domain.DLS.get snap_key in
     reserve sc
       (Array.fold_left (fun acc shard -> acc + shard.count) 0 t.shards);
     let n = ref 0 in
+    let put key value =
+      sc.keys.(!n) <- key;
+      sc.vals.(!n) <- value;
+      incr n
+    in
     for s = 0 to Array.length t.shards - 1 do
-      let table = Atomic.get t.shards.(s).table in
-      for i = 0 to Array.length table - 1 do
-        match table.(i) with
-        | Vacant -> ()
-        | Slot { key; cell; _ } -> n := add_binding t sc !n key cell
-      done
+      iter_shard t s put
     done;
     let n = !n in
     for i = 0 to n - 1 do

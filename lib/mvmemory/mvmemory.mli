@@ -178,18 +178,27 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   val written_locations : t -> int -> L.t array
   (** Locations written by the last finished incarnation of a transaction. *)
 
+  val iter_shard : t -> int -> (L.t -> V.t -> unit) -> unit
+  (** [iter_shard t s f] is the per-shard read-out: [f l v] for the final
+      value [v] of every location [l] of shard [s] (those with
+      [L.hash l land (nshards t - 1) = s]) that has one, in table order. [v]
+      is what {!read} answers at [txn_idx = block_size] ([Merged] through
+      [V.of_counter]; [Not_found] locations skipped); after a full
+      {!flush_committed} every chain holds only its kept node, and after a
+      partial one the kept node is the top of every chain no unflushed
+      transaction wrote. Only call after the block commits (all estimates
+      resolved). It takes no lock and writes nothing, so several domains
+      may read out shards at once; it allocates nothing of its own but a
+      delta-topped location's [V.of_counter]. *)
+
   val snapshot : t -> (L.t * V.t) list
   (** Algorithm 3, [snapshot]: final value for every affected location, in
-      sorted order — what {!read} answers at [txn_idx = block_size]
-      ([Merged] through [V.of_counter]; [Not_found] locations absent). One
-      pass over the locations, taking each version chain's top entry, then
-      one sort; after a full {!flush_committed} every chain holds only its
-      kept node, and after a partial one the kept node is the top of every
-      chain no unflushed transaction wrote. Only call after the block
-      commits (all estimates resolved).
+      sorted order — every shard's {!iter_shard}, then one sort. Only call
+      after the block commits (all estimates resolved).
 
-      It allocates only the list it returns, a tuple and a cons cell per
-      binding (6 words), unless the block has more locations than any
+      It allocates the list it returns, a tuple and a cons cell per binding
+      (6 words), and one closure for the read-out, unless the block has
+      more locations than any
       earlier snapshot on the calling domain. The keys and values go
       through scratch arrays kept per domain and reused across calls, and
       an [int] permutation of them is merge-sorted by [L.compare] in two

@@ -122,6 +122,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let set (t : t) (loc : L.t) (v : V.t) : unit =
     ignore (exchange t ~hash:(L.hash loc) loc v)
 
+  let slot (t : t) ~hash (loc : L.t) : int =
+    let keys = t.keys in
+    let i = find keys loc hash in
+    if keys.(i) == free_key then -1 else i
+
+  let slot_value (t : t) i : V.t = t.vals.(i)
+  let set_slot (t : t) i (v : V.t) : unit = t.vals.(i) <- v
+
   (* Empty [l]'s slot, then walk the rest of its run: a key whose home slot
      does not lie cyclically in (hole, j] moves back into the hole, which
      moves to its old slot. Every key stays reachable from its home without

@@ -29,6 +29,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       that hashes the location anyway (the Merkle store, for its digest
       bucket) passes it in, so the location is hashed once per write. *)
 
+  val slot : t -> hash:int -> L.t -> int
+  (** [slot t ~hash l] is the slot holding [l]'s binding, or [-1] if [l] is
+      unbound, found by one probe that writes nothing. [hash] must be
+      [L.hash l]. A slot stays [l]'s until the next insert or removal, which
+      may move bindings. *)
+
+  val slot_value : t -> int -> V.t
+  (** The value bound at a slot {!slot} returned. *)
+
+  val set_slot : t -> int -> V.t -> unit
+  (** Rebind the key at a slot {!slot} returned, with no probe. *)
+
   val remove : t -> L.t -> unit
   val mem : t -> L.t -> bool
   val cardinal : t -> int

@@ -67,11 +67,11 @@ let test_apply_delta_idempotent () =
   M.set m 1 10;
   M.set m 2 20;
   let delta = [ (1, 11); (3, 33) ] in
-  M.apply_delta m delta;
+  ignore (M.apply_delta m delta);
   let r1 = M.root m in
   check_root_consistent "after delta" m;
   (* Re-applying the same snapshot (already-equal bindings) is a no-op. *)
-  M.apply_delta m delta;
+  ignore (M.apply_delta m delta);
   Alcotest.(check int64) "idempotent" r1 (M.root m);
   check_root_consistent "after re-apply" m
 
@@ -100,7 +100,7 @@ let prop_random_ops =
         (function
           | `Set (l, v) -> M.set m l v
           | `Remove l -> M.remove m l
-          | `Delta pairs -> M.apply_delta m pairs)
+          | `Delta pairs -> ignore (M.apply_delta m pairs))
         ops;
       let ok_incr = Int64.equal (M.root m) (M.recompute_root m) in
       let rebuilt = M.of_store ~buckets:8 (M.base m) in
@@ -215,7 +215,7 @@ let test_set_hashes_once () =
   Alcotest.(check int) "set on an existing binding: hash calls" 1
     !Counted_loc.calls;
   Counted_loc.calls := 0;
-  Counted.apply_delta m (List.init 100 (fun i -> (i * 3, i)));
+  ignore (Counted.apply_delta m (List.init 100 (fun i -> (i * 3, i))));
   Alcotest.(check int) "apply_delta over 100 existing bindings: hash calls"
     100 !Counted_loc.calls;
   Alcotest.(check int64) "root = recompute" (Counted.recompute_root m)
@@ -264,6 +264,113 @@ let test_tiny_build () =
     Alcotest.failf
       "of_store + first root over 10 bindings: %.0f minor words (bound 1000)"
       words
+
+(* --- Partitioned apply ---------------------------------------------------- *)
+
+(* A block's final writes, as MVMemory holds them when the block commits:
+   transaction [j]'s one incarnation records plain writes and commutative
+   adds over distinct locations. Locations [0, 200) can be in the base
+   tier, and [200, 300) never are. *)
+let mv_of_block ~storage txns =
+  let mv = Mv.create ~storage ~block_size:(List.length txns) () in
+  List.iteri
+    (fun j ops ->
+      let writes =
+        List.filter_map
+          (function l, `W v -> Some (l, v) | _, `Add _ -> None)
+          ops
+      and adds =
+        List.filter_map
+          (function l, `Add d -> Some (l, Delta.add d) | _, `W _ -> None)
+          ops
+      in
+      ignore
+        (Mv.record mv
+           ~deltas:(Array.of_list adds)
+           (Version.make ~txn_idx:j ~incarnation:0)
+           Mv.empty_read_set (Array.of_list writes)))
+    txns;
+  mv
+
+(* [parts] of [m] applied in the order [order], those before [cut] on a
+   second domain while this one applies the rest. *)
+let apply_parts_on_two_domains m mv ~order ~cut =
+  let parts = M.parts m and nshards = Mv.nshards mv in
+  let apply p =
+    M.apply_part m ~part:p (fun f ->
+        let s = ref p in
+        while !s < nshards do
+          Mv.iter_shard mv !s f;
+          s := !s + parts
+        done)
+  in
+  let order = List.filter (fun p -> p < parts) order in
+  let mine = List.filteri (fun i _ -> i >= cut) order in
+  let d =
+    Domain.spawn (fun () ->
+        List.iteri (fun i p -> if i < cut then apply p) order)
+  in
+  List.iter apply mine;
+  Domain.join d;
+  M.finish_parts m
+
+(* A delta applied by hash parts, in any order and split over two domains,
+   leaves what the one-part apply of the sorted snapshot leaves: the same
+   base tier, an incremental root equal to the from-scratch recompute, and
+   the same delta root. The base tier is built at its fewest slots, so the
+   first new key the delta inserts resizes it, which moves the slots the
+   parts staged: the stores must all land before any insert. Writes repeat
+   base values, so some bindings are unchanged, and commutative adds make
+   some final values [V.of_counter] of a delta chain. *)
+let prop_partitioned_apply =
+  let open QCheck2.Gen in
+  let base =
+    list_size (int_range 1 120) (pair (int_bound 199) (int_bound 1000))
+  in
+  let op base =
+    let* l = int_bound 299 in
+    frequency
+      [
+        (4, map (fun v -> (l, `W v)) (int_bound 1000));
+        (2, map (fun d -> (l, `Add d)) (int_bound 50));
+        ( 2,
+          map
+            (fun (l, v) -> (l, `W v))
+            (oneofl ((l, 0) :: base)) );
+      ]
+  in
+  let distinct ops =
+    List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) ops
+  in
+  let gen =
+    let* base = base in
+    let* txns =
+      list_size (int_bound 30) (map distinct (list_size (int_bound 8) (op base)))
+    in
+    let* buckets = oneofl [ 8; 64; M.default_buckets ] in
+    let* order = shuffle_l (List.init 64 Fun.id) in
+    let* cut = int_bound 64 in
+    return (base, txns, buckets, order, cut)
+  in
+  QCheck2.Test.make ~count:200
+    ~name:"merkle: partitioned apply on 2 domains = one-part apply"
+    gen
+    (fun (base, txns, buckets, order, cut) ->
+      let src =
+        let t = Hashtbl.create 16 in
+        List.iter (fun (l, v) -> Hashtbl.replace t l v) base;
+        let s = Store.create ~initial_size:(Hashtbl.length t) () in
+        Hashtbl.iter (fun l v -> Store.set s l v) t;
+        s
+      in
+      let mv = mv_of_block ~storage:(Store.reader src) txns in
+      let one = M.of_store ~buckets src and parted = M.of_store ~buckets src in
+      let delta_one = M.apply_delta one (Mv.snapshot mv) in
+      let delta_parted = apply_parts_on_two_domains parted mv ~order ~cut in
+      Store.equal (M.base one) (M.base parted)
+      && Int64.equal (M.root parted) (M.recompute_root parted)
+      && Int64.equal (M.root one) (M.root parted)
+      && Int64.equal delta_one delta_parted)
 
 (* --- Chain level --------------------------------------------------------- *)
 
@@ -354,5 +461,6 @@ let suite =
     Alcotest.test_case "merkle: copy and of_store allocate no cell per binding"
       `Quick test_build_allocation;
     Alcotest.test_case "merkle: tiny state, tiny build" `Quick test_tiny_build;
+    qcheck_to_alcotest prop_partitioned_apply;
     Alcotest.test_case "chain: executor/domain matrix" `Slow test_matrix;
   ]

@@ -1,13 +1,16 @@
 #!/bin/sh
-# The full local CI gate: build, run every test, check the odoc build is
-# warning-free and DESIGN.md's experiment index and counter table in sync
-# (tools/check_doc.sh), and enforce the perf invariants of the lock-free
-# hot paths:
+# The full local CI gate: build, run every test, check the docs
+# (tools/check_doc.sh: the odoc build warning-free where odoc is installed,
+# and otherwise every {!...} reference in lib/**/*.mli resolved by the
+# script itself; DESIGN.md's experiment index and counter table in sync),
+# and enforce the perf invariants of the lock-free hot paths:
 #   - the MVMemory read and validation paths must not acquire a mutex: every
 #     function Mvmemory.read and Mvmemory.validate_read_set call, down to the
 #     slot probe and the chain lookup, and the engine's ESTIMATE scan over
 #     a recorded read log; nor may the scheduler's task path, from claiming
-#     a task to a validation abort (grep gate);
+#     a task to a validation abort, nor the commit job's per-binding path:
+#     MVMemory's per-shard read-out, the Merkle part update and the
+#     base-tier probe it calls (grep gate);
 #   - per-block fixed cost: nothing under lib/mvmemory, lib/scheduler,
 #     lib/chain or lib/storage spawns a domain, and Scheduler.create, Mvmemory.create/fresh_table and
 #     Block_stm.create_instance build no array with Array.init (grep gate);
@@ -55,14 +58,22 @@ bash tools/unused_exports.sh
 # to the next blank line) and fail on any mention of Mutex. The list is the
 # read path (read, the slot probe, the chain lookup, the delta fold), the
 # validation path (validate_read_set down to the per-descriptor checks, and
-# its walk over the read log's two arrays), and the engine's pre-execution
-# ESTIMATE scan over a recorded read log.
+# its walk over the read log's two arrays), the engine's pre-execution
+# ESTIMATE scan over a recorded read log, and the commit job's per-binding
+# path, which the crew runs on several domains at once: MVMemory's
+# per-shard read-out, the Merkle store's staged part update, and the base
+# tier's probe and slot read it calls.
 mv=lib/mvmemory/mvmemory.ml core=lib/core/block_stm.ml
+mk=lib/storage/merkle.ml ms=lib/storage/memstore.ml
 for spec in $mv:hash_of $mv:probe_of $mv:probe $mv:find_slot $mv:below \
   $mv:read_delta_chain $mv:read_chain $mv:read $mv:materialize \
   $mv:is_version $mv:is_storage $mv:validate_plain $mv:validate_origin \
   $mv:validate_from $mv:validate_read_set \
-  $core:find_estimate_from; do
+  $core:find_estimate_from \
+  $mv:final_binding $mv:iter_shard \
+  $mk:apply_part $mk:stage_binding $mk:push_staged $mk:push_deferred \
+  $mk:dirty_in $mk:mix $mk:entry_hash_hm \
+  $ms:slot $ms:find $ms:probe $ms:home $ms:next $ms:slot_value; do
   file=${spec%%:*} fn=${spec#*:}
   body=$(awk "/^  let (rec )?$fn /{f=1} f{print; if (\$0 ~ /^\$/) exit}" "$file")
   if [ -z "$body" ]; then
@@ -70,7 +81,7 @@ for spec in $mv:hash_of $mv:probe_of $mv:probe $mv:find_slot $mv:below \
     exit 1
   fi
   if printf '%s' "$body" | grep -q "Mutex"; then
-    echo "ci: FAIL — $fn in $file mentions Mutex; the read and validation paths must be lock-free"
+    echo "ci: FAIL — $fn in $file mentions Mutex; the read, validation and commit-job paths must be lock-free"
     exit 1
   fi
 done
@@ -95,7 +106,7 @@ for fn in try_incarnate next_version_to_execute next_version_to_validate \
     exit 1
   fi
 done
-echo "ci: lock-free gate passed (Mvmemory read and validation paths, the ESTIMATE scan and the scheduler's task path take no mutex)"
+echo "ci: lock-free gate passed (Mvmemory read and validation paths, the ESTIMATE scan, the scheduler's task path and the commit job's per-binding path take no mutex)"
 
 # --- Per-block fixed-cost gate ----------------------------------------------
 # Block_stm.run's helpers are the only per-block Domain.spawn: MVMemory and
