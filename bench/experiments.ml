@@ -40,8 +40,6 @@ let rolling_config domains =
     rolling_commit = true;
   }
 
-let spec_seeding = Harness.Bstm.Estimates { seed_from_specs = true }
-
 let p2p_spec ~flavor ~accounts ~block ~seed =
   {
     P2p.default_spec with
@@ -239,18 +237,6 @@ let ablations _mode =
   in
   let b = G.block ~storage:w.storage w.txns in
   let paper = Harness.Bstm.default_config in
-  (* Write-set pre-estimation (§7) is spec seeding over specs that declare
-     the exact writes and claim nothing about reads. *)
-  let declared =
-    Array.map
-      (fun ws ->
-        Blockstm_kernel.Access_spec.
-          {
-            reads = [ Unknown ];
-            writes = Array.to_list (Array.map (fun l -> Exact l) ws);
-          })
-      w.declared_writes
-  in
   G.table
     ~title:
       (Printf.sprintf
@@ -258,21 +244,14 @@ let ablations _mode =
          block threads)
     ~header:[ "variant"; "tps"; "incarnations"; "val-aborts"; "dep-aborts" ]
     [
-      ("baseline", paper, None);
+      ("baseline", paper);
       ( "no ESTIMATE markers (remove on abort)",
-        { paper with marking = Remove_on_abort },
-        None );
+        { paper with marking = Remove_on_abort } );
       ( "no read-set pre-check before re-execution",
-        { paper with prevalidate_reads = false },
-        None );
-      ( "write-set pre-estimation (declared writes)",
-        { paper with marking = spec_seeding },
-        Some declared );
+        { paper with prevalidate_reads = false } );
     ]
-    (fun (label, config, specs) ->
-      let tps, m =
-        G.sim ~config ?specs ~point:("ablations/" ^ label) ~threads b
-      in
+    (fun (label, config) ->
+      let tps, m = G.sim ~config ~point:("ablations/" ^ label) ~threads b in
       [
         [
           label;
@@ -1218,83 +1197,6 @@ let sustained mode =
         ];
       ])
 
-(* --- Spec-cost: static access specifications (DESIGN.md §15) ---------------- *)
-
-(* The same block, two ways: optimistic Block-STM, and spec-seeded
-   Block-STM (exact write specs seed ESTIMATE markers). The oracle checks
-   both against the block's sequential reference. *)
-let spec_cost mode =
-  let block = 1_000 in
-  let thread_grid =
-    match mode with Quick -> [ 4; 16 ] | Full -> [ 1; 2; 4; 8; 16; 32 ]
-  in
-  let p2p accounts =
-    let w =
-      P2p.generate (p2p_spec ~flavor:P2p.Standard ~accounts ~block ~seed:42)
-    in
-    (G.block ~storage:w.storage w.txns, P2p.txn_specs w)
-  in
-  (* Hotspot grid: every transfer lands in one of [hot] accounts, the
-     contention cliff, where first incarnations that park on a seeded
-     marker save the most re-execution. *)
-  let hotspot hot =
-    let h =
-      P2p.generate_hotspot
-        { P2p.default_hotspot_spec with h_hot_accounts = hot }
-    in
-    (G.block ~storage:h.h_storage h.h_txns, P2p.hotspot_txn_specs h)
-  in
-  let group workload gen accounts_grid =
-    List.map
-      (fun (accounts, threads) -> (workload, gen, accounts, threads))
-      (G.cross accounts_grid thread_grid)
-  in
-  G.table
-    ~title:
-      (Printf.sprintf
-         "Spec-cost: optimistic vs spec-seeded (block %d)" block)
-    ~header:
-      [
-        "workload";
-        "accounts";
-        "threads";
-        "variant";
-        "tps";
-        "validations/txn";
-        "aborts/txn";
-      ]
-    (group "p2p" p2p
-       (match mode with
-       | Quick -> [ 100; 1_000; 10_000 ]
-       | Full -> [ 10; 100; 1_000; 10_000 ])
-    @ group "hotspot" hotspot [ 2; 10; 100 ])
-    (fun (workload, gen, accounts, threads) ->
-      let b, specs = gen accounts in
-      let per = G.per ~txns:block in
-      List.map
-        (fun (variant, config, specs) ->
-          let point =
-            Printf.sprintf "spec_cost/%s/%s/accounts=%d/threads=%d" workload
-              variant accounts threads
-          in
-          let tps, m = G.sim ?config ?specs ~point ~threads b in
-          Report.sample ~label:(point ^ "/tps") tps;
-          [
-            workload;
-            string_of_int accounts;
-            string_of_int threads;
-            variant;
-            fmt_tps tps;
-            per m.validations;
-            per (m.validation_aborts + m.dependency_aborts);
-          ])
-        [
-          ("optimistic", None, None);
-          ( "spec-seeded",
-            Some { Harness.Bstm.default_config with marking = spec_seeding },
-            Some specs );
-        ])
-
 (* --- Registry ---------------------------------------------------------------- *)
 
 let all : (string * string * (mode -> unit)) list =
@@ -1314,5 +1216,4 @@ let all : (string * string * (mode -> unit)) list =
     ("state-scale", "State scale: incremental Merkle roots vs whole-state fold (§13)", state_scale);
     ("vm-cost", "VM cost: tree-walk vs compiled MiniMove VM (§11)", vm_cost);
     ("sustained", "Sustained: block streams and the mempool (§14)", sustained);
-    ("spec-cost", "Static access specs: ESTIMATE seeding (§15)", spec_cost);
   ]

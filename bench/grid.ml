@@ -105,10 +105,9 @@ let txns b = Array.length b.txns
 
 (** Block-STM on [threads] virtual threads: throughput and the engine's
     counters. *)
-let sim ?config ?specs ~point ~threads b =
+let sim ?config ~point ~threads b =
   let r, stats =
-    Harness.sim_blockstm ?config ?specs ~num_threads:threads
-      ~storage:b.storage b.txns
+    Harness.sim_blockstm ?config ~num_threads:threads ~storage:b.storage b.txns
   in
   check ~point b.oracle (r.snapshot, r.outputs);
   (Blockstm_simexec.Virtual_exec.tps ~txns:(txns b) stats, r.metrics)

@@ -8,7 +8,7 @@
 
    Examples:
      blockstm run --workload p2p --accounts 100 --block 1000 --domains 4
-     blockstm run --workload p2p --accounts 10000 --specs
+     blockstm run --workload p2p --accounts 64 --domains 4 --lanes 4 --verify
      blockstm sim --workload p2p --accounts 2 --threads 1,4,16,32
      blockstm minimove --file contract.mm --args '@1,@2,10,0'
      blockstm analyze --file contract.mm --json *)
@@ -85,9 +85,9 @@ let theta_arg =
     value & opt float 0.9
     & info [ "theta" ] ~docv:"F" ~doc:"Zipfian skew (zipfian workload).")
 
-(* [generated, declared write-sets (for BOHM), static access specs
-   (DESIGN.md §15 — p2p flavors only, where the block-formation data pins
-   every access)]. *)
+(* [generated, declared write-sets (for BOHM), static access specs (for
+   lanes, DESIGN.md §15 — p2p flavors only, where the block-formation data
+   pins every access)]. *)
 let build_workload ?(lanes_hint = 1) kind ~accounts ~block ~seed ~theta :
     Synthetic.generated
     * Ledger.Loc.t array array option
@@ -224,18 +224,6 @@ let run_cmd =
              (blockstm executor only) — load it in chrome://tracing or \
              https://ui.perfetto.dev.")
   in
-  let specs_flag =
-    Arg.(
-      value & flag
-      & info [ "specs" ]
-          ~doc:
-            "Static access specifications (DESIGN.md §15): supply each \
-             transaction's exact read/write spec to the engine, whose exact \
-             write specs seed ESTIMATE markers before first execution (the \
-             paper's §7 write-set pre-estimation). Blockstm executor only; \
-             requires a spec-capable workload (p2p, p2p-simplified, \
-             p2p-hotspot).")
-  in
   let lanes_arg =
     Arg.(
       value & opt int 1
@@ -260,7 +248,7 @@ let run_cmd =
              lanes shows the single instance on a partitionable block.")
   in
   let action workload accounts block seed theta executor domains no_estimates
-      rolling deltas verify trace_out use_specs lanes lane_hint =
+      rolling deltas verify trace_out lanes lane_hint =
     if lane_hint < 0 then begin
       Fmt.epr "--lane-hint must be >= 0@.";
       exit 2
@@ -284,34 +272,24 @@ let run_cmd =
       exit 2
     end;
     let n = Array.length g.txns in
-    let specs =
-      if not (use_specs || lanes > 1) then None
+    let lane_plan =
+      if lanes = 1 then None
       else
         match wspecs with
-        | Some s -> Some s
+        | Some specs ->
+            Some
+              (specs, Harness.account_partition ~num_accounts:accounts ~lanes)
         | None ->
             Fmt.epr
-              "--specs and --lanes need a spec-capable workload (p2p, \
-               p2p-simplified, p2p-hotspot)@.";
+              "--lanes needs a spec-capable workload (p2p, p2p-simplified, \
+               p2p-hotspot)@.";
             exit 2
     in
-    let partition =
-      if lanes = 1 then None
-      else Some (Harness.account_partition ~num_accounts:accounts ~lanes)
-    in
-    (* The engine config the flags describe; a combination the config type
-       cannot express exits 2. *)
-    if no_estimates && use_specs then begin
-      Fmt.epr "--specs needs ESTIMATE markers (drop --no-estimates)@.";
-      exit 2
-    end;
     let config =
       {
         Harness.Bstm.default_config with
         num_domains = domains;
-        marking =
-          (if no_estimates then Remove_on_abort
-           else Estimates { seed_from_specs = use_specs });
+        marking = (if no_estimates then Remove_on_abort else Estimates);
         rolling_commit = rolling;
         delta_ops = deltas;
       }
@@ -335,7 +313,7 @@ let run_cmd =
                                 ~storage:g.storage g.txns) in
           (r.snapshot, tps, preset r.snapshot r.outputs)
       | E_blockstm when lanes > 1 ->
-          let specs = Option.get specs and partition = Option.get partition in
+          let specs, partition = Option.get lane_plan in
           let traces =
             Option.map
               (fun _ ->
@@ -384,8 +362,7 @@ let run_cmd =
           in
           let r, tps =
             time (fun () ->
-                Harness.run_blockstm ~config ?specs ?trace ~storage:g.storage
-                  g.txns)
+                Harness.run_blockstm ~config ?trace ~storage:g.storage g.txns)
           in
           Fmt.pr "metrics: %a@." Harness.Bstm.pp_metrics r.metrics;
           if rolling && Array.length r.commit_ns > 0 then begin
@@ -447,7 +424,7 @@ let run_cmd =
     Term.(
       const action $ workload_arg $ accounts_arg $ block_arg $ seed_arg
       $ theta_arg $ executor $ domains $ no_estimates $ rolling $ deltas
-      $ verify $ trace_out $ specs_flag $ lanes_arg $ lane_hint_arg)
+      $ verify $ trace_out $ lanes_arg $ lane_hint_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a workload with a chosen executor") term
 

@@ -154,7 +154,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let r = Seq.run ~storage txns in
         (r.snapshot, r.outputs, None)
     | Block_stm config ->
-        let r = Bstm.run ~config ?specs ~storage txns in
+        let r = Bstm.run ~config ~storage txns in
         (r.snapshot, r.outputs, Some r.metrics)
     | Lanes { config; partition; namespace } ->
         let specs =
@@ -197,7 +197,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       | Block_stm config ->
           let state = t.state in
           let outputs, m =
-            Bstm.run_into ~config ?specs ~storage ~parts:(Mstore.parts state)
+            Bstm.run_into ~config ~storage ~parts:(Mstore.parts state)
               ~apply:(fun part bindings ->
                 Mstore.apply_part state ~part bindings)
               txns
@@ -245,8 +245,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       [on_block] receives each commit once its state root is computed.
 
       [next_specs], called once right after each successful [next], yields
-      the block's access specs — required by the [Lanes] executor and by
-      Block-STM configs that seed from specs.
+      the block's access specs. Only the [Lanes] executor reads them, and
+      requires them.
 
       An exception from [next], the executor or [on_block] propagates
       unchanged, and the chain keeps exactly the blocks committed before

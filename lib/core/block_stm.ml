@@ -59,10 +59,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       m.incarnations m.dependency_aborts m.validations m.validation_aborts
       m.prevalidation_skips m.commits m.delta_applies
 
-  (* The engine configuration is shaped so that every value runs: the
-     option that needs ESTIMATE markers lives inside [Estimates]. The
-     interface documents each field. *)
-  type marking = Estimates of { seed_from_specs : bool } | Remove_on_abort
+  (* Every value of the engine configuration runs. The interface documents
+     each field. *)
+  type marking = Estimates | Remove_on_abort
 
   type config = {
     num_domains : int;
@@ -75,7 +74,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let default_config =
     {
       num_domains = 1;
-      marking = Estimates { seed_from_specs = false };
+      marking = Estimates;
       prevalidate_reads = true;
       rolling_commit = false;
       delta_ops = false;
@@ -164,8 +163,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (** Distinct locations written or delta'd (cost accounting). *)
   }
 
-  let create_instance ?(config = default_config) ?trace ?on_commit ?specs
-      ~storage (txns : 'o txn array) : 'o instance =
+  let create_instance ?(config = default_config) ?trace ?on_commit ~storage
+      (txns : 'o txn array) : 'o instance =
     let n = Array.length txns in
     if config.num_domains < 1 then
       invalid_arg "Block_stm: num_domains must be >= 1";
@@ -173,35 +172,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Some tr when Trace.num_workers tr < config.num_domains ->
         invalid_arg "Block_stm: trace has fewer workers than num_domains"
     | _ -> ());
-    (match specs with
-    | Some sp when Array.length sp <> n ->
-        invalid_arg "Block_stm: specs length mismatch"
-    | _ -> ());
-    let estimates, seed =
-      match config.marking with
-      | Estimates { seed_from_specs } -> (true, seed_from_specs)
-      | Remove_on_abort -> (false, false)
-    in
     let mv = Mv.create ~storage ~block_size:n () in
-    if seed then begin
-      match specs with
-      | None -> invalid_arg "Block_stm: seed_from_specs requires specs"
-      | Some specs ->
-          Array.iteri
-            (fun j s ->
-              match Access_spec.exact_writes s with
-              | Some locs when Array.length locs > 0 ->
-                  Mv.prefill_estimates mv j locs
-              | _ -> ())
-            specs
-    end;
     let rolling = config.rolling_commit in
     {
       txns;
       storage;
       mv;
       sched = Scheduler.create ~block_size:n ();
-      estimates;
+      estimates =
+        (match config.marking with
+        | Estimates -> true
+        | Remove_on_abort -> false);
       prevalidate = config.prevalidate_reads;
       rolling;
       commit_valid = Mv.validate_read_set mv;
@@ -952,9 +933,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      re-raised the same way. The result must not hold the instance: the
      helpers' exit collections run inside the joins. An empty block spawns
      no helper and runs no loop. *)
-  let execute ~config ?specs ?trace ?on_commit ~storage txns
+  let execute ~config ?trace ?on_commit ~storage txns
       ~(read_out : 'o instance -> 'o crew -> ('r, exn * _) Stdlib.result) : 'r =
-    let inst = create_instance ~config ?specs ?trace ?on_commit ~storage txns in
+    let inst = create_instance ~config ?trace ?on_commit ~storage txns in
     let empty = Array.length txns = 0 in
     let k = if empty then 0 else config.num_domains - 1 in
     let c =
@@ -993,9 +974,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       after [finalize] (see [crew]). An exception that escapes any worker,
       [finalize] or a spawn is re-raised once every started helper has been
       released and joined. *)
-  let run ?(config = default_config) ?specs ?trace ?on_commit ~storage
+  let run ?(config = default_config) ?trace ?on_commit ~storage
       (txns : 'o txn array) : 'o result =
-    execute ~config ?specs ?trace ?on_commit ~storage txns
+    execute ~config ?trace ?on_commit ~storage txns
       ~read_out:(fun inst _ -> Ok (finalize inst))
 
   (** Execute a block and apply its final writes by hash parts on the crew:
@@ -1006,12 +987,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       parts], ... (see {!Mv.iter_shard}). The job is cleared from the crew
       before the release, and a part that raises is re-raised once every
       helper is joined. *)
-  let run_into ?(config = default_config) ?specs ?trace ?on_commit ~storage
+  let run_into ?(config = default_config) ?trace ?on_commit ~storage
       ~parts ~(apply : int -> ((L.t -> V.t -> unit) -> unit) -> unit)
       (txns : 'o txn array) : 'o txn_output array * metrics =
     if parts < 1 || parts > 64 || parts land (parts - 1) <> 0 then
       invalid_arg "Block_stm.run_into: parts must be a power of two, 1 to 64";
-    execute ~config ?specs ?trace ?on_commit ~storage txns
+    execute ~config ?trace ?on_commit ~storage txns
       ~read_out:(fun inst c ->
         settle inst;
         let mv = inst.mv in

@@ -57,21 +57,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   (** {2 Configuration}
 
-      The configuration is shaped so that every value runs: the option
-      that needs ESTIMATE markers lives inside [Estimates]. *)
+      Every value of the configuration runs. *)
 
   (** What an aborted incarnation leaves behind in MVMemory. *)
   type marking =
-    | Estimates of {
-        seed_from_specs : bool;
-            (** Static access specs, estimate seeding (DESIGN.md §15): before
-                the first incarnation runs, seed ESTIMATE markers from each
-                transaction's exact declared writes (specs whose write
-                entries are all [Access_spec.Exact]), so even first
-                executions wait on likely conflicts — the paper's §7
-                write-set pre-estimation. Requires [specs] at
-                {!create_instance}. *)
-      }
+    | Estimates
         (** The paper default: aborted writes become ESTIMATE markers and
             readers wait for the dependency. A new write location pulls
             validation back over the whole suffix (Algorithms 8–9). *)
@@ -106,8 +96,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val default_config : config
   (** The paper's engine on one domain: ESTIMATE markers, read-set
-      prevalidation; no seeding, rolling commit or deltas. Other configs
-      are record updates of it. *)
+      prevalidation; no rolling commit or deltas. Other configs are record
+      updates of it. *)
 
   type 'o result = {
     snapshot : (L.t * V.t) list;  (** Final value per affected location. *)
@@ -127,7 +117,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?config:config ->
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
-    ?specs:L.t Access_spec.t array ->
     storage:(L.t, V.t) Intf.storage ->
     'o txn array ->
     'o instance
@@ -139,17 +128,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       rolling commit it fires as the prefix commits, from whichever domain
       advances the commit sweep, under the scheduler's commit mutex (keep it
       cheap); otherwise it fires for the whole block at {!finalize}.
-
-      [specs] (one per transaction) are static access specifications
-      (DESIGN.md §15): sound over-approximations of each transaction's
-      dynamic read and write sets. Only [seed_from_specs] reads them, and
-      requires them; without it the engine ignores them. Seeding is safe
-      with any spec: an incarnation's first record drops the markers it did
-      not write, and a write the spec missed takes the paper's path for a
-      new write location, so a spec's precision moves only cost.
-      @raise Invalid_argument if [config.num_domains < 1], [trace] has too
-      few workers, or [specs] mismatches the block length or is missing
-      under [seed_from_specs]. *)
+      @raise Invalid_argument if [config.num_domains < 1] or [trace] has too
+      few workers. *)
 
   val sched : 'o instance -> Scheduler.t
   (** The collaborative scheduler driving this instance — exposed for the
@@ -241,7 +221,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val run :
     ?config:config ->
-    ?specs:L.t Access_spec.t array ->
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
     storage:(L.t, V.t) Intf.storage ->
@@ -266,7 +245,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val run_into :
     ?config:config ->
-    ?specs:L.t Access_spec.t array ->
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
     storage:(L.t, V.t) Intf.storage ->

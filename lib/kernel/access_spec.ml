@@ -8,10 +8,10 @@
     by [writes] — each accessed location must match some entry. Precision is
     graded per entry: [Exact] pins a single location, [Wildcard] covers
     every location of one namespace (a resource name for MiniMove locations,
-    see {!conflict}), and [Unknown] covers everything. Estimate seeding and
-    lane planning only derive optimizations from the precise end of that
-    scale; imprecise entries degrade soundly to the paper's optimistic
-    behavior. *)
+    see {!conflict}), and [Unknown] covers everything. Lane planning only
+    derives optimizations from the precise end of that scale; imprecise
+    entries degrade soundly to the paper's optimistic behavior. The engine
+    consumes no specs. *)
 
 type 'loc entry =
   | Exact of 'loc  (** Exactly this location. *)
@@ -29,14 +29,6 @@ let all_exact t = List.for_all is_exact t.reads && List.for_all is_exact t.write
 
 let exact_locs entries =
   List.filter_map (function Exact l -> Some l | _ -> None) entries
-
-(** [Some locs] iff every write entry is [Exact] — the precondition for
-    seeding ESTIMATE markers (a wildcard write cannot be turned into a
-    finite marker set). *)
-let exact_writes t =
-  if List.for_all is_exact t.writes then
-    Some (Array.of_list (exact_locs t.writes))
-  else None
 
 (** [(exact, wildcard, unknown)] entry counts over reads and writes
     combined — the precision profile printed by analysis tools. *)

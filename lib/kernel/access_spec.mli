@@ -4,11 +4,11 @@
     A spec is {e sound} when every dynamically-read location matches some
     [reads] entry and every dynamically-written (or delta'd) location
     matches some [writes] entry, for every possible execution of the
-    transaction. The engine consumes specs one way (DESIGN.md §15): it
-    seeds MVMemory ESTIMATE markers from exact write entries, which is
-    safe with any spec. The lane coordinator plans lanes from sound specs
-    (DESIGN.md §16). Imprecise ([Wildcard] / [Unknown]) entries degrade
-    each consumer soundly toward the paper's optimistic behavior. *)
+    transaction. The Block-STM engine consumes no specs (DESIGN.md §15):
+    their one consumer is the lane coordinator, which plans lanes from
+    sound specs (DESIGN.md §16). Imprecise ([Wildcard] / [Unknown]) entries
+    degrade it soundly toward the paper's optimistic behavior: such a
+    transaction runs as a cross-lane transaction. *)
 
 type 'loc entry =
   | Exact of 'loc  (** Exactly this location. *)
@@ -23,10 +23,6 @@ val all_exact : 'loc t -> bool
 
 val exact_locs : 'loc entry list -> 'loc list
 (** The locations of the [Exact] entries, in order. *)
-
-val exact_writes : 'loc t -> 'loc array option
-(** [Some locs] iff every write entry is [Exact] — the precondition for
-    seeding ESTIMATE markers. *)
 
 val precision : 'loc t -> int * int * int
 (** [(exact, wildcard, unknown)] entry counts over reads and writes. *)

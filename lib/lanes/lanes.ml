@@ -215,7 +215,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     if partition.lanes = 1 then begin
       (* Strict passthrough: the unmodified engine, caller's config. *)
       let r =
-        Bstm.run ~config ~specs ?trace:(trace_for 0) ?on_commit ~storage txns
+        Bstm.run ~config ?trace:(trace_for 0) ?on_commit ~storage txns
       in
       {
         snapshot = r.Bstm.snapshot;
@@ -266,9 +266,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let work k =
           let lane, idxs = jobs.(k) in
           let r =
-            Bstm.run ~config:lane_cfg ~specs:(subset specs idxs)
-              ?trace:(trace_for lane) ~storage:read_overlay
-              (subset txns idxs)
+            Bstm.run ~config:lane_cfg ?trace:(trace_for lane)
+              ~storage:read_overlay (subset txns idxs)
           in
           results.(k) <- Some r
         in

@@ -8,8 +8,7 @@
     tracked through a three-point abstract domain — a concrete literal, a
     formal parameter, or unknown — so a transaction-level spec with fully
     concrete arguments usually specializes to all-[Exact] entries, which is
-    what unlocks the engine's spec consumers (estimate seeding, validation
-    skipping, DAG scheduling).
+    what lets the lane coordinator place a transaction in one lane.
 
     Soundness (spec ⊇ any dynamic access set, checked across the 600-program
     differential corpus in [test/test_access.ml]) comes from three

@@ -34,10 +34,14 @@ module Value = struct
   (* Structural hash (Intf.VALUE): recurses into struct fields and hashes
      every byte of string payloads (FNV-1a), so two structurally equal
      resources hash identically in every replica — the chain's Merkle
-     substrate folds this into comparable state roots. *)
+     substrate folds this into comparable state roots. The byte loop is a
+     [for] loop, so its accumulator is a local and a hash allocates
+     nothing: a closure passed to [String.iter] would box it. *)
   let fnv_bytes (s : string) : int =
     let h = ref 0x3bf29ce484222325 (* FNV offset basis, truncated to 62 bits *) in
-    String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) s;
+    for i = 0 to String.length s - 1 do
+      h := (!h lxor Char.code s.[i]) * 0x100000001b3
+    done;
     !h land max_int
 
   let combine h x = ((h * 0x100000001b3) lxor x) land max_int

@@ -298,8 +298,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | Slot { cell; _ } -> cell
     | Vacant -> create_cell t loc
 
-  (* The cell of a location in a written set. [record] or
-     [prefill_estimates] created its slot, and slots are never removed. *)
+  (* The cell of a location in a written set. [record] created its slot,
+     and slots are never removed. *)
   let written_cell t loc : cell =
     match find_slot t loc with Slot { cell; _ } -> cell | Vacant -> assert false
 
@@ -487,16 +487,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       (fun loc -> drop (written_cell t loc) txn_idx ~keep:(-1))
       (Atomic.get t.last_written.(txn_idx));
     Atomic.set t.last_written.(txn_idx) [||]
-
-  (** Seed ESTIMATE markers from a declared (estimated) write-set before the
-      first incarnation runs (§7 future-work: write-set pre-estimation).
-      Recorded as the transaction's last written locations so that the first
-      [record] clears whatever the incarnation did not actually write. *)
-  let prefill_estimates t (txn_idx : int) (locs : L.t array) : unit =
-    Array.iter
-      (fun loc -> ignore (put (find_or_create_cell t loc) txn_idx Estimate))
-      locs;
-    Atomic.set t.last_written.(txn_idx) locs
 
   let is_version (origin : Read_origin.t) version =
     match origin with Mv v -> Version.equal v version | _ -> false

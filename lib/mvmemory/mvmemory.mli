@@ -118,10 +118,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
          particular rewriting over this transaction's own ESTIMATE marker
          (ESTIMATE→value after an abort) is {e not} a new location, because
          lower-indexed validations already knew about the write;}
-      {- {b prefilled estimate} ({!prefill_estimates} seeds the location as
-         "written") later materialized by the first incarnation → [false]
-         for the prefilled locations (and dropping a prefilled location the
-         incarnation did not write also does not set the flag);}
       {- {b delete-then-rewrite across one record}: if incarnation [i]
          stopped writing a location (its entry was removed by [record]) and
          incarnation [i+1] writes it again, that location {e is} new again →
@@ -143,11 +139,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** Ablation variant of abort handling (§3.2.1: "removing the entries can
       also accomplish this"): drop the aborted incarnation's entries so no
       dependency information survives. *)
-
-  val prefill_estimates : t -> int -> L.t array -> unit
-  (** Seed [ESTIMATE] markers from a declared (estimated) write-set before
-      the first incarnation runs (§7 future-work: write-set
-      pre-estimation). *)
 
   val validate_read_set : t -> int -> bool
   (** Algorithm 3, [validate_read_set]: re-read every location in the last

@@ -33,12 +33,10 @@ let equal_outputs (a : int Blockstm_kernel.Txn.output array)
   Array.length a = Array.length b
   && Array.for_all2 (Blockstm_kernel.Txn.equal_output Int.equal) a b
 
-(** Run Block-STM on [num_domains] real domains. [specs] feed the static
-    access-specification modes (DESIGN.md §15). *)
-let run_blockstm ?(config = Bstm.default_config) ?specs ?trace ?on_commit
-    ~storage txns =
-  Bstm.run ~config ?specs ?trace ?on_commit ~storage:(Store.reader storage)
-    txns
+(** Run Block-STM on [num_domains] real domains. *)
+let run_blockstm ?(config = Bstm.default_config) ?trace ?on_commit ~storage
+    txns =
+  Bstm.run ~config ?trace ?on_commit ~storage:(Store.reader storage) txns
 
 let run_sequential ~storage txns =
   Seq.run ~storage:(Store.reader storage) txns
@@ -99,12 +97,11 @@ let tps_of_makespan ~txns makespan_us =
 (** Run Block-STM under virtual time with [num_threads] virtual threads.
     Returns the block result (checked-able against sequential) and the
     simulator stats. *)
-let sim_blockstm ?(config = Bstm.default_config) ?specs
-    ?(cost = Cost_model.default) ~num_threads ~storage txns :
-    int Bstm.result * Virtual_exec.stats =
+let sim_blockstm ?(config = Bstm.default_config) ?(cost = Cost_model.default)
+    ~num_threads ~storage txns : int Bstm.result * Virtual_exec.stats =
   let config = { config with Bstm.num_domains = 1 } in
   let inst =
-    Bstm.create_instance ~config ?specs ~storage:(Store.reader storage) txns
+    Bstm.create_instance ~config ~storage:(Store.reader storage) txns
   in
   let engine =
     {
@@ -226,8 +223,8 @@ let sim_lanes ?(config = Bstm.default_config) ?(cost = Cost_model.default)
   let subset arr idxs = Array.map (fun i -> arr.(i)) idxs in
   let sim_lane idxs ~threads : float =
     let inst =
-      Bstm.create_instance ~config:lane_cfg ~specs:(subset specs idxs)
-        ~storage:read_overlay (subset txns idxs)
+      Bstm.create_instance ~config:lane_cfg ~storage:read_overlay
+        (subset txns idxs)
     in
     let engine =
       {

@@ -7,18 +7,11 @@
     accesses, which record as both. A non-vacuity guard checks the
     property isn't passing because the analysis degraded everything to
     [Unknown]: a healthy majority of corpus programs must infer all-exact
-    specs.
-
-    An engine-facing test then drives the engine's spec consumer, ESTIMATE
-    seeding ([seed_from_specs]), over a Ledger p2p block and checks it
-    against the sequential reference. *)
+    specs. *)
 
 open Blockstm_kernel
 open Blockstm_minimove
 open Mv_value
-module P2p = Blockstm_workload.P2p
-module Harness = Blockstm_workload.Harness
-module Bstm = Harness.Bstm
 
 (* --- Soundness over the differential corpus ------------------------------ *)
 
@@ -112,41 +105,6 @@ let test_coin_contract () =
     "non-address argument degrades to wildcard, not exact" false
     (Access_spec.all_exact degraded)
 
-(* --- Engine consumers over the Ledger p2p workloads ---------------------- *)
-
-let check_identical label (seq : int Harness.Seq.result)
-    (r : int Bstm.result) =
-  Alcotest.(check bool)
-    (label ^ ": snapshot matches sequential")
-    true
-    (Harness.equal_snapshot seq.Harness.Seq.snapshot r.Bstm.snapshot);
-  Alcotest.(check bool)
-    (label ^ ": outputs match sequential")
-    true
-    (Harness.equal_outputs seq.Harness.Seq.outputs r.Bstm.outputs)
-
-(* Spec seeding over a large account range, on 4 domains: ESTIMATE markers
-   seeded from every transfer's declared writes must commit the same state
-   and outputs as the sequential reference. *)
-let test_seeding_identity () =
-  let w =
-    P2p.generate
-      { P2p.default_spec with num_accounts = 10_000; block_size = 1_000 }
-  in
-  let specs = P2p.txn_specs w in
-  let seq = Harness.run_sequential ~storage:w.P2p.storage w.P2p.txns in
-  let config =
-    {
-      Bstm.default_config with
-      num_domains = 4;
-      marking = Estimates { seed_from_specs = true };
-    }
-  in
-  let r =
-    Harness.run_blockstm ~config ~specs ~storage:w.P2p.storage w.P2p.txns
-  in
-  check_identical "spec seeding" seq r
-
 let suite =
   [
     Tutil.qcheck_to_alcotest prop_spec_soundness;
@@ -154,6 +112,4 @@ let suite =
       test_non_vacuity;
     Alcotest.test_case "coin contract: interprocedural specs" `Quick
       test_coin_contract;
-    Alcotest.test_case "engine: seeding identity vs sequential" `Quick
-      test_seeding_identity;
   ]

@@ -220,32 +220,6 @@ let test_no_prevalidation_still_correct () =
        ~config:(config ~num_domains:4 ~prevalidate_reads:false ())
        ~storage:zero_storage (contended_txns 120))
 
-let seeded = Bstm.Estimates { seed_from_specs = true }
-
-(* Write-set pre-estimation (§7): spec seeding over specs that declare the
-   exact writes and claim nothing about reads. *)
-let test_prefill_estimates_correct () =
-  let n = 80 in
-  let rng = Blockstm_workload.Rng.create 23 in
-  let targets = Array.init n (fun _ -> Blockstm_workload.Rng.int rng 4) in
-  let txns = Array.map (fun t -> incr_txn t) targets in
-  let specs =
-    Array.map
-      (fun t -> { Access_spec.reads = [ Unknown ]; writes = [ Exact t ] })
-      targets
-  in
-  ignore
-    (assert_equiv ~msg:"declared-write seeding"
-       ~config:(config ~num_domains:4 ~marking:seeded ())
-       ~specs ~storage:zero_storage txns)
-
-let test_seeding_requires_specs () =
-  Alcotest.check_raises "missing specs"
-    (Invalid_argument "Block_stm: seed_from_specs requires specs") (fun () ->
-      ignore
-        (run ~config:(config ~marking:seeded ()) ~storage:zero_storage
-           [| incr_txn 0 |]))
-
 let test_invalid_num_domains () =
   Alcotest.check_raises "zero domains"
     (Invalid_argument "Block_stm: num_domains must be >= 1") (fun () ->
@@ -1275,10 +1249,6 @@ let suite =
       test_no_estimates_still_correct;
     Alcotest.test_case "ablation: no prevalidation" `Quick
       test_no_prevalidation_still_correct;
-    Alcotest.test_case "ablation: prefilled estimates" `Quick
-      test_prefill_estimates_correct;
-    Alcotest.test_case "spec seeding requires specs" `Quick
-      test_seeding_requires_specs;
     Alcotest.test_case "invalid num_domains rejected" `Quick
       test_invalid_num_domains;
     Alcotest.test_case "rolling commit = sequential" `Quick

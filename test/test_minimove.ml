@@ -594,6 +594,53 @@ let test_nft_mint_sequential_ids () =
         (Blockstm_kernel.Txn.equal_output Value.equal o par.outputs.(i)))
     seq.outputs
 
+(* --- Value hash ------------------------------------------------------------ *)
+
+(* [Value.hash] feeds every state root, so its values are pinned: they are
+   the hashes the byte loop computed when it ran through [String.iter].
+   The loop now keeps its accumulator in a local, so hashing a struct
+   allocates nothing. *)
+let test_value_hash () =
+  let coin = Value.Struct ("Coin", [ ("value", Value.Int 1_000_000) ]) in
+  let nested =
+    Value.Struct
+      ( "Account",
+        [
+          ("owner", Value.Addr 7);
+          ("balance", coin);
+          ( "meta",
+            Value.Struct
+              ( "Meta",
+                [
+                  ("seq", Value.Int 3);
+                  ("frozen", Value.Bool false);
+                  ("tag", Value.Str "vip");
+                ] ) );
+        ] )
+  in
+  List.iter
+    (fun (name, v, expected) ->
+      Alcotest.(check int) ("hash " ^ name) expected (Value.hash v))
+    [
+      ("coin", coin, 517154398179699467);
+      ("nested struct", nested, 2988245154585903258);
+      ( "non-ASCII Str",
+        Value.Str "caf\xc3\xa9 \xe2\x82\xac",
+        3349482561535063222 );
+      ("empty Str", Value.Str "", 4319687497885033238);
+      ("Int (-3)", Value.Int (-3), -7963307313);
+      ("Unit", Value.Unit, 17);
+    ];
+  let calls = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Value.hash nested))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 0. then
+    Alcotest.failf "Value.hash: %.0f minor words over %d hashes of a struct"
+      words calls
+
 let suite =
   [
     Alcotest.test_case "lexer: basics" `Quick test_lexer_basics;
@@ -632,4 +679,6 @@ let suite =
       test_amm_block_parallel;
     Alcotest.test_case "nft: preset order forces ids" `Quick
       test_nft_mint_sequential_ids;
+    Alcotest.test_case "value: hash pinned, allocates nothing" `Quick
+      test_value_hash;
   ]

@@ -126,15 +126,6 @@ let test_remove_written_entries () =
   Alcotest.(check int) "no written locations" 0
     (Array.length (Mv.written_locations mv 3))
 
-let test_prefill_estimates () =
-  let mv = Mv.create ~block_size:8 () in
-  Mv.prefill_estimates mv 2 [| 4; 5 |];
-  check_read "prefilled" mv 4 ~txn:6 (Mv.Read_error { blocking_txn_idx = 2 });
-  (* First real execution writes only location 4: estimate at 5 cleaned. *)
-  ignore (record mv ~txn:2 ~inc:0 [ (4, 44) ]);
-  check_read "materialized" mv 4 ~txn:6 (Mv.Ok (ver 2 0, 44));
-  check_read "unwritten estimate removed" mv 5 ~txn:6 Mv.Not_found
-
 (* --- validate_read_set ---------------------------------------------------- *)
 
 let rs pairs =
@@ -381,16 +372,6 @@ let test_record_estimate_rewrite_not_new () =
      the write, so it is not a new location. *)
   Alcotest.(check bool) "estimate rewrite: not new" false
     (record mv ~txn:3 ~inc:1 [ (1, 10); (2, 20) ])
-
-let test_record_prefilled_not_new () =
-  let mv = Mv.create ~block_size:8 () in
-  Mv.prefill_estimates mv 2 [| 4; 5 |];
-  (* Prefilled locations count as already written: materializing them (or
-     dropping one the incarnation did not write) sets no flag. *)
-  Alcotest.(check bool) "prefilled materialized: not new" false
-    (record mv ~txn:2 ~inc:0 [ (4, 44) ]);
-  Alcotest.(check bool) "beyond the prefill: new" true
-    (record mv ~txn:2 ~inc:1 [ (4, 45); (9, 9) ])
 
 let test_record_delete_then_rewrite_is_new () =
   let mv = Mv.create ~block_size:8 () in
@@ -640,8 +621,6 @@ let suite =
       test_estimate_overwritten_by_next_incarnation;
     Alcotest.test_case "remove_written_entries (ablation)" `Quick
       test_remove_written_entries;
-    Alcotest.test_case "prefill_estimates (write pre-estimation)" `Quick
-      test_prefill_estimates;
     Alcotest.test_case "validate: ok" `Quick test_validate_ok;
     Alcotest.test_case "validate: fails on new writer" `Quick
       test_validate_fails_on_new_writer;
@@ -671,8 +650,6 @@ let suite =
       test_flush_cuts_retired_entries;
     Alcotest.test_case "record: estimate rewrite is not new" `Quick
       test_record_estimate_rewrite_not_new;
-    Alcotest.test_case "record: prefilled locations are not new" `Quick
-      test_record_prefilled_not_new;
     Alcotest.test_case "record: delete-then-rewrite is new again" `Quick
       test_record_delete_then_rewrite_is_new;
     Alcotest.test_case "concurrent disjoint records" `Quick

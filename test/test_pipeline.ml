@@ -179,36 +179,56 @@ let test_raising_hooks_propagate () =
         Chain.Block_stm { CBstm.default_config with num_domains = 2 } );
     ]
 
-(* The chain hands each block's specs to the executor: a Block-STM config
-   that seeds from specs needs them, and so do lanes; all must commit
-   exactly what the sequential chain does. *)
+let lanes k =
+  Chain.Lanes
+    {
+      config = { CBstm.default_config with num_domains = 2 };
+      partition = W.Harness.account_partition ~num_accounts:60 ~lanes:k;
+      namespace = Some W.Ledger.Loc.namespace;
+    }
+
+(* The chain hands each block's specs to the lanes executor, whose
+   classifier plans from them; every lane count must commit exactly what
+   the sequential chain does. *)
 let test_stream_forwards_specs () =
   let ws = p2p_blocks () in
   let blocks = List.map (fun w -> w.P2p.txns) ws in
   let genesis = (List.hd ws).P2p.storage in
-  let seeded =
-    {
-      CBstm.default_config with
-      num_domains = 2;
-      marking = Estimates { seed_from_specs = true };
-    }
-  in
-  let lanes k =
-    Chain.Lanes
-      {
-        config = { CBstm.default_config with num_domains = 2 };
-        partition = W.Harness.account_partition ~num_accounts:60 ~lanes:k;
-        namespace = Some W.Ledger.Loc.namespace;
-      }
-  in
   let refc = reference ~genesis ~blocks () in
   List.iter
-    (fun (ename, executor) ->
-      check_stream_matches ~ctx:ename ~reference:refc ~genesis ~blocks
+    (fun k ->
+      check_stream_matches ~ctx:(Fmt.str "%d-lane" k) ~reference:refc ~genesis
+        ~blocks
         ~next_specs:(next_of (List.map P2p.txn_specs ws))
-        ~executor ())
-    (("seeded", Chain.Block_stm seeded)
-    :: List.map (fun k -> (Fmt.str "%d-lane" k, lanes k)) [ 1; 2; 4 ])
+        ~executor:(lanes k) ())
+    [ 1; 2; 4 ]
+
+(* Lanes are the one executor that needs specs. A block handed to a lanes
+   chain without them, through [execute_block] or [execute_stream], raises
+   [Invalid_argument] before it runs, and the chain stays at genesis. *)
+let test_lanes_without_specs () =
+  let ws = p2p_blocks () in
+  let blocks = List.map (fun w -> w.P2p.txns) ws in
+  let genesis = (List.hd ws).P2p.storage in
+  let genesis_root =
+    Chain.state_root (Chain.create ~executor:Chain.Sequential ~genesis ())
+  in
+  let check ~ctx run =
+    let chain = Chain.create ~executor:(lanes 2) ~genesis () in
+    Alcotest.check_raises ctx
+      (Invalid_argument "Chain: the lanes executor needs per-block access specs")
+      (fun () -> run chain);
+    Alcotest.(check int) (ctx ^ ": height") 0 (Chain.height chain);
+    Alcotest.(check int)
+      (ctx ^ ": commits") 0
+      (List.length (Chain.commits chain));
+    Alcotest.(check int64)
+      (ctx ^ ": genesis root") genesis_root (Chain.state_root chain)
+  in
+  check ~ctx:"execute_block" (fun chain ->
+      ignore (Chain.execute_block chain (List.hd blocks)));
+  check ~ctx:"execute_stream" (fun chain ->
+      ignore (Chain.execute_stream chain ~next:(next_of blocks)))
 
 (* Mempool-fed end-to-end: a producer domain submits the whole stream; the
    stream's [next] cuts fixed-size blocks; commits must match the reference
@@ -320,6 +340,8 @@ let suite =
       `Quick test_raising_hooks_propagate;
     Alcotest.test_case "streams forward specs to the executor" `Quick
       test_stream_forwards_specs;
+    Alcotest.test_case "lanes without specs raise at genesis" `Quick
+      test_lanes_without_specs;
     Alcotest.test_case "mempool-fed stream" `Quick test_mempool_driven;
     Alcotest.test_case "mempool: size cut" `Quick test_mempool_size_cut;
     Alcotest.test_case "mempool: deadline cut" `Quick test_mempool_deadline_cut;

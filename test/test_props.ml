@@ -244,7 +244,6 @@ type mv_op =
       (* txn, written locations (values derived), delta'd locations *)
   | Op_convert of int  (* convert writes to estimates *)
   | Op_remove of int  (* remove written entries (the ablation's abort) *)
-  | Op_prefill of int * int list  (* prefill estimates before a first record *)
 
 let pp_mv_op ppf = function
   | Op_record (t, ws, ds) ->
@@ -255,8 +254,6 @@ let pp_mv_op ppf = function
         ds
   | Op_convert t -> Fmt.pf ppf "convert(%d)" t
   | Op_remove t -> Fmt.pf ppf "remove(%d)" t
-  | Op_prefill (t, ls) ->
-      Fmt.pf ppf "prefill(%d,[%a])" t Fmt.(list ~sep:comma int) ls
 
 let mv_block_size = 6
 
@@ -282,7 +279,6 @@ let mv_op_gen =
       (4, record);
       (2, map (fun t -> Op_convert t) txn);
       (1, map (fun t -> Op_remove t) txn);
-      (1, map2 (fun t ls -> Op_prefill (t, ls)) txn locs);
     ]
 
 (* A case: operations, a rolling flush of the prefix [0, k) when it holds
@@ -363,17 +359,6 @@ let prop_mvmemory_matches_model =
             for l = 0 to n_locs - 1 do
               Model.remove model ~loc:l ~txn
             done;
-            true
-        | Op_prefill (txn, locs) ->
-            (* The engine prefills only before a transaction's first
-               incarnation. *)
-            let has_entries = List.exists (fun ((_, t), _) -> t = txn) in
-            if not (recorded.(txn) || has_entries !model) then begin
-              Mv.prefill_estimates mv txn (Array.of_list locs);
-              List.iter
-                (fun l -> Model.write model ~loc:l ~txn Model.Est)
-                locs
-            end;
             true
       in
       let locs = List.init n_locs Fun.id in
@@ -467,10 +452,7 @@ let prop_mvmemory_matches_model =
         List.for_all
           (fun op ->
             match op with
-            | Op_record (t, _, _)
-            | Op_convert t
-            | Op_remove t
-            | Op_prefill (t, _) ->
+            | Op_record (t, _, _) | Op_convert t | Op_remove t ->
                 t < upto || apply op)
           after
         && agrees ()

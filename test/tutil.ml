@@ -69,10 +69,10 @@ let transfer ~from_ ~to_ ~amount : itxn =
   b1 - amount
 
 (** Snapshot and output equality between Block-STM and Sequential. *)
-let assert_equiv ?(msg = "parallel = sequential") ?config ?specs ~storage
+let assert_equiv ?(msg = "parallel = sequential") ?config ~storage
     (txns : itxn array) =
   let seq = Seq.run ~storage txns in
-  let par = Bstm.run ?config ?specs ~storage txns in
+  let par = Bstm.run ?config ~storage txns in
   Alcotest.(check int)
     (msg ^ " (snapshot size)")
     (List.length seq.snapshot) (List.length par.snapshot);

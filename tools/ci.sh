@@ -27,13 +27,13 @@
 #     ratios from interleaved pure-VM replays in one process);
 #   - every deterministic virtual-time table is byte-for-byte pinned: with
 #     delta_ops off (the default) the engine is the paper's, so fig3-fig6,
-#     seq-overhead, aborts, ablations, hotspot-delta and spec-cost must
-#     match the golden captures in tools/golden/ exactly (lane-scaling is
-#     pinned by the lane gates below);
-#   - the CLI exits 2 on a flag combination the engine config cannot
-#     express (--no-estimates --specs);
-#   - spec seeding (--specs) over 10^4 accounts commits what the
-#     sequential executor commits (--verify);
+#     seq-overhead, aborts, ablations and hotspot-delta must match the
+#     golden captures in tools/golden/ exactly (lane-scaling is pinned by
+#     the lane gates below);
+#   - the CLI exits 2 on a run its input rules out (--lanes over a
+#     workload without access specs);
+#   - the single-instance engine on 4 domains over 10^4 accounts commits
+#     what the sequential executor commits (--verify);
 #   - blockstm analyze --json prints valid JSON for a script saved under a
 #     non-ASCII name (no OCaml decimal escape such as \195);
 #   - commutative deltas (DESIGN.md §12) must beat paper read-modify-write
@@ -204,12 +204,10 @@ echo "ci: vm-cost gate passed (compiled ${vm_ratio}x >= 2x tree-walk, median of 
 # delta_ops is strictly opt-in: with it off (the default, which is what the
 # figure experiments use) the engine must remain byte-for-byte the paper's.
 # The ablations table pins the paper's design-choice variants the same way,
-# and seq-overhead, aborts, hotspot-delta and spec-cost pin the overhead,
-# abort, delta and static-spec paths. The quick grids are virtual-time and
-# fully deterministic, so the regenerated tables must match the golden
-# captures exactly.
-for fig in fig3 fig4 fig5 fig6 seq-overhead aborts ablations hotspot-delta \
-  spec-cost; do
+# and seq-overhead, aborts and hotspot-delta pin the overhead, abort and
+# delta paths. The quick grids are virtual-time and fully deterministic, so
+# the regenerated tables must match the golden captures exactly.
+for fig in fig3 fig4 fig5 fig6 seq-overhead aborts ablations hotspot-delta; do
   out=$(dune exec bench/main.exe -- "$fig")
   if ! printf '%s\n' "$out" | diff "tools/golden/$fig.txt" - >/dev/null; then
     printf '%s\n' "$out" | diff "tools/golden/$fig.txt" - | head -20 || true
@@ -217,19 +215,20 @@ for fig in fig3 fig4 fig5 fig6 seq-overhead aborts ablations hotspot-delta \
     exit 1
   fi
 done
-echo "ci: virtual-table byte-identity gate passed (fig3-fig6, seq-overhead, aborts, ablations, hotspot-delta and spec-cost match tools/golden/)"
+echo "ci: virtual-table byte-identity gate passed (fig3-fig6, seq-overhead, aborts, ablations and hotspot-delta match tools/golden/)"
 
-# --- Inexpressible flag combinations ----------------------------------------
-# Spec seeding exists only with ESTIMATE markers, so the CLI must refuse
-# --no-estimates --specs with exit status 2 (not an exception).
+# --- Runs the input rules out -----------------------------------------------
+# Lanes plan from per-transaction access specs, and the hotspot workload
+# has none, so the CLI must refuse --lanes over it with exit status 2 (not
+# an exception).
 status=0
-dune exec bin/blockstm_cli.exe -- run -w p2p -a 100 -b 100 -d 1 \
-  --no-estimates --specs >/dev/null 2>&1 || status=$?
+dune exec bin/blockstm_cli.exe -- run -w hotspot -b 100 -d 1 --lanes 2 \
+  >/dev/null 2>&1 || status=$?
 if [ "$status" -ne 2 ]; then
-  echo "ci: FAIL — blockstm run --no-estimates --specs exited $status, expected 2"
+  echo "ci: FAIL — blockstm run -w hotspot --lanes 2 exited $status, expected 2"
   exit 1
 fi
-echo "ci: inexpressible-combination gate passed (--no-estimates --specs exits 2)"
+echo "ci: exit-2 gate passed (--lanes over a workload without specs exits 2)"
 
 # --- Hotspot-delta smoke ----------------------------------------------------
 # Commutative delta entries (DESIGN.md §12) exist to kill the fig5 cliff:
@@ -304,14 +303,13 @@ for d in 1 2 4; do
 done
 echo "ci: sustained gate passed (roots ok at 1, 2 and 4 domains)"
 
-# --- Spec-seeding identity -------------------------------------------------
-# Static access specs (DESIGN.md §15): ESTIMATE markers seeded from every
-# transfer's declared writes on a 10^4-account p2p block. --verify compares
-# the committed state and every output with the sequential executor and
-# exits 1 on a difference.
+# --- Single-instance identity ----------------------------------------------
+# The paper engine on 4 domains over a 10^4-account p2p block. --verify
+# compares the committed state and every output with the sequential
+# executor and exits 1 on a difference.
 dune exec bin/blockstm_cli.exe -- run -w p2p -a 10000 -b 1000 -d 4 \
-  --seed 42 --specs --verify >/dev/null
-echo "ci: spec-seeding identity passed (--specs commits match sequential)"
+  --seed 42 --verify >/dev/null
+echo "ci: single-instance identity passed (4 domains commit what sequential does)"
 
 # --- analyze --json ---------------------------------------------------------
 # The analyzer's JSON names the script file. A name that is not ASCII must
