@@ -807,7 +807,7 @@ let vm_cost_table ~title ~key:(key_header, key_cell) ~prefix ~accounts ~flavors
               (let r = Runtime.Seq.run ~storage:(storage ()) w.txns in
                (r.snapshot, r.outputs));
           same =
-            G.same_result ~loc:Mv_value.Loc.equal ~value:Mv_value.Value.equal
+            G.same_result ~snapshot:Runtime.Seq.same_snapshot
               ~output:Mv_value.Value.equal;
         }
       in

@@ -66,9 +66,10 @@ let check ~point o r =
 (** A block result: the committed snapshot and the outputs. *)
 type ('l, 'v, 'o) result = ('l * 'v) list * 'o Txn.output array
 
-let same_result ~loc ~value ~output ((s, o) : _ result) ((s', o') : _ result)
-    =
-  List.equal (fun (l, v) (l', v') -> loc l l' && value v v') s s'
+(** The same outputs, and the same snapshot by [snapshot], the reference's
+    order-free comparison ([Sequential.Make.same_snapshot]). *)
+let same_result ~snapshot ~output ((s, o) : _ result) ((s', o') : _ result) =
+  snapshot s s'
   && Array.length o = Array.length o'
   && Array.for_all2 (Txn.equal_output output) o o'
 
@@ -90,8 +91,7 @@ let block ~storage txns =
             (let r = Harness.run_sequential ~storage txns in
              (r.snapshot, r.outputs));
         same =
-          same_result ~loc:Ledger.Loc.equal ~value:Ledger.Value.equal
-            ~output:Int.equal;
+          same_result ~snapshot:Harness.Seq.same_snapshot ~output:Int.equal;
       };
   }
 
@@ -159,8 +159,9 @@ let wall ?(n = 1) ?label ?(check = ignore) ~metric run =
   metric !best
 
 (** Wall-clock throughput of a chain [executor] on [b], the fastest of [n]
-    runs through the chain's own block runner, each checked by the oracle;
-    [specs] feeds the lanes executor, and [label] names the point. *)
+    runs of the executor alone ({!Harness.ChainX.exec_block}, without the
+    chain's commit tail), each checked by the oracle; [specs] feeds the
+    lanes executor, and [label] names the point. *)
 let wall_tps ?n ?specs ~label b executor =
   wall ?n ~label ~check:(check ~point:label b.oracle)
     ~metric:(tps ~txns:(txns b))

@@ -44,12 +44,7 @@ let () =
       (fun n -> function Blockstm_kernel.Txn.Failed _ -> n + 1 | _ -> n)
       0 par.outputs
   in
-  let same =
-    List.length par.snapshot = List.length seq.snapshot
-    && List.for_all2
-         (fun (l1, v1) (l2, v2) -> Loc.equal l1 l2 && Value.equal v1 v2)
-         par.snapshot seq.snapshot
-  in
+  let same = Runtime.Seq.same_snapshot par.snapshot seq.snapshot in
   Fmt.pr "MiniMove coin: %d transfers over %d accounts@." block_size
     num_accounts;
   Fmt.pr "  Block-STM metrics: %a@." Runtime.Bstm.pp_metrics par.metrics;

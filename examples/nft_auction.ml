@@ -49,11 +49,7 @@ let run_auction () =
    with
   | Some (_, v) -> Fmt.pr "  final auction state: %a@." Value.pp v
   | None -> assert false);
-  let same =
-    List.for_all2
-      (fun (l1, v1) (l2, v2) -> Loc.equal l1 l2 && Value.equal v1 v2)
-      par.snapshot seq.snapshot
-  in
+  let same = Runtime.Seq.same_snapshot par.snapshot seq.snapshot in
   Fmt.pr "  matches sequential: %b@." same;
   same
 

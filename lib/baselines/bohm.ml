@@ -231,21 +231,19 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
        in
        worker ();
        Array.iter Domain.join others);
-    (* Snapshot: final value per affected location, deterministic order. *)
-    let locs = ref [] in
+    (* Snapshot: final value per affected location, in no particular
+       order. *)
+    let snapshot = ref [] in
     for s = 0 to t.nshards - 1 do
-      LTbl.iter (fun loc _ -> locs := loc :: !locs) t.shards.(s)
+      LTbl.iter
+        (fun loc _ ->
+          match read t loc ~txn_idx:n with
+          | Some v -> snapshot := (loc, v) :: !snapshot
+          | None -> ())
+        t.shards.(s)
     done;
-    let snapshot =
-      !locs
-      |> List.filter_map (fun loc ->
-             match read t loc ~txn_idx:n with
-             | Some v -> Some (loc, v)
-             | None -> None)
-      |> List.sort (fun (a, _) (b, _) -> L.compare a b)
-    in
     {
-      snapshot;
+      snapshot = !snapshot;
       outputs =
         Array.mapi
           (fun j -> function

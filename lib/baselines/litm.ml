@@ -145,12 +145,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       done;
       remaining := List.rev !next_remaining
     done;
-    let snapshot =
-      LTbl.fold (fun l v acc -> (l, v) :: acc) overlay []
-      |> List.sort (fun (a, _) (b, _) -> L.compare a b)
-    in
     {
-      snapshot;
+      snapshot = LTbl.fold (fun l v acc -> (l, v) :: acc) overlay [];
       outputs =
         Array.mapi
           (fun j -> function

@@ -7,7 +7,9 @@
     used by every other executor in the repository.
 
     Every parallel executor's snapshot and outputs must be extensionally
-    equal to this module's — the property the test suite enforces. *)
+    equal to this module's — the property the test suite enforces. This
+    module's snapshot is sorted by location; every other executor's is in no
+    particular order, so snapshots are compared with {!Make.same_snapshot}. *)
 
 open Blockstm_kernel
 
@@ -58,4 +60,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       |> List.sort (fun (a, _) (b, _) -> L.compare a b)
     in
     { snapshot; outputs; reads = !total_reads; writes = !total_writes }
+
+  (** Do two snapshots bind the same locations to the same values, each in
+      whatever order it lists them? Both are sorted by location, then
+      compared binding by binding, so lists of different lengths differ. *)
+  let same_snapshot (a : (L.t * V.t) list) (b : (L.t * V.t) list) =
+    let sort = List.sort (fun (l, _) (l', _) -> L.compare l l') in
+    List.equal
+      (fun (l, v) (l', v') -> L.equal l l' && V.equal v v')
+      (sort a) (sort b)
 end

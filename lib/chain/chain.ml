@@ -2,8 +2,8 @@
 
     State machine replication applies a sequence of blocks; every entity
     executing a block must arrive at the same final state (paper §1). This
-    module chains block executions — folding each block's output snapshot
-    into the running state — and computes a deterministic {e state root}
+    module chains block executions — applying each block's final writes to
+    the running state — and computes a deterministic {e state root}
     after every block, so two replicas can compare roots exactly the way
     validators do. The executor is pluggable: Block-STM with any
     configuration, or the sequential baseline, must yield identical roots —
@@ -37,9 +37,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       }
         (** Sharded execution lanes (DESIGN.md §16): [partition.lanes]
             independent engine instances plus the cross-lane coordinator.
-            Requires per-block access specs ([execute_block ~specs] /
-            [execute_stream ~next_specs]); [partition.lanes = 1] is
-            operationally identical to [Block_stm config]. *)
+            With more than one lane it requires per-block access specs
+            ([execute_block ~specs] / [execute_stream ~next_specs]);
+            [partition.lanes = 1] reads none and is operationally identical
+            to [Block_stm config]. *)
 
   (** Commitment of one block. *)
   type 'o block_commit = {
@@ -68,9 +69,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   }
 
   (* FNV-1a-style fold over 64-bit lanes: deterministic, order-sensitive
-     (inputs are sorted by location, so replicas agree). No chain path
+     (replicas agree only on inputs sorted by location). No chain path
      calls it: it is the state-scale experiment's whole-state yardstick,
-     and the digest span of bench/e2e's traced runs. *)
+     and the digest span of bench/e2e's traced runs, which ignore the
+     result. *)
   let fnv_offset = 0xcbf29ce484222325L
   let fnv_prime = 0x100000001b3L
 
@@ -145,8 +147,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         t.commits <- go 0 t.commits
 
   (** Run one block through [executor] over [storage]: the snapshot, the
-      outputs and, for Block-STM and lanes, the engine metrics. Every chain
-      block runs here, and benchmarks time the same path. *)
+      outputs and, for Block-STM and lanes, the engine metrics. It runs the
+      executor alone, without the commit tail: {!execute_block} applies a
+      sequential or lanes block's snapshot, and commits a Block-STM block
+      through {!Bstm.run_into} instead. Benchmarks that time it time the
+      executor alone. *)
   let exec_block ?specs (executor : executor) ~storage
       (txns : (L.t, V.t, 'o) Txn.t array) =
     match executor with
@@ -160,6 +165,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let specs =
           match specs with
           | Some s -> s
+          | None when partition.lanes = 1 -> [||]
           | None ->
               invalid_arg
                 "Chain: the lanes executor needs per-block access specs"
@@ -177,7 +183,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       MVMemory's final writes to the Merkle store by hash parts
       ({!Bstm.run_into}, {!Mstore.apply_part}), and the caller completes the
       staged stores and inserts ({!Mstore.finish_parts}). The sequential and
-      lanes executors apply their sorted snapshot in one part
+      lanes executors apply their snapshot in one part
       ({!Mstore.apply_delta}). Either way the delta root is the sum of the
       entry hashes that apply computes.
 
@@ -246,7 +252,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
       [next_specs], called once right after each successful [next], yields
       the block's access specs. Only the [Lanes] executor reads them, and
-      requires them.
+      with more than one lane requires them.
 
       An exception from [next], the executor or [on_block] propagates
       unchanged, and the chain keeps exactly the blocks committed before

@@ -101,12 +101,6 @@ let close t =
   Condition.broadcast t.not_full;
   Mutex.unlock t.m
 
-let is_closed t =
-  Mutex.lock t.m;
-  let c = t.closed in
-  Mutex.unlock t.m;
-  c
-
 (* Pop up to [room] elements into [acc] (reversed); caller holds the lock. *)
 let drain_locked t acc room =
   let popped = ref 0 in

@@ -81,7 +81,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     }
 
   type 'o result = {
-    snapshot : (L.t * V.t) list;  (** Final value per affected location. *)
+    snapshot : (L.t * V.t) list;
+        (** Final value per affected location, in no particular order. *)
     outputs : 'o txn_output array;  (** Per-transaction outputs, in order. *)
     metrics : metrics;
     commit_ns : int array;

@@ -100,7 +100,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       updates of it. *)
 
   type 'o result = {
-    snapshot : (L.t * V.t) list;  (** Final value per affected location. *)
+    snapshot : (L.t * V.t) list;
+        (** Final value per affected location, in no particular order. *)
     outputs : 'o txn_output array;  (** Per-transaction outputs, in order. *)
     metrics : metrics;
     commit_ns : int array;
@@ -209,7 +210,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       [on_commit] hooks) and serves the snapshot from the flushed chains;
       otherwise it computes the paper's lazy block-at-once snapshot in one
       pass over the affected locations and fires the [on_commit] hook for
-      the whole block.
+      the whole block. Either way the snapshot lists its bindings in no
+      particular order ({!Blockstm_mvmemory.Mvmemory.Make.snapshot}).
 
       The result owns the instance's arrays: its [outputs] is the array the
       workers filled, and under rolling commit its [commit_ns] is the one

@@ -7,7 +7,8 @@
     [{addr; resource}] records. *)
 
 (** Memory locations / access paths. Must be hashable (MVMemory shards by
-    hash) and totally ordered (deterministic snapshots). An immediate [t]
+    hash) and totally ordered (the sequential reference's snapshot is
+    sorted, and snapshots are compared sorted). An immediate [t]
     keeps the key arrays of MVMemory and the base tier free of pointers,
     and lets [equal] and [compare] run without touching memory; a boxed
     [t] costs a dereference in every table probe. *)

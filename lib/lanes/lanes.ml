@@ -208,8 +208,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       ~(storage : (L.t, V.t) Intf.storage)
       (txns : (L.t, V.t, 'o) Txn.t array) : 'o result =
     let n = Array.length txns in
-    if Array.length specs <> n then
-      invalid_arg "Lanes.run: specs length mismatch";
     if partition.lanes < 1 then invalid_arg "Lanes.run: lanes must be >= 1";
     let trace_for = Option.value trace_for ~default:(fun _ -> None) in
     if partition.lanes = 1 then begin
@@ -232,6 +230,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       }
     end
     else begin
+      if Array.length specs <> n then
+        invalid_arg "Lanes.run: specs length mismatch";
       let pl = plan ?namespace:loc_namespace partition specs in
       let lane_cfg = lane_config config ~lanes:partition.lanes in
       (* Everything committed by earlier batches; lane instances share it
@@ -324,12 +324,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             | None -> Fmt.failwith "Lanes: transaction %d has no output" j)
           outputs
       in
-      let snapshot =
-        LTbl.fold (fun l v acc -> (l, v) :: acc) overlay []
-        |> List.sort (fun (a, _) (b, _) -> L.compare a b)
-      in
       {
-        snapshot;
+        snapshot = LTbl.fold (fun l v acc -> (l, v) :: acc) overlay [];
         outputs;
         metrics =
           {

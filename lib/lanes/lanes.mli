@@ -102,8 +102,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   type 'o result = {
     snapshot : (L.t * V.t) list;
-        (** Final value of every location the block wrote, sorted —
-            bit-identical to the single-instance engine's snapshot. *)
+        (** Final value of every location the block wrote, in no particular
+            order — the same bindings as the single-instance engine's
+            snapshot. *)
     outputs : 'o Txn.output array;
     metrics : lane_metrics;
   }
@@ -120,7 +121,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     'o result
   (** Execute the block through [partition.lanes] parallel engine instances
       under the coordinator. [partition.lanes = 1] is a strict passthrough
-      to {!Bstm.run} with [config] untouched.
+      to {!Bstm.run} with [config] untouched, and reads no [specs]: pass
+      [[||]].
 
       [on_commit j output] fires for every transaction in preset order:
       batch ranges are contiguous, so the coordinator emits each batch's
@@ -131,6 +133,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       batches, giving lane-tagged step events. [loc_namespace] is {!plan}'s
       [namespace].
 
-      @raise Invalid_argument if [specs] length mismatches the block, if
-      [partition.lanes < 1], or if [loc_lane] leaves [\[0, lanes)]. *)
+      @raise Invalid_argument if [partition.lanes < 1], or, with more than
+      one lane, if [specs] length mismatches the block or [loc_lane] leaves
+      [\[0, lanes)]. *)
 end

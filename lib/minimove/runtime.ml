@@ -48,11 +48,6 @@ let load ?(vm = Compiled) ?intern_addrs (src : string) : script =
   | Tree_walk -> S_interp (Interp.compile src)
   | Compiled -> S_compiled (Compile.compile ?intern_addrs src)
 
-let script_run ?entry ?gas_limit (s : script) ~args effects : Value.t =
-  match s with
-  | S_interp c -> Interp.run ?entry ?gas_limit c ~args effects
-  | S_compiled c -> Compile.run ?entry ?gas_limit c ~args effects
-
 (** Package a loaded script as a transaction for any executor. *)
 let script_txn ?entry ?gas_limit (s : script) ~args :
     (Loc.t, Value.t, Value.t) Blockstm_kernel.Txn.t =

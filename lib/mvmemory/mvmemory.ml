@@ -571,76 +571,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       t.shards;
     !acc
 
-  (* The snapshot's scratch, one per domain and reused across blocks
-     (DESIGN.md §9): the bindings' keys and values in index order, and two
-     [int] arrays for the merge sort of their permutation. All four grow by
-     doubling and live in the major heap once large, so a block allocates
-     none of them; [snapshot] clears [keys] and [vals] after each use, so
-     they keep no location or value alive between blocks. The placeholder
-     is an immediate, so neither array takes the float layout. *)
-  type snap_scratch = {
-    mutable keys : L.t array;
-    mutable vals : V.t array;
-    mutable perm : int array;
-    mutable tmp : int array;
-  }
-
-  let snap_key =
-    Domain.DLS.new_key (fun () ->
-        { keys = [||]; vals = [||]; perm = [||]; tmp = [||] })
-
-  let vacant_key : L.t = Obj.magic 0
-  let vacant_val : V.t = Obj.magic 0
-
-  (* Room for [n] bindings in [sc]. *)
-  let reserve (sc : snap_scratch) n =
-    let cap = Array.length sc.keys in
-    if n > cap then begin
-      let cap = Int.max n (2 * cap) in
-      sc.keys <- Array.make cap vacant_key;
-      sc.vals <- Array.make cap vacant_val;
-      sc.perm <- Array.make cap 0;
-      sc.tmp <- Array.make cap 0
-    end
-
-  (* Merge the sorted runs [src.(lo..mid)] and [src.(mid..hi)] of indices
-     into [keys] into [dst.(lo..hi)]; a tie takes the left run first. *)
-  let merge keys (src : int array) (dst : int array) lo mid hi =
-    let i = ref lo and j = ref mid in
-    for k = lo to hi - 1 do
-      if
-        !j >= hi
-        || (!i < mid && L.compare keys.(src.(!i)) keys.(src.(!j)) <= 0)
-      then begin
-        dst.(k) <- src.(!i);
-        incr i
-      end
-      else begin
-        dst.(k) <- src.(!j);
-        incr j
-      end
-    done
-
-  (* Stable bottom-up merge sort of [perm.(0..n)] by the keys the entries
-     index, ping-ponging with [tmp]: the array that holds the sorted
-     permutation. *)
-  let sort_perm keys perm tmp n =
-    let src = ref perm and dst = ref tmp and width = ref 1 in
-    while !width < n do
-      let lo = ref 0 in
-      while !lo < n do
-        let mid = Int.min (!lo + !width) n
-        and hi = Int.min (!lo + (2 * !width)) n in
-        merge keys !src !dst !lo mid hi;
-        lo := hi
-      done;
-      let s = !src in
-      src := !dst;
-      dst := s;
-      width := 2 * !width
-    done;
-    !src
-
   (* [f key v] for the final value [v] of [cell]'s location [key], if it
      has one. The top entry is what [read_chain] would answer at
      [block_size], taken without building its [read_result]; only a
@@ -668,36 +598,16 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       | Slot { key; cell; _ } -> final_binding t key cell f
     done
 
-  (* Algorithm 3, [snapshot]: final value for every affected location; called
-     after the block commits. Every shard's read-out into the domain's
-     scratch, then a merge sort of their permutation, and the list consed
-     last: the result is all it allocates, a tuple and a cons cell per
-     binding, besides one closure. *)
+  (* Algorithm 3, [snapshot]: final value for every affected location, in
+     no particular order; called after the block commits. A fold of every
+     shard's read-out: a tuple and a cons cell per binding, besides one
+     closure. *)
   let snapshot t : (L.t * V.t) list =
-    let sc = Domain.DLS.get snap_key in
-    reserve sc
-      (Array.fold_left (fun acc shard -> acc + shard.count) 0 t.shards);
-    let n = ref 0 in
-    let put key value =
-      sc.keys.(!n) <- key;
-      sc.vals.(!n) <- value;
-      incr n
-    in
+    let acc = ref [] in
+    let put key value = acc := (key, value) :: !acc in
     for s = 0 to Array.length t.shards - 1 do
       iter_shard t s put
     done;
-    let n = !n in
-    for i = 0 to n - 1 do
-      sc.perm.(i) <- i
-    done;
-    let sorted = sort_perm sc.keys sc.perm sc.tmp n in
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      let p = sorted.(i) in
-      acc := (sc.keys.(p), sc.vals.(p)) :: !acc
-    done;
-    Array.fill sc.keys 0 n vacant_key;
-    Array.fill sc.vals 0 n vacant_val;
     !acc
 
   (* --- Rolling-commit flush ---------------------------------------------- *)

@@ -184,19 +184,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val snapshot : t -> (L.t * V.t) list
   (** Algorithm 3, [snapshot]: final value for every affected location, in
-      sorted order — every shard's {!iter_shard}, then one sort. Only call
-      after the block commits (all estimates resolved).
+      no particular order — a fold of {!iter_shard} over every shard. Only
+      call after the block commits (all estimates resolved).
 
       It allocates the list it returns, a tuple and a cons cell per binding
-      (6 words), and one closure for the read-out, unless the block has
-      more locations than any
-      earlier snapshot on the calling domain. The keys and values go
-      through scratch arrays kept per domain and reused across calls, and
-      an [int] permutation of them is merge-sorted by [L.compare] in two
-      more; the scratch doubles when it is too small, and the key and
-      value arrays are cleared before [snapshot] returns, so they keep
-      nothing alive. [L.compare], [V.of_counter] and the [storage] given
-      to {!create} must not themselves call [snapshot]. *)
+      (6 words), and one closure for the read-out. *)
 
   (** {2 Rolling-commit flush} *)
 

@@ -10,8 +10,6 @@ type t = {
 let create ~title ~header = { title; header; rows = [] }
 let add_row t row = t.rows <- row :: t.rows
 
-let cellf fmt = Printf.sprintf fmt
-
 let render ppf t =
   let rows = List.rev t.rows in
   let all = t.header :: rows in

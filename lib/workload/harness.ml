@@ -18,15 +18,9 @@ module LanesX = Blockstm_lanes.Lanes.Make (Loc) (Value)
 
 type snapshot = (Loc.t * Value.t) list
 
-let pp_snapshot : snapshot Fmt.t =
-  Fmt.brackets
-    (Fmt.list ~sep:Fmt.semi (Fmt.pair ~sep:(Fmt.any "=") Loc.pp Value.pp))
-
-let equal_snapshot (a : snapshot) (b : snapshot) =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (la, va) (lb, vb) -> Loc.equal la lb && Value.equal va vb)
-       a b
+(** The reference's comparison, {!Seq.same_snapshot}: the same bindings, in
+    whatever order each executor lists them. *)
+let equal_snapshot : snapshot -> snapshot -> bool = Seq.same_snapshot
 
 let equal_outputs (a : int Blockstm_kernel.Txn.output array)
     (b : int Blockstm_kernel.Txn.output array) =
@@ -287,12 +281,8 @@ let sim_lanes ?(config = Bstm.default_config) ?(cost = Cost_model.default)
         | None -> Fmt.failwith "Harness.sim_lanes: txn %d has no output" j)
       outputs
   in
-  let sl_snapshot =
-    LT.fold (fun l v acc -> (l, v) :: acc) overlay []
-    |> List.sort (fun (a, _) (b, _) -> Loc.compare a b)
-  in
   {
-    sl_snapshot;
+    sl_snapshot = LT.fold (fun l v acc -> (l, v) :: acc) overlay [];
     sl_outputs = outputs;
     sl_makespan_us = !makespan;
     sl_batches = List.length pl.LanesX.batches;

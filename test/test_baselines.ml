@@ -32,6 +32,35 @@ let test_sequential_read_counts () =
   Alcotest.(check int) "reads" 10 r.reads;
   Alcotest.(check int) "writes" 10 r.writes
 
+(* [same_snapshot] compares snapshots as sets of bindings: the same bindings
+   in any order are equal; a missing, extra or duplicated binding, a
+   changed value and a changed location are not, whichever side has them. *)
+let test_same_snapshot () =
+  let same = Seq.same_snapshot in
+  let base = List.init 20 (fun i -> (3 * i, 100 + i)) in
+  let rng = Random.State.make [| 39 |] in
+  let shuffle l =
+    List.map (fun b -> (Random.State.bits rng, b)) l
+    |> List.sort compare |> List.map snd
+  in
+  Alcotest.(check bool) "empty lists" true (same [] []);
+  Alcotest.(check bool) "reversed" true (same base (List.rev base));
+  for _ = 1 to 20 do
+    Alcotest.(check bool) "shuffled" true (same (shuffle base) (shuffle base))
+  done;
+  let at l b = List.map (fun (l', v) -> if l' = l then b else (l', v)) in
+  let differs msg b =
+    Alcotest.(check bool) msg false (same base (shuffle b));
+    Alcotest.(check bool) (msg ^ ", other side") false (same (shuffle b) base)
+  in
+  differs "empty against non-empty" [];
+  differs "missing binding" (List.tl base);
+  differs "extra binding" ((1, 0) :: base);
+  differs "duplicated binding" (List.hd base :: base);
+  differs "duplicate in place of a binding" (at 9 (List.hd base) base);
+  differs "changed value" (at 9 (9, 0) base);
+  differs "changed location" (at 9 (10, 103) base)
+
 (* --- BOHM ----------------------------------------------------------------- *)
 
 let bohm_spec n ~accounts ~seed =
@@ -60,7 +89,7 @@ let test_bohm_matches_sequential () =
       Alcotest.(check bool)
         (Printf.sprintf "snapshot equal (%d domains)" d)
         true
-        (b.snapshot = seq.snapshot);
+        (Seq.same_snapshot b.snapshot seq.snapshot);
       Array.iteri
         (fun i o ->
           Alcotest.(check bool) "output equal" true
@@ -81,7 +110,8 @@ let test_bohm_chain_blocks () =
       txns
   in
   let seq = Seq.run ~storage:zero_storage txns in
-  Alcotest.(check bool) "snapshot equal" true (b.snapshot = seq.snapshot);
+  Alcotest.(check bool) "snapshot equal" true
+    (Seq.same_snapshot b.snapshot seq.snapshot);
   Alcotest.(check int) "no undeclared writes" 0 b.undeclared_writes;
   Alcotest.(check bool) "each txn executed at least once" true
     (b.executions >= n)
@@ -152,7 +182,8 @@ let test_litm_serializes_but_not_preset_order () =
   let r = LitmI.run ~num_domains:3 ~storage txns in
   (* Same set of touched locations. *)
   Alcotest.(check (list int)) "same written locations"
-    (List.map fst seq.snapshot) (List.map fst r.snapshot);
+    (List.map fst seq.snapshot)
+    (List.map fst (sorted r.snapshot));
   (* Transfers conserve total balance under ANY serialization. *)
   let total snap = List.fold_left (fun acc (_, v) -> acc + v) 0 snap in
   Alcotest.(check int) "total conserved" (total seq.snapshot)
@@ -176,14 +207,15 @@ let test_litm_order_is_its_serialization () =
       let r = LitmI.run ~num_domains:d ~storage txns in
       let seq = Seq.run ~storage (Array.map (fun j -> txns.(j)) r.order) in
       Alcotest.(check (list (pair int int)))
-        "snapshot = sequential in LiTM's order" seq.snapshot r.snapshot;
+        "snapshot = sequential in LiTM's order" seq.snapshot
+        (sorted r.snapshot);
       Alcotest.(check bool)
         "outputs = sequential in LiTM's order" true
         (Array.for_all2 (Txn.equal_output Int.equal) seq.outputs
            (Array.map (fun j -> r.outputs.(j)) r.order));
       Alcotest.(check bool)
         "preset order differs" false
-        ((Seq.run ~storage txns).snapshot = r.snapshot))
+        (Seq.same_snapshot (Seq.run ~storage txns).snapshot r.snapshot))
     [ 1; 3 ]
 
 let test_litm_deterministic () =
@@ -191,7 +223,7 @@ let test_litm_deterministic () =
   let r1 = LitmI.run ~num_domains:1 ~storage:zero_storage txns in
   let r2 = LitmI.run ~num_domains:4 ~storage:zero_storage txns in
   Alcotest.(check bool) "snapshots equal across domain counts" true
-    (r1.snapshot = r2.snapshot);
+    (Seq.same_snapshot r1.snapshot r2.snapshot);
   Alcotest.(check int) "same rounds" r1.rounds r2.rounds
 
 let test_litm_failed_txn () =
@@ -261,4 +293,6 @@ let suite =
       test_profile_counts_and_deps;
     Alcotest.test_case "profile: failed txn contributes no writes" `Quick
       test_profile_failed_txn_no_writes;
+    Alcotest.test_case "sequential: same_snapshot ignores order" `Quick
+      test_same_snapshot;
   ]

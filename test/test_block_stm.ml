@@ -192,7 +192,7 @@ let test_deterministic_across_domain_counts () =
       Alcotest.(check bool)
         (Printf.sprintf "snapshot equal at %d domains" d)
         true
-        (r.snapshot = reference.snapshot);
+        (Seq.same_snapshot r.snapshot reference.snapshot);
       Array.iteri
         (fun i o ->
           Alcotest.(check bool) "output equal" true
@@ -416,7 +416,7 @@ let drive_caught_dependency ~config (tx2 : itxn) =
   let r = Bstm.finalize inst in
   let seq = Seq.run ~storage txns in
   Alcotest.(check (list (pair int int))) "snapshot = sequential" seq.snapshot
-    r.snapshot;
+    (sorted r.snapshot);
   Alcotest.(check bool) "outputs = sequential" true
     (Array.for_all2 (Txn.equal_output Int.equal) seq.outputs r.outputs)
 
@@ -535,7 +535,7 @@ let drive_preval_scenario ~prevalidate =
   Alcotest.(check (list (pair int int)))
     "sequential snapshot"
     [ (0, 101); (1, 1101); (9, 1) ]
-    r.snapshot;
+    (sorted r.snapshot);
   (profile, r.metrics)
 
 let test_prevalidation_skip () =
@@ -663,17 +663,16 @@ let test_minor_words_per_txn () =
       minor_words_per_txn_bound
 
 (* [finalize] allocates only its result: the snapshot list (a tuple and a
-   cons cell per binding, 6 words) and a few records. The snapshot's keys
-   and values go through the domain's reused scratch, and the outputs array
-   is handed over, not copied, so nothing is allocated in the major heap
-   and, the minor heap being empty at the start, nothing is promoted: no
-   collection runs inside [finalize] while the block's bookkeeping is
-   live. Measured on one domain, where [Gc.minor_words] and [Gc.counters]
-   are exact; the warm-up block sizes this domain's scratch. It read 6.15
-   words per binding over 3,620 bindings (OCaml 5.1.1 without flambda);
-   the list it replaced, built by a fold and [List.sort], read 46.5,
-   promoted 25,461 words, and took 26,462 in the major heap with the
-   1,001-word outputs copy. *)
+   cons cell per binding, 6 words) and a few records. The snapshot is
+   consed straight from MVMemory's per-shard read-out, unsorted, and the
+   outputs array is handed over, not copied, so nothing is allocated in the
+   major heap and, the minor heap being empty at the start, nothing is
+   promoted: no collection runs inside [finalize] while the block's
+   bookkeeping is live. Measured on one domain, where [Gc.minor_words] and
+   [Gc.counters] are exact. It read 6.01 words per binding over 3,620
+   bindings (OCaml 5.1.1 without flambda); a list built by a fold and
+   [List.sort] read 46.5, promoted 25,461 words, and took 26,462 in the
+   major heap with the 1,001-word outputs copy. *)
 let test_finalize_allocation () =
   let module H = Blockstm_workload.Harness in
   let module P2p = Blockstm_workload.P2p in
@@ -717,10 +716,9 @@ end
 module BstmB = Blockstm_core.Block_stm.Make (IntLoc) (BoxVal)
 
 (* Nothing a block leaves behind keeps its values alive once its result is
-   dropped: not the domain's snapshot scratch, which [finalize] clears, and
-   not the worker's write buffers, which its loop clears on exit. The last
-   transaction, the last one a domain runs, writes a fresh block [h] that
-   ends in the snapshot; the others write elsewhere. *)
+   dropped: not the worker's write buffers, which its loop clears on exit.
+   The last transaction, the last one a domain runs, writes a fresh block
+   [h] that ends in the snapshot; the others write elsewhere. *)
 let test_scratch_keeps_nothing_alive () =
   List.iter
     (fun num_domains ->
@@ -1102,9 +1100,7 @@ let zombie_attempt () =
   let r = R.Bstm.finalize i in
   let seq = R.Seq.run ~storage:(storage ()) [| writer; script |] in
   Alcotest.(check bool) "snapshot = sequential" true
-    (List.equal
-       (fun (l, v) (l', v') -> V.Loc.equal l l' && V.Value.equal v v')
-       seq.snapshot r.snapshot);
+    (R.Seq.same_snapshot seq.snapshot r.snapshot);
   Alcotest.(check bool) "outputs = sequential" true
     (Array.for_all2 (Txn.equal_output V.Value.equal) seq.outputs r.outputs);
   (Atomic.get zombies, Atomic.get gas_ended, r.metrics.validation_aborts)
@@ -1196,7 +1192,7 @@ let closure_zombie_attempt ~num_domains =
     Seq.run ~storage:zero_storage [| writer; looper ~coordinate:false |]
   in
   Alcotest.(check (list (pair int int))) "snapshot = sequential" seq.snapshot
-    r.snapshot;
+    (sorted r.snapshot);
   Alcotest.(check bool) "outputs = sequential" true
     (Array.for_all2 (Txn.equal_output Int.equal) seq.outputs r.outputs);
   (Atomic.get zombies, Atomic.get fuel_ended, r.metrics.validation_aborts)

@@ -450,13 +450,6 @@ let test_minimove_vault_block () =
         (payer, amount, seq))
   in
   let total = Array.fold_left (fun acc (_, a, _) -> acc + a) 0 transfers in
-  let eq_snapshot a b =
-    List.length a = List.length b
-    && List.for_all2
-         (fun (l1, v1) (l2, v2) ->
-           Mv_value.Loc.equal l1 l2 && Mv_value.Value.equal v1 v2)
-         a b
-  in
   List.iter
     (fun vm ->
       let s = R.load ~vm Stdlib_contracts.vault_source in
@@ -501,7 +494,7 @@ let test_minimove_vault_block () =
           Alcotest.(check bool)
             (msg ^ ": snapshot = sequential")
             true
-            (eq_snapshot seq_r.snapshot r.snapshot);
+            (R.Seq.same_snapshot seq_r.snapshot r.snapshot);
           Array.iteri
             (fun i o ->
               if

@@ -315,7 +315,7 @@ let apply_parts_on_two_domains m mv ~order ~cut =
   M.finish_parts m
 
 (* A delta applied by hash parts, in any order and split over two domains,
-   leaves what the one-part apply of the sorted snapshot leaves: the same
+   leaves what the one-part apply of the snapshot leaves: the same
    base tier, an incremental root equal to the from-scratch recompute, and
    the same delta root. The base tier is built at its fewest slots, so the
    first new key the delta inserts resizes it, which moves the slots the

@@ -332,11 +332,8 @@ let test_coin_block_parallel_equals_sequential () =
   in
   Alcotest.(check int) "snapshot sizes" (List.length seq.snapshot)
     (List.length par.snapshot);
-  List.iter2
-    (fun (l1, v1) (l2, v2) ->
-      Alcotest.(check bool) "loc" true (Loc.equal l1 l2);
-      Alcotest.(check bool) "value" true (Value.equal v1 v2))
-    seq.snapshot par.snapshot;
+  Alcotest.(check bool) "snapshot" true
+    (Runtime.Seq.same_snapshot seq.snapshot par.snapshot);
   Array.iteri
     (fun i o ->
       Alcotest.(check bool) "output" true
@@ -420,9 +417,7 @@ let test_out_of_gas_commits_failed () =
             | Error e -> raise e
           in
           Alcotest.(check bool) (name ^ ": snapshot = sequential") true
-            (List.equal
-               (fun (l, v) (l', v') -> Loc.equal l l' && Value.equal v v')
-               seq.snapshot par.snapshot);
+            (Runtime.Seq.same_snapshot seq.snapshot par.snapshot);
           Array.iteri
             (fun i o ->
               Alcotest.(check bool)
@@ -556,9 +551,7 @@ let test_amm_block_parallel () =
       ~storage:(Runtime.Store.reader store) txns
   in
   Alcotest.(check bool) "snapshots equal" true
-    (List.for_all2
-       (fun (l1, v1) (l2, v2) -> Loc.equal l1 l2 && Value.equal v1 v2)
-       seq.snapshot par.snapshot);
+    (Runtime.Seq.same_snapshot seq.snapshot par.snapshot);
   Array.iteri
     (fun i o ->
       Alcotest.(check bool) "outputs equal" true

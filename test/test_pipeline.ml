@@ -203,9 +203,10 @@ let test_stream_forwards_specs () =
         ~executor:(lanes k) ())
     [ 1; 2; 4 ]
 
-(* Lanes are the one executor that needs specs. A block handed to a lanes
-   chain without them, through [execute_block] or [execute_stream], raises
-   [Invalid_argument] before it runs, and the chain stays at genesis. *)
+(* Lanes are the one executor that needs specs, with more than one lane. A
+   block handed to a two-lane chain without them, through [execute_block]
+   or [execute_stream], raises [Invalid_argument] before it runs, and the
+   chain stays at genesis. *)
 let test_lanes_without_specs () =
   let ws = p2p_blocks () in
   let blocks = List.map (fun w -> w.P2p.txns) ws in
@@ -229,6 +230,38 @@ let test_lanes_without_specs () =
       ignore (Chain.execute_block chain (List.hd blocks)));
   check ~ctx:"execute_stream" (fun chain ->
       ignore (Chain.execute_stream chain ~next:(next_of blocks)))
+
+(* One lane is a passthrough to the engine and reads no specs: a one-lane
+   chain runs its blocks without them, through [execute_block] and
+   [execute_stream], and commits the state roots and outputs of a Block-STM
+   chain on the same engine config. *)
+let test_one_lane_without_specs () =
+  let ws = p2p_blocks () in
+  let blocks = List.map (fun w -> w.P2p.txns) ws in
+  let genesis = (List.hd ws).P2p.storage in
+  let bstm =
+    Chain.create
+      ~executor:(Chain.Block_stm { CBstm.default_config with num_domains = 2 })
+      ~genesis ()
+  in
+  let expected = List.map (Chain.execute_block bstm) blocks in
+  let check ~ctx commits =
+    List.iter2
+      (fun (e : _ Chain.block_commit) (c : _ Chain.block_commit) ->
+        Alcotest.(check int64)
+          (Fmt.str "%s: state root @ %d" ctx c.height)
+          e.state_root c.state_root;
+        Alcotest.(check bool)
+          (Fmt.str "%s: outputs @ %d" ctx c.height)
+          true
+          (W.Harness.equal_outputs e.outputs c.outputs))
+      expected commits
+  in
+  let chain = Chain.create ~executor:(lanes 1) ~genesis () in
+  check ~ctx:"execute_block" (List.map (Chain.execute_block chain) blocks);
+  let chain = Chain.create ~executor:(lanes 1) ~genesis () in
+  check ~ctx:"execute_stream"
+    (fst (Chain.execute_stream chain ~next:(next_of blocks)))
 
 (* Mempool-fed end-to-end: a producer domain submits the whole stream; the
    stream's [next] cuts fixed-size blocks; commits must match the reference
@@ -342,6 +375,8 @@ let suite =
       test_stream_forwards_specs;
     Alcotest.test_case "lanes without specs raise at genesis" `Quick
       test_lanes_without_specs;
+    Alcotest.test_case "one lane runs without specs" `Quick
+      test_one_lane_without_specs;
     Alcotest.test_case "mempool-fed stream" `Quick test_mempool_driven;
     Alcotest.test_case "mempool: size cut" `Quick test_mempool_size_cut;
     Alcotest.test_case "mempool: deadline cut" `Quick test_mempool_deadline_cut;

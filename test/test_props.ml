@@ -66,7 +66,7 @@ let print_block (b : prog list) =
 (* --- Properties ------------------------------------------------------------ *)
 
 let equal_results (a : int Seq.result) (b : int Bstm.result) =
-  a.snapshot = b.snapshot
+  Seq.same_snapshot a.snapshot b.snapshot
   && Array.for_all2 (Txn.equal_output Int.equal) a.outputs b.outputs
 
 let prop_blockstm_equals_sequential =
@@ -144,7 +144,7 @@ let prop_litm_deterministic_and_conserving =
       let txns = Array.of_list (List.map txn_of_prog block) in
       let r1 = LitmI.run ~num_domains:1 ~storage:zero_storage txns in
       let r2 = LitmI.run ~num_domains:3 ~storage:zero_storage txns in
-      r1.snapshot = r2.snapshot && r1.rounds = r2.rounds)
+      Seq.same_snapshot r1.snapshot r2.snapshot && r1.rounds = r2.rounds)
 
 let prop_bohm_equals_sequential_with_perfect_writes =
   QCheck2.Test.make ~name:"bohm = sequential given perfect write-sets"
@@ -171,7 +171,7 @@ let prop_bohm_equals_sequential_with_perfect_writes =
             BohmI.run ~num_domains:d ~storage:zero_storage
               ~declared_writes:declared txns
           in
-          b.snapshot = seq.snapshot
+          Seq.same_snapshot b.snapshot seq.snapshot
           && Array.for_all2
                (Txn.equal_output Int.equal)
                b.outputs seq.outputs)
@@ -475,7 +475,7 @@ let prop_mvmemory_matches_model =
         in
         Mv.flush_committed mv ~upto:mv_block_size;
         Model.flush model ~upto:mv_block_size;
-        Mv.snapshot mv = expected
+        sorted (Mv.snapshot mv) = expected
         && Mv.entry_count mv = 0
         && reads_agree all_readers
         && validation_agrees all_readers

@@ -119,7 +119,7 @@ let check_run ~seed ~domains ~rolling =
   in
   (* Final state and outputs identical to sequential. *)
   Alcotest.(check (list (pair int int)))
-    (ctx ^ ": snapshot") seq.snapshot par.snapshot;
+    (ctx ^ ": snapshot") seq.snapshot (sorted par.snapshot);
   Array.iteri
     (fun j a ->
       if not (Txn.equal_output Int.equal a par.outputs.(j)) then

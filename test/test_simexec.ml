@@ -119,7 +119,8 @@ let test_sim_deterministic () =
   Alcotest.(check bool) "same makespan" true
     (s1.makespan_us = s2.makespan_us);
   Alcotest.(check int) "same steps" s1.steps s2.steps;
-  Alcotest.(check bool) "same snapshot" true (r1.snapshot = r2.snapshot)
+  Alcotest.(check bool) "same snapshot" true
+    (Harness.equal_snapshot r1.snapshot r2.snapshot)
 
 let test_sim_scales_when_uncontended () =
   let _, _, s1 = sim ~num_threads:1 ~accounts:10_000 ~block:400 () in

@@ -25,7 +25,7 @@ let test_repeated_contended_runs () =
     Alcotest.(check bool)
       (Printf.sprintf "rep %d snapshot" rep)
       true
-      (par.snapshot = seq.snapshot)
+      (Seq.same_snapshot par.snapshot seq.snapshot)
   done
 
 (* A large p2p block across many domains. *)
@@ -166,7 +166,7 @@ let test_rolling_commit_stress () =
     Alcotest.(check bool)
       (Printf.sprintf "rep %d: snapshot" rep)
       true
-      (r.snapshot = seq.snapshot);
+      (Seq.same_snapshot r.snapshot seq.snapshot);
     Alcotest.(check (list int))
       (Printf.sprintf "rep %d: commit order" rep)
       (List.init n Fun.id) (List.rev !order)

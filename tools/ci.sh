@@ -42,8 +42,9 @@
 #   - blockstm run -e litm --verify matches the sequential executor run in
 #     LiTM's own commit order;
 #   - every program under examples/ runs to completion with exit status 0;
-#   - every value a library .mli exports is named outside its own module
-#     (tools/unused_exports.sh).
+#   - every value a library .mli exports is named outside its own module,
+#     and every top-level value of a library module without an .mli is
+#     named outside its own binding (tools/unused_exports.sh).
 # Usage: tools/ci.sh   (run from the repository root)
 set -eu
 

@@ -2,10 +2,19 @@
 # Exports with no caller: every `val` a library interface (lib/**/*.mli)
 # declares must be named, as a whole word (grep -w), in the code of at least
 # one .ml or .mli file outside its own module's pair, anywhere under lib/,
-# bench/, bin/, test/ or examples/. Comments and string literals are
-# stripped first, so a word in prose or in a test's name is not a caller.
-# A value only its own module uses does not belong in the interface: drop
-# it there, and delete its code if the module does not use it either.
+# bench/, bin/, test/ or examples/. A value only its own module uses does
+# not belong in the interface: drop it there, and delete its code if the
+# module does not use it either.
+#
+# A library module without an interface (lib/**/*.ml with no .mli) exports
+# every top-level value, so there the check is for dead code: each `let` at
+# column 0, or at the 2-space indent of a functor body (a column-0
+# `module M (...) ... = struct` up to its column-0 `end`), must be named, as
+# an OCaml identifier, somewhere under those directories outside its own
+# binding (from its `let` up to the next line at its indent or less).
+#
+# Comments and string literals are stripped first, so a word in prose or in
+# a test's name is not a caller.
 #
 #   bash tools/unused_exports.sh     # from anywhere; exit 1 lists each find
 set -euo pipefail
@@ -86,8 +95,59 @@ while IFS= read -r mli; do
   done
 done < <(find lib -type f -name '*.mli' | sort)
 
+# Dead top-level values of the modules without an interface: a name
+# whose every occurrence in the stripped sources lies inside its own
+# binding.
+dead=$(cd "$code" && find lib -type f -name '*.ml' | sort | while IFS= read -r ml; do
+  [ -e "$ml"i ] || echo "$ml"
+done | perl -e '
+  use strict;
+  use warnings;
+  my @sources = @ARGV;
+  my %count;
+  for my $f (@sources) {
+    open my $in, "<", $f or die "$f: $!";
+    while (my $l = <$in>) {
+      $count{$1}++ while $l =~ /(?<![A-Za-z0-9_\x27])([A-Za-z_][A-Za-z0-9_\x27]*)/g;
+    }
+    close $in;
+  }
+  my %skip = map { $_ => 1 } qw(open module exception rec);
+  while (my $f = <STDIN>) {
+    chomp $f;
+    open my $in, "<", $f or die "$f: $!";
+    my @lines = <$in>;
+    close $in;
+    (my $module = $f) =~ s{.*/}{};
+    $module =~ s/\.ml$//;
+    $module = ucfirst $module;
+    my $functor = 0;
+    for my $i (0 .. $#lines) {
+      my $l = $lines[$i];
+      $functor = 1 if $l =~ /^module\s+[A-Z]\w*\s*\(/;
+      $functor = 0 if $l =~ /^end\b/;
+      my ($indent, $name) =
+        $l =~ /^let\s+(?:rec\s+)?([a-z][A-Za-z0-9_\x27]*)\b/ ? (0, $1)
+        : $functor && $l =~ /^  let\s+(?:rec\s+)?([a-z][A-Za-z0-9_\x27]*)\b/ ? (2, $1)
+        : next;
+      next if $skip{$name};
+      my $own = 0;
+      for (my $j = $i; $j <= $#lines; $j++) {
+        my $m = $lines[$j];
+        last if $j > $i && $m =~ /\S/ && $m =~ /^( *)/ && length($1) <= $indent;
+        $own++ while $m =~ /(?<![A-Za-z0-9_\x27])\Q$name\E(?![A-Za-z0-9_\x27])/g;
+      }
+      print "unused_exports: $f: $module.$name is named nowhere outside its own binding\n"
+        if ($count{$name} // 0) == $own;
+    }
+  }' $(cd "$code" && find lib bench bin test examples -type f | sort))
+if [ -n "$dead" ]; then
+  echo "$dead"
+  found=1
+fi
+
 if [ "$found" = 1 ]; then
-  echo "unused_exports: FAIL — drop each value above from its .mli (and its code, if its module does not use it)"
+  echo "unused_exports: FAIL — drop each value above from its .mli (and its code, if its module does not use it), and delete each dead value"
   exit 1
 fi
-echo "unused_exports: every exported value is named outside its module"
+echo "unused_exports: every exported value is named outside its module, and every top-level value outside its binding"
