@@ -165,8 +165,15 @@ let experiment_json (e : experiment) : J.t =
 let to_json () : J.t =
   J.Obj
     [
-      ("schema", J.Str "blockstm-bench/10");
+      ("schema", J.Str "blockstm-bench/11");
       ("mode", J.Str !mode_name);
+      ( "host",
+        J.Obj
+          [
+            ( "cores",
+              J.Num (float_of_int (Domain.recommended_domain_count ())) );
+          ] );
+      ("ocaml", J.Str Sys.ocaml_version);
       ("experiments", J.List (List.rev_map experiment_json !experiments));
     ]
 

@@ -2,11 +2,13 @@
     accumulates every table the experiments print, raw
     per-seed measurement samples with p50/p95/p99 summaries, and bucketed
     distributions (e.g. per-transaction execution times), and renders one
-    JSON document — schema ["blockstm-bench/6"]:
+    JSON document — schema ["blockstm-bench/11"]:
 
     {v
-    { "schema": "blockstm-bench/6",
+    { "schema": "blockstm-bench/11",
       "mode": "quick" | "full",
+      "host": { "cores": 2 },
+      "ocaml": "5.1.1",
       "experiments": [
         { "name": "fig3", "description": "...",
           "tables": [ { "title": "...", "header": [...], "rows": [[...]] } ],
@@ -20,7 +22,9 @@
         } ] }
     v}
 
-    Histogram buckets are powers of two: bucket [le] counts samples in
+    [host.cores] is the runtime's [Domain.recommended_domain_count ()] and
+    [ocaml] is [Sys.ocaml_version], so a wall-clock table can be read
+    against the host it ran on. Histogram buckets are powers of two: bucket [le] counts samples in
     [(le/2, le]]; [le = 0] collects non-positive samples. Empty buckets are
     omitted.
 

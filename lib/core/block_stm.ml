@@ -202,27 +202,51 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (* Algorithm 4: the VM — speculative execution with instrumented accesses *)
   (* ---------------------------------------------------------------------- *)
 
-  (* Per-worker VM state, held in domain-local storage: the incarnation's
-     read log and the own-writes table, which is reset and reused across
-     incarnations.
+  (* Per-worker VM state, held in domain-local storage (see [vm] below)
+     and reused across incarnations: what the effects handle acts on, and
+     the incarnation's read log, own-write log and pending deltas.
+
+     Each domain builds its effects handles once ([fresh_vm]): their
+     [read], [write] and [delta] are [vm_read], [vm_write] and [vm_delta]
+     (or [Txn.rmw_delta] over the first two) over the domain's scratch, so
+     an incarnation allocates no closure. [vm_execute] points the scratch
+     at the instance's MVMemory and storage reader once per instance (a
+     physical-equality check), and sets the transaction index and the read
+     count per incarnation. When the worker loop exits, the scratch points
+     at [idle_mv] and [idle_storage] again, so a domain that outlives a
+     block holds nothing of it.
 
      The read log is two arrays filled in step, of locations and of
      origins, so logging a read stores two fields and allocates no tuple.
-     Each incarnation allocates them afresh, sized to the worker's previous
-     read log; when the size matched, they become the recorded read set
-     without a copy. They are therefore young while they are filled: a store
-     into a promoted buffer reused across incarnations would go through the
-     write barrier, which records the young value in the remembered set and,
-     while the collector marks, darkens the dead read it overwrites, and
-     that darkening kept a helper domain's marking open until the domain
-     terminated (EXPERIMENTS.md, "Retained bookkeeping"). *)
+     The own-write log is two arrays too, of locations and values in
+     first-write order, and a rewrite stores into its slot. Each incarnation
+     allocates its logs afresh at its first read or write, sized to the
+     worker's previous log; a full read log becomes the recorded read set
+     without a copy. The logs are therefore young while they are filled: a
+     store into a promoted buffer reused across incarnations would go
+     through the write barrier, which records the young value in the
+     remembered set and, while the collector marks, darkens the dead read it
+     overwrites, and that darkening kept a helper domain's marking open
+     until the domain terminated (EXPERIMENTS.md, "Retained bookkeeping").
+     Up to [scan_max] writes, an own-write lookup scans the log; the write
+     that takes it past [scan_max] indexes it in a young table, which later
+     writes extend, so w writes cost O(w). *)
   type scratch = {
+    mutable mv : Mv.t;  (** The running instance's, or [idle_mv]. *)
+    mutable storage : (L.t, V.t) Intf.storage;
+    mutable txn_idx : int;
+    mutable nreads : int;  (** Reads and delta ops of the incarnation. *)
     mutable r_locs : L.t array;
     mutable r_origins : Read_origin.t array;
     mutable r_len : int;  (** Reads logged; both arrays hold at least this. *)
     mutable r_hint : int;  (** Length of the worker's previous read log. *)
-    s_writes : V.t LTbl.t;
-    mutable s_worder : L.t list;  (** Write order, reversed; writes are few. *)
+    mutable w_locs : L.t array;
+    mutable w_vals : V.t array;
+    mutable w_len : int;  (** Locations written; both arrays hold this. *)
+    mutable w_hint : int;  (** Length of the worker's previous write log. *)
+    mutable w_index : int LTbl.t;
+        (** Log position per written location once [w_len > scan_max];
+            [no_index] until then. *)
     s_deltas : (int * Delta.t) LTbl.t;
         (** Pending composed delta per location (delta_ops mode): the
             external materialized base observed at the first delta op, and
@@ -235,20 +259,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             exception. *)
   }
 
-  let fresh_scratch () =
-    {
-      r_locs = [||];
-      r_origins = [||];
-      r_len = 0;
-      r_hint = 8;
-      s_writes = LTbl.create 64;
-      s_worder = [];
-      s_deltas = LTbl.create 8;
-      s_dorder = [];
-      s_blocked = -1;
-    }
+  (* Writes an incarnation can make before its own-write lookups stop
+     scanning the log. *)
+  let scan_max = 8
 
-  let scratch_key = Domain.DLS.new_key fresh_scratch
+  let idle_mv = Mv.create ~block_size:0 ()
+  let idle_storage : (L.t, V.t) Intf.storage = fun _ -> None
+  let no_index : int LTbl.t = LTbl.create 1
 
   let push_read (sc : scratch) loc (origin : Read_origin.t) : unit =
     let n = sc.r_len in
@@ -284,191 +301,277 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     if sc.s_blocked < 0 then sc.s_blocked <- b;
     raise (Dependency b)
 
-  (* The incarnation's own buffered write and pending delta at [loc]. Most
-     reads come before the first write, so an empty table is not hashed. *)
-  let own_write (sc : scratch) loc =
-    if LTbl.length sc.s_writes = 0 then None else LTbl.find_opt sc.s_writes loc
+  let rec scan_writes locs loc i n =
+    if i = n then -1
+    else if L.equal locs.(i) loc then i
+    else scan_writes locs loc (i + 1) n
+
+  (* The position of the incarnation's own buffered write to [loc] in the
+     write log, or -1. *)
+  let own_write (sc : scratch) loc : int =
+    let n = sc.w_len in
+    if n <= scan_max then scan_writes sc.w_locs loc 0 n
+    else match LTbl.find sc.w_index loc with i -> i | exception Not_found -> -1
+
+  (* Append a first write of [loc] to the write log. *)
+  let push_write (sc : scratch) loc v : unit =
+    let n = sc.w_len in
+    if n = Array.length sc.w_locs then begin
+      let cap = if n = 0 then sc.w_hint else 2 * n in
+      let locs = Array.make cap loc and vals = Array.make cap v in
+      Array.blit sc.w_locs 0 locs 0 n;
+      Array.blit sc.w_vals 0 vals 0 n;
+      sc.w_locs <- locs;
+      sc.w_vals <- vals
+    end;
+    sc.w_locs.(n) <- loc;
+    sc.w_vals.(n) <- v;
+    sc.w_len <- n + 1;
+    if n = scan_max then begin
+      let index = LTbl.create (4 * scan_max) in
+      for i = 0 to n do
+        LTbl.add index sc.w_locs.(i) i
+      done;
+      sc.w_index <- index
+    end
+    else if n > scan_max then LTbl.add sc.w_index loc n
+
+  (* The finished incarnation's write set, in first-write order. *)
+  let take_writes (sc : scratch) : Mv.write_set =
+    let n = sc.w_len in
+    if n = 0 then [||]
+    else begin
+      let locs = sc.w_locs and vals = sc.w_vals in
+      let ws = Array.make n (locs.(0), vals.(0)) in
+      for i = 1 to n - 1 do
+        ws.(i) <- (locs.(i), vals.(i))
+      done;
+      ws
+    end
 
   let own_delta (sc : scratch) loc =
     if LTbl.length sc.s_deltas = 0 then None else LTbl.find_opt sc.s_deltas loc
 
-  (* Fill [ws] downward from index [i] with the buffered writes of [locs],
-     the write order reversed. *)
-  let rec fill_writes (sc : scratch) ws i = function
-    | [] -> ()
-    | loc :: locs ->
-        ws.(i) <- (loc, LTbl.find sc.s_writes loc);
-        fill_writes sc ws (i - 1) locs
+  (* The handle's [read]. *)
+  let vm_read (sc : scratch) loc : V.t option =
+    sc.nreads <- sc.nreads + 1;
+    let i = own_write sc loc in
+    if i >= 0 then Some sc.w_vals.(i)
+      (* read-your-writes: not recorded in the read-set *)
+    else
+      match own_delta sc loc with
+      | Some (b, c) ->
+          (* Value read over this transaction's own pending delta: the
+             external observation is the materialized base [b] — pin it
+             exactly, since the returned value depends on it. *)
+          push_read sc loc (Read_origin.Counter b);
+          Some (V.of_counter (b + c.Delta.net))
+      | None -> (
+          (* An MVMemory read, recorded in the read log. *)
+          match Mv.read sc.mv loc ~txn_idx:sc.txn_idx with
+          | Mv.Read_error { blocking_txn_idx } -> block_on sc blocking_txn_idx
+          | Mv.Not_found ->
+              let v = sc.storage loc in
+              push_read sc loc Read_origin.Storage;
+              v
+          | Mv.Ok (version, value) ->
+              push_read sc loc (Read_origin.Mv version);
+              Some value
+          | Mv.Merged { value } ->
+              (* Value read over lower transactions' delta entries:
+                 version-free, so pin the exact materialized sum. *)
+              push_read sc loc (Read_origin.Counter value);
+              Some (V.of_counter value))
 
-  (* Forget the previous incarnation's read log, writes and deltas. *)
+  (* The handle's [write]. *)
+  let vm_write (sc : scratch) loc v : unit =
+    if LTbl.length sc.s_deltas > 0 then LTbl.remove sc.s_deltas loc;
+    let i = own_write sc loc in
+    if i >= 0 then sc.w_vals.(i) <- v else push_write sc loc v
+
+  (* The handle's [delta] with delta_ops on: accumulate a composed pending
+     delta per location and record a Range descriptor over its admissible
+     bases (DESIGN.md §12), instead of a value-equality read that concurrent
+     increments abort. With delta_ops off, [delta] is [Txn.rmw_delta] over
+     [vm_read] and [vm_write]: exactly the sequential fallback, so recorded
+     read and write sets (and therefore scheduling and validation) are
+     byte-identical to a build without delta support. *)
+  let vm_delta (sc : scratch) loc (d : Delta.t) : Txn.delta_outcome =
+    sc.nreads <- sc.nreads + 1;
+    let i = own_write sc loc in
+    if i >= 0 then
+      (* Own plain write buffered: plain read-modify-write on it. *)
+      match V.as_counter sc.w_vals.(i) with
+      | None -> Txn.Not_a_counter
+      | Some b -> (
+          match Delta.apply d b with
+          | Some r ->
+              sc.w_vals.(i) <- V.of_counter r;
+              Txn.Applied
+          | None -> Txn.Bounds_violation)
+    else
+      match own_delta sc loc with
+      | Some (b, c) -> (
+          let c' = Delta.compose c d in
+          match Delta.apply c' b with
+          | Some _ ->
+              LTbl.replace sc.s_deltas loc (b, c');
+              let rlo, rhi = Delta.admissible c' in
+              push_read sc loc (Read_origin.Range { rlo; rhi });
+              Txn.Applied
+          | None ->
+              (* The outcome leaked the exact base: pin it. *)
+              push_read sc loc (Read_origin.Counter b);
+              Txn.Bounds_violation)
+      | None -> (
+          (* First delta op on this location: materialize the external
+             integer base (same walk the read path does). *)
+          let ext =
+            match Mv.read sc.mv loc ~txn_idx:sc.txn_idx with
+            | Mv.Read_error { blocking_txn_idx } ->
+                block_on sc blocking_txn_idx
+            | Mv.Merged { value } -> Some value
+            | Mv.Ok (_, value) -> V.as_counter value
+            | Mv.Not_found -> (
+                match sc.storage loc with
+                | None -> Some 0 (* absent counts as 0 *)
+                | Some v -> V.as_counter v)
+          in
+          match ext with
+          | None ->
+              push_read sc loc Read_origin.Not_counter;
+              Txn.Not_a_counter
+          | Some b -> (
+              match Delta.apply d b with
+              | Some _ ->
+                  LTbl.replace sc.s_deltas loc (b, d);
+                  sc.s_dorder <- loc :: sc.s_dorder;
+                  let rlo, rhi = Delta.admissible d in
+                  push_read sc loc (Read_origin.Range { rlo; rhi });
+                  Txn.Applied
+              | None ->
+                  push_read sc loc (Read_origin.Counter b);
+                  Txn.Bounds_violation))
+
+  (* A domain's VM: its scratch, and the effects handles over it with
+     [delta_ops] off ([paper]) and on ([deltas]). *)
+  type vm = { sc : scratch; paper : effects; deltas : effects }
+
+  let fresh_vm () =
+    let sc =
+      {
+        mv = idle_mv;
+        storage = idle_storage;
+        txn_idx = 0;
+        nreads = 0;
+        r_locs = [||];
+        r_origins = [||];
+        r_len = 0;
+        r_hint = 8;
+        w_locs = [||];
+        w_vals = [||];
+        w_len = 0;
+        w_hint = 4;
+        w_index = no_index;
+        s_deltas = LTbl.create 8;
+        s_dorder = [];
+        s_blocked = -1;
+      }
+    in
+    let read loc = vm_read sc loc and write loc v = vm_write sc loc v in
+    {
+      sc;
+      paper =
+        {
+          Txn.read;
+          write;
+          delta =
+            Txn.rmw_delta ~read ~write ~as_counter:V.as_counter
+              ~of_counter:V.of_counter;
+        };
+      deltas = { Txn.read; write; delta = (fun loc d -> vm_delta sc loc d) };
+    }
+
+  let vm_key = Domain.DLS.new_key fresh_vm
+
+  (* Forget the previous incarnation's logs and deltas. *)
+  let clear_logs (sc : scratch) : unit =
+    if sc.r_len > 0 then begin
+      sc.r_locs <- [||];
+      sc.r_origins <- [||];
+      sc.r_len <- 0
+    end;
+    if sc.w_len > 0 then begin
+      sc.w_hint <- sc.w_len;
+      sc.w_locs <- [||];
+      sc.w_vals <- [||];
+      if sc.w_len > scan_max then sc.w_index <- no_index;
+      sc.w_len <- 0
+    end;
+    (* Every pending delta is in the delta order. *)
+    if sc.s_dorder != [] then begin
+      LTbl.clear sc.s_deltas;
+      sc.s_dorder <- []
+    end
+
+  (* Leave the scratch holding nothing of the instance. *)
   let clear_scratch (sc : scratch) : unit =
-    sc.r_locs <- [||];
-    sc.r_origins <- [||];
-    LTbl.clear sc.s_writes;
-    sc.s_worder <- [];
-    LTbl.clear sc.s_deltas;
-    sc.s_dorder <- []
+    clear_logs sc;
+    sc.mv <- idle_mv;
+    sc.storage <- idle_storage
+
+  let finish (sc : scratch) vm_output ~keep_writes : 'o vm_result =
+    let vm_read_set = take_reads sc in
+    let vm_write_set = if keep_writes then take_writes sc else [||] in
+    let vm_delta_set =
+      (* First-delta order; a later plain write to the location removed
+         its pending delta, so filter through the live table. *)
+      if keep_writes && sc.s_dorder <> [] then
+        sc.s_dorder |> List.rev
+        |> List.filter_map (fun loc ->
+               match LTbl.find_opt sc.s_deltas loc with
+               | Some (_, c) -> Some (loc, c)
+               | None -> None)
+        |> Array.of_list
+      else [||]
+    in
+    {
+      vm_read_set;
+      vm_write_set;
+      vm_delta_set;
+      vm_output;
+      vm_reads = sc.nreads;
+      vm_writes = sc.w_len + Array.length vm_delta_set;
+    }
 
   (* Executes the transaction's code, intercepting reads and writes. Never
      touches MVMemory or Storage mutably. Returns [Vm_blocked] when a read
      observed an ESTIMATE written by a lower transaction. *)
   let vm_execute (inst : 'o instance) ~(txn_idx : int) : 'o vm_outcome =
-    let txn = inst.txns.(txn_idx) in
-    let sc = Domain.DLS.get scratch_key in
-    sc.r_len <- 0;
-    clear_scratch sc;
+    let vm = Domain.DLS.get vm_key in
+    let sc = vm.sc in
+    if sc.mv != inst.mv then begin
+      sc.mv <- inst.mv;
+      sc.storage <- inst.storage
+    end;
+    sc.txn_idx <- txn_idx;
+    sc.nreads <- 0;
+    clear_logs sc;
     sc.s_blocked <- -1;
-    let nreads = ref 0 in
-    let read loc =
-      incr nreads;
-      match own_write sc loc with
-      | Some _ as v -> v (* read-your-writes: not recorded in the read-set *)
-      | None -> (
-          match own_delta sc loc with
-          | Some (b, c) ->
-              (* Value read over this transaction's own pending delta: the
-                 external observation is the materialized base [b] — pin it
-                 exactly, since the returned value depends on it. *)
-              push_read sc loc (Read_origin.Counter b);
-              Some (V.of_counter (b + c.Delta.net))
-          | None -> (
-              (* An MVMemory read, recorded in the read log. *)
-              match Mv.read inst.mv loc ~txn_idx with
-              | Mv.Read_error { blocking_txn_idx } ->
-                  block_on sc blocking_txn_idx
-              | Mv.Not_found ->
-                  let v = inst.storage loc in
-                  push_read sc loc Read_origin.Storage;
-                  v
-              | Mv.Ok (version, value) ->
-                  push_read sc loc (Read_origin.Mv version);
-                  Some value
-              | Mv.Merged { value } ->
-                  (* Value read over lower transactions' delta entries:
-                     version-free, so pin the exact materialized sum. *)
-                  push_read sc loc (Read_origin.Counter value);
-                  Some (V.of_counter value)))
-    in
-    let write loc v =
-      if LTbl.length sc.s_deltas > 0 then LTbl.remove sc.s_deltas loc;
-      if not (LTbl.mem sc.s_writes loc) then sc.s_worder <- loc :: sc.s_worder;
-      LTbl.replace sc.s_writes loc v
-    in
-    (* delta_ops off: route delta ops through the instrumented read/write
-       pair — exactly the sequential fallback, so recorded read/write sets
-       (and therefore scheduling and validation) are byte-identical to a
-       build without delta support. *)
-    let delta_off = Txn.rmw_delta ~read ~write ~as_counter:V.as_counter
-        ~of_counter:V.of_counter in
-    (* delta_ops on: accumulate a composed pending delta per location and
-       record a Range descriptor over its admissible bases (DESIGN.md §12),
-       instead of a value-equality read that concurrent increments abort. *)
-    let delta_on loc (d : Delta.t) : Txn.delta_outcome =
-      incr nreads;
-      match own_write sc loc with
-      | Some v -> (
-          (* Own plain write buffered: plain read-modify-write on it. *)
-          match V.as_counter v with
-          | None -> Txn.Not_a_counter
-          | Some b -> (
-              match Delta.apply d b with
-              | Some r ->
-                  LTbl.replace sc.s_writes loc (V.of_counter r);
-                  Txn.Applied
-              | None -> Txn.Bounds_violation))
-      | None -> (
-          match own_delta sc loc with
-          | Some (b, c) -> (
-              let c' = Delta.compose c d in
-              match Delta.apply c' b with
-              | Some _ ->
-                  LTbl.replace sc.s_deltas loc (b, c');
-                  let rlo, rhi = Delta.admissible c' in
-                  push_read sc loc (Read_origin.Range { rlo; rhi });
-                  Txn.Applied
-              | None ->
-                  (* The outcome leaked the exact base: pin it. *)
-                  push_read sc loc (Read_origin.Counter b);
-                  Txn.Bounds_violation)
-          | None -> (
-              (* First delta op on this location: materialize the external
-                 integer base (same walk the read path does). *)
-              let ext =
-                match Mv.read inst.mv loc ~txn_idx with
-                | Mv.Read_error { blocking_txn_idx } ->
-                    block_on sc blocking_txn_idx
-                | Mv.Merged { value } -> Some value
-                | Mv.Ok (_, value) -> V.as_counter value
-                | Mv.Not_found -> (
-                    match inst.storage loc with
-                    | None -> Some 0 (* absent counts as 0 *)
-                    | Some v -> V.as_counter v)
-              in
-              match ext with
-              | None ->
-                  push_read sc loc Read_origin.Not_counter;
-                  Txn.Not_a_counter
-              | Some b -> (
-                  match Delta.apply d b with
-                  | Some _ ->
-                      LTbl.replace sc.s_deltas loc (b, d);
-                      sc.s_dorder <- loc :: sc.s_dorder;
-                      let rlo, rhi = Delta.admissible d in
-                      push_read sc loc (Read_origin.Range { rlo; rhi });
-                      Txn.Applied
-                  | None ->
-                      push_read sc loc (Read_origin.Counter b);
-                      Txn.Bounds_violation)))
-    in
-    let delta = if inst.deltas then delta_on else delta_off in
-    let finish vm_output ~keep_writes =
-      let vm_read_set = take_reads sc in
-      let vm_write_set =
-        (* Deterministic order: first-write order of distinct locations.
-           [s_worder] is reversed, so its head is the last entry. *)
-        match sc.s_worder with
-        | loc :: locs when keep_writes ->
-            let n = LTbl.length sc.s_writes in
-            let ws = Array.make n (loc, LTbl.find sc.s_writes loc) in
-            fill_writes sc ws (n - 2) locs;
-            ws
-        | _ -> [||]
-      in
-      let vm_delta_set =
-        (* First-delta order; a later plain write to the location removed
-           its pending delta, so filter through the live table. *)
-        if keep_writes && sc.s_dorder <> [] then
-          sc.s_dorder |> List.rev
-          |> List.filter_map (fun loc ->
-                 match LTbl.find_opt sc.s_deltas loc with
-                 | Some (_, c) -> Some (loc, c)
-                 | None -> None)
-          |> Array.of_list
-        else [||]
-      in
-      {
-        vm_read_set;
-        vm_write_set;
-        vm_delta_set;
-        vm_output;
-        vm_reads = !nreads;
-        vm_writes = LTbl.length sc.s_writes + Array.length vm_delta_set;
-      }
-    in
     (* A read that hit an ESTIMATE decides the outcome however the
        transaction ends: returning after catching [Dependency] must not
        commit a result computed without that read. *)
-    match txn { Txn.read; write; delta } with
+    match inst.txns.(txn_idx) (if inst.deltas then vm.deltas else vm.paper) with
     | output when sc.s_blocked < 0 ->
-        Vm_done (finish (Success output) ~keep_writes:true)
+        Vm_done (finish sc (Success output) ~keep_writes:true)
     | exception e when sc.s_blocked < 0 ->
         (* The VM captures transaction failures (§4): the incarnation commits
            with no writes. Validation still covers the observed read-set, so
            failures caused purely by inconsistent speculative reads get
            re-executed. *)
-        Vm_done (finish (Failed (Printexc.to_string e)) ~keep_writes:false)
+        Vm_done (finish sc (Failed (Printexc.to_string e)) ~keep_writes:false)
     | _ | exception _ ->
-        Vm_blocked { blocking = sc.s_blocked; reads_so_far = !nreads }
+        Vm_blocked { blocking = sc.s_blocked; reads_so_far = sc.nreads }
 
   (* ---------------------------------------------------------------------- *)
   (* Algorithm 1: per-task handlers and the worker loop                     *)
@@ -727,7 +830,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         done);
     (* The domain outlives the block: keep none of its values alive in the
        scratch until the domain's next incarnation. *)
-    clear_scratch (Domain.DLS.get scratch_key);
+    clear_scratch (Domain.DLS.get vm_key).sc;
     flush_stats inst stats
 
   (* Exact once every worker has added its tallies in. Every transaction
@@ -803,6 +906,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     try worker_loop ~worker inst
     with e ->
       let bt = Printexc.get_raw_backtrace () in
+      clear_scratch (Domain.DLS.get vm_key).sc;
       ignore (Atomic.compare_and_set inst.failure None (Some (e, bt)))
 
   (* The commit job of [run_into]: its parts, claimed in turn by every

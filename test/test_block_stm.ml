@@ -635,14 +635,15 @@ let test_create_forces_no_minor_collections () =
 (* Allocation gate: minor words per transaction of the default config on
    one domain, over p2p-low's access pattern (1,000 standard-p2p
    transactions, 10^4 accounts). On one domain the count is deterministic;
-   the warm-up run sizes the domain's own-writes tables and read-log
-   buffers. The bound is the measured 402.6 words (OCaml 5.1.1 without
-   flambda) plus 1%: a change that cuts allocation lowers it. It was 557
-   (551.2 measured) while [finalize] sorted the snapshot as a list and
-   copied the outputs, 558 (552.2) while every block built a metrics
-   registry, and 620 (614.2) while a Ledger location was a 2–3-word
-   block. *)
-let minor_words_per_txn_bound = 407.
+   the warm-up run sizes the domain's read and own-write logs. The bound
+   is the measured 311.6 words (OCaml 5.1.1 without flambda) plus 1%: a
+   change that cuts allocation lowers it. It was 407 (402.6 measured)
+   while every incarnation built its own effects handle and kept its own
+   writes in a hash table and a write-order list, 557 (551.2) while
+   [finalize] sorted the snapshot as a list and copied the outputs, 558
+   (552.2) while every block built a metrics registry, and 620 (614.2)
+   while a Ledger location was a 2–3-word block. *)
+let minor_words_per_txn_bound = 315.
 
 let test_minor_words_per_txn () =
   let module H = Blockstm_workload.Harness in
@@ -661,6 +662,78 @@ let test_minor_words_per_txn () =
   if per_txn > minor_words_per_txn_bound then
     Alcotest.failf "%.1f minor words per transaction (bound %.0f)" per_txn
       minor_words_per_txn_bound
+
+(* An incarnation allocates only what it keeps: each domain builds its
+   effects handle once, and [vm_execute] only points the domain's scratch at
+   the instance and the transaction. A block of 1,000 transactions that
+   neither read nor write allocates per transaction only the scheduler's
+   and the step loop's bookkeeping and its result. Measured on one domain,
+   where [Gc.minor_words] is exact, after a warm-up block: 99.35 words per
+   transaction (OCaml 5.1.1 without flambda), and the bound is that plus
+   1%. It read 172.35 while each incarnation built five closures, a [ref]
+   and an effects record. *)
+let noop_words_per_txn_bound = 100.3
+
+let test_noop_block_allocation () =
+  let txns : itxn array = Array.make 1_000 (fun _ -> 0) in
+  let block () =
+    ignore (Sys.opaque_identity (run ~storage:zero_storage txns))
+  in
+  block ();
+  let w0 = Gc.minor_words () in
+  block ();
+  let per_txn = (Gc.minor_words () -. w0) /. 1_000. in
+  if per_txn > noop_words_per_txn_bound then
+    Alcotest.failf "%.1f minor words per no-op transaction (bound %.1f)"
+      per_txn noop_words_per_txn_bound
+
+(* A location module that counts its [equal] calls. *)
+module CountLoc = struct
+  include IntLoc
+
+  let equal_calls = ref 0
+
+  let equal a b =
+    incr equal_calls;
+    Int.equal a b
+end
+
+module BstmC = Blockstm_core.Block_stm.Make (CountLoc) (IntVal)
+module SeqC = Blockstm_baselines.Sequential.Make (CountLoc) (IntVal)
+
+(* A transaction that writes n distinct locations, rewrites each and reads
+   each back costs O(n) own-write lookups in all: past a few writes the
+   log is indexed. Counted in [L.equal] calls over the whole block (the
+   VM's lookups, MVMemory's record and the snapshot, and a second
+   transaction that reads one of the locations through MVMemory); a log
+   that only scans makes more than n^2/2 of them. *)
+let test_own_write_log_linear () =
+  let n = 4_096 in
+  let txn : (int, int, int) Txn.t =
+   fun e ->
+    for l = 0 to n - 1 do
+      e.write l l
+    done;
+    for l = 0 to n - 1 do
+      e.write l (l + 1)
+    done;
+    let sum = ref 0 in
+    for l = 0 to n - 1 do
+      match e.read l with Some v -> sum := !sum + v | None -> ()
+    done;
+    !sum
+  in
+  let txns = [| txn; incr_txn 7 |] in
+  let seq = SeqC.run ~storage:zero_storage txns in
+  CountLoc.equal_calls := 0;
+  let r = BstmC.run ~storage:zero_storage txns in
+  let calls = !CountLoc.equal_calls in
+  Alcotest.(check bool) "outputs = sequential" true (r.outputs = seq.outputs);
+  Alcotest.(check bool) "snapshot = sequential" true
+    (SeqC.same_snapshot r.snapshot seq.snapshot);
+  if calls > 16 * n then
+    Alcotest.failf "%d L.equal calls for %d own writes (bound %d)" calls n
+      (16 * n)
 
 (* [finalize] allocates only its result: the snapshot list (a tuple and a
    cons cell per binding, 6 words) and a few records. The snapshot is
@@ -716,25 +789,31 @@ end
 module BstmB = Blockstm_core.Block_stm.Make (IntLoc) (BoxVal)
 
 (* Nothing a block leaves behind keeps its values alive once its result is
-   dropped: not the worker's write buffers, which its loop clears on exit.
+   dropped: not the worker's write buffers, which its loop clears on exit,
+   nor the instance its scratch pointed at, whose storage reader it held.
    The last transaction, the last one a domain runs, writes a fresh block
-   [h] that ends in the snapshot; the others write elsewhere. *)
+   [h] that ends in the snapshot; the others write elsewhere. Every
+   transaction reads location 64 through a storage reader that captures a
+   fresh block [s]. *)
 let test_scratch_keeps_nothing_alive () =
   List.iter
     (fun num_domains ->
-      let collected = Atomic.make false in
+      let written = Atomic.make false and captured = Atomic.make false in
       let run_block () =
         let h = BoxVal.Box (Sys.opaque_identity 7) in
-        Gc.finalise (fun _ -> Atomic.set collected true) h;
+        Gc.finalise (fun _ -> Atomic.set written true) h;
+        let s = BoxVal.Box (Sys.opaque_identity 9) in
+        Gc.finalise (fun _ -> Atomic.set captured true) s;
         let txns : (int, BoxVal.t, int) Txn.t array =
           Array.init 64 (fun i e ->
+              ignore (e.Txn.read 64);
               e.Txn.write i (if i = 63 then h else BoxVal.Box i);
               i)
         in
         let r =
           BstmB.run
             ~config:{ BstmB.default_config with num_domains }
-            ~storage:(fun _ -> None)
+            ~storage:(fun l -> if l = 64 then Some s else None)
             txns
         in
         Alcotest.(check bool) "h is in the snapshot" true
@@ -745,7 +824,11 @@ let test_scratch_keeps_nothing_alive () =
       Gc.full_major ();
       Alcotest.(check bool)
         (Printf.sprintf "written value collected, %d domains" num_domains)
-        true (Atomic.get collected))
+        true (Atomic.get written);
+      Alcotest.(check bool)
+        (Printf.sprintf "storage reader's value collected, %d domains"
+           num_domains)
+        true (Atomic.get captured))
     [ 1; 2 ]
 
 (* [finalize] raises on a transaction whose slot still holds the
@@ -1291,4 +1374,8 @@ let suite =
       test_read_logs_not_shared;
     Alcotest.test_case "helper-domain exception raises, no hang" `Quick
       test_helper_exception_raises;
+    Alcotest.test_case "an incarnation builds no effects handle" `Quick
+      test_noop_block_allocation;
+    Alcotest.test_case "own-write log stays linear" `Quick
+      test_own_write_log_linear;
   ]

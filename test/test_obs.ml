@@ -372,8 +372,17 @@ let test_report_json () =
           close_in ic;
           let j = J.parse_exn s in
           Alcotest.(check (option string))
-            "schema" (Some "blockstm-bench/10")
+            "schema" (Some "blockstm-bench/11")
             (Option.bind (J.member "schema" j) J.to_str);
+          Alcotest.(check (option (float 0.)))
+            "host cores"
+            (Some (float_of_int (Domain.recommended_domain_count ())))
+            (Option.bind
+               (Option.bind (J.member "host" j) (J.member "cores"))
+               J.to_float);
+          Alcotest.(check (option string))
+            "ocaml version" (Some Sys.ocaml_version)
+            (Option.bind (J.member "ocaml" j) J.to_str);
           let exps =
             Option.get (Option.bind (J.member "experiments" j) J.to_list)
           in

@@ -6,8 +6,10 @@
 # and enforce the perf invariants of the lock-free hot paths:
 #   - the MVMemory read and validation paths must not acquire a mutex: every
 #     function Mvmemory.read and Mvmemory.validate_read_set call, down to the
-#     slot probe and the chain lookup, and the engine's ESTIMATE scan over
-#     a recorded read log; nor may the scheduler's task path, from claiming
+#     slot probe and the chain lookup, the engine's ESTIMATE scan over a
+#     recorded read log, and the VM's speculative read, from the effects
+#     handle's read through the own-write lookup to the read log's append;
+#     nor may the scheduler's task path, from claiming
 #     a task to a validation abort, nor the commit job's per-binding path:
 #     MVMemory's per-shard read-out, the Merkle part update and the
 #     base-tier probe it calls (grep gate);
@@ -60,7 +62,9 @@ bash tools/unused_exports.sh
 # read path (read, the slot probe, the chain lookup, the delta fold), the
 # validation path (validate_read_set down to the per-descriptor checks, and
 # its walk over the read log's two arrays), the engine's pre-execution
-# ESTIMATE scan over a recorded read log, and the commit job's per-binding
+# ESTIMATE scan over a recorded read log, the VM's speculative read (the
+# effects handle's read, the own-write lookup and its scan, the pending-delta
+# lookup, and the read log's append), and the commit job's per-binding
 # path, which the crew runs on several domains at once: MVMemory's
 # per-shard read-out, the Merkle store's staged part update, and the base
 # tier's probe and slot read it calls.
@@ -70,7 +74,8 @@ for spec in $mv:hash_of $mv:probe_of $mv:probe $mv:find_slot $mv:below \
   $mv:read_delta_chain $mv:read_chain $mv:read $mv:materialize \
   $mv:is_version $mv:is_storage $mv:validate_plain $mv:validate_origin \
   $mv:validate_from $mv:validate_read_set \
-  $core:find_estimate_from \
+  $core:find_estimate_from $core:vm_read $core:own_write $core:scan_writes \
+  $core:own_delta $core:push_read \
   $mv:final_binding $mv:iter_shard \
   $mk:apply_part $mk:stage_binding $mk:push_staged $mk:push_deferred \
   $mk:dirty_in $mk:mix $mk:entry_hash_hm \
@@ -107,7 +112,7 @@ for fn in try_incarnate next_version_to_execute next_version_to_validate \
     exit 1
   fi
 done
-echo "ci: lock-free gate passed (Mvmemory read and validation paths, the ESTIMATE scan, the scheduler's task path and the commit job's per-binding path take no mutex)"
+echo "ci: lock-free gate passed (Mvmemory read and validation paths, the ESTIMATE scan, the VM's speculative read, the scheduler's task path and the commit job's per-binding path take no mutex)"
 
 # --- Per-block fixed-cost gate ----------------------------------------------
 # Block_stm.run's helpers are the only per-block Domain.spawn: MVMemory and
